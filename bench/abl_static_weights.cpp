@@ -5,6 +5,7 @@
 // even static, bandwidth-weighted static, and DMP.
 #include <algorithm>
 #include <cstdio>
+#include <string>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -39,15 +40,19 @@ int main() {
   std::printf("measured average path bandwidths: %.1f and %.1f pkts/s\n\n",
               sigma_a, sigma_b);
 
+  // The measured weights ride the scheduler spec at %.17g, so the split
+  // sees exactly the doubles the probes produced.
+  char weighted[96];
+  std::snprintf(weighted, sizeof weighted, "static:%.17g,%.17g", sigma_a,
+                sigma_b);
   struct Scheme {
     const char* name;
-    StreamScheme scheme;
-    std::vector<double> weights;
+    std::string scheduler;
   };
   const std::vector<Scheme> schemes{
-      {"static-even", StreamScheme::kStatic, {}},
-      {"static-weighted", StreamScheme::kStatic, {sigma_a, sigma_b}},
-      {"dmp", StreamScheme::kDmp, {}},
+      {"static-even", "static"},
+      {"static-weighted", weighted},
+      {"dmp", "pull"},
   };
 
   exp::ExperimentPlan plan;
@@ -56,8 +61,7 @@ int main() {
   plan.replications = 1;
   for (const auto& scheme : schemes) {
     auto config = base;
-    config.scheme = scheme.scheme;
-    config.static_weights = scheme.weights;
+    config.scheduler = scheme.scheduler;
     plan.settings.push_back({scheme.name, config});
   }
 

@@ -29,10 +29,9 @@ int main() {
   plan.name = "ext_stored";
   plan.seed = options.seed;
   plan.replications = 1;
-  auto live_config = bench::session_for(setting, duration);
-  live_config.scheme = StreamScheme::kDmp;
+  const auto live_config = bench::session_for(setting, duration);
   auto stored_config = live_config;
-  stored_config.scheme = StreamScheme::kStored;
+  stored_config.stored = true;
   plan.settings.push_back({"live", live_config});
   plan.settings.push_back({"stored", stored_config});
   // Both schemes on the same path draws: reuse setting 0's seed stream.

@@ -84,7 +84,6 @@ int main() {
       config.path_configs.assign(static_cast<std::size_t>(k),
                                  table1_config(4));
       config.num_flows = static_cast<std::size_t>(k);
-      config.scheme = StreamScheme::kDmp;
       // DMP_SCHED applies: rerun the failover study under any dispatch
       // policy (the default "pull" reproduces the original figure).
       config.scheduler = options.sched;

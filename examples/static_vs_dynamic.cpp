@@ -32,10 +32,9 @@ int main(int argc, char** argv) {
               duration);
 
   auto config = base_config(duration);
-  config.scheme = StreamScheme::kDmp;
   const auto dmp = run_session(config);
 
-  config.scheme = StreamScheme::kStatic;
+  config.scheduler = "static";
   const auto fixed = run_session(config);
 
   std::printf("%28s %12s %12s\n", "", "DMP", "static");

@@ -47,8 +47,9 @@ struct BenchOptions {
   double table1_probe_s = 120.0;    // DMP_TABLE1_PROBE_S
   // DMP_SCHED: DMP dispatch policy applied to every simulated session a
   // bench runs (src/stream/scheduler/ grammar: pull | weighted[:w0,w1,...]
-  // | best_path | round_robin | redundant | parity-<k>).  Validated by
-  // parsing here so a typo'd spec fails before any run starts.
+  // | static[:w0,w1,...] | best_path | round_robin | redundant |
+  // parity-<k>).  Validated by parsing here so a typo'd spec fails before
+  // any run starts.
   std::string sched = "pull";
   // DMP_QDISC: bottleneck queue discipline applied to every simulated
   // session a bench runs (src/net/qdisc/ grammar: droptail |

@@ -63,21 +63,21 @@ const MetricSeries* SettingSummary::find(const std::string& metric) const {
   return nullptr;
 }
 
-void SettingSummary::merge_sketch(const std::string& name,
+void SettingSummary::merge_sketch(const std::string& sketch_name,
                                   const obs::QuantileSketch& s) {
   for (auto& merged : sketches) {
-    if (merged.name == name) {
+    if (merged.name == sketch_name) {
       merged.sketch.merge(s);
       return;
     }
   }
-  sketches.push_back(MergedSketch{name, s});
+  sketches.push_back(MergedSketch{sketch_name, s});
 }
 
 const obs::QuantileSketch* SettingSummary::find_sketch(
-    const std::string& name) const {
+    const std::string& sketch_name) const {
   for (const auto& merged : sketches) {
-    if (merged.name == name) return &merged.sketch;
+    if (merged.name == sketch_name) return &merged.sketch;
   }
   return nullptr;
 }

@@ -1,5 +1,6 @@
 #include "stream/dmp_server.hpp"
 
+#include <cmath>
 #include <stdexcept>
 
 #include "stream/scheduler/strategies.hpp"
@@ -8,23 +9,31 @@ namespace dmp {
 
 DmpStreamingServer::DmpStreamingServer(
     Scheduler& sched, double mu_pps, std::vector<RenoSender*> senders,
-    SimTime start, SimTime duration, std::unique_ptr<PathScheduler> scheduler)
+    SimTime start, SimTime duration, std::unique_ptr<PathScheduler> scheduler,
+    bool stored)
     : sched_(sched),
-      mu_pps_(mu_pps),
       senders_(std::move(senders)),
       period_(SimTime::seconds(1.0 / mu_pps)),
       end_(start + duration),
-      scheduler_(std::move(scheduler)) {
+      scheduler_(std::move(scheduler)),
+      stored_(stored) {
   if (senders_.empty()) throw std::invalid_argument{"DMP needs >= 1 sender"};
   if (mu_pps <= 0) throw std::invalid_argument{"mu must be positive"};
   if (!scheduler_) scheduler_ = std::make_unique<PullScheduler>(senders_.size());
-  pulls_.assign(senders_.size(), 0);
   down_.assign(senders_.size(), false);
   path_state_.assign(senders_.size(), SchedPathState{});
   for (std::size_t k = 0; k < senders_.size(); ++k) {
     senders_[k]->set_space_callback([this, k] { window_open(k); });
   }
-  sched_.post_at(start, [this] { generate(); }, EventCategory::kSource);
+  if (stored_) {
+    const auto packets =
+        static_cast<std::int64_t>(std::llround(mu_pps * duration.to_seconds()));
+    if (packets <= 0) throw std::invalid_argument{"video must be non-empty"};
+    sched_.post_at(start, [this, packets] { load_stored(packets); },
+                   EventCategory::kSource);
+  } else {
+    sched_.post_at(start, [this] { generate(); }, EventCategory::kSource);
+  }
 }
 
 void DmpStreamingServer::attach_metrics(obs::MetricsRegistry& registry,
@@ -45,7 +54,7 @@ void DmpStreamingServer::attach_metrics(obs::MetricsRegistry& registry,
   });
 }
 
-void DmpStreamingServer::generate() {
+void DmpStreamingServer::admit() {
   const std::int64_t number = next_number_++;
   queue_.push_back(number);
   if (m_generated_) m_generated_->inc();
@@ -60,6 +69,10 @@ void DmpStreamingServer::generate() {
   }
   if (ts_generated_) ts_generated_->bump(sched_.now());
   scheduler_->on_generate(number);
+}
+
+void DmpStreamingServer::generate() {
+  admit();
   // At generation instants several senders may have space (e.g. during
   // startup); the policy decides who gets the backlog.
   scheduler_->on_offer();
@@ -71,6 +84,17 @@ void DmpStreamingServer::generate() {
   }
   if (sched_.now() + period_ < end_) {
     sched_.post_after(period_, [this] { generate(); }, EventCategory::kSource);
+  }
+}
+
+void DmpStreamingServer::load_stored(std::int64_t packets) {
+  // The whole file exists at the start instant: queue it, then offer it
+  // once.  From here on the senders' window openings drain the rest.
+  while (next_number_ < packets) admit();
+  scheduler_->on_offer();
+  drain();
+  if (ts_backlog_) {
+    ts_backlog_->add(sched_.now(), static_cast<double>(queue_.size()));
   }
 }
 
@@ -107,7 +131,6 @@ void DmpStreamingServer::execute(const SchedDecision& decision) {
       const std::int64_t number = queue_[decision.queue_pos];
       queue_.erase(queue_.begin() +
                    static_cast<std::ptrdiff_t>(decision.queue_pos));
-      ++pulls_[k];
       if (!m_pulls_.empty()) m_pulls_[k]->inc();
       if (flight_) {
         obs::FlightEvent e;
@@ -169,7 +192,6 @@ void DmpStreamingServer::on_path_down(std::size_t k) {
   // in their original order.  Segments already on the wire stay with TCP —
   // recovery is organic once the link returns.
   const auto tags = senders_[k]->reclaim_unsent();
-  reclaimed_ += tags.size();
   queue_.insert(queue_.begin(), tags.begin(), tags.end());
   max_queue_ = std::max(max_queue_, queue_.size());
   if (event_log_ && event_log_->enabled(obs::Severity::kInfo)) {

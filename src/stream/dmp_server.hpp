@@ -13,8 +13,16 @@
 // observability, translates sender/fault events into scheduler hooks, and
 // executes the scheduler's decisions.  The default `pull` policy
 // reproduces the paper's scheme decision-for-decision (golden-pinned);
-// other policies (weighted, best_path, round_robin, redundant, parity-k)
-// reuse this server core unchanged.
+// the Section-7.4 static baseline is the `static` policy, and other
+// policies (weighted, best_path, round_robin, redundant, parity-k) reuse
+// this server core unchanged.
+//
+// The source is live (one packet every 1/mu seconds) or stored — the
+// paper's Section-3 remark that the scheme "is also applicable to
+// stored-video streaming", left as future work there.  A stored video
+// exists before streaming starts, so the whole mu*duration-packet file is
+// queued at the start instant and the senders prefetch as far ahead as TCP
+// allows: the live early-packet cap Nmax = mu*tau no longer applies.
 #pragma once
 
 #include <cstdint>
@@ -26,66 +34,69 @@
 #include "obs/event_log.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
+#include "obs/telemetry/time_series.hpp"
 #include "sim/scheduler.hpp"
 #include "stream/scheduler/path_scheduler.hpp"
-#include "stream/stream_server.hpp"
 #include "tcp/reno_sender.hpp"
 #include "util/sim_time.hpp"
 
 namespace dmp {
 
-class DmpStreamingServer : public StreamServer {
+class DmpStreamingServer {
  public:
   // `senders` must outlive the server.  Generation begins at `start` and
   // runs for `duration`; `mu_pps` is the CBR playback rate in packets/s.
   // `scheduler` chooses the dispatch policy; null builds the compat `pull`
-  // policy.  (Direct construction is the legacy path — prefer
-  // make_stream_server, which wires the policy from the session config.)
+  // policy.  `stored` swaps the live source for a stored video of
+  // llround(mu * duration) packets, all queued at `start`.
   DmpStreamingServer(Scheduler& sched, double mu_pps,
                      std::vector<RenoSender*> senders, SimTime start,
                      SimTime duration,
-                     std::unique_ptr<PathScheduler> scheduler = nullptr);
+                     std::unique_ptr<PathScheduler> scheduler = nullptr,
+                     bool stored = false);
 
-  std::int64_t packets_generated() const override { return next_number_; }
+  // Stream packets generated so far: the late-fraction denominator.  A
+  // stored video counts in full from `start` on.
+  std::int64_t packets_generated() const { return next_number_; }
   std::size_t queue_length() const { return queue_.size(); }
-  double mu() const { return mu_pps_; }
   // Peak backlog observed in the server queue (diagnostic: bounded by
   // mu * (time TCP lags behind generation)).
   std::size_t max_queue_length() const { return max_queue_; }
-  // Packets fetched by sender k since the start of the run.
-  std::uint64_t pulls(std::size_t k) const override { return pulls_[k]; }
 
-  const char* scheme_name() const override { return "dmp"; }
-  const char* scheduler_name() const override { return scheduler_->name(); }
-  bool scheduler_needs_dedup() const { return scheduler_->needs_dedup(); }
+  // Report tags: the source kind ("dmp" live, "stored") and the policy.
+  const char* scheme_name() const { return stored_ ? "stored" : "dmp"; }
+  const char* scheduler_name() const { return scheduler_->name(); }
   // Redundancy decisions executed (0 under non-redundant policies).
-  std::uint64_t duplicates_sent() const override { return duplicates_sent_; }
-  std::uint64_t parity_sent() const override { return parity_sent_; }
+  std::uint64_t duplicates_sent() const { return duplicates_sent_; }
+  std::uint64_t parity_sent() const { return parity_sent_; }
 
   // Registers `<prefix>.queue_depth` / `<prefix>.max_queue_depth` sampler
   // gauges, the `<prefix>.generated` counter, one `<prefix>.pulls.
   // path<k>` counter per sender, and the `<prefix>.sched.{duplicates,
   // parity}` redundancy counters.  Optional; a no-op when never called.
   void attach_metrics(obs::MetricsRegistry& registry,
-                      const std::string& prefix) override;
+                      const std::string& prefix);
   // Emits per-pull "pull" (and per-redundancy-decision "dup"/"parity")
   // events at kDebug severity.
-  void set_event_log(obs::EventLog* log) override { event_log_ = log; }
+  void set_event_log(obs::EventLog* log) { event_log_ = log; }
   // Records per-stream-packet birth (kGenerate, with the shared-queue depth)
   // and sender fetch (kPull, with the chosen path) span events; redundancy
   // decisions add kSchedDecision events.  Optional; a no-op when never
   // called.
-  void set_flight_recorder(obs::FlightRecorder* recorder) override {
+  void set_flight_recorder(obs::FlightRecorder* recorder) {
     flight_ = recorder;
   }
+  // Windowed telemetry (either may be null): `backlog` samples the shared
+  // queue after each generation instant's offer; `generated` gets one bump
+  // per stream packet entering the queue.
   void set_telemetry(obs::TimeSeriesChannel* backlog,
-                     obs::TimeSeriesChannel* generated) override {
+                     obs::TimeSeriesChannel* generated) {
     ts_backlog_ = backlog;
     ts_generated_ = generated;
   }
   // Windowed per-decision redundancy telemetry (either may be null).
   void set_sched_telemetry(obs::TimeSeriesChannel* duplicates,
-                           obs::TimeSeriesChannel* parity) override {
+                           obs::TimeSeriesChannel* parity) {
     ts_duplicates_ = duplicates;
     ts_parity_ = parity;
   }
@@ -95,21 +106,16 @@ class DmpStreamingServer : public StreamServer {
   // and re-offer the backlog to the surviving senders.  While a path is
   // down its sender is skipped by every policy, so the shared-queue
   // discipline routes the whole stream over the survivors — the paper's
-  // implicit load shifting, exercised under failure.
-  void on_path_down(std::size_t k) override;
-  void on_path_up(std::size_t k) override;
-  bool path_down(std::size_t k) const { return down_[k]; }
-  // Packets reclaimed from dead senders over the run (diagnostic).
-  std::uint64_t reclaimed() const { return reclaimed_; }
-
-  // One shared backlog gauge.
-  std::vector<std::string> probe_columns(
-      const std::string& prefix, std::size_t /*num_flows*/) const override {
-    return {prefix + ".queue_depth"};
-  }
+  // implicit load shifting, exercised under failure.  (The `static`
+  // policy instead holds the dead path's share until it comes back.)
+  void on_path_down(std::size_t k);
+  void on_path_up(std::size_t k);
 
  private:
+  // Appends packet `next_number_` to the shared queue.
+  void admit();
   void generate();
+  void load_stored(std::int64_t packets);
   void window_open(std::size_t k);
   // Refreshes the per-path snapshot and executes scheduler decisions until
   // pick() runs dry.
@@ -117,18 +123,16 @@ class DmpStreamingServer : public StreamServer {
   void execute(const SchedDecision& decision);
 
   Scheduler& sched_;
-  double mu_pps_;
   std::vector<RenoSender*> senders_;
   SimTime period_;
   SimTime end_;
   std::unique_ptr<PathScheduler> scheduler_;
+  bool stored_;
 
   std::deque<std::int64_t> queue_;  // packet numbers awaiting a sender
   std::int64_t next_number_ = 0;
   std::size_t max_queue_ = 0;
-  std::vector<std::uint64_t> pulls_;
   std::vector<bool> down_;  // paths currently failed (fault injector)
-  std::uint64_t reclaimed_ = 0;
   std::uint64_t duplicates_sent_ = 0;
   std::uint64_t parity_sent_ = 0;
   std::vector<SchedPathState> path_state_;  // reused pick() scratch

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <stdexcept>
+#include <utility>
 
 #include "stream/scheduler/strategies.hpp"
 
@@ -31,8 +32,8 @@ double parse_weight(const std::string& spec, const std::string& token) {
 }  // namespace
 
 const char* scheduler_spec_grammar() {
-  return "pull, weighted[:w0,w1,...], best_path, round_robin, redundant, "
-         "parity-<k> for k in [2,32]";
+  return "pull, weighted[:w0,w1,...], static[:w0,w1,...], best_path, "
+         "round_robin, redundant, parity-<k> for k in [2,32]";
 }
 
 SchedulerSpec SchedulerSpec::parse(const std::string& spec) {
@@ -54,22 +55,29 @@ SchedulerSpec SchedulerSpec::parse(const std::string& spec) {
     out.strategy = Strategy::kRedundant;
     return out;
   }
-  if (spec == "weighted" || spec.rfind("weighted:", 0) == 0) {
-    out.strategy = Strategy::kWeighted;
-    if (spec.size() > 9) {
-      std::string rest = spec.substr(9);
-      std::size_t start = 0;
-      while (true) {
-        const std::size_t comma = rest.find(',', start);
-        const std::string token =
-            rest.substr(start, comma == std::string::npos ? std::string::npos
-                                                          : comma - start);
-        out.weights.push_back(parse_weight(spec, token));
-        if (comma == std::string::npos) break;
-        start = comma + 1;
-      }
-    } else if (spec.size() == 9) {
+  for (const auto& [name, strategy] :
+       {std::pair{std::string("weighted"), Strategy::kWeighted},
+        std::pair{std::string("static"), Strategy::kStatic}}) {
+    if (spec.rfind(name, 0) != 0) continue;
+    if (spec.size() == name.size()) {
+      out.strategy = strategy;
+      return out;
+    }
+    if (spec[name.size()] != ':') continue;
+    if (spec.size() == name.size() + 1) {
       bad_spec("scheduler spec '" + spec + "' has an empty weight list");
+    }
+    out.strategy = strategy;
+    const std::string rest = spec.substr(name.size() + 1);
+    std::size_t start = 0;
+    while (true) {
+      const std::size_t comma = rest.find(',', start);
+      const std::string token =
+          rest.substr(start, comma == std::string::npos ? std::string::npos
+                                                        : comma - start);
+      out.weights.push_back(parse_weight(spec, token));
+      if (comma == std::string::npos) break;
+      start = comma + 1;
     }
     return out;
   }
@@ -103,9 +111,12 @@ std::unique_ptr<PathScheduler> make_path_scheduler(
   switch (spec.strategy) {
     case SchedulerSpec::Strategy::kPull:
       return std::make_unique<PullScheduler>(num_paths);
-    case SchedulerSpec::Strategy::kWeighted: {
-      std::vector<double> weights =
-          spec.weights.empty() ? default_weights : spec.weights;
+    case SchedulerSpec::Strategy::kWeighted:
+    case SchedulerSpec::Strategy::kStatic: {
+      const bool fixed = spec.strategy == SchedulerSpec::Strategy::kStatic;
+      std::vector<double> weights = !spec.weights.empty() ? spec.weights
+                                    : fixed ? std::vector<double>{}
+                                            : default_weights;
       if (!weights.empty() && weights.size() != num_paths) {
         throw std::invalid_argument{
             "scheduler spec '" + spec.text + "' carries " +
@@ -113,7 +124,7 @@ std::unique_ptr<PathScheduler> make_path_scheduler(
             std::to_string(num_paths) + " paths"};
       }
       return std::make_unique<WeightedScheduler>(num_paths,
-                                                 std::move(weights));
+                                                 std::move(weights), fixed);
     }
     case SchedulerSpec::Strategy::kBestPath:
       return std::make_unique<BestPathScheduler>();

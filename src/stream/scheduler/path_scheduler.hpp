@@ -3,9 +3,10 @@
 // The paper's scheme hard-codes one policy: pull the head-of-queue packet
 // onto whichever path has TCP send-buffer room (Fig. 2).  PathScheduler
 // extracts that decision behind an interface so the same server core can
-// run alternative policies — weighted static splits, lowest-RTT path,
-// round-robin, per-packet duplication, and XOR parity à la CTCP — chosen
-// by a validated spec string (the DMP_SCHED bench knob).
+// run alternative policies — the Section-7.4 static split, weighted
+// splits, lowest-RTT path, round-robin, per-packet duplication, and XOR
+// parity à la CTCP — chosen by a validated spec string (the DMP_SCHED
+// bench knob).
 //
 // Contract (see docs/SCHEDULERS.md for the full decision table):
 //   * The server owns the shared queue, the senders and all observability;
@@ -131,19 +132,21 @@ class PathScheduler {
 };
 
 // Parsed, validated scheduler spec — the DMP_SCHED grammar:
-//   pull | weighted[:w0,w1,...] | best_path | round_robin | redundant |
-//   parity-<k>          (k in [2, 32])
+//   pull | weighted[:w0,w1,...] | static[:w0,w1,...] | best_path |
+//   round_robin | redundant | parity-<k>          (k in [2, 32])
 struct SchedulerSpec {
   enum class Strategy : std::uint8_t {
     kPull,
     kWeighted,
+    kStatic,
     kBestPath,
     kRoundRobin,
     kRedundant,
     kParity,
   };
   Strategy strategy = Strategy::kPull;
-  std::vector<double> weights{};  // kWeighted: explicit split (else path rates)
+  // kWeighted / kStatic: explicit split (else path rates / even).
+  std::vector<double> weights{};
   int parity_k = 0;               // kParity: data packets per parity packet
   std::string text = "pull";      // canonical spec string
 
@@ -162,8 +165,9 @@ const char* scheduler_spec_grammar();
 // Builds the scheduler for `spec` over `num_paths` senders.
 // `default_weights` (one entry per path, e.g. configured path bandwidths)
 // seeds the `weighted` strategy when the spec carries no explicit weights;
-// empty means an even split.  Throws std::invalid_argument when explicit
-// weights do not match `num_paths` or are invalid.
+// empty means an even split.  `static` without weights always splits
+// evenly (the paper's odd/even rule).  Throws std::invalid_argument when
+// explicit weights do not match `num_paths` or are invalid.
 std::unique_ptr<PathScheduler> make_path_scheduler(
     const SchedulerSpec& spec, std::size_t num_paths,
     const std::vector<double>& default_weights = {});

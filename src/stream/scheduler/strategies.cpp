@@ -63,16 +63,18 @@ bool PullScheduler::pick(const std::vector<SchedPathState>& paths,
   return false;
 }
 
-// --- weighted (static split via the shared deficit rule) ---
+// --- weighted / static (split via the shared deficit rule) ---
 
 WeightedScheduler::WeightedScheduler(std::size_t num_paths,
-                                     std::vector<double> weights)
+                                     std::vector<double> weights, bool fixed)
     : split_(num_paths, std::move(weights)),
+      fixed_(fixed),
       up_(num_paths, 1),
       pending_(num_paths) {}
 
 void WeightedScheduler::assign(std::int64_t packet) {
-  pending_[split_.assign_among(&up_)].push_back(packet);
+  pending_[fixed_ ? split_.assign() : split_.assign_among(&up_)].push_back(
+      packet);
 }
 
 void WeightedScheduler::on_generate(std::int64_t packet) { assign(packet); }
@@ -80,6 +82,14 @@ void WeightedScheduler::on_generate(std::int64_t packet) { assign(packet); }
 void WeightedScheduler::on_path_down(
     std::size_t path, const std::vector<std::int64_t>& reclaimed,
     const std::vector<AtRiskPacket>& /*at_risk*/, double /*srtt_s*/) {
+  unsorted_ += reclaimed.size();
+  if (fixed_) {
+    // The dead path keeps its share: reclaimed tags (older than anything
+    // still pending there) wait at the head of its queue.
+    pending_[path].insert(pending_[path].begin(), reclaimed.begin(),
+                          reclaimed.end());
+    return;
+  }
   up_[path] = 0;
   // The dead path's share — reclaimed sender tags (oldest) plus its
   // pending assignment — is re-split across the surviving paths.
@@ -98,9 +108,12 @@ bool WeightedScheduler::pick(const std::vector<SchedPathState>& paths,
     auto& pend = pending_[k];
     while (!pend.empty()) {
       const std::int64_t tag = pend.front();
-      // The shared queue holds ascending tags, so the assigned packet's
-      // position is a binary search away.
-      const auto it = std::lower_bound(queue.begin(), queue.end(), tag);
+      // Past the reclaimed prefix the shared queue holds ascending tags, so
+      // the assigned packet's position is a binary search away.
+      const auto sorted = queue.begin() + static_cast<std::ptrdiff_t>(
+                                              std::min(unsorted_, queue.size()));
+      auto it = std::find(queue.begin(), sorted, tag);
+      if (it == sorted) it = std::lower_bound(sorted, queue.end(), tag);
       if (it == queue.end() || *it != tag) {
         pend.pop_front();  // stale assignment (defensive; should not occur)
         continue;
@@ -109,6 +122,7 @@ bool WeightedScheduler::pick(const std::vector<SchedPathState>& paths,
       out->path = k;
       out->queue_pos = static_cast<std::size_t>(it - queue.begin());
       out->packet = tag;
+      if (it < sorted) --unsorted_;
       pend.pop_front();
       return true;
     }

@@ -46,16 +46,23 @@ class PullScheduler : public PathScheduler {
   std::size_t rotate_ = 0;  // fairness when several senders have space
 };
 
-// Static split by path weight: every generated packet is pre-assigned to a
-// path by the shared deficit rule (WeightedSplit); a path only ever pulls
-// its own packets, even when another path idles.  Under faults the dead
-// path's pending share — and the tags the server reclaimed from its
-// sender — are reassigned across the surviving paths.
+// Split by path weight: every generated packet is pre-assigned to a path by
+// the shared deficit rule (WeightedSplit); a path only ever pulls its own
+// packets, even when another path idles.  Two fault stories:
+//  - `weighted`: the dead path's pending share — and the tags the server
+//    reclaimed from its sender — are re-split across the surviving paths,
+//    and fresh packets skip the dead path;
+//  - `static` (`fixed`): the Section-7.4 baseline, whose packet-to-path
+//    rule is decided in advance.  Fresh packets keep being assigned to the
+//    dead path and the reclaimed tags go back to the front of its pending
+//    queue, so its share stalls head-of-line until the link returns.
+//    Reassigning the stalled share would turn the baseline into DMP.
 class WeightedScheduler : public PathScheduler {
  public:
-  WeightedScheduler(std::size_t num_paths, std::vector<double> weights);
+  WeightedScheduler(std::size_t num_paths, std::vector<double> weights,
+                    bool fixed = false);
 
-  const char* name() const override { return "weighted"; }
+  const char* name() const override { return fixed_ ? "static" : "weighted"; }
   void on_generate(std::int64_t packet) override;
   void on_path_down(std::size_t path,
                     const std::vector<std::int64_t>& reclaimed,
@@ -70,8 +77,13 @@ class WeightedScheduler : public PathScheduler {
   void assign(std::int64_t packet);
 
   WeightedSplit split_;
+  bool fixed_;
   std::vector<char> up_;
   std::vector<std::deque<std::int64_t>> pending_;  // assigned, not yet pulled
+  // The server puts reclaimed tags at the front of the shared queue, where
+  // they may be newer than tags behind them: only the queue past this many
+  // leading entries is guaranteed ascending.
+  std::size_t unsorted_ = 0;
 };
 
 // Greedy lowest-smoothed-RTT path with send-buffer room takes the queue

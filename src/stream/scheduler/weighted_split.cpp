@@ -23,9 +23,8 @@ WeightedSplit::WeightedSplit(std::size_t num_paths,
 
 std::size_t WeightedSplit::assign_among(const std::vector<char>* allowed) {
   // Deficit (weighted) round-robin: packet n goes to the path furthest
-  // behind its target share.  The arithmetic matches the historical
-  // StaticStreamingServer::assign_path exactly so static splits stay
-  // byte-identical across the extraction.
+  // behind its target share.  The arithmetic is pinned: static-split
+  // goldens depend on it bit for bit.
   const double n1 = static_cast<double>(total_ + 1);
   std::size_t best = 0;
   double best_deficit = -1e300;

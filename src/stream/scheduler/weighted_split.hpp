@@ -1,7 +1,6 @@
 // Deficit weighted round-robin packet-to-path assignment — the static
-// multipath split rule (Section 7.4), shared by StaticStreamingServer and
-// the `weighted` PathScheduler so both schemes split identically for the
-// same weights.
+// multipath split rule (Section 7.4) behind the `static` and `weighted`
+// PathSchedulers, so both policies split identically for the same weights.
 #pragma once
 
 #include <cstdint>

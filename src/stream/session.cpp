@@ -12,7 +12,7 @@
 #include "obs/run_report.hpp"
 #include "sim/scheduler.hpp"
 #include "stream/scheduler/redundancy_filter.hpp"
-#include "stream/stream_server.hpp"
+#include "stream/dmp_server.hpp"
 #include "tcp/connection.hpp"
 #include "util/rng.hpp"
 #include "util/seed_stream.hpp"
@@ -67,7 +67,7 @@ SessionResult run_session(const SessionConfig& config) {
         "independent sessions need one path config per video flow"};
   }
   // Parse the dispatch-policy spec up front so a typo fails before any
-  // network is built.  Only DMP sessions running a redundant policy route
+  // network is built.  Only sessions running a redundant policy route
   // deliveries through the exactly-once filter; everything else keeps the
   // direct callback path (no allocation, no behavior change).
   const SchedulerSpec scheduler_spec = SchedulerSpec::parse(config.scheduler);
@@ -75,8 +75,7 @@ SessionResult run_session(const SessionConfig& config) {
   // backend.
   const QdiscSpec qdisc_spec = QdiscSpec::parse(config.qdisc);
   const SchedulerBackend des_backend = parse_scheduler_backend(config.des);
-  const bool dedup = config.scheme == StreamScheme::kDmp &&
-                     scheduler_spec.redundant();
+  const bool dedup = scheduler_spec.redundant();
   std::unique_ptr<RedundancyFilter> redundancy;
   if (dedup) redundancy = std::make_unique<RedundancyFilter>();
 
@@ -242,22 +241,32 @@ SessionResult run_session(const SessionConfig& config) {
         });
   }
 
-  // --- server (scheme under test; one interface, no per-scheme wiring) ---
+  // --- server: the policy under test, over a live or stored source ---
   const SimTime duration = SimTime::seconds(config.duration_s);
-  std::unique_ptr<StreamServer> server = make_stream_server(
-      config, sched, senders, epoch, duration, scheduler_spec);
-  if (registry) {
-    server->attach_metrics(*registry, "server");
-    server->set_event_log(events.get());
+  // Default `weighted` weights: the configured path rates, so the split
+  // targets each path's provisioned share of the stream.
+  std::vector<double> path_rates;
+  for (std::size_t k = 0; k < config.num_flows; ++k) {
+    const PathConfig& path =
+        config.correlated ? config.path_configs[0] : config.path_configs[k];
+    path_rates.push_back(path.bandwidth_bps);
   }
-  if (flight) server->set_flight_recorder(flight.get());
+  DmpStreamingServer server(
+      sched, config.mu_pps, senders, epoch, duration,
+      make_path_scheduler(scheduler_spec, config.num_flows, path_rates),
+      config.stored);
+  if (registry) {
+    server.attach_metrics(*registry, "server");
+    server.set_event_log(events.get());
+  }
+  if (flight) server.set_flight_recorder(flight.get());
   if (telemetry) {
-    server->set_telemetry(telemetry->series().channel("server.backlog"),
-                          telemetry->series().channel("server.generated"));
+    server.set_telemetry(telemetry->series().channel("server.backlog"),
+                         telemetry->series().channel("server.generated"));
     // Redundancy channels only exist when the policy can emit them, so
     // compat-policy telemetry artifacts stay unchanged.
     if (dedup) {
-      server->set_sched_telemetry(
+      server.set_sched_telemetry(
           telemetry->series().channel("server.sched.duplicates"),
           telemetry->series().channel("server.sched.parity"));
     }
@@ -270,7 +279,7 @@ SessionResult run_session(const SessionConfig& config) {
   if (!config.faults.empty()) {
     injector = std::make_unique<fault::FaultInjector>(
         sched, fault::FaultPlan::parse(config.faults), epoch);
-    StreamServer* srv = server.get();
+    DmpStreamingServer* srv = &server;
     const std::size_t flows = config.num_flows;
     for (std::size_t i = 0; i < paths.size(); ++i) {
       DumbbellPath* path = paths[i].get();
@@ -308,8 +317,7 @@ SessionResult run_session(const SessionConfig& config) {
   // --- time-series probe (per-path cwnd / RTT / queues, server backlog) ---
   std::unique_ptr<obs::Probe> probe;
   if (registry) {
-    std::vector<std::string> columns =
-        server->probe_columns("server", config.num_flows);
+    std::vector<std::string> columns{"server.queue_depth"};
     for (std::size_t k = 0; k < config.num_flows; ++k) {
       const std::string path = ".path" + std::to_string(k);
       columns.push_back("tcp" + path + ".cwnd");
@@ -339,7 +347,7 @@ SessionResult run_session(const SessionConfig& config) {
   if (injector) result.fault_events_fired = injector->events_fired();
 
   // --- per-path measurements (Table 2 / Table 3 rows) ---
-  result.packets_generated = server->packets_generated();
+  result.packets_generated = server.packets_generated();
   const auto split = trace.path_split(config.num_flows);
   for (std::size_t k = 0; k < config.num_flows; ++k) {
     const DumbbellPath& path = config.correlated ? *paths[0] : *paths[k];
@@ -358,8 +366,8 @@ SessionResult run_session(const SessionConfig& config) {
     result.paths.push_back(m);
   }
   result.trace = std::move(trace);
-  result.duplicates_sent = server->duplicates_sent();
-  result.parity_sent = server->parity_sent();
+  result.duplicates_sent = server.duplicates_sent();
+  result.parity_sent = server.parity_sent();
   if (redundancy) {
     result.duplicates_suppressed = redundancy->counters().duplicates_suppressed;
     result.parity_recovered = redundancy->counters().parity_recovered;
@@ -393,10 +401,8 @@ SessionResult run_session(const SessionConfig& config) {
     }
 
     obs::RunReport report;
-    report.set_text("scheme", server->scheme_name());
-    if (*server->scheduler_name() != '\0') {
-      report.set_text("scheduler", server->scheduler_name());
-    }
+    report.set_text("scheme", server.scheme_name());
+    report.set_text("scheduler", server.scheduler_name());
     // Qdisc identity + AQM discard tallies only when one actually ran, so
     // droptail reports stay byte-identical to pre-qdisc artifacts.
     if (!qdisc_spec.droptail()) {

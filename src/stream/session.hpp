@@ -22,10 +22,6 @@
 
 namespace dmp {
 
-// kStored streams a pre-recorded video of mu*duration packets with the DMP
-// pull discipline but no live-source constraint (Section-3 extension).
-enum class StreamScheme { kDmp, kStatic, kStored };
-
 // Video flows default to per-packet ACKs — the ns-2 TCPSink default the
 // paper's simulations would have used (delayed ACKs remain available).
 inline TcpConfig default_video_tcp() {
@@ -41,7 +37,10 @@ struct SessionConfig {
   std::vector<PathConfig> path_configs;
   bool correlated = false;
   std::size_t num_flows = 2;
-  StreamScheme scheme = StreamScheme::kDmp;
+  // Source mode: false streams live video (one packet every 1/mu s); true
+  // streams a stored video of mu*duration packets, all available at the
+  // video epoch — no live-source constraint (Section-3 extension).
+  bool stored = false;
   double mu_pps = 50.0;
   double duration_s = 3000.0;
   // Background warm-up before video generation starts; arrival timestamps
@@ -52,13 +51,15 @@ struct SessionConfig {
   double drain_s = 60.0;
   std::uint64_t seed = 1;
   TcpConfig video_tcp = default_video_tcp();
-  std::vector<double> static_weights{};  // empty = even split
-  // DMP dispatch policy (src/stream/scheduler/ spec grammar, the DMP_SCHED
-  // bench knob): pull | weighted[:w0,w1,...] | best_path | round_robin |
-  // redundant | parity-<k>.  Parsed and validated before any network is
-  // built; the default reproduces the paper's scheme byte-identically.
-  // Redundant policies route client deliveries through a RedundancyFilter
-  // for exactly-once trace recording.  Static / stored schemes ignore it.
+  // Dispatch policy (src/stream/scheduler/ spec grammar, the DMP_SCHED
+  // bench knob): pull | weighted[:w0,w1,...] | static[:w0,w1,...] |
+  // best_path | round_robin | redundant | parity-<k>.  Parsed and
+  // validated before any network is built; the default reproduces the
+  // paper's scheme byte-identically, and `static` is the Section-7.4
+  // static-split baseline (even split unless weights are given; write
+  // weights with %.17g so they round-trip exactly).  Redundant policies
+  // route client deliveries through a RedundancyFilter for exactly-once
+  // trace recording.
   std::string scheduler = "pull";
   // Bottleneck queue discipline (src/net/qdisc/ spec grammar, the
   // DMP_QDISC bench knob): droptail | pie[:target_ms[,tupdate_ms]] |

@@ -8,6 +8,7 @@
 
 #include <cstdlib>
 #include <stdexcept>
+#include <string>
 
 #include "exp/options.hpp"
 #include "exp/plan.hpp"
@@ -18,7 +19,7 @@
 namespace dmp::exp {
 namespace {
 
-SessionConfig quick_config(StreamScheme scheme = StreamScheme::kDmp) {
+SessionConfig quick_config(const std::string& scheduler = "pull") {
   SessionConfig config;
   config.path_configs = {table1_config(2), table1_config(2)};
   config.num_flows = 2;
@@ -26,7 +27,7 @@ SessionConfig quick_config(StreamScheme scheme = StreamScheme::kDmp) {
   config.duration_s = 20.0;
   config.warmup_s = 5.0;
   config.drain_s = 10.0;
-  config.scheme = scheme;
+  config.scheduler = scheduler;
   config.seed = 20071211;
   return config;
 }
@@ -61,9 +62,9 @@ TEST(DesBackend, HeapAndCalendarSessionsAreBitIdentical) {
 }
 
 TEST(DesBackend, HeapAndCalendarMatchUnderStaticScheme) {
-  auto calendar = quick_config(StreamScheme::kStatic);
+  auto calendar = quick_config("static");
   calendar.des = "calendar";
-  auto heap = quick_config(StreamScheme::kStatic);
+  auto heap = quick_config("static");
   heap.des = "heap";
   expect_identical(run_session(calendar), run_session(heap));
 }

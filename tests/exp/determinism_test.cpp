@@ -20,7 +20,7 @@
 namespace dmp::exp {
 namespace {
 
-SessionConfig quick_config(StreamScheme scheme = StreamScheme::kDmp) {
+SessionConfig quick_config(const std::string& scheduler = "pull") {
   SessionConfig config;
   config.path_configs = {table1_config(2), table1_config(2)};
   config.num_flows = 2;
@@ -28,7 +28,7 @@ SessionConfig quick_config(StreamScheme scheme = StreamScheme::kDmp) {
   config.duration_s = 20.0;
   config.warmup_s = 5.0;
   config.drain_s = 10.0;
-  config.scheme = scheme;
+  config.scheduler = scheduler;
   return config;
 }
 
@@ -82,8 +82,8 @@ ExperimentPlan small_plan() {
   plan.name = "determinism_test";
   plan.seed = 777;
   plan.replications = 3;
-  plan.settings.push_back({"dmp", quick_config(StreamScheme::kDmp)});
-  plan.settings.push_back({"static", quick_config(StreamScheme::kStatic)});
+  plan.settings.push_back({"dmp", quick_config("pull")});
+  plan.settings.push_back({"static", quick_config("static")});
   return plan;
 }
 
@@ -122,10 +122,9 @@ TEST(Determinism, ReplicationExceptionsAreCapturedPerOutcome) {
   plan.seed = 5;
   plan.replications = 2;
   plan.settings.push_back({"ok", quick_config()});
-  // Static scheme with a 3-entry weight vector over 2 senders throws
+  // Static policy with a 3-entry weight vector over 2 senders throws
   // std::invalid_argument inside run_session.
-  auto bad = quick_config(StreamScheme::kStatic);
-  bad.static_weights = {1.0, 1.0, 1.0};
+  auto bad = quick_config("static:1,1,1");
   plan.settings.push_back({"bad", bad});
 
   std::vector<std::string> errors;

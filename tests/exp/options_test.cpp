@@ -96,8 +96,9 @@ TEST_F(OptionsTest, RejectsUnknownSchedulerWithAcceptedSet) {
     // accepted grammar so a typo'd knob is self-diagnosing.
     EXPECT_STREQ(e.what(),
                  "bench options: DMP_SCHED: unknown scheduler 'bogus' "
-                 "(accepted: pull, weighted[:w0,w1,...], best_path, "
-                 "round_robin, redundant, parity-<k> for k in [2,32])");
+                 "(accepted: pull, weighted[:w0,w1,...], "
+                 "static[:w0,w1,...], best_path, round_robin, redundant, "
+                 "parity-<k> for k in [2,32])");
   }
 }
 

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "exp/plan.hpp"
 #include "exp/report.hpp"
@@ -23,7 +24,6 @@ SessionConfig blackhole_config(std::size_t num_paths, const std::string& faults)
   SessionConfig config;
   config.path_configs.assign(num_paths, table1_config(4));
   config.num_flows = num_paths;
-  config.scheme = StreamScheme::kDmp;
   config.mu_pps = 30.0;
   config.duration_s = 40.0;
   config.warmup_s = 10.0;
@@ -57,6 +57,37 @@ TEST(Failover, DmpSurvivesBlackholeSinglePathDoesNot) {
   EXPECT_LT(dmp_late, 0.05) << "DMP late fraction with one path down";
   EXPECT_GT(single_late, 0.10) << "single path must pay for the outage";
   EXPECT_LT(dmp_late, single_late);
+}
+
+TEST(Failover, StaticKeepsItsOutageStall) {
+  // The Section-7.4 static split has no graceful degradation: the dead
+  // path keeps its share, which stalls head-of-line until the link
+  // returns.  Every packet still arrives exactly once, but far later than
+  // under DMP, whose survivors absorb the reclaimed load.
+  auto config = blackhole_config(2, kBlackhole);
+  const auto dmp = run_session(config);
+  config.scheduler = "static";
+  const auto fixed = run_session(config);
+  EXPECT_EQ(fixed.fault_events_fired, 2u);
+
+  ASSERT_EQ(static_cast<std::int64_t>(fixed.trace.arrivals()),
+            fixed.packets_generated);
+  std::vector<bool> seen(static_cast<std::size_t>(fixed.packets_generated),
+                         false);
+  for (const auto& e : fixed.trace.entries()) {
+    ASSERT_GE(e.packet_number, 0);
+    ASSERT_LT(e.packet_number, fixed.packets_generated);
+    ASSERT_FALSE(seen[static_cast<std::size_t>(e.packet_number)])
+        << "duplicate " << e.packet_number;
+    seen[static_cast<std::size_t>(e.packet_number)] = true;
+  }
+
+  const double dmp_late = late_fraction(dmp, 4.0);
+  const double static_late = late_fraction(fixed, 4.0);
+  EXPECT_GT(dmp_late, 0.0);
+  EXPECT_GE(static_late, 5.0 * dmp_late)
+      << "static must pay for the outage: " << static_late << " vs DMP "
+      << dmp_late;
 }
 
 TEST(Failover, FaultedRunIsDeterministic) {

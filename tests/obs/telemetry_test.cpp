@@ -341,7 +341,7 @@ TEST(Profiler, WallTimingAccumulatesWhenEnabled) {
   sched.set_profiler(&profile, /*time_events=*/true);
   sched.post_after(SimTime::millis(1), [] {
     volatile double x = 0.0;
-    for (int i = 0; i < 10000; ++i) x += static_cast<double>(i);
+    for (int i = 0; i < 10000; ++i) x = x + static_cast<double>(i);
   }, EventCategory::kSource);
   sched.run();
   EXPECT_EQ(profile[EventCategory::kSource].executed, 1u);

@@ -2,15 +2,21 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 
 #include "net/topology.hpp"
 #include "stream/dmp_server.hpp"
-#include "stream/static_server.hpp"
+#include "stream/scheduler/path_scheduler.hpp"
 #include "stream/trace.hpp"
 #include "tcp/connection.hpp"
 
 namespace dmp {
 namespace {
+
+// The Section-7.4 static baseline: the DMP server under a `static` policy.
+std::unique_ptr<PathScheduler> static_policy(const std::string& spec) {
+  return make_path_scheduler(SchedulerSpec::parse(spec), 2);
+}
 
 struct TwoPathRig {
   TwoPathRig(double bw1_bps, double bw2_bps, double mu_pps,
@@ -139,9 +145,9 @@ TEST(StaticStreaming, RoundRobinSplitIsExactlyEven) {
   c2.sink->set_deliver_callback([&](std::int64_t tag, SimTime) {
     trace.record(tag, sched.now(), 1);
   });
-  StaticStreamingServer server(sched, 100.0,
-                               {c1.sender.get(), c2.sender.get()},
-                               SimTime::zero(), SimTime::seconds(50));
+  DmpStreamingServer server(sched, 100.0, {c1.sender.get(), c2.sender.get()},
+                            SimTime::zero(), SimTime::seconds(50),
+                            static_policy("static"));
   sched.run_until(SimTime::seconds(100));
   const auto split = trace.path_split(2);
   EXPECT_NEAR(split[0], 0.5, 0.01);
@@ -171,10 +177,9 @@ TEST(StaticStreaming, WeightedSplitFollowsWeights) {
   c2.sink->set_deliver_callback([&](std::int64_t tag, SimTime) {
     trace.record(tag, sched.now(), 1);
   });
-  StaticStreamingServer server(sched, 100.0,
-                               {c1.sender.get(), c2.sender.get()},
-                               SimTime::zero(), SimTime::seconds(60),
-                               {3.0, 1.0});
+  DmpStreamingServer server(sched, 100.0, {c1.sender.get(), c2.sender.get()},
+                            SimTime::zero(), SimTime::seconds(60),
+                            static_policy("static:3,1"));
   sched.run_until(SimTime::seconds(120));
   const auto split = trace.path_split(2);
   EXPECT_NEAR(split[0], 0.75, 0.01);
@@ -187,15 +192,15 @@ TEST(StaticStreaming, RejectsBadWeights) {
   TcpConfig tcp;
   auto c1 = make_connection(sched, 1, p1, tcp);
   auto c2 = make_connection(sched, 2, p1, tcp);
-  EXPECT_THROW(StaticStreamingServer(sched, 50.0,
-                                     {c1.sender.get(), c2.sender.get()},
-                                     SimTime::zero(), SimTime::seconds(10),
-                                     {1.0}),
+  EXPECT_THROW(DmpStreamingServer(sched, 50.0,
+                                  {c1.sender.get(), c2.sender.get()},
+                                  SimTime::zero(), SimTime::seconds(10),
+                                  static_policy("static:1")),
                std::invalid_argument);
-  EXPECT_THROW(StaticStreamingServer(sched, 50.0,
-                                     {c1.sender.get(), c2.sender.get()},
-                                     SimTime::zero(), SimTime::seconds(10),
-                                     {0.0, 0.0}),
+  EXPECT_THROW(DmpStreamingServer(sched, 50.0,
+                                  {c1.sender.get(), c2.sender.get()},
+                                  SimTime::zero(), SimTime::seconds(10),
+                                  static_policy("static:0,0")),
                std::invalid_argument);
 }
 
@@ -216,9 +221,9 @@ TEST(StaticStreaming, CongestedPathStrandsItsShare) {
   c2.sink->set_deliver_callback([&](std::int64_t tag, SimTime) {
     trace.record(tag, sched.now(), 1);
   });
-  StaticStreamingServer server(sched, 100.0,
-                               {c1.sender.get(), c2.sender.get()},
-                               SimTime::zero(), SimTime::seconds(60));
+  DmpStreamingServer server(sched, 100.0, {c1.sender.get(), c2.sender.get()},
+                            SimTime::zero(), SimTime::seconds(60),
+                            static_policy("static"));
   sched.run_until(SimTime::seconds(120));
   const auto generated = server.packets_generated();
   // Half the stream needs 0.6 Mbps but path 2 offers ~0.3 Mbps.

@@ -74,9 +74,51 @@ TEST(SchedulerDifferential, DefaultSpecIsPull) {
   EXPECT_EQ(summarize(result), kGoldenSummary);
 }
 
+// Goldens for the static baseline and the stored source, recorded when
+// each was still a separate server class: a `static` policy or a stored
+// source on the one DMP server must reproduce them byte for byte.
+std::string fold_summary(const SessionResult& result) {
+  std::string out = "gen=" + std::to_string(result.packets_generated) +
+                    " events=" + std::to_string(result.events_executed);
+  for (const int tau : {2, 4, 8}) {
+    out += " f" + std::to_string(tau) + "=" +
+           num(result.trace.late_fraction_playback_order(
+               tau, result.packets_generated));
+  }
+  return out + " split=" + num(result.paths[0].share) + "," +
+         num(result.paths[1].share);
+}
+
+TEST(SchedulerDifferential, StaticAndStoredMatchPreFoldGoldens) {
+  struct Case {
+    const char* scheduler;
+    bool stored;
+    const char* golden;
+  };
+  const Case cases[] = {
+      {"static", false,
+       "gen=1500 events=354203 f2=0.16400000000000001 "
+       "f4=0.012666666666666666 f8=0 split=0.5,0.5"},
+      {"static:3,1", false,
+       "gen=1500 events=353874 f2=0.45466666666666666 "
+       "f4=0.29199999999999998 f8=0 split=0.75,0.25"},
+      {"pull", true,
+       "gen=1500 events=352481 f2=0 f4=0 f8=0 "
+       "split=0.60466666666666669,0.39533333333333331"},
+  };
+  for (const auto& c : cases) {
+    auto config = golden_config();
+    config.scheduler = c.scheduler;
+    config.stored = c.stored;
+    EXPECT_EQ(fold_summary(run_session(config)), c.golden)
+        << c.scheduler << (c.stored ? " stored" : " live");
+  }
+}
+
 TEST(SchedulerDifferential, EveryStrategyDeliversTheStream) {
-  for (const char* spec : {"weighted", "weighted:0.6,0.4", "best_path",
-                           "round_robin", "redundant", "parity-4"}) {
+  for (const char* spec : {"weighted", "weighted:0.6,0.4", "static",
+                           "static:0.6,0.4", "best_path", "round_robin",
+                           "redundant", "parity-4"}) {
     auto config = golden_config();
     config.scheduler = spec;
     const auto result = run_session(config);

@@ -37,6 +37,16 @@ TEST(SchedulerSpec, ParsesEveryStrategy) {
   EXPECT_DOUBLE_EQ(weighted.weights[0], 0.75);
   EXPECT_DOUBLE_EQ(weighted.weights[1], 0.25);
 
+  EXPECT_EQ(SchedulerSpec::parse("static").strategy,
+            SchedulerSpec::Strategy::kStatic);
+  EXPECT_TRUE(SchedulerSpec::parse("static").weights.empty());
+  const auto fixed = SchedulerSpec::parse("static:3,1");
+  EXPECT_EQ(fixed.strategy, SchedulerSpec::Strategy::kStatic);
+  ASSERT_EQ(fixed.weights.size(), 2u);
+  EXPECT_DOUBLE_EQ(fixed.weights[0], 3.0);
+  EXPECT_DOUBLE_EQ(fixed.weights[1], 1.0);
+  EXPECT_FALSE(fixed.redundant());
+
   const auto parity = SchedulerSpec::parse("parity-8");
   EXPECT_EQ(parity.strategy, SchedulerSpec::Strategy::kParity);
   EXPECT_EQ(parity.parity_k, 8);
@@ -47,7 +57,8 @@ TEST(SchedulerSpec, ParsesEveryStrategy) {
 
 TEST(SchedulerSpec, RejectsBadSpecsNamingTheAcceptedSet) {
   for (const char* bad : {"bogus", "", "weighted:", "weighted:0.5,x",
-                          "weighted:-1", "parity-", "parity-1", "parity-33",
+                          "weighted:-1", "weightedx", "static:", "static:1,",
+                          "statics", "parity-", "parity-1", "parity-33",
                           "parity-4x", "PULL"}) {
     try {
       SchedulerSpec::parse(bad);
@@ -67,10 +78,22 @@ TEST(SchedulerSpec, FactoryValidatesWeightCountAndPathCount) {
       std::invalid_argument);
   EXPECT_THROW(make_path_scheduler(SchedulerSpec::parse("pull"), 0),
                std::invalid_argument);
+  EXPECT_THROW(make_path_scheduler(SchedulerSpec::parse("static:1,2,3"), 2),
+               std::invalid_argument);
+  EXPECT_THROW(make_path_scheduler(SchedulerSpec::parse("static:1"), 2),
+               std::invalid_argument);
   // Default weights (path rates) seed the split when the spec has none.
   const auto sched =
       make_path_scheduler(SchedulerSpec::parse("weighted"), 2, {3e6, 1e6});
   EXPECT_STREQ(sched->name(), "weighted");
+  // `static` ignores them: its default is the paper's even split.
+  EXPECT_STREQ(make_path_scheduler(SchedulerSpec::parse("static"), 2,
+                                   {3e6, 1e6})
+                   ->name(),
+               "static");
+  EXPECT_STREQ(
+      make_path_scheduler(SchedulerSpec::parse("static:3,1"), 2)->name(),
+      "static");
 }
 
 TEST(SchedulerSpec, ParityTagsRoundTripAndStayOutOfDataRange) {
@@ -274,6 +297,66 @@ TEST(PullSchedulerUnit, SkipsDownPaths) {
   ASSERT_EQ(d.size(), 2u);
   EXPECT_EQ(d[0].path, 1u);
   EXPECT_EQ(d[1].path, 1u);
+}
+
+// Pulled tags in dispatch order.
+std::vector<std::int64_t> tags(const std::vector<SchedDecision>& decisions) {
+  std::vector<std::int64_t> out;
+  for (const auto& d : decisions) out.push_back(d.packet);
+  return out;
+}
+
+TEST(StaticUnit, DeadPathKeepsItsShareUntilItReturns) {
+  WeightedScheduler sched(2, {}, /*fixed=*/true);
+  EXPECT_STREQ(sched.name(), "static");
+  std::deque<std::int64_t> queue;
+  for (std::int64_t i = 0; i < 6; ++i) {
+    queue.push_back(i);
+    sched.on_generate(i);
+  }
+  // Odd/even split: path 0 carries the even tags, path 1 the odd ones.
+  EXPECT_EQ(tags(drain(sched, two_paths(8, 8), queue)),
+            (std::vector<std::int64_t>{0, 2, 4, 1, 3, 5}));
+  // Path 0 dies holding 2 and 4 unsent; the server puts them back at the
+  // front of the shared queue.  Fresh packets keep the odd/even rule.
+  queue = {2, 4, 6, 7};
+  sched.on_generate(6);
+  sched.on_generate(7);
+  sched.on_path_down(0, {2, 4}, {}, 0.0);
+  EXPECT_EQ(tags(drain(sched, two_paths(8, 8, /*down0=*/true), queue)),
+            (std::vector<std::int64_t>{7}));
+  // Its share waited for it, oldest first.
+  sched.on_path_up(0);
+  EXPECT_EQ(tags(drain(sched, two_paths(8, 8), queue)),
+            (std::vector<std::int64_t>{2, 4, 6}));
+  EXPECT_TRUE(queue.empty());
+}
+
+TEST(StaticUnit, FindsTagsBehindANewerReclaimedPrefix) {
+  // Path 1 is stalled with older tags pending when path 0 dies: the
+  // reclaimed tags then sit in front of OLDER tags in the shared queue.
+  // Both split policies must still pull every tag exactly once.
+  for (const bool fixed : {true, false}) {
+    WeightedScheduler sched(2, {}, fixed);
+    std::deque<std::int64_t> queue;
+    for (std::int64_t i = 0; i < 6; ++i) {
+      queue.push_back(i);
+      sched.on_generate(i);
+    }
+    EXPECT_EQ(tags(drain(sched, two_paths(8, 0), queue)),
+              (std::vector<std::int64_t>{0, 2, 4}));
+    queue.insert(queue.begin(), {2, 4});  // reclaimed from path 0
+    sched.on_path_down(0, {2, 4}, {}, 0.0);
+    auto pulled = tags(drain(sched, two_paths(8, 8, /*down0=*/true), queue));
+    if (fixed) {
+      EXPECT_EQ(pulled, (std::vector<std::int64_t>{1, 3, 5}));
+      sched.on_path_up(0);
+      const auto rest = tags(drain(sched, two_paths(8, 8), queue));
+      pulled.insert(pulled.end(), rest.begin(), rest.end());
+    }
+    EXPECT_EQ(pulled.size(), 5u) << sched.name();
+    EXPECT_TRUE(queue.empty()) << sched.name();
+  }
 }
 
 TEST(BestPathUnit, PicksLowestSmoothedRtt) {

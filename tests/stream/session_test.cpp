@@ -99,9 +99,8 @@ TEST(Session, DmpBeatsStaticOnAsymmetricCongestion) {
   config.warmup_s = 10.0;
   config.drain_s = 30.0;
   config.seed = 13;
-  config.scheme = StreamScheme::kDmp;
   const auto dmp_result = run_session(config);
-  config.scheme = StreamScheme::kStatic;
+  config.scheduler = "static";
   const auto static_result = run_session(config);
 
   const double tau = 6.0;

@@ -5,7 +5,7 @@
 
 #include "model/composed_chain.hpp"
 #include "stream/session.hpp"
-#include "stream/stored_server.hpp"
+#include "stream/dmp_server.hpp"
 #include "tcp/connection.hpp"
 
 namespace dmp {
@@ -17,9 +17,12 @@ TEST(StoredStreaming, DispatchesTheWholeVideo) {
   auto conn = make_connection(sched, 1, path, default_video_tcp());
   std::int64_t delivered = 0;
   conn.sink->set_deliver_callback([&](std::int64_t, SimTime) { ++delivered; });
-  StoredStreamingServer server(sched, 5000, {conn.sender.get()});
+  // 100 "seconds" of 50-pkt/s video = 5000 packets.
+  DmpStreamingServer server(sched, 50.0, {conn.sender.get()}, SimTime::zero(),
+                            SimTime::seconds(100), nullptr, /*stored=*/true);
   sched.run_until(SimTime::seconds(300));
-  EXPECT_TRUE(server.finished());
+  EXPECT_EQ(server.packets_generated(), 5000);
+  EXPECT_EQ(server.queue_length(), 0u);
   EXPECT_EQ(delivered, 5000);
 }
 
@@ -32,7 +35,8 @@ TEST(StoredStreaming, PrefetchesAheadOfRealTime) {
   std::int64_t delivered = 0;
   conn.sink->set_deliver_callback([&](std::int64_t, SimTime) { ++delivered; });
   // 120 "seconds" of 50-pkt/s video = 6000 packets.
-  StoredStreamingServer server(sched, 6000, {conn.sender.get()});
+  DmpStreamingServer server(sched, 50.0, {conn.sender.get()}, SimTime::zero(),
+                            SimTime::seconds(120), nullptr, /*stored=*/true);
   sched.run_until(SimTime::seconds(60));
   EXPECT_GT(delivered, 6000 / 2);  // well ahead of the 50 pkt/s clock
 }
@@ -43,9 +47,8 @@ TEST(StoredStreaming, SessionSchemeBeatsLiveAtEqualTau) {
   config.mu_pps = 50.0;
   config.duration_s = 300.0;
   config.seed = 77;
-  config.scheme = StreamScheme::kDmp;
   const auto live = run_session(config);
-  config.scheme = StreamScheme::kStored;
+  config.stored = true;
   const auto stored = run_session(config);
 
   EXPECT_EQ(live.packets_generated, stored.packets_generated);
@@ -62,10 +65,14 @@ TEST(StoredStreaming, SessionSchemeBeatsLiveAtEqualTau) {
 
 TEST(StoredStreaming, RejectsInvalidSetup) {
   Scheduler sched;
-  EXPECT_THROW(StoredStreamingServer(sched, 100, {}), std::invalid_argument);
+  EXPECT_THROW(DmpStreamingServer(sched, 50.0, {}, SimTime::zero(),
+                                  SimTime::seconds(2), nullptr, true),
+               std::invalid_argument);
   DumbbellPath path(sched, BottleneckConfig{2e6, SimTime::millis(20), 50});
   auto conn = make_connection(sched, 1, path, default_video_tcp());
-  EXPECT_THROW(StoredStreamingServer(sched, 0, {conn.sender.get()}),
+  EXPECT_THROW(DmpStreamingServer(sched, 50.0, {conn.sender.get()},
+                                  SimTime::zero(), SimTime::zero(), nullptr,
+                                  true),
                std::invalid_argument);
 }
 
