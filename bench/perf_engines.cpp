@@ -126,8 +126,8 @@ void BM_ComposedMonteCarlo(benchmark::State& state) {
 BENCHMARK(BM_ComposedMonteCarlo)->Arg(1)->Arg(2)->Arg(3)->Arg(4)
     ->Unit(benchmark::kMillisecond);
 
-// The historical event loop (golden-pin compatible) for reference; the
-// gap between this and BM_ComposedMonteCarlo/2 is the fast-path speedup.
+// The compat sampler (golden-pin compatible: one uniform per event, linear
+// transition scans) at K = 2; CI guards it with its own absolute floor.
 void BM_ComposedMonteCarloCompat(benchmark::State& state) {
   const ComposedParams params = composed_setup(2);
   for (auto _ : state) {
@@ -150,7 +150,8 @@ void BM_ComposedMonteCarloSharded(benchmark::State& state) {
   }
   bench::set_items_per_iteration(state, 8 * 200'000);
 }
-BENCHMARK(BM_ComposedMonteCarloSharded)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ComposedMonteCarloSharded)->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 // Stored-video finite-horizon engine on the alias fast path; items are
 // consumed video packets.

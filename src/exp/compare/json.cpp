@@ -281,8 +281,12 @@ std::string JsonValue::brief() const {
     case Kind::kBool: return boolean ? "true" : "false";
     case Kind::kNumber: return text;
     case Kind::kString: return "\"" + text + "\"";
-    case Kind::kArray: return "[" + std::to_string(array.size()) + " items]";
-    case Kind::kObject: return "{" + std::to_string(object.size()) + " keys}";
+    case Kind::kArray:
+      return std::string("[").append(std::to_string(array.size()))
+          .append(" items]");
+    case Kind::kObject:
+      return std::string("{").append(std::to_string(object.size()))
+          .append(" keys}");
   }
   return "?";
 }

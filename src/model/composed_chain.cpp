@@ -31,6 +31,41 @@ std::uint64_t geometric_consumptions(double q, double u,
   return static_cast<std::uint64_t>(j);
 }
 
+// Accounts `j` consecutive consumptions that start at N = n.  The first
+// min(j, N) are on time and walk N down to 0; the rest find an empty
+// buffer.  This equals j single consumptions sample for sample, in the
+// same order for the batch-means stream.  The closed-form sum of N after
+// each on-time consumption, (n-1) + ... + (n-m), is exact because every
+// partial sum is an integer below 2^53.
+inline void consume_segment(std::uint64_t j, std::int64_t& n,
+                            std::uint64_t& late, std::uint64_t& counted,
+                            double& early_sum, BatchMeans& batches) {
+  if (j == 0) return;
+  const auto ontime = std::min<std::uint64_t>(j, static_cast<std::uint64_t>(n));
+  const std::uint64_t newly_late = j - ontime;
+  const double n0 = static_cast<double>(n);
+  const double m = static_cast<double>(ontime);
+  early_sum += m * n0 - 0.5 * m * (m + 1.0);
+  n -= static_cast<std::int64_t>(ontime);
+  late += newly_late;
+  counted += j;
+  batches.add_many(0.0, ontime);
+  batches.add_many(1.0, newly_late);
+}
+
+// The flow whose exit-rate interval holds x in [0, sum of exits): the
+// sequential-subtraction scan, with the last flow taking any rounding
+// remainder.
+inline std::size_t pick_flow(const double* exits, std::size_t kflows,
+                             double x) {
+  std::size_t k = 0;
+  for (; k + 1 < kflows; ++k) {
+    if (x < exits[k]) break;
+    x -= exits[k];
+  }
+  return k;
+}
+
 }  // namespace
 
 std::int64_t ComposedParams::nmax() const {
@@ -342,58 +377,6 @@ DmpModelMonteCarlo::DmpModelMonteCarlo(const ComposedParams& params,
   n_ = nmax_;
 }
 
-void DmpModelMonteCarlo::step_flow(std::size_t k) {
-  const auto& chain = *chains_[k];
-  const auto& ts = chain.transitions_from(flow_state_[k]);
-  double x = rng_.uniform() * chain.exit_rate(flow_state_[k]);
-  for (const auto& t : ts) {
-    if (x < t.rate || &t == &ts.back()) {
-      flow_state_[k] = t.target;
-      if (t.delivered > 0) {
-        n_ = std::min<std::int64_t>(n_ + t.delivered, nmax_);
-        flow_delivered_[k] += t.delivered;
-      }
-      return;
-    }
-    x -= t.rate;
-  }
-}
-
-bool DmpModelMonteCarlo::step() {
-  // Total event rate: consumption + active (non-frozen) flows.
-  double total = params_.mu_pps;
-  const bool frozen = (n_ == nmax_);
-  if (!frozen) {
-    for (std::size_t k = 0; k < chains_.size(); ++k) {
-      total += chains_[k]->exit_rate(flow_state_[k]);
-    }
-  }
-  double x = rng_.uniform() * total;
-  if (x < params_.mu_pps || frozen) {
-    // Consumption event.
-    if (n_ == 0) {
-      ++late_;
-      batches_.add(1.0);
-    } else {
-      --n_;
-      batches_.add(0.0);
-    }
-    early_sum_ += static_cast<double>(n_);
-    ++counted_;
-    return true;
-  }
-  x -= params_.mu_pps;
-  for (std::size_t k = 0; k < chains_.size(); ++k) {
-    const double r = chains_[k]->exit_rate(flow_state_[k]);
-    if (x < r || k + 1 == chains_.size()) {
-      step_flow(k);
-      return false;
-    }
-    x -= r;
-  }
-  return false;
-}
-
 const DmpModelMonteCarlo::GeomClass& DmpModelMonteCarlo::geom_class_for(
     double active) {
   for (std::size_t i = 0; i < geom_classes_.size(); ++i) {
@@ -456,10 +439,7 @@ const DmpModelMonteCarlo::GeomClass& DmpModelMonteCarlo::geom_class_for(
 
 void DmpModelMonteCarlo::advance_alias(std::uint64_t target) {
   const std::size_t kflows = chains_.size();
-  exit_now_.resize(kflows);
-  for (std::size_t k = 0; k < kflows; ++k) {
-    exit_now_[k] = chains_[k]->exit_rate(flow_state_[k]);
-  }
+  load_exit_rates();
   // All mutable state lives in locals for the duration of the loop (the
   // batch-means folds are inline, so nothing here escapes the optimizer's
   // view) and is flushed back to the members once on exit.
@@ -518,32 +498,11 @@ void DmpModelMonteCarlo::advance_alias(std::uint64_t target) {
       if (j >= remaining) break;
     }
     if (j > remaining) j = remaining;
-    if (j > 0) {
-      // The first min(j, N) consumptions are on time and walk N down to 0;
-      // the rest find an empty buffer.  Equivalent, sample for sample (and
-      // in the same order for the batch-means stream), to j singles.
-      const auto ontime =
-          std::min<std::uint64_t>(j, static_cast<std::uint64_t>(n));
-      const std::uint64_t newly_late = j - ontime;
-      const double n0 = static_cast<double>(n);
-      const double m = static_cast<double>(ontime);
-      // Sum of N after each on-time consumption: (n0-1) + ... + (n0-m).
-      early_sum += m * n0 - 0.5 * m * (m + 1.0);
-      n -= static_cast<std::int64_t>(ontime);
-      late += newly_late;
-      counted += j;
-      batches_.add_many(0.0, ontime);
-      batches_.add_many(1.0, newly_late);
-    }
+    consume_segment(j, n, late, counted, early_sum, batches_);
     if (counted >= target) break;  // truncated bulk: no flow event drawn
     // Flow event: pick the flow proportionally to its exit rate, then its
     // transition through the per-state alias table in O(1).
-    double x = rng.uniform() * active;
-    std::size_t k = 0;
-    for (; k + 1 < kflows; ++k) {
-      if (x < exits[k]) break;
-      x -= exits[k];
-    }
+    const std::size_t k = pick_flow(exits, kflows, rng.uniform() * active);
     const TcpFlowChain& chain = *chains_[k];
     const auto& t = chain.pick_alias(states[k], rng.uniform());
     states[k] = t.target;
@@ -561,9 +520,74 @@ void DmpModelMonteCarlo::advance_alias(std::uint64_t target) {
   rng_ = rng;
 }
 
+void DmpModelMonteCarlo::advance_compat(std::uint64_t target) {
+  load_exit_rates();
+  double* const exits = exit_now_.data();
+  std::uint32_t* const states = flow_state_.data();
+  std::uint64_t* const delivered = flow_delivered_.data();
+  const std::size_t kflows = chains_.size();
+  const double mu = params_.mu_pps;
+  const std::int64_t nmax = nmax_;
+  std::int64_t n = n_;
+  std::uint64_t counted = counted_;
+  std::uint64_t late = late_;
+  double early_sum = early_sum_;
+  Rng rng = rng_;
+  while (counted < target) {
+    // Total event rate of an unfrozen state.  The summation order (mu,
+    // then the flows in index order) is part of the golden-pinned mapping
+    // from draws to events.
+    double total = mu;
+    for (std::size_t k = 0; k < kflows; ++k) total += exits[k];
+    // One segment: the consumptions up to the next flow event.  Each event
+    // draws one uniform x = u * total and is a consumption iff x < mu.
+    // Only consumptions happen inside a segment, so N only falls and the
+    // whole segment folds into one consume_segment() call.  A frozen state
+    // (N = Nmax) can therefore only open a segment: its flows make no
+    // transitions, so its uniform is drawn and the event is a consumption.
+    const std::uint64_t remaining = target - counted;
+    std::uint64_t j = 0;
+    if (n == nmax) {
+      static_cast<void>(rng.uniform());
+      j = 1;
+    }
+    double x = 0.0;
+    while (j < remaining) {
+      x = rng.uniform() * total;
+      if (!(x < mu)) break;
+      ++j;
+    }
+    consume_segment(j, n, late, counted, early_sum, batches_);
+    if (counted >= target) break;  // target reached: no further event drawn
+    // Flow event: the flow by the same draw, then its transition by the
+    // sequential-subtraction scan.
+    const std::size_t k = pick_flow(exits, kflows, x - mu);
+    const TcpFlowChain& chain = *chains_[k];
+    const auto& t = chain.pick_linear(states[k], rng.uniform() * exits[k]);
+    states[k] = t.target;
+    exits[k] = chain.exit_rate(t.target);
+    if (t.delivered > 0) {
+      n = std::min<std::int64_t>(n + t.delivered, nmax);
+      delivered[k] += t.delivered;
+    }
+  }
+  n_ = n;
+  counted_ = counted;
+  late_ = late;
+  early_sum_ = early_sum;
+  rng_ = rng;
+}
+
+void DmpModelMonteCarlo::load_exit_rates() {
+  exit_now_.resize(chains_.size());
+  for (std::size_t k = 0; k < chains_.size(); ++k) {
+    exit_now_[k] = chains_[k]->exit_rate(flow_state_[k]);
+  }
+}
+
 void DmpModelMonteCarlo::advance_to(std::uint64_t target) {
   if (mode_ == SamplerMode::kCompat) {
-    while (counted_ < target) step();
+    advance_compat(target);
   } else {
     advance_alias(target);
   }
@@ -591,12 +615,7 @@ MonteCarloResult DmpModelMonteCarlo::snapshot() const {
 MonteCarloResult DmpModelMonteCarlo::run(std::uint64_t consumptions,
                                          std::uint64_t warmup) {
   // Transient: run `warmup` consumptions without counting.
-  if (mode_ == SamplerMode::kCompat) {
-    std::uint64_t seen = 0;
-    while (seen < warmup) seen += step() ? 1 : 0;
-  } else {
-    advance_alias(counted_ + warmup);
-  }
+  advance_to(counted_ + warmup);
 
   late_ = 0;
   counted_ = 0;

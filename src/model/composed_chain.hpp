@@ -21,8 +21,9 @@
 //
 // The Monte-Carlo engine has two sampling modes (docs/MODEL_ENGINE.md):
 //   * SamplerMode::kCompat (default) replays the historical event loop
-//     operation for operation — one uniform per event, linear transition
-//     scans — so seeded runs reproduce the golden pins byte-identically.
+//     draw for draw — one uniform per event, linear transition scans — so
+//     seeded runs reproduce the golden pins byte-identically.  Runs of
+//     consecutive consumptions are still accounted in one fold.
 //   * SamplerMode::kAlias is the fast path: consecutive consumptions
 //     between flow events collapse into one geometric draw, and flow
 //     transitions sample through the per-state Walker alias tables in
@@ -135,14 +136,16 @@ class DmpModelMonteCarlo {
                                std::size_t threads = 0) const;
 
  private:
-  void step_flow(std::size_t k);
-  // One event of the composed chain; returns true if it was a consumption.
-  bool step();
   // Counted consumptions reach `target` (mode-dispatched hot loop).
   void advance_to(std::uint64_t target);
+  // The compat-mode hot loop: one uniform per event, each run of
+  // consumptions between flow events folded in one step.
+  void advance_compat(std::uint64_t target);
   // The alias-mode hot loop: bulk geometric consumption draws between
   // alias-sampled flow transitions.
   void advance_alias(std::uint64_t target);
+  // Refreshes exit_now_ from the current flow states.
+  void load_exit_rates();
   MonteCarloResult snapshot() const;
 
   ComposedParams params_;
@@ -161,14 +164,15 @@ class DmpModelMonteCarlo {
   double early_sum_ = 0.0;
   BatchMeans batches_;
 
-  // Alias-path working state: per-flow current exit rates (contiguous, so
-  // the hot loop never chases chain pointers), and one geometric-draw
-  // alias table per distinct total exit rate ("rate class").  The table
-  // samples J = #consumptions before the next flow event — outcomes 0..31
-  // plus a tail outcome worth 32 + resample, exact by memorylessness — in
-  // one uniform instead of a std::log call.  Exit rates take only a
-  // handful of semantically distinct values, so the class list stays tiny;
-  // matching is by the same 1e-9 relative tolerance the hot loop uses.
+  // Hot-loop working state: per-flow current exit rates (contiguous, so
+  // the hot loops never chase chain pointers), and, for the alias path, one
+  // geometric-draw alias table per distinct total exit rate ("rate class").
+  // The table samples J = #consumptions before the next flow event —
+  // outcomes 0..31 plus a tail outcome worth 32 + resample, exact by
+  // memorylessness — in one uniform instead of a std::log call.  Exit rates
+  // take only a handful of semantically distinct values, so the class list
+  // stays tiny; matching is by the same 1e-9 relative tolerance the hot
+  // loop uses.
   struct GeomClass {
     double active = 0.0;                 // total exit rate this table is for
     std::array<double, 33> cut{};        // Walker alias: acceptance cuts

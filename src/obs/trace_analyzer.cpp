@@ -310,7 +310,8 @@ namespace {
 // Locates `"key":` and parses the numeric value after it.
 bool find_i64(const std::string& line, std::string_view key,
               std::int64_t* out) {
-  const std::string needle = "\"" + std::string(key) + "\":";
+  std::string needle = "\"";
+  needle.append(key).append("\":");
   const auto pos = line.find(needle);
   if (pos == std::string::npos) return false;
   const char* begin = line.data() + pos + needle.size();
@@ -320,7 +321,8 @@ bool find_i64(const std::string& line, std::string_view key,
 }
 
 bool find_f64(const std::string& line, std::string_view key, double* out) {
-  const std::string needle = "\"" + std::string(key) + "\":";
+  std::string needle = "\"";
+  needle.append(key).append("\":");
   const auto pos = line.find(needle);
   if (pos == std::string::npos) return false;
   const char* begin = line.data() + pos + needle.size();
@@ -331,7 +333,8 @@ bool find_f64(const std::string& line, std::string_view key, double* out) {
 
 bool find_str(const std::string& line, std::string_view key,
               std::string* out) {
-  const std::string needle = "\"" + std::string(key) + "\":\"";
+  std::string needle = "\"";
+  needle.append(key).append("\":\"");
   const auto pos = line.find(needle);
   if (pos == std::string::npos) return false;
   const auto start = pos + needle.size();

@@ -188,6 +188,18 @@ class JsonParser {
 
 // --- one short traced + telemetered session, shared across tests --------
 
+// ctest runs every test of this file in its own process, possibly in
+// parallel, so each process writes its artifacts into a directory named
+// after the test that first asked for it.
+const std::string& artifact_dir() {
+  static const std::string dir = [] {
+    const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
+    return ::testing::TempDir() + "timeline_test_" + info->test_suite_name() +
+           "." + info->name();
+  }();
+  return dir;
+}
+
 const dmp::SessionResult& traced_session() {
   static const dmp::SessionResult result = [] {
     dmp::SessionConfig config;
@@ -200,11 +212,11 @@ const dmp::SessionResult& traced_session() {
     // A short outage on path 1 so the export has fault instants to emit.
     config.faults = "3 link_down path1; 5 link_up path1";
     config.obs.flight_recorder = true;
-    config.obs.output_dir = ::testing::TempDir();
+    config.obs.output_dir = artifact_dir();
     config.obs.prefix = "timeline_test";
     config.telemetry.enabled = true;
     config.telemetry.write_artifacts = true;
-    config.telemetry.output_dir = ::testing::TempDir();
+    config.telemetry.output_dir = artifact_dir();
     config.telemetry.prefix = "timeline_test";
     return dmp::run_session(config);
   }();
@@ -331,7 +343,7 @@ TEST(Timeline, ExportIsDeterministic) {
 TEST(Timeline, WriteChromeTraceRoundTrips) {
   const auto& result = traced_session();
   const TraceAnalyzer analyzer{*result.flight};
-  const std::string path = ::testing::TempDir() + "timeline_out.json";
+  const std::string path = artifact_dir() + "/timeline_out.json";
   ASSERT_TRUE(dmp::obs::write_chrome_trace(analyzer, path));
 
   std::ifstream in{path};
