@@ -1,63 +1,18 @@
-// Minimal JSON document model for the comparison tools.
+// CSV adaptation and path lookup for the comparison tools.
 //
-// The repo's reports are *emitted* by hand-rolled canonical writers; the
-// run-diff and SLO engines need to *read* them back generically, so this
-// is the one place a real (recursive-descent) JSON parser lives.  It is a
-// reader for our own artifacts, not a general-purpose library: objects
-// preserve key order (diffs walk both documents in the left document's
-// order), numbers keep their source text (so "identical" can mean
-// byte-identical, not merely equal-after-rounding), and any syntax error
-// throws std::runtime_error with the offending line.
-//
-// CSV artifacts (fig CSVs, telemetry series) are adapted into the same
-// tree by csv_to_json() — header row becomes column names, each data row
-// an object — so one structural differ covers every artifact the benches
-// produce.
+// The JSON document model and parser live in util/json.hpp (one codec for
+// every artifact).  CSV artifacts (fig CSVs, telemetry series) are adapted
+// into the same tree by csv_to_json() — header row becomes column names,
+// each data row an object — so one structural differ covers every artifact
+// the benches produce.
 #pragma once
 
-#include <cstddef>
 #include <iosfwd>
 #include <string>
-#include <utility>
-#include <vector>
+
+#include "util/json.hpp"
 
 namespace dmp::exp {
-
-class JsonValue {
- public:
-  enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
-
-  Kind kind = Kind::kNull;
-  bool boolean = false;
-  double number = 0.0;
-  std::string text;  // kString: the value; kNumber: the source spelling
-  std::vector<JsonValue> array;
-  std::vector<std::pair<std::string, JsonValue>> object;  // key order kept
-
-  bool is_null() const { return kind == Kind::kNull; }
-  bool is_number() const { return kind == Kind::kNumber; }
-  bool is_object() const { return kind == Kind::kObject; }
-  bool is_array() const { return kind == Kind::kArray; }
-
-  // Object member lookup; nullptr when absent or not an object.
-  const JsonValue* find(const std::string& key) const;
-
-  // Human-readable scalar rendering for diff/SLO messages ("3.25", "true",
-  // "\"fig4\"", "[12 items]", "{8 keys}").
-  std::string brief() const;
-
-  // Canonical re-serialization (numbers keep their source spelling, key
-  // order preserved) — what --json emitters write back out.
-  std::string to_json() const;
-};
-
-// Parses one JSON document; trailing non-whitespace is an error.  Throws
-// std::runtime_error naming the 1-based line of the first offence.
-JsonValue parse_json(const std::string& text);
-
-// Reads and parses a whole file.  Throws std::runtime_error when the file
-// cannot be opened, is empty, or is malformed.
-JsonValue parse_json_file(const std::string& path);
 
 // Adapts a CSV table into {"columns": [...], "rows": [{col: cell}...]}.
 // Cells that parse fully as numbers become JSON numbers (keeping their

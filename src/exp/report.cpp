@@ -1,50 +1,14 @@
 #include "exp/report.hpp"
 
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 
 #include "exp/compare/slo.hpp"
 #include "util/csv.hpp"
+#include "util/json.hpp"
 
 namespace dmp::exp {
-
-namespace {
-
-// Canonical double formatting: %.17g round-trips every finite double and
-// is stable across runs, which is what makes aggregate_json() comparable
-// byte-for-byte.  Non-finite values (empty-series ±inf sentinels) become
-// JSON null — "%.17g" would print "inf", which no parser accepts.
-std::string num(double v) {
-  if (!std::isfinite(v)) return "null";
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
-}
-
-void json_string(std::string& out, const std::string& s) {
-  out += '"';
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-}
-
-}  // namespace
 
 void SettingSummary::add_metric(const std::string& metric, double value) {
   for (auto& series : metrics) {
@@ -84,8 +48,15 @@ const obs::QuantileSketch* SettingSummary::find_sketch(
 
 std::string ExperimentReport::aggregate_json() const {
   std::string out;
+  // Appends `prefix` and then `v` at 17 digits, which round-trips every
+  // finite double and keeps aggregate_json() comparable byte-for-byte;
+  // empty-series +-inf sentinels become null.
+  const auto field = [&out](const char* prefix, double v) {
+    out += prefix;
+    append_json_number(out, v);
+  };
   out += "{\"experiment\": ";
-  json_string(out, experiment);
+  append_json_string(out, experiment);
   out += ", \"root_seed\": " + std::to_string(root_seed);
   out += ", \"replications\": " + std::to_string(replications);
   out += ", \"settings\": [";
@@ -93,7 +64,7 @@ std::string ExperimentReport::aggregate_json() const {
     const auto& setting = settings[s];
     if (s) out += ", ";
     out += "{\"name\": ";
-    json_string(out, setting.name);
+    append_json_string(out, setting.name);
     out += ", \"seeds\": [";
     for (std::size_t r = 0; r < setting.seeds.size(); ++r) {
       if (r) out += ", ";
@@ -106,7 +77,7 @@ std::string ExperimentReport::aggregate_json() const {
       if (!first) out += ", ";
       first = false;
       out += "{\"replication\": " + std::to_string(r) + ", \"error\": ";
-      json_string(out, setting.failures[r]);
+      append_json_string(out, setting.failures[r]);
       out += "}";
     }
     out += "], \"metrics\": [";
@@ -115,13 +86,12 @@ std::string ExperimentReport::aggregate_json() const {
       const auto ci = series.ci();
       if (m) out += ", ";
       out += "{\"name\": ";
-      json_string(out, series.name);
-      out += ", \"mean\": " + num(ci.mean);
-      out += ", \"ci_half\": " + num(ci.half_width);
+      append_json_string(out, series.name);
+      field(", \"mean\": ", ci.mean);
+      field(", \"ci_half\": ", ci.half_width);
       out += ", \"samples\": [";
       for (std::size_t i = 0; i < series.samples.size(); ++i) {
-        if (i) out += ", ";
-        out += num(series.samples[i]);
+        field(i ? ", " : "", series.samples[i]);
       }
       out += "]}";
     }
@@ -130,7 +100,7 @@ std::string ExperimentReport::aggregate_json() const {
       const auto& merged = setting.sketches[p];
       if (p) out += ", ";
       out += "{\"name\": ";
-      json_string(out, merged.name);
+      append_json_string(out, merged.name);
       const auto& sk = merged.sketch;
       out += ", \"count\": " + std::to_string(sk.count());
       if (sk.count() == 0) {
@@ -138,11 +108,11 @@ std::string ExperimentReport::aggregate_json() const {
                ", \"p99\": null, \"max\": null}";
         continue;
       }
-      out += ", \"min\": " + num(sk.min());
-      out += ", \"p50\": " + num(sk.quantile(0.50));
-      out += ", \"p95\": " + num(sk.quantile(0.95));
-      out += ", \"p99\": " + num(sk.quantile(0.99));
-      out += ", \"max\": " + num(sk.max());
+      field(", \"min\": ", sk.min());
+      field(", \"p50\": ", sk.quantile(0.50));
+      field(", \"p95\": ", sk.quantile(0.95));
+      field(", \"p99\": ", sk.quantile(0.99));
+      field(", \"max\": ", sk.max());
       out += "}";
     }
     out += "]}";
@@ -164,11 +134,12 @@ std::string ExperimentReport::write_json() const {
     return "";
   }
   std::string timing = "{\"threads\": " + std::to_string(threads_used) +
-                       ", \"wall_s\": " + num(wall_s) +
-                       ", \"per_setting_wall_s\": [";
+                       ", \"wall_s\": ";
+  append_json_number(timing, wall_s);
+  timing += ", \"per_setting_wall_s\": [";
   for (std::size_t s = 0; s < settings.size(); ++s) {
     if (s) timing += ", ";
-    timing += num(settings[s].wall_s);
+    append_json_number(timing, settings[s].wall_s);
   }
   timing += "]}";
   out << "{\"timing\": " << timing << ", \"report\": " << aggregate_json()

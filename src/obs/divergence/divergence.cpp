@@ -4,41 +4,9 @@
 #include <cstdio>
 #include <fstream>
 
+#include "util/json.hpp"
+
 namespace dmp::obs {
-
-namespace {
-
-// Same canonical rendering as the report emitters: %.17g round-trips every
-// finite double; non-finite values become JSON null.
-std::string num(double v) {
-  if (!std::isfinite(v)) return "null";
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
-}
-
-void json_string(std::string& out, const std::string& s) {
-  out += '"';
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-}
-
-}  // namespace
 
 bool DivergencePoint::ok(const DivergenceTolerance& tol) const {
   const double r = residual();
@@ -75,40 +43,48 @@ DivergenceStats DivergenceSeries::stats() const {
 }
 
 std::string DivergenceSeries::to_json() const {
-  std::string out = "{\"name\": ";
-  json_string(out, name);
+  std::string out;
+  // Appends `prefix` and then `v` at 17 digits (null when non-finite).
+  const auto field = [&out](const char* prefix, double v) {
+    out += prefix;
+    append_json_number(out, v);
+  };
+  out += "{\"name\": ";
+  append_json_string(out, name);
   out += ", \"metric\": ";
-  json_string(out, metric);
+  append_json_string(out, metric);
   out += ", \"x_label\": ";
-  json_string(out, x_label);
-  out += ", \"tolerance\": {\"abs\": " + num(tolerance.abs) +
-         ", \"ratio\": " + num(tolerance.ratio) +
-         ", \"within_ci\": " + (tolerance.within_ci ? "true" : "false") +
-         ", \"one_sided\": " + (tolerance.one_sided ? "true" : "false") + "}";
+  append_json_string(out, x_label);
+  field(", \"tolerance\": {\"abs\": ", tolerance.abs);
+  field(", \"ratio\": ", tolerance.ratio);
+  out += std::string(", \"within_ci\": ") +
+         (tolerance.within_ci ? "true" : "false") + ", \"one_sided\": " +
+         (tolerance.one_sided ? "true" : "false") + "}";
   out += ", \"points\": [";
   for (std::size_t i = 0; i < points.size(); ++i) {
     const auto& p = points[i];
     if (i) out += ", ";
     out += "{\"setting\": ";
-    json_string(out, p.setting);
-    out += ", \"x\": " + num(p.x);
-    out += ", \"predicted\": " + num(p.predicted);
-    out += ", \"measured\": " + num(p.measured);
-    out += ", \"ci_half\": " + num(p.ci_half);
-    out += ", \"residual\": " + num(p.residual());
+    append_json_string(out, p.setting);
+    field(", \"x\": ", p.x);
+    field(", \"predicted\": ", p.predicted);
+    field(", \"measured\": ", p.measured);
+    field(", \"ci_half\": ", p.ci_half);
+    field(", \"residual\": ", p.residual());
     out += ", \"ok\": ";
     out += p.ok(tolerance) ? "true" : "false";
     out += "}";
   }
   const auto st = stats();
   out += "], \"stats\": {\"count\": " + std::to_string(st.count) +
-         ", \"diverged\": " + std::to_string(st.diverged) +
-         ", \"mean_residual\": " + num(st.mean_residual) +
-         ", \"rms_residual\": " + num(st.rms_residual) +
-         ", \"max_abs_residual\": " + num(st.max_abs_residual) +
-         ", \"worst_setting\": ";
-  json_string(out, st.worst_setting);
-  out += ", \"worst_x\": " + num(st.worst_x) + "}}";
+         ", \"diverged\": " + std::to_string(st.diverged);
+  field(", \"mean_residual\": ", st.mean_residual);
+  field(", \"rms_residual\": ", st.rms_residual);
+  field(", \"max_abs_residual\": ", st.max_abs_residual);
+  out += ", \"worst_setting\": ";
+  append_json_string(out, st.worst_setting);
+  field(", \"worst_x\": ", st.worst_x);
+  out += "}}";
   return out;
 }
 

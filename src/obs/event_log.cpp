@@ -1,44 +1,12 @@
 #include "obs/event_log.hpp"
 
-#include <charconv>
 #include <cstdio>
 #include <fstream>
 #include <ostream>
-#include <stdexcept>
+
+#include "util/json.hpp"
 
 namespace dmp::obs {
-
-namespace {
-
-std::string format_double(double v) {
-  char buf[64];
-  auto [ptr, ec] =
-      std::to_chars(buf, buf + sizeof buf, v, std::chars_format::general, 12);
-  if (ec != std::errc{}) return "null";
-  return std::string(buf, ptr);
-}
-
-void append_json_escaped(std::string& out, std::string_view s) {
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
-
-}  // namespace
 
 std::string_view severity_name(Severity s) {
   switch (s) {
@@ -50,7 +18,9 @@ std::string_view severity_name(Severity s) {
 }
 
 EventField EventField::num(std::string key, double v) {
-  return EventField{std::move(key), format_double(v), true};
+  std::string value;
+  append_json_number(value, v, kJsonStreamDigits);
+  return EventField{std::move(key), std::move(value), true};
 }
 
 EventField EventField::num(std::string key, std::int64_t v) {
@@ -89,22 +59,19 @@ void EventLog::to_jsonl(std::ostream& out) const {
   for (const Event& e : events_) {
     line.clear();
     line += "{\"t\":";
-    line += format_double(e.time_s);
+    append_json_number(line, e.time_s, kJsonStreamDigits);
     line += ",\"sev\":\"";
     line += severity_name(e.severity);
-    line += "\",\"type\":\"";
-    append_json_escaped(line, e.type);
-    line += '"';
+    line += "\",\"type\":";
+    append_json_string(line, e.type);
     for (const EventField& f : e.fields) {
-      line += ",\"";
-      append_json_escaped(line, f.key);
-      line += "\":";
+      line += ',';
+      append_json_string(line, f.key);
+      line += ':';
       if (f.is_number) {
         line += f.value;
       } else {
-        line += '"';
-        append_json_escaped(line, f.value);
-        line += '"';
+        append_json_string(line, f.value);
       }
     }
     line += "}\n";

@@ -1,24 +1,13 @@
 #include "obs/flight_recorder.hpp"
 
-#include <charconv>
 #include <cstdio>
 #include <fstream>
 #include <ostream>
 #include <string>
 
+#include "util/json.hpp"
+
 namespace dmp::obs {
-
-namespace {
-
-std::string format_double(double v) {
-  char buf[64];
-  auto [ptr, ec] =
-      std::to_chars(buf, buf + sizeof buf, v, std::chars_format::general, 12);
-  if (ec != std::errc{}) return "null";
-  return std::string(buf, ptr);
-}
-
-}  // namespace
 
 std::string_view flight_event_name(FlightEventKind kind) {
   switch (kind) {
@@ -60,7 +49,7 @@ std::string_view drop_cause_name(DropCause cause) {
 void FlightRecorder::to_jsonl(std::ostream& out) const {
   std::string line;
   line += "{\"ev\":\"meta\",\"version\":1,\"mu_pps\":";
-  line += format_double(mu_pps_);
+  append_json_number(line, mu_pps_, kJsonStreamDigits);
   line += ",\"epoch_ns\":";
   line += std::to_string(epoch_ns_);
   line += ",\"total_packets\":";
@@ -111,9 +100,9 @@ void FlightRecorder::to_jsonl(std::ostream& out) const {
     if (e.kind == FlightEventKind::kTcpSend ||
         e.kind == FlightEventKind::kRto) {
       line += ",\"cwnd\":";
-      line += format_double(e.cwnd);
+      append_json_number(line, e.cwnd, kJsonStreamDigits);
       line += ",\"ssthresh\":";
-      line += format_double(e.ssthresh);
+      append_json_number(line, e.ssthresh, kJsonStreamDigits);
     }
     line += "}\n";
     out << line;

@@ -1,39 +1,13 @@
 #include "obs/run_report.hpp"
 
-#include <charconv>
-#include <cmath>
 #include <cstdio>
 #include <fstream>
-#include <stdexcept>
+
+#include "util/json.hpp"
 
 namespace dmp::obs {
 
 namespace {
-
-std::string json_number(double v) {
-  // to_chars would happily render "inf"/"nan", which is not JSON — empty
-  // RunningStats/Histogram extrema arrive here as ±inf sentinels.
-  if (!std::isfinite(v)) return "null";
-  char buf[64];
-  auto [ptr, ec] =
-      std::to_chars(buf, buf + sizeof buf, v, std::chars_format::general, 12);
-  if (ec != std::errc{}) return "null";
-  return std::string(buf, ptr);
-}
-
-std::string json_string(const std::string& s) {
-  std::string out = "\"";
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      default: out += c;
-    }
-  }
-  out += '"';
-  return out;
-}
 
 // Appends `"key":value` pairs of a name-sorted map as one JSON object.
 template <typename Map, typename Render>
@@ -43,7 +17,7 @@ void append_object(std::string& out, const Map& map, Render render) {
   for (const auto& [name, value] : map) {
     if (!first) out += ',';
     first = false;
-    out += json_string(name);
+    append_json_string(out, name);
     out += ':';
     render(out, value);
   }
@@ -53,7 +27,11 @@ void append_object(std::string& out, const Map& map, Render render) {
 }  // namespace
 
 void RunReport::set_scalar(const std::string& key, double v) {
-  meta_[key] = json_number(v);
+  // Empty RunningStats/Histogram extrema arrive here as +-inf sentinels,
+  // which render as null.
+  std::string& slot = meta_[key];
+  slot.clear();
+  append_json_number(slot, v, kJsonStreamDigits);
 }
 
 void RunReport::set_scalar(const std::string& key, std::int64_t v) {
@@ -61,7 +39,9 @@ void RunReport::set_scalar(const std::string& key, std::int64_t v) {
 }
 
 void RunReport::set_text(const std::string& key, const std::string& v) {
-  meta_[key] = json_string(v);
+  std::string& slot = meta_[key];
+  slot.clear();
+  append_json_string(slot, v);
 }
 
 void RunReport::set_series(const std::string& key,
@@ -78,7 +58,7 @@ std::string RunReport::to_json(const MetricsRegistry* registry) const {
     o += '[';
     for (std::size_t i = 0; i < v.size(); ++i) {
       if (i != 0) o += ',';
-      o += json_number(v[i]);
+      append_json_number(o, v[i], kJsonStreamDigits);
     }
     o += ']';
   });
@@ -94,7 +74,7 @@ std::string RunReport::to_json(const MetricsRegistry* registry) const {
   out += ",\n\"gauges\":";
   if (registry) {
     append_object(out, registry->gauges(), [](std::string& o, const Gauge& g) {
-      o += json_number(g.value());
+      append_json_number(o, g.value(), kJsonStreamDigits);
     });
   } else {
     out += "{}";
@@ -104,13 +84,20 @@ std::string RunReport::to_json(const MetricsRegistry* registry) const {
     append_object(out, registry->histograms(),
                   [](std::string& o, const Histogram& h) {
                     o += "{\"count\":" + std::to_string(h.count());
-                    o += ",\"sum\":" + json_number(h.sum());
-                    o += ",\"mean\":" + json_number(h.mean());
-                    o += ",\"min\":" + json_number(h.min());
-                    o += ",\"max\":" + json_number(h.max());
-                    o += ",\"p50\":" + json_number(h.quantile(0.50));
-                    o += ",\"p90\":" + json_number(h.quantile(0.90));
-                    o += ",\"p99\":" + json_number(h.quantile(0.99));
+                    const std::pair<const char*, double> fields[] = {
+                        {"sum", h.sum()},
+                        {"mean", h.mean()},
+                        {"min", h.min()},
+                        {"max", h.max()},
+                        {"p50", h.quantile(0.50)},
+                        {"p90", h.quantile(0.90)},
+                        {"p99", h.quantile(0.99)}};
+                    for (const auto& [key, value] : fields) {
+                      o += ",\"";
+                      o += key;
+                      o += "\":";
+                      append_json_number(o, value, kJsonStreamDigits);
+                    }
                     o += '}';
                   });
   } else {

@@ -2,87 +2,49 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
+#include <istream>
 #include <limits>
 #include <stdexcept>
+
+#include "util/json.hpp"
 
 namespace dmp::obs {
 
 namespace {
 
-// Canonical number rendering, identical to the report emitters' "%.17g"
-// (shortest round-trip-safe form was considered; %.17g keeps the sketch
-// files byte-compatible with BENCH_*.json numbers).
-std::string num(double v) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "%.17g", v);
-  return buffer;
-}
-
-// --- minimal scanning parser (same idiom as obs/trace_analyzer) ---------
-
-// Finds `"key":` at top level of a single-line JSON object and returns the
-// offset just past the colon, or npos.
-std::size_t find_key(std::string_view s, std::string_view key) {
-  std::string pat = "\"";
-  pat.append(key).append("\":");
-  const auto at = s.find(pat);
-  return at == std::string_view::npos ? std::string_view::npos
-                                      : at + pat.size();
-}
-
-double parse_number_at(std::string_view s, std::size_t at) {
-  return std::strtod(std::string(s.substr(at, 64)).c_str(), nullptr);
-}
-
-// Parses a JSON array of numbers starting at `at` (which must point at
-// '['); returns the values and leaves malformed input to the caller.
-std::vector<double> parse_number_array(std::string_view s, std::size_t at) {
-  std::vector<double> out;
-  if (at >= s.size() || s[at] != '[') {
-    throw std::runtime_error{"sketch json: expected array"};
+double number_of(const JsonValue* v, const char* key) {
+  if (v == nullptr || !v->is_number()) {
+    throw std::runtime_error{std::string("sketch json: \"") + key +
+                             "\" is not a number"};
   }
-  std::size_t i = at + 1;
-  while (i < s.size() && s[i] != ']') {
-    char* end = nullptr;
-    const std::string chunk{s.substr(i, 64)};
-    const double v = std::strtod(chunk.c_str(), &end);
-    if (end == chunk.c_str()) {
-      throw std::runtime_error{"sketch json: bad array element"};
-    }
-    out.push_back(v);
-    i += static_cast<std::size_t>(end - chunk.c_str());
-    if (i < s.size() && s[i] == ',') ++i;
+  return v->number;
+}
+
+std::uint64_t count_of(const JsonValue* v, const char* key) {
+  const auto i = v == nullptr ? std::nullopt : v->as_int64();
+  if (!i || *i < 0) {
+    throw std::runtime_error{std::string("sketch json: \"") + key +
+                             "\" is not a count"};
   }
-  if (i >= s.size()) throw std::runtime_error{"sketch json: unterminated array"};
-  return out;
+  return static_cast<std::uint64_t>(*i);
 }
 
 // Parses "[[idx,count],...]" bucket arrays.
-std::map<std::int32_t, std::uint64_t> parse_bucket_array(std::string_view s,
-                                                         std::size_t at) {
-  std::map<std::int32_t, std::uint64_t> out;
-  if (at >= s.size() || s[at] != '[') {
+std::map<std::int32_t, std::uint64_t> buckets_of(const JsonValue* v) {
+  if (v == nullptr || !v->is_array()) {
     throw std::runtime_error{"sketch json: expected bucket array"};
   }
-  std::size_t i = at + 1;
-  while (i < s.size() && s[i] != ']') {
-    if (s[i] != '[') throw std::runtime_error{"sketch json: bad bucket pair"};
-    const auto pair = parse_number_array(s, i);
-    if (pair.size() != 2) {
-      throw std::runtime_error{"sketch json: bucket pair arity"};
+  std::map<std::int32_t, std::uint64_t> out;
+  for (const JsonValue& pair : v->array) {
+    const auto idx = pair.is_array() && pair.array.size() == 2
+                         ? pair.array[0].as_int64()
+                         : std::nullopt;
+    const auto n = idx ? pair.array[1].as_int64() : std::nullopt;
+    if (!n || *n < 0 || *idx < std::numeric_limits<std::int32_t>::min() ||
+        *idx > std::numeric_limits<std::int32_t>::max()) {
+      throw std::runtime_error{"sketch json: bad bucket pair"};
     }
-    out[static_cast<std::int32_t>(pair[0])] =
-        static_cast<std::uint64_t>(pair[1]);
-    i = s.find(']', i);
-    if (i == std::string_view::npos) {
-      throw std::runtime_error{"sketch json: unterminated bucket pair"};
-    }
-    ++i;
-    if (i < s.size() && s[i] == ',') ++i;
-  }
-  if (i >= s.size()) {
-    throw std::runtime_error{"sketch json: unterminated bucket array"};
+    out[static_cast<std::int32_t>(*idx)] = static_cast<std::uint64_t>(*n);
   }
   return out;
 }
@@ -203,11 +165,16 @@ double QuantileSketch::quantile(double q) const {
 }
 
 std::string QuantileSketch::to_json() const {
-  std::string out = "{\"type\":\"ddsketch\",\"alpha\":" + num(alpha_) +
-                    ",\"count\":" + std::to_string(count_) +
-                    ",\"sum\":" + num(sum_);
-  out += ",\"min\":" + (count_ == 0 ? std::string("null") : num(min_));
-  out += ",\"max\":" + (count_ == 0 ? std::string("null") : num(max_));
+  // %.17g numbers: the same spelling as BENCH_*.json, and exact on reload.
+  std::string out = "{\"type\":\"ddsketch\",\"alpha\":";
+  append_json_number(out, alpha_);
+  out += ",\"count\":" + std::to_string(count_) + ",\"sum\":";
+  append_json_number(out, sum_);
+  // An empty sketch's +-inf extrema render as null.
+  out += ",\"min\":";
+  append_json_number(out, min_);
+  out += ",\"max\":";
+  append_json_number(out, max_);
   if (exact_mode_) {
     // Sorted so equal multisets serialize identically however they were
     // accumulated or merged.
@@ -216,7 +183,7 @@ std::string QuantileSketch::to_json() const {
     out += ",\"exact\":[";
     for (std::size_t i = 0; i < sorted.size(); ++i) {
       if (i != 0) out += ',';
-      out += num(sorted[i]);
+      append_json_number(out, sorted[i]);
     }
     out += ']';
   } else {
@@ -243,39 +210,52 @@ std::string QuantileSketch::to_json() const {
 }
 
 QuantileSketch QuantileSketch::from_json(std::string_view json) {
-  const auto alpha_at = find_key(json, "alpha");
-  const auto count_at = find_key(json, "count");
-  if (alpha_at == std::string_view::npos ||
-      count_at == std::string_view::npos) {
-    throw std::runtime_error{"sketch json: missing alpha/count"};
-  }
-  QuantileSketch s{parse_number_at(json, alpha_at)};
-  const auto exact_at = find_key(json, "exact");
-  if (exact_at != std::string_view::npos) {
-    for (double v : parse_number_array(json, exact_at)) s.add(v);
+  return from_json(parse_json(json));
+}
+
+QuantileSketch QuantileSketch::from_json(const JsonValue& doc) {
+  const JsonValue* count = doc.find("count");
+  QuantileSketch s{number_of(doc.find("alpha"), "alpha")};
+  if (count == nullptr) throw std::runtime_error{"sketch json: missing count"};
+  if (const JsonValue* exact = doc.find("exact")) {
+    if (!exact->is_array()) {
+      throw std::runtime_error{"sketch json: expected array"};
+    }
+    for (const JsonValue& v : exact->array) s.add(number_of(&v, "exact"));
     return s;
   }
-  const auto zero_at = find_key(json, "zero");
-  const auto neg_at = find_key(json, "neg");
-  const auto pos_at = find_key(json, "pos");
-  const auto sum_at = find_key(json, "sum");
-  const auto min_at = find_key(json, "min");
-  const auto max_at = find_key(json, "max");
-  if (zero_at == std::string_view::npos || neg_at == std::string_view::npos ||
-      pos_at == std::string_view::npos || sum_at == std::string_view::npos) {
-    throw std::runtime_error{"sketch json: missing bucket fields"};
-  }
   s.exact_mode_ = false;
-  s.zero_ = static_cast<std::uint64_t>(parse_number_at(json, zero_at));
-  s.neg_ = parse_bucket_array(json, neg_at);
-  s.pos_ = parse_bucket_array(json, pos_at);
-  s.count_ = static_cast<std::size_t>(parse_number_at(json, count_at));
-  s.sum_ = parse_number_at(json, sum_at);
+  s.zero_ = count_of(doc.find("zero"), "zero");
+  s.neg_ = buckets_of(doc.find("neg"));
+  s.pos_ = buckets_of(doc.find("pos"));
+  s.count_ = static_cast<std::size_t>(count_of(count, "count"));
+  s.sum_ = number_of(doc.find("sum"), "sum");
   if (s.count_ > 0) {
-    s.min_ = parse_number_at(json, min_at);
-    s.max_ = parse_number_at(json, max_at);
+    s.min_ = number_of(doc.find("min"), "min");
+    s.max_ = number_of(doc.find("max"), "max");
   }
   return s;
+}
+
+std::vector<NamedSketch> read_sketches_jsonl(std::istream& in) {
+  std::vector<NamedSketch> out;
+  std::string line;
+  std::size_t line_no = 0;
+  while (std::getline(in, line)) {
+    ++line_no;
+    if (line.empty()) continue;
+    try {
+      const JsonValue doc = parse_json(line);
+      const JsonValue* name = doc.find("name");
+      out.push_back(NamedSketch{
+          name != nullptr && name->is_string() ? name->text : "?",
+          QuantileSketch::from_json(doc)});
+    } catch (const std::exception& e) {
+      throw std::runtime_error{"sketch line " + std::to_string(line_no) +
+                               ": " + e.what()};
+    }
+  }
+  return out;
 }
 
 }  // namespace dmp::obs

@@ -24,10 +24,15 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <iosfwd>
 #include <map>
 #include <string>
 #include <string_view>
 #include <vector>
+
+namespace dmp {
+class JsonValue;
+}
 
 namespace dmp::obs {
 
@@ -63,10 +68,13 @@ class QuantileSketch {
   double alpha() const { return alpha_; }
   bool exact_mode() const { return exact_mode_; }
 
-  // Canonical single-line JSON; equal sketch states produce equal bytes.
+  // Canonical single-line JSON (util/json, 17 significant digits); equal
+  // sketch states produce equal bytes.
   std::string to_json() const;
-  // Inverse of to_json(); throws std::runtime_error on malformed input.
+  // Inverse of to_json(), from text or from a document util/json already
+  // parsed; throws std::runtime_error on malformed input.
   static QuantileSketch from_json(std::string_view json);
+  static QuantileSketch from_json(const JsonValue& doc);
 
  private:
   void insert_bucketed(double v);
@@ -92,5 +100,16 @@ class QuantileSketch {
   double min_;
   double max_;
 };
+
+// One line of a `*_sketches.jsonl` artifact: the sketch's JSON with a
+// leading "name" member (SessionTelemetry::write_artifacts).
+struct NamedSketch {
+  std::string name;
+  QuantileSketch sketch;
+};
+
+// Reads a `*_sketches.jsonl` artifact; a line without a name reads as "?".
+// Throws std::runtime_error naming the 1-based line of a malformed entry.
+std::vector<NamedSketch> read_sketches_jsonl(std::istream& in);
 
 }  // namespace dmp::obs

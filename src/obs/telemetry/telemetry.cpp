@@ -3,6 +3,8 @@
 #include <cstdio>
 #include <filesystem>
 
+#include "util/json.hpp"
+
 namespace dmp::obs {
 
 SessionTelemetry::SessionTelemetry(TelemetryConfig config)
@@ -28,14 +30,16 @@ int SessionTelemetry::write_artifacts() {
   std::filesystem::create_directories(config_.output_dir, ec);
   int failures = 0;
   if (!series_.write_csv(config_.telemetry_csv_path())) ++failures;
-  // One sketch per line, the sketch's own JSON with a leading name field
-  // (the scanning parsers key off field names, so the insertion is safe).
+  // One sketch per line: the sketch's own JSON with a leading name member
+  // (read back by read_sketches_jsonl).
   std::FILE* f = std::fopen(config_.sketches_path().c_str(), "wb");
   if (f == nullptr) return failures + 1;
   bool ok = true;
   for (const auto& [name, sketch] : sketches_) {
-    std::string line = sketch.to_json();
-    line.insert(1, "\"name\":\"" + name + "\",");
+    std::string line = "{\"name\":";
+    append_json_string(line, name);
+    line += ',';
+    line.append(sketch.to_json(), 1);
     line += '\n';
     if (std::fwrite(line.data(), 1, line.size(), f) != line.size()) {
       ok = false;

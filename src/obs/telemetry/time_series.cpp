@@ -2,8 +2,10 @@
 
 #include <cstdio>
 #include <stdexcept>
+#include <utility>
 
 #include "util/csv.hpp"
+#include "util/json.hpp"
 
 namespace dmp::obs {
 
@@ -79,15 +81,22 @@ bool TimeSeries::write_jsonl(const std::string& path) {
   const double width_s = window_s();
   for (auto& [name, ch] : channels_) {
     for (const Window& w : ch.finish()) {
-      const std::string line =
-          "{\"t\":" + CsvWriter::num(static_cast<double>(w.index) * width_s) +
-          ",\"channel\":\"" + name +
-          "\",\"count\":" + std::to_string(w.count) +
-          ",\"sum\":" + CsvWriter::num(w.sum) +
-          ",\"mean\":" + CsvWriter::num(w.mean()) +
-          ",\"min\":" + CsvWriter::num(w.min) +
-          ",\"max\":" + CsvWriter::num(w.max) +
-          ",\"last\":" + CsvWriter::num(w.last) + "}\n";
+      std::string line = "{\"t\":";
+      append_json_number(line, static_cast<double>(w.index) * width_s,
+                         kJsonStreamDigits);
+      line += ",\"channel\":";
+      append_json_string(line, name);
+      line += ",\"count\":" + std::to_string(w.count);
+      const std::pair<const char*, double> fields[] = {
+          {"sum", w.sum}, {"mean", w.mean()}, {"min", w.min},
+          {"max", w.max}, {"last", w.last}};
+      for (const auto& [key, value] : fields) {
+        line += ",\"";
+        line += key;
+        line += "\":";
+        append_json_number(line, value, kJsonStreamDigits);
+      }
+      line += "}\n";
       if (std::fwrite(line.data(), 1, line.size(), f) != line.size()) {
         ok = false;
         break;

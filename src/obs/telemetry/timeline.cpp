@@ -10,6 +10,8 @@
 #include <stdexcept>
 #include <vector>
 
+#include "util/json.hpp"
+
 namespace dmp::obs {
 
 namespace {
@@ -20,7 +22,10 @@ constexpr int kPid = 1;
 constexpr int kPathTidBase = 1;
 constexpr int kLinkTidBase = 100;
 
-std::string num(double v) {
+// Trace Event Format timestamps are microseconds; six fixed decimals keep
+// nanosecond resolution.  The one number spelling outside util/json — no
+// other artifact uses it.
+std::string fixed6(double v) {
   char buffer[64];
   std::snprintf(buffer, sizeof(buffer), "%.6f", v);
   return buffer;
@@ -34,48 +39,50 @@ class EventList {
     return static_cast<double>(t_ns - epoch_ns_) * 1e-3;
   }
 
-  void raw(std::string event) { events_.push_back(std::move(event)); }
-
   void thread_name(int tid, const std::string& name) {
-    raw("{\"ph\":\"M\",\"pid\":" + std::to_string(kPid) +
-        ",\"tid\":" + std::to_string(tid) +
-        ",\"name\":\"thread_name\",\"args\":{\"name\":\"" + name + "\"}}");
+    std::string event = "{\"ph\":\"M\",\"pid\":" + std::to_string(kPid) +
+                        ",\"tid\":" + std::to_string(tid) +
+                        ",\"name\":\"thread_name\",\"args\":{\"name\":";
+    append_json_string(event, name);
+    events_.push_back(event + "}}");
   }
 
   void async_begin(int tid, const std::string& name, std::int64_t id,
                    std::int64_t t_ns) {
-    raw("{\"ph\":\"b\",\"cat\":\"packet\",\"id\":" + std::to_string(id) +
-        ",\"pid\":" + std::to_string(kPid) +
-        ",\"tid\":" + std::to_string(tid) + ",\"ts\":" + num(us(t_ns)) +
-        ",\"name\":\"" + name + "\"}");
+    named("{\"ph\":\"b\",\"cat\":\"packet\",\"id\":" + std::to_string(id) +
+              ",\"pid\":" + std::to_string(kPid) +
+              ",\"tid\":" + std::to_string(tid) + ",\"ts\":" + fixed6(us(t_ns)),
+          name);
   }
 
   void async_end(int tid, const std::string& name, std::int64_t id,
                  std::int64_t t_ns) {
-    raw("{\"ph\":\"e\",\"cat\":\"packet\",\"id\":" + std::to_string(id) +
-        ",\"pid\":" + std::to_string(kPid) +
-        ",\"tid\":" + std::to_string(tid) + ",\"ts\":" + num(us(t_ns)) +
-        ",\"name\":\"" + name + "\"}");
+    named("{\"ph\":\"e\",\"cat\":\"packet\",\"id\":" + std::to_string(id) +
+              ",\"pid\":" + std::to_string(kPid) +
+              ",\"tid\":" + std::to_string(tid) + ",\"ts\":" + fixed6(us(t_ns)),
+          name);
   }
 
   void complete(int tid, const std::string& name, std::int64_t t0_ns,
                 std::int64_t t1_ns) {
-    raw("{\"ph\":\"X\",\"pid\":" + std::to_string(kPid) +
-        ",\"tid\":" + std::to_string(tid) + ",\"ts\":" + num(us(t0_ns)) +
-        ",\"dur\":" + num(static_cast<double>(t1_ns - t0_ns) * 1e-3) +
-        ",\"name\":\"" + name + "\"}");
+    named("{\"ph\":\"X\",\"pid\":" + std::to_string(kPid) +
+              ",\"tid\":" + std::to_string(tid) + ",\"ts\":" +
+              fixed6(us(t0_ns)) + ",\"dur\":" +
+              fixed6(static_cast<double>(t1_ns - t0_ns) * 1e-3),
+          name);
   }
 
   void instant(int tid, const std::string& name, std::int64_t t_ns) {
-    raw("{\"ph\":\"i\",\"s\":\"t\",\"pid\":" + std::to_string(kPid) +
-        ",\"tid\":" + std::to_string(tid) + ",\"ts\":" + num(us(t_ns)) +
-        ",\"name\":\"" + name + "\"}");
+    named("{\"ph\":\"i\",\"s\":\"t\",\"pid\":" + std::to_string(kPid) +
+              ",\"tid\":" + std::to_string(tid) + ",\"ts\":" + fixed6(us(t_ns)),
+          name);
   }
 
   void counter(const std::string& name, double t_s, double value) {
-    raw("{\"ph\":\"C\",\"pid\":" + std::to_string(kPid) +
-        ",\"ts\":" + num(t_s * 1e6) + ",\"name\":\"" + name +
-        "\",\"args\":{\"value\":" + num(value) + "}}");
+    std::string event = "{\"ph\":\"C\",\"pid\":" + std::to_string(kPid) +
+                        ",\"ts\":" + fixed6(t_s * 1e6) + ",\"name\":";
+    append_json_string(event, name);
+    events_.push_back(event + ",\"args\":{\"value\":" + fixed6(value) + "}}");
   }
 
   std::string finish() const {
@@ -89,6 +96,13 @@ class EventList {
   }
 
  private:
+  // Closes `event` with its trailing "name" member.
+  void named(std::string event, const std::string& name) {
+    event += ",\"name\":";
+    append_json_string(event, name);
+    events_.push_back(event + "}");
+  }
+
   std::int64_t epoch_ns_;
   std::vector<std::string> events_;
 };

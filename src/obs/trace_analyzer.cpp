@@ -1,7 +1,6 @@
 #include "obs/trace_analyzer.hpp"
 
 #include <algorithm>
-#include <charconv>
 #include <cmath>
 #include <fstream>
 #include <istream>
@@ -9,6 +8,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "util/json.hpp"
 #include "util/sim_time.hpp"
 
 namespace dmp::obs {
@@ -303,46 +303,9 @@ std::vector<const PacketTimeline*> TraceAnalyzer::retransmitted_packets()
   return result;
 }
 
-// --- JSONL loader (writer's own format only) ---
+// --- JSONL loader ---
 
 namespace {
-
-// Locates `"key":` and parses the numeric value after it.
-bool find_i64(const std::string& line, std::string_view key,
-              std::int64_t* out) {
-  std::string needle = "\"";
-  needle.append(key).append("\":");
-  const auto pos = line.find(needle);
-  if (pos == std::string::npos) return false;
-  const char* begin = line.data() + pos + needle.size();
-  const char* end = line.data() + line.size();
-  const auto [ptr, ec] = std::from_chars(begin, end, *out);
-  return ec == std::errc{} && ptr != begin;
-}
-
-bool find_f64(const std::string& line, std::string_view key, double* out) {
-  std::string needle = "\"";
-  needle.append(key).append("\":");
-  const auto pos = line.find(needle);
-  if (pos == std::string::npos) return false;
-  const char* begin = line.data() + pos + needle.size();
-  const char* end = line.data() + line.size();
-  const auto [ptr, ec] = std::from_chars(begin, end, *out);
-  return ec == std::errc{} && ptr != begin;
-}
-
-bool find_str(const std::string& line, std::string_view key,
-              std::string* out) {
-  std::string needle = "\"";
-  needle.append(key).append("\":\"");
-  const auto pos = line.find(needle);
-  if (pos == std::string::npos) return false;
-  const auto start = pos + needle.size();
-  const auto close = line.find('"', start);
-  if (close == std::string::npos) return false;
-  *out = line.substr(start, close - start);
-  return true;
-}
 
 FlightEventKind kind_from_name(const std::string& name, bool* ok) {
   *ok = true;
@@ -363,6 +326,80 @@ FlightEventKind kind_from_name(const std::string& name, bool* ok) {
   return FlightEventKind::kGenerate;
 }
 
+// Integers come from the number's source spelling, so CLOCK_MONOTONIC
+// nanosecond stamps above 2^53 survive the round trip exactly.
+std::int64_t as_integer(const JsonValue& v, std::string_view key) {
+  const auto i = v.as_int64();
+  if (!i) {
+    throw std::runtime_error{"\"" + std::string(key) + "\" is not an integer"};
+  }
+  return *i;
+}
+
+std::int64_t int_field(const JsonValue& obj, std::string_view key,
+                       std::int64_t fallback) {
+  const JsonValue* v = obj.find(key);
+  return v == nullptr ? fallback : as_integer(*v, key);
+}
+
+double number_field(const JsonValue& obj, std::string_view key,
+                    double fallback) {
+  const JsonValue* v = obj.find(key);
+  if (v == nullptr) return fallback;
+  // The writer spells a non-finite value as null.
+  if (v->is_null()) return std::numeric_limits<double>::quiet_NaN();
+  if (!v->is_number()) {
+    throw std::runtime_error{"\"" + std::string(key) + "\" is not a number"};
+  }
+  return v->number;
+}
+
+void read_trace_line(const JsonValue& doc, FlightRecorder& recorder) {
+  const JsonValue* ev = doc.find("ev");
+  if (ev == nullptr || !ev->is_string()) {
+    throw std::runtime_error{"missing \"ev\" field"};
+  }
+  if (ev->text == "meta") {
+    recorder.set_meta(number_field(doc, "mu_pps", 0.0),
+                      int_field(doc, "epoch_ns", 0),
+                      int_field(doc, "total_packets", -1));
+    return;
+  }
+  bool known = false;
+  FlightEvent e;
+  e.kind = kind_from_name(ev->text, &known);
+  if (!known) {
+    throw std::runtime_error{"unknown event type \"" + ev->text + "\""};
+  }
+  const JsonValue* t_ns = doc.find("t_ns");
+  const JsonValue* pkt = doc.find("pkt");
+  if (t_ns == nullptr || pkt == nullptr) {
+    throw std::runtime_error{"missing t_ns/pkt"};
+  }
+  e.t_ns = as_integer(*t_ns, "t_ns");
+  e.packet = as_integer(*pkt, "pkt");
+  e.path = static_cast<std::int32_t>(int_field(doc, "path", e.path));
+  e.hop = static_cast<std::int32_t>(int_field(doc, "hop", e.hop));
+  e.seq = int_field(doc, "seq", e.seq);
+  e.queue = int_field(doc, "queue", e.queue);
+  e.attempt = static_cast<std::uint32_t>(int_field(doc, "attempt", e.attempt));
+  if (const JsonValue* reason = doc.find("reason")) {
+    e.reason = reason->text == "rto"
+                   ? RtxReason::kRtoRtx
+                   : (reason->text == "fast" ? RtxReason::kFastRtx
+                                             : RtxReason::kNone);
+  }
+  if (const JsonValue* drop = doc.find("drop")) {
+    e.drop = drop->text == "overlimit"
+                 ? DropCause::kOverlimit
+                 : (drop->text == "early" ? DropCause::kEarly
+                                          : DropCause::kNone);
+  }
+  e.cwnd = number_field(doc, "cwnd", e.cwnd);
+  e.ssthresh = number_field(doc, "ssthresh", e.ssthresh);
+  recorder.record(e);
+}
+
 }  // namespace
 
 FlightRecorder read_flight_trace(std::istream& in) {
@@ -372,49 +409,12 @@ FlightRecorder read_flight_trace(std::istream& in) {
   while (std::getline(in, line)) {
     ++line_no;
     if (line.empty()) continue;
-    std::string ev;
-    if (!find_str(line, "ev", &ev)) {
+    try {
+      read_trace_line(parse_json(line), recorder);
+    } catch (const std::exception& e) {
       throw std::runtime_error{"flight trace line " + std::to_string(line_no) +
-                               ": missing \"ev\" field"};
+                               ": " + e.what()};
     }
-    if (ev == "meta") {
-      double mu = 0.0;
-      std::int64_t epoch = 0, total = -1;
-      find_f64(line, "mu_pps", &mu);
-      find_i64(line, "epoch_ns", &epoch);
-      find_i64(line, "total_packets", &total);
-      recorder.set_meta(mu, epoch, total);
-      continue;
-    }
-    bool known = false;
-    FlightEvent e;
-    e.kind = kind_from_name(ev, &known);
-    if (!known) {
-      throw std::runtime_error{"flight trace line " + std::to_string(line_no) +
-                               ": unknown event type \"" + ev + "\""};
-    }
-    if (!find_i64(line, "t_ns", &e.t_ns) ||
-        !find_i64(line, "pkt", &e.packet)) {
-      throw std::runtime_error{"flight trace line " + std::to_string(line_no) +
-                               ": missing t_ns/pkt"};
-    }
-    std::int64_t v = 0;
-    if (find_i64(line, "path", &v)) e.path = static_cast<std::int32_t>(v);
-    if (find_i64(line, "hop", &v)) e.hop = static_cast<std::int32_t>(v);
-    find_i64(line, "seq", &e.seq);
-    find_i64(line, "queue", &e.queue);
-    if (find_i64(line, "attempt", &v)) {
-      e.attempt = static_cast<std::uint32_t>(v);
-    }
-    std::string reason;
-    if (find_str(line, "reason", &reason)) {
-      e.reason = reason == "rto" ? RtxReason::kRtoRtx
-                                 : (reason == "fast" ? RtxReason::kFastRtx
-                                                     : RtxReason::kNone);
-    }
-    find_f64(line, "cwnd", &e.cwnd);
-    find_f64(line, "ssthresh", &e.ssthresh);
-    recorder.record(e);
   }
   return recorder;
 }

@@ -197,9 +197,11 @@ class TraceAnalyzer {
 };
 
 // Reads a trace serialized by FlightRecorder::to_jsonl back into a
-// recorder (meta + events).  Throws std::runtime_error on malformed
-// input.  Only the writer's own format is supported — this is a trace
-// loader, not a general JSON parser.
+// recorder (meta + events).  Each line goes through the util/json parser;
+// integer fields are read exactly from their spelling, so nanosecond
+// stamps above 2^53 survive.  Throws std::runtime_error naming the 1-based
+// line of a malformed entry (bad JSON, missing "ev"/t_ns/pkt, an unknown
+// event type or a non-integer integer field).
 FlightRecorder read_flight_trace(std::istream& in);
 FlightRecorder read_flight_trace_file(const std::string& path);
 

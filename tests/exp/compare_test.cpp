@@ -1,22 +1,38 @@
-// Comparison layer: JSON document model, structural report diff, and the
+// Comparison layer: the JSON codec (src/util/json) with a round trip of
+// every artifact emitter through it, structural report diff, and the
 // declarative SLO engine (src/exp/compare/).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "exp/compare/json.hpp"
 #include "exp/compare/report_diff.hpp"
 #include "exp/compare/slo.hpp"
+#include "exp/report.hpp"
+#include "obs/divergence/divergence.hpp"
+#include "obs/event_log.hpp"
+#include "obs/flight_recorder.hpp"
+#include "obs/run_report.hpp"
+#include "obs/telemetry/sketch.hpp"
+#include "obs/telemetry/time_series.hpp"
+#include "obs/telemetry/timeline.hpp"
+#include "obs/trace_analyzer.hpp"
 
 namespace {
 
 using dmp::exp::DiffClass;
 using dmp::exp::DiffOptions;
-using dmp::exp::JsonValue;
+using dmp::JsonValue;
 using dmp::exp::SloOp;
 using dmp::exp::SloSpec;
 
@@ -39,7 +55,7 @@ const char* kReport = R"({
 // --- JSON parsing ---
 
 TEST(JsonParse, RoundTripsAndPreservesNumberSpelling) {
-  const JsonValue doc = dmp::exp::parse_json(kReport);
+  const JsonValue doc = dmp::parse_json(kReport);
   ASSERT_TRUE(doc.is_object());
   const JsonValue* wall = doc.find("timing")->find("wall_s");
   ASSERT_NE(wall, nullptr);
@@ -48,12 +64,12 @@ TEST(JsonParse, RoundTripsAndPreservesNumberSpelling) {
 
   // Re-serializing and re-parsing is a fixed point.
   const std::string once = doc.to_json();
-  EXPECT_EQ(dmp::exp::parse_json(once).to_json(), once);
+  EXPECT_EQ(dmp::parse_json(once).to_json(), once);
 }
 
 TEST(JsonParse, ScalarsAndEscapes) {
   const JsonValue doc =
-      dmp::exp::parse_json(R"({"s": "a\"b\n", "t": true, "f": false,
+      dmp::parse_json(R"({"s": "a\"b\n", "t": true, "f": false,
                               "z": null, "n": -1.5e3})");
   EXPECT_EQ(doc.find("s")->text, "a\"b\n");
   EXPECT_TRUE(doc.find("t")->boolean);
@@ -63,24 +79,24 @@ TEST(JsonParse, ScalarsAndEscapes) {
 }
 
 TEST(JsonParse, ThrowsOnMalformedAndTrailingGarbage) {
-  EXPECT_THROW(dmp::exp::parse_json("{"), std::runtime_error);
-  EXPECT_THROW(dmp::exp::parse_json("{\"a\": }"), std::runtime_error);
-  EXPECT_THROW(dmp::exp::parse_json("[1, 2,]"), std::runtime_error);
-  EXPECT_THROW(dmp::exp::parse_json("{} trailing"), std::runtime_error);
-  EXPECT_THROW(dmp::exp::parse_json(""), std::runtime_error);
+  EXPECT_THROW(dmp::parse_json("{"), std::runtime_error);
+  EXPECT_THROW(dmp::parse_json("{\"a\": }"), std::runtime_error);
+  EXPECT_THROW(dmp::parse_json("[1, 2,]"), std::runtime_error);
+  EXPECT_THROW(dmp::parse_json("{} trailing"), std::runtime_error);
+  EXPECT_THROW(dmp::parse_json(""), std::runtime_error);
 }
 
 TEST(JsonParse, FileErrorsThrow) {
-  EXPECT_THROW(dmp::exp::parse_json_file("no/such/file.json"),
+  EXPECT_THROW(dmp::parse_json_file("no/such/file.json"),
                std::runtime_error);
   const std::string path = "compare_test_empty.json";
   std::ofstream(path).close();
-  EXPECT_THROW(dmp::exp::parse_json_file(path), std::runtime_error);
+  EXPECT_THROW(dmp::parse_json_file(path), std::runtime_error);
   std::remove(path.c_str());
 }
 
 TEST(JsonParse, ResolvePathKeysIndicesAndNames) {
-  const JsonValue doc = dmp::exp::parse_json(kReport);
+  const JsonValue doc = dmp::parse_json(kReport);
   const JsonValue* by_key = dmp::exp::resolve_path(doc, "timing.threads");
   ASSERT_NE(by_key, nullptr);
   EXPECT_DOUBLE_EQ(by_key->number, 8.0);
@@ -121,11 +137,276 @@ TEST(JsonParse, CsvAdapter) {
   EXPECT_THROW(dmp::exp::csv_to_json(empty), std::runtime_error);
 }
 
+// --- every emitter round-trips through the one parser ---
+
+// Bytes every emitter's strings must survive: quote, backslash, tab, CR
+// and a bare control byte.
+const std::string kTricky = std::string("q\"b\\s\tt\rr") + '\x01' + "end";
+const double kThird = 1.0 / 3.0;
+// Ascending, so an exact-mode sketch serializes them in this order.
+const std::vector<double> kSamples = {-2.5, 1e-300, 0.1, kThird,
+                                      6.02214076e23};
+
+// 17-digit spellings must reload bit-for-bit, not merely close.
+void expect_bit_equal(double expected, const JsonValue* v) {
+  ASSERT_NE(v, nullptr);
+  ASSERT_TRUE(v->is_number());
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(v->number),
+            std::bit_cast<std::uint64_t>(expected))
+      << v->text;
+}
+
+std::string slurp(const std::string& path) {
+  std::ifstream in(path);
+  std::ostringstream out;
+  out << in.rdbuf();
+  return out.str();
+}
+
+double sum_of_samples() {
+  double sum = 0.0;
+  for (double v : kSamples) sum += v;
+  return sum;
+}
+
+struct Emitter {
+  const char* name;
+  bool jsonl;  // one document per line
+  std::function<std::string()> emit;
+  std::function<void(const std::vector<JsonValue>&)> check;
+};
+
+void PrintTo(const Emitter& emitter, std::ostream* os) { *os << emitter.name; }
+
+std::vector<Emitter> emitters() {
+  using dmp::SimTime;
+  using dmp::obs::EventField;
+  using dmp::obs::FlightEvent;
+  using dmp::obs::FlightEventKind;
+  using dmp::obs::QuantileSketch;
+  return {
+      {"RunReport", false,
+       [] {
+         dmp::obs::RunReport report;
+         report.set_text("note", kTricky);
+         report.set_text(kTricky, "key");
+         report.set_scalar("third", kThird);
+         report.set_series("s", {1.5, INFINITY});
+         return report.to_json(nullptr);
+       },
+       [](const std::vector<JsonValue>& docs) {
+         const JsonValue* meta = docs[0].find("meta");
+         ASSERT_NE(meta, nullptr);
+         EXPECT_EQ(meta->find("note")->text, kTricky);
+         ASSERT_NE(meta->find(kTricky), nullptr);
+         EXPECT_EQ(meta->find(kTricky)->text, "key");
+         EXPECT_EQ(meta->find("third")->text, "0.333333333333");
+         EXPECT_TRUE(docs[0].find("series")->find("s")->array[1].is_null());
+       }},
+      {"EventLog", true,
+       [] {
+         dmp::obs::EventLog log;
+         log.record(1.5, dmp::obs::Severity::kWarn, kTricky,
+                    {EventField::num(kTricky, kThird),
+                     EventField::text("note", kTricky),
+                     EventField::num("v", static_cast<double>(NAN))});
+         std::ostringstream out;
+         log.to_jsonl(out);
+         return out.str();
+       },
+       [](const std::vector<JsonValue>& docs) {
+         ASSERT_EQ(docs.size(), 1u);
+         EXPECT_EQ(docs[0].find("type")->text, kTricky);
+         ASSERT_NE(docs[0].find(kTricky), nullptr);
+         EXPECT_EQ(docs[0].find(kTricky)->text, "0.333333333333");
+         EXPECT_EQ(docs[0].find("note")->text, kTricky);
+         EXPECT_TRUE(docs[0].find("v")->is_null());
+       }},
+      {"FlightRecorder", true,
+       [] {
+         dmp::obs::FlightRecorder recorder;
+         recorder.set_meta(kThird, (std::int64_t{1} << 53) + 1, 1);
+         FlightEvent send;
+         send.t_ns = (std::int64_t{1} << 53) + 3;
+         send.kind = FlightEventKind::kTcpSend;
+         send.packet = 0;
+         send.path = 1;
+         send.seq = 0;
+         send.attempt = 1;
+         send.cwnd = kThird;
+         send.ssthresh = INFINITY;
+         recorder.record(send);
+         std::ostringstream out;
+         recorder.to_jsonl(out);
+         return out.str();
+       },
+       [](const std::vector<JsonValue>& docs) {
+         ASSERT_EQ(docs.size(), 2u);
+         EXPECT_EQ(docs[0].find("mu_pps")->text, "0.333333333333");
+         EXPECT_EQ(docs[0].find("epoch_ns")->as_int64(),
+                   (std::int64_t{1} << 53) + 1);
+         EXPECT_EQ(docs[1].find("t_ns")->as_int64(),
+                   (std::int64_t{1} << 53) + 3);
+         EXPECT_EQ(docs[1].find("cwnd")->text, "0.333333333333");
+         EXPECT_TRUE(docs[1].find("ssthresh")->is_null());
+       }},
+      {"TimeSeries", true,
+       [] {
+         dmp::obs::TimeSeries series(1.0);
+         series.channel(kTricky)->add(SimTime::seconds(0.5), kThird);
+         const std::string path =
+             ::testing::TempDir() + "json_round_trip_series.jsonl";
+         EXPECT_TRUE(series.write_jsonl(path));
+         return slurp(path);
+       },
+       [](const std::vector<JsonValue>& docs) {
+         ASSERT_EQ(docs.size(), 1u);
+         EXPECT_EQ(docs[0].find("channel")->text, kTricky);
+         EXPECT_EQ(docs[0].find("mean")->text, "0.333333333333");
+       }},
+      {"SketchExact", false,
+       [] {
+         QuantileSketch sketch;
+         for (double v : kSamples) sketch.add(v);
+         return sketch.to_json();
+       },
+       [](const std::vector<JsonValue>& docs) {
+         const JsonValue* exact = docs[0].find("exact");
+         ASSERT_NE(exact, nullptr);
+         ASSERT_EQ(exact->array.size(), kSamples.size());
+         for (std::size_t i = 0; i < kSamples.size(); ++i) {
+           expect_bit_equal(kSamples[i], &exact->array[i]);
+         }
+         expect_bit_equal(sum_of_samples(), docs[0].find("sum"));
+       }},
+      {"SketchBuckets", false,
+       [] {
+         QuantileSketch sketch(QuantileSketch::kDefaultAlpha, 2);
+         for (double v : kSamples) sketch.add(v);
+         return sketch.to_json();
+       },
+       [](const std::vector<JsonValue>& docs) {
+         EXPECT_EQ(docs[0].find("exact"), nullptr);
+         expect_bit_equal(QuantileSketch::kDefaultAlpha,
+                          docs[0].find("alpha"));
+         expect_bit_equal(sum_of_samples(), docs[0].find("sum"));
+         expect_bit_equal(kSamples.front(), docs[0].find("min"));
+         expect_bit_equal(kSamples.back(), docs[0].find("max"));
+         EXPECT_EQ(QuantileSketch::from_json(docs[0]).count(),
+                   kSamples.size());
+       }},
+      {"DivergenceSeries", false,
+       [] {
+         dmp::obs::DivergenceSeries series;
+         series.name = kTricky;
+         series.metric = kTricky;
+         series.x_label = "tau_s";
+         series.add(kTricky, kThird, 0.1, 0.2, 0.01);
+         return series.to_json();
+       },
+       [](const std::vector<JsonValue>& docs) {
+         EXPECT_EQ(docs[0].find("name")->text, kTricky);
+         EXPECT_EQ(docs[0].find("metric")->text, kTricky);
+         const JsonValue& point = docs[0].find("points")->array.at(0);
+         EXPECT_EQ(point.find("setting")->text, kTricky);
+         expect_bit_equal(kThird, point.find("x"));
+         expect_bit_equal(0.1, point.find("predicted"));
+         expect_bit_equal(0.2 - 0.1, point.find("residual"));
+         EXPECT_EQ(docs[0].find("stats")->find("worst_setting")->text,
+                   kTricky);
+       }},
+      {"ExperimentReport", false,
+       [] {
+         dmp::exp::ExperimentReport report;
+         report.experiment = kTricky;
+         dmp::exp::SettingSummary setting;
+         setting.name = kTricky;
+         setting.seeds = {1};
+         setting.failures = {kTricky};
+         setting.add_metric(kTricky, kThird);
+         report.settings.push_back(setting);
+         return report.aggregate_json();
+       },
+       [](const std::vector<JsonValue>& docs) {
+         EXPECT_EQ(docs[0].find("experiment")->text, kTricky);
+         const JsonValue& setting = docs[0].find("settings")->array.at(0);
+         EXPECT_EQ(setting.find("name")->text, kTricky);
+         EXPECT_EQ(setting.find("failures")->array.at(0).find("error")->text,
+                   kTricky);
+         const JsonValue& metric = setting.find("metrics")->array.at(0);
+         EXPECT_EQ(metric.find("name")->text, kTricky);
+         expect_bit_equal(kThird, &metric.find("samples")->array.at(0));
+       }},
+      {"ChromeTrace", false,
+       [] {
+         dmp::obs::TimeSeries series(1.0);
+         series.channel(kTricky)->add(SimTime::seconds(0.5), 2.0);
+         const std::string csv =
+             ::testing::TempDir() + "json_round_trip_telemetry.csv";
+         EXPECT_TRUE(series.write_csv(csv));
+         dmp::obs::FlightRecorder recorder;
+         recorder.set_meta(50.0, 0, 1);
+         FlightEvent e;
+         e.packet = 0;
+         e.path = 0;
+         e.t_ns = 1000;
+         e.kind = FlightEventKind::kGenerate;
+         recorder.record(e);
+         e.t_ns = 5000;
+         e.kind = FlightEventKind::kArrive;
+         recorder.record(e);
+         dmp::obs::TimelineOptions options;
+         options.telemetry_csv = csv;
+         return dmp::obs::chrome_trace_json(dmp::obs::TraceAnalyzer(recorder),
+                                            options);
+       },
+       [](const std::vector<JsonValue>& docs) {
+         const auto& events = docs[0].find("traceEvents")->array;
+         const auto counter =
+             std::find_if(events.begin(), events.end(), [](const auto& ev) {
+               return ev.find("ph")->text == "C";
+             });
+         ASSERT_NE(counter, events.end());
+         EXPECT_EQ(counter->find("name")->text, kTricky);
+       }},
+  };
+}
+
+class JsonRoundTrip : public ::testing::TestWithParam<Emitter> {};
+
+TEST_P(JsonRoundTrip, ParsesAndPreservesStringsAndNumbers) {
+  const Emitter& emitter = GetParam();
+  const std::string text = emitter.emit();
+  // Every control byte is escaped; raw '\n' only separates lines/sections.
+  const auto raw = std::find_if(text.begin(), text.end(), [](char c) {
+    return static_cast<unsigned char>(c) < 0x20 && c != '\n';
+  });
+  EXPECT_EQ(raw, text.end()) << "raw control byte at offset "
+                             << (raw - text.begin());
+  std::vector<JsonValue> docs;
+  if (emitter.jsonl) {
+    std::istringstream lines(text);
+    for (std::string line; std::getline(lines, line);) {
+      if (!line.empty()) docs.push_back(dmp::parse_json(line));
+    }
+  } else {
+    docs.push_back(dmp::parse_json(text));
+  }
+  ASSERT_FALSE(docs.empty());
+  emitter.check(docs);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Emitters, JsonRoundTrip, ::testing::ValuesIn(emitters()),
+    [](const ::testing::TestParamInfo<Emitter>& param) {
+      return std::string(param.param.name);
+    });
+
 // --- structural diff ---
 
 TEST(ReportDiff, IdenticalDocumentsProduceZeroDiffs) {
-  const JsonValue left = dmp::exp::parse_json(kReport);
-  const JsonValue right = dmp::exp::parse_json(kReport);
+  const JsonValue left = dmp::parse_json(kReport);
+  const JsonValue right = dmp::parse_json(kReport);
   const auto result = dmp::exp::diff_reports(left, right);
   EXPECT_TRUE(result.clean());
   EXPECT_EQ(result.diffs.size(), 0u);
@@ -135,8 +416,8 @@ TEST(ReportDiff, IdenticalDocumentsProduceZeroDiffs) {
 }
 
 TEST(ReportDiff, NumericDivergenceAndTolerance) {
-  const JsonValue left = dmp::exp::parse_json(R"({"a": 1.0, "b": 2.0})");
-  const JsonValue right = dmp::exp::parse_json(R"({"a": 1.0, "b": 2.5})");
+  const JsonValue left = dmp::parse_json(R"({"a": 1.0, "b": 2.0})");
+  const JsonValue right = dmp::parse_json(R"({"a": 1.0, "b": 2.5})");
   const auto strict = dmp::exp::diff_reports(left, right);
   EXPECT_FALSE(strict.clean());
   ASSERT_EQ(strict.diffs.size(), 1u);
@@ -153,8 +434,8 @@ TEST(ReportDiff, NumericDivergenceAndTolerance) {
 
 TEST(ReportDiff, SameValueDifferentSpellingIsIdentical) {
   // 2.0 vs 2.00 — equal doubles, different bytes.
-  const JsonValue left = dmp::exp::parse_json(R"({"a": 2.0})");
-  const JsonValue right = dmp::exp::parse_json(R"({"a": 2.00})");
+  const JsonValue left = dmp::parse_json(R"({"a": 2.0})");
+  const JsonValue right = dmp::parse_json(R"({"a": 2.00})");
   const auto result = dmp::exp::diff_reports(left, right);
   EXPECT_TRUE(result.clean());
   EXPECT_EQ(result.identical, 1u);
@@ -162,9 +443,9 @@ TEST(ReportDiff, SameValueDifferentSpellingIsIdentical) {
 
 TEST(ReportDiff, StructuralClasses) {
   const JsonValue left =
-      dmp::exp::parse_json(R"({"only_l": 1, "both": 2, "kind": 3})");
+      dmp::parse_json(R"({"only_l": 1, "both": 2, "kind": 3})");
   const JsonValue right =
-      dmp::exp::parse_json(R"({"both": 2, "kind": "3", "only_r": 4})");
+      dmp::parse_json(R"({"both": 2, "kind": "3", "only_r": 4})");
   const auto result = dmp::exp::diff_reports(left, right);
   EXPECT_FALSE(result.clean());
   std::size_t only_left = 0, only_right = 0, mismatch = 0;
@@ -179,8 +460,8 @@ TEST(ReportDiff, StructuralClasses) {
 }
 
 TEST(ReportDiff, IgnorePrefixAndNamedArrayPaths) {
-  const JsonValue left = dmp::exp::parse_json(kReport);
-  JsonValue right = dmp::exp::parse_json(kReport);
+  const JsonValue left = dmp::parse_json(kReport);
+  JsonValue right = dmp::parse_json(kReport);
   // Perturb timing (to be ignored) and one named setting's metric.
   right.object[1].second.object[0].second.number = 9.0;
   right.object[1].second.object[0].second.text = "9.0";
@@ -240,9 +521,9 @@ TEST(Slo, ParseOrThrow) {
 }
 
 TEST(Slo, EvaluatesAgainstDocumentsInOrder) {
-  const JsonValue report = dmp::exp::parse_json(kReport);
+  const JsonValue report = dmp::parse_json(kReport);
   const JsonValue extra =
-      dmp::exp::parse_json(R"({"bonus": {"value": 41}})");
+      dmp::parse_json(R"({"bonus": {"value": 41}})");
   const SloSpec spec = SloSpec::parse(
       "experiment == 'fig4'\n"
       "timing.wall_s < 100\n"
@@ -256,7 +537,7 @@ TEST(Slo, EvaluatesAgainstDocumentsInOrder) {
 }
 
 TEST(Slo, ViolationsAndMissingFields) {
-  const JsonValue report = dmp::exp::parse_json(kReport);
+  const JsonValue report = dmp::parse_json(kReport);
   const SloSpec spec = SloSpec::parse(
       "timing.threads == 9\n"       // wrong value
       "experiment == 'fig9'\n"      // wrong string
@@ -268,7 +549,7 @@ TEST(Slo, ViolationsAndMissingFields) {
 }
 
 TEST(Slo, EmptySpecPassesTrivially) {
-  const JsonValue report = dmp::exp::parse_json(kReport);
+  const JsonValue report = dmp::parse_json(kReport);
   const SloSpec spec = SloSpec::parse("# nothing but comments\n\n");
   EXPECT_TRUE(spec.empty());
   EXPECT_TRUE(dmp::exp::evaluate_slo(spec, {&report}).ok());

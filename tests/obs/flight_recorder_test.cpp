@@ -8,6 +8,7 @@
 #include <fstream>
 #include <numeric>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 
 #include "obs/trace_analyzer.hpp"
@@ -242,6 +243,72 @@ TEST(FlightRecorder, LoaderRejectsMalformedLines) {
   }
   EXPECT_THROW(obs::read_flight_trace_file("does_not_exist.jsonl"),
                std::runtime_error);
+}
+
+TEST(FlightRecorder, LoaderNamesTheLineOfEachMalformedEntry) {
+  const std::string meta =
+      "{\"ev\":\"meta\",\"version\":1,\"mu_pps\":50,\"epoch_ns\":0,"
+      "\"total_packets\":1,\"events\":1}\n";
+  for (const std::string bad : {
+           "{\"t_ns\":5,\"ev\":\"gen\",\"pkt\":3",      // truncated object
+           "{\"t_ns\":5,\"ev\":\"gen\",\"pkt\":3.5}",   // non-integer pkt
+           "{\"t_ns\":5,\"ev\":\"gen\",\"pkt\":3} x",  // trailing garbage
+       }) {
+    std::istringstream in(meta + bad + "\n");
+    try {
+      obs::read_flight_trace(in);
+      ADD_FAILURE() << "accepted: " << bad;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(FlightRecorder, IntegerFieldsStayExactAbove2To53) {
+  // CLOCK_MONOTONIC nanoseconds exceed 2^53 on long-running hosts; a
+  // double would round these odd stamps to their even neighbours.
+  const std::int64_t epoch = (std::int64_t{1} << 53) + 1;
+  obs::FlightRecorder recorder;
+  recorder.set_meta(50.0, epoch, 1);
+  obs::FlightEvent gen;
+  gen.t_ns = epoch + 2;
+  gen.kind = obs::FlightEventKind::kGenerate;
+  gen.packet = 0;
+  recorder.record(gen);
+
+  std::ostringstream first;
+  recorder.to_jsonl(first);
+  std::istringstream in(first.str());
+  const obs::FlightRecorder reloaded = obs::read_flight_trace(in);
+  EXPECT_EQ(reloaded.epoch_ns(), epoch);
+  ASSERT_EQ(reloaded.events().size(), 1u);
+  EXPECT_EQ(reloaded.events()[0].t_ns, epoch + 2);
+  std::ostringstream second;
+  reloaded.to_jsonl(second);
+  EXPECT_EQ(second.str(), first.str());
+}
+
+TEST(FlightRecorder, ReloadKeepsAqmDropCause) {
+  obs::FlightRecorder recorder;
+  recorder.set_meta(50.0, 0, 1);
+  obs::FlightEvent drop;
+  drop.t_ns = 10;
+  drop.kind = obs::FlightEventKind::kLinkDrop;
+  drop.packet = 0;
+  drop.hop = 2;
+  drop.drop = obs::DropCause::kEarly;
+  recorder.record(drop);
+
+  std::ostringstream first;
+  recorder.to_jsonl(first);
+  std::istringstream in(first.str());
+  const obs::FlightRecorder reloaded = obs::read_flight_trace(in);
+  ASSERT_EQ(reloaded.events().size(), 1u);
+  EXPECT_EQ(reloaded.events()[0].drop, obs::DropCause::kEarly);
+  std::ostringstream second;
+  reloaded.to_jsonl(second);
+  EXPECT_EQ(second.str(), first.str());
 }
 
 TEST(FlightRecorder, GoldenTraceIsByteStableAcrossRuns) {

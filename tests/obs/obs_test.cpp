@@ -14,6 +14,7 @@
 #include "obs/probe.hpp"
 #include "obs/run_report.hpp"
 #include "sim/scheduler.hpp"
+#include "util/json.hpp"
 
 namespace dmp::obs {
 namespace {
@@ -174,6 +175,17 @@ TEST(EventLog, JsonlShapeAndEscaping) {
   EXPECT_NE(line.find("\\n"), std::string::npos);
   EXPECT_EQ(line.back(), '\n');
   EXPECT_EQ(count_lines(line), 1u);
+}
+
+TEST(EventLog, NonFiniteNumberSerializesAsNull) {
+  EventLog log;
+  log.record(2.0, Severity::kInfo, "gauge",
+             {EventField::num("v", static_cast<double>(INFINITY))});
+  std::ostringstream out;
+  log.to_jsonl(out);
+  const JsonValue line = parse_json(out.str());
+  ASSERT_NE(line.find("v"), nullptr);
+  EXPECT_TRUE(line.find("v")->is_null());
 }
 
 TEST(Probe, SamplesAtFixedSimulatedInterval) {

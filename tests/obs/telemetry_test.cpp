@@ -304,6 +304,42 @@ TEST(SessionTelemetry, WritesNamedSketchArtifacts) {
   EXPECT_EQ(hub.find_sketch("missing"), nullptr);
 }
 
+TEST(SessionTelemetry, SketchArtifactReadsBackByName) {
+  TelemetryConfig config;
+  config.enabled = true;
+  config.write_artifacts = true;
+  config.output_dir = ::testing::TempDir();
+  config.prefix = "hub_names_test";
+  SessionTelemetry hub(config);
+  hub.sketch("a\"b\\c")->add(0.5);
+  hub.sketch("plain")->add(1.5);
+  EXPECT_EQ(hub.write_artifacts(), 0);
+
+  std::ifstream jsonl(config.sketches_path());
+  const auto sketches = dmp::obs::read_sketches_jsonl(jsonl);
+  ASSERT_EQ(sketches.size(), 2u);
+  EXPECT_EQ(sketches[0].name, "a\"b\\c");
+  EXPECT_EQ(sketches[0].sketch.count(), 1u);
+  EXPECT_EQ(sketches[1].name, "plain");
+}
+
+TEST(SessionTelemetry, SketchReaderNamesTheLineOfABadBucketPair) {
+  QuantileSketch good;
+  good.add(1.0);
+  std::istringstream in(
+      "{\"name\":\"ok\"," + good.to_json().substr(1) + "\n" +
+      "{\"name\":\"bad\",\"type\":\"ddsketch\",\"alpha\":0.01,"
+      "\"count\":1,\"sum\":1,\"min\":1,\"max\":1,\"zero\":0,"
+      "\"neg\":[],\"pos\":[[1]]}\n");
+  try {
+    dmp::obs::read_sketches_jsonl(in);
+    ADD_FAILURE() << "accepted a one-element bucket pair";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(Profiler, CategoryNamesCoverEveryCategory) {
   for (std::size_t c = 0; c < dmp::kNumEventCategories; ++c) {
     const auto name =

@@ -17,11 +17,11 @@
 #include <stdexcept>
 #include <string>
 
-#include "exp/compare/json.hpp"
+#include "util/json.hpp"
 
 namespace {
 
-using dmp::exp::JsonValue;
+using dmp::JsonValue;
 
 const char* flag_value(int argc, char** argv, const char* name) {
   const std::size_t len = std::strlen(name);
@@ -61,7 +61,7 @@ int main(int argc, char** argv) {
   }
   JsonValue doc;
   try {
-    doc = dmp::exp::parse_json_file(argv[1]);
+    doc = dmp::parse_json_file(argv[1]);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "divergence_report: %s\n", e.what());
     return 2;

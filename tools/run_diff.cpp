@@ -32,7 +32,7 @@ namespace {
 using dmp::exp::DiffClass;
 using dmp::exp::DiffOptions;
 using dmp::exp::DiffResult;
-using dmp::exp::JsonValue;
+using dmp::JsonValue;
 
 void usage() {
   std::fprintf(stderr,
@@ -67,7 +67,7 @@ JsonValue load_artifact(const std::string& path) {
   while (probe.get(c) && (c == ' ' || c == '\t' || c == '\n' || c == '\r')) {
   }
   if (!probe) throw std::runtime_error{path + " is empty"};
-  if (c == '{' || c == '[') return dmp::exp::parse_json_file(path);
+  if (c == '{' || c == '[') return dmp::parse_json_file(path);
   return dmp::exp::csv_file_to_json(path);
 }
 

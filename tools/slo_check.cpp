@@ -31,17 +31,17 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "slo_check: %s\n", e.what());
     return 2;
   }
-  std::vector<dmp::exp::JsonValue> docs;
+  std::vector<dmp::JsonValue> docs;
   docs.reserve(static_cast<std::size_t>(argc - 2));
   for (int i = 2; i < argc; ++i) {
     try {
-      docs.push_back(dmp::exp::parse_json_file(argv[i]));
+      docs.push_back(dmp::parse_json_file(argv[i]));
     } catch (const std::exception& e) {
       std::fprintf(stderr, "slo_check: %s\n", e.what());
       return 2;
     }
   }
-  std::vector<const dmp::exp::JsonValue*> doc_ptrs;
+  std::vector<const dmp::JsonValue*> doc_ptrs;
   doc_ptrs.reserve(docs.size());
   for (const auto& d : docs) doc_ptrs.push_back(&d);
 

@@ -260,6 +260,13 @@ int cmd_percentiles(const char* path, int argc, char** argv) {
       return 1;
     }
   }
+  std::vector<dmp::obs::NamedSketch> sketches;
+  try {
+    sketches = dmp::obs::read_sketches_jsonl(in);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 2;
+  }
   std::printf("%-28s %10s", "sketch", "count");
   for (double q : qs) {
     char label[16];
@@ -267,36 +274,19 @@ int cmd_percentiles(const char* path, int argc, char** argv) {
     std::printf(" %11s", label);
   }
   std::printf("\n");
-  std::string line;
-  bool any = false;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    std::string name = "?";
-    const auto pos = line.find("\"name\":\"");
-    if (pos != std::string::npos) {
-      const auto start = pos + 8;
-      const auto end = line.find('"', start);
-      if (end != std::string::npos) name = line.substr(start, end - start);
-    }
-    try {
-      const auto sketch = dmp::obs::QuantileSketch::from_json(line);
-      std::printf("%-28s %10llu", name.c_str(),
-                  static_cast<unsigned long long>(sketch.count()));
-      for (double q : qs) {
-        if (sketch.count() == 0) {
-          std::printf(" %11s", "-");
-        } else {
-          std::printf(" %11.6g", sketch.quantile(q));
-        }
+  for (const auto& [name, sketch] : sketches) {
+    std::printf("%-28s %10llu", name.c_str(),
+                static_cast<unsigned long long>(sketch.count()));
+    for (double q : qs) {
+      if (sketch.count() == 0) {
+        std::printf(" %11s", "-");
+      } else {
+        std::printf(" %11.6g", sketch.quantile(q));
       }
-      std::printf("\n");
-      any = true;
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "error: bad sketch line: %s\n", e.what());
-      return 2;
     }
+    std::printf("\n");
   }
-  if (!any) {
+  if (sketches.empty()) {
     std::fprintf(stderr,
                  "error: no sketches in %s (empty or truncated artifact?)\n",
                  path);
