@@ -66,6 +66,38 @@ inline std::size_t pick_flow(const double* exits, std::size_t kflows,
   return k;
 }
 
+// L* for a sequential decision over checkpoints min * 2^i: the smallest
+// late count L with !(L / c_last < threshold), where c_last = min * 2^k is
+// the last checkpoint the doubling reaches (the first >= max; not max
+// itself, which the doubling may overshoot).  late never falls and the
+// counted total never exceeds c_last, so once late >= L* every checkpoint
+// estimates >= threshold (IEEE division is monotone in both operands).
+// Returns ~0 (never stop) when c_last does not fit in 64 bits or
+// threshold > 1, where L* would exceed any reachable count.  Requires
+// min > 0 and a finite threshold > 0.
+std::uint64_t certain_fail_late(double threshold, std::uint64_t min,
+                                std::uint64_t max) {
+  constexpr std::uint64_t kNever = ~0ull;
+  std::uint64_t c_last = min;
+  while (c_last < max) {
+    if (c_last > kNever / 2) return kNever;
+    c_last *= 2;
+  }
+  if (threshold > 1.0) return kNever;
+  const double c = static_cast<double>(c_last);
+  const auto fails = [&](std::uint64_t late) {
+    return !(static_cast<double>(late) / c < threshold);
+  };
+  // Start from the real-valued answer and settle the rounding both ways;
+  // fails(c_last) holds (c / c == 1 >= threshold), bounding the search.
+  const double guess = std::ceil(threshold * c);
+  std::uint64_t late =
+      guess >= c ? c_last : static_cast<std::uint64_t>(guess);
+  while (late > 0 && fails(late - 1)) --late;
+  while (!fails(late)) ++late;
+  return late;
+}
+
 }  // namespace
 
 std::int64_t ComposedParams::nmax() const {
@@ -437,7 +469,8 @@ const DmpModelMonteCarlo::GeomClass& DmpModelMonteCarlo::geom_class_for(
   return geom_classes_.back();
 }
 
-void DmpModelMonteCarlo::advance_alias(std::uint64_t target) {
+void DmpModelMonteCarlo::advance_alias(std::uint64_t target,
+                                       std::uint64_t late_stop) {
   const std::size_t kflows = chains_.size();
   load_exit_rates();
   // All mutable state lives in locals for the duration of the loop (the
@@ -499,7 +532,8 @@ void DmpModelMonteCarlo::advance_alias(std::uint64_t target) {
     }
     if (j > remaining) j = remaining;
     consume_segment(j, n, late, counted, early_sum, batches_);
-    if (counted >= target) break;  // truncated bulk: no flow event drawn
+    // Truncated bulk or a certain "fail": no flow event drawn.
+    if (counted >= target || late >= late_stop) break;
     // Flow event: pick the flow proportionally to its exit rate, then its
     // transition through the per-state alias table in O(1).
     const std::size_t k = pick_flow(exits, kflows, rng.uniform() * active);
@@ -520,7 +554,8 @@ void DmpModelMonteCarlo::advance_alias(std::uint64_t target) {
   rng_ = rng;
 }
 
-void DmpModelMonteCarlo::advance_compat(std::uint64_t target) {
+void DmpModelMonteCarlo::advance_compat(std::uint64_t target,
+                                        std::uint64_t late_stop) {
   load_exit_rates();
   double* const exits = exit_now_.data();
   std::uint32_t* const states = flow_state_.data();
@@ -558,7 +593,8 @@ void DmpModelMonteCarlo::advance_compat(std::uint64_t target) {
       ++j;
     }
     consume_segment(j, n, late, counted, early_sum, batches_);
-    if (counted >= target) break;  // target reached: no further event drawn
+    // Target reached or a certain "fail": no further event drawn.
+    if (counted >= target || late >= late_stop) break;
     // Flow event: the flow by the same draw, then its transition by the
     // sequential-subtraction scan.
     const std::size_t k = pick_flow(exits, kflows, x - mu);
@@ -585,11 +621,12 @@ void DmpModelMonteCarlo::load_exit_rates() {
   }
 }
 
-void DmpModelMonteCarlo::advance_to(std::uint64_t target) {
+void DmpModelMonteCarlo::advance_to(std::uint64_t target,
+                                    std::uint64_t late_stop) {
   if (mode_ == SamplerMode::kCompat) {
-    advance_compat(target);
+    advance_compat(target, late_stop);
   } else {
-    advance_alias(target);
+    advance_alias(target, late_stop);
   }
 }
 
@@ -612,8 +649,7 @@ MonteCarloResult DmpModelMonteCarlo::snapshot() const {
   return result;
 }
 
-MonteCarloResult DmpModelMonteCarlo::run(std::uint64_t consumptions,
-                                         std::uint64_t warmup) {
+void DmpModelMonteCarlo::start_counting(std::uint64_t warmup) {
   // Transient: run `warmup` consumptions without counting.
   advance_to(counted_ + warmup);
 
@@ -622,27 +658,54 @@ MonteCarloResult DmpModelMonteCarlo::run(std::uint64_t consumptions,
   early_sum_ = 0.0;
   batches_ = BatchMeans{};
   std::fill(flow_delivered_.begin(), flow_delivered_.end(), 0);
+}
 
+MonteCarloResult DmpModelMonteCarlo::run(std::uint64_t consumptions,
+                                         std::uint64_t warmup) {
+  start_counting(warmup);
   advance_to(consumptions);
   return snapshot();
 }
 
-MonteCarloResult DmpModelMonteCarlo::run_until_decides(
-    double threshold, std::uint64_t min_consumptions,
-    std::uint64_t max_consumptions) {
-  MonteCarloResult result = run(min_consumptions, min_consumptions / 10);
+MonteCarloResult DmpModelMonteCarlo::decide(double threshold,
+                                            std::uint64_t min_consumptions,
+                                            std::uint64_t max_consumptions,
+                                            std::uint64_t late_stop) {
+  start_counting(min_consumptions / 10);
+  advance_to(min_consumptions, late_stop);
+  MonteCarloResult result = snapshot();
   std::uint64_t target = min_consumptions;
-  while (result.consumptions < max_consumptions) {
+  while (late_ < late_stop && result.consumptions < max_consumptions) {
     const bool decided =
         result.ci.hi() < threshold || result.ci.lo() > threshold;
     // Also stop when the estimate is overwhelmingly far from the threshold.
     if (decided) break;
     target *= 2;
     // Continue the same trajectory: accumulate more consumptions.
-    advance_to(target);
+    advance_to(target, late_stop);
     result = snapshot();
   }
   return result;
+}
+
+MonteCarloResult DmpModelMonteCarlo::run_until_decides(
+    double threshold, std::uint64_t min_consumptions,
+    std::uint64_t max_consumptions) {
+  return decide(threshold, min_consumptions, max_consumptions, kNoLateStop);
+}
+
+MonteCarloResult DmpModelMonteCarlo::run_until_verdict(
+    double threshold, std::uint64_t min_consumptions,
+    std::uint64_t max_consumptions) {
+  if (min_consumptions == 0) {
+    throw std::invalid_argument{"need >= 1 consumption per decision"};
+  }
+  if (!std::isfinite(threshold) || threshold <= 0.0) {
+    throw std::invalid_argument{"decision threshold must be finite and > 0"};
+  }
+  return decide(threshold, min_consumptions, max_consumptions,
+                certain_fail_late(threshold, min_consumptions,
+                                  max_consumptions));
 }
 
 MonteCarloResult DmpModelMonteCarlo::run_sharded(

@@ -120,6 +120,21 @@ class DmpModelMonteCarlo {
                                      std::uint64_t min_consumptions,
                                      std::uint64_t max_consumptions);
 
+  // run_until_decides with the same warm-up, checkpoints and RNG stream,
+  // except that counting ends as soon as the late count reaches L*, the
+  // smallest count whose estimate at the last reachable checkpoint is not
+  // below `threshold`: from there on no checkpoint can decide "pass", so
+  // the verdict (late_fraction < threshold) is "fail" whatever the
+  // remaining draws would be (docs/MODEL_ENGINE.md, "Exact early
+  // decisions").  The verdict always equals run_until_decides'; a result
+  // that passes is identical to it.  After an early stop the estimate
+  // covers fewer consumptions and the engine's trajectory is not the one
+  // later calls would have continued.  Throws std::invalid_argument unless
+  // min_consumptions > 0 and threshold is finite and > 0.
+  MonteCarloResult run_until_verdict(double threshold,
+                                     std::uint64_t min_consumptions,
+                                     std::uint64_t max_consumptions);
+
   static constexpr std::uint64_t kAutoWarmup = ~0ull;
 
   // Deterministic sharded estimation: `shards` independent alias-mode
@@ -136,14 +151,25 @@ class DmpModelMonteCarlo {
                                std::size_t threads = 0) const;
 
  private:
-  // Counted consumptions reach `target` (mode-dispatched hot loop).
-  void advance_to(std::uint64_t target);
+  static constexpr std::uint64_t kNoLateStop = ~0ull;
+
+  // Shared body of the two sequential decisions: counting also ends once
+  // late_ reaches `late_stop`.
+  MonteCarloResult decide(double threshold, std::uint64_t min_consumptions,
+                          std::uint64_t max_consumptions,
+                          std::uint64_t late_stop);
+  // Discards `warmup` consumptions, then resets the run accounting.
+  void start_counting(std::uint64_t warmup);
+  // Counted consumptions reach `target` (mode-dispatched hot loop), or the
+  // late count reaches `late_stop` at a segment boundary, whichever first.
+  void advance_to(std::uint64_t target,
+                  std::uint64_t late_stop = kNoLateStop);
   // The compat-mode hot loop: one uniform per event, each run of
   // consumptions between flow events folded in one step.
-  void advance_compat(std::uint64_t target);
+  void advance_compat(std::uint64_t target, std::uint64_t late_stop);
   // The alias-mode hot loop: bulk geometric consumption draws between
   // alias-sampled flow transitions.
-  void advance_alias(std::uint64_t target);
+  void advance_alias(std::uint64_t target, std::uint64_t late_stop);
   // Refreshes exit_now_ from the current flow states.
   void load_exit_rates();
   MonteCarloResult snapshot() const;

@@ -16,24 +16,37 @@ namespace {
 // collided with probe g+1 of a setting seeded one apart.
 constexpr std::uint64_t kDelayProbeDomain = 16ull << 32;
 
-// True if the late fraction at this tau is below the target; `grid_index`
-// selects the probe's seed-stream element.
-bool tau_passes(const ComposedParams& base, double tau_s,
-                const RequiredDelayOptions& options, double* estimate,
-                std::uint64_t grid_index) {
+struct Probe {
+  bool passes = false;  // late fraction at this tau below the target
+  double estimate = 0.0;
+  std::uint64_t consumptions = 0;  // counted consumptions drawn
+};
+
+// One threshold decision at `tau_s`; `grid_index` selects the probe's
+// seed-stream element.  A sequential probe that may end once "fail" is
+// certain (`stop_at_certain_fail`) reports the same verdict, and the same
+// estimate whenever it passes; a failing probe's estimate then covers
+// fewer consumptions, so the caller must not report it.
+Probe probe_tau(const ComposedParams& base, double tau_s,
+                const RequiredDelayOptions& options, std::uint64_t grid_index,
+                bool stop_at_certain_fail) {
   ComposedParams params = base;
   params.tau_s = tau_s;
   const std::uint64_t probe_seed =
       SeedStream(options.seed, kDelayProbeDomain).at(grid_index);
+  const double target = options.target_late_fraction;
 
   if (options.shards == 0) {
     DmpModelMonteCarlo mc(params, probe_seed);
-    const auto result = mc.run_until_decides(options.target_late_fraction,
-                                             options.min_consumptions,
-                                             options.max_consumptions);
-    *estimate = result.late_fraction;
+    const auto result =
+        stop_at_certain_fail
+            ? mc.run_until_verdict(target, options.min_consumptions,
+                                   options.max_consumptions)
+            : mc.run_until_decides(target, options.min_consumptions,
+                                   options.max_consumptions);
     // Undecided after the full budget: classify by the point estimate.
-    return result.late_fraction < options.target_late_fraction;
+    return {result.late_fraction < target, result.late_fraction,
+            result.consumptions};
   }
 
   // Sharded probe: a fresh deterministic estimate per round with the
@@ -45,16 +58,17 @@ bool tau_passes(const ComposedParams& base, double tau_s,
   std::uint64_t per_shard = options.min_consumptions / options.shards;
   if (per_shard == 0) per_shard = 1;
   MonteCarloResult result;
+  std::uint64_t drawn = 0;
   for (;;) {
     result = mc.run_sharded(options.shards, per_shard,
                             DmpModelMonteCarlo::kAutoWarmup, options.threads);
-    const bool decided = result.ci.hi() < options.target_late_fraction ||
-                         result.ci.lo() > options.target_late_fraction;
+    drawn += result.consumptions;
+    const bool decided =
+        result.ci.hi() < target || result.ci.lo() > target;
     if (decided || result.consumptions >= options.max_consumptions) break;
     per_shard *= 2;
   }
-  *estimate = result.late_fraction;
-  return result.late_fraction < options.target_late_fraction;
+  return {result.late_fraction < target, result.late_fraction, drawn};
 }
 
 }  // namespace
@@ -65,6 +79,14 @@ RequiredDelayResult required_startup_delay(const ComposedParams& base,
       options.tau_max_s < options.tau_min_s) {
     throw std::invalid_argument{"invalid required-delay search range"};
   }
+  if (options.min_consumptions == 0) {
+    throw std::invalid_argument{"required delay needs min_consumptions > 0"};
+  }
+  if (!std::isfinite(options.target_late_fraction) ||
+      options.target_late_fraction <= 0.0) {
+    throw std::invalid_argument{
+        "required delay needs a finite target late fraction > 0"};
+  }
 
   RequiredDelayResult result;
   const auto grid_points = static_cast<std::int64_t>(
@@ -72,38 +94,42 @@ RequiredDelayResult required_startup_delay(const ComposedParams& base,
   auto tau_at = [&](std::int64_t g) {
     return options.tau_min_s + static_cast<double>(g) * options.grid_s;
   };
+  auto probe = [&](std::int64_t g, bool stop_at_certain_fail) {
+    ++result.evaluations;
+    const Probe p = probe_tau(base, tau_at(g), options,
+                              static_cast<std::uint64_t>(g),
+                              stop_at_certain_fail);
+    result.consumptions += p.consumptions;
+    return p;
+  };
 
-  // Check feasibility at the top of the range first.
-  double estimate_hi = 0.0;
-  ++result.evaluations;
-  if (!tau_passes(base, tau_at(grid_points), options, &estimate_hi,
-                  static_cast<std::uint64_t>(grid_points))) {
+  // Check feasibility at the top of the range first.  This probe runs its
+  // full budget: an infeasible point reports its estimate.
+  const Probe top = probe(grid_points, false);
+  if (!top.passes) {
     result.feasible = false;
     result.tau_s = tau_at(grid_points);
-    result.late_at_tau = estimate_hi;
+    result.late_at_tau = top.estimate;
     return result;
   }
 
   std::int64_t lo = 0, hi = grid_points;  // hi always passes
-  double estimate_at_hi = estimate_hi;
+  double estimate_at_hi = top.estimate;
   // Does the bottom already pass?
-  double estimate_lo = 0.0;
-  ++result.evaluations;
-  if (tau_passes(base, tau_at(0), options, &estimate_lo, 0)) {
+  const Probe bottom = probe(0, true);
+  if (bottom.passes) {
     result.feasible = true;
     result.tau_s = tau_at(0);
-    result.late_at_tau = estimate_lo;
+    result.late_at_tau = bottom.estimate;
     return result;
   }
 
   while (hi - lo > 1) {
     const std::int64_t mid = lo + (hi - lo) / 2;
-    double estimate = 0.0;
-    ++result.evaluations;
-    if (tau_passes(base, tau_at(mid), options, &estimate,
-                   static_cast<std::uint64_t>(mid))) {
+    const Probe p = probe(mid, true);
+    if (p.passes) {
       hi = mid;
-      estimate_at_hi = estimate;
+      estimate_at_hi = p.estimate;
     } else {
       lo = mid;
     }

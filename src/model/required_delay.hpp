@@ -32,11 +32,17 @@ struct RequiredDelayResult {
   bool feasible = false;     // false if even tau_max fails
   double late_at_tau = 0.0;  // estimate at the returned tau
   std::uint64_t evaluations = 0;
+  // Counted (post-warm-up) consumptions drawn over all probes.
+  std::uint64_t consumptions = 0;
 };
 
 // Binary search on the tau grid.  f(tau) is monotone non-increasing (a
 // larger startup delay only relaxes deadlines), so bisection is sound;
-// each probe is a sequential Monte-Carlo threshold decision.
+// each probe is a sequential Monte-Carlo threshold decision.  Sequential
+// probes below tau_max end once their "fail" verdict is certain
+// (DmpModelMonteCarlo::run_until_verdict), which changes no verdict and no
+// reported estimate.  Throws std::invalid_argument on an empty search
+// range, min_consumptions == 0, or a target that is not finite and > 0.
 RequiredDelayResult required_startup_delay(const ComposedParams& base,
                                            const RequiredDelayOptions& options = {});
 

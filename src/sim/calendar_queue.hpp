@@ -7,11 +7,11 @@
 // a timestamp is a shift+mask, never a divide; the year wraps over a
 // power-of-two bucket count.
 //
-// Each bucket is an ascending (when, seq) run with a pop cursor: pushes in
-// a DES almost always arrive keyed at or after the bucket's current tail,
-// so the common push is a plain append and the common pop a cursor bump —
-// no memmove, no sift.  Out-of-order pushes (timers undercutting the tail)
-// take a sorted insert into the live suffix.
+// Each bucket is an ascending (when, seq) run with a pop cursor, so the
+// common pop is a cursor bump — no memmove, no sift.  A push keyed at or
+// after the bucket's tail appends; any other push takes a sorted insert
+// into the live suffix.  In packet-level sessions the insert is the common
+// case: about three pushes in four over a Figs. 4/5 validation sweep.
 //
 // Ordering contract: pops come out in EXACTLY the order a binary heap over
 // the same (when, seq) keys would produce them — strictly increasing

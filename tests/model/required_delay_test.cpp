@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
+
 namespace dmp {
 namespace {
 
@@ -72,6 +75,24 @@ TEST(RequiredDelay, ValidatesSearchRange) {
   options.tau_max_s = 0.5;
   options.tau_min_s = 1.0;
   EXPECT_THROW(required_startup_delay(params, options), std::invalid_argument);
+}
+
+TEST(RequiredDelay, ValidatesBudgetAndTarget) {
+  // An empty budget used to return an infeasible NaN estimate; it would
+  // now never reach a last checkpoint, so it is rejected up front.
+  const auto params = two_path_setup(1.6);
+  RequiredDelayOptions options = quick_options();
+  options.min_consumptions = 0;
+  EXPECT_THROW(required_startup_delay(params, options), std::invalid_argument);
+  for (const double target : {0.0, -1e-4,
+                              std::numeric_limits<double>::infinity(),
+                              std::numeric_limits<double>::quiet_NaN()}) {
+    options = quick_options();
+    options.target_late_fraction = target;
+    EXPECT_THROW(required_startup_delay(params, options),
+                 std::invalid_argument)
+        << target;
+  }
 }
 
 }  // namespace
