@@ -102,27 +102,21 @@ inline exp::ExperimentPlan plan_for(const std::string& name,
     config.des = options.des;
     plan.settings.push_back({setting.name, std::move(config)});
   }
-  // Attach observability / flight recording to the very first replication;
-  // telemetry and the DES profiler attach to EVERY replication (the merged
-  // sketch percentiles need every run), with file artifacts only from the
-  // first so parallel workers never contend on one path.
-  if (options.obs || options.trace || options.telemetry ||
-      options.profile != 0) {
+  // DMP_OBS: metrics and trace attach to the very first replication;
+  // telemetry and profile to EVERY replication (the merged sketch
+  // percentiles need every run), with files only from the first so
+  // parallel workers never contend on one path.
+  if (options.obs.any()) {
     plan.configure = [name, options](SessionConfig& config,
                                      std::size_t setting, std::size_t rep) {
       const bool first = setting == 0 && rep == 0;
-      if (options.telemetry) {
-        config.telemetry.enabled = true;
-        config.telemetry.window_s = options.telemetry_window_s;
-        config.telemetry.write_artifacts = first;
-        config.telemetry.output_dir = bench_output_dir();
-        config.telemetry.prefix = name + "_obs";
-      }
-      config.profile = options.profile != 0;
-      config.profile_wall_time = options.profile == 2;
+      config.telemetry.enabled = options.obs.telemetry;
+      config.telemetry.window_s = options.telemetry_window_s;
+      config.telemetry.write_artifacts = first;
+      config.profile = options.obs.profile;
       if (!first) return;
-      config.obs.enabled = options.obs;
-      config.obs.flight_recorder = options.trace;
+      config.obs.enabled = options.obs.metrics;
+      config.obs.flight_recorder = options.obs.trace;
       config.obs.output_dir = bench_output_dir();
       config.obs.prefix = name + "_obs";
       config.obs.probe_interval_s = options.obs_probe_interval_s;

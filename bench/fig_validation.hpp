@@ -70,15 +70,10 @@ inline void run_validation_figure(const ValidationSetting& setting,
       return;
     }
     const auto& result = outcome.result;
-    if (!result.report_path.empty()) {
-      std::printf("obs artifacts: %s", result.report_path.c_str());
-      if (!result.probe_csv_path.empty()) {
-        std::printf(", %s", result.probe_csv_path.c_str());
-      }
-      std::printf(", %s\n", result.events_path.c_str());
-    }
-    if (!result.trace_path.empty()) {
-      std::printf("flight trace: %s\n", result.trace_path.c_str());
+    if (result.hub && (result.hub->metrics() || result.hub->flight())) {
+      const auto& obs = result.hub->config();
+      std::printf("obs artifacts: %s/%s_*\n", obs.output_dir.c_str(),
+                  obs.prefix.c_str());
     }
     for (double tau : scatter_taus) {
       const double fp = result.trace.late_fraction_playback_order(

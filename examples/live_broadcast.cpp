@@ -5,18 +5,19 @@
 //
 //   $ ./live_broadcast [mu_pps] [duration_s]
 //
-// Set DMP_OBS=1 to attach the wall-clock observability layer: a server
-// queue-depth time series (live_broadcast_probe.csv), per-path pull/frame
-// counters, and a JSONL event log (live_broadcast_events.jsonl).
+// DMP_OBS=<list> (the bench grammar: metrics,trace,telemetry; `profile`
+// has nothing to profile here) binds one observability hub per thread,
+// writing the simulator's artifact set as live_broadcast_* (server) and
+// live_broadcast_client_* (client) into the working directory.
 #include <cstdio>
 #include <cstdlib>
 #include <future>
+#include <memory>
+#include <stdexcept>
 
 #include "inet/client.hpp"
 #include "inet/server.hpp"
-#include "obs/event_log.hpp"
-#include "obs/metrics.hpp"
-#include "util/env.hpp"
+#include "obs/hub.hpp"
 
 using namespace dmp;
 using namespace dmp::inet;
@@ -24,22 +25,40 @@ using namespace dmp::inet;
 int main(int argc, char** argv) {
   const double mu = argc > 1 ? std::atof(argv[1]) : 400.0;
   const double duration = argc > 2 ? std::atof(argv[2]) : 5.0;
-  const bool obs_on = env_int("DMP_OBS", 0) != 0;
-  obs::MetricsRegistry server_metrics;
-  obs::MetricsRegistry client_metrics;
-  obs::EventLog events;
+  obs::ObsSinks sinks;
+  if (const char* list = std::getenv("DMP_OBS")) {
+    try {
+      sinks = obs::parse_obs_sinks(list);
+    } catch (const std::invalid_argument& e) {
+      std::fprintf(stderr, "DMP_OBS: %s\n", e.what());
+      return 2;
+    }
+  }
+  // The flight recorder is not thread-safe: the server and the client
+  // (on different threads) each get their own hub.
+  const auto make_hub = [&sinks](const char* prefix) {
+    obs::ObsConfig config;
+    config.enabled = sinks.metrics;
+    config.flight_recorder = sinks.trace;
+    config.output_dir = ".";
+    config.prefix = prefix;
+    config.probe_interval_s = 0.1;
+    obs::TelemetryConfig telemetry;
+    telemetry.enabled = sinks.telemetry;
+    telemetry.write_artifacts = true;
+    return obs::Hub::wanted(config, telemetry)
+               ? std::make_unique<obs::Hub>(config, telemetry)
+               : nullptr;
+  };
+  const auto server_hub = make_hub("live_broadcast");
+  const auto client_hub = make_hub("live_broadcast_client");
 
   ServerConfig server_cfg;
   server_cfg.num_paths = 2;
   server_cfg.mu_pps = mu;
   server_cfg.duration_s = duration;
   server_cfg.send_buffer_bytes = 8 * 1024;
-  if (obs_on) {
-    server_cfg.metrics = &server_metrics;
-    server_cfg.events = &events;
-    server_cfg.probe_interval_s = 0.1;
-    server_cfg.probe_csv_path = "live_broadcast_probe.csv";
-  }
+  server_cfg.obs = server_hub.get();
 
   DmpInetServer server(server_cfg);
   std::printf("DMP server listening on 127.0.0.1:%u — streaming %.0f pkts/s "
@@ -53,7 +72,7 @@ int main(int argc, char** argv) {
   // Path 2 is constrained to ~25% of the stream's bandwidth: DMP must
   // route the bulk of the feed over path 1.
   client_cfg.read_rate_limit_bps = {0.0, mu * 1448 * 8 * 0.25};
-  if (obs_on) client_cfg.metrics = &client_metrics;
+  client_cfg.obs = client_hub.get();
 
   auto server_future =
       std::async(std::launch::async, [&server] { return server.run(); });
@@ -78,14 +97,18 @@ int main(int argc, char** argv) {
                     tau, stats.packets_generated) *
                     100.0);
   }
-  if (obs_on) {
-    events.write_jsonl("live_broadcast_events.jsonl");
+  if (!server_hub) return 0;
+  server_hub->write_artifacts();
+  client_hub->write_artifacts();
+  std::printf("\nobs=%s: wrote live_broadcast_* and live_broadcast_client_*\n",
+              sinks.to_string().c_str());
+  if (sinks.metrics) {
+    const auto& server_metrics = *server_hub->metrics();
     const auto* p0 = server_metrics.find_counter("server.pulls.path0");
     const auto* p1 = server_metrics.find_counter("server.pulls.path1");
-    const auto* delay = client_metrics.find_histogram("client.delay_s");
-    std::printf("\nobs: pulls %llu / %llu, delay p50/p99 = %.0f/%.0f ms; "
-                "wrote live_broadcast_probe.csv, live_broadcast_events.jsonl"
-                "\n",
+    const auto* delay =
+        client_hub->metrics()->find_histogram("client.delay_s");
+    std::printf("pulls %llu / %llu, delay p50/p99 = %.0f/%.0f ms\n",
                 static_cast<unsigned long long>(p0 ? p0->value() : 0),
                 static_cast<unsigned long long>(p1 ? p1->value() : 0),
                 delay ? delay->quantile(0.5) * 1e3 : 0.0,

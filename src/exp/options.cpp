@@ -6,6 +6,7 @@
 #include "sim/scheduler.hpp"
 #include "stream/scheduler/path_scheduler.hpp"
 
+#include <cctype>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
@@ -24,14 +25,13 @@ namespace {
 // util/csv, DMP_SANITIZE / DMP_CHECK_BUILD_DIR to scripts/check.sh — they
 // are not bench knobs but must not trip the unknown-variable check.
 const char* const kKnownVars[] = {
-    "DMP_RUNS",           "DMP_DURATION_S",      "DMP_SEED",
-    "DMP_MC_MIN",         "DMP_MC_MAX",          "DMP_THREADS",
-    "DMP_MODEL_SHARDS",   "DMP_OBS",             "DMP_OBS_PROBE_S",
-    "DMP_TRACE",          "DMP_OUT_DIR",         "DMP_FIG7_DURATION_S",
-    "DMP_TABLE1_PROBE_S", "DMP_FAULTS",          "DMP_SANITIZE",
-    "DMP_CHECK_BUILD_DIR", "DMP_TELEMETRY",      "DMP_TELEMETRY_WINDOW_S",
-    "DMP_PROFILE",        "DMP_SLO",             "DMP_SCHED",
-    "DMP_QDISC",          "DMP_DES",
+    "DMP_RUNS",         "DMP_DURATION_S",         "DMP_SEED",
+    "DMP_MC_MIN",       "DMP_MC_MAX",             "DMP_THREADS",
+    "DMP_MODEL_SHARDS", "DMP_OBS",                "DMP_OBS_PROBE_S",
+    "DMP_OUT_DIR",      "DMP_FIG7_DURATION_S",    "DMP_TABLE1_PROBE_S",
+    "DMP_FAULTS",       "DMP_SANITIZE",           "DMP_CHECK_BUILD_DIR",
+    "DMP_SLO",          "DMP_TELEMETRY_WINDOW_S", "DMP_SCHED",
+    "DMP_QDISC",        "DMP_DES",
 };
 
 [[noreturn]] void fail(const std::string& message) {
@@ -59,8 +59,25 @@ double parse_double(const char* name, const char* text) {
   return v;
 }
 
-bool parse_bool(const char* name, const char* text) {
-  return parse_int(name, text) != 0;
+// Seeds and budgets: a leading '-' would wrap through the uint64_t cast.
+std::uint64_t parse_unsigned(const char* name, const char* text) {
+  const char* p = text;
+  while (std::isspace(static_cast<unsigned char>(*p))) ++p;
+  if (*p == '-') {
+    fail(std::string(name) + "='" + text + "' must not be negative");
+  }
+  return static_cast<std::uint64_t>(parse_int(name, text));
+}
+
+// Runs a spec parser on the variable's value, naming the variable in any
+// error it throws.
+template <typename Parse>
+auto parse_spec(const char* name, const char* text, Parse parse) {
+  try {
+    return parse(text);
+  } catch (const std::exception& e) {
+    fail(std::string(name) + ": " + e.what());
+  }
 }
 
 const char* get(const char* name) { return std::getenv(name); }
@@ -102,14 +119,12 @@ BenchOptions BenchOptions::from_env() {
   if (const char* v = get("DMP_DURATION_S")) {
     o.duration_s = parse_double("DMP_DURATION_S", v);
   }
-  if (const char* v = get("DMP_SEED")) {
-    o.seed = static_cast<std::uint64_t>(parse_int("DMP_SEED", v));
-  }
+  if (const char* v = get("DMP_SEED")) o.seed = parse_unsigned("DMP_SEED", v);
   if (const char* v = get("DMP_MC_MIN")) {
-    o.mc_min = static_cast<std::uint64_t>(parse_int("DMP_MC_MIN", v));
+    o.mc_min = parse_unsigned("DMP_MC_MIN", v);
   }
   if (const char* v = get("DMP_MC_MAX")) {
-    o.mc_max = static_cast<std::uint64_t>(parse_int("DMP_MC_MAX", v));
+    o.mc_max = parse_unsigned("DMP_MC_MAX", v);
   }
   if (const char* v = get("DMP_THREADS")) {
     const std::int64_t t = parse_int("DMP_THREADS", v);
@@ -121,21 +136,14 @@ BenchOptions BenchOptions::from_env() {
     if (s < 0 || s > 65536) fail("DMP_MODEL_SHARDS must be in [0, 65536]");
     o.model_shards = static_cast<std::uint64_t>(s);
   }
-  if (const char* v = get("DMP_OBS")) o.obs = parse_bool("DMP_OBS", v);
+  if (const char* v = get("DMP_OBS")) {
+    o.obs = parse_spec("DMP_OBS", v, obs::parse_obs_sinks);
+  }
   if (const char* v = get("DMP_OBS_PROBE_S")) {
     o.obs_probe_interval_s = parse_double("DMP_OBS_PROBE_S", v);
   }
-  if (const char* v = get("DMP_TRACE")) o.trace = parse_bool("DMP_TRACE", v);
-  if (const char* v = get("DMP_TELEMETRY")) {
-    o.telemetry = parse_bool("DMP_TELEMETRY", v);
-  }
   if (const char* v = get("DMP_TELEMETRY_WINDOW_S")) {
     o.telemetry_window_s = parse_double("DMP_TELEMETRY_WINDOW_S", v);
-  }
-  if (const char* v = get("DMP_PROFILE")) {
-    const std::int64_t p = parse_int("DMP_PROFILE", v);
-    if (p < 0 || p > 2) fail("DMP_PROFILE must be 0, 1 or 2");
-    o.profile = static_cast<int>(p);
   }
   if (const char* v = get("DMP_FIG7_DURATION_S")) {
     o.fig7_duration_s = parse_double("DMP_FIG7_DURATION_S", v);
@@ -143,36 +151,22 @@ BenchOptions BenchOptions::from_env() {
   if (const char* v = get("DMP_TABLE1_PROBE_S")) {
     o.table1_probe_s = parse_double("DMP_TABLE1_PROBE_S", v);
   }
+  // Specs are validated here so a typo fails before any run starts; the
+  // benches re-parse them.
   if (const char* v = get("DMP_SCHED")) {
-    try {
-      SchedulerSpec::parse(v);  // validation only; benches re-parse
-    } catch (const std::exception& e) {
-      fail("DMP_SCHED: " + std::string(e.what()));
-    }
+    parse_spec("DMP_SCHED", v, SchedulerSpec::parse);
     o.sched = v;
   }
   if (const char* v = get("DMP_QDISC")) {
-    try {
-      QdiscSpec::parse(v);  // validation only; benches re-parse
-    } catch (const std::exception& e) {
-      fail("DMP_QDISC: " + std::string(e.what()));
-    }
+    parse_spec("DMP_QDISC", v, QdiscSpec::parse);
     o.qdisc = v;
   }
   if (const char* v = get("DMP_DES")) {
-    try {
-      parse_scheduler_backend(v);  // validation only; benches re-parse
-    } catch (const std::exception& e) {
-      fail("DMP_DES: " + std::string(e.what()));
-    }
+    parse_spec("DMP_DES", v, parse_scheduler_backend);
     o.des = v;
   }
   if (const char* v = get("DMP_FAULTS")) {
-    try {
-      fault::FaultPlan::parse(v);  // validation only; benches re-parse
-    } catch (const std::exception& e) {
-      fail("DMP_FAULTS: " + std::string(e.what()));
-    }
+    parse_spec("DMP_FAULTS", v, fault::FaultPlan::parse);
     o.faults = v;
   }
   if (const char* v = get("DMP_SLO")) {
@@ -199,14 +193,13 @@ std::string BenchOptions::summary() const {
   char buf[320];
   std::snprintf(buf, sizeof buf,
                 "runs=%lld duration_s=%g seed=%llu mc=[%llu, %llu] "
-                "threads=%zu model_shards=%llu obs=%d trace=%d telemetry=%d "
-                "profile=%d",
+                "threads=%zu model_shards=%llu obs=%s",
                 static_cast<long long>(runs), duration_s,
                 static_cast<unsigned long long>(seed),
                 static_cast<unsigned long long>(mc_min),
                 static_cast<unsigned long long>(mc_max), threads,
-                static_cast<unsigned long long>(model_shards), obs ? 1 : 0,
-                trace ? 1 : 0, telemetry ? 1 : 0, profile);
+                static_cast<unsigned long long>(model_shards),
+                obs.to_string().c_str());
   std::string out = buf;
   if (sched != "pull") out += " sched=" + sched;
   if (qdisc != "droptail") out += " qdisc=" + qdisc;

@@ -10,6 +10,8 @@
 #include <cstdint>
 #include <string>
 
+#include "obs/config.hpp"
+
 namespace dmp::exp {
 
 struct BenchOptions {
@@ -26,23 +28,14 @@ struct BenchOptions {
   // function of the seed and shard count — identical at any DMP_THREADS —
   // but differs from the shards=0 golden numbers.
   std::uint64_t model_shards = 0;
-  // DMP_OBS=1 attaches the observability layer (metrics registry, gauge
-  // probe CSV, event JSONL, RunReport JSON) to the first replication.
-  bool obs = false;
+  // DMP_OBS=<list>: comma list of metrics, trace, telemetry, profile
+  // (obs::parse_obs_sinks).  metrics and trace attach to the first
+  // replication; telemetry and profile to EVERY replication, so merged
+  // sketch percentiles land in the aggregate report (files still come from
+  // the first replication only).
+  obs::ObsSinks obs{};
   double obs_probe_interval_s = 1.0;  // DMP_OBS_PROBE_S
-  // DMP_TRACE=1 additionally attaches the per-packet flight recorder to
-  // the first replication (inspect with `trace_query`).
-  bool trace = false;
-  // DMP_TELEMETRY=1 enables the streaming telemetry layer (windowed
-  // time-series + quantile sketches) on EVERY replication, so merged-sketch
-  // percentiles land in the aggregate report; CSV/JSONL artifacts are
-  // written for the first replication only.
-  bool telemetry = false;
-  double telemetry_window_s = 1.0;  // DMP_TELEMETRY_WINDOW_S
-  // DMP_PROFILE=1 attaches the DES self-profiler (per-category executed
-  // event counts in the run report); DMP_PROFILE=2 also charges wall
-  // nanoseconds per category (non-deterministic; report-only).
-  int profile = 0;
+  double telemetry_window_s = 1.0;    // DMP_TELEMETRY_WINDOW_S
   double fig7_duration_s = 3000.0;  // DMP_FIG7_DURATION_S
   double table1_probe_s = 120.0;    // DMP_TABLE1_PROBE_S
   // DMP_SCHED: DMP dispatch policy applied to every simulated session a

@@ -92,9 +92,9 @@ ExperimentReport ExperimentRunner::run(const ExperimentPlan& plan,
           // strict replication order regardless of DMP_THREADS — so the
           // merged percentiles (and their FP sums) are byte-identical at
           // any worker count.
-          if (outcome.result.telemetry) {
+          if (outcome.result.hub) {
             for (const auto& [name, sketch] :
-                 outcome.result.telemetry->sketches()) {
+                 outcome.result.hub->sketches()) {
               setting.merge_sketch(name, sketch);
             }
           }

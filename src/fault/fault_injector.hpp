@@ -31,8 +31,7 @@
 #include <vector>
 
 #include "fault/fault_plan.hpp"
-#include "obs/event_log.hpp"
-#include "obs/flight_recorder.hpp"
+#include "obs/hub.hpp"
 #include "sim/scheduler.hpp"
 #include "util/sim_time.hpp"
 
@@ -66,9 +65,12 @@ class FaultInjector {
   std::size_t events_fired() const { return fired_; }
   const FaultPlan& plan() const { return plan_; }
 
-  void set_event_log(obs::EventLog* log) { event_log_ = log; }
-  void set_flight_recorder(obs::FlightRecorder* recorder) {
-    flight_ = recorder;
+  // Binds the hub's event log and flight recorder: every fired fault is
+  // logged and traced.  The injector names no metrics, so it takes no
+  // prefix.  Optional; a no-op when never called.
+  void bind(obs::Hub& hub) {
+    event_log_ = hub.events();
+    flight_ = hub.flight();
   }
 
  private:

@@ -55,15 +55,21 @@ ClientReport DmpInetClient::run() {
     std::uint64_t received = 0;
   };
 
+  obs::Hub* hub = config_.obs;
   std::vector<obs::Counter*> m_frames;
   obs::Histogram* m_delay = nullptr;
-  if (config_.metrics) {
-    for (std::size_t k = 0; k < config_.num_paths; ++k) {
-      m_frames.push_back(&config_.metrics->counter("client.path" +
-                                                   std::to_string(k) +
-                                                   ".frames"));
+  obs::FlightRecorder* flight = nullptr;
+  obs::TimeSeriesChannel* ts_frames = nullptr;
+  obs::QuantileSketch* delay_sketch = nullptr;
+  if (hub) {
+    for (std::size_t k = 0; hub->metrics() && k < config_.num_paths; ++k) {
+      m_frames.push_back(
+          hub->counter("client.path" + std::to_string(k) + ".frames"));
     }
-    m_delay = &config_.metrics->histogram("client.delay_s");
+    m_delay = hub->histogram("client.delay_s");
+    flight = hub->flight();
+    ts_frames = hub->channel("client.frames");
+    delay_sketch = hub->sketch("client.delay_s");
   }
   // Time base for the windowed frame channel (telemetry only).
   const std::uint64_t telemetry_t0 = monotonic_ns();
@@ -255,25 +261,25 @@ ClientReport DmpInetClient::run() {
             seen[number] = true;
             arrivals.push_back(
                 Arrival{frame.packet_number, frame.generated_ns, now, path32});
-            if (config_.flight) {
+            if (flight) {
               obs::FlightEvent e;
               e.t_ns = static_cast<std::int64_t>(now);
               e.kind = obs::FlightEventKind::kArrive;
               e.packet = static_cast<std::int64_t>(frame.packet_number);
               e.path = static_cast<std::int32_t>(path32);
-              config_.flight->record(e);
+              flight->record(e);
             }
             if (!m_frames.empty()) m_frames[k]->inc();
-            if (config_.telemetry_frames) {
-              config_.telemetry_frames->bump(SimTime::nanos(
+            if (ts_frames) {
+              ts_frames->bump(SimTime::nanos(
                   static_cast<std::int64_t>(now - telemetry_t0)));
             }
             if (m_delay && now >= frame.generated_ns) {
               m_delay->observe(
                   static_cast<double>(now - frame.generated_ns) * 1e-9);
             }
-            if (config_.delay_sketch && now >= frame.generated_ns) {
-              config_.delay_sketch->add(
+            if (delay_sketch && now >= frame.generated_ns) {
+              delay_sketch->add(
                   static_cast<double>(now - frame.generated_ns) * 1e-9);
             }
           });
@@ -290,10 +296,10 @@ ClientReport DmpInetClient::run() {
         arrivals.front().generated_ns -
         static_cast<std::uint64_t>(std::llround(
             static_cast<double>(arrivals.front().number) * period_ns));
-    if (config_.flight) {
+    if (flight) {
       // Same epoch the server stamped into the frames, so the two traces
       // (server-side and client-side) line up without clock negotiation.
-      config_.flight->set_meta(config_.mu_pps,
+      flight->set_meta(config_.mu_pps,
                                static_cast<std::int64_t>(t0));
     }
     for (const auto& a : arrivals) {

@@ -12,10 +12,7 @@
 
 #include "inet/framing.hpp"
 #include "inet/socket.hpp"
-#include "obs/flight_recorder.hpp"
-#include "obs/metrics.hpp"
-#include "obs/telemetry/sketch.hpp"
-#include "obs/telemetry/time_series.hpp"
+#include "obs/hub.hpp"
 #include "stream/trace.hpp"
 
 namespace dmp::inet {
@@ -40,22 +37,14 @@ struct ClientConfig {
   int reconnect_backoff_ms = 50;        // first retry delay; doubles per try
   int reconnect_backoff_cap_ms = 2000;  // backoff ceiling
   int idle_timeout_ms = 0;              // 0 = no idle-death detection
-  // Optional wall-clock observability (not owned; may be null).  Maintains
-  // per-path `client.path<k>.frames` counters and a `client.delay_s`
-  // histogram of generation-to-arrival delay.
-  obs::MetricsRegistry* metrics = nullptr;
-  // Optional per-packet flight recorder (not owned; may be null).  Records
-  // one kArrive event per reassembled frame with wall-clock
-  // (CLOCK_MONOTONIC) t_ns; meta is set at the end of run() to the
-  // generation epoch recovered from the frame headers, so it matches the
-  // server-side recorder's epoch exactly.  NOT thread-safe: use a separate
-  // recorder per thread.
-  obs::FlightRecorder* flight = nullptr;
-  // Optional streaming-telemetry hooks (not owned; may be null): a windowed
-  // reassembled-frame channel (timestamps relative to run start) and a
-  // quantile sketch of generation-to-arrival delay in seconds.
-  obs::TimeSeriesChannel* telemetry_frames = nullptr;
-  obs::QuantileSketch* delay_sketch = nullptr;
+  // Optional wall-clock observability hub (not owned; may be null), bound
+  // under "client": per-path `.path<k>.frames` counters, the
+  // generation-to-arrival `.delay_s` histogram and sketch, a `.frames`
+  // channel (timed from run start), and one kArrive flight span per
+  // reassembled frame (CLOCK_MONOTONIC t_ns; meta is set at the end of
+  // run() to the epoch recovered from the frame headers, matching the
+  // server's recorder).  Not thread-safe: one hub per thread.
+  obs::Hub* obs = nullptr;
 };
 
 struct ClientReport {

@@ -111,14 +111,14 @@ bool DmpInetServer::pump_connection(Connection& conn) {
     conn.replay.push_back(frame);
     while (conn.replay.size() > config_.replay_frames) conn.replay.pop_front();
     if (conn.pulls) conn.pulls->inc();
-    if (config_.flight) {
+    if (flight_) {
       obs::FlightEvent e;
       e.t_ns = static_cast<std::int64_t>(monotonic_ns());
       e.kind = obs::FlightEventKind::kPull;
       e.packet = static_cast<std::int64_t>(frame.packet_number);
       e.path = conn.path;
       e.queue = static_cast<std::int64_t>(queue_.size());
-      config_.flight->record(e);
+      flight_->record(e);
     }
     conn.partial.assign(config_.frame_bytes, 0);
     encode_frame_header(frame, conn.partial.data());
@@ -132,25 +132,29 @@ ServerStats DmpInetServer::run() {
     return static_cast<double>(monotonic_ns() - run_epoch_ns) * 1e-9;
   };
 
-  // Wall-clock observability: the same counter/gauge/probe layer the
-  // simulator uses, driven by the poll loop instead of the scheduler.
+  // Wall-clock observability: the same hub the simulator binds, driven by
+  // the poll loop instead of the scheduler.
+  obs::Hub* hub = config_.obs;
   obs::Counter* m_generated = nullptr;
-  std::vector<obs::Counter*> m_pulls;
+  obs::EventLog* events = nullptr;
+  obs::TimeSeriesChannel* ts_generated = nullptr;
+  obs::TimeSeriesChannel* ts_backlog = nullptr;
   std::unique_ptr<obs::WallClockProbe> wall_probe;
-  if (config_.metrics) {
-    m_generated = &config_.metrics->counter("server.generated");
-    for (std::size_t i = 0; i < config_.num_paths; ++i) {
-      m_pulls.push_back(&config_.metrics->counter("server.pulls.path" +
-                                                  std::to_string(i)));
-    }
-    config_.metrics->gauge("server.queue_depth").set_sampler([this] {
-      return static_cast<double>(queue_.size());
-    });
-    if (config_.probe_interval_s > 0.0 && !config_.probe_csv_path.empty()) {
-      wall_probe = std::make_unique<obs::WallClockProbe>(
-          *config_.metrics, std::vector<std::string>{"server.queue_depth"},
-          config_.probe_csv_path,
-          static_cast<std::uint64_t>(config_.probe_interval_s * 1e9));
+  if (hub) {
+    m_generated = hub->counter("server.generated");
+    events = hub->events();
+    flight_ = hub->flight();
+    ts_generated = hub->channel("server.generated");
+    ts_backlog = hub->channel("server.backlog");
+    if (obs::Gauge* depth = hub->gauge("server.queue_depth")) {
+      depth->set_sampler(
+          [this] { return static_cast<double>(queue_.size()); });
+      if (hub->config().probe_interval_s > 0.0) {
+        wall_probe = std::make_unique<obs::WallClockProbe>(
+            *hub->metrics(), std::vector<std::string>{"server.queue_depth"},
+            hub->config().probe_csv_path(),
+            static_cast<std::uint64_t>(hub->config().probe_interval_s * 1e9));
+      }
     }
   }
 
@@ -159,7 +163,10 @@ ServerStats DmpInetServer::run() {
   std::vector<Connection> connections(config_.num_paths);
   for (std::size_t i = 0; i < config_.num_paths; ++i) {
     connections[i].path = static_cast<std::int32_t>(i);
-    if (!m_pulls.empty()) connections[i].pulls = m_pulls[i];
+    if (hub) {
+      connections[i].pulls =
+          hub->counter("server.pulls.path" + std::to_string(i));
+    }
   }
   for (std::size_t accepted = 0; accepted < config_.num_paths;) {
     Hello hello;
@@ -173,9 +180,9 @@ ServerStats DmpInetServer::run() {
     connections[k].fd = std::move(fd);
     connections[k].open = true;
     ++accepted;
-    if (config_.events && config_.events->enabled(obs::Severity::kInfo)) {
-      config_.events->record(elapsed_s(), obs::Severity::kInfo, "accept",
-                             {obs::EventField::num("path", k)});
+    if (events && events->enabled(obs::Severity::kInfo)) {
+      events->record(elapsed_s(), obs::Severity::kInfo, "accept",
+                     {obs::EventField::num("path", k)});
     }
   }
 
@@ -186,9 +193,9 @@ ServerStats DmpInetServer::run() {
   const double period_ns = 1e9 / config_.mu_pps;
   const std::uint64_t t0 = monotonic_ns();
   stats.stream_start_ns = t0;
-  if (config_.flight) {
-    config_.flight->set_meta(config_.mu_pps, static_cast<std::int64_t>(t0),
-                             total_packets);
+  if (flight_) {
+    flight_->set_meta(config_.mu_pps, static_cast<std::int64_t>(t0),
+                      total_packets);
   }
   std::int64_t generated = 0;
   std::size_t rotate = 0;
@@ -222,9 +229,9 @@ ServerStats DmpInetServer::run() {
       const std::size_t k = resets_[next_reset].second;
       ++next_reset;
       ++stats.conn_resets;
-      if (config_.events && config_.events->enabled(obs::Severity::kWarn)) {
-        config_.events->record(elapsed_s(), obs::Severity::kWarn, "conn_reset",
-                               {obs::EventField::num("path", k)});
+      if (events && events->enabled(obs::Severity::kWarn)) {
+        events->record(elapsed_s(), obs::Severity::kWarn, "conn_reset",
+                       {obs::EventField::num("path", k)});
       }
       if (connections[k].open) close_path(connections[k], true);
     }
@@ -238,24 +245,22 @@ ServerStats DmpInetServer::run() {
       queue_.push_back(Frame{static_cast<std::uint64_t>(generated), due});
       ++generated;
       if (m_generated) m_generated->inc();
-      if (config_.telemetry_generated) {
-        config_.telemetry_generated->bump(
-            SimTime::nanos(static_cast<std::int64_t>(now - t0)));
+      if (ts_generated) {
+        ts_generated->bump(SimTime::nanos(static_cast<std::int64_t>(now - t0)));
       }
-      if (config_.flight) {
+      if (flight_) {
         obs::FlightEvent e;
         e.t_ns = static_cast<std::int64_t>(now);
         e.kind = obs::FlightEventKind::kGenerate;
         e.packet = generated - 1;
         e.queue = static_cast<std::int64_t>(queue_.size());
-        config_.flight->record(e);
+        flight_->record(e);
       }
     }
     stats.max_queue_packets = std::max(stats.max_queue_packets, queue_.size());
-    if (config_.telemetry_queue_depth) {
-      config_.telemetry_queue_depth->add(
-          SimTime::nanos(static_cast<std::int64_t>(now - t0)),
-          static_cast<double>(queue_.size()));
+    if (ts_backlog) {
+      ts_backlog->add(SimTime::nanos(static_cast<std::int64_t>(now - t0)),
+                      static_cast<double>(queue_.size()));
     }
     if (wall_probe) wall_probe->poll(now);
 
@@ -374,11 +379,10 @@ ServerStats DmpInetServer::run() {
           queue_.push_front(conn.replay[j - 1]);
         }
         ++stats.reaccepts;
-        if (config_.events && config_.events->enabled(obs::Severity::kInfo)) {
-          config_.events->record(elapsed_s(), obs::Severity::kInfo,
-                                 "re_accept",
-                                 {obs::EventField::num("path", k),
-                                  obs::EventField::num("replayed", replayed)});
+        if (events && events->enabled(obs::Severity::kInfo)) {
+          events->record(elapsed_s(), obs::Severity::kInfo, "re_accept",
+                         {obs::EventField::num("path", k),
+                          obs::EventField::num("replayed", replayed)});
         }
       }
     }
@@ -412,9 +416,9 @@ ServerStats DmpInetServer::run() {
   for (std::size_t i = 0; i < connections.size(); ++i) {
     stats.sent_per_path[i] = connections[i].sent_frames;
   }
-  if (config_.metrics) config_.metrics->freeze_gauges();
-  if (config_.events && config_.events->enabled(obs::Severity::kInfo)) {
-    config_.events->record(
+  if (hub && hub->metrics()) hub->metrics()->freeze_gauges();
+  if (events && events->enabled(obs::Severity::kInfo)) {
+    events->record(
         elapsed_s(), obs::Severity::kInfo, "stream_end",
         {obs::EventField::num("generated", generated),
          obs::EventField::num("max_queue", stats.max_queue_packets)});

@@ -18,10 +18,7 @@
 
 #include "inet/framing.hpp"
 #include "inet/socket.hpp"
-#include "obs/event_log.hpp"
-#include "obs/flight_recorder.hpp"
-#include "obs/metrics.hpp"
-#include "obs/telemetry/time_series.hpp"
+#include "obs/hub.hpp"
 
 namespace dmp::inet {
 
@@ -50,29 +47,15 @@ struct ServerConfig {
   // (they may have died in the broken connection's kernel buffers).
   std::size_t replay_frames = 4096;
 
-  // Optional wall-clock observability (never owned by the server; both may
-  // be null).  When `metrics` is set, the run maintains `server.generated`,
-  // per-path `server.pulls.path<k>` counters and a `server.queue_depth`
-  // gauge; with `probe_interval_s > 0` and a CSV path, the poll loop also
-  // samples those gauges into a time series.  `events` receives "accept"
-  // and "stream_end" events (timestamps are seconds since run() started).
-  obs::MetricsRegistry* metrics = nullptr;
-  obs::EventLog* events = nullptr;
-  double probe_interval_s = 0.0;
-  std::string probe_csv_path;
-  // Optional per-packet flight recorder (not owned; may be null).  Records
-  // kGenerate / kPull span events with wall-clock (CLOCK_MONOTONIC) t_ns
-  // and sets meta to the generation epoch.  The recorder is NOT thread-safe:
-  // give the server and the client (usually on another thread) separate
-  // recorders.
-  obs::FlightRecorder* flight = nullptr;
-  // Optional streaming-telemetry channels (not owned; may be null).  Fed
-  // with wall-clock timestamps relative to the generation epoch, so the
-  // windows line up with the simulator's sim-time channels: per-window
-  // generated-frame counts and the shared queue depth sampled once per
-  // poll iteration.
-  obs::TimeSeriesChannel* telemetry_generated = nullptr;
-  obs::TimeSeriesChannel* telemetry_queue_depth = nullptr;
+  // Optional wall-clock observability hub (not owned; may be null), bound
+  // under "server": `.generated` / `.pulls.path<k>` counters, a
+  // `.queue_depth` gauge probed every probe_interval_s of wall time,
+  // "accept" / "conn_reset" / "re_accept" / "stream_end" events (seconds
+  // since run() started), kGenerate / kPull flight spans (CLOCK_MONOTONIC
+  // t_ns, meta = the generation epoch), and `.generated` / `.backlog`
+  // channels timed from that epoch like the simulator's.  Hubs are not
+  // thread-safe: the server and the client each need their own.
+  obs::Hub* obs = nullptr;
 };
 
 struct ServerStats {
@@ -108,7 +91,7 @@ class DmpInetServer {
     Frame partial_frame{};  // the frame `partial` encodes (for re-queue)
     std::uint64_t sent_frames = 0;
     std::deque<Frame> replay;       // recently sent, for resume replay
-    obs::Counter* pulls = nullptr;  // set when ServerConfig::metrics is
+    obs::Counter* pulls = nullptr;  // set when the hub keeps metrics
     std::int32_t path = -1;         // hello-declared path index
   };
 
@@ -127,6 +110,7 @@ class DmpInetServer {
   // Parsed conn_reset schedule: (seconds after stream start, path index).
   std::vector<std::pair<double, std::size_t>> resets_;
   std::atomic<bool> stop_{false};
+  obs::FlightRecorder* flight_ = nullptr;  // config_.obs's recorder, if any
 };
 
 }  // namespace dmp::inet

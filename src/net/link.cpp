@@ -250,14 +250,21 @@ LinkFlowCounters Link::flow_counters(FlowId flow) const {
   return LinkFlowCounters{};
 }
 
-void Link::attach_metrics(obs::MetricsRegistry& registry,
-                          const std::string& prefix) {
-  m_arrivals_ = &registry.counter(prefix + ".arrivals");
-  m_drops_ = &registry.counter(prefix + ".drops");
-  m_delivered_ = &registry.counter(prefix + ".delivered");
-  if (aqm_) m_early_drops_ = &registry.counter(prefix + ".early_drops");
-  registry.gauge(prefix + ".queue_depth")
-      .set_sampler([this] { return static_cast<double>(qdisc_->len()); });
+void Link::bind(obs::Hub& hub, const std::string& prefix, std::int32_t hop) {
+  flight_ = hub.flight();
+  flight_hop_ = hop;
+  if (prefix.empty()) return;
+  m_arrivals_ = hub.counter(prefix + ".arrivals");
+  m_drops_ = hub.counter(prefix + ".drops");
+  m_delivered_ = hub.counter(prefix + ".delivered");
+  if (aqm_) m_early_drops_ = hub.counter(prefix + ".early_drops");
+  if (obs::Gauge* depth = hub.gauge(prefix + ".queue_depth")) {
+    depth->set_sampler([this] { return static_cast<double>(qdisc_->len()); });
+  }
+  event_log_ = hub.events();
+  ts_delivered_ = hub.channel(prefix + ".delivered");
+  ts_drops_ = hub.channel(prefix + ".drops");
+  ts_queue_ = hub.channel(prefix + ".queue_depth");
 }
 
 double Link::utilization(SimTime elapsed) const {

@@ -17,10 +17,7 @@
 #include "net/packet_pool.hpp"
 #include "net/qdisc/droptail.hpp"
 #include "net/qdisc/queue_discipline.hpp"
-#include "obs/event_log.hpp"
-#include "obs/flight_recorder.hpp"
-#include "obs/metrics.hpp"
-#include "obs/telemetry/time_series.hpp"
+#include "obs/hub.hpp"
 #include "sim/scheduler.hpp"
 #include "util/sim_time.hpp"
 
@@ -107,35 +104,13 @@ class Link {
   // Arrivals discarded by link_down / burst_loss faults.
   std::uint64_t fault_drops() const { return fault_drops_; }
 
-  // --- observability (all optional; no-ops when never called) ---
-  // Registers `<prefix>.queue_depth` (gauge, samples this link) and
-  // `<prefix>.{arrivals,drops,delivered}` (counters, incremented on the
-  // hot path alongside the local totals).  Non-droptail links additionally
-  // register `<prefix>.early_drops` (AQM controller discards), so default
-  // runs export exactly the legacy metric set.
-  void attach_metrics(obs::MetricsRegistry& registry,
-                      const std::string& prefix);
-  // Emits a kWarn "drop" event per congestion discard ("fault_drop" for
-  // injected ones).
-  void set_event_log(obs::EventLog* log) { event_log_ = log; }
-  // Records per-stream-packet queue entry/exit/drop span events (packets
-  // with app_tag < 0 — ACKs, background traffic — are ignored).  `hop`
-  // identifies this link in the trace.
-  void set_flight_recorder(obs::FlightRecorder* recorder, std::int32_t hop) {
-    flight_ = recorder;
-    flight_hop_ = hop;
-  }
-  // Windowed telemetry channels (any may be null): packets forwarded per
-  // window, congestion discards per window, and queue-depth samples taken
-  // on every enqueue/dequeue.  Null pointers keep the hot path identical
-  // to an uninstrumented link.
-  void set_telemetry(obs::TimeSeriesChannel* delivered,
-                     obs::TimeSeriesChannel* drops,
-                     obs::TimeSeriesChannel* queue_depth) {
-    ts_delivered_ = delivered;
-    ts_drops_ = drops;
-    ts_queue_ = queue_depth;
-  }
+  // Binds the hub (optional; a no-op when never called).  Flight spans of
+  // stream packets are tagged `hop`.  A non-empty `prefix` adds the
+  // `.queue_depth` gauge, `.{arrivals,drops,delivered}` counters (plus
+  // `.early_drops` on AQM links only, keeping default runs' metric set),
+  // kWarn "drop" / "fault_drop" events, and `.{delivered,drops,
+  // queue_depth}` channels; an empty one binds flight spans only.
+  void bind(obs::Hub& hub, const std::string& prefix, std::int32_t hop);
 
  private:
   // One in-flight delivery: a (when, seq) key claimed from the scheduler at

@@ -31,17 +31,17 @@ PacketHandler DumbbellPath::attach_source(FlowId) {
   auto entry = std::make_unique<Link>(
       sched_, LinkConfig{access_.bandwidth_bps, access_.prop_delay, 0});
   entry->set_receiver(bottleneck_.get());
-  if (flight_) entry->set_flight_recorder(flight_, 0);
+  if (hub_) entry->bind(*hub_, "", 0);
   Link* raw = entry.get();
   entry_links_.push_back(std::move(entry));
   return [raw](const Packet& p) { raw->send(p); };
 }
 
-void DumbbellPath::set_flight_recorder(obs::FlightRecorder* recorder) {
-  flight_ = recorder;
-  for (auto& entry : entry_links_) entry->set_flight_recorder(recorder, 0);
-  bottleneck_->set_flight_recorder(recorder, 1);
-  exit_->set_flight_recorder(recorder, 2);
+void DumbbellPath::bind(obs::Hub& hub, const std::string& prefix) {
+  hub_ = &hub;
+  for (auto& entry : entry_links_) entry->bind(hub, "", 0);
+  bottleneck_->bind(hub, prefix, 1);
+  exit_->bind(hub, "", 2);
 }
 
 void DumbbellPath::register_sink(FlowId flow, PacketHandler handler) {

@@ -12,6 +12,7 @@
 #pragma once
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "net/demux.hpp"
@@ -57,12 +58,13 @@ class DumbbellPath final : public NetworkPath {
   // Measurement hooks.
   const Link& bottleneck() const { return *bottleneck_; }
   Link& bottleneck() { return *bottleneck_; }
-  // Attaches a flight recorder to every forward link: hop 0 = per-flow
-  // entry access link (including ones attached later), hop 1 = shared
-  // bottleneck, hop 2 = exit access link.  Reverse (ACK) links carry no
-  // stream packets and are left untouched.  Optional; a no-op when never
-  // called.
-  void set_flight_recorder(obs::FlightRecorder* recorder);
+  // Binds the hub: the shared bottleneck takes metrics, events and
+  // telemetry under `prefix` (Link::bind), and every forward link records
+  // flight spans — hop 0 = per-flow entry access link (including ones
+  // attached later), hop 1 = bottleneck, hop 2 = exit access link.
+  // Reverse (ACK) links carry no stream packets and stay unbound.
+  // Optional; a no-op when never called.
+  void bind(obs::Hub& hub, const std::string& prefix);
   // Base (zero-queueing) round-trip propagation+transmission latency in
   // seconds for a data packet + returning ACK; diagnostics only.
   double base_rtt_seconds() const;
@@ -96,7 +98,7 @@ class DumbbellPath final : public NetworkPath {
   FlowDemux rev_demux_;
   std::vector<std::unique_ptr<Link>> rev_entry_links_;
 
-  obs::FlightRecorder* flight_ = nullptr;
+  obs::Hub* hub_ = nullptr;
 };
 
 }  // namespace dmp

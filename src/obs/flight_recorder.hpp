@@ -91,9 +91,9 @@ struct FlightEvent {
   double ssthresh = 0.0;
 };
 
-// Append-only event store.  One recorder serves a whole run; components
-// receive a raw pointer via their `set_flight_recorder()` hooks and call
-// `record()` behind a null check.
+// Append-only event store.  One recorder serves a whole run (owned by its
+// obs::Hub); components cache a raw pointer when they bind the hub and
+// call `record()` behind a null check.
 class FlightRecorder {
  public:
   FlightRecorder() = default;

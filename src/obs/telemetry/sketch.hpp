@@ -102,7 +102,7 @@ class QuantileSketch {
 };
 
 // One line of a `*_sketches.jsonl` artifact: the sketch's JSON with a
-// leading "name" member (SessionTelemetry::write_artifacts).
+// leading "name" member (obs::Hub::write_artifacts).
 struct NamedSketch {
   std::string name;
   QuantileSketch sketch;

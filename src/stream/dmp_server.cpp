@@ -36,22 +36,31 @@ DmpStreamingServer::DmpStreamingServer(
   }
 }
 
-void DmpStreamingServer::attach_metrics(obs::MetricsRegistry& registry,
-                                        const std::string& prefix) {
-  m_generated_ = &registry.counter(prefix + ".generated");
+void DmpStreamingServer::bind(obs::Hub& hub, const std::string& prefix) {
+  m_generated_ = hub.counter(prefix + ".generated");
   m_pulls_.clear();
-  for (std::size_t k = 0; k < senders_.size(); ++k) {
-    m_pulls_.push_back(
-        &registry.counter(prefix + ".pulls.path" + std::to_string(k)));
+  if (hub.metrics()) {
+    for (std::size_t k = 0; k < senders_.size(); ++k) {
+      m_pulls_.push_back(
+          hub.counter(prefix + ".pulls.path" + std::to_string(k)));
+    }
+    hub.gauge(prefix + ".queue_depth")->set_sampler([this] {
+      return static_cast<double>(queue_.size());
+    });
+    hub.gauge(prefix + ".max_queue_depth")->set_sampler([this] {
+      return static_cast<double>(max_queue_);
+    });
   }
-  m_duplicates_ = &registry.counter(prefix + ".sched.duplicates");
-  m_parity_ = &registry.counter(prefix + ".sched.parity");
-  registry.gauge(prefix + ".queue_depth").set_sampler([this] {
-    return static_cast<double>(queue_.size());
-  });
-  registry.gauge(prefix + ".max_queue_depth").set_sampler([this] {
-    return static_cast<double>(max_queue_);
-  });
+  m_duplicates_ = hub.counter(prefix + ".sched.duplicates");
+  m_parity_ = hub.counter(prefix + ".sched.parity");
+  event_log_ = hub.events();
+  flight_ = hub.flight();
+  ts_backlog_ = hub.channel(prefix + ".backlog");
+  ts_generated_ = hub.channel(prefix + ".generated");
+  if (scheduler_->needs_dedup()) {
+    ts_duplicates_ = hub.channel(prefix + ".sched.duplicates");
+    ts_parity_ = hub.channel(prefix + ".sched.parity");
+  }
 }
 
 void DmpStreamingServer::admit() {

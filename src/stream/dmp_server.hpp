@@ -31,10 +31,7 @@
 #include <string>
 #include <vector>
 
-#include "obs/event_log.hpp"
-#include "obs/flight_recorder.hpp"
-#include "obs/metrics.hpp"
-#include "obs/telemetry/time_series.hpp"
+#include "obs/hub.hpp"
 #include "sim/scheduler.hpp"
 #include "stream/scheduler/path_scheduler.hpp"
 #include "tcp/reno_sender.hpp"
@@ -70,36 +67,14 @@ class DmpStreamingServer {
   std::uint64_t duplicates_sent() const { return duplicates_sent_; }
   std::uint64_t parity_sent() const { return parity_sent_; }
 
-  // Registers `<prefix>.queue_depth` / `<prefix>.max_queue_depth` sampler
-  // gauges, the `<prefix>.generated` counter, one `<prefix>.pulls.
-  // path<k>` counter per sender, and the `<prefix>.sched.{duplicates,
-  // parity}` redundancy counters.  Optional; a no-op when never called.
-  void attach_metrics(obs::MetricsRegistry& registry,
-                      const std::string& prefix);
-  // Emits per-pull "pull" (and per-redundancy-decision "dup"/"parity")
-  // events at kDebug severity.
-  void set_event_log(obs::EventLog* log) { event_log_ = log; }
-  // Records per-stream-packet birth (kGenerate, with the shared-queue depth)
-  // and sender fetch (kPull, with the chosen path) span events; redundancy
-  // decisions add kSchedDecision events.  Optional; a no-op when never
-  // called.
-  void set_flight_recorder(obs::FlightRecorder* recorder) {
-    flight_ = recorder;
-  }
-  // Windowed telemetry (either may be null): `backlog` samples the shared
-  // queue after each generation instant's offer; `generated` gets one bump
-  // per stream packet entering the queue.
-  void set_telemetry(obs::TimeSeriesChannel* backlog,
-                     obs::TimeSeriesChannel* generated) {
-    ts_backlog_ = backlog;
-    ts_generated_ = generated;
-  }
-  // Windowed per-decision redundancy telemetry (either may be null).
-  void set_sched_telemetry(obs::TimeSeriesChannel* duplicates,
-                           obs::TimeSeriesChannel* parity) {
-    ts_duplicates_ = duplicates;
-    ts_parity_ = parity;
-  }
+  // Binds the hub under `prefix` (optional; a no-op when never called):
+  // `.queue_depth` / `.max_queue_depth` gauges, `.generated`,
+  // `.pulls.path<k>` and `.sched.{duplicates,parity}` counters; kDebug
+  // "pull" / "dup" / "parity" events; kGenerate / kPull / kSchedDecision
+  // flight spans; the `.backlog` (queue after each offer) and `.generated`
+  // channels, plus `.sched.{duplicates,parity}` channels only under a
+  // policy that can emit them, so compat telemetry stays unchanged.
+  void bind(obs::Hub& hub, const std::string& prefix);
 
   // Path failure: reclaim the dead sender's never-transmitted segments into
   // the FRONT of the shared queue (they are the oldest outstanding packets)

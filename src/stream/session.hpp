@@ -12,10 +12,7 @@
 
 #include "apps/background.hpp"
 #include "obs/config.hpp"
-#include "obs/event_log.hpp"
-#include "obs/flight_recorder.hpp"
-#include "obs/metrics.hpp"
-#include "obs/telemetry/telemetry.hpp"
+#include "obs/hub.hpp"
 #include "sim/profiler.hpp"
 #include "stream/trace.hpp"
 #include "tcp/tcp_config.hpp"
@@ -84,17 +81,16 @@ struct SessionConfig {
   // every flow.  Empty (the default) constructs no injector and schedules
   // nothing: byte-identical to a build without the fault layer.
   std::string faults{};
-  // Observability: when `obs.enabled`, the run attaches a metrics registry
-  // and event log to every layer (links, TCP agents, server, scheduler,
-  // client), samples gauges into `<prefix>_probe.csv` every
-  // `obs.probe_interval_s`, and writes `<prefix>_events.jsonl` plus a
-  // `<prefix>_report.json` summary at the end of the run.  Off by default:
-  // nothing is allocated or scheduled and the hot path is unchanged.
+  // Observability: the run builds one obs::Hub from these two configs and
+  // every layer binds it.  `obs.enabled` keeps metrics, a gauge probe
+  // (`<prefix>_probe.csv`), an event log and a `<prefix>_report.json`;
+  // `obs.flight_recorder` adds the per-packet trace.  Off by default: no
+  // hub is built, nothing is bound or scheduled.
   obs::ObsConfig obs{};
   // Streaming telemetry (src/obs/telemetry): windowed time-series channels
-  // on links / TCP / server / client plus a client delay quantile sketch.
-  // Independent of `obs` — off by default, and when off every recording
-  // pointer stays null so the hot path is unchanged.
+  // on links / TCP / server / client plus a client delay quantile sketch,
+  // written under `obs.output_dir` / `obs.prefix`.  Independent of the
+  // `obs` toggles — off by default.
   obs::TelemetryConfig telemetry{};
   // DES self-profiling: per-category executed-event counts, written into
   // `SessionResult::profile` (deterministic; safe for golden artifacts).
@@ -132,38 +128,17 @@ struct SessionResult {
   std::uint64_t duplicates_suppressed = 0;
   std::uint64_t parity_recovered = 0;
 
-  // Populated only when the session ran with `obs.enabled`.  Gauges are
-  // frozen to their end-of-run values (the instrumented objects are gone).
+  // The run's observability hub (null when every sink was off): metrics
+  // registry with gauges frozen to their end-of-run values, event log,
+  // flight recorder, telemetry sketches, and the artifact-health counts
+  // (artifact_write_failures(), probe_rows_dropped()).  Artifacts are
+  // under hub->config()'s paths.
+  std::shared_ptr<obs::Hub> hub;
+  // The hub's registry (null unless `obs.enabled`).
   std::shared_ptr<obs::MetricsRegistry> metrics;
-  std::shared_ptr<obs::EventLog> events;
-  std::string report_path;
-  std::string probe_csv_path;
-  std::string events_path;
-
-  // Populated only when the session ran with `obs.flight_recorder`: the
-  // in-memory per-packet lifecycle trace and the JSONL path it was written
-  // to (feed either to `obs::TraceAnalyzer` / `trace_query`).
-  std::shared_ptr<obs::FlightRecorder> flight;
-  std::string trace_path;
-
-  // Populated only when the session ran with `telemetry.enabled`: the
-  // windowed channels and quantile sketches, plus the artifact paths when
-  // `telemetry.write_artifacts` was also set (empty otherwise).
-  std::shared_ptr<obs::SessionTelemetry> telemetry;
-  std::string telemetry_csv_path;
-  std::string sketches_path;
 
   // Per-category executed-event counts (populated when `config.profile`).
   SchedProfile profile{};
-
-  // Probe rows discarded by the `obs.probe_max_rows` / `obs.probe_max_bytes`
-  // caps (0 when uncapped or when no probe ran).
-  std::uint64_t probe_rows_dropped = 0;
-
-  // Artifacts (events/probe/report/trace) that failed to reach disk.
-  // Writers warn on stderr and the count lands in the report's
-  // `meta.io_errors` / `meta.status`; the run itself never aborts.
-  int artifact_write_failures = 0;
 
   SessionResult() : trace(1.0) {}
 };

@@ -309,25 +309,30 @@ void RenoSender::on_rto() {
   try_send();
 }
 
-void RenoSender::attach_metrics(obs::MetricsRegistry& registry,
-                                const std::string& prefix) {
-  m_data_sent_ = &registry.counter(prefix + ".data_packets_sent");
-  m_retransmissions_ = &registry.counter(prefix + ".retransmissions");
-  m_timeouts_ = &registry.counter(prefix + ".timeouts");
-  m_fast_retransmits_ = &registry.counter(prefix + ".fast_retransmits");
-  m_acks_ = &registry.counter(prefix + ".acks_received");
-  m_ack_interarrival_ = &registry.histogram(prefix + ".ack_interarrival_s");
-  registry.gauge(prefix + ".cwnd").set_sampler([this] { return cwnd_; });
-  registry.gauge(prefix + ".ssthresh").set_sampler([this] {
-    return ssthresh_;
-  });
-  registry.gauge(prefix + ".srtt_s").set_sampler([this] { return srtt_s_; });
-  registry.gauge(prefix + ".rto_s").set_sampler([this] {
-    return current_rto().to_seconds();
-  });
-  registry.gauge(prefix + ".buffered").set_sampler([this] {
-    return static_cast<double>(segments_.size());
-  });
+void RenoSender::bind(obs::Hub& hub, const std::string& prefix) {
+  m_data_sent_ = hub.counter(prefix + ".data_packets_sent");
+  m_retransmissions_ = hub.counter(prefix + ".retransmissions");
+  m_timeouts_ = hub.counter(prefix + ".timeouts");
+  m_fast_retransmits_ = hub.counter(prefix + ".fast_retransmits");
+  m_acks_ = hub.counter(prefix + ".acks_received");
+  m_ack_interarrival_ = hub.histogram(prefix + ".ack_interarrival_s");
+  if (hub.metrics()) {
+    hub.gauge(prefix + ".cwnd")->set_sampler([this] { return cwnd_; });
+    hub.gauge(prefix + ".ssthresh")->set_sampler([this] {
+      return ssthresh_;
+    });
+    hub.gauge(prefix + ".srtt_s")->set_sampler([this] { return srtt_s_; });
+    hub.gauge(prefix + ".rto_s")->set_sampler([this] {
+      return current_rto().to_seconds();
+    });
+    hub.gauge(prefix + ".buffered")->set_sampler([this] {
+      return static_cast<double>(segments_.size());
+    });
+  }
+  event_log_ = hub.events();
+  flight_ = hub.flight();
+  ts_cwnd_ = hub.channel(prefix + ".cwnd");
+  ts_srtt_ = hub.channel(prefix + ".srtt_s");
 }
 
 std::vector<std::int64_t> RenoSender::reclaim_unsent() {

@@ -13,10 +13,7 @@
 #include <vector>
 
 #include "net/packet.hpp"
-#include "obs/event_log.hpp"
-#include "obs/flight_recorder.hpp"
-#include "obs/metrics.hpp"
-#include "obs/telemetry/time_series.hpp"
+#include "obs/hub.hpp"
 #include "sim/scheduler.hpp"
 #include "tcp/tcp_config.hpp"
 #include "util/rng.hpp"
@@ -106,30 +103,14 @@ class RenoSender {
     return segments_.front().app_tag;
   }
 
-  // --- observability (all optional; no-ops when never called) ---
-  // Registers `<prefix>.{cwnd,ssthresh,srtt_s,rto_s,buffered}` sampler
-  // gauges, `<prefix>.{data_packets_sent,retransmissions,timeouts,
-  // fast_retransmits,acks_received}` counters mirroring `stats()`, and the
-  // `<prefix>.ack_interarrival_s` histogram.
-  void attach_metrics(obs::MetricsRegistry& registry,
-                      const std::string& prefix);
-  // Emits "rto" (kWarn), "fast_retransmit" (kInfo) and "ss_to_ca" phase-
-  // transition (kInfo) events tagged with this sender's flow id.
-  void set_event_log(obs::EventLog* log) { event_log_ = log; }
-  // Records per-stream-packet send-buffer enqueues and (re)transmissions
-  // (with cwnd/ssthresh snapshots and the recovery mechanism), plus
-  // flow-level RTO span events, into the flight recorder.
-  void set_flight_recorder(obs::FlightRecorder* recorder) {
-    flight_ = recorder;
-  }
-  // Windowed telemetry (either may be null): cwnd and srtt sampled on
-  // every cumulative ACK — event-driven, so the windows catch the sawtooth
-  // a fixed-interval probe aliases over.
-  void set_telemetry(obs::TimeSeriesChannel* cwnd,
-                     obs::TimeSeriesChannel* srtt_s) {
-    ts_cwnd_ = cwnd;
-    ts_srtt_ = srtt_s;
-  }
+  // Binds the hub under `prefix` (optional; a no-op when never called):
+  // `.{cwnd,ssthresh,srtt_s,rto_s,buffered}` gauges, counters mirroring
+  // `stats()`, the `.ack_interarrival_s` histogram; "rto" / "fast_retransmit"
+  // / "ss_to_ca" events; flight spans for send-buffer enqueues,
+  // (re)transmissions (with cwnd/ssthresh and the recovery mechanism) and
+  // RTOs; and `.{cwnd,srtt_s}` channels sampled on every cumulative ACK,
+  // so the windows catch the sawtooth a fixed-interval probe aliases over.
+  void bind(obs::Hub& hub, const std::string& prefix);
 
  private:
   struct Segment {

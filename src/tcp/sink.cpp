@@ -6,14 +6,17 @@ TcpSink::TcpSink(Scheduler& sched, FlowId flow, TcpConfig config,
                  PacketHandler ack_out)
     : sched_(sched), flow_(flow), config_(config), ack_out_(std::move(ack_out)) {}
 
-void TcpSink::attach_metrics(obs::MetricsRegistry& registry,
-                             const std::string& prefix) {
-  m_received_ = &registry.counter(prefix + ".segments_received");
-  m_duplicates_ = &registry.counter(prefix + ".duplicate_segments");
-  m_out_of_order_ = &registry.counter(prefix + ".out_of_order_segments");
-  registry.gauge(prefix + ".reorder_buffer").set_sampler([this] {
-    return static_cast<double>(reorder_buffer_.size());
-  });
+void TcpSink::bind(obs::Hub& hub, const std::string& prefix) {
+  m_received_ = hub.counter(prefix + ".segments_received");
+  m_duplicates_ = hub.counter(prefix + ".duplicate_segments");
+  m_out_of_order_ = hub.counter(prefix + ".out_of_order_segments");
+  if (obs::Gauge* depth = hub.gauge(prefix + ".reorder_buffer")) {
+    depth->set_sampler([this] {
+      return static_cast<double>(reorder_buffer_.size());
+    });
+  }
+  flight_ = hub.flight();
+  ts_reorder_ = hub.channel(prefix + ".reorder_depth");
 }
 
 void TcpSink::record_flight(obs::FlightEventKind kind, std::int64_t app_tag,

@@ -10,9 +10,7 @@
 #include <string>
 
 #include "net/packet.hpp"
-#include "obs/flight_recorder.hpp"
-#include "obs/metrics.hpp"
-#include "obs/telemetry/time_series.hpp"
+#include "obs/hub.hpp"
 #include "sim/scheduler.hpp"
 #include "tcp/tcp_config.hpp"
 
@@ -35,25 +33,11 @@ class TcpSink {
   std::uint64_t duplicate_segments() const { return duplicate_segments_; }
   std::uint64_t out_of_order_segments() const { return out_of_order_segments_; }
 
-  // Registers `<prefix>.{segments_received,duplicate_segments,
-  // out_of_order_segments}` counters and a `<prefix>.reorder_buffer`
-  // sampler gauge.  Optional; a no-op when never called.
-  void attach_metrics(obs::MetricsRegistry& registry,
-                      const std::string& prefix);
-
-  // Records per-stream-packet receiver span events: segment arrival
-  // (kSinkRx, possibly out of order) and in-order cumulative-ACK release
-  // (kDeliver).  The gap between the two is reorder-buffer (head-of-line)
-  // wait.  Optional; a no-op when never called.
-  void set_flight_recorder(obs::FlightRecorder* recorder) {
-    flight_ = recorder;
-  }
-
-  // Windowed reorder-buffer occupancy (head-of-line depth), sampled on
-  // every arrival.  May be null.
-  void set_telemetry(obs::TimeSeriesChannel* reorder_depth) {
-    ts_reorder_ = reorder_depth;
-  }
+  // Binds the hub under `prefix` (optional; a no-op when never called):
+  // `.{segments_received,duplicate_segments,out_of_order_segments}`
+  // counters, a `.reorder_buffer` gauge, kSinkRx / kDeliver flight spans
+  // (their gap is head-of-line wait), and a `.reorder_depth` channel.
+  void bind(obs::Hub& hub, const std::string& prefix);
 
  private:
   void send_ack();

@@ -21,7 +21,8 @@ class OptionsTest : public ::testing::Test {
     for (const char* name :
          {"DMP_RUNS", "DMP_DURATION_S", "DMP_SEED", "DMP_MC_MIN",
           "DMP_MC_MAX", "DMP_THREADS", "DMP_OBS", "DMP_OBS_PROBE_S",
-          "DMP_TRACE", "DMP_OUT_DIR", "DMP_FIG7_DURATION_S",
+          "DMP_TRACE", "DMP_TELEMETRY", "DMP_PROFILE", "DMP_OUT_DIR",
+          "DMP_FIG7_DURATION_S",
           "DMP_TABLE1_PROBE_S", "DMP_FAULTS", "DMP_SANITIZE",
           "DMP_CHECK_BUILD_DIR", "DMP_SCHED", "DMP_QDISC", "DMP_TYPO",
           "DMP_RUN"}) {
@@ -38,8 +39,7 @@ TEST_F(OptionsTest, DefaultsWithEmptyEnvironment) {
   EXPECT_EQ(options.mc_min, 400'000u);
   EXPECT_EQ(options.mc_max, 6'400'000u);
   EXPECT_EQ(options.threads, 0u);
-  EXPECT_FALSE(options.obs);
-  EXPECT_FALSE(options.trace);
+  EXPECT_FALSE(options.obs.any());
 }
 
 TEST_F(OptionsTest, ParsesAllKnobs) {
@@ -49,8 +49,7 @@ TEST_F(OptionsTest, ParsesAllKnobs) {
   setenv("DMP_MC_MIN", "1000", 1);
   setenv("DMP_MC_MAX", "2000", 1);
   setenv("DMP_THREADS", "4", 1);
-  setenv("DMP_OBS", "1", 1);
-  setenv("DMP_TRACE", "1", 1);
+  setenv("DMP_OBS", "metrics,trace", 1);
   const auto options = BenchOptions::from_env();
   EXPECT_EQ(options.runs, 3);
   EXPECT_DOUBLE_EQ(options.duration_s, 120.5);
@@ -58,8 +57,64 @@ TEST_F(OptionsTest, ParsesAllKnobs) {
   EXPECT_EQ(options.mc_min, 1000u);
   EXPECT_EQ(options.mc_max, 2000u);
   EXPECT_EQ(options.threads, 4u);
-  EXPECT_TRUE(options.obs);
-  EXPECT_TRUE(options.trace);
+  EXPECT_TRUE(options.obs.metrics);
+  EXPECT_TRUE(options.obs.trace);
+  EXPECT_FALSE(options.obs.telemetry);
+  EXPECT_FALSE(options.obs.profile);
+}
+
+TEST_F(OptionsTest, ObsListTurnsOnEachNamedSink) {
+  setenv("DMP_OBS", "profile,telemetry,metrics,trace", 1);
+  const auto all = BenchOptions::from_env();
+  EXPECT_TRUE(all.obs.metrics);
+  EXPECT_TRUE(all.obs.trace);
+  EXPECT_TRUE(all.obs.telemetry);
+  EXPECT_TRUE(all.obs.profile);
+  EXPECT_EQ(all.obs.to_string(), "metrics,trace,telemetry,profile");
+  setenv("DMP_OBS", "telemetry", 1);
+  const auto one = BenchOptions::from_env();
+  EXPECT_TRUE(one.obs.telemetry);
+  EXPECT_FALSE(one.obs.metrics);
+  EXPECT_NE(one.summary().find("obs=telemetry"), std::string::npos);
+}
+
+// Every rejection must throw invalid_argument whose message names `var`
+// (and contains `reason`).
+void expect_rejected(const char* var, const char* value,
+                     const char* reason = "") {
+  setenv(var, value, 1);
+  try {
+    BenchOptions::from_env();
+    ADD_FAILURE() << var << "='" << value << "' was accepted";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(var), std::string::npos) << what;
+    EXPECT_NE(what.find(reason), std::string::npos) << what;
+  }
+  unsetenv(var);
+}
+
+TEST_F(OptionsTest, RejectsMalformedObsList) {
+  expect_rejected("DMP_OBS", "metrics,bogus", "unknown sink 'bogus'");
+  expect_rejected("DMP_OBS", "1", "unknown sink '1'");  // old boolean form
+  expect_rejected("DMP_OBS", "metrics,,trace", "empty sink");
+  expect_rejected("DMP_OBS", "metrics,", "empty sink");
+  expect_rejected("DMP_OBS", "", "empty sink");
+}
+
+TEST_F(OptionsTest, RemovedObsSwitchesAreUnknownVariables) {
+  expect_rejected("DMP_TRACE", "1", "unknown variable");
+  expect_rejected("DMP_TELEMETRY", "1", "unknown variable");
+  expect_rejected("DMP_PROFILE", "1", "unknown variable");
+}
+
+TEST_F(OptionsTest, RejectsNegativeSeedsAndBudgets) {
+  // strtoll accepts these, and the uint64_t cast used to wrap them to
+  // seeds / budgets near 2^64.
+  expect_rejected("DMP_SEED", "-1", "must not be negative");
+  expect_rejected("DMP_MC_MIN", "-5", "must not be negative");
+  expect_rejected("DMP_MC_MAX", "-1", "must not be negative");
+  expect_rejected("DMP_SEED", " -7", "must not be negative");
 }
 
 TEST_F(OptionsTest, ParsesAndValidatesFaultPlan) {
@@ -208,7 +263,7 @@ TEST_F(OptionsTest, UnknownVariableErrorListsAcceptedSet) {
     // newer knobs can't drift out of the message.
     EXPECT_NE(what.find("DMP_SCHED"), std::string::npos);
     EXPECT_NE(what.find("DMP_SLO"), std::string::npos);
-    EXPECT_NE(what.find("DMP_PROFILE"), std::string::npos);
+    EXPECT_NE(what.find("DMP_TELEMETRY_WINDOW_S"), std::string::npos);
   }
 }
 

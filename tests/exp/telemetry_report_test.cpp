@@ -107,15 +107,14 @@ TEST(TelemetryReport, GoldenTelemetryCsvForFig4StyleRun) {
   config.seed = 2007;
   config.telemetry.enabled = true;
   config.telemetry.write_artifacts = true;
-  config.telemetry.output_dir = ::testing::TempDir();
-  config.telemetry.prefix = "golden_fig4";
+  config.obs.output_dir = ::testing::TempDir();
+  config.obs.prefix = "golden_fig4";
 
   const auto result = dmp::run_session(config);
-  ASSERT_NE(result.telemetry, nullptr);
-  ASSERT_FALSE(result.telemetry_csv_path.empty());
-  EXPECT_EQ(result.artifact_write_failures, 0);
+  ASSERT_NE(result.hub, nullptr);
+  EXPECT_EQ(result.hub->artifact_write_failures(), 0);
 
-  const auto lines = read_lines(result.telemetry_csv_path);
+  const auto lines = read_lines(config.obs.telemetry_csv_path());
   ASSERT_FALSE(lines.empty());
   EXPECT_EQ(lines[0], "window_start_s,channel,count,sum,mean,min,max,last");
   for (int k = 0; k < 5; ++k) {
@@ -132,12 +131,13 @@ TEST(TelemetryReport, GoldenTelemetryCsvForFig4StyleRun) {
 
   // Byte-determinism of both artifacts across identical runs.
   dmp::SessionConfig again = config;
-  again.telemetry.prefix = "golden_fig4_b";
-  const auto rerun = dmp::run_session(again);
-  EXPECT_EQ(read_file(result.telemetry_csv_path),
-            read_file(rerun.telemetry_csv_path));
-  ASSERT_FALSE(result.sketches_path.empty());
-  EXPECT_EQ(read_file(result.sketches_path), read_file(rerun.sketches_path));
+  again.obs.prefix = "golden_fig4_b";
+  dmp::run_session(again);
+  EXPECT_EQ(read_file(config.obs.telemetry_csv_path()),
+            read_file(again.obs.telemetry_csv_path()));
+  ASSERT_FALSE(read_file(config.obs.sketches_path()).empty());
+  EXPECT_EQ(read_file(config.obs.sketches_path()),
+            read_file(again.obs.sketches_path()));
 }
 
 // Probe caps ride along the same report plumbing: a tiny row limit must
@@ -158,11 +158,12 @@ TEST(TelemetryReport, ProbeRowCapSurfacesDroppedRows) {
   config.obs.probe_max_rows = 3;
 
   const auto result = dmp::run_session(config);
-  EXPECT_GT(result.probe_rows_dropped, 0u);
-  const auto probe_lines = read_lines(result.probe_csv_path);
+  ASSERT_NE(result.hub, nullptr);
+  EXPECT_GT(result.hub->probe_rows_dropped(), 0u);
+  const auto probe_lines = read_lines(config.obs.probe_csv_path());
   // Header + exactly the allowed rows.
   EXPECT_EQ(probe_lines.size(), 4u);
-  const std::string report = read_file(result.report_path);
+  const std::string report = read_file(config.obs.report_path());
   EXPECT_NE(report.find("\"probe_rows_dropped\":"), std::string::npos);
 }
 

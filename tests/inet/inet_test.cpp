@@ -3,11 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <future>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "inet/client.hpp"
 #include "inet/framing.hpp"
 #include "inet/server.hpp"
+#include "obs/hub.hpp"
 
 namespace dmp::inet {
 namespace {
@@ -165,6 +168,67 @@ TEST(InetStreaming, ServerCountsMatchClientCounts) {
   EXPECT_EQ(stats.sent_per_path[1], report.received_per_path[1]);
   EXPECT_EQ(stats.sent_per_path[0] + stats.sent_per_path[1],
             static_cast<std::uint64_t>(stats.packets_generated));
+}
+
+// Socket runs bind the same obs::Hub the simulator does, one per thread.
+// Checked by count identities only (no timing): every pull, generation and
+// arrival the hubs saw matches the stream's own statistics exactly.
+TEST(InetObs, HubCountsMatchStreamCounts) {
+  const auto make_hub = [](const char* prefix) {
+    obs::ObsConfig config;
+    config.enabled = true;
+    config.flight_recorder = true;
+    config.output_dir = ::testing::TempDir();
+    config.prefix = prefix;
+    config.probe_interval_s = 0.1;
+    obs::TelemetryConfig telemetry;
+    telemetry.enabled = true;
+    return std::make_unique<obs::Hub>(config, telemetry);
+  };
+  const auto server_hub = make_hub("inet_obs_server");
+  const auto client_hub = make_hub("inet_obs_client");
+  ServerConfig cfg;
+  cfg.num_paths = 2;
+  cfg.mu_pps = 400.0;
+  cfg.duration_s = 0.5;
+  cfg.obs = server_hub.get();
+  ClientConfig client_cfg;
+  client_cfg.obs = client_hub.get();
+  auto [stats, report] = stream_loopback(cfg, client_cfg);
+  ASSERT_GT(report.frames_received, 0);
+
+  const auto count_kind = [](const obs::Hub& hub, obs::FlightEventKind kind) {
+    std::uint64_t n = 0;
+    for (const auto& e : hub.flight()->events()) n += e.kind == kind ? 1 : 0;
+    return n;
+  };
+  const obs::MetricsRegistry& server_metrics = *server_hub->metrics();
+  std::uint64_t sent = 0;
+  for (std::size_t k = 0; k < cfg.num_paths; ++k) {
+    const std::string path = "path" + std::to_string(k);
+    const auto* pulls = server_metrics.find_counter("server.pulls." + path);
+    ASSERT_NE(pulls, nullptr) << path;
+    EXPECT_EQ(pulls->value(), stats.sent_per_path[k]) << path;
+    sent += stats.sent_per_path[k];
+    const auto* frames =
+        client_hub->metrics()->find_counter("client." + path + ".frames");
+    ASSERT_NE(frames, nullptr) << path;
+    EXPECT_EQ(frames->value(), report.received_per_path[k]) << path;
+  }
+  EXPECT_EQ(count_kind(*server_hub, obs::FlightEventKind::kPull), sent);
+  EXPECT_EQ(count_kind(*server_hub, obs::FlightEventKind::kGenerate),
+            static_cast<std::uint64_t>(stats.packets_generated));
+  EXPECT_EQ(server_metrics.find_counter("server.generated")->value(),
+            static_cast<std::uint64_t>(stats.packets_generated));
+  EXPECT_EQ(count_kind(*client_hub, obs::FlightEventKind::kArrive),
+            static_cast<std::uint64_t>(report.frames_received));
+  EXPECT_EQ(client_hub->sketches().at("client.delay_s").count(),
+            static_cast<std::uint64_t>(report.frames_received));
+
+  server_hub->write_artifacts();
+  client_hub->write_artifacts();
+  EXPECT_EQ(server_hub->artifact_write_failures(), 0);
+  EXPECT_EQ(client_hub->artifact_write_failures(), 0);
 }
 
 TEST(InetStreaming, ThrottledPathReceivesSmallerShare) {

@@ -19,8 +19,7 @@
 #include "net/qdisc/droptail.hpp"
 #include "net/qdisc/fq_pie.hpp"
 #include "net/qdisc/pie.hpp"
-#include "obs/flight_recorder.hpp"
-#include "obs/metrics.hpp"
+#include "obs/hub.hpp"
 #include "sim/scheduler.hpp"
 #include "util/rng.hpp"
 
@@ -554,17 +553,32 @@ TEST(LinkQdisc, RescaleFeedsNewDrainRateToController) {
   EXPECT_GT(drops_with_rescale(true), drops_with_rescale(false));
 }
 
+// A hub with only the flight recorder (or only metrics) on.
+obs::ObsConfig flight_only() {
+  obs::ObsConfig config;
+  config.flight_recorder = true;
+  config.output_dir = ::testing::TempDir();
+  return config;
+}
+
+obs::ObsConfig metrics_only() {
+  obs::ObsConfig config;
+  config.enabled = true;
+  config.output_dir = ::testing::TempDir();
+  return config;
+}
+
 TEST(LinkQdisc, FlightRecorderTagsDropCauseOnAqmLinksOnly) {
   // PIE link: kLinkDrop events carry an explicit cause.
   Scheduler sched;
-  obs::FlightRecorder flight;
+  obs::Hub hub(flight_only());
   Link link(sched, aqm_link_config("pie", 11));
   link.set_receiver([](const Packet&) {});
-  link.set_flight_recorder(&flight, 0);
+  link.bind(hub, "", 0);
   offer_load(sched, link, 4000, SimTime::millis(5));
   sched.run();
   std::uint64_t early_tagged = 0;
-  for (const auto& event : flight.events()) {
+  for (const auto& event : hub.flight()->events()) {
     if (event.kind != obs::FlightEventKind::kLinkDrop) continue;
     EXPECT_NE(event.drop, obs::DropCause::kNone);
     if (event.drop == obs::DropCause::kEarly) ++early_tagged;
@@ -574,10 +588,10 @@ TEST(LinkQdisc, FlightRecorderTagsDropCauseOnAqmLinksOnly) {
   // DropTail link: same overflow story, but every cause stays kNone so
   // legacy traces serialize byte-identically.
   Scheduler sched2;
-  obs::FlightRecorder flight2;
+  obs::Hub hub2(flight_only());
   Link droptail(sched2, LinkConfig{1.2e6, SimTime::millis(1), 2});
   droptail.set_receiver([](const Packet&) {});
-  droptail.set_flight_recorder(&flight2, 0);
+  droptail.bind(hub2, "", 0);
   for (int i = 0; i < 5; ++i) {
     Packet p = data_packet(1, i);
     p.app_tag = i;
@@ -585,7 +599,7 @@ TEST(LinkQdisc, FlightRecorderTagsDropCauseOnAqmLinksOnly) {
   }
   sched2.run();
   std::uint64_t droptail_drops = 0;
-  for (const auto& event : flight2.events()) {
+  for (const auto& event : hub2.flight()->events()) {
     if (event.kind != obs::FlightEventKind::kLinkDrop) continue;
     ++droptail_drops;
     EXPECT_EQ(event.drop, obs::DropCause::kNone);
@@ -595,14 +609,15 @@ TEST(LinkQdisc, FlightRecorderTagsDropCauseOnAqmLinksOnly) {
 
 TEST(LinkQdisc, EarlyDropMetricRegisteredOnlyForAqm) {
   Scheduler sched;
-  obs::MetricsRegistry registry;
+  obs::Hub hub(metrics_only());
+  const obs::MetricsRegistry& registry = *hub.metrics();
   Link droptail(sched, LinkConfig{1.2e6, SimTime::millis(1), 2});
-  droptail.attach_metrics(registry, "dt");
+  droptail.bind(hub, "dt", 1);
   EXPECT_EQ(registry.find_counter("dt.early_drops"), nullptr);
   EXPECT_NE(registry.find_counter("dt.drops"), nullptr);
 
   Link pie(sched, aqm_link_config("pie", 1));
-  pie.attach_metrics(registry, "pie");
+  pie.bind(hub, "pie", 1);
   EXPECT_NE(registry.find_counter("pie.early_drops"), nullptr);
 }
 

@@ -68,7 +68,8 @@ TEST(FlightRecorder, RunMatchesPlainRunPacketForPacket) {
   plain.obs = obs::ObsConfig{};
   const auto a = run_session(plain);
   const auto b = run_session(flight_session("perturb"));
-  ASSERT_NE(b.flight, nullptr);
+  ASSERT_NE(b.hub, nullptr);
+  ASSERT_NE(b.hub->flight(), nullptr);
   EXPECT_EQ(a.packets_generated, b.packets_generated);
   ASSERT_EQ(a.trace.arrivals(), b.trace.arrivals());
   for (std::size_t i = 0; i < a.trace.arrivals(); ++i) {
@@ -81,11 +82,12 @@ TEST(FlightRecorder, RunMatchesPlainRunPacketForPacket) {
 
 TEST(FlightRecorder, AnalyzerReconcilesExactlyWithStreamTrace) {
   const auto result = run_session(flight_session("reconcile"));
-  ASSERT_NE(result.flight, nullptr);
+  ASSERT_NE(result.hub, nullptr);
+  ASSERT_NE(result.hub->flight(), nullptr);
   ASSERT_GT(result.packets_generated, 0);
-  EXPECT_EQ(result.artifact_write_failures, 0);
+  EXPECT_EQ(result.hub->artifact_write_failures(), 0);
 
-  const obs::TraceAnalyzer analyzer(*result.flight);
+  const obs::TraceAnalyzer analyzer(*result.hub->flight());
   EXPECT_EQ(analyzer.total_packets_hint(), result.packets_generated);
   for (const double tau : {0.05, 0.1, 0.2, 0.5, 1.0, 2.0}) {
     const auto report = analyzer.attribute(tau);
@@ -124,12 +126,13 @@ TEST(FlightRecorder, FaultedSessionReconcilesAndAttributesPathFault) {
   SessionConfig config = flight_session("faulted");
   config.faults = "20 link_down path0; 25 link_up path0";
   const auto result = run_session(config);
-  ASSERT_NE(result.flight, nullptr);
+  ASSERT_NE(result.hub, nullptr);
+  ASSERT_NE(result.hub->flight(), nullptr);
   EXPECT_EQ(result.fault_events_fired, 2u);
 
   // The fault events themselves are in the trace.
   std::size_t fault_events = 0;
-  for (const auto& e : result.flight->events()) {
+  for (const auto& e : result.hub->flight()->events()) {
     if (e.kind == obs::FlightEventKind::kPathFault) {
       ++fault_events;
       EXPECT_EQ(e.path, 0);
@@ -137,7 +140,7 @@ TEST(FlightRecorder, FaultedSessionReconcilesAndAttributesPathFault) {
   }
   EXPECT_EQ(fault_events, 2u);
 
-  const obs::TraceAnalyzer analyzer(*result.flight);
+  const obs::TraceAnalyzer analyzer(*result.hub->flight());
   bool saw_path_fault = false;
   for (const double tau : {0.05, 0.1, 0.5, 1.0, 2.0, 4.0}) {
     const auto report = analyzer.attribute(tau);
@@ -314,13 +317,16 @@ TEST(FlightRecorder, ReloadKeepsAqmDropCause) {
 TEST(FlightRecorder, GoldenTraceIsByteStableAcrossRuns) {
   const auto a = run_session(tight_session("golden_a"));
   const auto b = run_session(tight_session("golden_b"));
-  ASSERT_FALSE(a.trace_path.empty());
-  ASSERT_TRUE(std::filesystem::exists(a.trace_path));
-  ASSERT_TRUE(std::filesystem::exists(b.trace_path));
-  EXPECT_EQ(a.artifact_write_failures, 0);
+  ASSERT_NE(a.hub, nullptr);
+  ASSERT_NE(b.hub, nullptr);
+  const std::string trace_a = a.hub->config().trace_path();
+  const std::string trace_b = b.hub->config().trace_path();
+  ASSERT_TRUE(std::filesystem::exists(trace_a));
+  ASSERT_TRUE(std::filesystem::exists(trace_b));
+  EXPECT_EQ(a.hub->artifact_write_failures(), 0);
 
-  const std::string bytes_a = slurp(a.trace_path);
-  const std::string bytes_b = slurp(b.trace_path);
+  const std::string bytes_a = slurp(trace_a);
+  const std::string bytes_b = slurp(trace_b);
   ASSERT_FALSE(bytes_a.empty());
   EXPECT_EQ(bytes_a, bytes_b);
 
@@ -330,8 +336,8 @@ TEST(FlightRecorder, GoldenTraceIsByteStableAcrossRuns) {
   EXPECT_NE(bytes_a.find("\"attempt\":2"), std::string::npos);
 
   // Attribution is equally stable: same late count, same per-cause split.
-  const obs::TraceAnalyzer analyzer_a(*a.flight);
-  const obs::TraceAnalyzer analyzer_b(*b.flight);
+  const obs::TraceAnalyzer analyzer_a(*a.hub->flight());
+  const obs::TraceAnalyzer analyzer_b(*b.hub->flight());
   const auto report_a = analyzer_a.attribute(0.5);
   const auto report_b = analyzer_b.attribute(0.5);
   EXPECT_EQ(report_a.late, report_b.late);
@@ -340,7 +346,7 @@ TEST(FlightRecorder, GoldenTraceIsByteStableAcrossRuns) {
             a.trace.late_fraction_playback_order(0.5, a.packets_generated));
 
   // Reloading the written file reproduces the in-memory recorder exactly.
-  const auto reloaded = obs::read_flight_trace_file(a.trace_path);
+  const auto reloaded = obs::read_flight_trace_file(trace_a);
   std::ostringstream out;
   reloaded.to_jsonl(out);
   EXPECT_EQ(out.str(), bytes_a);

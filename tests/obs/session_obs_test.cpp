@@ -7,6 +7,7 @@
 #include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <ostream>
 #include <sstream>
 #include <string>
 
@@ -45,9 +46,10 @@ TEST(SessionObs, DisabledByDefaultAllocatesNothing) {
   config.warmup_s = 5.0;
   config.drain_s = 10.0;
   const auto result = run_session(config);
+  // No sink on: no hub, so no registry, event log, flight recorder or
+  // telemetry sketches, and no artifacts.
+  EXPECT_EQ(result.hub, nullptr);
   EXPECT_EQ(result.metrics, nullptr);
-  EXPECT_EQ(result.events, nullptr);
-  EXPECT_TRUE(result.report_path.empty());
 }
 
 TEST(SessionObs, PathCountersMatchTracePathSplit) {
@@ -83,19 +85,20 @@ TEST(SessionObs, PathCountersMatchTracePathSplit) {
 
 TEST(SessionObs, EmitsReportProbeAndEventArtifacts) {
   const auto result = run_session(obs_session("artifacts"));
-  ASSERT_FALSE(result.report_path.empty());
-  ASSERT_TRUE(std::filesystem::exists(result.report_path));
-  ASSERT_TRUE(std::filesystem::exists(result.probe_csv_path));
-  ASSERT_TRUE(std::filesystem::exists(result.events_path));
+  ASSERT_NE(result.hub, nullptr);
+  const obs::ObsConfig& paths = result.hub->config();
+  ASSERT_TRUE(std::filesystem::exists(paths.report_path()));
+  ASSERT_TRUE(std::filesystem::exists(paths.probe_csv_path()));
+  ASSERT_TRUE(std::filesystem::exists(paths.events_path()));
 
-  const std::string report = slurp(result.report_path);
+  const std::string report = slurp(paths.report_path());
   EXPECT_NE(report.find("\"scheme\":\"dmp\""), std::string::npos);
   EXPECT_NE(report.find("\"path_split\""), std::string::npos);
   EXPECT_NE(report.find("\"tcp.path0.retransmissions\""), std::string::npos);
   EXPECT_NE(report.find("\"client.delay_s\""), std::string::npos);
 
   // The probe CSV carries per-path cwnd and the server queue time series.
-  const std::string csv = slurp(result.probe_csv_path);
+  const std::string csv = slurp(paths.probe_csv_path());
   const std::string header = csv.substr(0, csv.find('\n'));
   EXPECT_NE(header.find("tcp.path0.cwnd"), std::string::npos);
   EXPECT_NE(header.find("tcp.path1.cwnd"), std::string::npos);
@@ -108,16 +111,33 @@ TEST(SessionObs, EmitsReportProbeAndEventArtifacts) {
   EXPECT_GT(rows, 50u);
 
   // Table-1 bottlenecks are congested, so drops and pulls must appear.
-  ASSERT_NE(result.events, nullptr);
-  EXPECT_GT(result.events->total_recorded(), 0u);
-  const std::string events = slurp(result.events_path);
+  ASSERT_NE(result.hub->events(), nullptr);
+  EXPECT_GT(result.hub->events()->total_recorded(), 0u);
+  const std::string events = slurp(paths.events_path());
   EXPECT_NE(events.find("\"type\":\"pull\""), std::string::npos);
   EXPECT_NE(events.find("\"type\":\"drop\""), std::string::npos);
 }
 
-TEST(SessionObs, ObsRunMatchesPlainRunPacketForPacket) {
+// One arm of the perturbation check: which DMP_OBS sinks are on, and
+// whether the run also exercises the fault-injector, redundancy and AQM
+// bind points.
+struct PerturbationArm {
+  const char* name;
+  obs::ObsSinks sinks;
+  bool redundant_pie_faults = false;
+};
+
+void PrintTo(const PerturbationArm& arm, std::ostream* out) {
+  *out << arm.name;
+}
+
+class SessionObsPerturbation
+    : public ::testing::TestWithParam<PerturbationArm> {};
+
+TEST_P(SessionObsPerturbation, ObsRunMatchesPlainRunPacketForPacket) {
   // Instrumentation must not perturb the simulation: identical seeds give
-  // identical traces with and without obs attached.
+  // identical traces with and without each sink attached.
+  const PerturbationArm& arm = GetParam();
   SessionConfig plain;
   plain.path_configs = {table1_config(4), table1_config(4)};
   plain.mu_pps = 50.0;
@@ -125,16 +145,68 @@ TEST(SessionObs, ObsRunMatchesPlainRunPacketForPacket) {
   plain.warmup_s = 10.0;
   plain.drain_s = 30.0;
   plain.seed = 7;
+  if (arm.redundant_pie_faults) {
+    plain.scheduler = "redundant";
+    plain.qdisc = "pie";
+    plain.faults = "20 link_down path1; 25 link_up path1";
+  }
+  SessionConfig traced = plain;
+  traced.obs.enabled = arm.sinks.metrics;
+  traced.obs.flight_recorder = arm.sinks.trace;
+  traced.obs.output_dir = "obs_session_test_out";
+  traced.obs.prefix = std::string("perturb_") + arm.name;
+  traced.obs.min_severity = obs::Severity::kDebug;
+  traced.telemetry.enabled = arm.sinks.telemetry;
+  traced.telemetry.write_artifacts = true;
+  traced.profile = arm.sinks.profile;
+
   const auto a = run_session(plain);
-  const auto b = run_session(obs_session("perturb"));
+  const auto b = run_session(traced);
+  // The profiler alone is not a hub sink: it builds no hub.
+  const obs::ObsSinks& on = arm.sinks;
+  ASSERT_EQ(b.hub != nullptr, on.metrics || on.trace || on.telemetry);
+  if (b.hub) {
+    EXPECT_EQ(b.hub->artifact_write_failures(), 0);
+  }
   EXPECT_EQ(a.packets_generated, b.packets_generated);
+  EXPECT_EQ(a.fault_events_fired, b.fault_events_fired);
+  EXPECT_EQ(a.duplicates_sent, b.duplicates_sent);
+  EXPECT_EQ(a.duplicates_suppressed, b.duplicates_suppressed);
   ASSERT_EQ(a.trace.arrivals(), b.trace.arrivals());
   for (std::size_t i = 0; i < a.trace.arrivals(); ++i) {
     ASSERT_EQ(a.trace.entries()[i].packet_number,
               b.trace.entries()[i].packet_number);
     ASSERT_EQ(a.trace.entries()[i].arrived, b.trace.entries()[i].arrived);
+    ASSERT_EQ(a.trace.entries()[i].path, b.trace.entries()[i].path);
+  }
+  if (arm.redundant_pie_faults) {
+    EXPECT_GT(b.fault_events_fired, 0u);
+    EXPECT_GT(b.duplicates_sent, 0u);
   }
 }
+
+obs::ObsSinks sinks(bool metrics, bool trace, bool telemetry, bool profile) {
+  obs::ObsSinks s;
+  s.metrics = metrics;
+  s.trace = trace;
+  s.telemetry = telemetry;
+  s.profile = profile;
+  return s;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Sinks, SessionObsPerturbation,
+    ::testing::Values(
+        PerturbationArm{"metrics", sinks(true, false, false, false)},
+        PerturbationArm{"trace", sinks(false, true, false, false)},
+        PerturbationArm{"telemetry", sinks(false, false, true, false)},
+        PerturbationArm{"profile", sinks(false, false, false, true)},
+        PerturbationArm{"all", sinks(true, true, true, true)},
+        PerturbationArm{"all_redundant_pie_faults",
+                        sinks(true, true, true, true), true}),
+    [](const ::testing::TestParamInfo<PerturbationArm>& arm_info) {
+      return std::string(arm_info.param.name);
+    });
 
 }  // namespace
 }  // namespace dmp

@@ -1,6 +1,6 @@
 // Streaming-telemetry unit tests: quantile-sketch accuracy and merge
-// algebra, windowed time-series semantics, the session telemetry hub, and
-// the DES self-profiler.
+// algebra, windowed time-series semantics, the observability hub's
+// telemetry sink, and the DES self-profiler.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,9 +13,9 @@
 #include <string>
 #include <vector>
 
+#include "obs/hub.hpp"
 #include "obs/run_report.hpp"
 #include "obs/telemetry/sketch.hpp"
-#include "obs/telemetry/telemetry.hpp"
 #include "obs/telemetry/time_series.hpp"
 #include "sim/profiler.hpp"
 #include "sim/scheduler.hpp"
@@ -26,8 +26,9 @@ using dmp::EventCategory;
 using dmp::SchedProfile;
 using dmp::Scheduler;
 using dmp::SimTime;
+using dmp::obs::Hub;
+using dmp::obs::ObsConfig;
 using dmp::obs::QuantileSketch;
-using dmp::obs::SessionTelemetry;
 using dmp::obs::TelemetryConfig;
 using dmp::obs::TimeSeries;
 using dmp::obs::TimeSeriesChannel;
@@ -279,43 +280,53 @@ TEST(TimeSeries, CsvNeverContainsNonFiniteAndIsSorted) {
   }
 }
 
-TEST(SessionTelemetry, WritesNamedSketchArtifacts) {
-  TelemetryConfig config;
-  config.enabled = true;
-  config.write_artifacts = true;
+// A telemetry-only hub writing its artifacts under `prefix`.
+Hub telemetry_hub(const std::string& prefix) {
+  ObsConfig config;
   config.output_dir = ::testing::TempDir();
-  config.prefix = "hub_test";
-  SessionTelemetry hub(config);
-  hub.series().channel("x")->add(SimTime::seconds(0.5), 3.0);
+  config.prefix = prefix;
+  TelemetryConfig telemetry;
+  telemetry.enabled = true;
+  telemetry.write_artifacts = true;
+  return Hub(config, telemetry);
+}
+
+TEST(ObsHub, WritesNamedSketchArtifacts) {
+  Hub hub = telemetry_hub("hub_test");
+  hub.channel("x")->add(SimTime::seconds(0.5), 3.0);
   QuantileSketch* sketch = hub.sketch("client.delay_s");
   ASSERT_NE(sketch, nullptr);
   EXPECT_EQ(hub.sketch("client.delay_s"), sketch);
   sketch->add(0.25);
-  EXPECT_EQ(hub.write_artifacts(), 0);
+  hub.write_artifacts();
+  EXPECT_EQ(hub.artifact_write_failures(), 0);
 
-  std::ifstream jsonl(config.sketches_path());
+  std::ifstream jsonl(hub.config().sketches_path());
   std::string line;
   ASSERT_TRUE(std::getline(jsonl, line));
   EXPECT_NE(line.find("\"name\":\"client.delay_s\""), std::string::npos);
   const auto back = QuantileSketch::from_json(line);
   EXPECT_EQ(back.count(), 1u);
 
-  EXPECT_NE(hub.find_sketch("client.delay_s"), nullptr);
-  EXPECT_EQ(hub.find_sketch("missing"), nullptr);
+  EXPECT_EQ(hub.sketches().count("client.delay_s"), 1u);
+  EXPECT_EQ(hub.sketches().count("missing"), 0u);
+  // The other sinks stay off: their lookups are null.
+  EXPECT_EQ(hub.counter("c"), nullptr);
+  EXPECT_EQ(hub.gauge("g"), nullptr);
+  EXPECT_EQ(hub.histogram("h"), nullptr);
+  EXPECT_EQ(hub.events(), nullptr);
+  EXPECT_EQ(hub.flight(), nullptr);
+  EXPECT_EQ(hub.metrics(), nullptr);
 }
 
-TEST(SessionTelemetry, SketchArtifactReadsBackByName) {
-  TelemetryConfig config;
-  config.enabled = true;
-  config.write_artifacts = true;
-  config.output_dir = ::testing::TempDir();
-  config.prefix = "hub_names_test";
-  SessionTelemetry hub(config);
+TEST(ObsHub, SketchArtifactReadsBackByName) {
+  Hub hub = telemetry_hub("hub_names_test");
   hub.sketch("a\"b\\c")->add(0.5);
   hub.sketch("plain")->add(1.5);
-  EXPECT_EQ(hub.write_artifacts(), 0);
+  hub.write_artifacts();
+  EXPECT_EQ(hub.artifact_write_failures(), 0);
 
-  std::ifstream jsonl(config.sketches_path());
+  std::ifstream jsonl(hub.config().sketches_path());
   const auto sketches = dmp::obs::read_sketches_jsonl(jsonl);
   ASSERT_EQ(sketches.size(), 2u);
   EXPECT_EQ(sketches[0].name, "a\"b\\c");
@@ -323,7 +334,18 @@ TEST(SessionTelemetry, SketchArtifactReadsBackByName) {
   EXPECT_EQ(sketches[1].name, "plain");
 }
 
-TEST(SessionTelemetry, SketchReaderNamesTheLineOfABadBucketPair) {
+TEST(ObsHub, LookupsAreNullWithTelemetryOff) {
+  ObsConfig config;
+  config.enabled = true;
+  config.output_dir = ::testing::TempDir();
+  Hub hub(config);
+  EXPECT_NE(hub.counter("c"), nullptr);
+  EXPECT_EQ(hub.channel("x"), nullptr);
+  EXPECT_EQ(hub.sketch("s"), nullptr);
+  EXPECT_TRUE(hub.sketches().empty());
+}
+
+TEST(SketchJsonl, ReaderNamesTheLineOfABadBucketPair) {
   QuantileSketch good;
   good.add(1.0);
   std::istringstream in(

@@ -216,8 +216,6 @@ const dmp::SessionResult& traced_session() {
     config.obs.prefix = "timeline_test";
     config.telemetry.enabled = true;
     config.telemetry.write_artifacts = true;
-    config.telemetry.output_dir = artifact_dir();
-    config.telemetry.prefix = "timeline_test";
     return dmp::run_session(config);
   }();
   return result;
@@ -233,12 +231,13 @@ int count_ph(const JVal& root, const std::string& ph) {
 
 TEST(Timeline, ChromeTraceIsSchemaValid) {
   const auto& result = traced_session();
-  ASSERT_NE(result.flight, nullptr);
+  ASSERT_NE(result.hub, nullptr);
+  ASSERT_NE(result.hub->flight(), nullptr);
   ASSERT_GT(result.packets_generated, 0);
-  const TraceAnalyzer analyzer{*result.flight};
+  const TraceAnalyzer analyzer{*result.hub->flight()};
 
   TimelineOptions options;
-  options.telemetry_csv = result.telemetry_csv_path;
+  options.telemetry_csv = result.hub->config().telemetry_csv_path();
   const std::string json = chrome_trace_json(analyzer, options);
 
   JVal root;
@@ -313,7 +312,7 @@ TEST(Timeline, ChromeTraceIsSchemaValid) {
 
 TEST(Timeline, MaxPacketsCapsSpansButKeepsInstants) {
   const auto& result = traced_session();
-  const TraceAnalyzer analyzer{*result.flight};
+  const TraceAnalyzer analyzer{*result.hub->flight()};
 
   TimelineOptions capped;
   capped.max_packets = 3;
@@ -333,16 +332,16 @@ TEST(Timeline, MaxPacketsCapsSpansButKeepsInstants) {
 
 TEST(Timeline, ExportIsDeterministic) {
   const auto& result = traced_session();
-  const TraceAnalyzer analyzer{*result.flight};
+  const TraceAnalyzer analyzer{*result.hub->flight()};
   TimelineOptions options;
-  options.telemetry_csv = result.telemetry_csv_path;
+  options.telemetry_csv = result.hub->config().telemetry_csv_path();
   EXPECT_EQ(chrome_trace_json(analyzer, options),
             chrome_trace_json(analyzer, options));
 }
 
 TEST(Timeline, WriteChromeTraceRoundTrips) {
   const auto& result = traced_session();
-  const TraceAnalyzer analyzer{*result.flight};
+  const TraceAnalyzer analyzer{*result.hub->flight()};
   const std::string path = artifact_dir() + "/timeline_out.json";
   ASSERT_TRUE(dmp::obs::write_chrome_trace(analyzer, path));
 
