@@ -97,9 +97,6 @@ inline exp::ExperimentPlan plan_for(const std::string& name,
     // DMP_QDISC swaps the bottleneck queue discipline for every session
     // ("droptail" by default — the paper's queues, byte-identical).
     config.qdisc = options.qdisc;
-    // DMP_DES selects the event-queue backend ("calendar" by default;
-    // pop order is bit-identical to "heap", only wall-clock changes).
-    config.des = options.des;
     plan.settings.push_back({setting.name, std::move(config)});
   }
   // DMP_OBS: metrics and trace attach to the very first replication;

@@ -29,15 +29,10 @@ ComposedParams composed_setup(int kflows) {
   return params;
 }
 
-// Raw scheduler churn under each backend: arg 0 = calendar (default),
-// arg 1 = heap (the std::push_heap baseline).
+// Raw scheduler churn: one self-rescheduling timer.
 void BM_SchedulerEventChurn(benchmark::State& state) {
-  const SchedulerBackend backend = state.range(0) == 0
-                                       ? SchedulerBackend::kCalendar
-                                       : SchedulerBackend::kHeap;
-  state.SetLabel(scheduler_backend_name(backend));
   for (auto _ : state) {
-    Scheduler sched(backend);
+    Scheduler sched;
     std::int64_t count = 0;
     std::function<void()> tick = [&] {
       if (++count < 10000) sched.schedule_after(SimTime::micros(10), tick);
@@ -48,7 +43,7 @@ void BM_SchedulerEventChurn(benchmark::State& state) {
   }
   bench::set_items_per_iteration(state, 10000);
 }
-BENCHMARK(BM_SchedulerEventChurn)->DenseRange(0, 1);
+BENCHMARK(BM_SchedulerEventChurn);
 
 void BM_PacketLevelSession(benchmark::State& state) {
   SessionConfig config;
@@ -61,22 +56,6 @@ void BM_PacketLevelSession(benchmark::State& state) {
   bench::run_session_arm(state, config);
 }
 BENCHMARK(BM_PacketLevelSession)->Unit(benchmark::kMillisecond);
-
-// The identical session on the binary-heap backend — the ratio against
-// BM_PacketLevelSession is the calendar queue's end-to-end win, and
-// bench_guard.py checks the calendar arm never regresses below it.
-void BM_PacketLevelSessionHeap(benchmark::State& state) {
-  SessionConfig config;
-  config.path_configs = {table1_config(4), table1_config(4)};
-  config.mu_pps = 50.0;
-  config.duration_s = 30.0;
-  config.warmup_s = 5.0;
-  config.drain_s = 5.0;
-  config.seed = 11;
-  config.des = "heap";
-  bench::run_session_arm(state, config);
-}
-BENCHMARK(BM_PacketLevelSessionHeap)->Unit(benchmark::kMillisecond);
 
 // Same session under each AQM discipline — the ratio against the droptail
 // arm above is the qdisc hot-path cost bench_guard.py rates (the lazy

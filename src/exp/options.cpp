@@ -3,7 +3,6 @@
 #include "exp/compare/slo.hpp"
 #include "fault/fault_plan.hpp"
 #include "net/qdisc/queue_discipline.hpp"
-#include "sim/scheduler.hpp"
 #include "stream/scheduler/path_scheduler.hpp"
 
 #include <cctype>
@@ -31,7 +30,7 @@ const char* const kKnownVars[] = {
     "DMP_OUT_DIR",      "DMP_FIG7_DURATION_S",    "DMP_TABLE1_PROBE_S",
     "DMP_FAULTS",       "DMP_SANITIZE",           "DMP_CHECK_BUILD_DIR",
     "DMP_SLO",          "DMP_TELEMETRY_WINDOW_S", "DMP_SCHED",
-    "DMP_QDISC",        "DMP_DES",
+    "DMP_QDISC",
 };
 
 [[noreturn]] void fail(const std::string& message) {
@@ -161,10 +160,6 @@ BenchOptions BenchOptions::from_env() {
     parse_spec("DMP_QDISC", v, QdiscSpec::parse);
     o.qdisc = v;
   }
-  if (const char* v = get("DMP_DES")) {
-    parse_spec("DMP_DES", v, parse_scheduler_backend);
-    o.des = v;
-  }
   if (const char* v = get("DMP_FAULTS")) {
     parse_spec("DMP_FAULTS", v, fault::FaultPlan::parse);
     o.faults = v;
@@ -203,7 +198,6 @@ std::string BenchOptions::summary() const {
   std::string out = buf;
   if (sched != "pull") out += " sched=" + sched;
   if (qdisc != "droptail") out += " qdisc=" + qdisc;
-  if (des != "calendar") out += " des=" + des;
   if (!faults.empty()) out += " faults='" + faults + "'";
   if (!slo.empty()) out += " slo=" + slo;
   return out;

@@ -1,6 +1,7 @@
 #include "net/link.hpp"
 
 #include <stdexcept>
+#include <string>
 
 namespace dmp {
 
@@ -96,7 +97,112 @@ void Link::on_qdisc_drop(const Packet& victim, QdiscDropReason reason) {
   }
 }
 
+void Link::set_lazy_allowed(bool allowed) {
+  if (mode_ == Mode::kLazy && !allowed) {
+    throw std::logic_error{"link is already lazy"};
+  }
+  lazy_allowed_ = allowed;
+}
+
+bool Link::bound() const {
+  return flight_ != nullptr || m_arrivals_ != nullptr ||
+         event_log_ != nullptr || ts_delivered_ != nullptr ||
+         ts_drops_ != nullptr || ts_queue_ != nullptr;
+}
+
+// Decided once, at the first arrival: by then the owner has bound every
+// sink and declared every fault target.  Everything that reads a tx-done
+// as it happens — AQM dequeue decisions, a finite buffer's drop test, the
+// flight recorder, metrics, fault hooks, per-category profiles — keeps the
+// eager path.
+void Link::decide_mode() {
+  const bool lazy = lazy_allowed_ && droptail_ != nullptr &&
+                    config_.buffer_packets == 0 && !fault_touched_ &&
+                    !bound() && !sched_.exact_counters();
+  mode_ = lazy ? Mode::kLazy : Mode::kEager;
+}
+
+void Link::require_eager(const char* hook) {
+  if (mode_ == Mode::kLazy) {
+    throw std::logic_error{std::string(hook) +
+                           " on a lazy link (disallow lazy mode first)"};
+  }
+  fault_touched_ = true;
+}
+
+// The eager link starts a packet at its arrival when the transmitter is
+// idle, else at its predecessor's tx-done, and claims the delivery key
+// then the successor's tx-done key inside that tx-done.  The lazy link
+// reproduces exactly that: it is busy iff the newest tx-done lies ahead,
+// and then this packet's tx-done key is that event's successor claim
+// (virtual_seq(., 1)); otherwise it claims a real seq now, as
+// start_transmission's post would.  The delivery is keyed by the virtual
+// tx-done's delivery claim (virtual_seq(., 0)).
+void Link::send_lazy(const Packet& p) {
+  ++total_arrivals_;
+  ++flow_slot(p.flow).arrivals;
+  const SimTime tx = tx_time(p.size_bytes);
+  const SimTime now = sched_.now();
+  // Busy iff the newest tx-done lies ahead; only an exact tie with the
+  // clock needs the scheduler's tie rule.
+  const bool busy = last_departure_ == now ? sched_.virtual_ahead(last_vtx_)
+                                           : last_departure_ > now;
+  const SimTime departure = (busy ? last_departure_ : now) + tx;
+  const std::uint64_t sigma = busy ? Scheduler::virtual_seq(last_vtx_, 1)
+                                   : sched_.claim_seq();
+  // Lookups reach back at most a delivery's delay past its tx-done, plus a
+  // tx time per same-nanosecond tie along a busy period.
+  last_vtx_ = sched_.add_virtual(
+      departure, sigma, (config_.prop_delay + tx) * 2 + SimTime::millis(10));
+  last_departure_ = departure;
+  busy_time_ += tx;
+
+  const SimTime when = departure + config_.prop_delay;
+  const std::uint64_t seq = Scheduler::virtual_seq(last_vtx_, 0);
+  const bool was_empty = deliveries_head_ == deliveries_.size();
+  deliveries_.push_back(PendingDelivery{when, seq, pool_.acquire(p)});
+  if (was_empty) sched_.arm_key(when, seq, delivery_port_id_);
+}
+
+std::size_t Link::lazy_ahead(SimTime* queued_tx) const {
+  // Tx-done keys increase along the FIFO, so the ones still ahead are a
+  // suffix of it.
+  std::size_t ahead = 0;
+  SimTime tx_sum = SimTime::zero();
+  SimTime oldest_tx = SimTime::zero();
+  for (std::size_t i = deliveries_.size(); i > deliveries_head_; --i) {
+    const PendingDelivery& d = deliveries_[i - 1];
+    if (!sched_.virtual_ahead(Scheduler::virtual_id(d.seq))) break;
+    ++ahead;
+    // Lazy links never rescale: the tx time is the configured one.
+    oldest_tx = transmission_time(pool_.get(d.ref).size_bytes,
+                                  config_.bandwidth_bps);
+    tx_sum += oldest_tx;
+  }
+  if (queued_tx != nullptr) *queued_tx = tx_sum - oldest_tx;
+  return ahead;
+}
+
+std::size_t Link::queue_length() const {
+  if (mode_ != Mode::kLazy) return qlen();
+  const std::size_t ahead = lazy_ahead(nullptr);
+  return ahead == 0 ? 0 : ahead - 1;
+}
+
+std::uint64_t Link::total_delivered() const {
+  if (mode_ != Mode::kLazy) return total_delivered_;
+  // A lazy link never drops: every arrival is on its way.
+  return total_arrivals_ - lazy_ahead(nullptr);
+}
+
 void Link::send(const Packet& p) {
+  if (mode_ != Mode::kEager) {
+    if (mode_ == Mode::kUndecided) decide_mode();
+    if (mode_ == Mode::kLazy) {
+      send_lazy(p);
+      return;
+    }
+  }
   ++total_arrivals_;
   if (m_arrivals_) m_arrivals_->inc();
   ++flow_slot(p.flow).arrivals;
@@ -202,14 +308,20 @@ void Link::on_delivery() {
   // was scheduled, so arming order cannot disturb pop order), then hand the
   // packet downstream.
   const PendingDelivery head = deliveries_[deliveries_head_++];
+  const bool lazy = mode_ == Mode::kLazy;
   if (deliveries_head_ < deliveries_.size()) {
     const PendingDelivery& next = deliveries_[deliveries_head_];
-    sched_.arm_deferred(Scheduler::Deferred{next.when, next.seq},
-                        delivery_port_id_);
+    if (lazy) {
+      sched_.arm_key(next.when, next.seq, delivery_port_id_);
+    } else {
+      sched_.arm_deferred(Scheduler::Deferred{next.when, next.seq},
+                          delivery_port_id_);
+    }
   } else {
     deliveries_.clear();
     deliveries_head_ = 0;
   }
+  if (lazy) sched_.settle_virtual(Scheduler::virtual_id(head.seq));
   deliver(pool_.take(head.ref));
 }
 
@@ -224,6 +336,7 @@ void Link::deliver(const Packet& p) {
 }
 
 void Link::set_down(bool down) {
+  require_eager("set_down");
   down_ = down;
   if (!down_ && !transmitting_) {
     Packet next;
@@ -235,6 +348,7 @@ void Link::rescale(double bw_factor, double delay_factor) {
   if (!(bw_factor > 0.0) || !(delay_factor > 0.0)) {
     throw std::invalid_argument{"link rescale factors must be positive"};
   }
+  require_eager("rescale");
   config_.bandwidth_bps = base_config_.bandwidth_bps * bw_factor;
   config_.prop_delay = SimTime::nanos(static_cast<std::int64_t>(
       static_cast<double>(base_config_.prop_delay.ns()) * delay_factor));
@@ -265,11 +379,21 @@ void Link::bind(obs::Hub& hub, const std::string& prefix, std::int32_t hop) {
   ts_delivered_ = hub.channel(prefix + ".delivered");
   ts_drops_ = hub.channel(prefix + ".drops");
   ts_queue_ = hub.channel(prefix + ".queue_depth");
+  if (mode_ == Mode::kLazy && bound()) {
+    throw std::logic_error{"bind: a sink on a lazy link"};
+  }
 }
 
 double Link::utilization(SimTime elapsed) const {
   if (elapsed.ns() <= 0) return 0.0;
-  return busy_time_.to_seconds() / elapsed.to_seconds();
+  SimTime busy = busy_time_;
+  if (mode_ == Mode::kLazy) {
+    // Queued packets have not started: their tx time is not busy yet.
+    SimTime queued = SimTime::zero();
+    lazy_ahead(&queued);
+    busy = busy - queued;
+  }
+  return busy.to_seconds() / elapsed.to_seconds();
 }
 
 }  // namespace dmp

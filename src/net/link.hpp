@@ -4,6 +4,12 @@
 // byte-identical to the pre-qdisc implementation; PIE / FQ-PIE / CoDel
 // (src/net/qdisc/) swap the enqueue/drop decision without touching the
 // transmitter, fault hooks or observability.
+//
+// A link runs eager (a tx-done event per packet) or lazy: an unbounded
+// drop-tail link whose owner allows it computes each departure at send(),
+// d = max(now, d_prev) + tx, and keeps the tx-done as a virtual scheduler
+// event that never enters the queue.  Pop order, delivery times and
+// events_executed() are identical either way (docs/DES_ENGINE.md).
 #pragma once
 
 #include <cstdint>
@@ -70,13 +76,23 @@ class Link {
   // and AQM disciplines may additionally discard queued packets later.
   void send(const Packet& p);
 
-  std::size_t queue_length() const { return qlen(); }
+  std::size_t queue_length() const;
   const LinkConfig& config() const { return config_; }
 
-  // Aggregate and per-flow counters.
+  // Lazy mode.  The owner allows it (default: not allowed) when no fault
+  // hook will reach the link; the link then goes lazy at its first send if
+  // it also has an unbounded drop-tail queue, no hub sink bound, and a
+  // scheduler whose counters are unobserved.  Fault hooks and sink binding
+  // on a lazy link throw std::logic_error.
+  void set_lazy_allowed(bool allowed);
+  bool lazy() const { return mode_ == Mode::kLazy; }
+
+  // Aggregate and per-flow counters.  Delivered counts transmissions
+  // completed by now; on a lazy link it, queue_length() and utilization()
+  // walk the in-flight packets.
   std::uint64_t total_arrivals() const { return total_arrivals_; }
   std::uint64_t total_drops() const { return total_drops_; }
-  std::uint64_t total_delivered() const { return total_delivered_; }
+  std::uint64_t total_delivered() const;
   LinkFlowCounters flow_counters(FlowId flow) const;
 
   // Queue-discipline identity and per-reason discard tallies
@@ -95,7 +111,10 @@ class Link {
   void set_down(bool down);
   bool down() const { return down_; }
   // Drops the next `count` arrivals (burst loss); cumulative across calls.
-  void drop_next(std::uint64_t count) { burst_remaining_ += count; }
+  void drop_next(std::uint64_t count) {
+    require_eager("drop_next");
+    burst_remaining_ += count;
+  }
   std::uint64_t burst_remaining() const { return burst_remaining_; }
   // Rescales bandwidth / propagation delay relative to the CONSTRUCTED
   // configuration (factors do not compound), applying to future
@@ -115,12 +134,15 @@ class Link {
  private:
   // One in-flight delivery: a (when, seq) key claimed from the scheduler at
   // schedule time plus the pooled packet.  Only the FIFO head is armed in
-  // the event queue; the rest wait here (docs/DES_ENGINE.md).
+  // the event queue; the rest wait here (docs/DES_ENGINE.md).  On a lazy
+  // link the key's seq is the delivery claim of the packet's virtual
+  // tx-done.
   struct PendingDelivery {
     SimTime when;
     std::uint64_t seq;
     PacketPool::Ref ref;
   };
+  enum class Mode : std::uint8_t { kUndecided, kEager, kLazy };
 
   static void tx_done_port(void* ctx) {
     static_cast<Link*>(ctx)->on_transmit_done();
@@ -129,6 +151,13 @@ class Link {
     static_cast<Link*>(ctx)->on_delivery();
   }
 
+  void decide_mode();
+  void send_lazy(const Packet& p);
+  // Lazy links: in-flight packets whose tx-done is still ahead (the first
+  // of them is on the wire, the rest queued), and their queued tx time.
+  std::size_t lazy_ahead(SimTime* queued_tx) const;
+  void require_eager(const char* hook);
+  bool bound() const;
   void start_transmission(const Packet& p);
   void on_transmit_done();
   void on_delivery();
@@ -176,6 +205,14 @@ class Link {
   const bool aqm_;
   bool transmitting_ = false;
   Packet in_flight_{};
+
+  Mode mode_ = Mode::kUndecided;
+  bool lazy_allowed_ = false;
+  bool fault_touched_ = false;  // a fault hook ran before the first send
+  // Lazy links: the newest packet's virtual tx-done and departure (before
+  // the clock starts until the first send).
+  std::uint64_t last_vtx_ = 0;
+  SimTime last_departure_ = SimTime::nanos(-1);
 
   bool down_ = false;
   std::uint64_t burst_remaining_ = 0;

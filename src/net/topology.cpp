@@ -25,12 +25,25 @@ DumbbellPath::DumbbellPath(Scheduler& sched, BottleneckConfig bottleneck,
       sched_, LinkConfig{access_.bandwidth_bps, access_.prop_delay, 0});
   rev_bottleneck_->set_receiver(rev_exit_.get());
   rev_exit_->set_receiver(&rev_demux_);
+
+  // Every link may run lazy until expose_to_faults(); only the unbounded
+  // drop-tail ones with nothing bound actually do (Link::set_lazy_allowed).
+  for (Link* link : {bottleneck_.get(), exit_.get(), rev_bottleneck_.get(),
+                     rev_exit_.get()}) {
+    link->set_lazy_allowed(true);
+  }
+}
+
+void DumbbellPath::expose_to_faults() {
+  bottleneck_->set_lazy_allowed(false);
+  rev_bottleneck_->set_lazy_allowed(false);
 }
 
 PacketHandler DumbbellPath::attach_source(FlowId) {
   auto entry = std::make_unique<Link>(
       sched_, LinkConfig{access_.bandwidth_bps, access_.prop_delay, 0});
   entry->set_receiver(bottleneck_.get());
+  entry->set_lazy_allowed(true);
   if (hub_) entry->bind(*hub_, "", 0);
   Link* raw = entry.get();
   entry_links_.push_back(std::move(entry));
@@ -52,6 +65,7 @@ PacketHandler DumbbellPath::attach_reverse_source(FlowId) {
   auto entry = std::make_unique<Link>(
       sched_, LinkConfig{access_.bandwidth_bps, access_.prop_delay, 0});
   entry->set_receiver(rev_bottleneck_.get());
+  entry->set_lazy_allowed(true);
   Link* raw = entry.get();
   rev_entry_links_.push_back(std::move(entry));
   return [raw](const Packet& p) { raw->send(p); };

@@ -70,6 +70,11 @@ class DumbbellPath final : public NetworkPath {
   double base_rtt_seconds() const;
 
   // --- fault hooks (src/fault/) ---
+  // Declares that the hooks below may be called: keeps both bottlenecks
+  // (the links they reach) on the eager path.  Call before the first
+  // packet; calling a hook on an undeclared path may throw
+  // std::logic_error (a lazy link has no tx-done to freeze or rescale).
+  void expose_to_faults();
   // Downs/raises the whole path: forward bottleneck AND reverse (ACK)
   // bottleneck, so a blackhole kills data and acknowledgments alike — the
   // sender's only signal is its retransmission timer, as with a real

@@ -42,12 +42,25 @@
 
 namespace dmp {
 
-// Entry must expose `when` (SimTime) and `seq` (uint64); (when, seq) pairs
-// are unique per queue (seq is a global schedule counter).
+// Plain (when, seq) lexicographic order.
 template <typename Entry>
+struct WhenSeqLess {
+  bool operator()(const Entry& a, const Entry& b) const {
+    if (a.when != b.when) return a.when < b.when;
+    return a.seq < b.seq;
+  }
+};
+
+// Entry must expose `when` (SimTime) and `seq` (uint64); (when, seq) pairs
+// are unique per queue (seq is a global schedule counter).  `Less` is a
+// strict total order that agrees with `when` first; the scheduler's one
+// extends the seq comparison with its virtual-event tie rule.
+template <typename Entry, typename Less = WhenSeqLess<Entry>>
 class CalendarQueue {
  public:
-  CalendarQueue() { buckets_.resize(kMinBuckets); }
+  explicit CalendarQueue(Less less = Less{}) : less_(less) {
+    buckets_.resize(kMinBuckets);
+  }
 
   bool empty() const { return size_ == 0; }
   std::size_t size() const { return size_; }
@@ -55,7 +68,7 @@ class CalendarQueue {
   void push(const Entry& e) {
     const std::uint64_t ns = key_ns(e);
     Bucket& bucket = buckets_[bucket_of(ns)];
-    if (bucket.v.empty() || !Less{}(e, bucket.v.back())) {
+    if (bucket.v.empty() || !less_(e, bucket.v.back())) {
       // Monotone fast path: at or after the bucket tail.
       bucket.v.push_back(e);
     } else {
@@ -64,7 +77,7 @@ class CalendarQueue {
       bucket.v.insert(std::upper_bound(bucket.v.begin() +
                                            static_cast<std::ptrdiff_t>(
                                                bucket.head),
-                                       bucket.v.end(), e, Less{}),
+                                       bucket.v.end(), e, less_),
                       e);
     }
     ++size_;
@@ -117,13 +130,6 @@ class CalendarQueue {
  private:
   static constexpr std::size_t kMinBuckets = 16;
   static constexpr std::uint32_t kCalibratePops = 1024;
-
-  struct Less {
-    bool operator()(const Entry& a, const Entry& b) const {
-      if (a.when != b.when) return a.when < b.when;
-      return a.seq < b.seq;
-    }
-  };
 
   // Ascending (when, seq) run; live entries are v[head..).
   struct Bucket {
@@ -198,7 +204,7 @@ class CalendarQueue {
     for (std::size_t b = 0; b < buckets_.size(); ++b) {
       if (!buckets_[b].live()) continue;
       if (best == buckets_.size() ||
-          Less{}(buckets_[b].front(), buckets_[best].front())) {
+          less_(buckets_[b].front(), buckets_[best].front())) {
         best = b;
       }
     }
@@ -219,7 +225,7 @@ class CalendarQueue {
     buckets_.resize(nbuckets);
     // Globally sorted redistribution keeps every per-bucket run ascending
     // with plain appends.
-    std::sort(all.begin(), all.end(), Less{});
+    std::sort(all.begin(), all.end(), less_);
     if (popped_any_) {
       shift_ = shift_for_gap(gap_ema_ns_);
     } else if (size_ > 1) {
@@ -241,6 +247,7 @@ class CalendarQueue {
     }
   }
 
+  Less less_;
   std::vector<Bucket> buckets_;
   std::size_t size_ = 0;
   int shift_ = 20;  // ~1 ms days until the first calibration

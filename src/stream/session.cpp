@@ -1,5 +1,6 @@
 #include "stream/session.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
 #include <stdexcept>
@@ -34,9 +35,12 @@ QdiscSpec qdisc_for_path(const QdiscSpec& spec, std::uint64_t session_seed,
 
 // Registers the scheduler's work counters as `sched.*` sampler gauges so
 // probes can plot event-rate over time (the scheduler itself stays
-// obs-free to keep the sim -> obs dependency one-directional).
-void bind_scheduler(obs::Hub& hub, const Scheduler& sched) {
+// obs-free to keep the sim -> obs dependency one-directional).  Pending
+// counts are exact only with every link eager, so a metrics run keeps
+// them all eager.
+void bind_scheduler(obs::Hub& hub, Scheduler& sched) {
   if (!hub.metrics()) return;
+  sched.require_exact_counters();
   const auto gauge = [&hub, &sched](const char* name, auto read) {
     hub.gauge(std::string("sched.") + name)->set_sampler([&sched, read] {
       return static_cast<double>((sched.*read)());
@@ -154,13 +158,13 @@ SessionResult run_session(const SessionConfig& config) {
     throw std::invalid_argument{
         "independent sessions need one path config per video flow"};
   }
-  // Parse the dispatch-policy spec, the bottleneck queue spec and the DES
-  // backend up front so a typo fails before any network is built.
+  // Parse the dispatch-policy, bottleneck queue and fault specs up front so
+  // a typo fails before any network is built.
   const SchedulerSpec scheduler_spec = SchedulerSpec::parse(config.scheduler);
   const QdiscSpec qdisc_spec = QdiscSpec::parse(config.qdisc);
-  const SchedulerBackend des_backend = parse_scheduler_backend(config.des);
+  const fault::FaultPlan fault_plan = fault::FaultPlan::parse(config.faults);
 
-  Scheduler sched(des_backend);
+  Scheduler sched;
   Rng rng(config.seed);
 
   // --- observability: one hub that every component below binds (none
@@ -186,6 +190,13 @@ SessionResult run_session(const SessionConfig& config) {
     bottleneck.qdisc = qdisc_for_path(qdisc_spec, config.seed, i);
     paths.push_back(std::make_unique<DumbbellPath>(sched, bottleneck));
     if (hub) paths.back()->bind(*hub, "link.path" + std::to_string(i));
+    const bool targeted = std::any_of(
+        fault_plan.events.begin(), fault_plan.events.end(),
+        [i](const fault::FaultEvent& e) {
+          std::size_t index = 0;
+          return fault::parse_path_index(e.target, &index) && index == i;
+        });
+    if (targeted) paths.back()->expose_to_faults();
     const FlowId first_bg = static_cast<FlowId>(1000 * (i + 1));
     background.push_back(std::make_unique<BackgroundTraffic>(
         sched, *paths.back(), config.path_configs[i], first_bg, rng.fork()));
@@ -242,9 +253,9 @@ SessionResult run_session(const SessionConfig& config) {
   // nothing and schedules nothing, keeping fault-free runs byte-identical
   // to a build without this block) ---
   std::unique_ptr<fault::FaultInjector> injector;
-  if (!config.faults.empty()) {
-    injector = std::make_unique<fault::FaultInjector>(
-        sched, fault::FaultPlan::parse(config.faults), epoch);
+  if (!fault_plan.empty()) {
+    injector = std::make_unique<fault::FaultInjector>(sched, fault_plan,
+                                                      epoch);
     DmpStreamingServer* srv = &server;
     const std::size_t flows = config.num_flows;
     for (std::size_t i = 0; i < paths.size(); ++i) {
@@ -315,6 +326,7 @@ SessionResult run_session(const SessionConfig& config) {
     m.to_ratio = video[k].sender->stats().normalized_timeout();
     m.share = split[k];
     m.aqm_early_drops = path.bottleneck().qdisc_counters().early_drops;
+    m.bottleneck = counters;
     m.tcp = video[k].sender->stats();
     result.paths.push_back(m);
   }

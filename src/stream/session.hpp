@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "apps/background.hpp"
+#include "net/link.hpp"
 #include "obs/config.hpp"
 #include "obs/hub.hpp"
 #include "sim/profiler.hpp"
@@ -66,12 +67,6 @@ struct SessionConfig {
   // (seed-stream kind 18, disjoint from all session randomness).  The
   // default reproduces the paper's drop-tail bottlenecks byte-identically.
   std::string qdisc = "droptail";
-  // DES event-queue backend (the DMP_DES bench knob): calendar | heap.
-  // The calendar queue is the default and pops in an order bit-identical
-  // to the binary heap ((when, seq) tie-breaking — docs/DES_ENGINE.md);
-  // `heap` keeps the std::push_heap baseline selectable for differential
-  // runs and benchmarks.  Parsed and validated before any network is built.
-  std::string des = "calendar";
   // Fault schedule (src/fault/ spec grammar, e.g.
   // "20 link_down path1; 25 link_up path1"), times relative to the video
   // epoch.  Targets name paths ("path<k>"); link faults hit path k's
@@ -109,6 +104,9 @@ struct PathMeasurement {
   // AQM controller discards at this path's bottleneck, all flows (0 on
   // droptail paths; a subset of the drops behind loss_rate's numerator).
   std::uint64_t aqm_early_drops = 0;
+  // This flow's arrivals and congestion drops at its bottleneck (the
+  // counts behind loss_rate).
+  LinkFlowCounters bottleneck{};
   TcpSenderStats tcp{};
 };
 

@@ -1,9 +1,12 @@
-// DES backend contract at the session level: the calendar queue is pure
-// wall-clock tuning, so a full packet-level session must produce the same
-// trajectory — trace, counters, per-path measurements — under kHeap and
-// kCalendar, and the calendar (the default) must preserve the experiment
-// engine's thread-count invariance.  DMP_DES is validated like every other
-// knob: unknown backends fail fast at options parse time.
+// Lazy links at the session level: a plain run (access and reverse links
+// lazy, no tx-done events for them) and an `obs.enabled` run (metrics on,
+// so every link stays eager) must produce the same trajectory — trace,
+// events_executed, per-path measurements and bottleneck flow counters —
+// on the tie-heavy 5 Mb/s settings, where the 2.4 ms bottleneck tx time is
+// exactly 20 access tx times and same-nanosecond pops are common.  The
+// redundant + faults arm keeps the fault-reachable bottlenecks eager while
+// the rest stay lazy.  The single DES backend keeps the experiment
+// engine's thread-count invariance, and DMP_DES is gone.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -19,16 +22,26 @@
 namespace dmp::exp {
 namespace {
 
-SessionConfig quick_config(const std::string& scheduler = "pull") {
+SessionConfig setting(int a, int b, double mu_pps,
+                      const std::string& scheduler = "pull") {
   SessionConfig config;
-  config.path_configs = {table1_config(2), table1_config(2)};
+  config.path_configs = {table1_config(a), table1_config(b)};
   config.num_flows = 2;
-  config.mu_pps = 50.0;
-  config.duration_s = 20.0;
+  config.mu_pps = mu_pps;
+  config.duration_s = 30.0;
   config.warmup_s = 5.0;
   config.drain_s = 10.0;
   config.scheduler = scheduler;
   config.seed = 20071211;
+  return config;
+}
+
+// The same session with metrics on: every link eager.
+SessionConfig eager(SessionConfig config, const std::string& prefix) {
+  config.obs.enabled = true;
+  config.obs.probe_interval_s = 0.0;
+  config.obs.output_dir = "des_backend_test_out";
+  config.obs.prefix = prefix;
   return config;
 }
 
@@ -37,51 +50,50 @@ void expect_identical(const SessionResult& a, const SessionResult& b) {
   ASSERT_GT(a.trace.entries().size(), 0u);
   for (std::size_t i = 0; i < a.trace.entries().size(); ++i) {
     ASSERT_EQ(a.trace.entries()[i].packet_number,
-              b.trace.entries()[i].packet_number);
+              b.trace.entries()[i].packet_number) << "entry " << i;
     ASSERT_EQ(a.trace.entries()[i].arrived.ns(),
-              b.trace.entries()[i].arrived.ns());
-    ASSERT_EQ(a.trace.entries()[i].path, b.trace.entries()[i].path);
+              b.trace.entries()[i].arrived.ns()) << "entry " << i;
+    ASSERT_EQ(a.trace.entries()[i].path, b.trace.entries()[i].path)
+        << "entry " << i;
   }
   EXPECT_EQ(a.packets_generated, b.packets_generated);
   EXPECT_EQ(a.events_executed, b.events_executed);
+  EXPECT_EQ(a.fault_events_fired, b.fault_events_fired);
+  EXPECT_EQ(a.duplicates_sent, b.duplicates_sent);
+  EXPECT_EQ(a.duplicates_suppressed, b.duplicates_suppressed);
   ASSERT_EQ(a.paths.size(), b.paths.size());
   for (std::size_t k = 0; k < a.paths.size(); ++k) {
-    EXPECT_EQ(a.paths[k].loss_rate, b.paths[k].loss_rate);
-    EXPECT_EQ(a.paths[k].rtt_s, b.paths[k].rtt_s);
-    EXPECT_EQ(a.paths[k].to_ratio, b.paths[k].to_ratio);
-    EXPECT_EQ(a.paths[k].share, b.paths[k].share);
+    const PathMeasurement& x = a.paths[k];
+    const PathMeasurement& y = b.paths[k];
+    EXPECT_EQ(x.loss_rate, y.loss_rate) << "path " << k;
+    EXPECT_EQ(x.rtt_s, y.rtt_s) << "path " << k;
+    EXPECT_EQ(x.to_ratio, y.to_ratio) << "path " << k;
+    EXPECT_EQ(x.share, y.share) << "path " << k;
+    EXPECT_EQ(x.bottleneck.arrivals, y.bottleneck.arrivals) << "path " << k;
+    EXPECT_EQ(x.bottleneck.drops, y.bottleneck.drops) << "path " << k;
+    EXPECT_EQ(x.tcp.data_packets_sent, y.tcp.data_packets_sent);
+    EXPECT_EQ(x.tcp.retransmissions, y.tcp.retransmissions);
+    EXPECT_EQ(x.tcp.timeouts, y.tcp.timeouts);
+    EXPECT_EQ(x.tcp.acks_received, y.tcp.acks_received);
   }
 }
 
-TEST(DesBackend, HeapAndCalendarSessionsAreBitIdentical) {
-  auto calendar = quick_config();
-  calendar.des = "calendar";
-  auto heap = quick_config();
-  heap.des = "heap";
-  expect_identical(run_session(calendar), run_session(heap));
+TEST(LazyLinkSession, PlainMatchesEagerOnSetting33) {
+  const SessionConfig plain = setting(3, 3, 30.0);
+  expect_identical(run_session(plain), run_session(eager(plain, "s33")));
 }
 
-TEST(DesBackend, HeapAndCalendarMatchUnderStaticScheme) {
-  auto calendar = quick_config("static");
-  calendar.des = "calendar";
-  auto heap = quick_config("static");
-  heap.des = "heap";
-  expect_identical(run_session(calendar), run_session(heap));
+TEST(LazyLinkSession, PlainMatchesEagerOnSetting13) {
+  const SessionConfig plain = setting(1, 3, 40.0);
+  expect_identical(run_session(plain), run_session(eager(plain, "s13")));
 }
 
-TEST(DesBackend, DefaultBackendIsCalendar) {
-  // The default-constructed config and an explicit "calendar" run the same
-  // engine: identical results, and the documented default spelling.
-  EXPECT_EQ(SessionConfig{}.des, "calendar");
-  auto explicit_cal = quick_config();
-  explicit_cal.des = "calendar";
-  expect_identical(run_session(quick_config()), run_session(explicit_cal));
-}
-
-TEST(DesBackend, UnknownBackendFailsFast) {
-  auto config = quick_config();
-  config.des = "splay";
-  EXPECT_THROW(run_session(config), std::invalid_argument);
+TEST(LazyLinkSession, PlainMatchesEagerUnderRedundantWithFaults) {
+  SessionConfig plain = setting(1, 3, 40.0, "redundant");
+  plain.faults = "8 link_down path1; 12 link_up path1; 20 burst_loss path0 5";
+  const SessionResult lazy = run_session(plain);
+  EXPECT_EQ(lazy.fault_events_fired, 3u);
+  expect_identical(lazy, run_session(eager(plain, "rf")));
 }
 
 TEST(DesBackend, AggregateReportIsThreadCountInvariantUnderCalendar) {
@@ -89,9 +101,7 @@ TEST(DesBackend, AggregateReportIsThreadCountInvariantUnderCalendar) {
   plan.name = "des_backend_test";
   plan.seed = 777;
   plan.replications = 3;
-  auto config = quick_config();
-  config.des = "calendar";
-  plan.settings.push_back({"dmp", config});
+  plan.settings.push_back({"dmp", setting(2, 2, 50.0)});
   const auto serial = ExperimentRunner(1).run(plan);
   const auto parallel = ExperimentRunner(4).run(plan);
   EXPECT_EQ(serial.aggregate_json(), parallel.aggregate_json());
@@ -99,15 +109,13 @@ TEST(DesBackend, AggregateReportIsThreadCountInvariantUnderCalendar) {
   EXPECT_FALSE(serial.settings[0].metrics.empty());
 }
 
-TEST(DesBackend, DmpDesKnobParsesAndValidates) {
-  unsetenv("DMP_DES");
-  EXPECT_EQ(BenchOptions::from_env().des, "calendar");
-  setenv("DMP_DES", "heap", 1);
-  EXPECT_EQ(BenchOptions::from_env().des, "heap");
-  setenv("DMP_DES", "calendar", 1);
-  EXPECT_EQ(BenchOptions::from_env().des, "calendar");
-  setenv("DMP_DES", "splay", 1);
-  EXPECT_THROW(BenchOptions::from_env(), std::invalid_argument);
+TEST(DesBackend, UnknownBackendFailsFast) {
+  // There is one backend and no knob: DMP_DES is an unknown variable,
+  // whatever it names.
+  for (const char* backend : {"heap", "calendar"}) {
+    setenv("DMP_DES", backend, 1);
+    EXPECT_THROW(BenchOptions::from_env(), std::invalid_argument) << backend;
+  }
   unsetenv("DMP_DES");
 }
 

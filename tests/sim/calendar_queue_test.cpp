@@ -6,15 +6,18 @@
 //     that hit every structural path (monotone appends, out-of-order
 //     inserts, same-nanosecond ties, rewind-on-push, bucket growth/shrink,
 //     gap-regime changes that force width recalibration);
-//   * full Scheduler(kHeap) vs Scheduler(kCalendar) driven by one mixed
-//     op stream (schedule / cancel / post / port / defer+arm) — execution
-//     order, clocks and every counter must match exactly.
+//   * the full Scheduler vs a one-entry-per-event std::priority_queue
+//     reference driven by one mixed op stream (schedule / cancel / post /
+//     port / defer+arm) — execution order, clocks and every counter must
+//     match exactly.
 #include "sim/calendar_queue.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <queue>
 #include <random>
 #include <vector>
@@ -177,11 +180,76 @@ TEST(CalendarQueue, DayWidthRecalibratesAcrossGapRegimes) {
 }
 
 // ---------------------------------------------------------------------------
-// Scheduler-level differential: one op stream, two backends.
+// Scheduler-level differential: one op stream through the Scheduler and
+// through a reference scheduler built on std::priority_queue with one
+// entry per event (no ports, no deferral, no calendar).
 
 struct SchedLog {
   std::vector<std::int64_t> fired_at_ns;
   std::vector<int> fired_id;
+};
+
+// The reference: every event is a heap entry keyed (when, seq), seq
+// claimed at the call, cancellation a shared flag checked at pop.
+class HeapReference {
+ public:
+  SimTime now() const { return now_; }
+
+  std::shared_ptr<bool> schedule(SimTime when, std::function<void()> fn) {
+    auto cancelled = std::make_shared<bool>(false);
+    push(when, std::move(fn), cancelled);
+    return cancelled;
+  }
+  void post(SimTime when, std::function<void()> fn) {
+    push(when, std::move(fn), nullptr);
+  }
+
+  void run_until(SimTime horizon) {
+    while (!heap_.empty() && heap_.top().when <= horizon) {
+      Item item = heap_.top();
+      heap_.pop();
+      if (item.cancelled && *item.cancelled) {
+        ++cancelled_;
+        continue;
+      }
+      now_ = item.when;
+      ++executed_;
+      item.fn();
+    }
+    if (horizon != SimTime::max() && now_ < horizon) now_ = horizon;
+  }
+
+  std::uint64_t executed() const { return executed_; }
+  std::uint64_t cancelled() const { return cancelled_; }
+  std::size_t max_pending() const { return max_pending_; }
+  std::size_t pending() const { return heap_.size(); }
+
+ private:
+  struct Item {
+    SimTime when;
+    std::uint64_t seq;
+    std::function<void()> fn;
+    std::shared_ptr<bool> cancelled;
+  };
+  struct Later {
+    bool operator()(const Item& a, const Item& b) const {
+      if (a.when != b.when) return a.when > b.when;
+      return a.seq > b.seq;
+    }
+  };
+
+  void push(SimTime when, std::function<void()> fn,
+            std::shared_ptr<bool> cancelled) {
+    heap_.push(Item{when, next_seq_++, std::move(fn), std::move(cancelled)});
+    max_pending_ = std::max(max_pending_, heap_.size());
+  }
+
+  std::priority_queue<Item, std::vector<Item>, Later> heap_;
+  SimTime now_ = SimTime::zero();
+  std::uint64_t next_seq_ = 0;
+  std::uint64_t executed_ = 0;
+  std::uint64_t cancelled_ = 0;
+  std::size_t max_pending_ = 0;
 };
 
 // Emulates the link-style deferred FIFO: claimed (when, seq) keys wait in
@@ -214,101 +282,136 @@ struct DeferFifo {
   }
 };
 
-SchedLog drive_mixed_workload(SchedulerBackend backend) {
-  Scheduler sched(backend);
+// The Scheduler side of the op stream: schedule / post / port / deferred
+// FIFO, each as the hot paths use them.
+class SchedulerArm {
+ public:
+  SchedulerArm() {
+    port_ = sched_.register_port(
+        [](void* ctx) {
+          auto* self = static_cast<SchedulerArm*>(ctx);
+          self->log.fired_at_ns.push_back(self->sched_.now().ns());
+          self->log.fired_id.push_back(-1);
+        },
+        this);
+    fifo_.sched = &sched_;
+    fifo_.log = &log;
+    fifo_.port_id = sched_.register_port(&DeferFifo::fire, &fifo_);
+  }
+  SimTime now() const { return sched_.now(); }
+  std::function<void()> schedule(SimTime when, int id) {
+    EventHandle h = sched_.schedule_at(when, fire(id));
+    return [h]() mutable { h.cancel(); };
+  }
+  void post(SimTime when, int id) { sched_.post_at(when, fire(id)); }
+  void port(SimTime when) { sched_.post_port_at(when, port_); }
+  void deferred(SimTime when, int id) { fifo_.push(when, id); }
+  void run_until(SimTime h) { sched_.run_until(h); }
+  void finish() {
+    sched_.run();
+    log.fired_at_ns.push_back(
+        static_cast<std::int64_t>(sched_.events_executed()));
+    log.fired_at_ns.push_back(
+        static_cast<std::int64_t>(sched_.events_cancelled()));
+    log.fired_at_ns.push_back(
+        static_cast<std::int64_t>(sched_.max_events_pending()));
+    log.fired_at_ns.push_back(
+        static_cast<std::int64_t>(sched_.pending_events()));
+  }
   SchedLog log;
+
+ private:
+  std::function<void()> fire(int id) {
+    return [this, id] {
+      log.fired_at_ns.push_back(sched_.now().ns());
+      log.fired_id.push_back(id);
+    };
+  }
+  Scheduler sched_;
+  std::uint32_t port_ = 0;
+  DeferFifo fifo_;
+};
+
+// The reference side: every op is one heap entry.
+class ReferenceArm {
+ public:
+  SimTime now() const { return ref_.now(); }
+  std::function<void()> schedule(SimTime when, int id) {
+    auto flag = ref_.schedule(when, fire(id));
+    return [flag] { *flag = true; };
+  }
+  void post(SimTime when, int id) { ref_.post(when, fire(id)); }
+  void port(SimTime when) { ref_.post(when, fire(-1)); }
+  void deferred(SimTime when, int id) { ref_.post(when, fire(id)); }
+  void run_until(SimTime h) { ref_.run_until(h); }
+  void finish() {
+    ref_.run_until(SimTime::max());
+    log.fired_at_ns.push_back(static_cast<std::int64_t>(ref_.executed()));
+    log.fired_at_ns.push_back(static_cast<std::int64_t>(ref_.cancelled()));
+    log.fired_at_ns.push_back(static_cast<std::int64_t>(ref_.max_pending()));
+    log.fired_at_ns.push_back(static_cast<std::int64_t>(ref_.pending()));
+  }
+  SchedLog log;
+
+ private:
+  std::function<void()> fire(int id) {
+    return [this, id] {
+      log.fired_at_ns.push_back(ref_.now().ns());
+      log.fired_id.push_back(id);
+    };
+  }
+  HeapReference ref_;
+};
+
+template <typename Arm>
+SchedLog drive_mixed_workload() {
+  Arm arm;
   std::mt19937_64 rng(777);
-  std::vector<EventHandle> handles;
+  std::vector<std::function<void()>> cancels;
   int next_id = 0;
-
-  // One registered port firing a fixed id, plus a deferred FIFO.
-  struct PortCtx {
-    Scheduler* sched;
-    SchedLog* log;
-  } port_ctx{&sched, &log};
-  const std::uint32_t port = sched.register_port(
-      [](void* ctx) {
-        auto* c = static_cast<PortCtx*>(ctx);
-        c->log->fired_at_ns.push_back(c->sched->now().ns());
-        c->log->fired_id.push_back(-1);
-      },
-      &port_ctx);
-
-  DeferFifo fifo;
-  fifo.sched = &sched;
-  fifo.log = &log;
-  fifo.port_id = sched.register_port(&DeferFifo::fire, &fifo);
   SimTime fifo_tail = SimTime::zero();  // keys must be nondecreasing
 
   for (int round = 0; round < 200; ++round) {
     for (int op = 0; op < 50; ++op) {
       const int kind = static_cast<int>(rng() % 100);
       const SimTime when =
-          sched.now() + SimTime::nanos(static_cast<std::int64_t>(
-                            rng() % 2'000'000));
+          arm.now() + SimTime::nanos(static_cast<std::int64_t>(
+                          rng() % 2'000'000));
       if (kind < 35) {
-        const int id = next_id++;
-        handles.push_back(sched.schedule_at(when, [&log, &sched, id] {
-          log.fired_at_ns.push_back(sched.now().ns());
-          log.fired_id.push_back(id);
-        }));
+        cancels.push_back(arm.schedule(when, next_id++));
       } else if (kind < 55) {
-        const int id = next_id++;
-        sched.post_at(when, [&log, &sched, id] {
-          log.fired_at_ns.push_back(sched.now().ns());
-          log.fired_id.push_back(id);
-        });
+        arm.post(when, next_id++);
       } else if (kind < 70) {
-        sched.post_port_at(when, port);
+        arm.port(when);
       } else if (kind < 85) {
         if (when > fifo_tail) fifo_tail = when;
-        fifo.push(fifo_tail, next_id++);
-      } else if (!handles.empty()) {
-        const std::size_t pick = rng() % handles.size();
-        handles[pick].cancel();
-        handles.erase(handles.begin() +
-                      static_cast<std::ptrdiff_t>(pick));
+        arm.deferred(fifo_tail, next_id++);
+      } else if (!cancels.empty()) {
+        const std::size_t pick = rng() % cancels.size();
+        cancels[pick]();
+        cancels.erase(cancels.begin() + static_cast<std::ptrdiff_t>(pick));
       }
     }
-    sched.run_until(sched.now() + SimTime::nanos(static_cast<std::int64_t>(
-                                      rng() % 3'000'000)));
+    arm.run_until(arm.now() + SimTime::nanos(static_cast<std::int64_t>(
+                                  rng() % 3'000'000)));
   }
-  sched.run();
-
   // Counters ride along in the log tail for a single comparison.
-  log.fired_at_ns.push_back(static_cast<std::int64_t>(sched.events_executed()));
-  log.fired_at_ns.push_back(
-      static_cast<std::int64_t>(sched.events_cancelled()));
-  log.fired_at_ns.push_back(
-      static_cast<std::int64_t>(sched.max_events_pending()));
-  log.fired_at_ns.push_back(static_cast<std::int64_t>(sched.pending_events()));
-  return log;
+  arm.finish();
+  return arm.log;
 }
 
 TEST(SchedulerBackendDifferential, MixedWorkloadIsBitIdentical) {
-  const SchedLog heap = drive_mixed_workload(SchedulerBackend::kHeap);
-  const SchedLog cal = drive_mixed_workload(SchedulerBackend::kCalendar);
-  ASSERT_GT(heap.fired_id.size(), 1000u);
-  ASSERT_EQ(heap.fired_id.size(), cal.fired_id.size());
-  ASSERT_EQ(heap.fired_at_ns.size(), cal.fired_at_ns.size());
-  for (std::size_t i = 0; i < heap.fired_id.size(); ++i) {
-    ASSERT_EQ(heap.fired_id[i], cal.fired_id[i]) << "index " << i;
+  const SchedLog ref = drive_mixed_workload<ReferenceArm>();
+  const SchedLog cal = drive_mixed_workload<SchedulerArm>();
+  ASSERT_GT(ref.fired_id.size(), 1000u);
+  ASSERT_EQ(ref.fired_id.size(), cal.fired_id.size());
+  ASSERT_EQ(ref.fired_at_ns.size(), cal.fired_at_ns.size());
+  for (std::size_t i = 0; i < ref.fired_id.size(); ++i) {
+    ASSERT_EQ(ref.fired_id[i], cal.fired_id[i]) << "index " << i;
   }
-  for (std::size_t i = 0; i < heap.fired_at_ns.size(); ++i) {
-    ASSERT_EQ(heap.fired_at_ns[i], cal.fired_at_ns[i]) << "index " << i;
+  for (std::size_t i = 0; i < ref.fired_at_ns.size(); ++i) {
+    ASSERT_EQ(ref.fired_at_ns[i], cal.fired_at_ns[i]) << "index " << i;
   }
-}
-
-TEST(SchedulerBackend, ParseAndName) {
-  EXPECT_EQ(parse_scheduler_backend("calendar"), SchedulerBackend::kCalendar);
-  EXPECT_EQ(parse_scheduler_backend("heap"), SchedulerBackend::kHeap);
-  EXPECT_THROW(parse_scheduler_backend("splay"), std::invalid_argument);
-  EXPECT_STREQ(scheduler_backend_name(SchedulerBackend::kCalendar),
-               "calendar");
-  EXPECT_STREQ(scheduler_backend_name(SchedulerBackend::kHeap), "heap");
-  EXPECT_EQ(Scheduler{}.backend(), SchedulerBackend::kCalendar);
-  EXPECT_EQ(Scheduler{SchedulerBackend::kHeap}.backend(),
-            SchedulerBackend::kHeap);
 }
 
 }  // namespace
