@@ -67,7 +67,7 @@ InternetExperimentResult run_internet_experiment(
     tcp.jitter_seed = rng.next_u64();
   }
   std::vector<TcpConnection> flows;
-  std::vector<RenoSender*> senders;
+  std::vector<StreamSender*> senders;
   StreamTrace trace(config.mu_pps);
   for (std::size_t k = 0; k < paths.size(); ++k) {
     flows.push_back(

@@ -1,26 +1,17 @@
 #include "inet/client.hpp"
 
 #include <poll.h>
-#include <time.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cmath>
 #include <cstring>
 #include <stdexcept>
 
+#include "stream/scheduler/redundancy_filter.hpp"
+
 namespace dmp::inet {
-
-namespace {
-
-std::uint64_t monotonic_ns() {
-  timespec ts{};
-  ::clock_gettime(CLOCK_MONOTONIC, &ts);
-  return static_cast<std::uint64_t>(ts.tv_sec) * 1'000'000'000ull +
-         static_cast<std::uint64_t>(ts.tv_nsec);
-}
-
-}  // namespace
 
 DmpInetClient::DmpInetClient(ClientConfig config) : config_(config) {
   if (config_.num_paths == 0) throw std::invalid_argument{"need >= 1 path"};
@@ -29,7 +20,7 @@ DmpInetClient::DmpInetClient(ClientConfig config) : config_(config) {
       config_.read_rate_limit_bps.size() != config_.num_paths) {
     throw std::invalid_argument{"one rate limit per path (or none)"};
   }
-  if (config_.reconnect_max_retries < 0 || config_.idle_timeout_ms < 0) {
+  if (config_.reconnect_max_retries < 0) {
     throw std::invalid_argument{"reconnect knobs must be >= 0"};
   }
   if (config_.reconnect_backoff_ms <= 0 ||
@@ -49,7 +40,6 @@ ClientReport DmpInetClient::run() {
     int retries_left = 0;
     int backoff_ms = 0;
     std::uint64_t next_attempt_ns = 0;
-    std::uint64_t last_rx_ns = 0;
     double budget_bytes = 0.0;  // token bucket for the optional throttle
     std::uint64_t last_refill_ns = 0;
     std::uint64_t received = 0;
@@ -98,8 +88,7 @@ ClientReport DmpInetClient::run() {
     path.parser = FrameParser(config_.frame_bytes);
     path.retries_left = config_.reconnect_max_retries;
     path.backoff_ms = config_.reconnect_backoff_ms;
-    path.last_rx_ns = monotonic_ns();
-    path.last_refill_ns = path.last_rx_ns;
+    path.last_refill_ns = monotonic_ns();
     paths.push_back(std::move(path));
   }
 
@@ -110,9 +99,9 @@ ClientReport DmpInetClient::run() {
     std::uint32_t path;
   };
   std::vector<Arrival> arrivals;
-  std::vector<bool> seen;  // dedup of frames replayed after a reconnect
+  RedundancyFilter dedup;  // frames replayed after a reconnect
+  std::uint64_t newest = 0;  // highest frame number received on any path
   std::uint64_t reconnects = 0;
-  std::uint64_t duplicates = 0;
   std::size_t open_paths = paths.size();
 
   // A connection died before delivering the sentinel: retry with backoff if
@@ -129,21 +118,11 @@ ClientReport DmpInetClient::run() {
         now + static_cast<std::uint64_t>(path.backoff_ms) * 1'000'000ull;
   };
 
-  const std::uint64_t idle_ns =
-      static_cast<std::uint64_t>(config_.idle_timeout_ms) * 1'000'000ull;
-
   std::vector<pollfd> pfds(paths.size());
   std::vector<unsigned char> buffer(64 * 1024);
   while (open_paths > 0) {
     const std::uint64_t loop_now = monotonic_ns();
     int timeout_ms = -1;
-    const auto wake_at = [&](std::uint64_t at_ns) {
-      const int ms =
-          at_ns > loop_now
-              ? static_cast<int>((at_ns - loop_now) / 1'000'000ull) + 1
-              : 0;
-      timeout_ms = timeout_ms < 0 ? ms : std::min(timeout_ms, ms);
-    };
     for (std::size_t k = 0; k < paths.size(); ++k) {
       pfds[k].fd =
           paths[k].open && paths[k].connected ? paths[k].fd.get() : -1;
@@ -151,7 +130,12 @@ ClientReport DmpInetClient::run() {
       pfds[k].revents = 0;
       if (!paths[k].open) continue;
       if (!paths[k].connected) {
-        wake_at(paths[k].next_attempt_ns);
+        // Wake for the next reconnect attempt.
+        const std::uint64_t at = paths[k].next_attempt_ns;
+        const int ms =
+            at > loop_now ? static_cast<int>((at - loop_now) / 1'000'000) + 1
+                          : 0;
+        timeout_ms = timeout_ms < 0 ? ms : std::min(timeout_ms, ms);
         continue;
       }
       // Throttled paths with an exhausted budget wait for a refill instead
@@ -161,9 +145,6 @@ ClientReport DmpInetClient::run() {
           paths[k].budget_bytes < 1.0) {
         pfds[k].fd = -1;
         timeout_ms = timeout_ms < 0 ? 2 : std::min(timeout_ms, 2);
-      }
-      if (idle_ns > 0 && !paths[k].done) {
-        wake_at(paths[k].last_rx_ns + idle_ns);
       }
     }
     const int ready = ::poll(pfds.data(), pfds.size(), timeout_ms);
@@ -183,7 +164,6 @@ ClientReport DmpInetClient::run() {
           path.fd = open_connection(k, path.last_seq);
           path.connected = true;
           path.parser = FrameParser(config_.frame_bytes);
-          path.last_rx_ns = now;
           path.last_refill_ns = now;
           path.budget_bytes = 0.0;
           // A successful resume refreshes the outage budget.
@@ -201,11 +181,6 @@ ClientReport DmpInetClient::run() {
           path.next_attempt_ns =
               now + static_cast<std::uint64_t>(path.backoff_ms) * 1'000'000ull;
         }
-        continue;
-      }
-
-      if (idle_ns > 0 && !path.done && now - path.last_rx_ns > idle_ns) {
-        path_dead(path, now);
         continue;
       }
 
@@ -242,7 +217,6 @@ ClientReport DmpInetClient::run() {
           config_.read_rate_limit_bps[k] > 0.0) {
         path.budget_bytes -= static_cast<double>(n);
       }
-      path.last_rx_ns = now;
       const auto path32 = static_cast<std::uint32_t>(k);
       path.parser.feed(
           buffer.data(), static_cast<std::size_t>(n), [&](const Frame& frame) {
@@ -250,15 +224,19 @@ ClientReport DmpInetClient::run() {
               path.done = true;
               return;
             }
+            if (frame.packet_number > newest + kMaxFrameLead) {
+              throw std::runtime_error{
+                  "path " + std::to_string(k) + ": frame number " +
+                  std::to_string(frame.packet_number) + " is more than " +
+                  std::to_string(kMaxFrameLead) + " past the newest frame"};
+            }
+            newest = std::max(newest, frame.packet_number);
             path.last_seq = frame.packet_number;
             ++path.received;
-            const auto number = static_cast<std::size_t>(frame.packet_number);
-            if (number < seen.size() && seen[number]) {
-              ++duplicates;
-              return;
-            }
-            if (number >= seen.size()) seen.resize(number + 1, false);
-            seen[number] = true;
+            bool fresh = false;
+            dedup.on_deliver(static_cast<std::int64_t>(frame.packet_number),
+                             [&fresh](std::int64_t) { fresh = true; });
+            if (!fresh) return;
             arrivals.push_back(
                 Arrival{frame.packet_number, frame.generated_ns, now, path32});
             if (flight) {
@@ -314,7 +292,7 @@ ClientReport DmpInetClient::run() {
     report.received_per_path.push_back(path.received);
   }
   report.reconnects = reconnects;
-  report.duplicate_frames = duplicates;
+  report.duplicate_frames = dedup.counters().duplicates_suppressed;
   return report;
 }
 

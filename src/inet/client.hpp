@@ -27,8 +27,7 @@ struct ClientConfig {
   // lets tests and demos emulate a slow path over loopback.
   std::vector<double> read_rate_limit_bps{};
   // Reconnect policy.  A path is dead when its connection delivers EOF or a
-  // reset before the end-of-stream sentinel, or (with idle_timeout_ms > 0)
-  // when it stays silent that long.  Each outage grants
+  // reset before the end-of-stream sentinel.  Each outage grants
   // `reconnect_max_retries` connection attempts with exponential backoff;
   // a successful reconnect sends a resume hello naming the last frame
   // received on the path, and resets the budget.  The default of 0 retries
@@ -36,7 +35,6 @@ struct ClientConfig {
   int reconnect_max_retries = 0;
   int reconnect_backoff_ms = 50;        // first retry delay; doubles per try
   int reconnect_backoff_cap_ms = 2000;  // backoff ceiling
-  int idle_timeout_ms = 0;              // 0 = no idle-death detection
   // Optional wall-clock observability hub (not owned; may be null), bound
   // under "client": per-path `.path<k>.frames` counters, the
   // generation-to-arrival `.delay_s` histogram and sketch, a `.frames`
@@ -59,12 +57,16 @@ struct ClientReport {
   ClientReport() : trace(1.0) {}
 };
 
+// A frame numbered more than this beyond the newest frame received so far
+// (on any path) is corrupt: run() throws rather than grow its dedup table.
+inline constexpr std::uint64_t kMaxFrameLead = std::uint64_t{1} << 20;
+
 class DmpInetClient {
  public:
   explicit DmpInetClient(ClientConfig config);
 
   // Connects, reads until the server closes every path, and returns the
-  // assembled report.
+  // assembled report.  Throws on a frame number past kMaxFrameLead.
   ClientReport run();
 
  private:

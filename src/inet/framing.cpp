@@ -1,5 +1,7 @@
 #include "inet/framing.hpp"
 
+#include <time.h>
+
 #include <cstring>
 #include <stdexcept>
 
@@ -22,6 +24,13 @@ std::uint64_t get_u64(const unsigned char* in) {
 }
 
 }  // namespace
+
+std::uint64_t monotonic_ns() {
+  timespec ts{};
+  ::clock_gettime(CLOCK_MONOTONIC, &ts);
+  return static_cast<std::uint64_t>(ts.tv_sec) * 1'000'000'000ull +
+         static_cast<std::uint64_t>(ts.tv_nsec);
+}
 
 void encode_frame_header(const Frame& frame, unsigned char* buffer) {
   put_u64(buffer, frame.packet_number);

@@ -32,6 +32,9 @@ struct Frame {
   std::uint64_t generated_ns = 0;
 };
 
+// CLOCK_MONOTONIC in ns: the clock of `generated_ns` and of arrivals.
+std::uint64_t monotonic_ns();
+
 // Connection hello, sent by the client immediately after connect():
 //
 //   [0..7]   magic (little-endian uint64; rejects stray connections)

@@ -69,26 +69,4 @@ void Probe::tick() {
   }
 }
 
-WallClockProbe::WallClockProbe(MetricsRegistry& registry,
-                               std::vector<std::string> gauge_names,
-                               const std::string& csv_path,
-                               std::uint64_t interval_ns)
-    : writer_(registry, std::move(gauge_names), csv_path),
-      interval_ns_(interval_ns) {
-  if (interval_ns_ == 0) {
-    throw std::invalid_argument{"probe interval must be positive"};
-  }
-}
-
-void WallClockProbe::poll(std::uint64_t now_ns) {
-  if (!started_) {
-    started_ = true;
-    epoch_ns_ = now_ns;
-    next_ns_ = now_ns;
-  }
-  if (now_ns < next_ns_) return;
-  writer_.sample(static_cast<double>(now_ns - epoch_ns_) * 1e-9);
-  next_ns_ = now_ns + interval_ns_;
-}
-
 }  // namespace dmp::obs

@@ -3,11 +3,9 @@
 // `ProbeWriter` is the sampling core: given a registry and a list of gauge
 // names it appends one CSV row (time + gauge values) per `sample()` call.
 // `Probe` drives a ProbeWriter off the discrete-event `Scheduler` at a
-// fixed simulated interval; `WallClockProbe` is the poll-based variant for
-// the real-socket (`inet`) layer, where a single-threaded event loop calls
-// `poll()` opportunistically and the probe decides when enough wall time
-// has elapsed.  Nothing is scheduled and no file is opened until `start()`
-// / first use, so an unused probe costs nothing.
+// fixed simulated interval — the simulator's, or the stream clock the
+// real-socket (`inet`) server advances from its poll loop.  Nothing is
+// scheduled until `start()`, so an unstarted probe costs nothing.
 #pragma once
 
 #include <cstdint>
@@ -89,33 +87,6 @@ class Probe {
   SimTime interval_;
   SimTime end_ = SimTime::max();
   EventHandle timer_;
-};
-
-// Wall-clock probe for the inet layer: call `poll(now_ns)` from the event
-// loop; a sample is taken whenever `interval_ns` has elapsed since the
-// last one.  Timestamps are emitted relative to the first poll.
-class WallClockProbe {
- public:
-  WallClockProbe(MetricsRegistry& registry,
-                 std::vector<std::string> gauge_names,
-                 const std::string& csv_path, std::uint64_t interval_ns);
-
-  void poll(std::uint64_t now_ns);
-
-  void set_limits(std::size_t max_rows, std::size_t max_bytes) {
-    writer_.set_limits(max_rows, max_bytes);
-  }
-
-  std::size_t samples() const { return writer_.samples(); }
-  std::size_t dropped_rows() const { return writer_.dropped_rows(); }
-  bool ok() const { return writer_.ok(); }
-
- private:
-  ProbeWriter writer_;
-  std::uint64_t interval_ns_;
-  std::uint64_t epoch_ns_ = 0;
-  std::uint64_t next_ns_ = 0;
-  bool started_ = false;
 };
 
 }  // namespace dmp::obs

@@ -235,6 +235,13 @@ class Scheduler {
   // is then left unchanged).
   bool step(SimTime horizon = SimTime::max());
 
+  // Time of the earliest queued entry, or SimTime::max() when none is.  A
+  // lazily cancelled entry still counts, so a caller that sleeps until
+  // then (a poll loop driving run_until) may wake early, never late.
+  SimTime next_event_time() {
+    return cal_.empty() ? SimTime::max() : cal_.min().when;
+  }
+
   // Pending = queued entries + deferred keys parked in caller FIFOs, i.e.
   // every event that would have been queued before deferral existed.
   std::size_t pending_events() const { return cal_.size() + deferred_pending_; }

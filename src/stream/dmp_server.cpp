@@ -8,12 +8,13 @@
 namespace dmp {
 
 DmpStreamingServer::DmpStreamingServer(
-    Scheduler& sched, double mu_pps, std::vector<RenoSender*> senders,
+    Scheduler& sched, double mu_pps, std::vector<StreamSender*> senders,
     SimTime start, SimTime duration, std::unique_ptr<PathScheduler> scheduler,
     bool stored)
     : sched_(sched),
       senders_(std::move(senders)),
       period_(SimTime::seconds(1.0 / mu_pps)),
+      start_(start),
       end_(start + duration),
       scheduler_(std::move(scheduler)),
       stored_(stored) {
@@ -201,8 +202,7 @@ void DmpStreamingServer::on_path_down(std::size_t k) {
   // in their original order.  Segments already on the wire stay with TCP —
   // recovery is organic once the link returns.
   const auto tags = senders_[k]->reclaim_unsent();
-  queue_.insert(queue_.begin(), tags.begin(), tags.end());
-  max_queue_ = std::max(max_queue_, queue_.size());
+  requeue_front(tags);
   if (event_log_ && event_log_->enabled(obs::Severity::kInfo)) {
     event_log_->record(sched_.now().to_seconds(), obs::Severity::kInfo,
                        "reclaim",
@@ -219,6 +219,12 @@ void DmpStreamingServer::on_path_down(std::size_t k) {
   // Re-offer the (reclaimed) backlog to the surviving senders.
   scheduler_->on_offer();
   drain();
+}
+
+void DmpStreamingServer::requeue_front(
+    const std::vector<std::int64_t>& numbers) {
+  queue_.insert(queue_.begin(), numbers.begin(), numbers.end());
+  max_queue_ = std::max(max_queue_, queue_.size());
 }
 
 void DmpStreamingServer::on_path_up(std::size_t k) {

@@ -15,7 +15,9 @@
 // reproduces the paper's scheme decision-for-decision (golden-pinned);
 // the Section-7.4 static baseline is the `static` policy, and other
 // policies (weighted, best_path, round_robin, redundant, parity-k) reuse
-// this server core unchanged.
+// this server core unchanged.  Senders are StreamSenders: the simulated
+// RenoSender, or a real socket (inet::SocketPath) when the Section-6
+// socket server drives this core from its poll loop.
 //
 // The source is live (one packet every 1/mu seconds) or stored — the
 // paper's Section-3 remark that the scheme "is also applicable to
@@ -34,7 +36,7 @@
 #include "obs/hub.hpp"
 #include "sim/scheduler.hpp"
 #include "stream/scheduler/path_scheduler.hpp"
-#include "tcp/reno_sender.hpp"
+#include "tcp/stream_sender.hpp"
 #include "util/sim_time.hpp"
 
 namespace dmp {
@@ -47,7 +49,7 @@ class DmpStreamingServer {
   // policy.  `stored` swaps the live source for a stored video of
   // llround(mu * duration) packets, all queued at `start`.
   DmpStreamingServer(Scheduler& sched, double mu_pps,
-                     std::vector<RenoSender*> senders, SimTime start,
+                     std::vector<StreamSender*> senders, SimTime start,
                      SimTime duration,
                      std::unique_ptr<PathScheduler> scheduler = nullptr,
                      bool stored = false);
@@ -59,6 +61,10 @@ class DmpStreamingServer {
   // Peak backlog observed in the server queue (diagnostic: bounded by
   // mu * (time TCP lags behind generation)).
   std::size_t max_queue_length() const { return max_queue_; }
+  // Generation instant of packet `number` (all at `start` when stored).
+  SimTime generated_at(std::int64_t number) const {
+    return stored_ ? start_ : start_ + period_ * number;
+  }
 
   // Report tags: the source kind ("dmp" live, "stored") and the policy.
   const char* scheme_name() const { return stored_ ? "stored" : "dmp"; }
@@ -86,6 +92,11 @@ class DmpStreamingServer {
   void on_path_down(std::size_t k);
   void on_path_up(std::size_t k);
 
+  // Puts `numbers` back at the FRONT of the shared queue, in order: the
+  // path-down reclaim, and the socket server's resume replay.  Offers
+  // nothing; the caller's next hook (on_offer, on_path_up) drains.
+  void requeue_front(const std::vector<std::int64_t>& numbers);
+
  private:
   // Appends packet `next_number_` to the shared queue.
   void admit();
@@ -98,8 +109,9 @@ class DmpStreamingServer {
   void execute(const SchedDecision& decision);
 
   Scheduler& sched_;
-  std::vector<RenoSender*> senders_;
+  std::vector<StreamSender*> senders_;
   SimTime period_;
+  SimTime start_;
   SimTime end_;
   std::unique_ptr<PathScheduler> scheduler_;
   bool stored_;

@@ -210,7 +210,7 @@ SessionResult run_session(const SessionConfig& config) {
     video_tcp.jitter_seed = rng.next_u64();
   }
   std::vector<TcpConnection> video;
-  std::vector<RenoSender*> senders;
+  std::vector<StreamSender*> senders;
   for (std::size_t k = 0; k < config.num_flows; ++k) {
     DumbbellPath& target = config.correlated ? *paths[0] : *paths[k];
     video.push_back(

@@ -3,7 +3,8 @@
 // The application hands the sender MSS-sized "app packets" (each carrying an
 // opaque tag, e.g. the stream packet number) through a bounded send buffer.
 // `space()` and the space callback are the hook DMP-streaming uses: a sender
-// with free buffer space pulls more packets from the shared server queue.
+// with free buffer space pulls more packets from the shared server queue
+// (the StreamSender interface).
 #pragma once
 
 #include <cstdint>
@@ -15,26 +16,48 @@
 #include "net/packet.hpp"
 #include "obs/hub.hpp"
 #include "sim/scheduler.hpp"
+#include "tcp/stream_sender.hpp"
 #include "tcp/tcp_config.hpp"
 #include "util/rng.hpp"
 #include "util/sim_time.hpp"
 
 namespace dmp {
 
-class RenoSender {
+class RenoSender final : public StreamSender {
  public:
   RenoSender(Scheduler& sched, FlowId flow, TcpConfig config,
              PacketHandler network_out);
 
-  // --- application side ---
-  // Free send-buffer slots.
-  std::size_t space() const;
-  // Appends one segment carrying `app_tag`; returns false when the buffer is
-  // full.  Transmission is attempted immediately if the window allows.
-  bool enqueue(std::int64_t app_tag);
-  // Invoked whenever ACKs free buffer space (after the sender has already
-  // used the new window itself); the callback may call enqueue().
-  void set_space_callback(std::function<void()> cb) { space_cb_ = std::move(cb); }
+  // --- StreamSender: the application side ---
+  // Segments wait in a bounded send buffer and go out as soon as the
+  // window allows; the space callback runs when ACKs free buffer space,
+  // after the sender has used the new window itself.
+  std::size_t space() const override;
+  bool enqueue(std::int64_t app_tag) override;
+  void set_space_callback(std::function<void()> cb) override {
+    space_cb_ = std::move(cb);
+  }
+  // Pops the never-transmitted segments off the back of the send buffer;
+  // segments ever sent stay — their recovery is TCP's job.
+  std::vector<std::int64_t> reclaim_unsent() override;
+  std::vector<AtRiskSegment> transmitted_unacked() const override {
+    std::vector<AtRiskSegment> at_risk;
+    for (const auto& segment : segments_) {
+      if (segment.times_sent > 0) {
+        at_risk.push_back(AtRiskSegment{segment.app_tag, segment.last_sent});
+      }
+    }
+    return at_risk;
+  }
+  // Karn-filtered; 0 until the first valid sample.
+  double srtt_s() const override { return rtt_valid_ ? srtt_s_ : 0.0; }
+  // The head-of-line packet this sender's path is blocking; O(1).
+  std::int64_t oldest_unacked_tag() const override {
+    if (segments_.empty() || segments_.front().times_sent == 0) return -1;
+    return segments_.front().app_tag;
+  }
+  // Doubles per consecutive timeout, up to 64.
+  std::uint32_t rto_backoff() const override { return backoff_; }
 
   // --- network side ---
   void on_ack(const Packet& ack);
@@ -50,58 +73,12 @@ class RenoSender {
   // Segments enqueued and not yet cumulatively acknowledged.
   std::size_t buffered() const { return segments_.size(); }
   SimTime current_rto() const;
-  // Smoothed RTT estimate in seconds; 0 until the first valid sample
-  // (Karn-filtered).  Consumed by RTT-aware path schedulers.
-  double srtt_s() const { return rtt_valid_ ? srtt_s_ : 0.0; }
   const TcpSenderStats& stats() const { return stats_; }
   const TcpConfig& config() const { return config_; }
 
   // Reset cwnd after an application idle period (slow-start restart); used
   // by the HTTP background source between transfers.
   void idle_restart();
-
-  // Removes every segment that has never been transmitted from the back of
-  // the send buffer and returns their app tags in enqueue order.  Segments
-  // that are in flight (or were ever sent) stay — their recovery is TCP's
-  // job.  Used by the DMP server when a path fails: the dead sender's
-  // unsent share goes back to the shared queue so surviving paths carry it.
-  std::vector<std::int64_t> reclaim_unsent();
-
-  // One transmitted-but-unacked segment: the at-risk set when this
-  // sender's path fails (recovery is otherwise pinned to this sender's
-  // RTO backoff).  `last_sent` separates segments that may genuinely be
-  // caught in a blackhole (sent within ~one RTT of the fault) from older
-  // ones that were already delivered and merely lost their ACK.
-  struct AtRiskSegment {
-    std::int64_t app_tag = -1;
-    SimTime last_sent = SimTime::zero();
-  };
-
-  // Every segment transmitted at least once and not yet cumulatively
-  // acknowledged, in sequence order.  A redundant failover policy may
-  // re-send (a subset of) them on surviving paths; the client dedups.
-  std::vector<AtRiskSegment> transmitted_unacked() const {
-    std::vector<AtRiskSegment> at_risk;
-    for (const auto& segment : segments_) {
-      if (segment.times_sent > 0) {
-        at_risk.push_back(AtRiskSegment{segment.app_tag, segment.last_sent});
-      }
-    }
-    return at_risk;
-  }
-
-  // Current Karn backoff multiplier (1 = no backoff; doubles per
-  // consecutive timeout up to 64).  Exposed for failover diagnostics.
-  std::uint32_t rto_backoff() const { return backoff_; }
-
-  // App tag of the oldest transmitted-but-unacked segment (the head-of-line
-  // packet whose delivery this sender's path is currently blocking), or -1
-  // when nothing transmitted is outstanding.  O(1); consumed by redundancy
-  // policies that duplicate the most deadline-critical packet.
-  std::int64_t oldest_unacked_tag() const {
-    if (segments_.empty() || segments_.front().times_sent == 0) return -1;
-    return segments_.front().app_tag;
-  }
 
   // Binds the hub under `prefix` (optional; a no-op when never called):
   // `.{cwnd,ssthresh,srtt_s,rto_s,buffered}` gauges, counters mirroring

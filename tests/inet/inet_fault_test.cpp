@@ -4,13 +4,20 @@
 // have died in the broken connection's kernel buffers, and client-side
 // dedup keeps delivery exactly-once.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <future>
 #include <stdexcept>
+#include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "inet/client.hpp"
+#include "inet/framing.hpp"
 #include "inet/server.hpp"
+#include "inet/socket.hpp"
+#include "obs/hub.hpp"
 
 namespace dmp::inet {
 namespace {
@@ -103,6 +110,109 @@ TEST(InetFault, NoRetryBudgetMeansAResetClosesThePathForGood) {
   EXPECT_LE(report.frames_received, stats.packets_generated);
   EXPECT_GT(report.frames_received, stats.packets_generated / 2);
   EXPECT_EQ(report.duplicate_frames, 0u);
+}
+
+// A raw path client: connects and sends a fresh hello for `path`.
+Fd open_raw_path(std::uint16_t port, std::uint64_t path) {
+  Fd fd = connect_to_loopback(port);
+  unsigned char hello[kHelloBytes];
+  encode_hello(Hello{path, kFreshHello}, hello);
+  EXPECT_EQ(::write(fd.get(), hello, kHelloBytes),
+            static_cast<ssize_t>(kHelloBytes));
+  return fd;
+}
+
+// Reads frames from `fd` until EOF or `limit` frames; returns how many
+// arrived, and whether the end-of-stream sentinel was among them.
+std::pair<std::uint64_t, bool> read_raw_frames(const Fd& fd,
+                                               std::uint64_t limit) {
+  FrameParser parser;
+  std::uint64_t frames = 0;
+  bool sentinel = false;
+  unsigned char buffer[4096];
+  while (frames < limit) {
+    const ssize_t n = ::read(fd.get(), buffer, sizeof buffer);
+    if (n <= 0) break;
+    parser.feed(buffer, static_cast<std::size_t>(n), [&](const Frame& f) {
+      if (f.packet_number == kEndOfStream) {
+        sentinel = true;
+      } else {
+        ++frames;
+      }
+    });
+  }
+  return {frames, sentinel};
+}
+
+// Path 0's client reads 50 frames and closes its socket mid-stream while
+// path 1's client reads to the end.  The server's next write on path 0
+// fails; it must surface as an error, never as a process-killing SIGPIPE.
+struct PeerCloseRun {
+  ServerStats stats;
+  std::string error;  // what run() threw, if anything
+  std::uint64_t path1_frames = 0;
+  bool path1_sentinel = false;
+};
+
+PeerCloseRun run_with_peer_close(const std::string& faults,
+                                 obs::Hub* hub = nullptr) {
+  ServerConfig cfg;
+  cfg.num_paths = 2;
+  cfg.mu_pps = 400.0;
+  cfg.duration_s = 1.5;
+  cfg.faults = faults;
+  cfg.obs = hub;
+  DmpInetServer server(cfg);
+  auto server_future =
+      std::async(std::launch::async, [&server] { return server.run(); });
+  Fd path0 = open_raw_path(server.port(), 0);
+  Fd path1 = open_raw_path(server.port(), 1);
+  auto path1_future = std::async(std::launch::async, [&path1] {
+    return read_raw_frames(path1, ~std::uint64_t{0});
+  });
+  EXPECT_EQ(read_raw_frames(path0, 50).first, 50u);
+  path0.reset();
+
+  PeerCloseRun out;
+  try {
+    out.stats = server_future.get();
+  } catch (const std::runtime_error& e) {
+    out.error = e.what();
+  }
+  std::tie(out.path1_frames, out.path1_sentinel) = path1_future.get();
+  return out;
+}
+
+TEST(InetFault, PeerCloseUnderFaultsTakesThePathDown) {
+  // The scheduled reset lies past the stream; it only selects the faulted
+  // mode, where a dead connection takes its path down.
+  const PeerCloseRun run = run_with_peer_close("100 conn_reset path0");
+  EXPECT_EQ(run.error, "");
+  EXPECT_EQ(run.stats.conn_resets, 0u);
+  ASSERT_EQ(run.stats.sent_per_path.size(), 2u);
+  // Path 1 finishes the stream: it carries everything path 0 did not.
+  EXPECT_GE(run.stats.sent_per_path[0], 50u);
+  EXPECT_EQ(run.stats.sent_per_path[0] + run.stats.sent_per_path[1],
+            static_cast<std::uint64_t>(run.stats.packets_generated));
+  EXPECT_EQ(run.path1_frames, run.stats.sent_per_path[1]);
+  EXPECT_TRUE(run.path1_sentinel);
+}
+
+TEST(InetFault, PeerCloseWithoutFaultsFailsTheStream) {
+  obs::ObsConfig config;
+  config.enabled = true;
+  config.output_dir = ::testing::TempDir();
+  config.prefix = "inet_peer_close";
+  obs::Hub hub(config, obs::TelemetryConfig{});
+  const PeerCloseRun run = run_with_peer_close("", &hub);
+  EXPECT_EQ(run.error, "stream connection failed");
+  EXPECT_FALSE(run.path1_sentinel);
+  // The failed run left its gauges frozen: writing the hub reads no
+  // destroyed server state.
+  hub.write_artifacts();
+  const auto* depth = hub.metrics()->find_gauge("server.queue_depth");
+  ASSERT_NE(depth, nullptr);
+  EXPECT_GE(depth->value(), 0.0);
 }
 
 }  // namespace

@@ -1,16 +1,21 @@
 // Real-socket DMP streaming over loopback: framing, end-to-end delivery,
 // and the dynamic split under an artificially slow path.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <future>
 #include <memory>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "inet/client.hpp"
 #include "inet/framing.hpp"
 #include "inet/server.hpp"
+#include "inet/socket.hpp"
 #include "obs/hub.hpp"
+#include "obs/trace_analyzer.hpp"
 
 namespace dmp::inet {
 namespace {
@@ -229,6 +234,81 @@ TEST(InetObs, HubCountsMatchStreamCounts) {
   client_hub->write_artifacts();
   EXPECT_EQ(server_hub->artifact_write_failures(), 0);
   EXPECT_EQ(client_hub->artifact_write_failures(), 0);
+
+  // The written traces load like simulated ones: the same per-kind counts,
+  // and every client arrival matches a server pull of that packet on that
+  // path.  Server spans sit on the stream clock, as the simulator's do.
+  const auto server_trace =
+      obs::read_flight_trace_file(server_hub->config().trace_path());
+  const auto client_trace =
+      obs::read_flight_trace_file(client_hub->config().trace_path());
+  EXPECT_EQ(server_trace.epoch_ns(), 0);
+  EXPECT_EQ(server_trace.total_packets(), stats.packets_generated);
+  std::set<std::pair<std::int64_t, std::int32_t>> pulls;
+  std::uint64_t pull_spans = 0;
+  std::uint64_t generates = 0;
+  for (const auto& e : server_trace.events()) {
+    if (e.kind == obs::FlightEventKind::kPull) {
+      pulls.emplace(e.packet, e.path);
+      ++pull_spans;
+    }
+    generates += e.kind == obs::FlightEventKind::kGenerate ? 1 : 0;
+  }
+  EXPECT_EQ(pull_spans, sent);
+  EXPECT_EQ(generates, static_cast<std::uint64_t>(stats.packets_generated));
+  std::uint64_t arrivals = 0;
+  for (const auto& e : client_trace.events()) {
+    if (e.kind != obs::FlightEventKind::kArrive) continue;
+    ++arrivals;
+    EXPECT_EQ(pulls.count({e.packet, e.path}), 1u)
+        << "packet " << e.packet << " path " << e.path;
+  }
+  EXPECT_EQ(arrivals, static_cast<std::uint64_t>(report.frames_received));
+}
+
+// A frame number read off the wire is bounded before it reaches the dedup
+// table: a fake server sends one frame far past the newest, and the client
+// fails naming the path and the number instead of allocating for it.
+TEST(InetClient, RejectsFrameNumberFarBeyondNewest) {
+  std::uint16_t port = 0;
+  Fd listener = listen_on_loopback(0, &port);
+  const std::uint64_t bad = (std::uint64_t{1} << 63) + 7;
+  auto fake_server = std::async(std::launch::async, [&listener, bad] {
+    Fd conn = accept_with_timeout(listener, 5000);
+    if (!conn.valid()) return;
+    unsigned char hello[kHelloBytes];
+    for (std::size_t got = 0; got < kHelloBytes;) {
+      const ssize_t n = ::read(conn.get(), hello + got, kHelloBytes - got);
+      if (n <= 0) return;
+      got += static_cast<std::size_t>(n);
+    }
+    // Frame 5, then the farthest legal lead, then the corrupt number.
+    std::vector<unsigned char> wire;
+    for (const std::uint64_t number : {std::uint64_t{5}, 5 + kMaxFrameLead,
+                                       bad}) {
+      std::vector<unsigned char> frame(kDefaultFrameBytes, 0);
+      encode_frame_header(Frame{number, 0}, frame.data());
+      wire.insert(wire.end(), frame.begin(), frame.end());
+    }
+    if (::write(conn.get(), wire.data(), wire.size()) < 0) return;
+    // Hold the connection until the client gives up on it.
+    unsigned char sink[64];
+    while (::read(conn.get(), sink, sizeof sink) > 0) {
+    }
+  });
+
+  ClientConfig cfg;
+  cfg.port = port;
+  cfg.num_paths = 1;
+  try {
+    DmpInetClient{cfg}.run();
+    ADD_FAILURE() << "corrupt frame number accepted";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("path 0"), std::string::npos) << what;
+    EXPECT_NE(what.find(std::to_string(bad)), std::string::npos) << what;
+  }
+  fake_server.get();
 }
 
 TEST(InetStreaming, ThrottledPathReceivesSmallerShare) {

@@ -214,8 +214,6 @@ TEST(Probe, RejectsNonPositiveInterval) {
   EXPECT_THROW(Probe(sched, reg, {}, "probe_bad_interval.csv",
                      SimTime::zero()),
                std::invalid_argument);
-  EXPECT_THROW(WallClockProbe(reg, {}, "probe_bad_interval.csv", 0),
-               std::invalid_argument);
   std::remove("probe_bad_interval.csv");
 }
 
@@ -230,25 +228,6 @@ TEST(Probe, StopCancelsFutureSamples) {
   probe.stop();
   sched.run_until(SimTime::seconds(10));
   EXPECT_EQ(probe.samples(), 3u);  // t = 0, 1, 2
-  std::remove(path.c_str());
-}
-
-TEST(WallClockProbe, PollSamplesOnElapsedIntervals) {
-  MetricsRegistry reg;
-  reg.gauge("q").set(4.0);
-  const std::string path = "probe_wall_test.csv";
-  {
-    WallClockProbe probe(reg, {"q"}, path, 1'000'000'000ull);  // 1 s
-    const std::uint64_t epoch = 55'000'000'000ull;  // arbitrary clock origin
-    probe.poll(epoch);                        // first poll -> sample at t=0
-    probe.poll(epoch + 100'000'000ull);       // 0.1 s: too soon
-    probe.poll(epoch + 1'500'000'000ull);     // 1.5 s: second sample
-    probe.poll(epoch + 1'600'000'000ull);     // still within the interval
-    probe.poll(epoch + 3'100'000'000ull);     // 3.1 s: third sample
-    EXPECT_EQ(probe.samples(), 3u);
-  }
-  const std::string text = slurp(path);
-  EXPECT_EQ(count_lines(text), 4u);  // header + 3 rows
   std::remove(path.c_str());
 }
 

@@ -144,5 +144,27 @@ TEST(Scheduler, StepHonorsHorizon) {
   EXPECT_FALSE(sched.step(SimTime::max()));
 }
 
+// The poll-loop peek: the earliest queued instant, without running it.
+TEST(Scheduler, NextEventTimePeeksWithoutRunning) {
+  Scheduler sched;
+  EXPECT_EQ(sched.next_event_time(), SimTime::max());
+  int fired = 0;
+  sched.post_at(SimTime::millis(30), [&] { ++fired; });
+  sched.post_at(SimTime::millis(10), [&] { ++fired; });
+  EXPECT_EQ(sched.next_event_time(), SimTime::millis(10));
+  EXPECT_EQ(fired, 0);
+  EXPECT_EQ(sched.now(), SimTime::zero());
+  sched.run_until(SimTime::millis(20));
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(sched.next_event_time(), SimTime::millis(30));
+  // A cancelled timer still counts: a sleeper wakes early, never late.
+  EventHandle timer = sched.schedule_at(SimTime::millis(25), [&] { ++fired; });
+  timer.cancel();
+  EXPECT_EQ(sched.next_event_time(), SimTime::millis(25));
+  sched.run();
+  EXPECT_EQ(fired, 2);
+  EXPECT_EQ(sched.next_event_time(), SimTime::max());
+}
+
 }  // namespace
 }  // namespace dmp

@@ -38,7 +38,7 @@ struct TwoPathRig {
     });
     server = std::make_unique<DmpStreamingServer>(
         sched, mu_pps,
-        std::vector<RenoSender*>{c1.sender.get(), c2.sender.get()},
+        std::vector<StreamSender*>{c1.sender.get(), c2.sender.get()},
         SimTime::zero(), SimTime::seconds(duration_s));
   }
 

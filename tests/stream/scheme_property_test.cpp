@@ -130,7 +130,7 @@ class DmpSplitSweep : public ::testing::TestWithParam<double> {};
 TEST_P(DmpSplitSweep, SplitTracksCapacityRatio) {
   const double bw_ratio = GetParam();
   Rig rig(3e6, 3e6 / bw_ratio, 9);
-  std::vector<RenoSender*> senders{rig.c1.sender.get(), rig.c2.sender.get()};
+  std::vector<StreamSender*> senders{rig.c1.sender.get(), rig.c2.sender.get()};
   // Saturating load so the split reflects achievable throughputs.
   DmpStreamingServer server(rig.sched, 400.0, senders, SimTime::zero(),
                             SimTime::seconds(120));
