@@ -35,9 +35,9 @@ void BM_SchedulerEventChurn(benchmark::State& state) {
     Scheduler sched;
     std::int64_t count = 0;
     std::function<void()> tick = [&] {
-      if (++count < 10000) sched.schedule_after(SimTime::micros(10), tick);
+      if (++count < 10000) sched.post_after(SimTime::micros(10), tick);
     };
-    sched.schedule_at(SimTime::zero(), tick);
+    sched.post_at(SimTime::zero(), tick);
     sched.run();
     benchmark::DoNotOptimize(count);
   }

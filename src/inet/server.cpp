@@ -97,14 +97,16 @@ ServerStats DmpInetServer::run() {
     core->bind(*hub, "server");
     hub->start_probe(sched, {"server.queue_depth"}, SimTime::max());
   }
-  // The hub's gauges sample the core, which dies with this frame: freeze
-  // them on every way out, a thrown error included.
-  struct FreezeGauges {
+  // The hub's probe runs on this frame's scheduler and its gauges sample
+  // the core, which die with the frame: stop the one and freeze the
+  // others on every way out, a thrown error included.
+  struct DetachHub {
     obs::Hub* hub;
-    ~FreezeGauges() {
+    ~DetachHub() {
+      if (hub) hub->stop_probe();
       if (hub && hub->metrics()) hub->metrics()->freeze_gauges();
     }
-  } freeze_gauges{hub};
+  } detach_hub{hub};
 
   const auto connect_path = [&](std::size_t k, Fd fd) {
     set_no_delay(fd);

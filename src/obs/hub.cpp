@@ -116,13 +116,16 @@ void Hub::start_probe(Scheduler& sched, std::vector<std::string> columns,
   probe_->start(end);
 }
 
+void Hub::stop_probe() {
+  if (!probe_) return;
+  probe_->stop();
+  probe_rows_dropped_ = probe_->dropped_rows();
+  if (!probe_->ok()) ++write_failures_;
+  probe_.reset();  // holds the run's scheduler
+}
+
 void Hub::write_artifacts() {
-  if (probe_) {
-    probe_->stop();
-    probe_rows_dropped_ = probe_->dropped_rows();
-    if (!probe_->ok()) ++write_failures_;
-    probe_.reset();  // holds the run's scheduler
-  }
+  stop_probe();
   if (flight_ && !flight_->write_jsonl(config_.trace_path())) {
     ++write_failures_;
   }

@@ -82,6 +82,8 @@ class Hub {
   // metrics are on and the interval is positive.
   void start_probe(Scheduler& sched, std::vector<std::string> columns,
                    SimTime end);
+  // Stops the probe; call before its scheduler dies.
+  void stop_probe();
   std::uint64_t probe_rows_dropped() const { return probe_rows_dropped_; }
 
   // End of run: stops the probe, freezes gauges (the instrumented objects

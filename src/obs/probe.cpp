@@ -46,7 +46,9 @@ Probe::Probe(Scheduler& sched, MetricsRegistry& registry,
              SimTime interval)
     : sched_(sched),
       writer_(registry, std::move(gauge_names), csv_path),
-      interval_(interval) {
+      interval_(interval),
+      timer_(sched.register_timer(&Probe::tick_port, this,
+                                  EventCategory::kProbe)) {
   // A non-positive interval would re-tick at the same instant forever.
   if (interval_ <= SimTime::zero()) {
     throw std::invalid_argument{"probe interval must be positive"};
@@ -58,15 +60,12 @@ void Probe::start(SimTime end) {
   tick();
 }
 
-void Probe::stop() { timer_.cancel(); }
+void Probe::stop() { sched_.disarm(timer_); }
 
 void Probe::tick() {
   writer_.sample(sched_.now().to_seconds());
   const SimTime next = sched_.now() + interval_;
-  if (next <= end_) {
-    timer_ = sched_.schedule_at(next, [this] { tick(); },
-                                EventCategory::kProbe);
-  }
+  if (next <= end_) sched_.arm(timer_, next);
 }
 
 }  // namespace dmp::obs

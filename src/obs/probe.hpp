@@ -81,12 +81,13 @@ class Probe {
 
  private:
   void tick();
+  static void tick_port(void* ctx) { static_cast<Probe*>(ctx)->tick(); }
 
   Scheduler& sched_;
   ProbeWriter writer_;
   SimTime interval_;
   SimTime end_ = SimTime::max();
-  EventHandle timer_;
+  std::uint32_t timer_;
 };
 
 }  // namespace dmp::obs

@@ -2,14 +2,14 @@
 
 #include <algorithm>
 #include <chrono>
+#include <functional>
 #include <stdexcept>
 #include <utility>
 
 namespace dmp {
 
-void Scheduler::push(SimTime when, EventFn fn, std::uint32_t slot,
-                     EventCategory cat) {
-  if (when < now_) throw std::invalid_argument{"schedule_at: time in the past"};
+void Scheduler::post_at(SimTime when, EventFn fn, EventCategory cat) {
+  if (when < now_) throw std::invalid_argument{"post_at: time in the past"};
   std::uint32_t fn_index;
   if (!free_fns_.empty()) {
     fn_index = free_fns_.back();
@@ -21,25 +21,8 @@ void Scheduler::push(SimTime when, EventFn fn, std::uint32_t slot,
     fn_cats_.push_back(0);
   }
   fn_cats_[fn_index] = static_cast<std::uint8_t>(cat);
-  push_entry(Entry{when, next_seq_++, fn_index, slot});
+  push_entry(Entry{when, next_seq_++, fn_index});
   max_pending_ = std::max(max_pending_, pending_events());
-}
-
-EventHandle Scheduler::schedule_at(SimTime when, EventFn fn,
-                                   EventCategory cat) {
-  const std::uint32_t slot = pool_->acquire();
-  const std::uint32_t gen = pool_->slots[slot].gen;
-  push(when, std::move(fn), slot, cat);
-  return EventHandle{pool_, slot, gen};
-}
-
-EventHandle Scheduler::schedule_after(SimTime delay, EventFn fn,
-                                      EventCategory cat) {
-  return schedule_at(now_ + delay, std::move(fn), cat);
-}
-
-void Scheduler::post_at(SimTime when, EventFn fn, EventCategory cat) {
-  push(when, std::move(fn), kNoSlot, cat);
 }
 
 void Scheduler::post_after(SimTime delay, EventFn fn, EventCategory cat) {
@@ -52,92 +35,117 @@ std::uint32_t Scheduler::register_port(PortFn fn, void* ctx,
   return static_cast<std::uint32_t>(ports_.size() - 1);
 }
 
+// Runs `fn`, charged to category `cat` when a profile is attached.
+template <typename F>
+void Scheduler::call(std::uint8_t cat, F&& fn) {
+  if (profile_ == nullptr) {
+    fn();
+    return;
+  }
+  auto& stats = profile_->by_category[cat < kNumEventCategories ? cat : 0];
+  ++stats.executed;
+  if (!time_events_) {
+    fn();
+    return;
+  }
+  const auto t0 = std::chrono::steady_clock::now();
+  fn();
+  stats.wall_ns += static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - t0)
+          .count());
+}
+
 void Scheduler::dispatch(const Entry& e) {
   now_ = e.when;
   ++executed_;
   if (e.fn_index & kPortBit) {
     const Port port = ports_[e.fn_index & ~kPortBit];
-    if (profile_ == nullptr) {
-      port.fn(port.ctx);
-      return;
-    }
-    auto& stats = profile_->by_category[port.cat < kNumEventCategories
-                                            ? port.cat
-                                            : 0];
-    ++stats.executed;
-    if (time_events_) {
-      const auto t0 = std::chrono::steady_clock::now();
-      port.fn(port.ctx);
-      const auto t1 = std::chrono::steady_clock::now();
-      stats.wall_ns += static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
-              .count());
-    } else {
-      port.fn(port.ctx);
-    }
+    call(port.cat, [&port] { port.fn(port.ctx); });
     return;
   }
   EventFn fn = std::move(fns_[e.fn_index]);
   const std::uint8_t cat = fn_cats_[e.fn_index];
   free_fns_.push_back(e.fn_index);
-  if (profile_ == nullptr) {
-    fn();
-  } else {
-    auto& stats = profile_->by_category[cat < kNumEventCategories ? cat : 0];
-    ++stats.executed;
-    if (time_events_) {
-      const auto t0 = std::chrono::steady_clock::now();
-      fn();
-      const auto t1 = std::chrono::steady_clock::now();
-      stats.wall_ns += static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
-              .count());
+  call(cat, fn);
+}
+
+std::uint32_t Scheduler::register_timer(PortFn fn, void* ctx,
+                                        EventCategory cat) {
+  timers_.push_back(Timer{.port = register_port(fn, ctx, cat)});
+  return static_cast<std::uint32_t>(timers_.size() - 1);
+}
+
+void Scheduler::arm(std::uint32_t timer, SimTime when) {
+  if (when < now_) throw std::invalid_argument{"arm: time in the past"};
+  Timer& t = timers_[timer];
+  if (t.armed) supersede(t);
+  t.key = Deferred{when, next_seq_++};
+  t.armed = true;
+  const bool exact = exact_counters();
+  // In place: a deadline at or after the queued entry (a fresh seq orders
+  // after it at the same nanosecond) only moves the key.
+  if (!exact && t.queued.seq != kNoEntry && !(when < t.queued.when)) return;
+  t.queued = t.key;
+  t.tally = exact;
+  push_entry(
+      Entry{when, t.key.seq, timer | kTimerBit | (exact ? kTallyBit : 0)});
+  max_pending_ = std::max(max_pending_, pending_events());
+}
+
+void Scheduler::disarm(std::uint32_t timer) {
+  Timer& t = timers_[timer];
+  if (!t.armed) return;
+  supersede(t);
+  t.armed = false;
+}
+
+// The armed deadline of `t` is dropped unfired.  An entry pushed for it
+// under exact counters counts when it pops; otherwise the deadline counts
+// once a run_until horizon covers it, where its own entry would have
+// popped.
+void Scheduler::supersede(const Timer& t) {
+  if (t.tally && t.queued.seq == t.key.seq) return;
+  if (t.key.when <= horizon_) {
+    ++cancelled_;
+    return;
+  }
+  late_.push_back(t.key.when);
+  std::push_heap(late_.begin(), late_.end(), std::greater<>{});
+}
+
+// A timer entry popped.  It fires only as the timer's queued entry under
+// an unchanged key, dispatched through the timer's port; anything else is
+// a skip.  The queued entry of a timer re-armed later pushes itself under
+// the current key.
+bool Scheduler::timer_due(Entry& e) {
+  const std::uint32_t id = e.fn_index & kIndexMask;
+  Timer& t = timers_[id];
+  const bool queued = e.seq == t.queued.seq;
+  if (queued && t.armed && t.key.seq == e.seq) {
+    t.armed = false;
+    t.queued.seq = kNoEntry;
+    e.fn_index = t.port | kPortBit;
+    return true;
+  }
+  if (e.fn_index & kTallyBit) ++cancelled_;
+  if (queued) {
+    t.tally = false;
+    if (t.armed) {
+      t.queued = t.key;
+      push_entry(Entry{t.key.when, t.key.seq, id | kTimerBit});
     } else {
-      fn();
+      t.queued.seq = kNoEntry;
     }
   }
+  return false;
 }
 
 bool Scheduler::step(SimTime horizon) {
   while (!cal_.empty()) {
     if (cal_.min().when > horizon) return false;
-    const Entry top = cal_.pop_min();
-    if (!(top.fn_index & kPortBit) && top.slot != kNoSlot) {
-      // Release the callable slab slot before the cancellation check so
-      // cancelled entries recycle their storage exactly like fired ones.
-      EventFn fn = std::move(fns_[top.fn_index]);
-      const std::uint8_t cat = fn_cats_[top.fn_index];
-      free_fns_.push_back(top.fn_index);
-      // The slot is released exactly once — here — so its generation still
-      // matches this entry's and `cancelled` is this entry's flag.
-      const bool was_cancelled = pool_->slots[top.slot].cancelled;
-      pool_->release(top.slot);  // the handle goes dead before fn() runs
-      if (was_cancelled) {
-        ++cancelled_;
-        continue;
-      }
-      now_ = top.when;
-      ++executed_;
-      if (logging_) log_.push(PopRecord{top.when, top.seq, next_seq_}, top.when);
-      if (profile_ == nullptr) {
-        fn();
-      } else {
-        auto& stats =
-            profile_->by_category[cat < kNumEventCategories ? cat : 0];
-        ++stats.executed;
-        if (time_events_) {
-          const auto t0 = std::chrono::steady_clock::now();
-          fn();
-          const auto t1 = std::chrono::steady_clock::now();
-          stats.wall_ns += static_cast<std::uint64_t>(
-              std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
-                  .count());
-        } else {
-          fn();
-        }
-      }
-      return true;
-    }
+    Entry top = cal_.pop_min();
+    if ((top.fn_index & kTimerBit) && !timer_due(top)) continue;
     if (logging_) log_.push(PopRecord{top.when, top.seq, next_seq_}, top.when);
     dispatch(top);
     return true;
@@ -147,9 +155,17 @@ bool Scheduler::step(SimTime horizon) {
 
 std::uint64_t Scheduler::run_until(SimTime horizon) {
   const std::uint64_t before = events_executed();
+  const SimTime outer = std::exchange(horizon_, horizon);
   while (step(horizon)) {
   }
+  horizon_ = outer;
   if (horizon != SimTime::max() && now_ < horizon) now_ = horizon;
+  // Deadlines superseded past an earlier horizon count once one covers it.
+  while (!late_.empty() && late_.front() <= horizon) {
+    std::pop_heap(late_.begin(), late_.end(), std::greater<>{});
+    late_.pop_back();
+    ++cancelled_;
+  }
   // The end of a run is a position too: every virtual event at or before
   // (now, next claim) has passed, and claims made between runs order
   // after it.
@@ -247,15 +263,17 @@ bool Scheduler::virtual_ahead(std::uint64_t id) const {
   return resolve(id) == kUnresolved;
 }
 
-std::uint64_t Scheduler::virtual_passed() const {
+Scheduler::Ahead Scheduler::virtual_ahead_totals() const {
   // An event still ahead is never dropped from the ring (it is not older
-  // than the clock), so scanning the kept ones counts every one that has
-  // not passed.
-  std::uint64_t ahead = 0;
+  // than the clock), so scanning the kept ones finds every one.
+  Ahead ahead;
   for (std::uint64_t id = vtx_.begin; id < vtx_.end; ++id) {
-    if (virtual_ahead(id)) ++ahead;
+    if (virtual_ahead(id)) {
+      ++ahead.events;
+      ahead.claims += vtx_[id].chained ? 2 : 1;
+    }
   }
-  return vtx_.end - ahead;
+  return ahead;
 }
 
 }  // namespace dmp

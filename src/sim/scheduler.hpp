@@ -2,9 +2,7 @@
 //
 // Entries are (time, sequence, callback) triples.  Entries scheduled at the
 // same instant fire in scheduling order (FIFO tie-break), which keeps runs
-// deterministic.  Cancellation is lazy: `EventHandle::cancel()` marks the
-// entry and the run loop skips it when popped — O(1) cancel, no queue
-// surgery, which suits TCP timers that are rescheduled on every ACK.
+// deterministic.
 //
 // The priority queue is a calendar queue (src/sim/calendar_queue.hpp),
 // O(1) amortized; it pops in strictly increasing (when, seq) order, so the
@@ -13,14 +11,15 @@
 //
 // Hot-path cost model: callables live in a pooled slab of EventFn slots
 // (inline storage, no per-event heap allocation) and queue entries carry
-// only {time, seq, slot indexes} — 24 trivially-movable bytes — so queue
-// operations never touch the callable.  The common case (a link delivery,
-// a CBR tick) never cancels, so `post_at` / `post_after` skip cancellation
-// bookkeeping entirely.  `schedule_at` / `schedule_after` return a
-// cancellable EventHandle backed by a pooled generation-stamped slot: slots
-// are recycled through free lists, so steady-state timer churn allocates
-// nothing.  Handles stay safe after the scheduler dies (the slot pool is
-// shared) — they simply report `pending() == false`.
+// only {time, seq, callable index} — 24 trivially-movable bytes — so queue
+// operations never touch the callable.  Nothing posted is cancellable.
+//
+// Re-armable timers: an owner with one deadline at a time (an RTO, a
+// delayed ACK, a probe tick) registers a timer once and re-arms it in
+// place.  Every arm claims its key at call time, as a cancel-and-push
+// timer would; the timer keeps one queued entry, which fires or, on a
+// later key, pushes itself again when it pops.  Under `exact_counters()`
+// every arm pushes its own entry (docs/DES_ENGINE.md).
 //
 // Ports + deferred events (the batched-dequeue fast path): an object whose
 // events always run the same member function registers a raw function
@@ -42,14 +41,13 @@
 // after every real claim made before the event's key passes, before every
 // one made after (the tie rule, docs/DES_ENGINE.md).  A log of real pops
 // answers "when did it pass" for same-nanosecond ties.  Virtual events
-// count in `events_executed()` once they pass, but not in
-// `pending_events()` / `max_events_pending()` / `events_scheduled()`,
+// count in `events_executed()` and their claims in `events_scheduled()`
+// once they pass, but not in `pending_events()` / `max_events_pending()`,
 // which are exact only while no link is lazy.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
-#include <memory>
 #include <stdexcept>
 #include <vector>
 
@@ -60,68 +58,6 @@
 
 namespace dmp {
 
-class Scheduler;
-
-namespace detail {
-
-// Generation-stamped cancellation slots.  A slot matches a handle only
-// while the generations agree; firing or skipping an event bumps the
-// generation and recycles the slot.
-struct SlotPool {
-  struct Slot {
-    std::uint32_t gen = 0;
-    bool cancelled = false;
-  };
-  std::vector<Slot> slots;
-  std::vector<std::uint32_t> free_list;
-
-  std::uint32_t acquire() {
-    if (!free_list.empty()) {
-      const std::uint32_t idx = free_list.back();
-      free_list.pop_back();
-      return idx;
-    }
-    slots.push_back(Slot{});
-    return static_cast<std::uint32_t>(slots.size() - 1);
-  }
-
-  void release(std::uint32_t idx) {
-    ++slots[idx].gen;
-    slots[idx].cancelled = false;
-    free_list.push_back(idx);
-  }
-
-  bool live(std::uint32_t idx, std::uint32_t gen) const {
-    return slots[idx].gen == gen;
-  }
-};
-
-}  // namespace detail
-
-// Shared cancellation token for a scheduled event.
-class EventHandle {
- public:
-  EventHandle() = default;
-
-  // True while the event is scheduled and not cancelled / fired.
-  bool pending() const {
-    return pool_ && pool_->live(slot_, gen_) && !pool_->slots[slot_].cancelled;
-  }
-  void cancel() {
-    if (pool_ && pool_->live(slot_, gen_)) pool_->slots[slot_].cancelled = true;
-  }
-
- private:
-  friend class Scheduler;
-  EventHandle(std::shared_ptr<detail::SlotPool> pool, std::uint32_t slot,
-              std::uint32_t gen)
-      : pool_(std::move(pool)), slot_(slot), gen_(gen) {}
-
-  std::shared_ptr<detail::SlotPool> pool_;
-  std::uint32_t slot_ = 0;
-  std::uint32_t gen_ = 0;
-};
-
 class Scheduler {
  public:
   Scheduler() : cal_(EntryLess{this}) {}
@@ -130,17 +66,10 @@ class Scheduler {
 
   SimTime now() const { return now_; }
 
-  // Schedule `fn` at absolute time `when` (must be >= now()).  The
-  // category tags the event for the optional profiler; kOther is free to
-  // leave in place at call sites nobody profiles.
-  EventHandle schedule_at(SimTime when, EventFn fn,
-                          EventCategory cat = EventCategory::kOther);
-  // Schedule `fn` after a relative delay (must be >= 0).
-  EventHandle schedule_after(SimTime delay, EventFn fn,
-                             EventCategory cat = EventCategory::kOther);
-
-  // Fire-and-forget variants for events that are never cancelled (packet
-  // deliveries, generator ticks): no slot, no handle, no shared state.
+  // Run `fn` at absolute time `when` (must be >= now()), or after a
+  // relative delay (must be >= 0).  The category tags the event for the
+  // optional profiler; kOther is free to leave in place at call sites
+  // nobody profiles.
   void post_at(SimTime when, EventFn fn,
                EventCategory cat = EventCategory::kOther);
   void post_after(SimTime delay, EventFn fn,
@@ -156,6 +85,17 @@ class Scheduler {
   // Defined inline below: these run once per simulated packet hop.
   void post_port_at(SimTime when, std::uint32_t port);
   void post_port_after(SimTime delay, std::uint32_t port);
+
+  // --- re-armable timers (see header comment) ---
+  // Registered once per owner, never unregistered; the context must
+  // outlive every armed deadline.  `arm` replaces any armed deadline with
+  // one at `when` (must be >= now()); a timer is disarmed as it fires, so
+  // its callback may re-arm it.
+  std::uint32_t register_timer(PortFn fn, void* ctx,
+                               EventCategory cat = EventCategory::kOther);
+  void arm(std::uint32_t timer, SimTime when);
+  void disarm(std::uint32_t timer);
+  bool armed(std::uint32_t timer) const { return timers_[timer].armed; }
 
   // --- deferred events: caller-owned FIFOs with one armed head ---
   // `defer_at` claims the event's (when, seq) key NOW — bumping the
@@ -204,7 +144,7 @@ class Scheduler {
   // Inserts an entry under an already claimed key (real or virtual) for
   // port dispatch; unlike arm_deferred it touches no pending counter.
   void arm_key(SimTime when, std::uint64_t seq, std::uint32_t port) {
-    push_entry(Entry{when, seq, port | kPortBit, kNoSlot});
+    push_entry(Entry{when, seq, port | kPortBit});
   }
 
   // Marks this run as one that reads pending_events(), max_events_pending()
@@ -236,8 +176,9 @@ class Scheduler {
   bool step(SimTime horizon = SimTime::max());
 
   // Time of the earliest queued entry, or SimTime::max() when none is.  A
-  // lazily cancelled entry still counts, so a caller that sleeps until
-  // then (a poll loop driving run_until) may wake early, never late.
+  // timer entry whose deadline was superseded or moved later still counts,
+  // so a caller that sleeps until then (a poll loop driving run_until) may
+  // wake early, never late.
   SimTime next_event_time() {
     return cal_.empty() ? SimTime::max() : cal_.min().when;
   }
@@ -247,23 +188,27 @@ class Scheduler {
   std::size_t pending_events() const { return cal_.size() + deferred_pending_; }
   std::size_t events_pending() const { return pending_events(); }
 
-  // Lifetime work counters.  Lazily-cancelled entries popped off the queue
-  // are counted separately from executed events, so scheduler metrics
-  // distinguish real work from cancel skips (TCP timers are rescheduled on
-  // every ACK, so skips can rival executions).  Executed counts the
-  // virtual events that have passed.
+  // Lifetime work counters.  Cancelled counts superseded timer deadlines
+  // (exactly those a cancel-and-push timer pops, after every run_until).
+  // Executed and scheduled count the passed virtual events and claims.
   std::uint64_t events_executed() const {
-    return executed_ + virtual_passed();
+    return executed_ + vtx_.end - virtual_ahead_totals().events;
   }
   std::uint64_t events_cancelled() const { return cancelled_; }
-  std::uint64_t events_scheduled() const { return next_seq_; }
+  std::uint64_t events_scheduled() const {
+    return next_seq_ + virtual_claims_ - virtual_ahead_totals().claims;
+  }
   // High-water mark of pending events (queued + deferred).
   std::size_t max_events_pending() const { return max_pending_; }
 
  private:
-  static constexpr std::uint32_t kNoSlot = 0xFFFFFFFFu;
-  // fn_index values with this bit set index ports_, not the EventFn slab.
+  // fn_index values with kPortBit set index ports_, with kTimerBit set
+  // timers_ (kTallyBit: counts as cancelled if it pops unfired), and
+  // otherwise the EventFn slab.
   static constexpr std::uint32_t kPortBit = 0x80000000u;
+  static constexpr std::uint32_t kTimerBit = 0x40000000u;
+  static constexpr std::uint32_t kTallyBit = 0x20000000u;
+  static constexpr std::uint32_t kIndexMask = 0x1FFFFFFFu;
 
   // Queue entries are deliberately tiny and trivially movable: the callable
   // sits in the fns_ slab (or a port), referenced by index, so queue
@@ -271,8 +216,7 @@ class Scheduler {
   struct Entry {
     SimTime when;
     std::uint64_t seq;       // a real claim, or virtual_seq(...)
-    std::uint32_t fn_index;  // into fns_, or ports_ when kPortBit is set
-    std::uint32_t slot;      // kNoSlot for fire-and-forget posts
+    std::uint32_t fn_index;  // into fns_, ports_ or timers_ (see above)
   };
   // (when, seq) order.  Two real seqs compare as integers; the tie rule
   // runs only when two entries share a `when` and one seq is virtual.
@@ -303,6 +247,8 @@ class Scheduler {
     // Log index of the first pop that can lie past the event: pops logged
     // before it was added ran before it.
     std::uint64_t first;
+    // A successor's key is this event's claim 1: it claims two keys, not one.
+    bool chained;
   };
   // One real pop (or run_until's end mark): its key and the real-claim
   // counter when it began.
@@ -356,10 +302,29 @@ class Scheduler {
   std::uint64_t resolve(std::uint64_t id) const;
   // Logged pop i lies past virtual event `event`'s key.
   bool pop_past(const VirtualEvent& event, std::uint64_t i) const;
-  std::uint64_t virtual_passed() const;
+  // The virtual events still ahead and the claims they will make.
+  struct Ahead {
+    std::uint64_t events = 0;
+    std::uint64_t claims = 0;
+  };
+  Ahead virtual_ahead_totals() const;
 
-  void push(SimTime when, EventFn fn, std::uint32_t slot, EventCategory cat);
+  // --- timers ---
+  static constexpr std::uint64_t kNoEntry = ~std::uint64_t{0};
+  struct Timer {
+    std::uint32_t port;  // callback and category, dispatched as a port
+    bool armed = false;
+    bool tally = false;  // `queued` carries kTallyBit
+    Deferred key{};      // the deadline, while armed
+    // The entry that fires or re-pushes; seq kNoEntry when none is queued.
+    Deferred queued{SimTime::zero(), kNoEntry};
+  };
+  void supersede(const Timer& t);
+  bool timer_due(Entry& e);
+
   void push_entry(const Entry& e) { cal_.push(e); }
+  template <typename F>
+  void call(std::uint8_t cat, F&& fn);
   void dispatch(const Entry& e);
 
   SimTime now_ = SimTime::zero();
@@ -371,17 +336,22 @@ class Scheduler {
   SchedProfile* profile_ = nullptr;  // not owned; null = no attribution
   bool time_events_ = false;
   bool exact_counters_ = false;
-  std::shared_ptr<detail::SlotPool> pool_ =
-      std::make_shared<detail::SlotPool>();
   std::vector<EventFn> fns_;               // slab of pending callables
   std::vector<std::uint8_t> fn_cats_;      // category byte, parallel to fns_
   std::vector<std::uint32_t> free_fns_;    // recycled slab indexes
   std::vector<Port> ports_;
+  std::vector<Timer> timers_;
+  // The running run_until's horizon (-1 between runs): a deadline
+  // superseded at or before it counts at once, a later one waits in
+  // `late_` (a min-heap) for the run whose horizon covers it.
+  SimTime horizon_ = SimTime::nanos(-1);
+  std::vector<SimTime> late_;
   CalendarQueue<Entry, EntryLess> cal_;
 
   // Virtual-event state, empty until the first add_virtual.  `c` is
   // memoized from const lookups, hence mutable.
   mutable WindowRing<VirtualEvent> vtx_;
+  std::uint64_t virtual_claims_ = 0;  // claims of every virtual event added
   // The real pops since the first add_virtual.
   bool logging_ = false;
   WindowRing<PopRecord> log_;
@@ -393,7 +363,7 @@ inline void Scheduler::post_port_at(SimTime when, std::uint32_t port) {
   if (when < now_) {
     throw std::invalid_argument{"post_port_at: time in the past"};
   }
-  push_entry(Entry{when, next_seq_++, port | kPortBit, kNoSlot});
+  push_entry(Entry{when, next_seq_++, port | kPortBit});
   if (pending_events() > max_pending_) max_pending_ = pending_events();
 }
 
@@ -422,7 +392,13 @@ inline std::uint64_t Scheduler::add_virtual(SimTime when, std::uint64_t sigma,
   if (when < now_) throw std::invalid_argument{"add_virtual: time in the past"};
   if (lookback > log_.window) widen_lookback(lookback);  // also starts the log
   const std::uint64_t id = vtx_.end;
-  vtx_.push(VirtualEvent{when, sigma, kUnresolved, log_.end}, now_);
+  vtx_.push(VirtualEvent{when, sigma, kUnresolved, log_.end, false}, now_);
+  // Its delivery claim, and its predecessor's claim 1 when chained.
+  virtual_claims_ += 1;
+  if (is_virtual(sigma)) {
+    vtx_[virtual_id(sigma)].chained = true;
+    virtual_claims_ += 1;
+  }
   return id;
 }
 
@@ -449,7 +425,7 @@ inline void Scheduler::arm_deferred(const Deferred& d, std::uint32_t port) {
   // Moves one event from a caller FIFO into the queue: total pending is
   // unchanged, so no high-water update.
   --deferred_pending_;
-  push_entry(Entry{d.when, d.seq, port | kPortBit, kNoSlot});
+  push_entry(Entry{d.when, d.seq, port | kPortBit});
 }
 
 }  // namespace dmp

@@ -115,6 +115,10 @@ struct SessionResult {
   std::vector<PathMeasurement> paths;
   std::int64_t packets_generated = 0;
   std::uint64_t events_executed = 0;
+  // The scheduler's superseded timer deadlines and claimed event keys;
+  // like events_executed, the same whether links run lazy or eager.
+  std::uint64_t events_cancelled = 0;
+  std::uint64_t events_scheduled = 0;
   // Fault events replayed from `config.faults` (0 for fault-free runs).
   std::uint64_t fault_events_fired = 0;
 

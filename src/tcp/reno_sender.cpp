@@ -16,6 +16,8 @@ RenoSender::RenoSender(Scheduler& sched, FlowId flow, TcpConfig config,
       jitter_rng_(config.jitter_seed ^ (0xD1B54A32D192ED03ULL * (flow + 1))) {
   emit_port_id_ =
       sched_.register_port(&RenoSender::emit_port, this, EventCategory::kTcpSend);
+  rtx_timer_ = sched_.register_timer(&RenoSender::rto_port, this,
+                                     EventCategory::kTcpTimer);
 }
 
 std::size_t RenoSender::space() const {
@@ -100,7 +102,7 @@ void RenoSender::emit(std::int64_t seq) {
   if (flight_) p.injected = sched_.now();
   transmit(p);
 
-  if (!rtx_timer_.pending()) arm_rto();
+  if (!sched_.armed(rtx_timer_)) arm_rto();
 }
 
 void RenoSender::transmit(const Packet& p) {
@@ -150,9 +152,7 @@ SimTime RenoSender::current_rto() const {
 }
 
 void RenoSender::arm_rto() {
-  rtx_timer_.cancel();
-  rtx_timer_ = sched_.schedule_after(current_rto(), [this] { on_rto(); },
-                                     EventCategory::kTcpTimer);
+  sched_.arm(rtx_timer_, sched_.now() + current_rto());
 }
 
 void RenoSender::rtt_sample(SimTime sample) {
@@ -228,7 +228,7 @@ void RenoSender::on_ack(const Packet& ack) {
     dupacks_ = 0;
 
     if (snd_una_ == snd_max_) {
-      rtx_timer_.cancel();
+      sched_.disarm(rtx_timer_);
     } else {
       arm_rto();
     }

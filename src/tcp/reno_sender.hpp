@@ -109,6 +109,7 @@ class RenoSender final : public StreamSender {
   static void emit_port(void* ctx) {
     static_cast<RenoSender*>(ctx)->on_emit();
   }
+  static void rto_port(void* ctx) { static_cast<RenoSender*>(ctx)->on_rto(); }
 
   Segment& seg(std::int64_t seq) {
     return segments_[static_cast<std::size_t>(seq - snd_una_)];
@@ -152,7 +153,7 @@ class RenoSender final : public StreamSender {
   bool timing_ = false;
   std::int64_t rtt_seq_ = -1;
   SimTime rtt_ts_ = SimTime::zero();
-  EventHandle rtx_timer_;
+  std::uint32_t rtx_timer_ = 0;
 
   Rng jitter_rng_;
   SimTime last_emission_ = SimTime::zero();  // keeps jittered sends FIFO

@@ -4,7 +4,10 @@ namespace dmp {
 
 TcpSink::TcpSink(Scheduler& sched, FlowId flow, TcpConfig config,
                  PacketHandler ack_out)
-    : sched_(sched), flow_(flow), config_(config), ack_out_(std::move(ack_out)) {}
+    : sched_(sched), flow_(flow), config_(config), ack_out_(std::move(ack_out)) {
+  delack_timer_ = sched_.register_timer(&TcpSink::delack_port, this,
+                                        EventCategory::kTcpTimer);
+}
 
 void TcpSink::bind(obs::Hub& hub, const std::string& prefix) {
   m_received_ = hub.counter(prefix + ".segments_received");
@@ -66,7 +69,7 @@ void TcpSink::on_data(const Packet& p) {
       send_ack();  // every second in-order segment
     } else {
       ack_pending_ = true;
-      schedule_delack();
+      sched_.arm(delack_timer_, sched_.now() + config_.delack_timeout);
     }
     return;
   }
@@ -87,7 +90,7 @@ void TcpSink::on_data(const Packet& p) {
 
 void TcpSink::send_ack() {
   ack_pending_ = false;
-  delack_timer_.cancel();
+  sched_.disarm(delack_timer_);
   Packet ack;
   ack.flow = flow_;
   ack.kind = PacketKind::kAck;
@@ -97,13 +100,6 @@ void TcpSink::send_ack() {
   // on uninstrumented hot paths.
   if (flight_) ack.injected = sched_.now();
   ack_out_(ack);
-}
-
-void TcpSink::schedule_delack() {
-  delack_timer_.cancel();
-  delack_timer_ = sched_.schedule_after(config_.delack_timeout, [this] {
-    if (ack_pending_) send_ack();
-  }, EventCategory::kTcpTimer);
 }
 
 }  // namespace dmp

@@ -41,7 +41,8 @@ class TcpSink {
 
  private:
   void send_ack();
-  void schedule_delack();
+  // Armed only while an ACK is pending (send_ack disarms it).
+  static void delack_port(void* ctx) { static_cast<TcpSink*>(ctx)->send_ack(); }
   void record_flight(obs::FlightEventKind kind, std::int64_t app_tag,
                      std::int64_t seq);
 
@@ -54,7 +55,7 @@ class TcpSink {
   std::int64_t rcv_nxt_ = 0;
   std::map<std::int64_t, std::int64_t> reorder_buffer_;  // seq -> app_tag
   bool ack_pending_ = false;
-  EventHandle delack_timer_;
+  std::uint32_t delack_timer_ = 0;
 
   std::uint64_t segments_received_ = 0;
   std::uint64_t duplicate_segments_ = 0;

@@ -56,7 +56,7 @@ TEST(WanPath, GilbertElliottStateVisitsBothRegimes) {
   config.mean_good_s = 5.0;
   config.mean_bad_s = 5.0;
   WanPath path(sched, config, Rng(3));
-  sched.schedule_at(SimTime::seconds(500), [] {});
+  sched.post_at(SimTime::seconds(500), [] {});
   sched.run();
   EXPECT_NEAR(path.time_fraction_bad(), 0.5, 0.2);
 }
@@ -74,7 +74,7 @@ TEST(WanPath, FifoPreservedThroughJitter) {
   for (int i = 0; i < 200; ++i) {
     // Paced injections so the access buffer (60 packets) never overflows;
     // the property under test is ordering through the jitter stage.
-    sched.schedule_at(SimTime::millis(2 * i), [&inject, i] {
+    sched.post_at(SimTime::millis(2 * i), [&inject, i] {
       Packet p;
       p.flow = 1;
       p.seq = i;

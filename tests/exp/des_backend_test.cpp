@@ -1,7 +1,9 @@
 // Lazy links at the session level: a plain run (access and reverse links
 // lazy, no tx-done events for them) and an `obs.enabled` run (metrics on,
-// so every link stays eager) must produce the same trajectory — trace,
-// events_executed, per-path measurements and bottleneck flow counters —
+// so every link stays eager and every timer arm pushes its own entry)
+// must produce the same trajectory — trace, events_executed /
+// _cancelled / _scheduled, per-path measurements and bottleneck flow
+// counters —
 // on the tie-heavy 5 Mb/s settings, where the 2.4 ms bottleneck tx time is
 // exactly 20 access tx times and same-nanosecond pops are common.  The
 // redundant + faults arm keeps the fault-reachable bottlenecks eager while
@@ -58,6 +60,8 @@ void expect_identical(const SessionResult& a, const SessionResult& b) {
   }
   EXPECT_EQ(a.packets_generated, b.packets_generated);
   EXPECT_EQ(a.events_executed, b.events_executed);
+  EXPECT_EQ(a.events_cancelled, b.events_cancelled);
+  EXPECT_EQ(a.events_scheduled, b.events_scheduled);
   EXPECT_EQ(a.fault_events_fired, b.fault_events_fired);
   EXPECT_EQ(a.duplicates_sent, b.duplicates_sent);
   EXPECT_EQ(a.duplicates_suppressed, b.duplicates_suppressed);

@@ -39,7 +39,7 @@ void offer(Scheduler& sched, Link& link, int packets, SimTime spacing) {
     p.flow = 1;
     p.seq = i;
     p.size_bytes = kDataPacketBytes;
-    sched.schedule_at(spacing * i, [&link, p] { link.send(p); });
+    sched.post_at(spacing * i, [&link, p] { link.send(p); });
   }
 }
 
@@ -89,8 +89,8 @@ TEST(FaultAqm, FaultAndCongestionDropsStayDisjointUnderOverload) {
   link.set_receiver([&](const Packet&) { ++delivered; });
   constexpr int kPackets = 4000;
   offer(sched, link, kPackets, SimTime::millis(2));  // 500 pps vs 100 pps
-  sched.schedule_at(SimTime::millis(2000), [&link] { link.set_down(true); });
-  sched.schedule_at(SimTime::millis(3000), [&link] { link.set_down(false); });
+  sched.post_at(SimTime::millis(2000), [&link] { link.set_down(true); });
+  sched.post_at(SimTime::millis(3000), [&link] { link.set_down(false); });
   sched.run();
 
   EXPECT_EQ(link.total_arrivals(), static_cast<std::uint64_t>(kPackets));
@@ -113,8 +113,8 @@ TEST(FaultAqm, RescaleComposesWithEveryDiscipline) {
     std::uint64_t delivered = 0;
     link.set_receiver([&](const Packet&) { ++delivered; });
     offer(sched, link, 600, SimTime::millis(8));  // 125 pps vs 100 pps
-    sched.schedule_at(SimTime::millis(1200),
-                      [&link] { link.rescale(0.5, 1.0); });
+    sched.post_at(SimTime::millis(1200),
+                  [&link] { link.rescale(0.5, 1.0); });
     sched.run();
     EXPECT_EQ(delivered + link.total_drops() + link.queue_length(), 600u)
         << spec;

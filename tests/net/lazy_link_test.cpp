@@ -1,17 +1,20 @@
 // Lazy vs eager links, link by link.  The same randomized workload runs
 // through a small network of four lazy links in one Scheduler and through
 // the same network of eager links in another, alongside competing posts,
-// cancellable timers, cancels and feedback sends.  Times sit on the
+// timers, disarms and feedback sends.  Times sit on the
 // 120 us lattice (1500 B at 100 Mb/s; 2.4 ms = 20 lattice steps at 5 Mb/s)
 // with 10 ms and 40 ms propagation delays, so arrivals land exactly on
 // departures and deliveries tie with timers: the tie rule has to place
 // every virtual claim where the eager tx-done's claim would be.  Every
-// callback (time + id), every delivery, events_executed, total_delivered,
-// queue_length and utilization must match at every checkpoint, including
+// callback (time + id), every delivery, events_executed / _scheduled /
+// _cancelled, total_delivered, queue_length and utilization must match at
+// every checkpoint, including
 // the final horizon with packets still queued.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <deque>
+#include <functional>
 #include <memory>
 #include <random>
 #include <stdexcept>
@@ -37,6 +40,8 @@ struct Op {
 
 struct Checkpoint {
   std::uint64_t executed;
+  std::uint64_t scheduled;
+  std::uint64_t cancelled;
   std::vector<std::uint64_t> delivered;
   std::vector<std::size_t> queued;
   std::vector<double> utilization;
@@ -126,7 +131,18 @@ Outcome run_arm(const std::vector<Op>& script, bool lazy,
     chain[static_cast<std::size_t>(id) % 3]->send(p);
   };
 
-  std::vector<EventHandle> timers;
+  // One-shot timers: a callback each, one registration per shot.
+  struct Shot {
+    std::function<void()> fn;
+    static void fire(void* ctx) { static_cast<Shot*>(ctx)->fn(); }
+  };
+  std::deque<Shot> shots;
+  std::vector<std::uint32_t> timers;
+  const auto timer_at = [&](SimTime when, std::function<void()> fn) {
+    shots.push_back(Shot{std::move(fn)});
+    timers.push_back(sched.register_timer(&Shot::fire, &shots.back()));
+    sched.arm(timers.back(), when);
+  };
   for (const Op& op : script) {
     const SimTime at = SimTime::nanos(op.at_ns);
     switch (op.kind) {
@@ -155,19 +171,18 @@ Outcome run_arm(const std::vector<Op>& script, bool lazy,
         });
         break;
       case 2:
-        timers.push_back(sched.schedule_at(at, [&sched, &timers, &log,
-                                                id = op.id] {
+        timer_at(at, [&sched, &timer_at, &log, id = op.id] {
           log(3'000'000 + id);
-          timers.push_back(sched.schedule_after(
-              echo_delay(id + 1), [&log, id] { log(6'000'000 + id); }));
-        }));
+          timer_at(sched.now() + echo_delay(id + 1),
+                   [&log, id] { log(6'000'000 + id); });
+        });
         break;
       default:
         // Cancel an earlier timer from inside the run, at a lattice time.
-        sched.post_at(at, [&timers, &log, id = op.id] {
+        sched.post_at(at, [&sched, &timers, &log, id = op.id] {
           log(4'000'000 + id);
           if (!timers.empty()) {
-            timers[static_cast<std::size_t>(id) % timers.size()].cancel();
+            sched.disarm(timers[static_cast<std::size_t>(id) % timers.size()]);
           }
         });
         break;
@@ -178,6 +193,8 @@ Outcome run_arm(const std::vector<Op>& script, bool lazy,
     sched.run_until(horizon);
     Checkpoint cp;
     cp.executed = sched.events_executed();
+    cp.scheduled = sched.events_scheduled();
+    cp.cancelled = sched.events_cancelled();
     for (const auto& link : chain) {
       cp.delivered.push_back(link->total_delivered());
       cp.queued.push_back(link->queue_length());
@@ -201,6 +218,8 @@ void expect_same(const Outcome& eager, const Outcome& lazy) {
     const Checkpoint& e = eager.checkpoints[c];
     const Checkpoint& l = lazy.checkpoints[c];
     EXPECT_EQ(e.executed, l.executed) << "checkpoint " << c;
+    EXPECT_EQ(e.scheduled, l.scheduled) << "checkpoint " << c;
+    EXPECT_EQ(e.cancelled, l.cancelled) << "checkpoint " << c;
     EXPECT_EQ(e.delivered, l.delivered) << "checkpoint " << c;
     EXPECT_EQ(e.queued, l.queued) << "checkpoint " << c;
     EXPECT_EQ(e.utilization, l.utilization) << "checkpoint " << c;

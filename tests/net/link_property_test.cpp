@@ -32,7 +32,7 @@ TEST_P(LinkSweep, CountersBalanceAndDelayIsBounded) {
   double t = 0.0;
   for (int i = 0; i < 2000; ++i) {
     t += rng.exponential(1.0 / arrival_pps);
-    sched.schedule_at(SimTime::seconds(t), [&link, i] {
+    sched.post_at(SimTime::seconds(t), [&link, i] {
       Packet p;
       p.flow = static_cast<FlowId>(i % 3);
       p.seq = i;
@@ -79,7 +79,7 @@ TEST_P(BottleneckConfigSweep, EveryTable1ConfigCarriesTraffic) {
   path.register_sink(1, [&](const Packet&) { ++received; });
   const int n = GetParam();
   for (int i = 0; i < n; ++i) {
-    sched.schedule_at(SimTime::millis(5 * i), [&in, i] {
+    sched.post_at(SimTime::millis(5 * i), [&in, i] {
       Packet p;
       p.flow = 1;
       p.seq = i;

@@ -482,7 +482,7 @@ void offer_load(Scheduler& sched, Link& link, int packets,
   for (int i = 0; i < packets; ++i) {
     Packet p = data_packet(flow, i);
     p.app_tag = i;
-    sched.schedule_at(spacing * i, [&link, p] { link.send(p); });
+    sched.post_at(spacing * i, [&link, p] { link.send(p); });
   }
 }
 

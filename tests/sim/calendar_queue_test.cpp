@@ -6,22 +6,24 @@
 //     that hit every structural path (monotone appends, out-of-order
 //     inserts, same-nanosecond ties, rewind-on-push, bucket growth/shrink,
 //     gap-regime changes that force width recalibration);
-//   * the full Scheduler vs a one-entry-per-event std::priority_queue
-//     reference driven by one mixed op stream (schedule / cancel / post /
-//     port / defer+arm) — execution order, clocks and every counter must
-//     match exactly.
+//   * the full Scheduler vs the one-entry-per-event std::priority_queue
+//     reference (heap_reference.hpp) driven by one mixed op stream (timer
+//     arm / disarm / post / port / defer+arm) — execution order, clocks
+//     and every counter must match exactly.
 #include "sim/calendar_queue.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <queue>
 #include <random>
 #include <vector>
 
+#include "heap_reference.hpp"
 #include "sim/scheduler.hpp"
 #include "util/sim_time.hpp"
 
@@ -189,69 +191,6 @@ struct SchedLog {
   std::vector<int> fired_id;
 };
 
-// The reference: every event is a heap entry keyed (when, seq), seq
-// claimed at the call, cancellation a shared flag checked at pop.
-class HeapReference {
- public:
-  SimTime now() const { return now_; }
-
-  std::shared_ptr<bool> schedule(SimTime when, std::function<void()> fn) {
-    auto cancelled = std::make_shared<bool>(false);
-    push(when, std::move(fn), cancelled);
-    return cancelled;
-  }
-  void post(SimTime when, std::function<void()> fn) {
-    push(when, std::move(fn), nullptr);
-  }
-
-  void run_until(SimTime horizon) {
-    while (!heap_.empty() && heap_.top().when <= horizon) {
-      Item item = heap_.top();
-      heap_.pop();
-      if (item.cancelled && *item.cancelled) {
-        ++cancelled_;
-        continue;
-      }
-      now_ = item.when;
-      ++executed_;
-      item.fn();
-    }
-    if (horizon != SimTime::max() && now_ < horizon) now_ = horizon;
-  }
-
-  std::uint64_t executed() const { return executed_; }
-  std::uint64_t cancelled() const { return cancelled_; }
-  std::size_t max_pending() const { return max_pending_; }
-  std::size_t pending() const { return heap_.size(); }
-
- private:
-  struct Item {
-    SimTime when;
-    std::uint64_t seq;
-    std::function<void()> fn;
-    std::shared_ptr<bool> cancelled;
-  };
-  struct Later {
-    bool operator()(const Item& a, const Item& b) const {
-      if (a.when != b.when) return a.when > b.when;
-      return a.seq > b.seq;
-    }
-  };
-
-  void push(SimTime when, std::function<void()> fn,
-            std::shared_ptr<bool> cancelled) {
-    heap_.push(Item{when, next_seq_++, std::move(fn), std::move(cancelled)});
-    max_pending_ = std::max(max_pending_, heap_.size());
-  }
-
-  std::priority_queue<Item, std::vector<Item>, Later> heap_;
-  SimTime now_ = SimTime::zero();
-  std::uint64_t next_seq_ = 0;
-  std::uint64_t executed_ = 0;
-  std::uint64_t cancelled_ = 0;
-  std::size_t max_pending_ = 0;
-};
-
 // Emulates the link-style deferred FIFO: claimed (when, seq) keys wait in
 // order, only the head is armed, the port pops and re-arms.
 struct DeferFifo {
@@ -300,8 +239,11 @@ class SchedulerArm {
   }
   SimTime now() const { return sched_.now(); }
   std::function<void()> schedule(SimTime when, int id) {
-    EventHandle h = sched_.schedule_at(when, fire(id));
-    return [h]() mutable { h.cancel(); };
+    shots_.push_back(Shot{this, id});
+    const std::uint32_t timer =
+        sched_.register_timer(&Shot::fire, &shots_.back());
+    sched_.arm(timer, when);
+    return [this, timer] { sched_.disarm(timer); };
   }
   void post(SimTime when, int id) { sched_.post_at(when, fire(id)); }
   void port(SimTime when) { sched_.post_port_at(when, port_); }
@@ -327,9 +269,20 @@ class SchedulerArm {
       log.fired_id.push_back(id);
     };
   }
+  // A one-shot timer: its callback logs its id.
+  struct Shot {
+    SchedulerArm* arm;
+    int id;
+    static void fire(void* ctx) {
+      const auto* shot = static_cast<Shot*>(ctx);
+      shot->arm->log.fired_at_ns.push_back(shot->arm->sched_.now().ns());
+      shot->arm->log.fired_id.push_back(shot->id);
+    }
+  };
   Scheduler sched_;
   std::uint32_t port_ = 0;
   DeferFifo fifo_;
+  std::deque<Shot> shots_;
 };
 
 // The reference side: every op is one heap entry.

@@ -76,7 +76,7 @@ TEST(TcpIntegration, TwoFlowsShareBottleneckMeaningfully) {
   FtpSource f1(*c1.sender);
   // Desynchronize the second flow's start.
   std::unique_ptr<FtpSource> f2;
-  sched.schedule_at(SimTime::millis(733), [&] {
+  sched.post_at(SimTime::millis(733), [&] {
     f2 = std::make_unique<FtpSource>(*c2.sender);
   });
 

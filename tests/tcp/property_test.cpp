@@ -22,13 +22,13 @@ struct LossyWorld {
                  if (rng.chance(data_loss)) return;
                  const SimTime jitter = SimTime::micros(
                      static_cast<std::int64_t>(rng.uniform(0, 2000)));
-                 sched.schedule_after(SimTime::millis(40) + jitter,
-                                      [this, p] { sink.on_data(p); });
+                 sched.post_after(SimTime::millis(40) + jitter,
+                                  [this, p] { sink.on_data(p); });
                }),
         sink(sched, 1, config, [this, ack_loss](const Packet& a) {
           if (rng.chance(ack_loss)) return;
-          sched.schedule_after(SimTime::millis(40),
-                               [this, a] { sender.on_ack(a); });
+          sched.post_after(SimTime::millis(40),
+                           [this, a] { sender.on_ack(a); });
         }) {
     sink.set_deliver_callback(
         [this](std::int64_t tag, SimTime) { delivered.push_back(tag); });

@@ -46,10 +46,10 @@ class Wire {
  private:
   void forward_data(const Packet& p) {
     if (drop_data(p)) return;
-    sched_.schedule_after(one_way_, [this, p] { sink.on_data(p); });
+    sched_.post_after(one_way_, [this, p] { sink.on_data(p); });
   }
   void forward_ack(const Packet& p) {
-    sched_.schedule_after(one_way_, [this, p] { sender.on_ack(p); });
+    sched_.post_after(one_way_, [this, p] { sender.on_ack(p); });
   }
 };
 
