@@ -8,7 +8,10 @@
 // DMP_OBS=<list> (the bench grammar: metrics,trace,telemetry; `profile`
 // has nothing to profile here) binds one observability hub per thread,
 // writing the simulator's artifact set as live_broadcast_* (server) and
-// live_broadcast_client_* (client) into the working directory.
+// live_broadcast_client_* (client) into the working directory.  Both sides
+// record on the stream clock (trace meta epoch_ns 0), so the two traces
+// are one timeline: trace_query and timeline_export read either.
+// A malformed rate or duration exits 1 with a message.
 #include <cstdio>
 #include <cstdlib>
 #include <future>
@@ -22,7 +25,9 @@
 using namespace dmp;
 using namespace dmp::inet;
 
-int main(int argc, char** argv) {
+namespace {
+
+int broadcast(int argc, char** argv) {
   const double mu = argc > 1 ? std::atof(argv[1]) : 400.0;
   const double duration = argc > 2 ? std::atof(argv[2]) : 5.0;
   obs::ObsSinks sinks;
@@ -115,4 +120,15 @@ int main(int argc, char** argv) {
                 delay ? delay->quantile(0.99) * 1e3 : 0.0);
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return broadcast(argc, argv);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "live_broadcast: %s\n", e.what());
+    return 1;
+  }
 }

@@ -1,8 +1,8 @@
 // Real-socket DMP-streaming client: opens K TCP connections to the server,
-// reassembles the frames from all paths, and evaluates playback timeliness
-// exactly like the simulator's trace analysis (one machine, one monotonic
-// clock, so generation timestamps and arrival times are directly
-// comparable).
+// reassembles the frames from all paths, and records each through the
+// simulator's StreamClient on the stream clock (ns since the generation
+// epoch the frame headers carry; one machine, one monotonic clock), so
+// playback timeliness is evaluated exactly like a simulated run's.
 #pragma once
 
 #include <cstdint>
@@ -23,7 +23,7 @@ struct ClientConfig {
   std::size_t num_paths = 2;
   double mu_pps = 100.0;
   std::size_t frame_bytes = kDefaultFrameBytes;
-  // Optional per-path read throttle in bytes/second (0 = unthrottled);
+  // Optional per-path read throttle in bits/second (0 = unthrottled);
   // lets tests and demos emulate a slow path over loopback.
   std::vector<double> read_rate_limit_bps{};
   // Reconnect policy.  A path is dead when its connection delivers EOF or a
@@ -35,22 +35,20 @@ struct ClientConfig {
   int reconnect_max_retries = 0;
   int reconnect_backoff_ms = 50;        // first retry delay; doubles per try
   int reconnect_backoff_cap_ms = 2000;  // backoff ceiling
-  // Optional wall-clock observability hub (not owned; may be null), bound
-  // under "client": per-path `.path<k>.frames` counters, the
-  // generation-to-arrival `.delay_s` histogram and sketch, a `.frames`
-  // channel (timed from run start), and one kArrive flight span per
-  // reassembled frame (CLOCK_MONOTONIC t_ns; meta is set at the end of
-  // run() to the epoch recovered from the frame headers, matching the
-  // server's recorder).  Not thread-safe: one hub per thread.
+  // Optional hub (not owned; may be null), bound by the StreamClient core
+  // under "client" as in the simulator (`.path<k>.packets`, `.delay_s`,
+  // kArrive spans, ...).  On the stream clock (trace meta `epoch_ns` 0),
+  // like the server's: the two traces form one timeline.  Not
+  // thread-safe: one hub per thread.
   obs::Hub* obs = nullptr;
 };
 
 struct ClientReport {
-  // Arrival trace relative to the server's generation epoch; all of
-  // StreamTrace's late-fraction/ordering analyses apply.
+  // Fresh arrivals on the stream clock; all of StreamTrace's
+  // late-fraction/ordering analyses apply.
   StreamTrace trace;
-  std::int64_t frames_received = 0;
-  std::vector<std::uint64_t> received_per_path;
+  std::int64_t frames_received = 0;  // fresh frames (trace entries)
+  std::vector<std::uint64_t> received_per_path;  // raw frames, replays too
   std::uint64_t reconnects = 0;        // successful resume handshakes
   std::uint64_t duplicate_frames = 0;  // replayed frames already received
 

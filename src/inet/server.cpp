@@ -16,12 +16,16 @@
 #include "inet/socket_path.hpp"
 #include "sim/scheduler.hpp"
 #include "stream/dmp_server.hpp"
+#include "stream/trace.hpp"
 
 namespace dmp::inet {
 
 DmpInetServer::DmpInetServer(ServerConfig config) : config_(config) {
   if (config_.num_paths == 0) throw std::invalid_argument{"need >= 1 path"};
-  if (config_.mu_pps <= 0.0) throw std::invalid_argument{"mu must be > 0"};
+  packet_period(config_.mu_pps);  // throws on a malformed rate
+  if (!(config_.duration_s >= 0.0 && config_.duration_s * 1e9 < 0x1p63)) {
+    throw std::invalid_argument{"duration must be finite and >= 0"};
+  }
   if (config_.frame_bytes < kFrameHeaderBytes) {
     throw std::invalid_argument{"frame too small"};
   }

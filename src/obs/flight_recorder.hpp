@@ -100,8 +100,8 @@ class FlightRecorder {
 
   // Stream parameters the analyzer needs to evaluate playback deadlines:
   // the generation epoch on this recorder's clock, the CBR rate, and the
-  // number of packets generated.  May be set (or corrected — e.g. the inet
-  // client only learns the epoch after the run) any time before writing.
+  // number of packets generated.  May be set (or corrected — e.g. the
+  // packet count, known only at the end of a run) any time before writing.
   void set_meta(double mu_pps, std::int64_t epoch_ns,
                 std::int64_t total_packets = -1) {
     mu_pps_ = mu_pps;

@@ -14,7 +14,7 @@ void StreamClient::attach(std::size_t path, TcpSink& sink) {
   if (path >= num_paths_) throw std::out_of_range{"path index out of range"};
   const auto path32 = static_cast<std::uint32_t>(path);
   sink.set_deliver_callback([this, path32](std::int64_t tag, SimTime when) {
-    on_deliver(tag, when, path32);
+    deliver(tag, when, path32);
   });
 }
 
@@ -34,8 +34,8 @@ void StreamClient::bind(obs::Hub& hub, const std::string& prefix) {
   late_tau_s_ = hub.telemetry().late_tau_s;
 }
 
-void StreamClient::on_deliver(std::int64_t tag, SimTime when,
-                              std::uint32_t path) {
+void StreamClient::deliver(std::int64_t tag, SimTime when,
+                           std::uint32_t path) {
   if (filter_) {
     // Exactly-once semantics: first sight passes, repeats are suppressed,
     // a parity arrival may reconstruct the one missing packet it covers

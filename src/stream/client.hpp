@@ -24,8 +24,15 @@ class StreamClient {
   StreamClient(double mu_pps, std::size_t num_paths,
                SimTime epoch = SimTime::zero(), bool dedup = false);
 
-  // Wire path k's TCP sink to this client; must be called once per path.
+  // Wire path k's TCP sink to this client (its deliveries go through
+  // deliver); must be called once per path.
   void attach(std::size_t path, TcpSink& sink);
+
+  // One in-order arrival of `tag` on `path` (< num_paths(), unchecked) at
+  // `when`, on the clock of `epoch`.  With `dedup`, only the first sight
+  // of a data tag (or its parity recovery) is recorded; without it,
+  // negative tags are ignored.  The socket client calls it per frame.
+  void deliver(std::int64_t tag, SimTime when, std::uint32_t path);
 
   // Binds the hub under `prefix`: per-path `.path<k>.packets` counters,
   // the generation-to-delivery `.delay_s` histogram and sketch, a kArrive
@@ -43,7 +50,6 @@ class StreamClient {
   const RedundancyFilter* filter() const { return filter_.get(); }
 
  private:
-  void on_deliver(std::int64_t tag, SimTime when, std::uint32_t path);
   void record(std::int64_t number, SimTime when, std::uint32_t path);
 
   StreamTrace trace_;

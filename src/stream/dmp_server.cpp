@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "stream/scheduler/strategies.hpp"
+#include "stream/trace.hpp"
 
 namespace dmp {
 
@@ -13,13 +14,12 @@ DmpStreamingServer::DmpStreamingServer(
     bool stored)
     : sched_(sched),
       senders_(std::move(senders)),
-      period_(SimTime::seconds(1.0 / mu_pps)),
+      period_(packet_period(mu_pps)),
       start_(start),
       end_(start + duration),
       scheduler_(std::move(scheduler)),
       stored_(stored) {
   if (senders_.empty()) throw std::invalid_argument{"DMP needs >= 1 sender"};
-  if (mu_pps <= 0) throw std::invalid_argument{"mu must be positive"};
   if (!scheduler_) scheduler_ = std::make_unique<PullScheduler>(senders_.size());
   down_.assign(senders_.size(), false);
   path_state_.assign(senders_.size(), SchedPathState{});

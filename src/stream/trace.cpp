@@ -1,12 +1,22 @@
 #include "stream/trace.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 namespace dmp {
 
+SimTime packet_period(double mu_pps) {
+  // Negated so that NaN fails too; 0x1p63 is INT64_MAX + 1 as a double.
+  const double ns = 1.0 / mu_pps * 1e9;
+  if (!(std::isfinite(mu_pps) && ns >= 1.0 && ns < 0x1p63)) {
+    throw std::invalid_argument{"mu must be finite, period in [1, 2^63) ns"};
+  }
+  return SimTime::seconds(1.0 / mu_pps);
+}
+
 StreamTrace::StreamTrace(double mu_pps) : mu_pps_(mu_pps) {
-  if (mu_pps <= 0) throw std::invalid_argument{"mu must be positive"};
+  packet_period(mu_pps);
 }
 
 void StreamTrace::record(std::int64_t packet_number, SimTime arrived,

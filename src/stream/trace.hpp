@@ -19,6 +19,11 @@
 
 namespace dmp {
 
+// The generation period 1/mu in ns; throws std::invalid_argument unless mu
+// is finite and 1e9/mu lies in [1, INT64_MAX].  Every stream-rate consumer
+// validates through it before converting to ns.
+SimTime packet_period(double mu_pps);
+
 struct StreamTraceEntry {
   std::int64_t packet_number = 0;
   SimTime arrived = SimTime::zero();

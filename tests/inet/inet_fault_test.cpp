@@ -7,6 +7,7 @@
 #include <unistd.h>
 
 #include <future>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <tuple>
@@ -17,6 +18,7 @@
 #include "inet/framing.hpp"
 #include "inet/server.hpp"
 #include "inet/socket.hpp"
+#include "joint_trace.hpp"
 #include "obs/hub.hpp"
 
 namespace dmp::inet {
@@ -44,13 +46,26 @@ TEST(InetFault, ClientRejectsBadReconnectKnobs) {
   EXPECT_THROW(DmpInetClient{cfg}, std::invalid_argument);
 }
 
+// Also binds a hub on each side: replayed frames the client drops as
+// duplicates leave no trace, so the joint timeline still reconciles.
 TEST(InetFault, ResetPathReconnectsAndDeliveryStaysExactlyOnce) {
+  const auto make_hub = [](const char* prefix) {
+    obs::ObsConfig config;
+    config.enabled = true;
+    config.flight_recorder = true;
+    config.output_dir = ::testing::TempDir();
+    config.prefix = prefix;
+    return std::make_unique<obs::Hub>(config, obs::TelemetryConfig{});
+  };
+  const auto server_hub = make_hub("inet_reset_server");
+  const auto client_hub = make_hub("inet_reset_client");
   ServerConfig cfg;
   cfg.num_paths = 2;
   cfg.mu_pps = 400.0;
   cfg.duration_s = 3.0;
   // Reset path0 twice mid-stream.
   cfg.faults = "0.8 conn_reset path0; 1.8 conn_reset path0";
+  cfg.obs = server_hub.get();
   DmpInetServer server(cfg);
 
   ClientConfig ccfg;
@@ -60,6 +75,7 @@ TEST(InetFault, ResetPathReconnectsAndDeliveryStaysExactlyOnce) {
   ccfg.reconnect_max_retries = 5;
   ccfg.reconnect_backoff_ms = 20;
   ccfg.reconnect_backoff_cap_ms = 200;
+  ccfg.obs = client_hub.get();
 
   auto server_future =
       std::async(std::launch::async, [&server] { return server.run(); });
@@ -80,6 +96,22 @@ TEST(InetFault, ResetPathReconnectsAndDeliveryStaysExactlyOnce) {
     ASSERT_FALSE(seen[static_cast<std::size_t>(e.packet_number)]);
     seen[static_cast<std::size_t>(e.packet_number)] = true;
   }
+
+  // The per-path counters see first sights only; raw frames include the
+  // replays the filter suppressed.
+  std::uint64_t packets = 0;
+  std::uint64_t raw = 0;
+  for (std::size_t k = 0; k < cfg.num_paths; ++k) {
+    const auto* counter = client_hub->metrics()->find_counter(
+        "client.path" + std::to_string(k) + ".packets");
+    ASSERT_NE(counter, nullptr) << k;
+    packets += counter->value();
+    raw += report.received_per_path[k];
+  }
+  EXPECT_EQ(packets, static_cast<std::uint64_t>(report.frames_received));
+  EXPECT_EQ(raw, packets + report.duplicate_frames);
+  expect_joint_trace_matches(*server_hub->flight(), *client_hub->flight(),
+                             report.trace, stats.packets_generated);
 }
 
 TEST(InetFault, NoRetryBudgetMeansAResetClosesThePathForGood) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <cmath>
 #include <future>
 #include <memory>
 #include <set>
@@ -14,6 +15,7 @@
 #include "inet/framing.hpp"
 #include "inet/server.hpp"
 #include "inet/socket.hpp"
+#include "joint_trace.hpp"
 #include "obs/hub.hpp"
 #include "obs/trace_analyzer.hpp"
 
@@ -215,10 +217,10 @@ TEST(InetObs, HubCountsMatchStreamCounts) {
     ASSERT_NE(pulls, nullptr) << path;
     EXPECT_EQ(pulls->value(), stats.sent_per_path[k]) << path;
     sent += stats.sent_per_path[k];
-    const auto* frames =
-        client_hub->metrics()->find_counter("client." + path + ".frames");
-    ASSERT_NE(frames, nullptr) << path;
-    EXPECT_EQ(frames->value(), report.received_per_path[k]) << path;
+    const auto* packets =
+        client_hub->metrics()->find_counter("client." + path + ".packets");
+    ASSERT_NE(packets, nullptr) << path;
+    EXPECT_EQ(packets->value(), report.received_per_path[k]) << path;
   }
   EXPECT_EQ(count_kind(*server_hub, obs::FlightEventKind::kPull), sent);
   EXPECT_EQ(count_kind(*server_hub, obs::FlightEventKind::kGenerate),
@@ -237,7 +239,8 @@ TEST(InetObs, HubCountsMatchStreamCounts) {
 
   // The written traces load like simulated ones: the same per-kind counts,
   // and every client arrival matches a server pull of that packet on that
-  // path.  Server spans sit on the stream clock, as the simulator's do.
+  // path.  Both sides' spans sit on the stream clock, as the simulator's
+  // do, so the two files form one timeline with no shift.
   const auto server_trace =
       obs::read_flight_trace_file(server_hub->config().trace_path());
   const auto client_trace =
@@ -264,16 +267,14 @@ TEST(InetObs, HubCountsMatchStreamCounts) {
         << "packet " << e.packet << " path " << e.path;
   }
   EXPECT_EQ(arrivals, static_cast<std::uint64_t>(report.frames_received));
+  expect_joint_trace_matches(server_trace, client_trace, report.trace,
+                             stats.packets_generated);
 }
 
-// A frame number read off the wire is bounded before it reaches the dedup
-// table: a fake server sends one frame far past the newest, and the client
-// fails naming the path and the number instead of allocating for it.
-TEST(InetClient, RejectsFrameNumberFarBeyondNewest) {
-  std::uint16_t port = 0;
-  Fd listener = listen_on_loopback(0, &port);
-  const std::uint64_t bad = (std::uint64_t{1} << 63) + 7;
-  auto fake_server = std::async(std::launch::async, [&listener, bad] {
+// A fake one-path server: accepts the client, reads its hello, writes
+// `frames`, and holds the connection until the client gives up on it.
+std::future<void> serve_frames(const Fd& listener, std::vector<Frame> frames) {
+  return std::async(std::launch::async, [&listener, frames] {
     Fd conn = accept_with_timeout(listener, 5000);
     if (!conn.valid()) return;
     unsigned char hello[kHelloBytes];
@@ -282,33 +283,57 @@ TEST(InetClient, RejectsFrameNumberFarBeyondNewest) {
       if (n <= 0) return;
       got += static_cast<std::size_t>(n);
     }
-    // Frame 5, then the farthest legal lead, then the corrupt number.
     std::vector<unsigned char> wire;
-    for (const std::uint64_t number : {std::uint64_t{5}, 5 + kMaxFrameLead,
-                                       bad}) {
+    for (const Frame& f : frames) {
       std::vector<unsigned char> frame(kDefaultFrameBytes, 0);
-      encode_frame_header(Frame{number, 0}, frame.data());
+      encode_frame_header(f, frame.data());
       wire.insert(wire.end(), frame.begin(), frame.end());
     }
     if (::write(conn.get(), wire.data(), wire.size()) < 0) return;
-    // Hold the connection until the client gives up on it.
     unsigned char sink[64];
     while (::read(conn.get(), sink, sizeof sink) > 0) {
     }
   });
+}
 
+// Runs a one-path client against `frames` and returns what run() threw.
+std::string client_error(std::vector<Frame> frames) {
+  std::uint16_t port = 0;
+  Fd listener = listen_on_loopback(0, &port);
+  auto fake_server = serve_frames(listener, std::move(frames));
   ClientConfig cfg;
   cfg.port = port;
   cfg.num_paths = 1;
+  std::string what;
   try {
     DmpInetClient{cfg}.run();
-    ADD_FAILURE() << "corrupt frame number accepted";
   } catch (const std::runtime_error& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("path 0"), std::string::npos) << what;
-    EXPECT_NE(what.find(std::to_string(bad)), std::string::npos) << what;
+    what = e.what();
   }
   fake_server.get();
+  return what;
+}
+
+// A frame number read off the wire is bounded before it reaches the dedup
+// table: a fake server sends one frame far past the newest, and the client
+// fails naming the path and the number instead of allocating for it.
+TEST(InetClient, RejectsFrameNumberFarBeyondNewest) {
+  const std::uint64_t bad = (std::uint64_t{1} << 63) + 7;
+  // Frame 5, then the farthest legal lead, then the corrupt number.
+  const std::string what = client_error(
+      {Frame{5, 0}, Frame{5 + kMaxFrameLead, 0}, Frame{bad, 0}});
+  EXPECT_NE(what.find("path 0"), std::string::npos) << what;
+  EXPECT_NE(what.find(std::to_string(bad)), std::string::npos) << what;
+}
+
+// The first frame's generation stamp fixes the stream epoch; one that puts
+// the arrival centuries off the client's clock fails the run instead of
+// overflowing the delay arithmetic.
+TEST(InetClient, RejectsGenerationStampFarOffTheClock) {
+  const std::uint64_t far = monotonic_ns() + (std::uint64_t{1} << 63);
+  const std::string what = client_error({Frame{0, far}});
+  EXPECT_NE(what.find("path 0"), std::string::npos) << what;
+  EXPECT_NE(what.find("generation stamp"), std::string::npos) << what;
 }
 
 TEST(InetStreaming, ThrottledPathReceivesSmallerShare) {
@@ -333,14 +358,37 @@ TEST(InetStreaming, ValidatesConfiguration) {
   ServerConfig cfg;
   cfg.num_paths = 0;
   EXPECT_THROW(DmpInetServer{cfg}, std::invalid_argument);
+  // A rate that is not a finite, positive, ns-representable period, and a
+  // duration that is negative or not finite, fail before any socket work.
+  const double nan = std::nan("");
+  const double inf = HUGE_VAL;
+  for (const double mu : {0.0, -1.0, nan, inf, 1e-13}) {
+    cfg = ServerConfig{};
+    cfg.mu_pps = mu;
+    EXPECT_THROW(DmpInetServer{cfg}, std::invalid_argument) << mu;
+    ClientConfig ccfg;
+    ccfg.mu_pps = mu;
+    EXPECT_THROW(DmpInetClient{ccfg}, std::invalid_argument) << mu;
+  }
+  for (const double duration : {-1.0, nan, inf}) {
+    cfg = ServerConfig{};
+    cfg.duration_s = duration;
+    EXPECT_THROW(DmpInetServer{cfg}, std::invalid_argument) << duration;
+  }
   cfg = ServerConfig{};
-  cfg.mu_pps = 0.0;
-  EXPECT_THROW(DmpInetServer{cfg}, std::invalid_argument);
+  cfg.duration_s = 0.0;
+  EXPECT_NO_THROW(DmpInetServer{cfg});
 
   ClientConfig ccfg;
   ccfg.num_paths = 2;
   ccfg.read_rate_limit_bps = {1.0};  // wrong arity
   EXPECT_THROW(DmpInetClient{ccfg}, std::invalid_argument);
+  for (const double bps : {-1.0, nan, inf}) {
+    ccfg.read_rate_limit_bps = {0.0, bps};
+    EXPECT_THROW(DmpInetClient{ccfg}, std::invalid_argument) << bps;
+  }
+  ccfg.read_rate_limit_bps = {0.0, 0.0};  // 0 = unthrottled
+  EXPECT_NO_THROW(DmpInetClient{ccfg});
 }
 
 }  // namespace

@@ -53,5 +53,36 @@ TEST(StreamClient, IgnoresNonStreamTags) {
   EXPECT_EQ(client.trace().arrivals(), 0u);
 }
 
+// deliver() is the core the simulated sinks and the socket client share:
+// no DES, no sockets, just arrivals.  The same tag on a second path is a
+// duplicate; an out-of-order tag is recorded where it lands.
+TEST(StreamClient, DeliverDedupsAcrossPaths) {
+  obs::ObsConfig config;
+  config.enabled = true;
+  config.output_dir = ::testing::TempDir();
+  obs::Hub hub(config);
+  StreamClient client(100.0, 2, SimTime::zero(), /*dedup=*/true);
+  client.bind(hub, "client");
+
+  client.deliver(0, SimTime::millis(5), 0);
+  client.deliver(0, SimTime::millis(6), 1);  // replay on the other path
+  client.deliver(2, SimTime::millis(30), 1);  // ahead of packet 1
+  client.deliver(1, SimTime::millis(31), 0);
+
+  const auto& entries = client.trace().entries();
+  ASSERT_EQ(entries.size(), 3u);
+  EXPECT_EQ(entries[0].packet_number, 0);
+  EXPECT_EQ(entries[0].path, 0u);
+  EXPECT_EQ(entries[0].arrived, SimTime::millis(5));
+  EXPECT_EQ(entries[1].packet_number, 2);
+  EXPECT_EQ(entries[2].packet_number, 1);
+  ASSERT_NE(client.filter(), nullptr);
+  EXPECT_EQ(client.filter()->counters().duplicates_suppressed, 1u);
+  const obs::MetricsRegistry& metrics = *hub.metrics();
+  EXPECT_EQ(metrics.find_counter("client.path0.packets")->value(), 2u);
+  EXPECT_EQ(metrics.find_counter("client.path1.packets")->value(), 1u);
+  EXPECT_EQ(metrics.find_histogram("client.delay_s")->count(), 3u);
+}
+
 }  // namespace
 }  // namespace dmp

@@ -1,6 +1,7 @@
 // DMP-streaming scheme behaviour on controlled two-path networks.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <memory>
 #include <string>
 
@@ -202,6 +203,22 @@ TEST(StaticStreaming, RejectsBadWeights) {
                                   SimTime::zero(), SimTime::seconds(10),
                                   static_policy("static:0,0")),
                std::invalid_argument);
+}
+
+// A rate whose period is not a positive int64 of ns fails loudly, before
+// the core converts it (and before it posts its first event).
+TEST(DmpStreaming, RejectsMalformedRate) {
+  Scheduler sched;
+  DumbbellPath p1(sched, BottleneckConfig{4e6, SimTime::millis(20), 50});
+  auto c1 = make_connection(sched, 1, p1, TcpConfig{});
+  for (const double mu : {0.0, std::nan(""), 1e-13}) {
+    EXPECT_THROW(DmpStreamingServer(sched, mu, {c1.sender.get()},
+                                    SimTime::zero(), SimTime::seconds(10)),
+                 std::invalid_argument)
+        << mu;
+    EXPECT_THROW(StreamTrace{mu}, std::invalid_argument) << mu;
+  }
+  EXPECT_EQ(sched.next_event_time(), SimTime::max());
 }
 
 TEST(StaticStreaming, CongestedPathStrandsItsShare) {
