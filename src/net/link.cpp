@@ -97,6 +97,36 @@ void Link::on_qdisc_drop(const Packet& victim, QdiscDropReason reason) {
   }
 }
 
+void Link::unhook_receiver() {
+  if (feeds_next_) {
+    throw std::logic_error{"set_receiver: the hop is fused"};
+  }
+  if (next_link_ != nullptr) --next_link_->upstream_links_;
+  next_link_ = nullptr;
+  next_demux_ = nullptr;
+  receiver_ = nullptr;
+}
+
+void Link::set_receiver(PacketHandler receiver) {
+  unhook_receiver();
+  receiver_ = std::move(receiver);
+}
+
+void Link::set_receiver(Link* next) {
+  if (next->fed_) {
+    throw std::logic_error{
+        "set_receiver: a second upstream for a link fed virtually"};
+  }
+  unhook_receiver();
+  ++next->upstream_links_;
+  next_link_ = next;
+}
+
+void Link::set_receiver(FlowDemux* demux) {
+  unhook_receiver();
+  next_demux_ = demux;
+}
+
 void Link::set_lazy_allowed(bool allowed) {
   if (mode_ == Mode::kLazy && !allowed) {
     throw std::logic_error{"link is already lazy"};
@@ -110,16 +140,38 @@ bool Link::bound() const {
          ts_drops_ != nullptr || ts_queue_ != nullptr;
 }
 
+// Everything that reads a tx-done as it happens — AQM dequeue decisions,
+// the flight recorder, metrics, fault hooks, per-category profiles — keeps
+// the eager path.  A drop-tail buffer's drop test needs only the queue
+// length at arrival, which the departure FIFO holds.
+bool Link::lazy_eligible() const {
+  return lazy_allowed_ && droptail_ != nullptr && !fault_touched_ &&
+         !bound() && !sched_.exact_counters();
+}
+
 // Decided once, at the first arrival: by then the owner has bound every
-// sink and declared every fault target.  Everything that reads a tx-done
-// as it happens — AQM dequeue decisions, a finite buffer's drop test, the
-// flight recorder, metrics, fault hooks, per-category profiles — keeps the
-// eager path.
+// sink and declared every fault target.
 void Link::decide_mode() {
-  const bool lazy = lazy_allowed_ && droptail_ != nullptr &&
-                    config_.buffer_packets == 0 && !fault_touched_ &&
-                    !bound() && !sched_.exact_counters();
-  mode_ = lazy ? Mode::kLazy : Mode::kEager;
+  mode_ = lazy_eligible() ? Mode::kLazy : Mode::kEager;
+  if (mode_ == Mode::kLazy) fuse_receiver();
+}
+
+// The hop into the receiver fuses when the receiver is fed by this link
+// alone (its only upstream link, declared upstream-only), undecided,
+// unbounded and eligible: its arrivals are then exactly this link's
+// deliveries, in FIFO order, known at admission.  The receiver decides its
+// own receiver the same way.
+void Link::fuse_receiver() {
+  Link* next = next_link_;
+  if (next == nullptr || !next->upstream_only_ ||
+      next->upstream_links_ != 1 || next->mode_ != Mode::kUndecided ||
+      next->config_.buffer_packets != 0 || !next->lazy_eligible()) {
+    return;
+  }
+  next->mode_ = Mode::kLazy;
+  next->fed_ = true;
+  feeds_next_ = true;
+  next->fuse_receiver();
 }
 
 void Link::require_eager(const char* hook) {
@@ -133,69 +185,138 @@ void Link::require_eager(const char* hook) {
 // The eager link starts a packet at its arrival when the transmitter is
 // idle, else at its predecessor's tx-done, and claims the delivery key
 // then the successor's tx-done key inside that tx-done.  The lazy link
-// reproduces exactly that: it is busy iff the newest tx-done lies ahead,
-// and then this packet's tx-done key is that event's successor claim
+// reproduces exactly that: it is busy iff a tx-done lies ahead, and then
+// this packet's tx-done key is the newest one's successor claim
 // (virtual_seq(., 1)); otherwise it claims a real seq now, as
-// start_transmission's post would.  The delivery is keyed by the virtual
-// tx-done's delivery claim (virtual_seq(., 0)).
+// start_transmission's post would.  The tx-dones still ahead beyond the
+// one on the wire are the eager queue, so a finite buffer drops exactly
+// when the eager qdisc would, through the same counters.
 void Link::send_lazy(const Packet& p) {
   ++total_arrivals_;
   ++flow_slot(p.flow).arrivals;
+  const std::size_t ahead = pass_departures();
+  if (config_.buffer_packets != 0 && ahead > config_.buffer_packets) {
+    droptail_->reject(p);
+    return;
+  }
   const SimTime tx = tx_time(p.size_bytes);
-  const SimTime now = sched_.now();
-  // Busy iff the newest tx-done lies ahead; only an exact tie with the
-  // clock needs the scheduler's tie rule.
-  const bool busy = last_departure_ == now ? sched_.virtual_ahead(last_vtx_)
-                                           : last_departure_ > now;
-  const SimTime departure = (busy ? last_departure_ : now) + tx;
-  const std::uint64_t sigma = busy ? Scheduler::virtual_seq(last_vtx_, 1)
-                                   : sched_.claim_seq();
-  // Lookups reach back at most a delivery's delay past its tx-done, plus a
-  // tx time per same-nanosecond tie along a busy period.
-  last_vtx_ = sched_.add_virtual(
-      departure, sigma, (config_.prop_delay + tx) * 2 + SimTime::millis(10));
-  last_departure_ = departure;
+  if (ahead == 0) {
+    admit(p, sched_.now() + tx, sched_.claim_seq(), tx, sched_.now());
+  } else {
+    const Departure& last = departures_.back();
+    admit(p, last.when + tx, Scheduler::virtual_seq(last.vid, 1), tx,
+          last.when);
+  }
+}
+
+// The upstream link's delivery pop would hand the packet over and, if this
+// link is idle, claim its tx-done key (the delivery's claim 0).  Idle
+// means the newest tx-done passes before the delivery: both lie ahead, so
+// their keys decide.
+void Link::arrive_virtual(const Packet& p, std::uint64_t delivery,
+                          SimTime when, SimTime chain_start) {
+  ++total_arrivals_;
+  ++flow_slot(p.flow).arrivals;
+  const SimTime tx = tx_time(p.size_bytes);
+  if (pass_departures() != 0) {
+    const Departure& last = departures_.back();
+    if (last.when > when ||
+        (last.when == when && sched_.virtual_before(delivery, last.vid))) {
+      admit(p, last.when + tx, Scheduler::virtual_seq(last.vid, 1), tx,
+            chain_start);
+      return;
+    }
+  }
+  admit(p, when + tx, Scheduler::virtual_seq(delivery, 0), tx, chain_start);
+}
+
+// The delivery is keyed by the virtual tx-done's claim 0: a real FIFO
+// entry, or on a fused hop a virtual delivery event whose arrival the
+// receiver takes at once.  Lookups reach back at most twice the delay from
+// the chain's first transmission start to its real delivery, plus a tx
+// time per same-nanosecond tie along a busy period (docs/DES_ENGINE.md).
+void Link::admit(const Packet& p, SimTime departure, std::uint64_t sigma,
+                 SimTime tx, SimTime chain_start) {
+  const std::uint64_t vid = sched_.add_virtual(departure, sigma, 1);
+  departures_.push_back(Departure{departure, vid, tx, p.flow});
+  ahead_tx_ += tx;
   busy_time_ += tx;
 
   const SimTime when = departure + config_.prop_delay;
-  const std::uint64_t seq = Scheduler::virtual_seq(last_vtx_, 0);
+  const std::uint64_t seq = Scheduler::virtual_seq(vid, 0);
+  if (feeds_next_) {
+    next_link_->arrive_virtual(p, sched_.add_virtual(when, seq, 0), when,
+                               chain_start);
+    return;
+  }
+  sched_.keep_lookback((when - chain_start) * 2 + SimTime::millis(10));
   const bool was_empty = deliveries_head_ == deliveries_.size();
   deliveries_.push_back(PendingDelivery{when, seq, pool_.acquire(p)});
   if (was_empty) sched_.arm_key(when, seq, delivery_port_id_);
 }
 
-std::size_t Link::lazy_ahead(SimTime* queued_tx) const {
-  // Tx-done keys increase along the FIFO, so the ones still ahead are a
-  // suffix of it.
-  std::size_t ahead = 0;
-  SimTime tx_sum = SimTime::zero();
-  SimTime oldest_tx = SimTime::zero();
-  for (std::size_t i = deliveries_.size(); i > deliveries_head_; --i) {
-    const PendingDelivery& d = deliveries_[i - 1];
-    if (!sched_.virtual_ahead(Scheduler::virtual_id(d.seq))) break;
-    ++ahead;
-    // Lazy links never rescale: the tx time is the configured one.
-    oldest_tx = transmission_time(pool_.get(d.ref).size_bytes,
-                                  config_.bandwidth_bps);
-    tx_sum += oldest_tx;
+std::size_t Link::pass_departures() const {
+  // Tx-done keys increase along the FIFO, so the passed ones are a prefix.
+  const SimTime now = sched_.now();
+  while (departed_ < departures_.size()) {
+    const Departure& d = departures_[departed_];
+    if (d.when > now || (d.when == now && sched_.virtual_ahead(d.vid))) break;
+    ahead_tx_ -= d.tx;
+    ++departed_;
   }
-  if (queued_tx != nullptr) *queued_tx = tx_sum - oldest_tx;
-  return ahead;
+  if (departed_ == departures_.size()) {
+    departures_.clear();
+    departed_ = 0;
+  } else if (departed_ >= 256 && departed_ * 2 >= departures_.size()) {
+    // A link that stays busy never empties its FIFO: drop the passed half.
+    departures_.erase(departures_.begin(),
+                      departures_.begin() +
+                          static_cast<std::ptrdiff_t>(departed_));
+    departed_ = 0;
+  }
+  return departures_.size() - departed_;
+}
+
+std::size_t Link::arrivals_ahead(const FlowId* flow) const {
+  if (!fed_) return 0;
+  // Arrivals come in departure order, so the ones still ahead are a suffix
+  // of the tx-dones still ahead.  A packet's virtual arrival is the event
+  // recorded just before its tx-done.
+  const std::size_t ahead = pass_departures();
+  const std::size_t end = departures_.size() - ahead;
+  std::size_t n = 0;
+  for (std::size_t i = departures_.size(); i > end; --i) {
+    const Departure& d = departures_[i - 1];
+    if (!sched_.virtual_ahead(d.vid - 1)) break;
+    if (flow == nullptr || d.flow == *flow) ++n;
+  }
+  return n;
 }
 
 std::size_t Link::queue_length() const {
   if (mode_ != Mode::kLazy) return qlen();
-  const std::size_t ahead = lazy_ahead(nullptr);
-  return ahead == 0 ? 0 : ahead - 1;
+  const std::size_t arrived = pass_departures() - arrivals_ahead();
+  return arrived == 0 ? 0 : arrived - 1;
+}
+
+std::uint64_t Link::total_arrivals() const {
+  return total_arrivals_ - arrivals_ahead();
 }
 
 std::uint64_t Link::total_delivered() const {
   if (mode_ != Mode::kLazy) return total_delivered_;
-  // A lazy link never drops: every arrival is on its way.
-  return total_arrivals_ - lazy_ahead(nullptr);
+  // Every admitted packet not dropped whose tx-done has passed.
+  return total_arrivals_ - total_drops_ - pass_departures();
 }
 
 void Link::send(const Packet& p) {
+  if (upstream_only_) {
+    throw std::logic_error{"send: the link is fed by its upstream only"};
+  }
+  arrive(p);
+}
+
+void Link::arrive(const Packet& p) {
   if (mode_ != Mode::kEager) {
     if (mode_ == Mode::kUndecided) decide_mode();
     if (mode_ == Mode::kLazy) {
@@ -321,13 +442,15 @@ void Link::on_delivery() {
     deliveries_.clear();
     deliveries_head_ = 0;
   }
-  if (lazy) sched_.settle_virtual(Scheduler::virtual_id(head.seq));
+  if (lazy) {
+    sched_.settle_virtual(Scheduler::virtual_id(head.seq), &settle_hint_);
+  }
   deliver(pool_.take(head.ref));
 }
 
 void Link::deliver(const Packet& p) {
   if (next_link_ != nullptr) {
-    next_link_->send(p);
+    next_link_->arrive(p);
   } else if (next_demux_ != nullptr) {
     next_demux_->deliver(p);
   } else if (receiver_) {
@@ -359,7 +482,10 @@ void Link::rescale(double bw_factor, double delay_factor) {
 
 LinkFlowCounters Link::flow_counters(FlowId flow) const {
   for (const auto& entry : per_flow_) {
-    if (entry.first == flow) return entry.second;
+    if (entry.first != flow) continue;
+    LinkFlowCounters counters = entry.second;
+    counters.arrivals -= arrivals_ahead(&flow);
+    return counters;
   }
   return LinkFlowCounters{};
 }
@@ -388,10 +514,12 @@ double Link::utilization(SimTime elapsed) const {
   if (elapsed.ns() <= 0) return 0.0;
   SimTime busy = busy_time_;
   if (mode_ == Mode::kLazy) {
-    // Queued packets have not started: their tx time is not busy yet.
-    SimTime queued = SimTime::zero();
-    lazy_ahead(&queued);
-    busy = busy - queued;
+    // Packets queued or not yet arrived have not started: their tx time is
+    // not busy yet.  The first arrived one ahead is on the wire.
+    const std::size_t arrived = pass_departures() - arrivals_ahead();
+    SimTime unstarted = ahead_tx_;
+    if (arrived > 0) unstarted = unstarted - departures_[departed_].tx;
+    busy = busy - unstarted;
   }
   return busy.to_seconds() / elapsed.to_seconds();
 }

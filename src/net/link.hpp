@@ -5,11 +5,15 @@
 // (src/net/qdisc/) swap the enqueue/drop decision without touching the
 // transmitter, fault hooks or observability.
 //
-// A link runs eager (a tx-done event per packet) or lazy: an unbounded
-// drop-tail link whose owner allows it computes each departure at send(),
-// d = max(now, d_prev) + tx, and keeps the tx-done as a virtual scheduler
-// event that never enters the queue.  Pop order, delivery times and
-// events_executed() are identical either way (docs/DES_ENGINE.md).
+// A link runs eager (a tx-done event per packet) or lazy: a drop-tail link
+// whose owner allows it computes each departure at send(),
+// d = max(now, d_prev) + tx, decides a finite buffer's drop from the
+// departures still ahead, and keeps the tx-done as a virtual scheduler
+// event that never enters the queue.  A lazy link whose receiver is an
+// unbounded lazy link fed by nothing else makes the delivery virtual too
+// and feeds the arrival into the receiver at once.  Pop order, delivery
+// times, drops and events_executed() are identical either way
+// (docs/DES_ENGINE.md).
 #pragma once
 
 #include <cstdint>
@@ -55,22 +59,19 @@ class Link {
 
   // Downstream receiver; must be set before the first send.  The Link and
   // FlowDemux overloads devirtualize the hop — delivery calls the next
-  // stage directly instead of going through a std::function.
-  void set_receiver(PacketHandler receiver) {
-    next_link_ = nullptr;
-    next_demux_ = nullptr;
-    receiver_ = std::move(receiver);
-  }
-  void set_receiver(Link* next) {
-    next_link_ = next;
-    next_demux_ = nullptr;
-    receiver_ = nullptr;
-  }
-  void set_receiver(FlowDemux* demux) {
-    next_link_ = nullptr;
-    next_demux_ = demux;
-    receiver_ = nullptr;
-  }
+  // stage directly instead of going through a std::function.  The Link
+  // overload makes this link one of `next`'s upstream links.  Rewiring a
+  // fused hop, or giving a link fed virtually a second upstream, throws
+  // std::logic_error.
+  void set_receiver(PacketHandler receiver);
+  void set_receiver(Link* next);
+  void set_receiver(FlowDemux* demux);
+
+  // Declares that nothing but this link's upstream links feeds it: a
+  // direct send() throws std::logic_error from now on.  The owner of a
+  // link no caller can reach declares it, which lets its one upstream
+  // link deliver into it virtually (a fused hop).
+  void set_upstream_only() { upstream_only_ = true; }
 
   // Offer to the queue discipline; may drop (tail or AQM-early) on arrival,
   // and AQM disciplines may additionally discard queued packets later.
@@ -81,16 +82,18 @@ class Link {
 
   // Lazy mode.  The owner allows it (default: not allowed) when no fault
   // hook will reach the link; the link then goes lazy at its first send if
-  // it also has an unbounded drop-tail queue, no hub sink bound, and a
-  // scheduler whose counters are unobserved.  Fault hooks and sink binding
-  // on a lazy link throw std::logic_error.
+  // it also has a drop-tail queue (any buffer), no hub sink bound, and a
+  // scheduler whose counters are unobserved.  A lazy link decides its
+  // receiver's mode at the same time when it fuses the hop.  Fault hooks
+  // and sink binding on a lazy link throw std::logic_error.
   void set_lazy_allowed(bool allowed);
   bool lazy() const { return mode_ == Mode::kLazy; }
 
-  // Aggregate and per-flow counters.  Delivered counts transmissions
-  // completed by now; on a lazy link it, queue_length() and utilization()
-  // walk the in-flight packets.
-  std::uint64_t total_arrivals() const { return total_arrivals_; }
+  // Aggregate and per-flow counters, as the eager link counts them by now.
+  // Delivered counts transmissions completed; a lazy link reads it,
+  // queue_length() and utilization() off its departure FIFO's cursor, and
+  // a link fed virtually leaves out the arrivals still ahead of the clock.
+  std::uint64_t total_arrivals() const;
   std::uint64_t total_drops() const { return total_drops_; }
   std::uint64_t total_delivered() const;
   LinkFlowCounters flow_counters(FlowId flow) const;
@@ -142,6 +145,13 @@ class Link {
     std::uint64_t seq;
     PacketPool::Ref ref;
   };
+  // A lazy link's admitted packet: its virtual tx-done and tx time.
+  struct Departure {
+    SimTime when;
+    std::uint64_t vid;
+    SimTime tx;
+    FlowId flow;
+  };
   enum class Mode : std::uint8_t { kUndecided, kEager, kLazy };
 
   static void tx_done_port(void* ctx) {
@@ -151,11 +161,29 @@ class Link {
     static_cast<Link*>(ctx)->on_delivery();
   }
 
+  bool lazy_eligible() const;
   void decide_mode();
+  void fuse_receiver();
+  void unhook_receiver();
+  // send() past the upstream-only check: what an upstream link delivers.
+  void arrive(const Packet& p);
   void send_lazy(const Packet& p);
-  // Lazy links: in-flight packets whose tx-done is still ahead (the first
-  // of them is on the wire, the rest queued), and their queued tx time.
-  std::size_t lazy_ahead(SimTime* queued_tx) const;
+  // A packet arriving on a link fed virtually, at virtual delivery
+  // `delivery` (time `when`) of the upstream link.
+  void arrive_virtual(const Packet& p, std::uint64_t delivery, SimTime when,
+                      SimTime chain_start);
+  // Records an admitted packet's virtual tx-done at (departure, sigma) and
+  // its delivery; `chain_start` is when the first link of the fused chain
+  // started transmitting it.
+  void admit(const Packet& p, SimTime departure, std::uint64_t sigma,
+             SimTime tx, SimTime chain_start);
+  // Lazy links: moves the cursor past the tx-dones that have passed and
+  // returns how many lie ahead (the first of them on the wire once its
+  // packet has arrived, the rest queued or not yet arrived).
+  std::size_t pass_departures() const;
+  // On a link fed virtually: admitted packets (of `flow`, or all) whose
+  // virtual delivery into this link is still ahead; 0 on any other link.
+  std::size_t arrivals_ahead(const FlowId* flow = nullptr) const;
   void require_eager(const char* hook);
   bool bound() const;
   void start_transmission(const Packet& p);
@@ -209,10 +237,18 @@ class Link {
   Mode mode_ = Mode::kUndecided;
   bool lazy_allowed_ = false;
   bool fault_touched_ = false;  // a fault hook ran before the first send
-  // Lazy links: the newest packet's virtual tx-done and departure (before
-  // the clock starts until the first send).
-  std::uint64_t last_vtx_ = 0;
-  SimTime last_departure_ = SimTime::nanos(-1);
+  bool upstream_only_ = false;  // set_upstream_only()
+  bool fed_ = false;            // arrivals are an upstream's virtual deliveries
+  bool feeds_next_ = false;     // deliveries into next_link_ are virtual
+  std::uint32_t upstream_links_ = 0;  // links whose receiver this is
+  // Lazy links: admitted packets in departure order; those before
+  // `departed_` have passed their tx-done, and `ahead_tx_` sums the tx time
+  // of the rest.  Accessors move the cursor too, hence mutable.
+  mutable std::vector<Departure> departures_;
+  mutable std::size_t departed_ = 0;
+  mutable SimTime ahead_tx_ = SimTime::zero();
+  // Where the previous delivery's settle ended (Scheduler::settle_virtual).
+  std::uint64_t settle_hint_ = 0;
 
   bool down_ = false;
   std::uint64_t burst_remaining_ = 0;

@@ -26,6 +26,11 @@ class DropTailQdisc final : public QueueDiscipline {
     return true;
   }
 
+  // Tail-drops `p` without consulting the queue: a lazy link, which holds
+  // no packets here, decides the overflow from its departure FIFO and
+  // reports it through the same counters and drop handler.
+  void reject(const Packet& p) { drop(p, QdiscDropReason::kOverlimit); }
+
   bool dequeue(Packet* out, SimTime) override {
     if (queue_.empty()) return false;
     *out = queue_.front();

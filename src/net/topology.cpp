@@ -25,9 +25,13 @@ DumbbellPath::DumbbellPath(Scheduler& sched, BottleneckConfig bottleneck,
       sched_, LinkConfig{access_.bandwidth_bps, access_.prop_delay, 0});
   rev_bottleneck_->set_receiver(rev_exit_.get());
   rev_exit_->set_receiver(&rev_demux_);
+  // The exits are private: only their bottleneck feeds them, so each
+  // bottleneck -> exit hop fuses when both links run lazy.
+  exit_->set_upstream_only();
+  rev_exit_->set_upstream_only();
 
-  // Every link may run lazy until expose_to_faults(); only the unbounded
-  // drop-tail ones with nothing bound actually do (Link::set_lazy_allowed).
+  // Every link may run lazy until expose_to_faults(); only the drop-tail
+  // ones with nothing bound actually do (Link::set_lazy_allowed).
   for (Link* link : {bottleneck_.get(), exit_.get(), rev_bottleneck_.get(),
                      rev_exit_.get()}) {
     link->set_lazy_allowed(true);

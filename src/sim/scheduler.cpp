@@ -177,12 +177,13 @@ std::uint64_t Scheduler::run() { return run_until(SimTime::max()); }
 
 // --- virtual events -------------------------------------------------------
 
+void Scheduler::start_log() {
+  logging_ = true;
+  log_.start(1024);
+  vtx_.start(1024);
+}
+
 void Scheduler::widen_lookback(SimTime lookback) {
-  if (!logging_) {
-    logging_ = true;
-    log_.start(1024);
-    vtx_.start(1024);
-  }
   log_.window = lookback;
   vtx_.window = lookback * 2;
 }
@@ -195,16 +196,21 @@ const Scheduler::VirtualEvent& Scheduler::virtual_event(
   return vtx_[id];
 }
 
-bool Scheduler::pop_past(const VirtualEvent& event, std::uint64_t i) const {
+bool Scheduler::pop_past(std::uint64_t id, std::uint64_t i) const {
+  const VirtualEvent& event = vtx_[id];
   const PopRecord& pop = log_[i];
   if (pop.when != event.when) return event.when < pop.when;
+  // A pop keyed by one of the event's own claims (a delivery after zero
+  // propagation delay) ran after it; comparing the event's key with it
+  // would ask for the very c being resolved.
+  if (is_virtual(pop.seq) && virtual_id(pop.seq) == id) return true;
   return seq_less(event.sigma, pop.seq);
 }
 
 std::uint64_t Scheduler::resolve(std::uint64_t id) const {
   const VirtualEvent& event = virtual_event(id);
   if (event.c != kUnresolved) return event.c;
-  if (log_.end == log_.begin || !pop_past(event, log_.end - 1)) {
+  if (log_.end == log_.begin || !pop_past(id, log_.end - 1)) {
     return kUnresolved;
   }
   std::uint64_t lo = event.first;
@@ -216,23 +222,28 @@ std::uint64_t Scheduler::resolve(std::uint64_t id) const {
     }
     lo = log_.begin;
   }
-  // The first pop past the event: gallop from `lo` (usually a few pops
-  // away), then bisect.  The newest pop is past it, so this terminates.
+  vtx_[id].c = log_[first_pop_past(id, lo)].counter;
+  return vtx_[id].c;
+}
+
+std::uint64_t Scheduler::first_pop_past(std::uint64_t id,
+                                        std::uint64_t lo) const {
+  // Gallop from `lo` (usually a few pops away), then bisect.  The newest
+  // pop is past the event, so this terminates.
   std::uint64_t hi = lo;
-  for (std::uint64_t step = 1; !pop_past(event, hi); step *= 2) {
+  for (std::uint64_t step = 1; !pop_past(id, hi); step *= 2) {
     lo = hi + 1;
     hi = std::min(hi + step, log_.end - 1);
   }
   while (lo < hi) {
     const std::uint64_t mid = lo + (hi - lo) / 2;
-    if (pop_past(event, mid)) {
+    if (pop_past(id, mid)) {
       hi = mid;
     } else {
       lo = mid + 1;
     }
   }
-  vtx_[id].c = log_[lo].counter;
-  return vtx_[id].c;
+  return lo;
 }
 
 bool Scheduler::seq_less(std::uint64_t a, std::uint64_t b) const {
@@ -257,6 +268,13 @@ bool Scheduler::seq_less(std::uint64_t a, std::uint64_t b) const {
   return seq_less(x.sigma, y.sigma);
 }
 
+bool Scheduler::virtual_before(std::uint64_t a, std::uint64_t b) const {
+  const VirtualEvent& x = virtual_event(a);
+  const VirtualEvent& y = virtual_event(b);
+  if (x.when != y.when) return x.when < y.when;
+  return seq_less(x.sigma, y.sigma);
+}
+
 bool Scheduler::virtual_ahead(std::uint64_t id) const {
   const SimTime when = virtual_event(id).when;
   if (when != now_) return when > now_;
@@ -270,7 +288,7 @@ Scheduler::Ahead Scheduler::virtual_ahead_totals() const {
   for (std::uint64_t id = vtx_.begin; id < vtx_.end; ++id) {
     if (virtual_ahead(id)) {
       ++ahead.events;
-      ahead.claims += vtx_[id].chained ? 2 : 1;
+      ahead.claims += vtx_[id].claims;
     }
   }
   return ahead;

@@ -34,16 +34,18 @@
 // in `pending_events()` / `max_events_pending()` as if they were queued.
 //
 // Virtual events (lazy links): an event whose time is known in advance and
-// whose handler only claims keys — a drop-tail link's tx-done — need not
-// enter the queue at all.  `add_virtual(when, sigma)` records it at key
-// (when, sigma); its claims (`virtual_seq(id, 0|1)`) are seq values that
-// order exactly where the claims an executed event would have made order:
-// after every real claim made before the event's key passes, before every
-// one made after (the tie rule, docs/DES_ENGINE.md).  A log of real pops
-// answers "when did it pass" for same-nanosecond ties.  Virtual events
-// count in `events_executed()` and their claims in `events_scheduled()`
-// once they pass, but not in `pending_events()` / `max_events_pending()`,
-// which are exact only while no link is lazy.
+// whose handler only claims keys — a drop-tail link's tx-done, or its
+// delivery into a link fed by nothing else — need not enter the queue at
+// all.  `add_virtual(when, sigma, claims)` records it at key (when, sigma);
+// its claims (`virtual_seq(id, 0|1)`) are seq values that order exactly
+// where the claims an executed event would have made order: after every
+// real claim made before the event's key passes, before every one made
+// after (the tie rule, docs/DES_ENGINE.md).  A log of real pops answers
+// "when did it pass" for same-nanosecond ties.  Virtual events count in
+// `events_executed()` and their claims in `events_scheduled()` once they
+// pass, but not in `events_dispatched()` (real pops only) nor in
+// `pending_events()` / `max_events_pending()`, which are exact only while
+// no link is lazy.
 #pragma once
 
 #include <algorithm>
@@ -117,15 +119,20 @@ class Scheduler {
   // virtual.  Returns the claimed seq.
   std::uint64_t claim_seq() { return next_seq_++; }
   // Records a virtual event at key (when, sigma), where sigma is a real
-  // claim or another virtual event's claim, and returns its id.  The first
-  // call starts the pop log.  `lookback` bounds how far behind the clock
-  // the event's key may still be compared: the longest delay from the
-  // event to the last entry keyed by its claims, plus slack for
-  // same-nanosecond chains.  The log keeps every real pop of the last
-  // `lookback`, and events are kept twice that long; a lookup past either
-  // throws std::logic_error rather than guess.
+  // claim or another virtual event's claim, and returns its id.  `claims`
+  // is how many keys the event claims for itself (a tx-done: 1, its
+  // delivery); a virtual sigma also counts as a claim of its owner.  The
+  // first call starts the pop log.
   std::uint64_t add_virtual(SimTime when, std::uint64_t sigma,
-                            SimTime lookback);
+                            std::uint32_t claims);
+  // Bounds how far behind the clock a virtual key may still be compared:
+  // the longest delay from an event to the last entry keyed through its
+  // claims, plus slack for same-nanosecond chains.  The log keeps every
+  // real pop of the last `lookback`, and events are kept twice that long;
+  // a lookup past either throws std::logic_error rather than guess.
+  void keep_lookback(SimTime lookback) {
+    if (lookback > log_.window) widen_lookback(lookback);
+  }
   // The seq of claim `index` (0 or 1, in claim order) of virtual event `id`.
   static std::uint64_t virtual_seq(std::uint64_t id, unsigned index) {
     return kVirtualBit | (id << 1) | index;
@@ -137,10 +144,16 @@ class Scheduler {
   // True while virtual event `id` lies ahead of the current position (the
   // running pop, or the end of the last run_until).
   bool virtual_ahead(std::uint64_t id) const;
+  // True iff virtual event `a`'s key orders before `b`'s: the order in
+  // which the two would pop, decided even while both are still ahead.
+  bool virtual_before(std::uint64_t a, std::uint64_t b) const;
   // Resolves a passed virtual event's place among the real claims now,
   // while the pop log still covers it; its owner calls this when the last
   // entry keyed by its claims pops, so later ties never reach back past it.
-  void settle_virtual(std::uint64_t id);
+  // `hint` is a search start kept by the owner across calls: an owner that
+  // settles its events in key order (a link's FIFO) starts each search
+  // where the previous one ended.
+  void settle_virtual(std::uint64_t id, std::uint64_t* hint);
   // Inserts an entry under an already claimed key (real or virtual) for
   // port dispatch; unlike arm_deferred it touches no pending counter.
   void arm_key(SimTime when, std::uint64_t seq, std::uint32_t port) {
@@ -190,10 +203,12 @@ class Scheduler {
 
   // Lifetime work counters.  Cancelled counts superseded timer deadlines
   // (exactly those a cancel-and-push timer pops, after every run_until).
-  // Executed and scheduled count the passed virtual events and claims.
+  // Executed and scheduled count the passed virtual events and claims;
+  // dispatched counts only the pops that ran a handler.
   std::uint64_t events_executed() const {
     return executed_ + vtx_.end - virtual_ahead_totals().events;
   }
+  std::uint64_t events_dispatched() const { return executed_; }
   std::uint64_t events_cancelled() const { return cancelled_; }
   std::uint64_t events_scheduled() const {
     return next_seq_ + virtual_claims_ - virtual_ahead_totals().claims;
@@ -247,8 +262,8 @@ class Scheduler {
     // Log index of the first pop that can lie past the event: pops logged
     // before it was added ran before it.
     std::uint64_t first;
-    // A successor's key is this event's claim 1: it claims two keys, not one.
-    bool chained;
+    // Claims that exist: its own, plus one per index another key uses.
+    std::uint32_t claims;
   };
   // One real pop (or run_until's end mark): its key and the real-claim
   // counter when it began.
@@ -294,14 +309,18 @@ class Scheduler {
       (*this)[end++] = v;
     }
   };
+  void start_log();
   void widen_lookback(SimTime lookback);
   const VirtualEvent& virtual_event(std::uint64_t id) const;
   // Total order on claims, real and virtual (the tie rule).
   bool seq_less(std::uint64_t a, std::uint64_t b) const;
   // c of virtual event `id`, or kUnresolved while it is still ahead.
   std::uint64_t resolve(std::uint64_t id) const;
-  // Logged pop i lies past virtual event `event`'s key.
-  bool pop_past(const VirtualEvent& event, std::uint64_t i) const;
+  // Index of the first logged pop past virtual event `id`, searched from
+  // `lo`; the newest pop must lie past it.
+  std::uint64_t first_pop_past(std::uint64_t id, std::uint64_t lo) const;
+  // Logged pop i lies past virtual event `id`'s key.
+  bool pop_past(std::uint64_t id, std::uint64_t i) const;
   // The virtual events still ahead and the claims they will make.
   struct Ahead {
     std::uint64_t events = 0;
@@ -388,37 +407,44 @@ inline Scheduler::Deferred Scheduler::defer_after(SimTime delay) {
 }
 
 inline std::uint64_t Scheduler::add_virtual(SimTime when, std::uint64_t sigma,
-                                            SimTime lookback) {
+                                            std::uint32_t claims) {
   if (when < now_) throw std::invalid_argument{"add_virtual: time in the past"};
-  if (lookback > log_.window) widen_lookback(lookback);  // also starts the log
+  if (!logging_) start_log();
   const std::uint64_t id = vtx_.end;
-  vtx_.push(VirtualEvent{when, sigma, kUnresolved, log_.end, false}, now_);
-  // Its delivery claim, and its predecessor's claim 1 when chained.
-  virtual_claims_ += 1;
+  vtx_.push(VirtualEvent{when, sigma, kUnresolved, log_.end, claims}, now_);
+  virtual_claims_ += claims;
   if (is_virtual(sigma)) {
-    vtx_[virtual_id(sigma)].chained = true;
-    virtual_claims_ += 1;
+    // Its key is claim (sigma & 1) of an earlier event: that claim exists.
+    VirtualEvent& owner = vtx_[virtual_id(sigma)];
+    const auto used = static_cast<std::uint32_t>(sigma & 1) + 1;
+    if (owner.claims < used) {
+      virtual_claims_ += used - owner.claims;
+      owner.claims = used;
+    }
   }
   return id;
 }
 
-inline void Scheduler::settle_virtual(std::uint64_t id) {
+inline void Scheduler::settle_virtual(std::uint64_t id, std::uint64_t* hint) {
   VirtualEvent& event = vtx_[id];  // kept: an entry keyed by it is popping
   if (event.c != kUnresolved) return;
-  // Fast path: a few pops after the event was added, one is later by time
-  // alone.  A same-time pop or a longer walk takes the full search.
-  if (event.first >= log_.begin) {
-    const std::uint64_t stop = std::min(log_.end, event.first + 8);
-    for (std::uint64_t i = event.first; i < stop; ++i) {
-      const PopRecord& pop = log_[i];
-      if (pop.when == event.when) break;
-      if (pop.when > event.when) {
-        event.c = pop.counter;
-        return;
-      }
+  std::uint64_t i = std::max(*hint, event.first);
+  if (i < log_.begin) {
+    // Pops were dropped since: they all ran before the event only if they
+    // are older than it; otherwise never guess.
+    if (!(log_.dropped < event.when)) {
+      throw std::logic_error{"virtual event lookup ran past the pop log"};
     }
+    i = log_.begin;
   }
-  resolve(id);
+  // Fast path: a few pops on, one is later by time alone.  A same-time pop
+  // or a longer walk takes the full search.
+  const std::uint64_t start = i;
+  const std::uint64_t stop = std::min(log_.end, i + 16);
+  while (i < stop && log_[i].when < event.when) ++i;
+  if (i == stop || log_[i].when == event.when) i = first_pop_past(id, start);
+  event.c = log_[i].counter;
+  *hint = i;
 }
 
 inline void Scheduler::arm_deferred(const Deferred& d, std::uint32_t port) {

@@ -310,6 +310,7 @@ SessionResult run_session(const SessionConfig& config) {
   result.events_executed = sched.run_until(horizon);
   result.events_cancelled = sched.events_cancelled();
   result.events_scheduled = sched.events_scheduled();
+  result.events_dispatched = sched.events_dispatched();
   if (injector) result.fault_events_fired = injector->events_fired();
 
   // --- per-path measurements (Table 2 / Table 3 rows) ---

@@ -119,6 +119,10 @@ struct SessionResult {
   // like events_executed, the same whether links run lazy or eager.
   std::uint64_t events_cancelled = 0;
   std::uint64_t events_scheduled = 0;
+  // The pops that ran a handler (Scheduler::events_dispatched): equal to
+  // events_executed when every link is eager, fewer by the virtual events
+  // of lazy links.
+  std::uint64_t events_dispatched = 0;
   // Fault events replayed from `config.faults` (0 for fault-free runs).
   std::uint64_t fault_events_fired = 0;
 

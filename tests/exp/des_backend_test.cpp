@@ -1,14 +1,16 @@
-// Lazy links at the session level: a plain run (access and reverse links
-// lazy, no tx-done events for them) and an `obs.enabled` run (metrics on,
-// so every link stays eager and every timer arm pushes its own entry)
-// must produce the same trajectory — trace, events_executed /
-// _cancelled / _scheduled, per-path measurements and bottleneck flow
-// counters —
-// on the tie-heavy 5 Mb/s settings, where the 2.4 ms bottleneck tx time is
-// exactly 20 access tx times and same-nanosecond pops are common.  The
-// redundant + faults arm keeps the fault-reachable bottlenecks eager while
-// the rest stay lazy.  The single DES backend keeps the experiment
-// engine's thread-count invariance, and DMP_DES is gone.
+// Lazy links at the session level: a plain run (every drop-tail link lazy,
+// finite-buffer bottlenecks included, and the bottleneck -> exit hops
+// fused, so neither tx-dones nor those deliveries enter the queue) and an
+// `obs.enabled` run (metrics on, so every link stays eager and every timer
+// arm pushes its own entry) must produce the same trajectory — trace,
+// events_executed / _cancelled / _scheduled, per-path measurements and
+// bottleneck flow counters — on the tie-heavy 5 Mb/s settings, where the
+// 2.4 ms bottleneck tx time is exactly 20 access tx times and
+// same-nanosecond pops are common, and on the correlated Setting 1, where
+// two video flows share one lazy bottleneck.  The redundant + faults arm
+// keeps the fault-reachable bottlenecks eager while the rest stay lazy.
+// The single DES backend keeps the experiment engine's thread-count
+// invariance, and DMP_DES is gone.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -44,6 +46,15 @@ SessionConfig eager(SessionConfig config, const std::string& prefix) {
   config.obs.probe_interval_s = 0.0;
   config.obs.output_dir = "des_backend_test_out";
   config.obs.prefix = prefix;
+  return config;
+}
+
+// Fig. 6: `flows` video flows on one Table-1 bottleneck.
+SessionConfig correlated(int config_id, std::size_t flows, double mu_pps) {
+  SessionConfig config = setting(config_id, config_id, mu_pps);
+  config.path_configs = {table1_config(config_id)};
+  config.correlated = true;
+  config.num_flows = flows;
   return config;
 }
 
@@ -90,6 +101,44 @@ TEST(LazyLinkSession, PlainMatchesEagerOnSetting33) {
 TEST(LazyLinkSession, PlainMatchesEagerOnSetting13) {
   const SessionConfig plain = setting(1, 3, 40.0);
   expect_identical(run_session(plain), run_session(eager(plain, "s13")));
+}
+
+TEST(LazyLinkSession, PlainMatchesEagerOnCorrelatedSetting1) {
+  const SessionConfig plain = correlated(1, 2, 50.0);
+  const SessionResult lazy = run_session(plain);
+  const SessionResult exact = run_session(eager(plain, "c1"));
+  expect_identical(lazy, exact);
+  ASSERT_EQ(lazy.paths.size(), 2u);
+  for (const PathMeasurement& m : lazy.paths) EXPECT_GT(m.loss_rate, 0.0);
+}
+
+TEST(LazyLinkSession, PlainMatchesEagerOnSetting44) {
+  // 30-packet buffers and 1 ms propagation: the tie-heavy drop case.
+  const SessionConfig plain = setting(4, 4, 50.0);
+  const SessionResult lazy = run_session(plain);
+  const SessionResult exact = run_session(eager(plain, "s44"));
+  expect_identical(lazy, exact);
+  for (const PathMeasurement& m : lazy.paths) {
+    EXPECT_GT(m.bottleneck.drops, 0u);
+  }
+}
+
+TEST(LazyLinkSession, RealPopsShrinkOnLazyLinksOnly) {
+  // Setting 1-1 at the Fig-4/5 run shape.  Every link eager, each logical
+  // event is a pop; plain, the virtual tx-dones and fused deliveries are
+  // not.
+  SessionConfig plain = setting(1, 1, 50.0);
+  plain.duration_s = 40.0;
+  plain.warmup_s = 10.0;
+  plain.drain_s = 10.0;
+  plain.seed = 7;
+  const SessionResult lazy = run_session(plain);
+  const SessionResult exact = run_session(eager(plain, "s11"));
+  expect_identical(lazy, exact);
+  EXPECT_EQ(exact.events_dispatched, exact.events_executed);
+  EXPECT_LE(static_cast<double>(lazy.events_dispatched),
+            0.45 * static_cast<double>(lazy.events_executed))
+      << lazy.events_dispatched << " of " << lazy.events_executed;
 }
 
 TEST(LazyLinkSession, PlainMatchesEagerUnderRedundantWithFaults) {

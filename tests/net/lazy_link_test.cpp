@@ -5,10 +5,13 @@
 // 120 us lattice (1500 B at 100 Mb/s; 2.4 ms = 20 lattice steps at 5 Mb/s)
 // with 10 ms and 40 ms propagation delays, so arrivals land exactly on
 // departures and deliveries tie with timers: the tie rule has to place
-// every virtual claim where the eager tx-done's claim would be.  Every
-// callback (time + id), every delivery, events_executed / _scheduled /
-// _cancelled, total_delivered, queue_length and utilization must match at
-// every checkpoint, including
+// every virtual claim where the eager tx-done's claim would be.  The
+// network also runs with finite buffers whose bursts overflow (drops
+// decided at arrival) and with fused hops (deliveries into a link fed by
+// nothing else made virtual).  Every callback (time + id), every delivery,
+// events_executed / _scheduled / _cancelled, and per link the arrivals,
+// per-flow arrivals and drops, overlimit drops, total_delivered,
+// queue_length and utilization must match at every checkpoint, including
 // the final horizon with packets still queued.
 #include <gtest/gtest.h>
 
@@ -42,6 +45,13 @@ struct Checkpoint {
   std::uint64_t executed;
   std::uint64_t scheduled;
   std::uint64_t cancelled;
+  std::uint64_t dispatched;
+  std::vector<std::uint64_t> arrivals;
+  std::vector<std::uint64_t> drops;
+  std::vector<std::uint64_t> overlimit;
+  // Per link, flows 1 (scripted) and 2 (echo sends).
+  std::vector<std::uint64_t> flow_arrivals;
+  std::vector<std::uint64_t> flow_drops;
   std::vector<std::uint64_t> delivered;
   std::vector<std::size_t> queued;
   std::vector<double> utilization;
@@ -52,6 +62,19 @@ struct Outcome {
   std::vector<int> pop_id;
   std::vector<Checkpoint> checkpoints;
   bool lazy = false;
+  bool fused = false;  // the head -> mid hop delivers virtually
+};
+
+// The network's variants: a finite buffer on head, mid and twin (0 =
+// unbounded), and which hops fuse.  `fuse_mid` declares mid upstream-only
+// and unbounded (head -> mid fuses, like a bottleneck into its exit; the
+// direct sends meant for mid go to twin);
+// `fuse_tail` declares tail upstream-only and points twin at the sink, so
+// mid -> tail fuses as well (a three-link fused chain).
+struct Shape {
+  std::size_t buffer = 0;
+  bool fuse_mid = false;
+  bool fuse_tail = false;
 };
 
 std::vector<Op> make_script(std::uint64_t seed, int n) {
@@ -82,7 +105,8 @@ SimTime echo_delay(int id) {
 }
 
 Outcome run_arm(const std::vector<Op>& script, bool lazy,
-                const std::vector<SimTime>& checkpoints) {
+                const std::vector<SimTime>& checkpoints,
+                const Shape& shape = {}) {
   Scheduler sched;
   Outcome out;
   const auto log = [&out, &sched](int id) {
@@ -90,15 +114,16 @@ Outcome run_arm(const std::vector<Op>& script, bool lazy,
     out.pop_id.push_back(id);
   };
   // head (5 Mb/s, 10 ms) -> mid (100 Mb/s, 40 ms) -> tail -> sink, and
-  // twin (a copy of mid) -> tail, all unbounded.  Twin and mid deliver
+  // twin (a copy of mid) -> tail; tail is unbounded.  Twin and mid deliver
   // into tail on the same nanoseconds; tail's 120 us propagation delay
   // equals its 1500 B tx time, so a delivery can tie with the next
   // packet's tx-done.
   std::vector<std::unique_ptr<Link>> chain;
   for (const LinkConfig& config :
-       {LinkConfig{5e6, SimTime::millis(10), 0},
-        LinkConfig{100e6, SimTime::millis(40), 0},
-        LinkConfig{100e6, SimTime::millis(40), 0},
+       {LinkConfig{5e6, SimTime::millis(10), shape.buffer},
+        LinkConfig{100e6, SimTime::millis(40),
+                   shape.fuse_mid ? 0 : shape.buffer},
+        LinkConfig{100e6, SimTime::millis(40), shape.buffer},
         LinkConfig{100e6, SimTime::micros(120), 0}}) {
     chain.push_back(std::make_unique<Link>(sched, config));
     chain.back()->set_lazy_allowed(lazy);
@@ -107,11 +132,14 @@ Outcome run_arm(const std::vector<Op>& script, bool lazy,
   Link& mid = *chain[1];
   Link& twin = *chain[2];
   Link& tail = *chain[3];
+  // Mid's own arrivals: direct sends unless mid is fed by head alone.
+  Link& mid_entry = shape.fuse_mid ? twin : mid;
+  if (shape.fuse_mid) mid.set_upstream_only();
+  if (shape.fuse_tail) tail.set_upstream_only();
   head.set_receiver(&mid);
   mid.set_receiver(&tail);
-  twin.set_receiver(&tail);
   int feedback_id = 1'000'000;
-  tail.set_receiver([&](const Packet& p) {
+  const auto sink = [&](const Packet& p) {
     log(static_cast<int>(p.seq));
     // Every fourth delivery feeds a packet back into the head from inside
     // the delivery pop, on the lattice.
@@ -120,7 +148,13 @@ Outcome run_arm(const std::vector<Op>& script, bool lazy,
       back.seq = feedback_id++;
       head.send(back);
     }
-  });
+  };
+  tail.set_receiver(sink);
+  if (shape.fuse_tail) {
+    twin.set_receiver(sink);
+  } else {
+    twin.set_receiver(&tail);
+  }
   // Sends claimed mid-run, landing exactly on departures whose keys were
   // claimed earlier: the idle-or-busy question at d_last.
   const auto echo_send = [&](int id) {
@@ -128,7 +162,8 @@ Outcome run_arm(const std::vector<Op>& script, bool lazy,
     p.flow = 2;
     p.seq = 7'000'000 + id;
     p.size_bytes = 1500;
-    chain[static_cast<std::size_t>(id) % 3]->send(p);
+    Link* targets[] = {&head, &mid_entry, &twin};
+    targets[static_cast<std::size_t>(id) % 3]->send(p);
   };
 
   // One-shot timers: a callback each, one registration per shot.
@@ -152,7 +187,8 @@ Outcome run_arm(const std::vector<Op>& script, bool lazy,
         p.flow = 1;
         p.seq = op.id;
         p.size_bytes = op.bytes;
-        Link* target = op.kind == 0 ? &head : op.id % 2 == 0 ? &twin : &mid;
+        Link* target =
+            op.kind == 0 ? &head : op.id % 2 == 0 ? &twin : &mid_entry;
         sched.post_at(at, [target, p, &log, id = op.id] {
           log(-1 - id);
           target->send(p);
@@ -195,7 +231,15 @@ Outcome run_arm(const std::vector<Op>& script, bool lazy,
     cp.executed = sched.events_executed();
     cp.scheduled = sched.events_scheduled();
     cp.cancelled = sched.events_cancelled();
+    cp.dispatched = sched.events_dispatched();
     for (const auto& link : chain) {
+      cp.arrivals.push_back(link->total_arrivals());
+      cp.drops.push_back(link->total_drops());
+      cp.overlimit.push_back(link->qdisc_counters().overlimit_drops);
+      for (FlowId flow : {1u, 2u}) {
+        cp.flow_arrivals.push_back(link->flow_counters(flow).arrivals);
+        cp.flow_drops.push_back(link->flow_counters(flow).drops);
+      }
       cp.delivered.push_back(link->total_delivered());
       cp.queued.push_back(link->queue_length());
       cp.utilization.push_back(link->utilization(horizon));
@@ -204,6 +248,11 @@ Outcome run_arm(const std::vector<Op>& script, bool lazy,
   }
   out.lazy = true;
   for (const auto& link : chain) out.lazy = out.lazy && link->lazy();
+  try {
+    head.set_receiver(&mid);  // rewiring a fused hop throws
+  } catch (const std::logic_error&) {
+    out.fused = true;
+  }
   return out;
 }
 
@@ -220,6 +269,13 @@ void expect_same(const Outcome& eager, const Outcome& lazy) {
     EXPECT_EQ(e.executed, l.executed) << "checkpoint " << c;
     EXPECT_EQ(e.scheduled, l.scheduled) << "checkpoint " << c;
     EXPECT_EQ(e.cancelled, l.cancelled) << "checkpoint " << c;
+    EXPECT_EQ(e.dispatched, e.executed) << "checkpoint " << c;
+    EXPECT_LT(l.dispatched, l.executed) << "checkpoint " << c;
+    EXPECT_EQ(e.arrivals, l.arrivals) << "checkpoint " << c;
+    EXPECT_EQ(e.drops, l.drops) << "checkpoint " << c;
+    EXPECT_EQ(e.overlimit, l.overlimit) << "checkpoint " << c;
+    EXPECT_EQ(e.flow_arrivals, l.flow_arrivals) << "checkpoint " << c;
+    EXPECT_EQ(e.flow_drops, l.flow_drops) << "checkpoint " << c;
     EXPECT_EQ(e.delivered, l.delivered) << "checkpoint " << c;
     EXPECT_EQ(e.queued, l.queued) << "checkpoint " << c;
     EXPECT_EQ(e.utilization, l.utilization) << "checkpoint " << c;
@@ -235,25 +291,58 @@ std::size_t ties(const Outcome& out) {
   return n;
 }
 
-TEST(LazyLink, ChainMatchesEagerPopForPop) {
-  // Checkpoints on and off the lattice; the last one leaves the 5 Mb/s
-  // head link with a standing queue.
-  const std::vector<SimTime> checkpoints{
+// Checkpoints on and off the lattice; the last one leaves the 5 Mb/s head
+// link with a standing queue.
+const std::vector<SimTime>& lattice_checkpoints() {
+  static const std::vector<SimTime> checkpoints{
       SimTime::millis(50), SimTime::nanos(100 * kLatticeNs + 7),
       SimTime::millis(240), SimTime::nanos(3000 * kLatticeNs),
       SimTime::millis(600)};
-  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+  return checkpoints;
+}
+
+// Both arms of `shape` over scripts seeded first..last, compared.
+void expect_shape_matches(const Shape& shape, std::uint64_t first,
+                          std::uint64_t last) {
+  for (std::uint64_t seed = first; seed <= last; ++seed) {
+    SCOPED_TRACE(testing::Message()
+                 << "seed " << seed << " buffer " << shape.buffer
+                 << " fuse " << shape.fuse_mid << shape.fuse_tail);
     const std::vector<Op> script = make_script(seed, 3000);
-    const Outcome eager = run_arm(script, false, checkpoints);
-    const Outcome lazy = run_arm(script, true, checkpoints);
+    const Outcome eager = run_arm(script, false, lattice_checkpoints(), shape);
+    const Outcome lazy = run_arm(script, true, lattice_checkpoints(), shape);
     ASSERT_FALSE(eager.lazy);
-    ASSERT_TRUE(lazy.lazy) << "seed " << seed;
-    SCOPED_TRACE(testing::Message() << "seed " << seed);
+    ASSERT_TRUE(lazy.lazy);
+    EXPECT_FALSE(eager.fused);
+    EXPECT_EQ(lazy.fused, shape.fuse_mid);
     expect_same(eager, lazy);
     EXPECT_GT(ties(eager), 100u) << "the workload must force exact ties";
-    EXPECT_GT(eager.checkpoints.back().queued[0], 0u)
-        << "the horizon must leave packets queued";
+    if (shape.buffer != 1) {  // a one-packet buffer is often empty by then
+      EXPECT_GT(eager.checkpoints.back().queued[0], 0u)
+          << "the horizon must leave packets queued";
+    }
+    if (shape.buffer != 0) {
+      // Bursts overflow the 5 Mb/s head.
+      EXPECT_GT(eager.checkpoints.back().overlimit[0], 0u);
+    }
   }
+}
+
+TEST(LazyLink, ChainMatchesEagerPopForPop) {
+  expect_shape_matches(Shape{}, 1, 12);
+}
+
+TEST(LazyLink, FiniteBuffersDropAtArrivalLikeEager) {
+  for (std::size_t buffer : {1u, 3u}) {
+    expect_shape_matches(Shape{buffer, false, false}, 1, 8);
+  }
+}
+
+TEST(LazyLink, FusedHopsMatchEagerPopForPop) {
+  expect_shape_matches(Shape{0, true, false}, 1, 8);
+  expect_shape_matches(Shape{3, true, false}, 9, 14);
+  expect_shape_matches(Shape{0, true, true}, 15, 20);
+  expect_shape_matches(Shape{1, true, true}, 21, 26);
 }
 
 // Two hand-built ties the random workload reaches only by chance.  Each
@@ -315,6 +404,47 @@ std::vector<int> delivery_ties_successor(bool lazy) {
   return order;
 }
 
+std::vector<int> zero_propagation(bool lazy) {
+  // Both links have zero propagation delay, so each delivery pops at its
+  // own tx-done's time.  First's 2-packet buffer drops a burst's fourth
+  // packet, and the send posted for 2 ms, which pops before the 2 ms
+  // tx-done claimed after it; first's deliveries feed second (fused when
+  // lazy).  Ends with the event count.
+  Scheduler sched;
+  std::vector<int> order;
+  Link first(sched, LinkConfig{12e6, SimTime::zero(), 2});
+  Link second(sched, LinkConfig{12e6, SimTime::zero(), 0});
+  second.set_upstream_only();
+  first.set_receiver(&second);
+  second.set_receiver(
+      [&](const Packet& p) { order.push_back(static_cast<int>(p.seq)); });
+  first.set_lazy_allowed(lazy);
+  second.set_lazy_allowed(lazy);
+  Packet p;
+  p.size_bytes = 1500;
+  for (int seq : {1, 2, 3, 4}) {
+    p.seq = seq;
+    first.send(p);
+  }
+  for (int ms : {1, 2, 4}) {
+    sched.post_at(SimTime::millis(ms), [&, ms] {
+      order.push_back(-ms);
+      Packet q = p;
+      q.seq = 10 + ms;
+      first.send(q);
+    });
+  }
+  sched.run();
+  EXPECT_EQ(first.lazy(), lazy);
+  EXPECT_EQ(first.total_drops(), 2u);
+  order.push_back(static_cast<int>(sched.events_executed()));
+  return order;
+}
+
+TEST(LazyLink, ZeroPropagationDelayMatchesEager) {
+  EXPECT_EQ(zero_propagation(true), zero_propagation(false));
+}
+
 TEST(LazyLink, HandBuiltTiesMatchEager) {
   const std::vector<int> idle{1, -1, 2};
   EXPECT_EQ(idle_at_exact_departure(false), idle);
@@ -324,35 +454,80 @@ TEST(LazyLink, HandBuiltTiesMatchEager) {
   EXPECT_EQ(delivery_ties_successor(true), successor);
 }
 
-TEST(LazyLink, GoesLazyOnlyWhenAllowedUnboundedAndDroptail) {
+TEST(LazyLink, GoesLazyOnlyWhenAllowedAndDroptail) {
   Scheduler sched;
   Link lazy(sched, LinkConfig{1e6, SimTime::millis(1), 0});
   Link bounded(sched, LinkConfig{1e6, SimTime::millis(1), 5});
   Link default_link(sched, LinkConfig{1e6, SimTime::millis(1), 0});
   Link faulted(sched, LinkConfig{1e6, SimTime::millis(1), 0});
-  for (Link* link : {&lazy, &bounded, &default_link, &faulted}) {
+  LinkConfig pie_config{1e6, SimTime::millis(1), 5};
+  pie_config.qdisc = QdiscSpec::parse("pie");
+  Link pie(sched, pie_config);
+  for (Link* link : {&lazy, &bounded, &default_link, &faulted, &pie}) {
     link->set_receiver([](const Packet&) {});
   }
   lazy.set_lazy_allowed(true);
   bounded.set_lazy_allowed(true);
   faulted.set_lazy_allowed(true);
+  pie.set_lazy_allowed(true);
   faulted.drop_next(0);  // a fault hook before the first send pins eager
   Packet p;
   p.size_bytes = 1500;
-  for (Link* link : {&lazy, &bounded, &default_link, &faulted}) {
+  for (Link* link : {&lazy, &bounded, &default_link, &faulted, &pie}) {
     link->send(p);
   }
   EXPECT_TRUE(lazy.lazy());
-  EXPECT_FALSE(bounded.lazy());
+  EXPECT_TRUE(bounded.lazy());  // a finite drop-tail buffer drops at arrival
   EXPECT_FALSE(default_link.lazy());
   EXPECT_FALSE(faulted.lazy());
+  EXPECT_FALSE(pie.lazy());  // AQM decides at dequeue
   // A lazy link has no tx-done to freeze, drop against or rescale.
   EXPECT_THROW(lazy.set_down(true), std::logic_error);
   EXPECT_THROW(lazy.rescale(0.5, 1.0), std::logic_error);
   EXPECT_THROW(lazy.set_lazy_allowed(false), std::logic_error);
   sched.run();
   EXPECT_EQ(lazy.total_delivered(), 1u);
-  EXPECT_EQ(sched.events_executed(), 8u);  // 4 tx-dones + 4 deliveries
+  EXPECT_EQ(sched.events_executed(), 10u);  // 5 tx-dones + 5 deliveries
+  EXPECT_EQ(sched.events_dispatched(), 8u);  // the 2 lazy tx-dones are not
+}
+
+TEST(LazyLink, FusesOnlyHopsIntoLinksFedByOneUpstream) {
+  Scheduler sched;
+  const LinkConfig access{100e6, SimTime::millis(1), 0};
+  Link a(sched, access), exit_link(sched, access);
+  Link b(sched, access), merge(sched, access), c(sched, access);
+  Link bounded_up(sched, access);
+  Link bounded(sched, LinkConfig{100e6, SimTime::millis(1), 4});
+  for (Link* link : {&a, &exit_link, &b, &merge, &c, &bounded_up, &bounded}) {
+    link->set_lazy_allowed(true);
+  }
+  exit_link.set_upstream_only();
+  merge.set_upstream_only();
+  bounded.set_upstream_only();
+  a.set_receiver(&exit_link);  // fuses: exit_link's one upstream link
+  b.set_receiver(&merge);      // two upstream links: a real merge
+  c.set_receiver(&merge);
+  bounded_up.set_receiver(&bounded);  // a finite buffer needs its queue
+  int delivered = 0;
+  for (Link* link : {&exit_link, &merge, &bounded}) {
+    link->set_receiver([&delivered](const Packet&) { ++delivered; });
+  }
+  Packet p;
+  p.size_bytes = 1500;
+  for (Link* link : {&a, &b, &c, &bounded_up}) link->send(p);
+  for (Link* link : {&exit_link, &merge, &bounded}) {
+    EXPECT_THROW(link->send(p), std::logic_error);  // upstream-only
+  }
+  // A fused hop cannot be rewired, nor its receiver given a second feed.
+  EXPECT_THROW(a.set_receiver(&merge), std::logic_error);
+  EXPECT_THROW(b.set_receiver(&exit_link), std::logic_error);
+  b.set_receiver(&bounded);  // unfused hops rewire freely
+  sched.run();
+  EXPECT_EQ(delivered, 4);
+  // 8 tx-dones and 8 deliveries; real pops: 2 merge arrivals, 1 arrival
+  // into `bounded` and the 4 final deliveries.  a -> exit_link is fused.
+  EXPECT_EQ(sched.events_executed(), 16u);
+  EXPECT_EQ(sched.events_dispatched(), 7u);
 }
 
 TEST(LazyLink, ExactCountersKeepLinksEager) {
