@@ -28,18 +28,29 @@ Link::Link(Scheduler& sched, LinkConfig config)
                                            EventCategory::kLinkDelivery);
 }
 
+std::size_t Link::flow_probe(FlowId flow) const {
+  // Fibonacci hashing: flow ids are small and often consecutive.
+  const std::size_t mask = flow_index_.size() - 1;
+  std::size_t at = ((std::size_t{flow} * 0x9E3779B97F4A7C15ULL) >> 40) & mask;
+  while (flow_index_[at] != 0 && per_flow_[flow_index_[at] - 1].first != flow) {
+    at = (at + 1) & mask;
+  }
+  return at;
+}
+
 LinkFlowCounters& Link::flow_slot(FlowId flow) {
-  if (flow_hint_ < per_flow_.size() && per_flow_[flow_hint_].first == flow) {
-    return per_flow_[flow_hint_].second;
-  }
-  for (std::size_t i = 0; i < per_flow_.size(); ++i) {
-    if (per_flow_[i].first == flow) {
-      flow_hint_ = i;
-      return per_flow_[i].second;
-    }
-  }
-  flow_hint_ = per_flow_.size();
+  std::size_t at = flow_probe(flow);
+  if (flow_index_[at] != 0) return per_flow_[flow_index_[at] - 1].second;
   per_flow_.emplace_back(flow, LinkFlowCounters{});
+  if (per_flow_.size() * 2 > flow_index_.size()) {
+    flow_index_.assign(flow_index_.size() * 2, 0);
+    for (std::size_t i = 0; i < per_flow_.size(); ++i) {
+      flow_index_[flow_probe(per_flow_[i].first)] =
+          static_cast<std::uint32_t>(i + 1);
+    }
+  } else {
+    flow_index_[at] = static_cast<std::uint32_t>(per_flow_.size());
+  }
   return per_flow_.back().second;
 }
 
@@ -156,22 +167,29 @@ void Link::decide_mode() {
   if (mode_ == Mode::kLazy) fuse_receiver();
 }
 
+// A virtual arrival skips the drop test, hence unbounded only.  The link
+// decides its own receiver at the same time.
+bool Link::feed_virtually() {
+  if (mode_ != Mode::kUndecided || config_.buffer_packets != 0 ||
+      !lazy_eligible()) {
+    return false;
+  }
+  mode_ = Mode::kLazy;
+  fed_ = true;
+  fuse_receiver();
+  return true;
+}
+
 // The hop into the receiver fuses when the receiver is fed by this link
-// alone (its only upstream link, declared upstream-only), undecided,
-// unbounded and eligible: its arrivals are then exactly this link's
-// deliveries, in FIFO order, known at admission.  The receiver decides its
-// own receiver the same way.
+// alone (its only upstream link, declared upstream-only) and can be fed
+// virtually: its arrivals are then exactly this link's deliveries, in FIFO
+// order, known at admission.
 void Link::fuse_receiver() {
   Link* next = next_link_;
-  if (next == nullptr || !next->upstream_only_ ||
-      next->upstream_links_ != 1 || next->mode_ != Mode::kUndecided ||
-      next->config_.buffer_packets != 0 || !next->lazy_eligible()) {
-    return;
+  if (next != nullptr && next->upstream_only_ &&
+      next->upstream_links_ == 1 && next->feed_virtually()) {
+    feeds_next_ = true;
   }
-  next->mode_ = Mode::kLazy;
-  next->fed_ = true;
-  feeds_next_ = true;
-  next->fuse_receiver();
 }
 
 void Link::require_eager(const char* hook) {
@@ -209,11 +227,24 @@ void Link::send_lazy(const Packet& p) {
   }
 }
 
-// The upstream link's delivery pop would hand the packet over and, if this
-// link is idle, claim its tx-done key (the delivery's claim 0).  Idle
-// means the newest tx-done passes before the delivery: both lie ahead, so
-// their keys decide.
-void Link::arrive_virtual(const Packet& p, std::uint64_t delivery,
+// The source's emission pop would hand the packet over exactly as an
+// upstream delivery pop does; its key is the real seq the eager sender
+// claims for it, at the same point.
+bool Link::send_at(SimTime when, const Packet& p) {
+  if (upstream_links_ != 0) return false;
+  if (!fed_) {
+    if (!feed_virtually()) return false;
+    upstream_only_ = true;  // its source feeds it alone from now on
+  }
+  arrive_virtual(p, sched_.add_virtual(when, sched_.claim_seq(), 0), when,
+                 sched_.now());
+  return true;
+}
+
+// The arrival pop would hand the packet over and, if this link is idle,
+// claim its tx-done key (the arrival's claim 0).  Idle means the newest
+// tx-done passes before the arrival: both lie ahead, so their keys decide.
+void Link::arrive_virtual(const Packet& p, std::uint64_t arrival,
                           SimTime when, SimTime chain_start) {
   ++total_arrivals_;
   ++flow_slot(p.flow).arrivals;
@@ -221,13 +252,13 @@ void Link::arrive_virtual(const Packet& p, std::uint64_t delivery,
   if (pass_departures() != 0) {
     const Departure& last = departures_.back();
     if (last.when > when ||
-        (last.when == when && sched_.virtual_before(delivery, last.vid))) {
+        (last.when == when && sched_.virtual_before(arrival, last.vid))) {
       admit(p, last.when + tx, Scheduler::virtual_seq(last.vid, 1), tx,
             chain_start);
       return;
     }
   }
-  admit(p, when + tx, Scheduler::virtual_seq(delivery, 0), tx, chain_start);
+  admit(p, when + tx, Scheduler::virtual_seq(arrival, 0), tx, chain_start);
 }
 
 // The delivery is keyed by the virtual tx-done's claim 0: a real FIFO
@@ -280,8 +311,8 @@ std::size_t Link::pass_departures() const {
 std::size_t Link::arrivals_ahead(const FlowId* flow) const {
   if (!fed_) return 0;
   // Arrivals come in departure order, so the ones still ahead are a suffix
-  // of the tx-dones still ahead.  A packet's virtual arrival is the event
-  // recorded just before its tx-done.
+  // of the tx-dones still ahead.  A packet's virtual arrival (a delivery
+  // or an emission) is the event recorded just before its tx-done.
   const std::size_t ahead = pass_departures();
   const std::size_t end = departures_.size() - ahead;
   std::size_t n = 0;
@@ -481,13 +512,11 @@ void Link::rescale(double bw_factor, double delay_factor) {
 }
 
 LinkFlowCounters Link::flow_counters(FlowId flow) const {
-  for (const auto& entry : per_flow_) {
-    if (entry.first != flow) continue;
-    LinkFlowCounters counters = entry.second;
-    counters.arrivals -= arrivals_ahead(&flow);
-    return counters;
-  }
-  return LinkFlowCounters{};
+  const std::uint32_t slot = flow_index_[flow_probe(flow)];
+  if (slot == 0) return LinkFlowCounters{};
+  LinkFlowCounters counters = per_flow_[slot - 1].second;
+  counters.arrivals -= arrivals_ahead(&flow);
+  return counters;
 }
 
 void Link::bind(obs::Hub& hub, const std::string& prefix, std::int32_t hop) {

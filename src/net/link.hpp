@@ -11,8 +11,9 @@
 // departures still ahead, and keeps the tx-done as a virtual scheduler
 // event that never enters the queue.  A lazy link whose receiver is an
 // unbounded lazy link fed by nothing else makes the delivery virtual too
-// and feeds the arrival into the receiver at once.  Pop order, delivery
-// times, drops and events_executed() are identical either way
+// and feeds the arrival into the receiver at once; a sender's jitter stage
+// feeds its private entry link the same way (send_at).  Pop order,
+// delivery times, drops and events_executed() are identical either way
 // (docs/DES_ENGINE.md).
 #pragma once
 
@@ -76,6 +77,15 @@ class Link {
   // Offer to the queue discipline; may drop (tail or AQM-early) on arrival,
   // and AQM disciplines may additionally discard queued packets later.
   void send(const Packet& p);
+
+  // A delayed arrival from the one source of a link no other link feeds (a
+  // sender's jitter stage): the packet arrives at `when` (>= now, and
+  // nondecreasing across calls).  An unbounded link that runs lazy takes
+  // it as a virtual arrival keyed by a real claim made now, and from then
+  // on takes nothing else (send() throws).  Returns false, claiming
+  // nothing, when the link does not run so: the caller then schedules the
+  // arrival itself and delivers it through send().
+  bool send_at(SimTime when, const Packet& p);
 
   std::size_t queue_length() const;
   const LinkConfig& config() const { return config_; }
@@ -163,14 +173,17 @@ class Link {
 
   bool lazy_eligible() const;
   void decide_mode();
+  // Makes an undecided, eligible, unbounded link lazy with its arrivals
+  // virtual (fed_); false, changing nothing, otherwise.
+  bool feed_virtually();
   void fuse_receiver();
   void unhook_receiver();
   // send() past the upstream-only check: what an upstream link delivers.
   void arrive(const Packet& p);
   void send_lazy(const Packet& p);
-  // A packet arriving on a link fed virtually, at virtual delivery
-  // `delivery` (time `when`) of the upstream link.
-  void arrive_virtual(const Packet& p, std::uint64_t delivery, SimTime when,
+  // A packet arriving on a link fed virtually, at virtual event `arrival`
+  // (time `when`): an upstream link's delivery or a source's emission.
+  void arrive_virtual(const Packet& p, std::uint64_t arrival, SimTime when,
                       SimTime chain_start);
   // Records an admitted packet's virtual tx-done at (departure, sigma) and
   // its delivery; `chain_start` is when the first link of the fused chain
@@ -182,7 +195,7 @@ class Link {
   // packet has arrived, the rest queued or not yet arrived).
   std::size_t pass_departures() const;
   // On a link fed virtually: admitted packets (of `flow`, or all) whose
-  // virtual delivery into this link is still ahead; 0 on any other link.
+  // virtual arrival is still ahead; 0 on any other link.
   std::size_t arrivals_ahead(const FlowId* flow = nullptr) const;
   void require_eager(const char* hook);
   bool bound() const;
@@ -192,6 +205,8 @@ class Link {
   void deliver(const Packet& p);
   void on_qdisc_drop(const Packet& victim, QdiscDropReason reason);
   LinkFlowCounters& flow_slot(FlowId flow);
+  // The flow_index_ slot holding `flow`, or the empty slot it would take.
+  std::size_t flow_probe(FlowId flow) const;
 
   // Devirtualized queue ops for the default discipline: DropTailQdisc is
   // final, so these inline to deque operations; AQM links take the
@@ -238,7 +253,9 @@ class Link {
   bool lazy_allowed_ = false;
   bool fault_touched_ = false;  // a fault hook ran before the first send
   bool upstream_only_ = false;  // set_upstream_only()
-  bool fed_ = false;            // arrivals are an upstream's virtual deliveries
+  // Arrivals are virtual: an upstream link's deliveries, or with no
+  // upstream link a source's emissions (send_at).
+  bool fed_ = false;
   bool feeds_next_ = false;     // deliveries into next_link_ are virtual
   std::uint32_t upstream_links_ = 0;  // links whose receiver this is
   // Lazy links: admitted packets in departure order; those before
@@ -258,10 +275,12 @@ class Link {
   std::uint64_t total_drops_ = 0;
   std::uint64_t total_delivered_ = 0;
   SimTime busy_time_ = SimTime::zero();
-  // Flat per-flow counters: a link carries a handful of flows, and send()
-  // touches this on every arrival — a hinted linear scan beats hashing.
+  // Per-flow counters in first-arrival order, touched on every arrival: a
+  // bottleneck carries ~50 flows, so an open-addressed index (flow ->
+  // position + 1, 0 = empty; a power of two, at most half full) finds the
+  // slot in O(1).
   std::vector<std::pair<FlowId, LinkFlowCounters>> per_flow_;
-  std::size_t flow_hint_ = 0;  // index of the last flow touched
+  std::vector<std::uint32_t> flow_index_ = std::vector<std::uint32_t>(8);
 
   // In-flight deliveries (FIFO by construction: propagation delay is
   // constant between rescales, so (when, seq) is nondecreasing).  Head is

@@ -8,6 +8,8 @@
 
 namespace dmp {
 
+class Link;
+
 class NetworkPath {
  public:
   virtual ~NetworkPath() = default;
@@ -16,6 +18,10 @@ class NetworkPath {
   // and registers who receives its packets at the far end.
   virtual PacketHandler attach_source(FlowId flow) = 0;
   virtual void register_sink(FlowId flow, PacketHandler handler) = 0;
+  // The link attach_source(flow) returned the handler of, when the path
+  // gives each source a private one (nullptr otherwise): a sender may then
+  // hand it delayed arrivals directly (Link::send_at).
+  virtual Link* source_link(FlowId) { return nullptr; }
 
   // Reverse direction (ACKs).
   virtual PacketHandler attach_reverse_source(FlowId flow) = 0;

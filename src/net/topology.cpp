@@ -43,7 +43,7 @@ void DumbbellPath::expose_to_faults() {
   rev_bottleneck_->set_lazy_allowed(false);
 }
 
-PacketHandler DumbbellPath::attach_source(FlowId) {
+PacketHandler DumbbellPath::attach_source(FlowId flow) {
   auto entry = std::make_unique<Link>(
       sched_, LinkConfig{access_.bandwidth_bps, access_.prop_delay, 0});
   entry->set_receiver(bottleneck_.get());
@@ -51,7 +51,15 @@ PacketHandler DumbbellPath::attach_source(FlowId) {
   if (hub_) entry->bind(*hub_, "", 0);
   Link* raw = entry.get();
   entry_links_.push_back(std::move(entry));
+  entry_flows_.push_back(flow);
   return [raw](const Packet& p) { raw->send(p); };
+}
+
+Link* DumbbellPath::source_link(FlowId flow) {
+  for (std::size_t i = 0; i < entry_flows_.size(); ++i) {
+    if (entry_flows_[i] == flow) return entry_links_[i].get();
+  }
+  return nullptr;
 }
 
 void DumbbellPath::bind(obs::Hub& hub, const std::string& prefix) {

@@ -48,6 +48,7 @@ class DumbbellPath final : public NetworkPath {
   // Creates this flow's private access link into the shared bottleneck and
   // returns the handler the source injects packets into.
   PacketHandler attach_source(FlowId flow) override;
+  Link* source_link(FlowId flow) override;
   // Registers the receiver of this flow's data at the far end.
   void register_sink(FlowId flow, PacketHandler handler) override;
 
@@ -97,6 +98,7 @@ class DumbbellPath final : public NetworkPath {
   std::unique_ptr<Link> exit_;
   FlowDemux fwd_demux_;
   std::vector<std::unique_ptr<Link>> entry_links_;
+  std::vector<FlowId> entry_flows_;  // parallel to entry_links_
 
   std::unique_ptr<Link> rev_bottleneck_;
   std::unique_ptr<Link> rev_exit_;

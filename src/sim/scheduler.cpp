@@ -262,17 +262,73 @@ bool Scheduler::seq_less(std::uint64_t a, std::uint64_t b) const {
   const std::uint64_t cb = resolve(ib);
   if (ca != cb) return ca < cb;
   // No real pop between the two events: they order by their own keys.
-  const VirtualEvent& x = virtual_event(ia);
-  const VirtualEvent& y = virtual_event(ib);
-  if (x.when != y.when) return x.when < y.when;
-  return seq_less(x.sigma, y.sigma);
+  return virtual_before(ia, ib);
 }
 
 bool Scheduler::virtual_before(std::uint64_t a, std::uint64_t b) const {
   const VirtualEvent& x = virtual_event(a);
   const VirtualEvent& y = virtual_event(b);
   if (x.when != y.when) return x.when < y.when;
+  if (is_virtual(x.sigma) && is_virtual(y.sigma) &&
+      virtual_id(x.sigma) != virtual_id(y.sigma) &&
+      virtual_event(virtual_id(x.sigma)).when ==
+          virtual_event(virtual_id(y.sigma)).when) {
+    // The owners tie too: a level-by-level walk could run down two whole
+    // busy periods in lockstep.  Matching chains order by their roots.
+    const TieLabel lx = tie_label(a);
+    const TieLabel ly = tie_label(b);
+    if (lx.label == ly.label) return lx.root < ly.root;
+  }
   return seq_less(x.sigma, y.sigma);
+}
+
+Scheduler::TieLabel Scheduler::tie_label(std::uint64_t id) const {
+  if (tie_labels_.size() > 2 * (vtx_.end - vtx_.begin) + 1024) {
+    // Forget the events the ring dropped, and keys older than twice its
+    // window.  Twins are labeled by the same comparison, so a key is asked
+    // for again soon or not at all; one asked for after all only mints a
+    // new label (a lost shortcut, never a wrong order).
+    std::erase_if(tie_labels_, [this](const auto& entry) {
+      return !vtx_.kept(entry.first);
+    });
+    const std::int64_t oldest = (now_ - vtx_.window * 2).ns();
+    std::erase_if(tie_interned_, [oldest](const auto& entry) {
+      return entry.first.when_ns < oldest;
+    });
+  }
+  // Down the chain of owners to a labeled event, a real-keyed root, or an
+  // owner the ring dropped (a bottom no other chain shares), then label
+  // upward.
+  std::vector<std::uint64_t>& chain = tie_chain_;
+  chain.clear();
+  TieLabel below{0, 0};  // label 0: below a real-keyed root
+  for (std::uint64_t at = id;;) {
+    if (const auto it = tie_labels_.find(at); it != tie_labels_.end()) {
+      below = it->second;
+      break;
+    }
+    chain.push_back(at);
+    const std::uint64_t sigma = vtx_[at].sigma;
+    if (!is_virtual(sigma)) {
+      below.root = sigma;
+      break;
+    }
+    if (!vtx_.kept(virtual_id(sigma))) {
+      below.label = next_tie_label_++;
+      break;
+    }
+    at = virtual_id(sigma);
+  }
+  for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
+    const VirtualEvent& e = vtx_[*it];
+    const TieKey key{e.when.ns(), below.label,
+                     is_virtual(e.sigma) ? (e.sigma & 1) : 2};
+    const auto [slot, fresh] = tie_interned_.try_emplace(key, next_tie_label_);
+    if (fresh) ++next_tie_label_;
+    below.label = slot->second;
+    tie_labels_.insert_or_assign(*it, below);
+  }
+  return below;
 }
 
 bool Scheduler::virtual_ahead(std::uint64_t id) const {

@@ -34,16 +34,18 @@
 // in `pending_events()` / `max_events_pending()` as if they were queued.
 //
 // Virtual events (lazy links): an event whose time is known in advance and
-// whose handler only claims keys — a drop-tail link's tx-done, or its
-// delivery into a link fed by nothing else — need not enter the queue at
-// all.  `add_virtual(when, sigma, claims)` records it at key (when, sigma);
-// its claims (`virtual_seq(id, 0|1)`) are seq values that order exactly
-// where the claims an executed event would have made order: after every
-// real claim made before the event's key passes, before every one made
-// after (the tie rule, docs/DES_ENGINE.md).  A log of real pops answers
-// "when did it pass" for same-nanosecond ties.  Virtual events count in
-// `events_executed()` and their claims in `events_scheduled()` once they
-// pass, but not in `events_dispatched()` (real pops only) nor in
+// whose handler only claims keys — a drop-tail link's tx-done, its
+// delivery into a link fed by nothing else, or a sender's jittered
+// emission into its entry link — need not enter the queue at all.
+// `add_virtual(when, sigma, claims)` records it at key (when, sigma); its
+// claims (`virtual_seq(id, 0|1)`) are seq values that order exactly where
+// the claims an executed event would have made order: after every real
+// claim made before the event's key passes, before every one made after
+// (the tie rule, docs/DES_ENGINE.md).  A log of real pops answers "when
+// did it pass" for same-nanosecond ties, and tie labels answer it in O(1)
+// for chains that tie level for level (twin busy periods).  Virtual events
+// count in `events_executed()` and their claims in `events_scheduled()`
+// once they pass, but not in `events_dispatched()` (real pops only) nor in
 // `pending_events()` / `max_events_pending()`, which are exact only while
 // no link is lazy.
 #pragma once
@@ -51,6 +53,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <stdexcept>
+#include <unordered_map>
 #include <vector>
 
 #include "sim/calendar_queue.hpp"
@@ -321,6 +324,31 @@ class Scheduler {
   std::uint64_t first_pop_past(std::uint64_t id, std::uint64_t lo) const;
   // Logged pop i lies past virtual event `id`'s key.
   bool pop_past(std::uint64_t id, std::uint64_t i) const;
+  // Deep ties: two virtual events at one nanosecond whose owners tie too.
+  // A label names an event's chain of owners down to its real-keyed root:
+  // equal labels mean equal (when, claim index) at every level, so the
+  // two order like their roots' real seqs.  Labels are interned on first
+  // use and memoized per event, so chains that tie level for level (twin
+  // busy periods on identical paths) compare in O(1) however long they
+  // run, instead of walking both back to their roots.
+  struct TieLabel {
+    std::uint64_t label;
+    std::uint64_t root;  // the real seq keying the chain's bottom event
+  };
+  struct TieKey {
+    std::int64_t when_ns;
+    std::uint64_t below;  // the owner's label (0 below a real-keyed root)
+    std::uint64_t index;  // the claim index keying it (2: a real seq)
+    bool operator==(const TieKey&) const = default;
+  };
+  struct TieKeyHash {
+    std::size_t operator()(const TieKey& k) const {
+      return static_cast<std::size_t>(
+          (static_cast<std::uint64_t>(k.when_ns) * 0x9E3779B97F4A7C15ULL) ^
+          (k.below * 0xC2B2AE3D27D4EB4FULL) ^ k.index);
+    }
+  };
+  TieLabel tie_label(std::uint64_t id) const;
   // The virtual events still ahead and the claims they will make.
   struct Ahead {
     std::uint64_t events = 0;
@@ -374,6 +402,11 @@ class Scheduler {
   // The real pops since the first add_virtual.
   bool logging_ = false;
   WindowRing<PopRecord> log_;
+  // Deep-tie labels by event id, their interned keys, and a scratch chain.
+  mutable std::unordered_map<std::uint64_t, TieLabel> tie_labels_;
+  mutable std::unordered_map<TieKey, std::uint64_t, TieKeyHash> tie_interned_;
+  mutable std::vector<std::uint64_t> tie_chain_;
+  mutable std::uint64_t next_tie_label_ = 1;
 };
 
 // --- inline hot paths (one call per simulated packet hop) ---

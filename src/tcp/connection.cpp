@@ -5,8 +5,10 @@ namespace dmp {
 TcpConnection make_connection(Scheduler& sched, FlowId flow,
                               NetworkPath& path, const TcpConfig& config) {
   TcpConnection conn;
+  PacketHandler out = path.attach_source(flow);  // makes source_link(flow)
   conn.sender = std::make_unique<RenoSender>(sched, flow, config,
-                                             path.attach_source(flow));
+                                             std::move(out),
+                                             path.source_link(flow));
   conn.sink = std::make_unique<TcpSink>(sched, flow, config,
                                         path.attach_reverse_source(flow));
 

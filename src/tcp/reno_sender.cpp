@@ -3,14 +3,17 @@
 #include <algorithm>
 #include <cmath>
 
+#include "net/link.hpp"
+
 namespace dmp {
 
 RenoSender::RenoSender(Scheduler& sched, FlowId flow, TcpConfig config,
-                       PacketHandler network_out)
+                       PacketHandler network_out, Link* entry)
     : sched_(sched),
       flow_(flow),
       config_(config),
       out_(std::move(network_out)),
+      entry_(entry),
       cwnd_(config.initial_cwnd),
       ssthresh_(config.initial_ssthresh),
       jitter_rng_(config.jitter_seed ^ (0xD1B54A32D192ED03ULL * (flow + 1))) {
@@ -119,6 +122,7 @@ void RenoSender::transmit(const Packet& p) {
   SimTime when = sched_.now() + jitter;
   if (when <= last_emission_) when = last_emission_ + SimTime::nanos(1);
   last_emission_ = when;
+  if (entry_ != nullptr && entry_->send_at(when, p)) return;
   const Scheduler::Deferred d = sched_.defer_at(when);
   const bool was_empty = emissions_head_ == emissions_.size();
   emissions_.push_back(PendingEmission{d.when, d.seq, p});

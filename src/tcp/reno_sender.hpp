@@ -5,6 +5,12 @@
 // `space()` and the space callback are the hook DMP-streaming uses: a sender
 // with free buffer space pulls more packets from the shared server queue
 // (the StreamSender interface).
+//
+// A positive send overhead delays each segment by a random jitter on its
+// way out (ns-2's overhead_), kept FIFO.  Sent into a private entry link
+// that runs lazy, the delay is a virtual arrival on that link; otherwise
+// the sender's own emission ring pops each segment (EventCategory::
+// kTcpSend).
 #pragma once
 
 #include <cstdint>
@@ -23,10 +29,15 @@
 
 namespace dmp {
 
+class Link;
+
 class RenoSender final : public StreamSender {
  public:
+  // `entry`, when given, is the link `network_out` sends into, fed by this
+  // sender alone: a jitter-delayed segment then enters it as a virtual
+  // arrival when it runs lazy.
   RenoSender(Scheduler& sched, FlowId flow, TcpConfig config,
-             PacketHandler network_out);
+             PacketHandler network_out, Link* entry = nullptr);
 
   // --- StreamSender: the application side ---
   // Segments wait in a bounded send buffer and go out as soon as the
@@ -99,7 +110,9 @@ class RenoSender final : public StreamSender {
   // One jitter-delayed emission: a (when, seq) key claimed from the
   // scheduler at transmit() time plus the packet itself.  `when` is
   // strictly increasing (the last_emission_ guard), so the ring is FIFO by
-  // construction and only its head is ever armed in the event queue.
+  // construction and only its head is ever armed in the event queue.  A
+  // lazy entry link takes the emissions instead (Link::send_at): one real
+  // pop fewer per segment.
   struct PendingEmission {
     SimTime when;
     std::uint64_t seq;
@@ -132,6 +145,7 @@ class RenoSender final : public StreamSender {
   FlowId flow_;
   TcpConfig config_;
   PacketHandler out_;
+  Link* entry_ = nullptr;  // the link out_ sends into, when fed by us alone
   std::function<void()> space_cb_;
 
   std::deque<Segment> segments_;  // front = snd_una_

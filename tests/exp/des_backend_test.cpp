@@ -125,7 +125,8 @@ TEST(LazyLinkSession, PlainMatchesEagerOnSetting44) {
 
 TEST(LazyLinkSession, RealPopsShrinkOnLazyLinksOnly) {
   // Setting 1-1 at the Fig-4/5 run shape.  Every link eager, each logical
-  // event is a pop; plain, the virtual tx-dones and fused deliveries are
+  // event is a pop; plain, the virtual tx-dones, fused deliveries and
+  // fused send hops (jitter-delayed emissions into lazy entry links) are
   // not.
   SessionConfig plain = setting(1, 1, 50.0);
   plain.duration_s = 40.0;
@@ -136,6 +137,10 @@ TEST(LazyLinkSession, RealPopsShrinkOnLazyLinksOnly) {
   const SessionResult exact = run_session(eager(plain, "s11"));
   expect_identical(lazy, exact);
   EXPECT_EQ(exact.events_dispatched, exact.events_executed);
+  EXPECT_EQ(exact.events_executed, 411'582u);
+  // 168,520 real pops before the send hops fused, 38,029 of them
+  // emissions.
+  EXPECT_EQ(lazy.events_dispatched, 130'491u);
   EXPECT_LE(static_cast<double>(lazy.events_dispatched),
             0.45 * static_cast<double>(lazy.events_executed))
       << lazy.events_dispatched << " of " << lazy.events_executed;

@@ -12,9 +12,12 @@
 // events_executed / _scheduled / _cancelled, and per link the arrivals,
 // per-flow arrivals and drops, overlimit drops, total_delivered,
 // queue_length and utilization must match at every checkpoint, including
-// the final horizon with packets still queued.
+// the final horizon with packets still queued.  Further down the same
+// comparison covers jittered Reno senders feeding lazy entry links (fused
+// send hops) and identical paths in lockstep.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -23,8 +26,14 @@
 #include <stdexcept>
 #include <vector>
 
+#include "apps/background.hpp"
+#include "apps/ftp_source.hpp"
 #include "net/link.hpp"
+#include "net/topology.hpp"
 #include "sim/scheduler.hpp"
+#include "tcp/connection.hpp"
+#include "tcp/reno_sender.hpp"
+#include "tcp/sink.hpp"
 #include "util/sim_time.hpp"
 
 namespace dmp {
@@ -64,6 +73,30 @@ struct Outcome {
   bool lazy = false;
   bool fused = false;  // the head -> mid hop delivers virtually
 };
+
+// The scheduler's counters and, per link, its counters for `flows`, as of
+// `horizon`.
+Checkpoint snapshot(const Scheduler& sched, const std::vector<Link*>& links,
+                    const std::vector<FlowId>& flows, SimTime horizon) {
+  Checkpoint cp;
+  cp.executed = sched.events_executed();
+  cp.scheduled = sched.events_scheduled();
+  cp.cancelled = sched.events_cancelled();
+  cp.dispatched = sched.events_dispatched();
+  for (const Link* link : links) {
+    cp.arrivals.push_back(link->total_arrivals());
+    cp.drops.push_back(link->total_drops());
+    cp.overlimit.push_back(link->qdisc_counters().overlimit_drops);
+    for (FlowId flow : flows) {
+      cp.flow_arrivals.push_back(link->flow_counters(flow).arrivals);
+      cp.flow_drops.push_back(link->flow_counters(flow).drops);
+    }
+    cp.delivered.push_back(link->total_delivered());
+    cp.queued.push_back(link->queue_length());
+    cp.utilization.push_back(link->utilization(horizon));
+  }
+  return cp;
+}
 
 // The network's variants: a finite buffer on head, mid and twin (0 =
 // unbounded), and which hops fuse.  `fuse_mid` declares mid upstream-only
@@ -227,24 +260,8 @@ Outcome run_arm(const std::vector<Op>& script, bool lazy,
 
   for (const SimTime horizon : checkpoints) {
     sched.run_until(horizon);
-    Checkpoint cp;
-    cp.executed = sched.events_executed();
-    cp.scheduled = sched.events_scheduled();
-    cp.cancelled = sched.events_cancelled();
-    cp.dispatched = sched.events_dispatched();
-    for (const auto& link : chain) {
-      cp.arrivals.push_back(link->total_arrivals());
-      cp.drops.push_back(link->total_drops());
-      cp.overlimit.push_back(link->qdisc_counters().overlimit_drops);
-      for (FlowId flow : {1u, 2u}) {
-        cp.flow_arrivals.push_back(link->flow_counters(flow).arrivals);
-        cp.flow_drops.push_back(link->flow_counters(flow).drops);
-      }
-      cp.delivered.push_back(link->total_delivered());
-      cp.queued.push_back(link->queue_length());
-      cp.utilization.push_back(link->utilization(horizon));
-    }
-    out.checkpoints.push_back(cp);
+    out.checkpoints.push_back(
+        snapshot(sched, {&head, &mid, &twin, &tail}, {1, 2}, horizon));
   }
   out.lazy = true;
   for (const auto& link : chain) out.lazy = out.lazy && link->lazy();
@@ -540,6 +557,306 @@ TEST(LazyLink, ExactCountersKeepLinksEager) {
   p.size_bytes = 1500;
   link.send(p);
   EXPECT_FALSE(link.lazy());
+}
+
+// --- fused send hops: a sender's jitter stage into its entry link ---
+
+// Three Reno senders with up to 12 ns of send jitter, each into a private
+// entry link that sends 1500 B in 4 ns (120 us propagation), share a
+// 100 Mb/s bottleneck (2 ms) with a 10-packet buffer; ACKs return on one
+// reverse link (2 ms).  Jitter this close to the entry's tx time makes an
+// emission land on the entry's newest tx-done again and again.  Lazy, the
+// emissions are virtual arrivals on lazy entry links; eager, each pops.
+// The eager arm also records when each flow's segments reached its entry
+// link.
+struct SendHopRun {
+  Outcome out;
+  std::vector<std::vector<std::int64_t>> emissions{3};
+};
+
+SendHopRun run_send_hops(std::uint64_t seed, bool lazy,
+                         const std::vector<SimTime>& checkpoints) {
+  Scheduler sched;
+  SendHopRun run;
+  Outcome& out = run.out;
+  const auto log = [&out, &sched](int id) {
+    out.pop_ns.push_back(sched.now().ns());
+    out.pop_id.push_back(id);
+  };
+  Link bottleneck(sched, LinkConfig{100e6, SimTime::millis(2), 10});
+  Link reverse(sched, LinkConfig{100e6, SimTime::millis(2), 0});
+  std::vector<std::unique_ptr<Link>> entries;
+  std::vector<std::unique_ptr<TcpSink>> sinks;
+  std::vector<std::unique_ptr<RenoSender>> senders;
+  TcpConfig tcp;
+  tcp.send_overhead_s = 12e-9;
+  tcp.jitter_seed = seed;
+  tcp.max_cwnd = 24.0;
+  for (FlowId flow = 0; flow < 3; ++flow) {
+    entries.push_back(std::make_unique<Link>(
+        sched, LinkConfig{3e12, SimTime::micros(120), 0}));
+    Link* entry = entries.back().get();
+    entry->set_receiver([&log, &bottleneck](const Packet& p) {
+      log(40'000'000 + static_cast<int>(p.flow) * 1'000'000 +
+          static_cast<int>(p.seq));
+      bottleneck.send(p);
+    });
+    sinks.push_back(std::make_unique<TcpSink>(
+        sched, flow, tcp,
+        [&reverse](const Packet& ack) { reverse.send(ack); }));
+    auto* emitted = &run.emissions[flow];
+    senders.push_back(std::make_unique<RenoSender>(
+        sched, flow, tcp,
+        [&sched, entry, emitted](const Packet& p) {
+          emitted->push_back(sched.now().ns());
+          entry->send(p);
+        },
+        entry));
+  }
+  // Deliveries post for the next delivery's time (one bottleneck tx on).
+  // After the emissions an ACK clocks out, it posts for a few ns on, where
+  // they land, and from there for one entry tx and one entry propagation
+  // on: which of the posts and the entry's tx-done and delivery pops
+  // first is the emission's idle-or-busy question.
+  bottleneck.set_receiver([&](const Packet& p) {
+    const int id = static_cast<int>(p.flow) * 1'000'000 +
+                   static_cast<int>(p.seq);
+    log(id);
+    if (p.seq % 3 == 0) {
+      sched.post_after(SimTime::micros(120),
+                       [&log, id] { log(20'000'000 + id); });
+    }
+    sinks[p.flow]->on_data(p);
+  });
+  reverse.set_receiver([&](const Packet& ack) {
+    const int id = static_cast<int>(ack.flow) * 1'000'000 +
+                   static_cast<int>(ack.seq);
+    log(-1 - id);
+    senders[ack.flow]->on_ack(ack);
+    sched.post_after(SimTime::nanos(ack.seq % 17), [&sched, &log, id] {
+      log(30'000'000 + id);
+      sched.post_after(SimTime::nanos(4), [&sched, &log, id] {
+        sched.post_after(SimTime::micros(120),
+                         [&log, id] { log(50'000'000 + id); });
+      });
+    });
+  });
+  std::vector<Link*> links{&bottleneck, &reverse};
+  for (auto& entry : entries) links.push_back(entry.get());
+  for (Link* link : links) link->set_lazy_allowed(lazy);
+  std::vector<std::unique_ptr<FtpSource>> sources;
+  for (auto& sender : senders) {
+    sources.push_back(std::make_unique<FtpSource>(*sender));
+  }
+  // Posts on the 120 us lattice, where deliveries and ACKs land.
+  for (int i = 1; i < 8000; ++i) {
+    sched.post_at(SimTime::micros(120 * i), [&log, i] { log(10'000'000 + i); });
+  }
+  for (const SimTime horizon : checkpoints) {
+    sched.run_until(horizon);
+    out.checkpoints.push_back(snapshot(sched, links, {0, 1, 2}, horizon));
+  }
+  out.lazy = true;
+  for (const Link* link : links) out.lazy = out.lazy && link->lazy();
+  return run;
+}
+
+TEST(LazyLink, SenderJitterFeedsLazyEntryLinksLikeEager) {
+  for (std::uint64_t seed : {3u, 17u, 29u}) {
+    SCOPED_TRACE(testing::Message() << "seed " << seed);
+    // Horizons on and just after emissions, so some fall between an
+    // emission and its entry tx-done (4 ns on), taken from an eager run.
+    const SimTime end = SimTime::millis(900);
+    const SendHopRun probe = run_send_hops(seed, false, {end});
+    std::vector<SimTime> horizons{SimTime::micros(50), end};
+    std::size_t emission_ties = 0;
+    for (const auto& emitted : probe.emissions) {
+      std::int64_t done = -1;  // the entry's newest tx-done
+      for (std::size_t k = 0; k < emitted.size(); ++k) {
+        if (emitted[k] == done) ++emission_ties;
+        done = std::max(emitted[k], done) + 4;
+        if (k % 50 == 7) {
+          horizons.push_back(SimTime::nanos(emitted[k]));
+          horizons.push_back(SimTime::nanos(emitted[k] + 1));
+        }
+      }
+    }
+    EXPECT_GT(emission_ties, 100u) << "emissions must tie with entry tx-dones";
+    std::sort(horizons.begin(), horizons.end());
+    horizons.erase(std::unique(horizons.begin(), horizons.end()),
+                   horizons.end());
+    ASSERT_GT(horizons.size(), 60u);
+    const SendHopRun eager = run_send_hops(seed, false, horizons);
+    const SendHopRun lazy = run_send_hops(seed, true, horizons);
+    EXPECT_FALSE(eager.out.lazy);
+    ASSERT_TRUE(lazy.out.lazy);
+    EXPECT_EQ(eager.emissions, probe.emissions);
+    for (const auto& emitted : lazy.emissions) {
+      EXPECT_TRUE(emitted.empty()) << "lazy emissions never pop";
+    }
+    expect_same(eager.out, lazy.out);
+    EXPECT_GT(ties(eager.out), 100u);
+    EXPECT_GT(eager.out.checkpoints.back().drops[0], 0u);
+  }
+}
+
+// Two hand-built ties of an emission with its entry's newest tx-done.
+// Zero jitter (30 ps truncates to 0 ns) keeps each emission at max(now,
+// previous + 1 ns); the callback order at 30 ms follows.
+std::vector<int> emission_after_tx_done(bool lazy) {
+  // Tx 1 ms.  p0 emits at 1 ns (the first emission follows t = 0), so its
+  // tx-done T0 is at 1 ms + 1 ns, keyed by a claim of p0's emission.  X
+  // (posted first) pops before T0, then Y, claimed in X after T0's key:
+  // Y posts W for p1's tx-done time and sends p1, whose emission at Y's
+  // time finds T0 passed, so p1's tx-done is keyed by a claim made after
+  // W's — W pops first, and R, posted by W for p1's delivery time,
+  // precedes that delivery.
+  Scheduler sched;
+  std::vector<int> order;
+  Link entry(sched, LinkConfig{12e6, SimTime::millis(10), 0});
+  entry.set_lazy_allowed(lazy);
+  entry.set_receiver(
+      [&](const Packet& p) { order.push_back(static_cast<int>(p.seq)); });
+  TcpConfig tcp;
+  tcp.send_overhead_s = 30e-12;
+  RenoSender sender(sched, 1, tcp,
+                    [&entry](const Packet& p) { entry.send(p); }, &entry);
+  const SimTime t0 = SimTime::millis(1) + SimTime::nanos(1);
+  sched.post_at(t0, [&] {  // X
+    sched.post_at(t0, [&] {  // Y
+      sched.post_at(t0 + SimTime::millis(1), [&] {  // W
+        sched.post_at(t0 + SimTime::millis(11),
+                      [&] { order.push_back(-1); });  // R
+      });
+      sender.enqueue(1);
+    });
+  });
+  sender.enqueue(0);
+  sched.run_until(SimTime::millis(30));
+  EXPECT_EQ(entry.lazy(), lazy);
+  return order;
+}
+
+std::vector<int> emission_before_tx_done(bool lazy) {
+  // Tx 1 ns.  p0 and p1 are sent together at t = 0 and emit at 1 ns and
+  // 2 ns; p1's emission key is claimed before p0's emission passes, so at
+  // 2 ns it pops before p0's tx-done T0 and finds the entry busy: p1's
+  // tx-done is T0's successor claim.  Q (posted at 2 ns) pops between the
+  // two and posts W for p1's tx-done time; W's key was claimed before T0
+  // passed, so W pops before p1's tx-done and R, posted by W for p1's
+  // delivery time, precedes that delivery.
+  Scheduler sched;
+  std::vector<int> order;
+  Link entry(sched, LinkConfig{12e12, SimTime::millis(10), 0});
+  entry.set_lazy_allowed(lazy);
+  entry.set_receiver(
+      [&](const Packet& p) { order.push_back(static_cast<int>(p.seq)); });
+  TcpConfig tcp;
+  tcp.send_overhead_s = 30e-12;
+  RenoSender sender(sched, 1, tcp,
+                    [&entry](const Packet& p) { entry.send(p); }, &entry);
+  sender.enqueue(0);
+  sender.enqueue(1);
+  const SimTime t1 = SimTime::nanos(3);  // p1's tx-done
+  sched.post_at(SimTime::nanos(2), [&] {  // Q
+    sched.post_at(t1, [&] {  // W
+      sched.post_at(t1 + SimTime::millis(10),
+                    [&] { order.push_back(-1); });  // R
+    });
+  });
+  sched.run_until(SimTime::millis(30));
+  EXPECT_EQ(entry.lazy(), lazy);
+  return order;
+}
+
+TEST(LazyLink, HandBuiltEmissionTiesMatchEager) {
+  const std::vector<int> expected{0, -1, 1};
+  EXPECT_EQ(emission_after_tx_done(false), expected);
+  EXPECT_EQ(emission_after_tx_done(true), expected);
+  EXPECT_EQ(emission_before_tx_done(false), expected);
+  EXPECT_EQ(emission_before_tx_done(true), expected);
+}
+
+TEST(LazyLink, SendAtFeedsOnlyUnboundedLinksWithNoOtherFeed) {
+  Scheduler sched;
+  const LinkConfig access{100e6, SimTime::millis(1), 0};
+  Link entry(sched, access), upstream(sched, access), fed(sched, access);
+  Link bounded(sched, LinkConfig{100e6, SimTime::millis(1), 4});
+  Link eager(sched, access);
+  for (Link* link : {&entry, &upstream, &fed, &bounded}) {
+    link->set_lazy_allowed(true);
+    link->set_receiver([](const Packet&) {});
+  }
+  eager.set_receiver([](const Packet&) {});
+  upstream.set_receiver(&fed);
+  Packet p;
+  p.size_bytes = 1500;
+  EXPECT_TRUE(entry.send_at(SimTime::micros(5), p));
+  EXPECT_TRUE(entry.lazy());
+  EXPECT_THROW(entry.send(p), std::logic_error);  // its source feeds it alone
+  EXPECT_THROW(upstream.set_receiver(&entry), std::logic_error);
+  EXPECT_FALSE(fed.send_at(SimTime::micros(5), p));      // a link feeds it
+  EXPECT_FALSE(bounded.send_at(SimTime::micros(5), p));  // needs its queue
+  EXPECT_FALSE(eager.send_at(SimTime::micros(5), p));
+  // The emission's key; the refusals claimed none.
+  EXPECT_EQ(sched.events_scheduled(), 1u);
+  sched.run();
+  EXPECT_EQ(entry.total_arrivals(), 1u);
+  EXPECT_EQ(entry.total_delivered(), 1u);
+  // The emission, its tx-done and the delivery; only the delivery pops.
+  EXPECT_EQ(sched.events_executed(), 3u);
+  EXPECT_EQ(sched.events_dispatched(), 1u);
+}
+
+// Identical paths in lockstep: with no send jitter every tx-done on one
+// path ties with its twin's on the same nanosecond, busy period after
+// busy period, and each tie asks for the order of the two chains' roots.
+Outcome run_twin_paths(int config_id, int paths, bool lazy) {
+  Scheduler sched;
+  if (!lazy) sched.require_exact_counters();
+  Outcome out;
+  std::vector<std::unique_ptr<DumbbellPath>> dumbbells;
+  std::vector<TcpConnection> connections;
+  std::vector<std::unique_ptr<FtpSource>> sources;
+  for (int k = 0; k < paths; ++k) {
+    dumbbells.push_back(std::make_unique<DumbbellPath>(
+        sched, table1_config(config_id).bottleneck()));
+    connections.push_back(make_connection(sched, 1, *dumbbells.back(), {}));
+    connections.back().sink->set_deliver_callback(
+        [&out, k](std::int64_t, SimTime when) {
+          out.pop_ns.push_back(when.ns());
+          out.pop_id.push_back(k);
+        });
+    sources.push_back(
+        std::make_unique<FtpSource>(*connections.back().sender));
+  }
+  std::vector<Link*> bottlenecks;
+  for (auto& dumbbell : dumbbells) {
+    bottlenecks.push_back(&dumbbell->bottleneck());
+  }
+  for (const double s : {0.5, 1.0, 5.0, 20.0, 60.0}) {
+    const SimTime horizon = SimTime::seconds(s);
+    sched.run_until(horizon);
+    out.checkpoints.push_back(snapshot(sched, bottlenecks, {1}, horizon));
+  }
+  out.lazy = true;
+  for (const Link* link : bottlenecks) out.lazy = out.lazy && link->lazy();
+  return out;
+}
+
+TEST(LazyLink, TwinPathsInLockstepMatchEager) {
+  // Table-1 configs 2 and 4 (1 ms bottleneck propagation), two and three
+  // paths.
+  for (const auto& [config_id, paths] :
+       std::vector<std::pair<int, int>>{{2, 2}, {4, 3}, {2, 5}}) {
+    SCOPED_TRACE(testing::Message()
+                 << "config " << config_id << ", " << paths << " paths");
+    const Outcome eager = run_twin_paths(config_id, paths, false);
+    const Outcome lazy = run_twin_paths(config_id, paths, true);
+    EXPECT_FALSE(eager.lazy);
+    ASSERT_TRUE(lazy.lazy);
+    expect_same(eager, lazy);
+  }
 }
 
 }  // namespace
