@@ -108,7 +108,7 @@ ServerStats DmpInetServer::run() {
     obs::Hub* hub;
     ~DetachHub() {
       if (hub) hub->stop_probe();
-      if (hub && hub->metrics()) hub->metrics()->freeze_gauges();
+      if (hub && hub->metrics()) hub->metrics()->freeze_samplers();
     }
   } detach_hub{hub};
 

@@ -54,10 +54,11 @@ LinkFlowCounters& Link::flow_slot(FlowId flow) {
   return per_flow_.back().second;
 }
 
-void Link::record_flight(const Packet& p, obs::FlightEventKind kind,
-                         std::size_t queue_depth, obs::DropCause cause) {
+void Link::record_flight(SimTime at, const Packet& p,
+                         obs::FlightEventKind kind, std::size_t queue_depth,
+                         obs::DropCause cause) const {
   obs::FlightEvent e;
-  e.t_ns = sched_.now().ns();
+  e.t_ns = at.ns();
   e.kind = kind;
   e.packet = p.app_tag;
   e.path = static_cast<std::int32_t>(p.flow);
@@ -77,10 +78,6 @@ void Link::record_flight(const Packet& p, obs::FlightEventKind kind,
 void Link::on_qdisc_drop(const Packet& victim, QdiscDropReason reason) {
   ++total_drops_;
   ++flow_slot(victim.flow).drops;
-  if (m_drops_) m_drops_->inc();
-  if (m_early_drops_ && reason == QdiscDropReason::kEarly) {
-    m_early_drops_->inc();
-  }
   if (ts_drops_) ts_drops_->bump(sched_.now());
   if (event_log_ && event_log_->enabled(obs::Severity::kWarn)) {
     if (aqm_) {
@@ -88,7 +85,7 @@ void Link::on_qdisc_drop(const Packet& victim, QdiscDropReason reason) {
           sched_.now().to_seconds(), obs::Severity::kWarn, "drop",
           {obs::EventField::num("flow", victim.flow),
            obs::EventField::num("seq", victim.seq),
-           obs::EventField::num("queue", qdisc_->len()),
+           obs::EventField::num("queue", queue_length()),
            obs::EventField::text("cause",
                                  std::string(qdisc_drop_reason_name(reason)))});
     } else {
@@ -96,11 +93,12 @@ void Link::on_qdisc_drop(const Packet& victim, QdiscDropReason reason) {
                          "drop",
                          {obs::EventField::num("flow", victim.flow),
                           obs::EventField::num("seq", victim.seq),
-                          obs::EventField::num("queue", qdisc_->len())});
+                          obs::EventField::num("queue", queue_length())});
     }
   }
   if (flight_ && victim.app_tag >= 0) {
-    record_flight(victim, obs::FlightEventKind::kLinkDrop, qdisc_->len(),
+    record_flight(sched_.now(), victim, obs::FlightEventKind::kLinkDrop,
+                  queue_length(),
                   aqm_ ? (reason == QdiscDropReason::kEarly
                               ? obs::DropCause::kEarly
                               : obs::DropCause::kOverlimit)
@@ -145,19 +143,12 @@ void Link::set_lazy_allowed(bool allowed) {
   lazy_allowed_ = allowed;
 }
 
-bool Link::bound() const {
-  return flight_ != nullptr || m_arrivals_ != nullptr ||
-         event_log_ != nullptr || ts_delivered_ != nullptr ||
-         ts_drops_ != nullptr || ts_queue_ != nullptr;
-}
-
-// Everything that reads a tx-done as it happens — AQM dequeue decisions,
-// the flight recorder, metrics, fault hooks, per-category profiles — keeps
-// the eager path.  A drop-tail buffer's drop test needs only the queue
-// length at arrival, which the departure FIFO holds.
+// What must act at a tx-done as it happens — AQM dequeue decisions and
+// fault hooks — keeps the eager path.  A drop-tail buffer's drop test
+// needs only the queue length at arrival, which the departure FIFO holds.
 bool Link::lazy_eligible() const {
   return lazy_allowed_ && droptail_ != nullptr && !fault_touched_ &&
-         !bound() && !sched_.exact_counters();
+         !sched_.links_eager();
 }
 
 // Decided once, at the first arrival: by then the owner has bound every
@@ -225,6 +216,7 @@ void Link::send_lazy(const Packet& p) {
     admit(p, last.when + tx, Scheduler::virtual_seq(last.vid, 1), tx,
           last.when);
   }
+  if (replay_) [[unlikely]] trace_admitted(p, sched_.now(), 0);
 }
 
 // The source's emission pop would hand the packet over exactly as an
@@ -236,8 +228,10 @@ bool Link::send_at(SimTime when, const Packet& p) {
     if (!feed_virtually()) return false;
     upstream_only_ = true;  // its source feeds it alone from now on
   }
-  arrive_virtual(p, sched_.add_virtual(when, sched_.claim_seq(), 0), when,
-                 sched_.now());
+  arrive_virtual(p,
+                 sched_.add_virtual(when, sched_.claim_seq(), 0,
+                                    EventCategory::kTcpSend),
+                 when, sched_.now());
   return true;
 }
 
@@ -249,16 +243,33 @@ void Link::arrive_virtual(const Packet& p, std::uint64_t arrival,
   ++total_arrivals_;
   ++flow_slot(p.flow).arrivals;
   const SimTime tx = tx_time(p.size_bytes);
-  if (pass_departures() != 0) {
-    const Departure& last = departures_.back();
-    if (last.when > when ||
-        (last.when == when && sched_.virtual_before(arrival, last.vid))) {
-      admit(p, last.when + tx, Scheduler::virtual_seq(last.vid, 1), tx,
-            chain_start);
-      return;
-    }
+  const Departure* last =
+      pass_departures() != 0 ? &departures_.back() : nullptr;
+  if (last != nullptr &&
+      (last->when > when ||
+       (last->when == when && sched_.virtual_before(arrival, last->vid)))) {
+    admit(p, last->when + tx, Scheduler::virtual_seq(last->vid, 1), tx,
+          chain_start);
+  } else {
+    admit(p, when + tx, Scheduler::virtual_seq(arrival, 0), tx, chain_start);
   }
-  admit(p, when + tx, Scheduler::virtual_seq(arrival, 0), tx, chain_start);
+  if (replay_) [[unlikely]] trace_admitted(p, when, arrival);
+}
+
+// Keeps what the replay needs of an admitted packet.  An arrival on a link
+// fed virtually is ordered against the tx-done at its nanosecond now,
+// while both keys are recent; the new departure is later than both.
+void Link::trace_admitted(const Packet& p, SimTime when,
+                          std::uint64_t arrival) {
+  bool first = false;
+  if (fed_) {
+    std::size_t i = departures_.size() - 1;
+    while (i > departed_ && departures_[i - 1].when > when) --i;
+    first = i > departed_ && departures_[i - 1].when == when &&
+            sched_.virtual_before(arrival, departures_[i - 1].vid);
+  }
+  traced_.push_back(Traced{p, when, first});
+  if (!fed_) observe_arrival(traced_.size() - 1);
 }
 
 // The delivery is keyed by the virtual tx-done's claim 0: a real FIFO
@@ -268,7 +279,8 @@ void Link::arrive_virtual(const Packet& p, std::uint64_t arrival,
 // time per same-nanosecond tie along a busy period (docs/DES_ENGINE.md).
 void Link::admit(const Packet& p, SimTime departure, std::uint64_t sigma,
                  SimTime tx, SimTime chain_start) {
-  const std::uint64_t vid = sched_.add_virtual(departure, sigma, 1);
+  const std::uint64_t vid =
+      sched_.add_virtual(departure, sigma, 1, EventCategory::kLinkTx);
   departures_.push_back(Departure{departure, vid, tx, p.flow});
   ahead_tx_ += tx;
   busy_time_ += tx;
@@ -276,8 +288,9 @@ void Link::admit(const Packet& p, SimTime departure, std::uint64_t sigma,
   const SimTime when = departure + config_.prop_delay;
   const std::uint64_t seq = Scheduler::virtual_seq(vid, 0);
   if (feeds_next_) {
-    next_link_->arrive_virtual(p, sched_.add_virtual(when, seq, 0), when,
-                               chain_start);
+    next_link_->arrive_virtual(
+        p, sched_.add_virtual(when, seq, 0, EventCategory::kLinkDelivery),
+        when, chain_start);
     return;
   }
   sched_.keep_lookback((when - chain_start) * 2 + SimTime::millis(10));
@@ -295,17 +308,73 @@ std::size_t Link::pass_departures() const {
     ahead_tx_ -= d.tx;
     ++departed_;
   }
-  if (departed_ == departures_.size()) {
-    departures_.clear();
-    departed_ = 0;
-  } else if (departed_ >= 256 && departed_ * 2 >= departures_.size()) {
-    // A link that stays busy never empties its FIFO: drop the passed half.
-    departures_.erase(departures_.begin(),
-                      departures_.begin() +
-                          static_cast<std::ptrdiff_t>(departed_));
+  if (replay_) [[unlikely]] replay_passed();
+  // A link that stays busy never empties its FIFO: drop the passed half.
+  if (departed_ == departures_.size() ||
+      (departed_ >= 256 && departed_ * 2 >= departures_.size())) {
+    const auto passed = static_cast<std::ptrdiff_t>(departed_);
+    departures_.erase(departures_.begin(), departures_.begin() + passed);
+    if (replay_) [[unlikely]] {
+      traced_.erase(traced_.begin(), traced_.begin() + passed);
+      obs_started_ -= departed_;
+      obs_arrived_ -= departed_;
+      obs_done_ = 0;
+    }
     departed_ = 0;
   }
   return departures_.size() - departed_;
+}
+
+// The eager link at an arrival: an idle link (every packet started has
+// passed its tx-done) with an empty queue puts it on the wire at once.
+void Link::observe_arrival(std::size_t i) const {
+  const Traced& a = traced_[i];
+  const std::size_t depth = obs_arrived_++ - obs_started_;
+  const bool idle = depth == 0 && obs_started_ == obs_done_;
+  if (idle) ++obs_started_;
+  if (flight_ != nullptr && a.p.app_tag >= 0) {
+    record_flight(a.arrived, a.p, obs::FlightEventKind::kLinkEnqueue, depth);
+    if (idle) {
+      record_flight(a.arrived, a.p, obs::FlightEventKind::kLinkDequeue, 0);
+    }
+  }
+  if (!idle && ts_queue_) {
+    ts_queue_->add(a.arrived, static_cast<double>(depth + 1));
+  }
+}
+
+// The eager link at each passed tx-done: the transmitter takes the queue's
+// head.  On a link fed virtually the arrivals before it come first.
+void Link::replay_passed() const {
+  for (; obs_done_ < departed_; ++obs_done_) {
+    const Departure& d = departures_[obs_done_];
+    if (fed_) observe_arrivals(&d);
+    if (ts_delivered_) ts_delivered_->bump(d.when);
+    if (obs_started_ == obs_arrived_) continue;
+    const Packet& next = traced_[obs_started_++].p;
+    const std::size_t depth = obs_arrived_ - obs_started_;
+    if (flight_ != nullptr && next.app_tag >= 0) {
+      record_flight(d.when, next, obs::FlightEventKind::kLinkDequeue, depth);
+    }
+    if (ts_queue_) ts_queue_->add(d.when, static_cast<double>(depth));
+  }
+  if (fed_) observe_arrivals(nullptr);
+}
+
+// A packet's virtual arrival is the event added just before its tx-done.
+void Link::observe_arrivals(const Departure* before) const {
+  const SimTime now = sched_.now();
+  for (; obs_arrived_ < traced_.size(); observe_arrival(obs_arrived_)) {
+    const Traced& a = traced_[obs_arrived_];
+    if (before != nullptr ? a.arrived > before->when ||
+                                (a.arrived == before->when && !a.first)
+                          : a.arrived > now ||
+                                (a.arrived == now &&
+                                 sched_.virtual_ahead(
+                                     departures_[obs_arrived_].vid - 1))) {
+      return;
+    }
+  }
 }
 
 std::size_t Link::arrivals_ahead(const FlowId* flow) const {
@@ -356,7 +425,6 @@ void Link::arrive(const Packet& p) {
     }
   }
   ++total_arrivals_;
-  if (m_arrivals_) m_arrivals_->inc();
   ++flow_slot(p.flow).arrivals;
 
   // Injected faults discard on arrival.  These are not congestion drops:
@@ -375,7 +443,7 @@ void Link::arrive(const Packet& p) {
                           obs::EventField::num("down", down_ ? 1 : 0)});
     }
     if (flight_ && p.app_tag >= 0) {
-      record_flight(p, obs::FlightEventKind::kLinkDrop, qdisc_->len());
+      record_flight(sched_.now(), p, obs::FlightEventKind::kLinkDrop, qlen());
     }
     return;
   }
@@ -385,7 +453,7 @@ void Link::arrive(const Packet& p) {
   // pre-qdisc link (AQM only shapes a standing queue).
   if (!transmitting_ && qlen() == 0) {
     if (flight_ && p.app_tag >= 0) {
-      record_flight(p, obs::FlightEventKind::kLinkEnqueue, 0);
+      record_flight(sched_.now(), p, obs::FlightEventKind::kLinkEnqueue, 0);
     }
     start_transmission(p);
     return;
@@ -395,7 +463,7 @@ void Link::arrive(const Packet& p) {
   if (!q_enqueue(p, sched_.now())) return;  // dropped + reported
   if (flight_ && p.app_tag >= 0) {
     // Pre-push depth, matching the legacy record-before-enqueue order.
-    record_flight(p, obs::FlightEventKind::kLinkEnqueue, depth);
+    record_flight(sched_.now(), p, obs::FlightEventKind::kLinkEnqueue, depth);
   }
   if (ts_queue_) {
     ts_queue_->add(sched_.now(), static_cast<double>(qlen()));
@@ -404,7 +472,8 @@ void Link::arrive(const Packet& p) {
 
 void Link::start_transmission(const Packet& p) {
   if (flight_ && p.app_tag >= 0) {
-    record_flight(p, obs::FlightEventKind::kLinkDequeue, qlen());
+    record_flight(sched_.now(), p, obs::FlightEventKind::kLinkDequeue,
+                  qlen());
   }
   transmitting_ = true;
   in_flight_ = p;
@@ -419,7 +488,6 @@ void Link::on_transmit_done() {
   // Propagation is pipelined: delivery is scheduled and the transmitter is
   // immediately free for the next queued packet.
   ++total_delivered_;
-  if (m_delivered_) m_delivered_->inc();
   if (ts_delivered_) ts_delivered_->bump(sched_.now());
   const SimTime when = sched_.now() + config_.prop_delay;
   if (deliveries_head_ < deliveries_.size() &&
@@ -434,11 +502,11 @@ void Link::on_transmit_done() {
   } else {
     // Batched path: claim the (when, seq) key now, park the pooled packet
     // in the link's FIFO, and keep exactly one armed head in the queue.
-    const Scheduler::Deferred d = sched_.defer_at(when);
+    const std::uint64_t seq = sched_.claim_seq();
     const bool was_empty = deliveries_head_ == deliveries_.size();
-    deliveries_.push_back(PendingDelivery{d.when, d.seq,
-                                          pool_.acquire(in_flight_)});
-    if (was_empty) sched_.arm_deferred(d, delivery_port_id_);
+    deliveries_.push_back(
+        PendingDelivery{when, seq, pool_.acquire(in_flight_)});
+    if (was_empty) sched_.arm_key(when, seq, delivery_port_id_);
   }
   transmitting_ = false;
   // A downed link freezes its queue: the packet already on the wire
@@ -460,20 +528,14 @@ void Link::on_delivery() {
   // was scheduled, so arming order cannot disturb pop order), then hand the
   // packet downstream.
   const PendingDelivery head = deliveries_[deliveries_head_++];
-  const bool lazy = mode_ == Mode::kLazy;
   if (deliveries_head_ < deliveries_.size()) {
     const PendingDelivery& next = deliveries_[deliveries_head_];
-    if (lazy) {
-      sched_.arm_key(next.when, next.seq, delivery_port_id_);
-    } else {
-      sched_.arm_deferred(Scheduler::Deferred{next.when, next.seq},
-                          delivery_port_id_);
-    }
+    sched_.arm_key(next.when, next.seq, delivery_port_id_);
   } else {
     deliveries_.clear();
     deliveries_head_ = 0;
   }
-  if (lazy) {
+  if (mode_ == Mode::kLazy) {
     sched_.settle_virtual(Scheduler::virtual_id(head.seq), &settle_hint_);
   }
   deliver(pool_.take(head.ref));
@@ -522,21 +584,31 @@ LinkFlowCounters Link::flow_counters(FlowId flow) const {
 void Link::bind(obs::Hub& hub, const std::string& prefix, std::int32_t hop) {
   flight_ = hub.flight();
   flight_hop_ = hop;
-  if (prefix.empty()) return;
-  m_arrivals_ = hub.counter(prefix + ".arrivals");
-  m_drops_ = hub.counter(prefix + ".drops");
-  m_delivered_ = hub.counter(prefix + ".delivered");
-  if (aqm_) m_early_drops_ = hub.counter(prefix + ".early_drops");
-  if (obs::Gauge* depth = hub.gauge(prefix + ".queue_depth")) {
-    depth->set_sampler([this] { return static_cast<double>(qdisc_->len()); });
+  if (!prefix.empty()) {
+    const auto counter = [&hub, &prefix](const char* name, auto read) {
+      if (obs::Counter* c = hub.counter(prefix + name)) c->set_sampler(read);
+    };
+    counter(".arrivals", [this] { return total_arrivals(); });
+    counter(".drops", [this] { return total_drops(); });
+    counter(".delivered", [this] { return total_delivered(); });
+    if (aqm_) {
+      counter(".early_drops",
+              [this] { return qdisc_->counters().early_drops; });
+    }
+    if (obs::Gauge* depth = hub.gauge(prefix + ".queue_depth")) {
+      depth->set_sampler(
+          [this] { return static_cast<double>(queue_length()); });
+    }
+    event_log_ = hub.events();
+    ts_delivered_ = hub.channel(prefix + ".delivered");
+    ts_drops_ = hub.channel(prefix + ".drops");
+    ts_queue_ = hub.channel(prefix + ".queue_depth");
   }
-  event_log_ = hub.events();
-  ts_delivered_ = hub.channel(prefix + ".delivered");
-  ts_drops_ = hub.channel(prefix + ".drops");
-  ts_queue_ = hub.channel(prefix + ".queue_depth");
-  if (mode_ == Mode::kLazy && bound()) {
-    throw std::logic_error{"bind: a sink on a lazy link"};
-  }
+  if (replay_ || (flight_ == nullptr && ts_queue_ == nullptr)) return;
+  // The replay starts from the first send.
+  if (mode_ == Mode::kLazy) throw std::logic_error{"bind: a lazy link in use"};
+  replay_ = true;
+  sched_.at_run_end(sched_.register_port(&Link::catch_up_port, this));
 }
 
 double Link::utilization(SimTime elapsed) const {

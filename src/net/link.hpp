@@ -92,10 +92,10 @@ class Link {
 
   // Lazy mode.  The owner allows it (default: not allowed) when no fault
   // hook will reach the link; the link then goes lazy at its first send if
-  // it also has a drop-tail queue (any buffer), no hub sink bound, and a
-  // scheduler whose counters are unobserved.  A lazy link decides its
-  // receiver's mode at the same time when it fuses the hop.  Fault hooks
-  // and sink binding on a lazy link throw std::logic_error.
+  // it also has a drop-tail queue (any buffer) and its scheduler does not
+  // keep links eager (Scheduler::keep_links_eager).  A lazy link decides
+  // its receiver's mode at the same time when it fuses the hop.  Fault
+  // hooks on a lazy link throw std::logic_error.
   void set_lazy_allowed(bool allowed);
   bool lazy() const { return mode_ == Mode::kLazy; }
 
@@ -141,7 +141,9 @@ class Link {
   // `.queue_depth` gauge, `.{arrivals,drops,delivered}` counters (plus
   // `.early_drops` on AQM links only, keeping default runs' metric set),
   // kWarn "drop" / "fault_drop" events, and `.{delivered,drops,
-  // queue_depth}` channels; an empty one binds flight spans only.
+  // queue_depth}` channels; an empty one binds flight spans only.  A lazy
+  // link records as its departures pass, caught up at the end of every
+  // run_until (which must not outlive it); bind it before its first send.
   void bind(obs::Hub& hub, const std::string& prefix, std::int32_t hop);
 
  private:
@@ -162,6 +164,13 @@ class Link {
     SimTime tx;
     FlowId flow;
   };
+  // A bound lazy link's departure: the packet, when it arrives and,
+  // arriving virtually, whether before the tx-done at that nanosecond.
+  struct Traced {
+    Packet p;
+    SimTime arrived;
+    bool first;
+  };
   enum class Mode : std::uint8_t { kUndecided, kEager, kLazy };
 
   static void tx_done_port(void* ctx) {
@@ -169,6 +178,9 @@ class Link {
   }
   static void delivery_port(void* ctx) {
     static_cast<Link*>(ctx)->on_delivery();
+  }
+  static void catch_up_port(void* ctx) {
+    static_cast<Link*>(ctx)->pass_departures();
   }
 
   bool lazy_eligible() const;
@@ -192,13 +204,20 @@ class Link {
              SimTime tx, SimTime chain_start);
   // Lazy links: moves the cursor past the tx-dones that have passed and
   // returns how many lie ahead (the first of them on the wire once its
-  // packet has arrived, the rest queued or not yet arrived).
+  // packet has arrived, the rest queued or not yet arrived), recording
+  // what passes in pop order when bound.
   std::size_t pass_departures() const;
+  void trace_admitted(const Packet& p, SimTime when, std::uint64_t arrival);
+  // The eager link's records at packet i's arrival, at the tx-dones the
+  // cursor passed, and at the virtual arrivals passed before d (all passed
+  // ones when null).
+  void observe_arrival(std::size_t i) const;
+  void replay_passed() const;
+  void observe_arrivals(const Departure* before) const;
   // On a link fed virtually: admitted packets (of `flow`, or all) whose
   // virtual arrival is still ahead; 0 on any other link.
   std::size_t arrivals_ahead(const FlowId* flow = nullptr) const;
   void require_eager(const char* hook);
-  bool bound() const;
   void start_transmission(const Packet& p);
   void on_transmit_done();
   void on_delivery();
@@ -257,6 +276,7 @@ class Link {
   // upstream link a source's emissions (send_at).
   bool fed_ = false;
   bool feeds_next_ = false;     // deliveries into next_link_ are virtual
+  bool replay_ = false;         // sinks bound: records what passes
   std::uint32_t upstream_links_ = 0;  // links whose receiver this is
   // Lazy links: admitted packets in departure order; those before
   // `departed_` have passed their tx-done, and `ahead_tx_` sums the tx time
@@ -291,20 +311,23 @@ class Link {
   std::uint32_t tx_done_port_id_ = 0;
   std::uint32_t delivery_port_id_ = 0;
 
-  void record_flight(const Packet& p, obs::FlightEventKind kind,
+  void record_flight(SimTime at, const Packet& p, obs::FlightEventKind kind,
                      std::size_t queue_depth,
-                     obs::DropCause cause = obs::DropCause::kNone);
+                     obs::DropCause cause = obs::DropCause::kNone) const;
 
-  obs::Counter* m_arrivals_ = nullptr;
-  obs::Counter* m_drops_ = nullptr;
-  obs::Counter* m_early_drops_ = nullptr;
-  obs::Counter* m_delivered_ = nullptr;
   obs::EventLog* event_log_ = nullptr;
   obs::FlightRecorder* flight_ = nullptr;
   std::int32_t flight_hop_ = -1;
   obs::TimeSeriesChannel* ts_delivered_ = nullptr;
   obs::TimeSeriesChannel* ts_drops_ = nullptr;
   obs::TimeSeriesChannel* ts_queue_ = nullptr;
+  // A bound lazy link (replay_) replays the eager queue: of the departures
+  // (traced_ parallels them), those before obs_done_ / obs_started_ /
+  // obs_arrived_ have finished / started / arrived.
+  mutable std::vector<Traced> traced_;
+  mutable std::size_t obs_done_ = 0;
+  mutable std::size_t obs_started_ = 0;
+  mutable std::size_t obs_arrived_ = 0;
 };
 
 }  // namespace dmp

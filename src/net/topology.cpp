@@ -30,8 +30,8 @@ DumbbellPath::DumbbellPath(Scheduler& sched, BottleneckConfig bottleneck,
   exit_->set_upstream_only();
   rev_exit_->set_upstream_only();
 
-  // Every link may run lazy until expose_to_faults(); only the drop-tail
-  // ones with nothing bound actually do (Link::set_lazy_allowed).
+  // Every link may run lazy until expose_to_faults() (drop-tail ones do;
+  // Link::set_lazy_allowed).
   for (Link* link : {bottleneck_.get(), exit_.get(), rev_bottleneck_.get(),
                      rev_exit_.get()}) {
     link->set_lazy_allowed(true);

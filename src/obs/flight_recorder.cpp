@@ -1,5 +1,6 @@
 #include "obs/flight_recorder.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <ostream>
@@ -44,6 +45,13 @@ std::string_view drop_cause_name(DropCause cause) {
     case DropCause::kEarly: return "early";
   }
   return "?";
+}
+
+void FlightRecorder::insert_late(const FlightEvent& e) {
+  const auto at = std::upper_bound(
+      events_.begin(), events_.end(), e.t_ns,
+      [](std::int64_t t, const FlightEvent& x) { return t < x.t_ns; });
+  events_.insert(at, e);
 }
 
 void FlightRecorder::to_jsonl(std::ostream& out) const {

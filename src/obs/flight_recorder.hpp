@@ -114,12 +114,20 @@ class FlightRecorder {
   std::int64_t epoch_ns() const { return epoch_ns_; }
   std::int64_t total_packets() const { return total_packets_; }
 
-  void record(const FlightEvent& e) { events_.push_back(e); }
+  // In time order: a late event (a lazy link's span) goes after those
+  // of its nanosecond recorded so far.
+  void record(const FlightEvent& e) {
+    if (events_.empty() || events_.back().t_ns <= e.t_ns) {
+      events_.push_back(e);
+    } else {
+      insert_late(e);
+    }
+  }
 
   std::size_t size() const { return events_.size(); }
   const std::vector<FlightEvent>& events() const { return events_; }
 
-  // One meta line, then one JSON object per event in record order.  The
+  // One meta line, then one JSON object per event in time order.  The
   // output is deterministic: identical runs serialize byte-for-byte
   // identically (pinned by the golden-trace test).
   void to_jsonl(std::ostream& out) const;
@@ -129,6 +137,8 @@ class FlightRecorder {
   bool write_jsonl(const std::string& path) const;
 
  private:
+  void insert_late(const FlightEvent& e);
+
   double mu_pps_ = 0.0;
   std::int64_t epoch_ns_ = 0;
   std::int64_t total_packets_ = -1;

@@ -134,7 +134,7 @@ void Hub::write_artifacts() {
     if (!write_sketches(sketches_, config_.sketches_path())) ++write_failures_;
   }
   if (metrics_) {
-    metrics_->freeze_gauges();
+    metrics_->freeze_samplers();
     if (!events_->write_jsonl(config_.events_path())) ++write_failures_;
   }
 }

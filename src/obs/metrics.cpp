@@ -76,8 +76,9 @@ const Histogram* MetricsRegistry::find_histogram(
   return it == histograms_.end() ? nullptr : &it->second;
 }
 
-void MetricsRegistry::freeze_gauges() {
+void MetricsRegistry::freeze_samplers() {
   for (auto& [name, gauge] : gauges_) gauge.freeze();
+  for (auto& [name, counter] : counters_) counter.freeze();
 }
 
 }  // namespace dmp::obs

@@ -18,14 +18,25 @@
 
 namespace dmp::obs {
 
-// Monotonic event counter (retransmits, drops, pulls, ...).
+// Monotonic event counter (retransmits, drops, pulls, ...), incremented
+// or read from the instrumented object's own total by a sampler.
 class Counter {
  public:
   void inc(std::uint64_t n = 1) { value_ += n; }
-  std::uint64_t value() const { return value_; }
+  void set_sampler(std::function<std::uint64_t()> fn) {
+    sampler_ = std::move(fn);
+  }
+  std::uint64_t value() const { return sampler_ ? sampler_() : value_; }
+  void freeze() {  // see Gauge::freeze
+    if (sampler_) {
+      value_ = sampler_();
+      sampler_ = nullptr;
+    }
+  }
 
  private:
   std::uint64_t value_ = 0;
+  std::function<std::uint64_t()> sampler_;
 };
 
 // Point-in-time value (cwnd, queue depth, RTT estimate, ...).  Either set
@@ -111,9 +122,9 @@ class MetricsRegistry {
     return histograms_;
   }
 
-  // Evaluates and detaches every gauge sampler; call before the registry
-  // outlives the instrumented objects.
-  void freeze_gauges();
+  // Evaluates and detaches every gauge and counter sampler; call before
+  // the registry outlives the instrumented objects.
+  void freeze_samplers();
 
  private:
   std::map<std::string, Counter> counters_;

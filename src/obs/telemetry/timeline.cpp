@@ -1,7 +1,9 @@
 #include "obs/telemetry/timeline.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <limits>
 #include <map>
@@ -107,27 +109,36 @@ class EventList {
   std::vector<std::string> events_;
 };
 
-// Minimal reader for the TimeSeries CSV (window_start_s,channel,count,sum,
-// mean,min,max,last).  Returns channel -> [(t_s, mean)], channels sorted.
+// Reader for the TimeSeries CSV (window_start_s,channel,count,sum,mean,
+// min,max,last).  Returns channel -> [(t_s, mean)], channels sorted.  A
+// row without 8 cells, or whose time or mean is not a number, throws
+// std::runtime_error naming its 1-based line.
 std::map<std::string, std::vector<std::pair<double, double>>> read_telemetry(
     const std::string& path) {
   std::map<std::string, std::vector<std::pair<double, double>>> out;
   std::ifstream in{path};
   if (!in) throw std::runtime_error{"cannot open telemetry csv: " + path};
   std::string line;
-  bool header = true;
-  while (std::getline(in, line)) {
-    if (header) {
-      header = false;
-      continue;
-    }
+  std::getline(in, line);  // the header
+  for (std::size_t line_no = 2; std::getline(in, line); ++line_no) {
+    const auto fail = [&](const std::string& what) {
+      throw std::runtime_error{"telemetry csv " + path + " line " +
+                               std::to_string(line_no) + ": " + what};
+    };
     std::vector<std::string> cells;
     std::stringstream ss{line};
     std::string cell;
     while (std::getline(ss, cell, ',')) cells.push_back(cell);
-    if (cells.size() < 5) continue;
-    out[cells[1]].emplace_back(std::atof(cells[0].c_str()),
-                               std::atof(cells[4].c_str()));
+    if (cells.size() != 8) fail(std::to_string(cells.size()) + " cells, not 8");
+    const auto number = [&](const std::string& text) {
+      char* end = nullptr;
+      const double v = std::strtod(text.c_str(), &end);
+      if (text.empty() || *end != '\0' || !std::isfinite(v)) {
+        fail("'" + text + "' is not a number");
+      }
+      return v;
+    };
+    out[cells[1]].emplace_back(number(cells[0]), number(cells[4]));
   }
   return out;
 }

@@ -22,7 +22,6 @@ void Scheduler::post_at(SimTime when, EventFn fn, EventCategory cat) {
   }
   fn_cats_[fn_index] = static_cast<std::uint8_t>(cat);
   push_entry(Entry{when, next_seq_++, fn_index});
-  max_pending_ = std::max(max_pending_, pending_events());
 }
 
 void Scheduler::post_after(SimTime delay, EventFn fn, EventCategory cat) {
@@ -80,17 +79,13 @@ void Scheduler::arm(std::uint32_t timer, SimTime when) {
   if (when < now_) throw std::invalid_argument{"arm: time in the past"};
   Timer& t = timers_[timer];
   if (t.armed) supersede(t);
-  t.key = Deferred{when, next_seq_++};
+  t.key = Key{when, next_seq_++};
   t.armed = true;
-  const bool exact = exact_counters();
   // In place: a deadline at or after the queued entry (a fresh seq orders
   // after it at the same nanosecond) only moves the key.
-  if (!exact && t.queued.seq != kNoEntry && !(when < t.queued.when)) return;
+  if (t.queued.seq != kNoEntry && !(when < t.queued.when)) return;
   t.queued = t.key;
-  t.tally = exact;
-  push_entry(
-      Entry{when, t.key.seq, timer | kTimerBit | (exact ? kTallyBit : 0)});
-  max_pending_ = std::max(max_pending_, pending_events());
+  push_entry(Entry{when, t.key.seq, timer | kTimerBit});
 }
 
 void Scheduler::disarm(std::uint32_t timer) {
@@ -100,12 +95,9 @@ void Scheduler::disarm(std::uint32_t timer) {
   t.armed = false;
 }
 
-// The armed deadline of `t` is dropped unfired.  An entry pushed for it
-// under exact counters counts when it pops; otherwise the deadline counts
-// once a run_until horizon covers it, where its own entry would have
-// popped.
+// The armed deadline of `t` is dropped unfired.  It counts once a
+// run_until horizon covers it, where its own entry would have popped.
 void Scheduler::supersede(const Timer& t) {
-  if (t.tally && t.queued.seq == t.key.seq) return;
   if (t.key.when <= horizon_) {
     ++cancelled_;
     return;
@@ -128,9 +120,7 @@ bool Scheduler::timer_due(Entry& e) {
     e.fn_index = t.port | kPortBit;
     return true;
   }
-  if (e.fn_index & kTallyBit) ++cancelled_;
   if (queued) {
-    t.tally = false;
     if (t.armed) {
       t.queued = t.key;
       push_entry(Entry{t.key.when, t.key.seq, id | kTimerBit});
@@ -170,6 +160,10 @@ std::uint64_t Scheduler::run_until(SimTime horizon) {
   // (now, next claim) has passed, and claims made between runs order
   // after it.
   if (logging_) log_.push(PopRecord{now_, next_seq_, next_seq_}, now_);
+  if (profile_ != nullptr && logging_) profile_virtual();
+  for (const std::uint32_t port : run_end_ports_) {
+    ports_[port].fn(ports_[port].ctx);
+  }
   return events_executed() - before;
 }
 
@@ -345,9 +339,19 @@ Scheduler::Ahead Scheduler::virtual_ahead_totals() const {
     if (virtual_ahead(id)) {
       ++ahead.events;
       ahead.claims += vtx_[id].claims;
+      ++ahead.by_category[vtx_[id].cat];
     }
   }
   return ahead;
+}
+
+void Scheduler::profile_virtual() {
+  const Ahead ahead = virtual_ahead_totals();
+  for (std::size_t c = 0; c < kNumEventCategories; ++c) {
+    const std::uint64_t passed = virtual_added_[c] - ahead.by_category[c];
+    profile_->by_category[c].executed += passed - virtual_profiled_[c];
+    virtual_profiled_[c] = passed;
+  }
 }
 
 }  // namespace dmp

@@ -16,41 +16,33 @@
 //
 // Re-armable timers: an owner with one deadline at a time (an RTO, a
 // delayed ACK, a probe tick) registers a timer once and re-arms it in
-// place.  Every arm claims its key at call time, as a cancel-and-push
-// timer would; the timer keeps one queued entry, which fires or, on a
-// later key, pushes itself again when it pops.  Under `exact_counters()`
-// every arm pushes its own entry (docs/DES_ENGINE.md).
+// place; every arm claims its key at call time, as a cancel-and-push timer
+// would, and the timer keeps one queued entry.
 //
-// Ports + deferred events (the batched-dequeue fast path): an object whose
-// events always run the same member function registers a raw function
-// pointer once (`register_port`) and schedules against the port id — no
-// EventFn construction, no slab traffic, no type erasure on pop.  An object
-// that owns a FIFO of future events (a link's in-flight deliveries, a
-// sender's jittered emissions) keeps the FIFO itself and materializes only
-// its head in the queue: `defer_at` allocates the event's (when, seq) key —
-// at the exact moment the old code would have pushed it, so sequence
-// numbers and FIFO tie-breaks are unchanged — and `arm_deferred` inserts a
-// stored key when it becomes the FIFO's head.  Deferred events are counted
-// in `pending_events()` / `max_events_pending()` as if they were queued.
+// Ports + claimed keys (the batched-dequeue fast path): an object whose
+// events always run the same member function registers it once
+// (`register_port`) and schedules against the port id — no EventFn, no
+// slab traffic.  An object that owns a FIFO of future events (a link's
+// in-flight deliveries, a sender's jittered emissions) claims each event's
+// seq when a one-entry-per-event scheduler would have pushed it
+// (`claim_seq`) and queues only the head (`arm_key`).
 //
 // Virtual events (lazy links): an event whose time is known in advance and
 // whose handler only claims keys — a drop-tail link's tx-done, its
 // delivery into a link fed by nothing else, or a sender's jittered
-// emission into its entry link — need not enter the queue at all.
-// `add_virtual(when, sigma, claims)` records it at key (when, sigma); its
-// claims (`virtual_seq(id, 0|1)`) are seq values that order exactly where
-// the claims an executed event would have made order: after every real
-// claim made before the event's key passes, before every one made after
-// (the tie rule, docs/DES_ENGINE.md).  A log of real pops answers "when
-// did it pass" for same-nanosecond ties, and tie labels answer it in O(1)
-// for chains that tie level for level (twin busy periods).  Virtual events
-// count in `events_executed()` and their claims in `events_scheduled()`
-// once they pass, but not in `events_dispatched()` (real pops only) nor in
-// `pending_events()` / `max_events_pending()`, which are exact only while
-// no link is lazy.
+// emission into its entry link — never enters the queue.
+// `add_virtual(when, sigma, claims, cat)` records it at key (when, sigma);
+// its claims (`virtual_seq(id, 0|1)`) order exactly where an executed
+// event's claims would (the tie rule: a log of real pops, and tie labels
+// for chains that tie level for level).  Virtual events count in
+// `events_executed()` and the profile, and their claims in
+// `events_scheduled()`, once they pass; `events_dispatched()` and
+// `pending_events()` count only real pops and entries.  See
+// docs/DES_ENGINE.md.
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <stdexcept>
 #include <unordered_map>
@@ -102,32 +94,23 @@ class Scheduler {
   void disarm(std::uint32_t timer);
   bool armed(std::uint32_t timer) const { return timers_[timer].armed; }
 
-  // --- deferred events: caller-owned FIFOs with one armed head ---
-  // `defer_at` claims the event's (when, seq) key NOW — bumping the
-  // scheduled/pending accounting exactly as a push would — but inserts
-  // nothing; the caller stores the key in its FIFO.  `arm_deferred` inserts
-  // a previously claimed key (a FIFO head) for port dispatch.  Every
-  // claimed key must be armed exactly once; keys armed out of claim order
-  // must still be armed in (when, seq) order relative to their FIFO.
-  struct Deferred {
-    SimTime when;
-    std::uint64_t seq;
-  };
-  Deferred defer_at(SimTime when);
-  Deferred defer_after(SimTime delay);
-  void arm_deferred(const Deferred& d, std::uint32_t port);
+  // --- claimed keys: caller-owned FIFOs with one queued head ---
+  // A real claim with no queue entry yet (a FIFO event's, or a virtual
+  // event's key).
+  std::uint64_t claim_seq() { return next_seq_++; }
+  // Queues a claimed key (real or virtual) for port dispatch.
+  void arm_key(SimTime when, std::uint64_t seq, std::uint32_t port) {
+    push_entry(Entry{when, seq, port | kPortBit});
+  }
 
   // --- virtual events (see header comment) ---
-  // A real claim with no queue entry: the key of an event that will stay
-  // virtual.  Returns the claimed seq.
-  std::uint64_t claim_seq() { return next_seq_++; }
   // Records a virtual event at key (when, sigma), where sigma is a real
   // claim or another virtual event's claim, and returns its id.  `claims`
   // is how many keys the event claims for itself (a tx-done: 1, its
-  // delivery); a virtual sigma also counts as a claim of its owner.  The
-  // first call starts the pop log.
+  // delivery); a virtual sigma also counts as a claim of its owner.  `cat`
+  // is its profile category.  The first call starts the pop log.
   std::uint64_t add_virtual(SimTime when, std::uint64_t sigma,
-                            std::uint32_t claims);
+                            std::uint32_t claims, EventCategory cat);
   // Bounds how far behind the clock a virtual key may still be compared:
   // the longest delay from an event to the last entry keyed through its
   // claims, plus slack for same-nanosecond chains.  The log keeps every
@@ -157,24 +140,21 @@ class Scheduler {
   // settles its events in key order (a link's FIFO) starts each search
   // where the previous one ended.
   void settle_virtual(std::uint64_t id, std::uint64_t* hint);
-  // Inserts an entry under an already claimed key (real or virtual) for
-  // port dispatch; unlike arm_deferred it touches no pending counter.
-  void arm_key(SimTime when, std::uint64_t seq, std::uint32_t port) {
-    push_entry(Entry{when, seq, port | kPortBit});
-  }
+  // Runs `port` at the end of every run_until: a bound lazy link catches
+  // its records up.  Its context must outlive every run.
+  void at_run_end(std::uint32_t port) { run_end_ports_.push_back(port); }
 
-  // Marks this run as one that reads pending_events(), max_events_pending()
-  // or per-category counts: links then stay eager so those stay exact.
-  // Attaching a profiler implies it.
-  void require_exact_counters() { exact_counters_ = true; }
-  bool exact_counters() const {
-    return exact_counters_ || profile_ != nullptr;
-  }
+  // The eager reference the tests check lazy links against: every link
+  // stays eager (Link::lazy_eligible).  No production path sets it.
+  void keep_links_eager() { links_eager_ = true; }
+  bool links_eager() const { return links_eager_; }
 
-  // Attach (or detach, with nullptr) a per-category execution profile.
-  // `time_events` additionally brackets every callback with steady_clock
-  // reads — roughly 40 ns/event, so it is a separate opt-in (DMP_PROFILE)
-  // rather than part of the cheap telemetry path.
+  // Attach (or detach, with nullptr) a per-category execution profile
+  // before the first event; virtual events count at the end of the
+  // run_until they passed in.  `time_events` additionally brackets every
+  // callback with steady_clock reads — roughly 40 ns/event, so it is a
+  // separate opt-in (DMP_PROFILE) rather than part of the cheap telemetry
+  // path.
   void set_profiler(SchedProfile* profile, bool time_events = false) {
     profile_ = profile;
     time_events_ = time_events && profile != nullptr;
@@ -199,10 +179,8 @@ class Scheduler {
     return cal_.empty() ? SimTime::max() : cal_.min().when;
   }
 
-  // Pending = queued entries + deferred keys parked in caller FIFOs, i.e.
-  // every event that would have been queued before deferral existed.
-  std::size_t pending_events() const { return cal_.size() + deferred_pending_; }
-  std::size_t events_pending() const { return pending_events(); }
+  // Real queue entries: FIFO heads, timer entries and posted events.
+  std::size_t pending_events() const { return cal_.size(); }
 
   // Lifetime work counters.  Cancelled counts superseded timer deadlines
   // (exactly those a cancel-and-push timer pops, after every run_until).
@@ -216,17 +194,15 @@ class Scheduler {
   std::uint64_t events_scheduled() const {
     return next_seq_ + virtual_claims_ - virtual_ahead_totals().claims;
   }
-  // High-water mark of pending events (queued + deferred).
+  // High-water mark of pending_events().
   std::size_t max_events_pending() const { return max_pending_; }
 
  private:
   // fn_index values with kPortBit set index ports_, with kTimerBit set
-  // timers_ (kTallyBit: counts as cancelled if it pops unfired), and
-  // otherwise the EventFn slab.
+  // timers_, and otherwise the EventFn slab.
   static constexpr std::uint32_t kPortBit = 0x80000000u;
   static constexpr std::uint32_t kTimerBit = 0x40000000u;
-  static constexpr std::uint32_t kTallyBit = 0x20000000u;
-  static constexpr std::uint32_t kIndexMask = 0x1FFFFFFFu;
+  static constexpr std::uint32_t kIndexMask = 0x3FFFFFFFu;
 
   // Queue entries are deliberately tiny and trivially movable: the callable
   // sits in the fns_ slab (or a port), referenced by index, so queue
@@ -267,6 +243,7 @@ class Scheduler {
     std::uint64_t first;
     // Claims that exist: its own, plus one per index another key uses.
     std::uint32_t claims;
+    std::uint8_t cat;  // EventCategory, for the profile
   };
   // One real pop (or run_until's end mark): its key and the real-claim
   // counter when it began.
@@ -349,27 +326,36 @@ class Scheduler {
     }
   };
   TieLabel tie_label(std::uint64_t id) const;
-  // The virtual events still ahead and the claims they will make.
+  // The virtual events still ahead (by category) and their claims.
   struct Ahead {
     std::uint64_t events = 0;
     std::uint64_t claims = 0;
+    std::array<std::uint64_t, kNumEventCategories> by_category{};
   };
   Ahead virtual_ahead_totals() const;
+  // Adds the virtual events passed since the last call to the profile.
+  void profile_virtual();
 
   // --- timers ---
   static constexpr std::uint64_t kNoEntry = ~std::uint64_t{0};
+  struct Key {
+    SimTime when;
+    std::uint64_t seq;
+  };
   struct Timer {
     std::uint32_t port;  // callback and category, dispatched as a port
     bool armed = false;
-    bool tally = false;  // `queued` carries kTallyBit
-    Deferred key{};      // the deadline, while armed
+    Key key{};           // the deadline, while armed
     // The entry that fires or re-pushes; seq kNoEntry when none is queued.
-    Deferred queued{SimTime::zero(), kNoEntry};
+    Key queued{SimTime::zero(), kNoEntry};
   };
   void supersede(const Timer& t);
   bool timer_due(Entry& e);
 
-  void push_entry(const Entry& e) { cal_.push(e); }
+  void push_entry(const Entry& e) {
+    cal_.push(e);
+    if (cal_.size() > max_pending_) max_pending_ = cal_.size();
+  }
   template <typename F>
   void call(std::uint8_t cat, F&& fn);
   void dispatch(const Entry& e);
@@ -379,10 +365,9 @@ class Scheduler {
   std::uint64_t executed_ = 0;
   std::uint64_t cancelled_ = 0;
   std::size_t max_pending_ = 0;
-  std::size_t deferred_pending_ = 0;  // claimed keys parked in caller FIFOs
   SchedProfile* profile_ = nullptr;  // not owned; null = no attribution
   bool time_events_ = false;
-  bool exact_counters_ = false;
+  bool links_eager_ = false;
   std::vector<EventFn> fns_;               // slab of pending callables
   std::vector<std::uint8_t> fn_cats_;      // category byte, parallel to fns_
   std::vector<std::uint32_t> free_fns_;    // recycled slab indexes
@@ -407,6 +392,10 @@ class Scheduler {
   mutable std::unordered_map<TieKey, std::uint64_t, TieKeyHash> tie_interned_;
   mutable std::vector<std::uint64_t> tie_chain_;
   mutable std::uint64_t next_tie_label_ = 1;
+  // Virtual events added while profiled / counted in it, by category.
+  std::array<std::uint64_t, kNumEventCategories> virtual_added_{};
+  std::array<std::uint64_t, kNumEventCategories> virtual_profiled_{};
+  std::vector<std::uint32_t> run_end_ports_;  // at_run_end
 };
 
 // --- inline hot paths (one call per simulated packet hop) ---
@@ -416,36 +405,23 @@ inline void Scheduler::post_port_at(SimTime when, std::uint32_t port) {
     throw std::invalid_argument{"post_port_at: time in the past"};
   }
   push_entry(Entry{when, next_seq_++, port | kPortBit});
-  if (pending_events() > max_pending_) max_pending_ = pending_events();
 }
 
 inline void Scheduler::post_port_after(SimTime delay, std::uint32_t port) {
   post_port_at(now_ + delay, port);
 }
 
-inline Scheduler::Deferred Scheduler::defer_at(SimTime when) {
-  if (when < now_) throw std::invalid_argument{"defer_at: time in the past"};
-  // The key is claimed at the exact point the one-entry-per-event code
-  // would have pushed, so seq assignment (and with it every same-time
-  // tie-break downstream) is unchanged.  The event is logically pending
-  // from this moment: counters move now, the queue entry comes later.
-  const Deferred d{when, next_seq_++};
-  ++deferred_pending_;
-  if (pending_events() > max_pending_) max_pending_ = pending_events();
-  return d;
-}
-
-inline Scheduler::Deferred Scheduler::defer_after(SimTime delay) {
-  return defer_at(now_ + delay);
-}
-
 inline std::uint64_t Scheduler::add_virtual(SimTime when, std::uint64_t sigma,
-                                            std::uint32_t claims) {
+                                            std::uint32_t claims,
+                                            EventCategory cat) {
   if (when < now_) throw std::invalid_argument{"add_virtual: time in the past"};
   if (!logging_) start_log();
   const std::uint64_t id = vtx_.end;
-  vtx_.push(VirtualEvent{when, sigma, kUnresolved, log_.end, claims}, now_);
+  const auto c = static_cast<std::uint8_t>(cat);
+  vtx_.push(VirtualEvent{when, sigma, kUnresolved, log_.end, claims, c},
+            now_);
   virtual_claims_ += claims;
+  if (profile_ != nullptr) ++virtual_added_[c];
   if (is_virtual(sigma)) {
     // Its key is claim (sigma & 1) of an earlier event: that claim exists.
     VirtualEvent& owner = vtx_[virtual_id(sigma)];
@@ -478,13 +454,6 @@ inline void Scheduler::settle_virtual(std::uint64_t id, std::uint64_t* hint) {
   if (i == stop || log_[i].when == event.when) i = first_pop_past(id, start);
   event.c = log_[i].counter;
   *hint = i;
-}
-
-inline void Scheduler::arm_deferred(const Deferred& d, std::uint32_t port) {
-  // Moves one event from a caller FIFO into the queue: total pending is
-  // unchanged, so no high-water update.
-  --deferred_pending_;
-  push_entry(Entry{d.when, d.seq, port | kPortBit});
 }
 
 }  // namespace dmp

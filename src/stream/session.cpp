@@ -36,17 +36,15 @@ QdiscSpec qdisc_for_path(const QdiscSpec& spec, std::uint64_t session_seed,
 // Registers the scheduler's work counters as `sched.*` sampler gauges so
 // probes can plot event-rate over time (the scheduler itself stays
 // obs-free to keep the sim -> obs dependency one-directional).  Pending
-// counts are exact only with every link eager, so a metrics run keeps
-// them all eager.
+// counts are real queue entries.
 void bind_scheduler(obs::Hub& hub, Scheduler& sched) {
   if (!hub.metrics()) return;
-  sched.require_exact_counters();
   const auto gauge = [&hub, &sched](const char* name, auto read) {
     hub.gauge(std::string("sched.") + name)->set_sampler([&sched, read] {
       return static_cast<double>((sched.*read)());
     });
   };
-  gauge("events_pending", &Scheduler::events_pending);
+  gauge("events_pending", &Scheduler::pending_events);
   gauge("events_executed", &Scheduler::events_executed);
   gauge("events_cancelled", &Scheduler::events_cancelled);
   gauge("max_events_pending", &Scheduler::max_events_pending);
@@ -148,6 +146,11 @@ obs::RunReport session_report(const SessionConfig& config,
 }  // namespace
 
 SessionResult run_session(const SessionConfig& config) {
+  Scheduler sched;
+  return run_session(config, sched);
+}
+
+SessionResult run_session(const SessionConfig& config, Scheduler& sched) {
   if (config.path_configs.empty()) {
     throw std::invalid_argument{"session needs at least one path config"};
   }
@@ -164,7 +167,6 @@ SessionResult run_session(const SessionConfig& config) {
   const QdiscSpec qdisc_spec = QdiscSpec::parse(config.qdisc);
   const fault::FaultPlan fault_plan = fault::FaultPlan::parse(config.faults);
 
-  Scheduler sched;
   Rng rng(config.seed);
 
   // --- observability: one hub that every component below binds (none

@@ -150,6 +150,9 @@ struct SessionResult {
 };
 
 SessionResult run_session(const SessionConfig& config);
+// The same session on a caller's fresh scheduler: the seam through which
+// tests run it under Scheduler::keep_links_eager.
+SessionResult run_session(const SessionConfig& config, Scheduler& sched);
 
 // Backlogged-probe measurement of a path's model parameters.
 //

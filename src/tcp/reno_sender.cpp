@@ -123,10 +123,10 @@ void RenoSender::transmit(const Packet& p) {
   if (when <= last_emission_) when = last_emission_ + SimTime::nanos(1);
   last_emission_ = when;
   if (entry_ != nullptr && entry_->send_at(when, p)) return;
-  const Scheduler::Deferred d = sched_.defer_at(when);
+  const std::uint64_t seq = sched_.claim_seq();
   const bool was_empty = emissions_head_ == emissions_.size();
-  emissions_.push_back(PendingEmission{d.when, d.seq, p});
-  if (was_empty) sched_.arm_deferred(d, emit_port_id_);
+  emissions_.push_back(PendingEmission{when, seq, p});
+  if (was_empty) sched_.arm_key(when, seq, emit_port_id_);
 }
 
 void RenoSender::on_emit() {
@@ -136,8 +136,7 @@ void RenoSender::on_emit() {
   const PendingEmission head = emissions_[emissions_head_++];
   if (emissions_head_ < emissions_.size()) {
     const PendingEmission& next = emissions_[emissions_head_];
-    sched_.arm_deferred(Scheduler::Deferred{next.when, next.seq},
-                        emit_port_id_);
+    sched_.arm_key(next.when, next.seq, emit_port_id_);
   } else {
     emissions_.clear();
     emissions_head_ = 0;

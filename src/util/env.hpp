@@ -1,14 +1,11 @@
-// Typed environment-variable lookups used by benches to scale workloads
-// (e.g. DMP_RUNS, DMP_DURATION_S) without recompiling.
+// Environment-variable lookup for the bench output directory (DMP_OUT_DIR);
+// typed knobs go through the strict parser in src/exp/options.cpp.
 #pragma once
 
-#include <cstdint>
 #include <string>
 
 namespace dmp {
 
-std::int64_t env_int(const char* name, std::int64_t fallback);
-double env_double(const char* name, double fallback);
 std::string env_string(const char* name, const std::string& fallback);
 
 }  // namespace dmp

@@ -231,7 +231,7 @@ TEST(FaultInjector, EmptyPlanSchedulesNothing) {
   FaultInjector injector(sched, FaultPlan{}, SimTime::zero());
   injector.arm();
   EXPECT_EQ(injector.events_armed(), 0u);
-  EXPECT_EQ(sched.events_pending(), 0u);
+  EXPECT_EQ(sched.pending_events(), 0u);
 }
 
 TEST(FaultInjector, ArmRejectsUnknownTargets) {
@@ -242,7 +242,7 @@ TEST(FaultInjector, ArmRejectsUnknownTargets) {
   target.set_down = [](bool) {};
   injector.add_path("path0", 0, std::move(target));
   EXPECT_THROW(injector.arm(), std::invalid_argument);
-  EXPECT_EQ(sched.events_pending(), 0u)
+  EXPECT_EQ(sched.pending_events(), 0u)
       << "a rejected plan must schedule nothing";
 }
 

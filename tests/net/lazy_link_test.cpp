@@ -13,8 +13,9 @@
 // per-flow arrivals and drops, overlimit drops, total_delivered,
 // queue_length and utilization must match at every checkpoint, including
 // the final horizon with packets still queued.  Further down the same
-// comparison covers jittered Reno senders feeding lazy entry links (fused
-// send hops) and identical paths in lockstep.
+// comparison covers bound sinks (a lazy link records what the eager one
+// does), jittered Reno senders feeding lazy entry links (fused send hops)
+// and identical paths in lockstep.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -24,12 +25,14 @@
 #include <memory>
 #include <random>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "apps/background.hpp"
 #include "apps/ftp_source.hpp"
 #include "net/link.hpp"
 #include "net/topology.hpp"
+#include "obs/hub.hpp"
 #include "sim/scheduler.hpp"
 #include "tcp/connection.hpp"
 #include "tcp/reno_sender.hpp"
@@ -137,9 +140,11 @@ SimTime echo_delay(int id) {
                             kLatticeNs);
 }
 
+// With a hub, every link binds it: spans at hops 0-3, metrics, events and
+// channels under its name.
 Outcome run_arm(const std::vector<Op>& script, bool lazy,
                 const std::vector<SimTime>& checkpoints,
-                const Shape& shape = {}) {
+                const Shape& shape = {}, obs::Hub* hub = nullptr) {
   Scheduler sched;
   Outcome out;
   const auto log = [&out, &sched](int id) {
@@ -165,6 +170,12 @@ Outcome run_arm(const std::vector<Op>& script, bool lazy,
   Link& mid = *chain[1];
   Link& twin = *chain[2];
   Link& tail = *chain[3];
+  if (hub != nullptr) {
+    const char* names[] = {"head", "mid", "twin", "tail"};
+    for (std::size_t i = 0; i < chain.size(); ++i) {
+      chain[i]->bind(*hub, names[i], static_cast<std::int32_t>(i));
+    }
+  }
   // Mid's own arrivals: direct sends unless mid is fed by head alone.
   Link& mid_entry = shape.fuse_mid ? twin : mid;
   if (shape.fuse_mid) mid.set_upstream_only();
@@ -194,6 +205,7 @@ Outcome run_arm(const std::vector<Op>& script, bool lazy,
     Packet p;
     p.flow = 2;
     p.seq = 7'000'000 + id;
+    p.app_tag = p.seq;
     p.size_bytes = 1500;
     Link* targets[] = {&head, &mid_entry, &twin};
     targets[static_cast<std::size_t>(id) % 3]->send(p);
@@ -219,6 +231,7 @@ Outcome run_arm(const std::vector<Op>& script, bool lazy,
         Packet p;
         p.flow = 1;
         p.seq = op.id;
+        p.app_tag = op.id;
         p.size_bytes = op.bytes;
         Link* target =
             op.kind == 0 ? &head : op.id % 2 == 0 ? &twin : &mid_entry;
@@ -265,6 +278,7 @@ Outcome run_arm(const std::vector<Op>& script, bool lazy,
   }
   out.lazy = true;
   for (const auto& link : chain) out.lazy = out.lazy && link->lazy();
+  if (hub != nullptr && hub->metrics()) hub->metrics()->freeze_samplers();
   try {
     head.set_receiver(&mid);  // rewiring a fused hop throws
   } catch (const std::logic_error&) {
@@ -547,16 +561,95 @@ TEST(LazyLink, FusesOnlyHopsIntoLinksFedByOneUpstream) {
   EXPECT_EQ(sched.events_dispatched(), 7u);
 }
 
-TEST(LazyLink, ExactCountersKeepLinksEager) {
-  Scheduler sched;
-  sched.require_exact_counters();
-  Link link(sched, LinkConfig{1e6, SimTime::millis(1), 0});
-  link.set_receiver([](const Packet&) {});
-  link.set_lazy_allowed(true);
-  Packet p;
-  p.size_bytes = 1500;
-  link.send(p);
-  EXPECT_FALSE(link.lazy());
+// --- sinks on lazy links ---
+
+std::unique_ptr<obs::Hub> recording_hub() {
+  obs::ObsConfig config;
+  config.enabled = true;
+  config.flight_recorder = true;
+  config.output_dir = ::testing::TempDir();
+  obs::TelemetryConfig telemetry;
+  telemetry.enabled = true;
+  telemetry.window_s = 0.005;
+  return std::make_unique<obs::Hub>(config, telemetry);
+}
+
+// What a hub's sinks hold, one line per record.  Spans are sorted: the
+// recorder keeps them in time order, but within a nanosecond a lazy
+// link's spans come as its departures pass.
+struct Records {
+  std::vector<std::string> spans, windows, counters, events;
+};
+
+Records records(obs::Hub& hub, const std::vector<std::string>& links) {
+  Records r;
+  std::int64_t last_ns = 0;
+  for (const obs::FlightEvent& e : hub.flight()->events()) {
+    EXPECT_GE(e.t_ns, last_ns) << "spans out of time order";
+    last_ns = e.t_ns;
+    r.spans.push_back(std::to_string(e.t_ns) + " " +
+                      std::string(obs::flight_event_name(e.kind)) + " " +
+                      std::to_string(e.packet) + " " + std::to_string(e.path) +
+                      " " + std::to_string(e.hop) + " " +
+                      std::to_string(e.seq) + " " + std::to_string(e.queue));
+  }
+  std::sort(r.spans.begin(), r.spans.end());
+  for (const std::string& link : links) {
+    for (const char* what : {".delivered", ".drops", ".queue_depth"}) {
+      const std::string name = link + what;
+      for (const obs::Window& w : hub.channel(name)->finish()) {
+        r.windows.push_back(name + " " + std::to_string(w.index) + " " +
+                            std::to_string(w.count) + " " +
+                            std::to_string(w.sum) + " " +
+                            std::to_string(w.min) + " " +
+                            std::to_string(w.max) + " " +
+                            std::to_string(w.last));
+      }
+    }
+  }
+  for (const auto& [name, counter] : hub.metrics()->counters()) {
+    r.counters.push_back(name + " " + std::to_string(counter.value()));
+  }
+  for (const obs::Event& e : hub.events()->events()) {
+    std::string line = std::to_string(e.time_s) + " " + e.type;
+    for (const obs::EventField& f : e.fields) line += " " + f.value;
+    r.events.push_back(line);
+  }
+  return r;
+}
+
+// A bound lazy link stays lazy, and its spans, channel samples, counters
+// and drop events are the eager link's: same times, depths and values.
+TEST(LazyLink, BoundLazyLinkStaysLazyAndRecords) {
+  for (const Shape& shape : {Shape{}, Shape{3, false, false},
+                             Shape{3, true, false}, Shape{1, true, true}}) {
+    for (std::uint64_t seed = 1; seed <= 2; ++seed) {
+      SCOPED_TRACE(testing::Message()
+                   << "seed " << seed << " buffer " << shape.buffer
+                   << " fuse " << shape.fuse_mid << shape.fuse_tail);
+      const std::vector<Op> script = make_script(seed, 3000);
+      const auto eager_hub = recording_hub();
+      const auto lazy_hub = recording_hub();
+      const Outcome eager = run_arm(script, false, lattice_checkpoints(),
+                                    shape, eager_hub.get());
+      const Outcome lazy = run_arm(script, true, lattice_checkpoints(),
+                                   shape, lazy_hub.get());
+      ASSERT_TRUE(lazy.lazy);
+      expect_same(eager, lazy);
+      const std::vector<std::string> links{"head", "mid", "twin", "tail"};
+      const Records want = records(*eager_hub, links);
+      const Records got = records(*lazy_hub, links);
+      EXPECT_GT(want.spans.size(), 3000u);
+      EXPECT_GT(want.windows.size(), 100u);
+      EXPECT_EQ(want.spans, got.spans);
+      EXPECT_EQ(want.windows, got.windows);
+      EXPECT_EQ(want.counters, got.counters);
+      EXPECT_EQ(want.events, got.events);
+      if (shape.buffer != 0) {
+        EXPECT_FALSE(want.events.empty());
+      }
+    }
+  }
 }
 
 // --- fused send hops: a sender's jitter stage into its entry link ---
@@ -574,8 +667,10 @@ struct SendHopRun {
   std::vector<std::vector<std::int64_t>> emissions{3};
 };
 
+// With a hub, the bottleneck and each entry link bind it.
 SendHopRun run_send_hops(std::uint64_t seed, bool lazy,
-                         const std::vector<SimTime>& checkpoints) {
+                         const std::vector<SimTime>& checkpoints,
+                         obs::Hub* hub = nullptr) {
   Scheduler sched;
   SendHopRun run;
   Outcome& out = run.out;
@@ -644,6 +739,12 @@ SendHopRun run_send_hops(std::uint64_t seed, bool lazy,
   std::vector<Link*> links{&bottleneck, &reverse};
   for (auto& entry : entries) links.push_back(entry.get());
   for (Link* link : links) link->set_lazy_allowed(lazy);
+  if (hub != nullptr) {
+    bottleneck.bind(*hub, "bottleneck", 1);
+    for (std::size_t k = 0; k < entries.size(); ++k) {
+      entries[k]->bind(*hub, "entry" + std::to_string(k), 0);
+    }
+  }
   std::vector<std::unique_ptr<FtpSource>> sources;
   for (auto& sender : senders) {
     sources.push_back(std::make_unique<FtpSource>(*sender));
@@ -658,6 +759,7 @@ SendHopRun run_send_hops(std::uint64_t seed, bool lazy,
   }
   out.lazy = true;
   for (const Link* link : links) out.lazy = out.lazy && link->lazy();
+  if (hub != nullptr) hub->metrics()->freeze_samplers();
   return run;
 }
 
@@ -808,12 +910,37 @@ TEST(LazyLink, SendAtFeedsOnlyUnboundedLinksWithNoOtherFeed) {
   EXPECT_EQ(sched.events_dispatched(), 1u);
 }
 
+// Bound entry links fed by jittered emissions record like eager ones,
+// emission/tx-done ties at one nanosecond included.
+TEST(LazyLink, BoundSendHopsRecordLikeEager) {
+  for (std::uint64_t seed : {3u, 17u}) {
+    SCOPED_TRACE(testing::Message() << "seed " << seed);
+    const std::vector<SimTime> horizons{SimTime::millis(300),
+                                        SimTime::millis(900)};
+    const auto eager_hub = recording_hub();
+    const auto lazy_hub = recording_hub();
+    const SendHopRun eager =
+        run_send_hops(seed, false, horizons, eager_hub.get());
+    const SendHopRun lazy = run_send_hops(seed, true, horizons, lazy_hub.get());
+    ASSERT_TRUE(lazy.out.lazy);
+    expect_same(eager.out, lazy.out);
+    const std::vector<std::string> links{"bottleneck", "entry0", "entry1",
+                                         "entry2"};
+    const Records want = records(*eager_hub, links);
+    const Records got = records(*lazy_hub, links);
+    EXPECT_GT(want.windows.size(), 100u);
+    EXPECT_EQ(want.windows, got.windows);
+    EXPECT_EQ(want.counters, got.counters);
+    EXPECT_EQ(want.events, got.events);
+  }
+}
+
 // Identical paths in lockstep: with no send jitter every tx-done on one
 // path ties with its twin's on the same nanosecond, busy period after
 // busy period, and each tie asks for the order of the two chains' roots.
 Outcome run_twin_paths(int config_id, int paths, bool lazy) {
   Scheduler sched;
-  if (!lazy) sched.require_exact_counters();
+  if (!lazy) sched.keep_links_eager();
   Outcome out;
   std::vector<std::unique_ptr<DumbbellPath>> dumbbells;
   std::vector<TcpConnection> connections;

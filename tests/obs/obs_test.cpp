@@ -125,11 +125,16 @@ TEST(MetricsRegistry, FreezeGaugesDetachesAllSamplers) {
   double v = 5.0;
   reg.gauge("a").set_sampler([&v] { return v; });
   reg.gauge("b").set(2.0);
-  reg.freeze_gauges();
+  std::uint64_t total = 7;
+  reg.counter("c").set_sampler([&total] { return total; });
+  EXPECT_EQ(reg.find_counter("c")->value(), 7u);
+  reg.freeze_samplers();
   v = 99.0;
+  total = 99;
   EXPECT_DOUBLE_EQ(reg.find_gauge("a")->value(), 5.0);
   EXPECT_FALSE(reg.find_gauge("a")->has_sampler());
   EXPECT_DOUBLE_EQ(reg.find_gauge("b")->value(), 2.0);
+  EXPECT_EQ(reg.find_counter("c")->value(), 7u);
 }
 
 TEST(EventLog, SeverityFilterDropsBelowThreshold) {

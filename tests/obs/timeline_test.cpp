@@ -14,6 +14,7 @@
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "apps/background.hpp"
@@ -351,6 +352,39 @@ TEST(Timeline, WriteChromeTraceRoundTrips) {
                    std::istreambuf_iterator<char>()};
   EXPECT_EQ(json, chrome_trace_json(analyzer));
   EXPECT_NO_THROW(JsonParser{json}.parse());
+}
+
+// The telemetry CSV behind --telemetry is read strictly: a short row or a
+// non-numeric time or mean names its line instead of vanishing or reading
+// as 0.
+TEST(Timeline, MalformedTelemetryCsvThrowsWithItsLine) {
+  const dmp::obs::FlightRecorder recorder;
+  const TraceAnalyzer analyzer{recorder};
+  const std::string header =
+      "window_start_s,channel,count,sum,mean,min,max,last\n";
+  const std::string good = "0,link.path0.drops,2,2,1,1,1,1\n";
+  const auto export_with = [&](const std::string& body) {
+    const std::string path = ::testing::TempDir() + "malformed_telemetry.csv";
+    std::ofstream(path) << header << body;
+    TimelineOptions options;
+    options.telemetry_csv = path;
+    return chrome_trace_json(analyzer, options);
+  };
+  EXPECT_NO_THROW(export_with(good + good));
+  for (const auto& [body, line] : std::vector<std::pair<std::string,
+                                                        std::string>>{
+           {good + "1,link.path0.drops,2,2\n", "line 3"},
+           {good + good + "2,link.path0.drops,2,2,x,1,1,1\n", "line 4"},
+           {"0.5s,link.path0.drops,2,2,1,1,1,1\n", "line 2"},
+           {good + "1,link.path0.drops,2,2,,1,1,1\n", "line 3"}}) {
+    try {
+      export_with(body);
+      ADD_FAILURE() << "accepted: " << body;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(line), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 }  // namespace

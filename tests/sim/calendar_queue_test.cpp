@@ -8,8 +8,10 @@
 //     gap-regime changes that force width recalibration);
 //   * the full Scheduler vs the one-entry-per-event std::priority_queue
 //     reference (heap_reference.hpp) driven by one mixed op stream (timer
-//     arm / disarm / post / port / defer+arm) — execution order, clocks
-//     and every counter must match exactly.
+//     arm / disarm / post / port / claim+arm_key) — execution order,
+//     clocks and the executed / cancelled / pending counters must match
+//     exactly (the high-water mark differs: a FIFO of claimed keys queues
+//     only its head).
 #include "sim/calendar_queue.hpp"
 
 #include <gtest/gtest.h>
@@ -184,45 +186,51 @@ TEST(CalendarQueue, DayWidthRecalibratesAcrossGapRegimes) {
 // ---------------------------------------------------------------------------
 // Scheduler-level differential: one op stream through the Scheduler and
 // through a reference scheduler built on std::priority_queue with one
-// entry per event (no ports, no deferral, no calendar).
+// entry per event (no ports, no key FIFOs, no calendar).
 
 struct SchedLog {
   std::vector<std::int64_t> fired_at_ns;
   std::vector<int> fired_id;
 };
 
-// Emulates the link-style deferred FIFO: claimed (when, seq) keys wait in
-// order, only the head is armed, the port pops and re-arms.
-struct DeferFifo {
+// Emulates the link-style FIFO of claimed keys: (when, seq) keys wait in
+// order, only the head is queued, the port pops and queues the next.
+struct KeyFifo {
+  struct Item {
+    SimTime when;
+    std::uint64_t seq;
+    int id;
+  };
   Scheduler* sched = nullptr;
   SchedLog* log = nullptr;
-  std::vector<std::pair<Scheduler::Deferred, int>> q;
+  std::vector<Item> q;
   std::size_t head = 0;
   std::uint32_t port_id = 0;
 
   static void fire(void* ctx) {
-    auto* self = static_cast<DeferFifo*>(ctx);
-    const auto item = self->q[self->head++];
+    auto* self = static_cast<KeyFifo*>(ctx);
+    const Item item = self->q[self->head++];
     if (self->head < self->q.size()) {
-      self->sched->arm_deferred(self->q[self->head].first, self->port_id);
+      const Item& next = self->q[self->head];
+      self->sched->arm_key(next.when, next.seq, self->port_id);
     } else {
       self->q.clear();
       self->head = 0;
     }
     self->log->fired_at_ns.push_back(self->sched->now().ns());
-    self->log->fired_id.push_back(item.second);
+    self->log->fired_id.push_back(item.id);
   }
 
   void push(SimTime when, int id) {
-    const auto d = sched->defer_at(when);
+    const std::uint64_t seq = sched->claim_seq();
     const bool was_empty = head == q.size();
-    q.emplace_back(d, id);
-    if (was_empty) sched->arm_deferred(d, port_id);
+    q.push_back(Item{when, seq, id});
+    if (was_empty) sched->arm_key(when, seq, port_id);
   }
 };
 
-// The Scheduler side of the op stream: schedule / post / port / deferred
-// FIFO, each as the hot paths use them.
+// The Scheduler side of the op stream: schedule / post / port / FIFO of
+// claimed keys, each as the hot paths use them.
 class SchedulerArm {
  public:
   SchedulerArm() {
@@ -235,7 +243,7 @@ class SchedulerArm {
         this);
     fifo_.sched = &sched_;
     fifo_.log = &log;
-    fifo_.port_id = sched_.register_port(&DeferFifo::fire, &fifo_);
+    fifo_.port_id = sched_.register_port(&KeyFifo::fire, &fifo_);
   }
   SimTime now() const { return sched_.now(); }
   std::function<void()> schedule(SimTime when, int id) {
@@ -255,8 +263,6 @@ class SchedulerArm {
         static_cast<std::int64_t>(sched_.events_executed()));
     log.fired_at_ns.push_back(
         static_cast<std::int64_t>(sched_.events_cancelled()));
-    log.fired_at_ns.push_back(
-        static_cast<std::int64_t>(sched_.max_events_pending()));
     log.fired_at_ns.push_back(
         static_cast<std::int64_t>(sched_.pending_events()));
   }
@@ -281,7 +287,7 @@ class SchedulerArm {
   };
   Scheduler sched_;
   std::uint32_t port_ = 0;
-  DeferFifo fifo_;
+  KeyFifo fifo_;
   std::deque<Shot> shots_;
 };
 
@@ -301,7 +307,6 @@ class ReferenceArm {
     ref_.run_until(SimTime::max());
     log.fired_at_ns.push_back(static_cast<std::int64_t>(ref_.executed()));
     log.fired_at_ns.push_back(static_cast<std::int64_t>(ref_.cancelled()));
-    log.fired_at_ns.push_back(static_cast<std::int64_t>(ref_.max_pending()));
     log.fired_at_ns.push_back(static_cast<std::int64_t>(ref_.pending()));
   }
   SchedLog log;

@@ -46,7 +46,6 @@ class HeapReference {
   std::uint64_t executed() const { return executed_; }
   std::uint64_t cancelled() const { return cancelled_; }
   std::uint64_t scheduled() const { return next_seq_; }
-  std::size_t max_pending() const { return max_pending_; }
   std::size_t pending() const { return heap_.size(); }
 
  private:
@@ -66,7 +65,6 @@ class HeapReference {
   void push(SimTime when, std::function<void()> fn,
             std::shared_ptr<bool> cancelled) {
     heap_.push(Item{when, next_seq_++, std::move(fn), std::move(cancelled)});
-    max_pending_ = std::max(max_pending_, heap_.size());
   }
 
   std::priority_queue<Item, std::vector<Item>, Later> heap_;
@@ -74,7 +72,6 @@ class HeapReference {
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;
   std::uint64_t cancelled_ = 0;
-  std::size_t max_pending_ = 0;
 };
 
 }  // namespace dmp

@@ -124,18 +124,18 @@ TEST(Scheduler, CountsExecutedAndCancelledSeparately) {
   sched.arm(doomed, SimTime::millis(5));
   sched.post_at(SimTime::millis(10), [] {});
   sched.post_at(SimTime::millis(20), [] {});
-  EXPECT_EQ(sched.events_pending(), 3u);
+  EXPECT_EQ(sched.pending_events(), 3u);
   EXPECT_EQ(sched.events_scheduled(), 3u);
 
   sched.disarm(doomed);
   // The disarmed deadline's entry stays queued until popped, so it still
   // counts as pending until the run drains it.
-  EXPECT_EQ(sched.events_pending(), 3u);
+  EXPECT_EQ(sched.pending_events(), 3u);
 
   sched.run();
   EXPECT_EQ(sched.events_executed(), 2u);
   EXPECT_EQ(sched.events_cancelled(), 1u);
-  EXPECT_EQ(sched.events_pending(), 0u);
+  EXPECT_EQ(sched.pending_events(), 0u);
   EXPECT_EQ(sched.max_events_pending(), 3u);
 }
 
@@ -191,9 +191,8 @@ TEST(Scheduler, NextEventTimePeeksWithoutRunning) {
 // late; running to a skip-only pop executes nothing and leaves now() at
 // the horizon, as the cancelled pop of a one-entry-per-arm timer did.
 TEST(Scheduler, NextEventTimeWakesEarlyNeverLate) {
-  for (const bool exact : {false, true}) {
+  for (const std::uint64_t seed : {7u, 11u}) {
     Scheduler sched;
-    if (exact) sched.require_exact_counters();
     Shots shots;
     const auto timer = sched.register_timer(&Shots::fire, &shots);
     sched.arm(timer, SimTime::millis(10));
@@ -213,7 +212,7 @@ TEST(Scheduler, NextEventTimeWakesEarlyNeverLate) {
 
     // A poll loop over random re-arms: each wake-up is at or before the
     // true next deadline, and the timer fires exactly at it.
-    std::mt19937_64 rng(exact ? 11 : 7);
+    std::mt19937_64 rng(seed);
     std::vector<SimTime> fired_at;
     struct Log {
       Scheduler* sched;

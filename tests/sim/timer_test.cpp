@@ -5,8 +5,7 @@
 //     heap entry, every superseded one a cancelled entry counted when it
 //     pops, and the link an eager one (a tx-done event per packet);
 //   * the Scheduler with timers re-armed in place and the link lazy;
-//   * the Scheduler under require_exact_counters(): one entry per arm and
-//     an eager link.
+//   * the Scheduler with timers re-armed in place and the link eager.
 // Six timers are armed, re-armed earlier, later and at the same
 // nanosecond, and disarmed, both between runs and from inside the run;
 // timers re-arm themselves as they fire, like an RTO backing off.  Every
@@ -14,8 +13,8 @@
 // posts, deliveries and the lazy link's virtual tx-dones.  Fire order,
 // fire times and events_executed / _scheduled / _cancelled must match
 // after every one of a series of run_until horizons, including deadlines
-// superseded past the horizon; in exact mode pending_events and
-// max_events_pending must match too.
+// superseded past the horizon.  Pending counts are not compared: the
+// Scheduler queues one entry per timer, the oracle one per arm.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -57,8 +56,6 @@ struct Counters {
   std::uint64_t executed;
   std::uint64_t scheduled;
   std::uint64_t cancelled;
-  std::size_t pending;
-  std::size_t max_pending;
 };
 
 class World;
@@ -224,8 +221,7 @@ class OracleBackend final : public Backend {
   }
   void run_until(SimTime horizon) override { ref_.run_until(horizon); }
   Counters counters() const override {
-    return Counters{ref_.executed(), ref_.scheduled(), ref_.cancelled(),
-                    ref_.pending(), ref_.max_pending()};
+    return Counters{ref_.executed(), ref_.scheduled(), ref_.cancelled()};
   }
 
  private:
@@ -248,14 +244,12 @@ class OracleBackend final : public Backend {
   bool busy_ = false;
 };
 
-// The Scheduler's timers and a real Link: lazy with timers in place, or
-// eager under exact counters.
+// The Scheduler's timers and a real Link, lazy or eager.
 class SchedulerBackend final : public Backend {
  public:
-  explicit SchedulerBackend(bool exact)
+  explicit SchedulerBackend(bool lazy)
       : link_(sched_, LinkConfig{100e6, kProp, 0}) {
-    if (exact) sched_.require_exact_counters();
-    link_.set_lazy_allowed(true);
+    link_.set_lazy_allowed(lazy);
     link_.set_receiver([this](const Packet& p) {
       world->on_delivery(static_cast<int>(p.seq));
     });
@@ -286,8 +280,7 @@ class SchedulerBackend final : public Backend {
   void run_until(SimTime horizon) override { sched_.run_until(horizon); }
   Counters counters() const override {
     return Counters{sched_.events_executed(), sched_.events_scheduled(),
-                    sched_.events_cancelled(), sched_.pending_events(),
-                    sched_.max_events_pending()};
+                    sched_.events_cancelled()};
   }
   bool lazy() const { return link_.lazy(); }
 
@@ -314,14 +307,14 @@ std::size_t same_ns_pops(const World& w) {
   return n;
 }
 
-void expect_matches_oracle(bool exact, std::uint64_t seed) {
+void expect_matches_oracle(bool lazy, std::uint64_t seed) {
   OracleBackend oracle;
   World want(oracle);
   want.drive(seed, 400);
-  SchedulerBackend sched(exact);
+  SchedulerBackend sched(lazy);
   World got(sched);
   got.drive(seed, 400);
-  EXPECT_EQ(sched.lazy(), !exact);
+  EXPECT_EQ(sched.lazy(), lazy);
 
   // The workload reaches every case it is meant to.
   EXPECT_GT(want.late_supersedes, 50u);
@@ -339,45 +332,42 @@ void expect_matches_oracle(bool exact, std::uint64_t seed) {
     EXPECT_EQ(w.executed, g.executed) << "checkpoint " << c;
     EXPECT_EQ(w.scheduled, g.scheduled) << "checkpoint " << c;
     EXPECT_EQ(w.cancelled, g.cancelled) << "checkpoint " << c;
-    if (exact) {
-      EXPECT_EQ(w.pending, g.pending) << "checkpoint " << c;
-      EXPECT_EQ(w.max_pending, g.max_pending) << "checkpoint " << c;
-    }
   }
 }
 
 TEST(Timer, InPlaceMatchesCancelAndPushOracle) {
-  for (const std::uint64_t seed : {1u, 2u, 3u}) expect_matches_oracle(false, seed);
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    expect_matches_oracle(true, seed);
+  }
 }
 
-TEST(Timer, ExactCountersMatchCancelAndPushOracle) {
-  for (const std::uint64_t seed : {1u, 2u, 3u}) expect_matches_oracle(true, seed);
+TEST(Timer, InPlaceWithEagerLinkMatchesCancelAndPushOracle) {
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    expect_matches_oracle(false, seed);
+  }
 }
 
 // A superseded deadline counts as cancelled once a run_until horizon
-// covers it — where its own entry would have popped — in both modes.
+// covers it — where its own entry would have popped.
 TEST(Timer, SupersededDeadlineCountsOnceAHorizonCoversIt) {
-  for (const bool exact : {false, true}) {
-    Scheduler sched;
-    if (exact) sched.require_exact_counters();
-    int fired = 0;
-    const auto timer = sched.register_timer(
-        [](void* ctx) { ++*static_cast<int*>(ctx); }, &fired);
-    sched.arm(timer, SimTime::millis(50));
-    sched.arm(timer, SimTime::millis(80));  // later: 50 ms superseded
-    sched.arm(timer, SimTime::millis(70));  // earlier: 80 ms superseded
-    EXPECT_EQ(sched.events_scheduled(), 3u);
-    sched.run_until(SimTime::millis(40));
-    EXPECT_EQ(sched.events_cancelled(), 0u);
-    sched.run_until(SimTime::millis(60));
-    EXPECT_EQ(sched.events_cancelled(), 1u);
-    sched.run_until(SimTime::millis(75));
-    EXPECT_EQ(fired, 1);
-    EXPECT_EQ(sched.events_cancelled(), 1u);
-    sched.run_until(SimTime::millis(90));
-    EXPECT_EQ(sched.events_cancelled(), 2u);
-    EXPECT_EQ(sched.events_executed(), 1u);
-  }
+  Scheduler sched;
+  int fired = 0;
+  const auto timer = sched.register_timer(
+      [](void* ctx) { ++*static_cast<int*>(ctx); }, &fired);
+  sched.arm(timer, SimTime::millis(50));
+  sched.arm(timer, SimTime::millis(80));  // later: 50 ms superseded
+  sched.arm(timer, SimTime::millis(70));  // earlier: 80 ms superseded
+  EXPECT_EQ(sched.events_scheduled(), 3u);
+  sched.run_until(SimTime::millis(40));
+  EXPECT_EQ(sched.events_cancelled(), 0u);
+  sched.run_until(SimTime::millis(60));
+  EXPECT_EQ(sched.events_cancelled(), 1u);
+  sched.run_until(SimTime::millis(75));
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(sched.events_cancelled(), 1u);
+  sched.run_until(SimTime::millis(90));
+  EXPECT_EQ(sched.events_cancelled(), 2u);
+  EXPECT_EQ(sched.events_executed(), 1u);
 }
 
 }  // namespace

@@ -45,26 +45,6 @@ TEST(Csv, NumRoundTripsDoubles) {
   EXPECT_NEAR(std::stod(CsvWriter::num(v)), v, 1e-15);
 }
 
-TEST(Env, ParsesIntsAndFallsBack) {
-  ::setenv("DMP_TEST_INT", "42", 1);
-  EXPECT_EQ(env_int("DMP_TEST_INT", 7), 42);
-  ::setenv("DMP_TEST_INT", "garbage", 1);
-  EXPECT_EQ(env_int("DMP_TEST_INT", 7), 7);
-  ::unsetenv("DMP_TEST_INT");
-  EXPECT_EQ(env_int("DMP_TEST_INT", 7), 7);
-  ::setenv("DMP_TEST_INT", "", 1);
-  EXPECT_EQ(env_int("DMP_TEST_INT", 7), 7);
-  ::unsetenv("DMP_TEST_INT");
-}
-
-TEST(Env, ParsesDoubles) {
-  ::setenv("DMP_TEST_DBL", "2.75", 1);
-  EXPECT_DOUBLE_EQ(env_double("DMP_TEST_DBL", 1.0), 2.75);
-  ::setenv("DMP_TEST_DBL", "2.75x", 1);
-  EXPECT_DOUBLE_EQ(env_double("DMP_TEST_DBL", 1.0), 1.0);
-  ::unsetenv("DMP_TEST_DBL");
-}
-
 TEST(Env, ParsesStrings) {
   ::setenv("DMP_TEST_STR", "hello", 1);
   EXPECT_EQ(env_string("DMP_TEST_STR", "d"), "hello");

@@ -17,15 +17,14 @@
 // it).
 //
 // Exit status: 0 clean (identical or within tolerance), 1 diverged,
-// 2 unreadable/malformed input or bad usage.
+// 2 unreadable/malformed input, a malformed flag value or bad usage.
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <stdexcept>
 #include <string>
 
 #include "exp/compare/report_diff.hpp"
+#include "flags.hpp"
 
 namespace {
 
@@ -40,23 +39,6 @@ void usage() {
                "                [--ignore=PATH,...] [--max-print=N] [--quiet]\n"
                "  inputs: JSON reports or CSV tables (format sniffed)\n"
                "  exit:   0 clean, 1 diverged, 2 bad input\n");
-}
-
-const char* flag_value(int argc, char** argv, const char* name) {
-  const std::size_t len = std::strlen(name);
-  for (int i = 3; i < argc; ++i) {
-    if (std::strncmp(argv[i], name, len) == 0 && argv[i][len] == '=') {
-      return argv[i] + len + 1;
-    }
-  }
-  return nullptr;
-}
-
-bool has_flag(int argc, char** argv, const char* name) {
-  for (int i = 3; i < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0) return true;
-  }
-  return false;
 }
 
 // JSON document or CSV table, decided by the first non-space byte.
@@ -78,14 +60,11 @@ int main(int argc, char** argv) {
     usage();
     return 2;
   }
+  const dmp::tools::Flags flags(argc, argv, 3);
   DiffOptions options;
-  if (const char* v = flag_value(argc, argv, "--abs-tol")) {
-    options.abs_tol = std::atof(v);
-  }
-  if (const char* v = flag_value(argc, argv, "--rel-tol")) {
-    options.rel_tol = std::atof(v);
-  }
-  if (const char* v = flag_value(argc, argv, "--ignore")) {
+  options.abs_tol = flags.number("--abs-tol", options.abs_tol);
+  options.rel_tol = flags.number("--rel-tol", options.rel_tol);
+  if (const char* v = flags.text("--ignore")) {
     std::string prefix;
     for (const char* p = v;; ++p) {
       if (*p == ',' || *p == '\0') {
@@ -97,11 +76,8 @@ int main(int argc, char** argv) {
       }
     }
   }
-  long long max_print = 40;
-  if (const char* v = flag_value(argc, argv, "--max-print")) {
-    max_print = std::atoll(v);
-  }
-  const bool quiet = has_flag(argc, argv, "--quiet");
+  const std::int64_t max_print = flags.integer("--max-print", 40);
+  const bool quiet = flags.has("--quiet");
 
   JsonValue left, right;
   try {
@@ -115,7 +91,7 @@ int main(int argc, char** argv) {
   const DiffResult result = dmp::exp::diff_reports(left, right, options);
 
   if (!quiet) {
-    long long printed = 0;
+    std::int64_t printed = 0;
     for (const auto& d : result.diffs) {
       if (printed++ >= max_print) {
         std::printf("... (%zu entries total; raise --max-print)\n",

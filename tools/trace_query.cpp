@@ -18,10 +18,9 @@
 //   trace_query percentiles <sketches.jsonl> [--q=0.5,0.95,0.99]
 //       quantiles from a run's `*_sketches.jsonl` telemetry artifact
 //
-// Exit status: 0 on success, 1 on bad usage, 2 on a malformed trace.
+// Exit status: 0 on success, 1 on bad usage, 2 on a malformed trace or a
+// malformed flag value.
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <stdexcept>
 #include <string>
@@ -29,6 +28,7 @@
 
 #include "obs/telemetry/sketch.hpp"
 #include "obs/telemetry/timeline.hpp"
+#include "flags.hpp"
 #include "obs/trace_analyzer.hpp"
 
 namespace {
@@ -57,25 +57,7 @@ void usage() {
       "                                     sketch quantiles\n");
 }
 
-double parse_flag(int argc, char** argv, const char* name, double fallback) {
-  const std::size_t len = std::strlen(name);
-  for (int i = 3; i < argc; ++i) {
-    if (std::strncmp(argv[i], name, len) == 0 && argv[i][len] == '=') {
-      return std::atof(argv[i] + len + 1);
-    }
-  }
-  return fallback;
-}
-
-const char* parse_str_flag(int argc, char** argv, const char* name) {
-  const std::size_t len = std::strlen(name);
-  for (int i = 3; i < argc; ++i) {
-    if (std::strncmp(argv[i], name, len) == 0 && argv[i][len] == '=') {
-      return argv[i] + len + 1;
-    }
-  }
-  return nullptr;
-}
+using dmp::tools::Flags;
 
 // Station timestamps are absolute recorder-clock ns; print them relative
 // to the generation epoch so they read as stream time.
@@ -216,14 +198,13 @@ int cmd_causes(const TraceAnalyzer& az, double tau_s, std::int64_t limit) {
   return 0;
 }
 
-int cmd_timeline(const TraceAnalyzer& az, int argc, char** argv) {
+int cmd_timeline(const TraceAnalyzer& az, const Flags& flags) {
   dmp::obs::TimelineOptions options;
-  if (const char* csv = parse_str_flag(argc, argv, "--telemetry")) {
+  if (const char* csv = flags.text("--telemetry")) {
     options.telemetry_csv = csv;
   }
-  options.max_packets = static_cast<std::int64_t>(
-      parse_flag(argc, argv, "--max-packets", -1.0));
-  if (const char* out = parse_str_flag(argc, argv, "--out")) {
+  options.max_packets = flags.integer("--max-packets", -1);
+  if (const char* out = flags.text("--out")) {
     if (!dmp::obs::write_chrome_trace(az, out, options)) {
       std::fprintf(stderr, "error: failed to write %s\n", out);
       return 2;
@@ -239,26 +220,12 @@ int cmd_timeline(const TraceAnalyzer& az, int argc, char** argv) {
 
 // `percentiles` reads a `*_sketches.jsonl` artifact, not a flight trace —
 // dispatched before the trace load in main().
-int cmd_percentiles(const char* path, int argc, char** argv) {
+int cmd_percentiles(const char* path, const Flags& flags) {
+  const std::vector<double> qs = flags.numbers("--q", {0.5, 0.95, 0.99});
   std::ifstream in(path);
   if (!in) {
     std::fprintf(stderr, "error: cannot open %s\n", path);
     return 2;
-  }
-  std::vector<double> qs{0.5, 0.95, 0.99};
-  if (const char* spec = parse_str_flag(argc, argv, "--q")) {
-    qs.clear();
-    for (const char* p = spec; *p != '\0';) {
-      char* end = nullptr;
-      const double q = std::strtod(p, &end);
-      if (end == p) break;
-      qs.push_back(q);
-      p = *end == ',' ? end + 1 : end;
-    }
-    if (qs.empty()) {
-      std::fprintf(stderr, "error: --q needs a comma-separated list\n");
-      return 1;
-    }
   }
   std::vector<dmp::obs::NamedSketch> sketches;
   try {
@@ -303,7 +270,9 @@ int main(int argc, char** argv) {
     return 1;
   }
   const std::string cmd = argv[1];
-  if (cmd == "percentiles") return cmd_percentiles(argv[2], argc, argv);
+  const Flags flags(argc, argv, 3);
+  if (cmd == "percentiles") return cmd_percentiles(argv[2], flags);
+  const double tau_s = flags.number("--tau", 4.0);
   FlightRecorder recorder;
   try {
     recorder = dmp::obs::read_flight_trace_file(argv[2]);
@@ -322,7 +291,6 @@ int main(int argc, char** argv) {
     return 2;
   }
   const TraceAnalyzer az(recorder);
-  const double tau_s = parse_flag(argc, argv, "--tau", 4.0);
 
   if (cmd == "summary") return cmd_summary(az, tau_s);
   if (cmd == "packet") {
@@ -330,15 +298,13 @@ int main(int argc, char** argv) {
       usage();
       return 1;
     }
-    return cmd_packet(az, std::atoll(argv[3]));
+    return cmd_packet(az, dmp::tools::parse_integer(argv[3], "packet"));
   }
   if (cmd == "paths") return cmd_paths(az);
   if (cmd == "rtx") return cmd_rtx(az);
-  if (cmd == "timeline") return cmd_timeline(az, argc, argv);
+  if (cmd == "timeline") return cmd_timeline(az, flags);
   if (cmd == "causes") {
-    const auto limit = static_cast<std::int64_t>(
-        parse_flag(argc, argv, "--limit", 50.0));
-    return cmd_causes(az, tau_s, limit);
+    return cmd_causes(az, tau_s, flags.integer("--limit", 50));
   }
   usage();
   return 1;
