@@ -108,7 +108,6 @@ inline exp::ExperimentPlan plan_for(const std::string& name,
                                      std::size_t setting, std::size_t rep) {
       const bool first = setting == 0 && rep == 0;
       config.telemetry.enabled = options.obs.telemetry;
-      config.telemetry.window_s = options.telemetry_window_s;
       config.telemetry.write_artifacts = first;
       config.profile = options.obs.profile;
       if (!first) return;
@@ -116,7 +115,6 @@ inline exp::ExperimentPlan plan_for(const std::string& name,
       config.obs.flight_recorder = options.obs.trace;
       config.obs.output_dir = bench_output_dir();
       config.obs.prefix = name + "_obs";
-      config.obs.probe_interval_s = options.obs_probe_interval_s;
     };
   }
   return plan;

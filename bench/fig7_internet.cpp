@@ -20,7 +20,7 @@ using namespace dmp::emul;
 
 int main() {
   const auto options = exp::bench_options();
-  const double duration_s = options.fig7_duration_s;
+  const double duration_s = options.duration_s;
   bench::banner("Fig. 7: Internet-experiment validation (emulated WAN)");
   std::printf("(10 experiments x %.0f s)\n\n", duration_s);
 

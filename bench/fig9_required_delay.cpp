@@ -150,7 +150,6 @@ int main() {
       bench_output_dir() + "/DIVERGENCE_fig9" + qdisc_tag + ".json";
   if (obs::write_divergence_json({divergence}, divergence_path)) {
     std::printf("divergence: %s\n", divergence_path.c_str());
-    exp::evaluate_slo_env(divergence_path);
   }
   std::printf("CSV: %s/fig9_required_delay.csv\n", bench_output_dir().c_str());
   return 0;

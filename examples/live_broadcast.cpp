@@ -10,7 +10,7 @@
 // writing the simulator's artifact set as live_broadcast_* (server) and
 // live_broadcast_client_* (client) into the working directory.  Both sides
 // record on the stream clock (trace meta epoch_ns 0), so the two traces
-// are one timeline: trace_query and timeline_export read either.
+// are one timeline: trace_query reads either.
 // A malformed rate or duration exits 1 with a message.
 #include <cstdio>
 #include <cstdlib>

@@ -61,8 +61,7 @@ BackgroundTraffic::BackgroundTraffic(Scheduler& sched, DumbbellPath& path,
   tcp.initial_ssthresh = 20.0;
   // Small random send overhead so the deterministic flow population does
   // not phase-lock on the shared drop-tail queue.
-  tcp.send_overhead_s = 0.0005;
-  tcp.jitter_seed = rng.next_u64();
+  tcp = with_default_send_jitter(tcp, rng);
   for (std::size_t i = 0; i < config.ftp_flows; ++i) {
     connections_.push_back(make_connection(sched, next_flow_id_++, path, tcp));
     ftp_.push_back(std::make_unique<FtpSource>(*connections_.back().sender));

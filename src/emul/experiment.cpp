@@ -61,11 +61,7 @@ InternetExperimentResult run_internet_experiment(
     paths.push_back(std::make_unique<WanPath>(sched, pc, rng.fork()));
   }
 
-  TcpConfig tcp = config.tcp;
-  if (tcp.send_overhead_s == 0.0) {
-    tcp.send_overhead_s = 0.0005;
-    tcp.jitter_seed = rng.next_u64();
-  }
+  const TcpConfig tcp = with_default_send_jitter(config.tcp, rng);
   std::vector<TcpConnection> flows;
   std::vector<StreamSender*> senders;
   StreamTrace trace(config.mu_pps);

@@ -1,6 +1,5 @@
 #include "exp/options.hpp"
 
-#include "exp/compare/slo.hpp"
 #include "fault/fault_plan.hpp"
 #include "net/qdisc/queue_discipline.hpp"
 #include "stream/scheduler/path_scheduler.hpp"
@@ -24,13 +23,11 @@ namespace {
 // util/csv, DMP_SANITIZE / DMP_CHECK_BUILD_DIR to scripts/check.sh — they
 // are not bench knobs but must not trip the unknown-variable check.
 const char* const kKnownVars[] = {
-    "DMP_RUNS",         "DMP_DURATION_S",         "DMP_SEED",
-    "DMP_MC_MIN",       "DMP_MC_MAX",             "DMP_THREADS",
-    "DMP_MODEL_SHARDS", "DMP_OBS",                "DMP_OBS_PROBE_S",
-    "DMP_OUT_DIR",      "DMP_FIG7_DURATION_S",    "DMP_TABLE1_PROBE_S",
-    "DMP_FAULTS",       "DMP_SANITIZE",           "DMP_CHECK_BUILD_DIR",
-    "DMP_SLO",          "DMP_TELEMETRY_WINDOW_S", "DMP_SCHED",
-    "DMP_QDISC",
+    "DMP_RUNS",            "DMP_DURATION_S", "DMP_SEED",
+    "DMP_MC_MIN",          "DMP_MC_MAX",     "DMP_THREADS",
+    "DMP_MODEL_SHARDS",    "DMP_OBS",        "DMP_OUT_DIR",
+    "DMP_TABLE1_PROBE_S",  "DMP_FAULTS",     "DMP_SANITIZE",
+    "DMP_CHECK_BUILD_DIR", "DMP_SCHED",      "DMP_QDISC",
 };
 
 [[noreturn]] void fail(const std::string& message) {
@@ -138,15 +135,6 @@ BenchOptions BenchOptions::from_env() {
   if (const char* v = get("DMP_OBS")) {
     o.obs = parse_spec("DMP_OBS", v, obs::parse_obs_sinks);
   }
-  if (const char* v = get("DMP_OBS_PROBE_S")) {
-    o.obs_probe_interval_s = parse_double("DMP_OBS_PROBE_S", v);
-  }
-  if (const char* v = get("DMP_TELEMETRY_WINDOW_S")) {
-    o.telemetry_window_s = parse_double("DMP_TELEMETRY_WINDOW_S", v);
-  }
-  if (const char* v = get("DMP_FIG7_DURATION_S")) {
-    o.fig7_duration_s = parse_double("DMP_FIG7_DURATION_S", v);
-  }
   if (const char* v = get("DMP_TABLE1_PROBE_S")) {
     o.table1_probe_s = parse_double("DMP_TABLE1_PROBE_S", v);
   }
@@ -164,22 +152,11 @@ BenchOptions BenchOptions::from_env() {
     parse_spec("DMP_FAULTS", v, fault::FaultPlan::parse);
     o.faults = v;
   }
-  if (const char* v = get("DMP_SLO")) {
-    try {
-      SloSpec::parse_file(v);  // fail before any run, not after it
-    } catch (const std::exception& e) {
-      fail(std::string(e.what()));
-    }
-    o.slo = v;
-  }
 
   if (o.runs < 1) fail("DMP_RUNS must be >= 1");
   if (!(o.duration_s > 0.0)) fail("DMP_DURATION_S must be > 0");
   if (o.mc_min < 1) fail("DMP_MC_MIN must be >= 1");
   if (o.mc_max < o.mc_min) fail("DMP_MC_MAX must be >= DMP_MC_MIN");
-  if (!(o.obs_probe_interval_s > 0.0)) fail("DMP_OBS_PROBE_S must be > 0");
-  if (!(o.telemetry_window_s > 0.0)) fail("DMP_TELEMETRY_WINDOW_S must be > 0");
-  if (!(o.fig7_duration_s > 0.0)) fail("DMP_FIG7_DURATION_S must be > 0");
   if (!(o.table1_probe_s > 0.0)) fail("DMP_TABLE1_PROBE_S must be > 0");
   return o;
 }
@@ -199,7 +176,6 @@ std::string BenchOptions::summary() const {
   if (sched != "pull") out += " sched=" + sched;
   if (qdisc != "droptail") out += " qdisc=" + qdisc;
   if (!faults.empty()) out += " faults='" + faults + "'";
-  if (!slo.empty()) out += " slo=" + slo;
   return out;
 }
 

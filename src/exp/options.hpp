@@ -34,10 +34,7 @@ struct BenchOptions {
   // sketch percentiles land in the aggregate report (files still come from
   // the first replication only).
   obs::ObsSinks obs{};
-  double obs_probe_interval_s = 1.0;  // DMP_OBS_PROBE_S
-  double telemetry_window_s = 1.0;    // DMP_TELEMETRY_WINDOW_S
-  double fig7_duration_s = 3000.0;  // DMP_FIG7_DURATION_S
-  double table1_probe_s = 120.0;    // DMP_TABLE1_PROBE_S
+  double table1_probe_s = 120.0;  // DMP_TABLE1_PROBE_S
   // DMP_SCHED: DMP dispatch policy applied to every simulated session a
   // bench runs (src/stream/scheduler/ grammar: pull | weighted[:w0,w1,...]
   // | static[:w0,w1,...] | best_path | round_robin | redundant |
@@ -55,11 +52,6 @@ struct BenchOptions {
   // runs (src/fault/ grammar, e.g. "20 link_down path1; 25 link_up path1").
   // Validated by parsing here so a typo'd plan fails before any run starts.
   std::string faults{};
-  // DMP_SLO: path to a declarative expectation spec (slo/*.slo).  The
-  // spec is parsed here (fail-fast on typos) and evaluated against each
-  // BENCH_*.json the run writes; any violation exits the bench with
-  // status 3 (see exp::evaluate_slo_env).
-  std::string slo{};
 
   // Parses and validates the environment.  Throws std::invalid_argument
   // naming the variable on a malformed value, an out-of-range value, or an

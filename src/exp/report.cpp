@@ -1,10 +1,8 @@
 #include "exp/report.hpp"
 
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 
-#include "exp/compare/slo.hpp"
 #include "util/csv.hpp"
 #include "util/json.hpp"
 
@@ -148,32 +146,7 @@ std::string ExperimentReport::write_json() const {
     std::fprintf(stderr, "warning: short write to %s\n", path.c_str());
     return "";
   }
-  out.close();  // the SLO hook re-reads the file; flush before judging it
-  evaluate_slo_env(path);
   return path;
-}
-
-void evaluate_slo_env(const std::string& report_path) {
-  const char* spec_path = std::getenv("DMP_SLO");
-  if (spec_path == nullptr || spec_path[0] == '\0') return;
-  try {
-    const SloSpec spec = SloSpec::parse_file(spec_path);
-    const JsonValue doc = parse_json_file(report_path);
-    const SloReport verdict = evaluate_slo(spec, {&doc});
-    std::printf("[slo] %s against %s:\n", spec_path, report_path.c_str());
-    for (const auto& r : verdict.results) {
-      std::printf("[slo]   %s\n", r.message.c_str());
-    }
-    if (!verdict.ok()) {
-      std::fprintf(stderr, "[slo] %zu violation(s); failing the run\n",
-                   verdict.violations);
-      std::exit(3);
-    }
-  } catch (const std::exception& e) {
-    // A spec that cannot be parsed must not pass silently either.
-    std::fprintf(stderr, "[slo] error: %s\n", e.what());
-    std::exit(3);
-  }
 }
 
 }  // namespace dmp::exp

@@ -91,17 +91,8 @@ class ExperimentReport {
   // Writes {"timing": {...}, "report": <aggregate>} to
   // `<bench_output_dir()>/BENCH_<experiment>.json` and returns the path.
   // Returns "" (after a stderr warning) if the file cannot be written.
-  // When DMP_SLO names a spec file, the written report is evaluated
-  // against it post-run (see evaluate_slo_env below).
+  // `tools/slo_check` gates the written report against a `.slo` spec.
   std::string write_json() const;
 };
-
-// The experiment runner's post-run SLO hook: when the DMP_SLO environment
-// variable names a `.slo` spec, parses it, evaluates every rule against
-// the report JSON at `report_path`, prints the verdict, and exits the
-// process with status 3 on any violation (or an unreadable spec) — a
-// gated bench must not be allowed to "pass" by losing its gate.  No-op
-// when DMP_SLO is unset or empty.
-void evaluate_slo_env(const std::string& report_path);
 
 }  // namespace dmp::exp

@@ -9,7 +9,6 @@
 #include <string_view>
 
 #include "obs/event_log.hpp"
-#include "obs/telemetry/sketch.hpp"
 
 namespace dmp::obs {
 
@@ -24,14 +23,8 @@ struct ObsConfig {
   // Gauge-snapshot interval for the time-series probe (simulated seconds);
   // <= 0 disables the probe (counters, events and the report still run).
   double probe_interval_s = 1.0;
-  // Growth caps on the probe CSV (0 = unlimited): once either limit is
-  // reached, further samples are dropped and counted — the run report's
-  // `probe_rows_dropped` scalar surfaces how much was cut.  The event log
-  // is already ring-bounded by `event_ring_capacity` (overwrites are
-  // reported as `events_overwritten`).
-  std::size_t probe_max_rows = 0;
-  std::size_t probe_max_bytes = 0;
-  // Ring-buffer capacity for the event log (0 = unbounded).
+  // Ring-buffer capacity for the event log (0 = unbounded); overwrites are
+  // reported as `events_overwritten`.
   std::size_t event_ring_capacity = 65536;
   Severity min_severity = Severity::kInfo;
   // Per-packet lifecycle tracing (the flight recorder).  Orthogonal to
@@ -53,16 +46,12 @@ struct ObsConfig {
 };
 
 // Streaming telemetry sink (src/obs/telemetry): windowed time-series
-// channels plus quantile sketches, independent of ObsConfig's toggles.
+// channels plus quantile sketches (relative error
+// QuantileSketch::kDefaultAlpha), independent of ObsConfig's toggles.
 struct TelemetryConfig {
   bool enabled = false;
   // Window width for all time-series channels (simulated seconds).
   double window_s = 1.0;
-  // Relative-error target for all sketches.
-  double sketch_alpha = QuantileSketch::kDefaultAlpha;
-  // Startup delay used for the windowed late-indicator channel (a packet is
-  // "late" when its generation-to-delivery delay exceeds this).
-  double late_tau_s = 4.0;
   // Write `<prefix>_telemetry.csv` and `<prefix>_sketches.jsonl`.
   bool write_artifacts = false;
 };

@@ -103,7 +103,7 @@ bool Hub::wanted(const ObsConfig& config, const TelemetryConfig& telemetry) {
 
 QuantileSketch* Hub::sketch(const std::string& name) {
   if (!series_) return nullptr;
-  return &sketches_.try_emplace(name, telemetry_.sketch_alpha).first->second;
+  return &sketches_.try_emplace(name).first->second;
 }
 
 void Hub::start_probe(Scheduler& sched, std::vector<std::string> columns,
@@ -112,14 +112,12 @@ void Hub::start_probe(Scheduler& sched, std::vector<std::string> columns,
   probe_ = std::make_unique<Probe>(sched, *metrics_, std::move(columns),
                                    config_.probe_csv_path(),
                                    SimTime::seconds(config_.probe_interval_s));
-  probe_->set_limits(config_.probe_max_rows, config_.probe_max_bytes);
   probe_->start(end);
 }
 
 void Hub::stop_probe() {
   if (!probe_) return;
   probe_->stop();
-  probe_rows_dropped_ = probe_->dropped_rows();
   if (!probe_->ok()) ++write_failures_;
   probe_.reset();  // holds the run's scheduler
 }

@@ -14,7 +14,6 @@
 // thread-safe; give each thread its own.
 #pragma once
 
-#include <cstdint>
 #include <map>
 #include <memory>
 #include <string>
@@ -84,7 +83,6 @@ class Hub {
                    SimTime end);
   // Stops the probe; call before its scheduler dies.
   void stop_probe();
-  std::uint64_t probe_rows_dropped() const { return probe_rows_dropped_; }
 
   // End of run: stops the probe, freezes gauges (the instrumented objects
   // are about to go), and writes the flight trace, telemetry CSV +
@@ -106,7 +104,6 @@ class Hub {
   std::unique_ptr<TimeSeries> series_;
   std::map<std::string, QuantileSketch> sketches_;
   std::unique_ptr<Probe> probe_;
-  std::uint64_t probe_rows_dropped_ = 0;
   int write_failures_ = 0;
 };
 

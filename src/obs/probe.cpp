@@ -25,19 +25,11 @@ ProbeWriter::ProbeWriter(MetricsRegistry& registry,
 }
 
 void ProbeWriter::sample(double time_s) {
-  if ((max_rows_ != 0 && samples_ >= max_rows_) ||
-      (max_bytes_ != 0 && bytes_written_ >= max_bytes_)) {
-    ++dropped_rows_;
-    return;
-  }
   std::vector<std::string> cells;
   cells.reserve(gauges_.size() + 1);
   cells.push_back(CsvWriter::num(time_s));
   for (const Gauge* g : gauges_) cells.push_back(CsvWriter::num(g->value()));
   csv_.row(cells);
-  // Cell bytes plus a separator/newline per cell approximates the row's
-  // on-disk size closely enough to enforce a cap.
-  for (const auto& cell : cells) bytes_written_ += cell.size() + 1;
   ++samples_;
 }
 

@@ -26,21 +26,9 @@ class ProbeWriter {
   ProbeWriter(MetricsRegistry& registry, std::vector<std::string> gauge_names,
               const std::string& csv_path);
 
-  // Growth caps: once `max_rows` rows or (approximately) `max_bytes` of
-  // row data have been written, further samples are counted in
-  // `dropped_rows()` instead of reaching the file — a probe left running
-  // on a week-long run degrades to a bounded artifact plus an accounting
-  // line in the run report, never an unbounded CSV.  0 = unlimited.
-  void set_limits(std::size_t max_rows, std::size_t max_bytes) {
-    max_rows_ = max_rows;
-    max_bytes_ = max_bytes;
-  }
-
   void sample(double time_s);
 
   std::size_t samples() const { return samples_; }
-  // Samples suppressed by the row/byte caps.
-  std::size_t dropped_rows() const { return dropped_rows_; }
   const std::string& path() const { return csv_.path(); }
   // False once any sample row failed to reach the file (see CsvWriter).
   bool ok() const { return csv_.ok(); }
@@ -49,10 +37,6 @@ class ProbeWriter {
   std::vector<Gauge*> gauges_;
   CsvWriter csv_;
   std::size_t samples_ = 0;
-  std::size_t dropped_rows_ = 0;
-  std::size_t max_rows_ = 0;
-  std::size_t max_bytes_ = 0;
-  std::size_t bytes_written_ = 0;
 };
 
 // Scheduler-driven periodic probe.
@@ -69,13 +53,7 @@ class Probe {
   void start(SimTime end = SimTime::max());
   void stop();
 
-  // Forwarded to the underlying ProbeWriter (0 = unlimited).
-  void set_limits(std::size_t max_rows, std::size_t max_bytes) {
-    writer_.set_limits(max_rows, max_bytes);
-  }
-
   std::size_t samples() const { return writer_.samples(); }
-  std::size_t dropped_rows() const { return writer_.dropped_rows(); }
   const std::string& path() const { return writer_.path(); }
   bool ok() const { return writer_.ok(); }
 

@@ -1,11 +1,9 @@
 #include "obs/telemetry/time_series.hpp"
 
-#include <cstdio>
 #include <stdexcept>
 #include <utility>
 
 #include "util/csv.hpp"
-#include "util/json.hpp"
 
 namespace dmp::obs {
 
@@ -71,41 +69,6 @@ bool TimeSeries::write_csv(const std::string& path) {
     }
   }
   return csv.ok();
-}
-
-bool TimeSeries::write_jsonl(const std::string& path) {
-  finish_all();
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) return false;
-  bool ok = true;
-  const double width_s = window_s();
-  for (auto& [name, ch] : channels_) {
-    for (const Window& w : ch.finish()) {
-      std::string line = "{\"t\":";
-      append_json_number(line, static_cast<double>(w.index) * width_s,
-                         kJsonStreamDigits);
-      line += ",\"channel\":";
-      append_json_string(line, name);
-      line += ",\"count\":" + std::to_string(w.count);
-      const std::pair<const char*, double> fields[] = {
-          {"sum", w.sum}, {"mean", w.mean()}, {"min", w.min},
-          {"max", w.max}, {"last", w.last}};
-      for (const auto& [key, value] : fields) {
-        line += ",\"";
-        line += key;
-        line += "\":";
-        append_json_number(line, value, kJsonStreamDigits);
-      }
-      line += "}\n";
-      if (std::fwrite(line.data(), 1, line.size(), f) != line.size()) {
-        ok = false;
-        break;
-      }
-    }
-    if (!ok) break;
-  }
-  if (std::fclose(f) != 0) ok = false;
-  return ok;
 }
 
 }  // namespace dmp::obs

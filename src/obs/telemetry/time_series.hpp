@@ -108,9 +108,6 @@ class TimeSeries {
   // Returns false if any write failed (disk full is reported, not thrown).
   bool write_csv(const std::string& path);
 
-  // Same rows as JSONL (one object per row), for tools that prefer it.
-  bool write_jsonl(const std::string& path);
-
   // Name-sorted iteration for reports and tests.
   std::vector<const TimeSeriesChannel*> channels() const;
   // finish()es every channel; called by the writers, callable directly.

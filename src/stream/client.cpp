@@ -31,7 +31,6 @@ void StreamClient::bind(obs::Hub& hub, const std::string& prefix) {
   if (flight_) flight_->set_meta(trace_.mu(), epoch_.ns());
   ts_late_ = hub.channel(prefix + ".late_indicator");
   delay_sketch_ = hub.sketch(prefix + ".delay_s");
-  late_tau_s_ = hub.telemetry().late_tau_s;
 }
 
 void StreamClient::deliver(std::int64_t tag, SimTime when,
@@ -67,7 +66,7 @@ void StreamClient::record(std::int64_t number, SimTime when,
       m_delay_->observe(d);
     }
     if (delay_sketch_) delay_sketch_->add(d);
-    if (ts_late_) ts_late_->add(when, d > late_tau_s_ ? 1.0 : 0.0);
+    if (ts_late_) ts_late_->add(when, d > kLateIndicatorTauS ? 1.0 : 0.0);
   }
   if (!ts_delivered_.empty()) ts_delivered_[path]->bump(when);
 }

@@ -18,6 +18,10 @@ namespace dmp {
 
 class StreamClient {
  public:
+  // Startup delay of the `.late_indicator` channel: a packet is late when
+  // its generation-to-delivery delay exceeds it.
+  static constexpr double kLateIndicatorTauS = 4.0;
+
   // Arrivals are recorded relative to `epoch` (the video's generation
   // start).  `dedup` records exactly once through a RedundancyFilter, for
   // policies that put a packet on the wire more than once.
@@ -39,7 +43,7 @@ class StreamClient {
   // flight span per recorded packet (plus the recorder's stream meta),
   // per-path `.path<k>.delivered` channels (sum/window = pps), and a
   // `.late_indicator` channel whose window mean is the late fraction at
-  // the telemetry late_tau_s.  Optional; a no-op when never called.
+  // kLateIndicatorTauS.  Optional; a no-op when never called.
   void bind(obs::Hub& hub, const std::string& prefix);
 
   const StreamTrace& trace() const { return trace_; }
@@ -63,7 +67,6 @@ class StreamClient {
   std::vector<obs::TimeSeriesChannel*> ts_delivered_;  // per path
   obs::TimeSeriesChannel* ts_late_ = nullptr;
   obs::QuantileSketch* delay_sketch_ = nullptr;
-  double late_tau_s_ = 0.0;
 };
 
 }  // namespace dmp

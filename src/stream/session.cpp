@@ -103,7 +103,6 @@ obs::RunReport session_report(const SessionConfig& config,
   scalar("max_events_pending", sched.max_events_pending());
   scalar("events_overwritten", hub.events()->overwritten());
   scalar("fault_events_fired", result.fault_events_fired);
-  scalar("probe_rows_dropped", hub.probe_rows_dropped());
   if (config.profile) {
     // Per-category executed-event attribution (deterministic counts).
     // Wall times stay out of the report unless explicitly requested: they
@@ -205,12 +204,7 @@ SessionResult run_session(const SessionConfig& config, Scheduler& sched) {
   }
 
   // --- video connections (flow k rides path k, or the shared path) ---
-  TcpConfig video_tcp = config.video_tcp;
-  if (video_tcp.send_overhead_s == 0.0) {
-    // Default anti-phase-effect jitter (ns-2 overhead_ practice).
-    video_tcp.send_overhead_s = 0.0005;
-    video_tcp.jitter_seed = rng.next_u64();
-  }
+  const TcpConfig video_tcp = with_default_send_jitter(config.video_tcp, rng);
   std::vector<TcpConnection> video;
   std::vector<StreamSender*> senders;
   for (std::size_t k = 0; k < config.num_flows; ++k) {
@@ -373,11 +367,7 @@ std::vector<BackloggedProbe> measure_backlogged_paths(
   DumbbellPath path(sched, bottleneck);
   BackgroundTraffic background(sched, path, config, 1000, rng.fork());
 
-  TcpConfig tcp = probe_tcp;
-  if (tcp.send_overhead_s == 0.0) {
-    tcp.send_overhead_s = 0.0005;
-    tcp.jitter_seed = rng.next_u64();
-  }
+  const TcpConfig tcp = with_default_send_jitter(probe_tcp, rng);
   std::vector<TcpConnection> probes;
   std::vector<std::unique_ptr<FtpSource>> sources;
   std::vector<std::int64_t> delivered(num_probe_flows, 0);

@@ -136,9 +136,9 @@ struct SessionResult {
 
   // The run's observability hub (null when every sink was off): metrics
   // registry with gauges frozen to their end-of-run values, event log,
-  // flight recorder, telemetry sketches, and the artifact-health counts
-  // (artifact_write_failures(), probe_rows_dropped()).  Artifacts are
-  // under hub->config()'s paths.
+  // flight recorder, telemetry sketches, and the artifact-health count
+  // (artifact_write_failures()).  Artifacts are under hub->config()'s
+  // paths.
   std::shared_ptr<obs::Hub> hub;
   // The hub's registry (null unless `obs.enabled`).
   std::shared_ptr<obs::MetricsRegistry> metrics;

@@ -11,6 +11,7 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "util/rng.hpp"
 #include "util/sim_time.hpp"
 
 namespace dmp {
@@ -37,6 +38,18 @@ struct TcpConfig {
   // Seed for the overhead jitter stream (combined with the flow id).
   std::uint64_t jitter_seed = 0x9E3779B97F4A7C15ULL;
 };
+
+// `tcp` with the default anti-phase-effect jitter (ns-2 `overhead_`
+// practice) when it sets no send overhead: 0.5 ms, its jitter stream
+// seeded from the next draw of `rng`.  An explicit overhead is kept and
+// `rng` is left untouched.
+inline TcpConfig with_default_send_jitter(TcpConfig tcp, Rng& rng) {
+  if (tcp.send_overhead_s == 0.0) {
+    tcp.send_overhead_s = 0.0005;
+    tcp.jitter_seed = rng.next_u64();
+  }
+  return tcp;
+}
 
 // Counters and estimates exported by a sender for the paper's per-path
 // statistics (loss rate p, RTT R, normalized timeout TO = R_TO / R).

@@ -156,13 +156,6 @@ void expect_bit_equal(double expected, const JsonValue* v) {
       << v->text;
 }
 
-std::string slurp(const std::string& path) {
-  std::ifstream in(path);
-  std::ostringstream out;
-  out << in.rdbuf();
-  return out.str();
-}
-
 double sum_of_samples() {
   double sum = 0.0;
   for (double v : kSamples) sum += v;
@@ -249,20 +242,6 @@ std::vector<Emitter> emitters() {
                    (std::int64_t{1} << 53) + 3);
          EXPECT_EQ(docs[1].find("cwnd")->text, "0.333333333333");
          EXPECT_TRUE(docs[1].find("ssthresh")->is_null());
-       }},
-      {"TimeSeries", true,
-       [] {
-         dmp::obs::TimeSeries series(1.0);
-         series.channel(kTricky)->add(SimTime::seconds(0.5), kThird);
-         const std::string path =
-             ::testing::TempDir() + "json_round_trip_series.jsonl";
-         EXPECT_TRUE(series.write_jsonl(path));
-         return slurp(path);
-       },
-       [](const std::vector<JsonValue>& docs) {
-         ASSERT_EQ(docs.size(), 1u);
-         EXPECT_EQ(docs[0].find("channel")->text, kTricky);
-         EXPECT_EQ(docs[0].find("mean")->text, "0.333333333333");
        }},
       {"SketchExact", false,
        [] {

@@ -20,12 +20,10 @@ class OptionsTest : public ::testing::Test {
   static void clear() {
     for (const char* name :
          {"DMP_RUNS", "DMP_DURATION_S", "DMP_SEED", "DMP_MC_MIN",
-          "DMP_MC_MAX", "DMP_THREADS", "DMP_OBS", "DMP_OBS_PROBE_S",
-          "DMP_TRACE", "DMP_TELEMETRY", "DMP_PROFILE", "DMP_OUT_DIR",
-          "DMP_FIG7_DURATION_S",
-          "DMP_TABLE1_PROBE_S", "DMP_FAULTS", "DMP_SANITIZE",
-          "DMP_CHECK_BUILD_DIR", "DMP_SCHED", "DMP_QDISC", "DMP_TYPO",
-          "DMP_RUN"}) {
+          "DMP_MC_MAX", "DMP_THREADS", "DMP_OBS", "DMP_TRACE",
+          "DMP_TELEMETRY", "DMP_PROFILE", "DMP_OUT_DIR", "DMP_TABLE1_PROBE_S",
+          "DMP_FAULTS", "DMP_SANITIZE", "DMP_CHECK_BUILD_DIR", "DMP_SCHED",
+          "DMP_QDISC", "DMP_TYPO", "DMP_RUN"}) {
       unsetenv(name);
     }
   }
@@ -106,6 +104,16 @@ TEST_F(OptionsTest, RemovedObsSwitchesAreUnknownVariables) {
   expect_rejected("DMP_TRACE", "1", "unknown variable");
   expect_rejected("DMP_TELEMETRY", "1", "unknown variable");
   expect_rejected("DMP_PROFILE", "1", "unknown variable");
+}
+
+// Knobs that had one value in use are gone: a leftover setting fails
+// loudly instead of silently doing nothing (a spec named for the in-bench
+// SLO hook would otherwise leave the run ungated; slo_check is the gate).
+TEST_F(OptionsTest, RetiredKnobsAreUnknownVariables) {
+  expect_rejected("DMP_SLO", "slo/ci.slo", "unknown variable");
+  expect_rejected("DMP_OBS_PROBE_S", "1", "unknown variable");
+  expect_rejected("DMP_TELEMETRY_WINDOW_S", "1", "unknown variable");
+  expect_rejected("DMP_FIG7_DURATION_S", "3000", "unknown variable");
 }
 
 TEST_F(OptionsTest, RejectsNegativeSeedsAndBudgets) {
@@ -262,8 +270,8 @@ TEST_F(OptionsTest, UnknownVariableErrorListsAcceptedSet) {
     // ...and the accepted set is generated from the real known list, so
     // newer knobs can't drift out of the message.
     EXPECT_NE(what.find("DMP_SCHED"), std::string::npos);
-    EXPECT_NE(what.find("DMP_SLO"), std::string::npos);
-    EXPECT_NE(what.find("DMP_TELEMETRY_WINDOW_S"), std::string::npos);
+    EXPECT_NE(what.find("DMP_QDISC"), std::string::npos);
+    EXPECT_NE(what.find("DMP_TABLE1_PROBE_S"), std::string::npos);
   }
 }
 

@@ -140,31 +140,4 @@ TEST(TelemetryReport, GoldenTelemetryCsvForFig4StyleRun) {
             read_file(again.obs.sketches_path()));
 }
 
-// Probe caps ride along the same report plumbing: a tiny row limit must
-// surface dropped rows in the result and the run report scalar.
-TEST(TelemetryReport, ProbeRowCapSurfacesDroppedRows) {
-  dmp::SessionConfig config;
-  config.path_configs = {dmp::table1_config(1)};
-  config.num_flows = 1;
-  config.mu_pps = 20.0;
-  config.duration_s = 15.0;
-  config.warmup_s = 2.0;
-  config.drain_s = 5.0;
-  config.seed = 7;
-  config.obs.enabled = true;
-  config.obs.output_dir = ::testing::TempDir();
-  config.obs.prefix = "probe_cap";
-  config.obs.probe_interval_s = 1.0;
-  config.obs.probe_max_rows = 3;
-
-  const auto result = dmp::run_session(config);
-  ASSERT_NE(result.hub, nullptr);
-  EXPECT_GT(result.hub->probe_rows_dropped(), 0u);
-  const auto probe_lines = read_lines(config.obs.probe_csv_path());
-  // Header + exactly the allowed rows.
-  EXPECT_EQ(probe_lines.size(), 4u);
-  const std::string report = read_file(config.obs.report_path());
-  EXPECT_NE(report.find("\"probe_rows_dropped\":"), std::string::npos);
-}
-
 }  // namespace

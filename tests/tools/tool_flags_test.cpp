@@ -1,6 +1,9 @@
 // The offline tools read `--name=value` flags strictly: a malformed value
 // exits 2 and names the flag, where atof/atoll used to read it as 0 or a
-// prefix.  Runs the built run_diff and trace_query binaries.
+// prefix, and so does a flag the command does not read, where a typo used
+// to read as an absent flag.  slo_check refuses a spec with no rules.
+// Runs the built run_diff, trace_query, divergence_report and slo_check
+// binaries.
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
@@ -66,7 +69,7 @@ TEST(ToolFlags, RunDiffRejectsMalformedValues) {
   const std::string left = write("tool_flags_left.json", "{\"a\": 1}\n");
   const std::string right = write("tool_flags_right.json", "{\"a\": 1}\n");
   const std::string base =
-      std::string(DMP_RUN_DIFF) + " " + left + " " + right + " ";
+      std::string(TOOL_RUN_DIFF) + " " + left + " " + right + " ";
   EXPECT_EQ(run(base + "--abs-tol=1e-3 --max-print=5 --quiet").status, 0);
   expect_rejected(base + "--abs-tol=1e-3x", "--abs-tol");
   expect_rejected(base + "--rel-tol=abc", "--rel-tol");
@@ -76,7 +79,7 @@ TEST(ToolFlags, RunDiffRejectsMalformedValues) {
 
 TEST(ToolFlags, TraceQueryRejectsMalformedValues) {
   const std::string trace = small_trace();
-  const std::string tool = std::string(DMP_TRACE_QUERY) + " ";
+  const std::string tool = std::string(TOOL_TRACE_QUERY) + " ";
   EXPECT_EQ(run(tool + "causes " + trace + " --tau=2.5 --limit=3").status, 0);
   EXPECT_EQ(run(tool + "packet " + trace + " 0").status, 0);
   expect_rejected(tool + "causes " + trace + " --tau=abc", "--tau");
@@ -87,6 +90,73 @@ TEST(ToolFlags, TraceQueryRejectsMalformedValues) {
   expect_rejected(tool + "packet " + trace + " 12x", "packet");
   expect_rejected(tool + "percentiles " + trace + " --q=0.5,x", "--q");
   expect_rejected(tool + "percentiles " + trace + " --q=0.5,,0.9", "--q");
+}
+
+TEST(ToolFlags, RunDiffRejectsUnknownFlags) {
+  const std::string left = write("tool_flags_left.json", "{\"a\": 1}\n");
+  const std::string right = write("tool_flags_right.json", "{\"a\": 1}\n");
+  const std::string base =
+      std::string(TOOL_RUN_DIFF) + " " + left + " " + right + " ";
+  expect_rejected(base + "--quiett", "--quiett");
+  expect_rejected(base + "--abs_tol=1e-3", "--abs_tol");
+  expect_rejected(base + "--quiet=1", "--quiet=1");   // bare flag
+  expect_rejected(base + "--ignore timing", "--ignore");  // missing '='
+}
+
+TEST(ToolFlags, TraceQueryRejectsFlagsTheCommandDoesNotRead) {
+  const std::string trace = small_trace();
+  const std::string tool = std::string(TOOL_TRACE_QUERY) + " ";
+  const Outcome summary = run(tool + "summary " + trace + " --tau=2");
+  EXPECT_EQ(summary.status, 0) << summary.output;
+  EXPECT_NE(summary.output.find("tau            2.000 s"), std::string::npos)
+      << summary.output;
+  expect_rejected(tool + "summary " + trace + " --tua=2", "--tua");
+  expect_rejected(tool + "summary " + trace + " --limit=3", "--limit");
+  expect_rejected(tool + "paths " + trace + " --tau=2", "--tau");
+  expect_rejected(tool + "timeline " + trace + " --max-packet=5",
+                  "--max-packet");
+  expect_rejected(tool + "percentiles " + trace + " --qs=0.5", "--qs");
+  EXPECT_EQ(run(tool + "bogus " + trace).status, 1);
+}
+
+// One series with one diverged point.
+std::string diverged_series() {
+  return write("tool_flags_divergence.json",
+               "{\"divergence\": [{\"name\": \"s\", \"metric\": \"m\", "
+               "\"x_label\": \"x\", \"points\": [{\"setting\": \"a\", "
+               "\"x\": 1, \"predicted\": 0.1, \"measured\": 0.5, "
+               "\"ci_half\": 0, \"residual\": 0.4, \"ok\": false}], "
+               "\"stats\": {\"count\": 1, \"diverged\": 1}}]}\n");
+}
+
+TEST(ToolFlags, DivergenceReportRejectsUnknownFlags) {
+  const std::string tool =
+      std::string(TOOL_DIVERGENCE_REPORT) + " " + diverged_series() + " ";
+  EXPECT_EQ(run(tool).status, 0);
+  EXPECT_EQ(run(tool + "--fail-on-divergence").status, 1);
+  // A misspelled gate flag must not turn the gate off.
+  expect_rejected(tool + "--fail-on-divergense", "--fail-on-divergense");
+  expect_rejected(tool + "--fail-on-divergence=1", "--fail-on-divergence=1");
+  expect_rejected(tool + "--jsn=out.json", "--jsn");
+  const std::string out = ::testing::TempDir() + "tool_flags_standalone.json";
+  EXPECT_EQ(run(tool + "--json=" + out).status, 0);
+  EXPECT_EQ(run(std::string(TOOL_DIVERGENCE_REPORT) + " " + out).status, 0);
+}
+
+TEST(ToolGates, SloCheckRefusesSpecWithoutRules) {
+  const std::string report = write("tool_gates_report.json", "{\"a\": 1}\n");
+  const std::string tool = std::string(TOOL_SLO_CHECK) + " ";
+  const std::string passing = write("tool_gates_passing.slo", "a == 1\n");
+  EXPECT_EQ(run(tool + passing + " " + report).status, 0);
+  const std::string failing = write("tool_gates_failing.slo", "a == 2\n");
+  EXPECT_EQ(run(tool + failing + " " + report).status, 1);
+  for (const char* text : {"", "# nothing but comments\n\n"}) {
+    const std::string spec = write("tool_gates_empty.slo", text);
+    const Outcome out = run(tool + spec + " " + report);
+    EXPECT_EQ(out.status, 2) << out.output;
+    EXPECT_NE(out.output.find(spec), std::string::npos) << out.output;
+    EXPECT_EQ(out.output.find("SLO OK"), std::string::npos) << out.output;
+  }
 }
 
 }  // namespace

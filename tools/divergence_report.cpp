@@ -9,36 +9,19 @@
 // DIVERGENCE_*.json document ({"divergence": [...]}).
 //
 // Exit status: 0 on success, 1 when --fail-on-divergence is given and any
-// point diverged, 2 on unreadable/malformed input or a report with no
-// divergence section.
+// point diverged, 2 on unreadable/malformed input, a report with no
+// divergence section or an unknown flag.
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <stdexcept>
 #include <string>
 
+#include "flags.hpp"
 #include "util/json.hpp"
 
 namespace {
 
 using dmp::JsonValue;
-
-const char* flag_value(int argc, char** argv, const char* name) {
-  const std::size_t len = std::strlen(name);
-  for (int i = 2; i < argc; ++i) {
-    if (std::strncmp(argv[i], name, len) == 0 && argv[i][len] == '=') {
-      return argv[i] + len + 1;
-    }
-  }
-  return nullptr;
-}
-
-bool has_flag(int argc, char** argv, const char* name) {
-  for (int i = 2; i < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0) return true;
-  }
-  return false;
-}
 
 double member_number(const JsonValue& obj, const char* key) {
   const JsonValue* v = obj.find(key);
@@ -59,6 +42,8 @@ int main(int argc, char** argv) {
                  "[--fail-on-divergence]\n");
     return 2;
   }
+  const dmp::tools::Flags flags(argc, argv, 2,
+                                {"--json=", "--fail-on-divergence"});
   JsonValue doc;
   try {
     doc = dmp::parse_json_file(argv[1]);
@@ -118,7 +103,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (const char* out_path = flag_value(argc, argv, "--json")) {
+  if (const char* out_path = flags.text("--json")) {
     std::ofstream out(out_path);
     JsonValue standalone;
     standalone.kind = JsonValue::Kind::kObject;
@@ -131,7 +116,7 @@ int main(int argc, char** argv) {
   }
   if (total_diverged > 0) {
     std::printf("%zu diverged point(s)\n", total_diverged);
-    if (has_flag(argc, argv, "--fail-on-divergence")) return 1;
+    if (flags.has("--fail-on-divergence")) return 1;
   }
   return 0;
 }

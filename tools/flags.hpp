@@ -1,6 +1,8 @@
 // Strict `--name=value` flags for the offline tools.  A value that does not
 // parse as a whole (`--tau=abc`, `--abs-tol=1e-3x`, `--q=0.5,x`) exits with
-// status 2 and names the flag, instead of reading as 0 or a prefix.
+// status 2 and names the flag, instead of reading as 0 or a prefix; so
+// does a `--` argument the command does not read (`--tua=2`,
+// `--fail-on-divergense`), instead of reading as an absent flag.
 #pragma once
 
 #include <cerrno>
@@ -38,11 +40,29 @@ inline std::int64_t parse_integer(const char* text, const char* what) {
   return v;
 }
 
-// The flags among argv[first..argc).
+// The flags among argv[first..argc).  `known` lists the flags the command
+// reads: "--name=" for one that takes a value, "--name" for a bare one.
 class Flags {
  public:
-  Flags(int argc, char** argv, int first)
-      : argc_(argc), argv_(argv), first_(first) {}
+  Flags(int argc, char** argv, int first,
+        const std::vector<const char*>& known)
+      : argc_(argc), argv_(argv), first_(first) {
+    for (int i = first_; i < argc_; ++i) {
+      const char* arg = argv_[i];
+      if (std::strncmp(arg, "--", 2) != 0) continue;
+      bool read = false;
+      for (const char* k : known) {
+        const std::size_t len = std::strlen(k);
+        read = k[len - 1] == '=' ? std::strncmp(arg, k, len) == 0
+                                 : std::strcmp(arg, k) == 0;
+        if (read) break;
+      }
+      if (!read) {
+        std::fprintf(stderr, "error: unknown flag '%s'\n", arg);
+        std::exit(2);
+      }
+    }
+  }
 
   // The text after `name=`, or nullptr when the flag is absent.
   const char* text(const char* name) const {

@@ -17,7 +17,7 @@
 // it).
 //
 // Exit status: 0 clean (identical or within tolerance), 1 diverged,
-// 2 unreadable/malformed input, a malformed flag value or bad usage.
+// 2 unreadable/malformed input, an unknown or malformed flag or bad usage.
 #include <cstdio>
 #include <fstream>
 #include <stdexcept>
@@ -60,7 +60,9 @@ int main(int argc, char** argv) {
     usage();
     return 2;
   }
-  const dmp::tools::Flags flags(argc, argv, 3);
+  const dmp::tools::Flags flags(
+      argc, argv, 3,
+      {"--abs-tol=", "--rel-tol=", "--ignore=", "--max-print=", "--quiet"});
   DiffOptions options;
   options.abs_tol = flags.number("--abs-tol", options.abs_tol);
   options.rel_tol = flags.number("--rel-tol", options.rel_tol);

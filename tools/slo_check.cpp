@@ -4,13 +4,13 @@
 //
 // Each rule's dotted path is resolved against the given documents in
 // order; the first document containing the field is judged.  A field
-// found in no document is a violation (a gate must not silently pass by
-// pointing at nothing).  The same engine runs inside every bench when
-// DMP_SLO is set — this binary is the CI-side entry point for evaluating
+// found in no document is a violation, and a spec with no rules is an
+// error: a gate must not silently pass by pointing at nothing.  This is
+// the one SLO gate — benches write their reports, CI judges them here,
 // one checked-in spec against several artifacts at once.
 //
-// Exit status: 0 all rules pass, 1 violations, 2 unreadable/malformed
-// spec or report.
+// Exit status: 0 all rules pass, 1 violations, 2 unreadable/malformed or
+// empty spec, or an unreadable/malformed report.
 #include <cstdio>
 #include <stdexcept>
 #include <string>
@@ -29,6 +29,10 @@ int main(int argc, char** argv) {
     spec = dmp::exp::SloSpec::parse_file(argv[1]);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "slo_check: %s\n", e.what());
+    return 2;
+  }
+  if (spec.empty()) {
+    std::fprintf(stderr, "slo_check: %s has no rules\n", argv[1]);
     return 2;
   }
   std::vector<dmp::JsonValue> docs;

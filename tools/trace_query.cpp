@@ -18,10 +18,11 @@
 //   trace_query percentiles <sketches.jsonl> [--q=0.5,0.95,0.99]
 //       quantiles from a run's `*_sketches.jsonl` telemetry artifact
 //
-// Exit status: 0 on success, 1 on bad usage, 2 on a malformed trace or a
-// malformed flag value.
+// Exit status: 0 on success, 1 on bad usage, 2 on a malformed trace or an
+// unknown or malformed flag.
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -44,8 +45,7 @@ using dmp::obs::TraceAnalyzer;
 void usage() {
   std::fprintf(
       stderr,
-      "usage: trace_query <summary|packet|paths|rtx|causes> <trace.jsonl> "
-      "[args]\n"
+      "usage: trace_query <command> <trace.jsonl> [args]\n"
       "  summary <trace> [--tau=S]          late fraction + cause breakdown\n"
       "  packet  <trace> <number>           one packet's timeline\n"
       "  paths   <trace>                    per-path stats\n"
@@ -270,7 +270,22 @@ int main(int argc, char** argv) {
     return 1;
   }
   const std::string cmd = argv[1];
-  const Flags flags(argc, argv, 3);
+  // The flags each command reads.
+  const std::map<std::string, std::vector<const char*>> commands = {
+      {"summary", {"--tau="}},
+      {"packet", {}},
+      {"paths", {}},
+      {"rtx", {}},
+      {"causes", {"--tau=", "--limit="}},
+      {"timeline", {"--telemetry=", "--out=", "--max-packets="}},
+      {"percentiles", {"--q="}},
+  };
+  const auto command = commands.find(cmd);
+  if (command == commands.end()) {
+    usage();
+    return 1;
+  }
+  const Flags flags(argc, argv, 3, command->second);
   if (cmd == "percentiles") return cmd_percentiles(argv[2], flags);
   const double tau_s = flags.number("--tau", 4.0);
   FlightRecorder recorder;
@@ -303,9 +318,5 @@ int main(int argc, char** argv) {
   if (cmd == "paths") return cmd_paths(az);
   if (cmd == "rtx") return cmd_rtx(az);
   if (cmd == "timeline") return cmd_timeline(az, flags);
-  if (cmd == "causes") {
-    return cmd_causes(az, tau_s, flags.integer("--limit", 50));
-  }
-  usage();
-  return 1;
+  return cmd_causes(az, tau_s, flags.integer("--limit", 50));
 }
