@@ -111,8 +111,8 @@ void BM_ComposedMonteCarlo(benchmark::State& state) {
 BENCHMARK(BM_ComposedMonteCarlo)->Arg(1)->Arg(2)->Arg(3)->Arg(4)
     ->Unit(benchmark::kMillisecond);
 
-// The compat sampler (golden-pin compatible: one uniform per event, linear
-// transition scans) at K = 2; CI guards it with its own absolute floor.
+// The compat sampler (golden-pin compatible: one draw per event, decided by
+// integer cuts) at K = 2; CI guards it with its own absolute floor.
 void BM_ComposedMonteCarloCompat(benchmark::State& state) {
   const ComposedParams params = composed_setup(2);
   for (auto _ : state) {

@@ -49,8 +49,7 @@ inline void consume_segment(std::uint64_t j, std::int64_t& n,
   n -= static_cast<std::int64_t>(ontime);
   late += newly_late;
   counted += j;
-  batches.add_many(0.0, ontime);
-  batches.add_many(1.0, newly_late);
+  batches.add_zeros_then_ones(ontime, newly_late);
 }
 
 // The flow whose exit-rate interval holds x in [0, sum of exits): the
@@ -99,6 +98,32 @@ std::uint64_t certain_fail_late(double threshold, std::uint64_t min,
 }
 
 }  // namespace
+
+void compat_class_cuts(double mu, const double* exits, std::size_t kflows,
+                       std::uint64_t* cuts) {
+  // The total rate, summed in the historical order: mu, then the flows.
+  double total = mu;
+  for (std::size_t k = 0; k < kflows; ++k) total += exits[k];
+  // Both decisions are monotone in b: u = Rng::unit(b) is exact, and
+  // rounding the product, the difference and each step of the sequential
+  // subtraction scan never reverses an order.  So each decision flips at
+  // one draw, found by searching the historical expression itself (never a
+  // closed form, which could miss where u * total rounds up to mu).
+  cuts[0] = first_draw_where(
+      [&](std::uint64_t b) { return !(Rng::unit(b) * total < mu); }, 0,
+      mu / total);
+  std::uint64_t lo = 0;
+  double below = mu;
+  for (std::size_t i = 1; i < kflows; ++i) {
+    below += exits[i - 1];
+    lo = first_draw_where(
+        [&](std::uint64_t b) {
+          return pick_flow(exits, kflows, Rng::unit(b) * total - mu) >= i;
+        },
+        lo, below / total);
+    cuts[i] = lo;
+  }
+}
 
 std::int64_t ComposedParams::nmax() const {
   return static_cast<std::int64_t>(std::llround(mu_pps * tau_s));
@@ -217,27 +242,24 @@ double stored_video_replication_alias(
     const std::vector<std::shared_ptr<const TcpFlowChain>>& chains,
     std::int64_t video_packets, Rng& rng) {
   std::vector<std::uint32_t> state;
-  state.reserve(chains.size());
-  for (const auto& chain : chains) state.push_back(chain->initial_state());
+  std::vector<double> exits;
+  for (const auto& chain : chains) {
+    state.push_back(chain->initial_state());
+    exits.push_back(chain->exit_rate(state.back()));
+  }
 
   auto active_rate = [&] {
     double active = 0.0;
-    for (std::size_t k = 0; k < chains.size(); ++k) {
-      active += chains[k]->exit_rate(state[k]);
-    }
+    for (const double e : exits) active += e;
     return active;
   };
   std::int64_t delivered = 0;
   auto flow_event = [&](double active) {
-    double x = rng.uniform() * active;
-    std::size_t k = 0;
-    for (; k + 1 < chains.size(); ++k) {
-      const double r = chains[k]->exit_rate(state[k]);
-      if (x < r) break;
-      x -= r;
-    }
+    const std::size_t k =
+        pick_flow(exits.data(), exits.size(), rng.uniform() * active);
     const auto& t = chains[k]->pick_alias(state[k], rng.uniform());
     state[k] = t.target;
+    exits[k] = chains[k]->exit_rate(t.target);
     delivered =
         std::min<std::int64_t>(delivered + t.delivered, video_packets);
   };
@@ -290,7 +312,11 @@ double stored_video_replication_compat(
     const std::vector<std::shared_ptr<const TcpFlowChain>>& chains,
     std::int64_t video_packets, Rng& rng) {
   std::vector<std::uint32_t> state;
-  for (const auto& chain : chains) state.push_back(chain->initial_state());
+  std::vector<double> exits;
+  for (const auto& chain : chains) {
+    state.push_back(chain->initial_state());
+    exits.push_back(chain->exit_rate(state.back()));
+  }
 
   double t = 0.0;
   std::int64_t delivered = 0;
@@ -301,9 +327,7 @@ double stored_video_replication_compat(
     const bool sending = delivered < video_packets;
     double total_rate = consuming ? params.mu_pps : 0.0;
     if (sending) {
-      for (std::size_t k = 0; k < chains.size(); ++k) {
-        total_rate += chains[k]->exit_rate(state[k]);
-      }
+      for (const double e : exits) total_rate += e;
     }
     if (total_rate <= 0.0) {
       // Everything delivered, playback not yet started: jump to tau.
@@ -327,24 +351,13 @@ double stored_video_replication_compat(
       continue;
     }
     if (consuming) x -= params.mu_pps;
-    for (std::size_t k = 0; k < chains.size(); ++k) {
-      const double r = chains[k]->exit_rate(state[k]);
-      if (x < r || k + 1 == chains.size()) {
-        const auto& ts = chains[k]->transitions_from(state[k]);
-        double y = rng.uniform() * r;
-        for (const auto& tr : ts) {
-          if (y < tr.rate || &tr == &ts.back()) {
-            state[k] = tr.target;
-            delivered = std::min<std::int64_t>(delivered + tr.delivered,
-                                               video_packets);
-            break;
-          }
-          y -= tr.rate;
-        }
-        break;
-      }
-      x -= r;
-    }
+    const std::size_t k = pick_flow(exits.data(), exits.size(), x);
+    const auto& tr =
+        chains[k]->pick_linear(state[k], rng.uniform() * exits[k]);
+    state[k] = tr.target;
+    exits[k] = chains[k]->exit_rate(tr.target);
+    delivered =
+        std::min<std::int64_t>(delivered + tr.delivered, video_packets);
   }
   return static_cast<double>(late) / static_cast<double>(video_packets);
 }
@@ -402,8 +415,31 @@ DmpModelMonteCarlo::DmpModelMonteCarlo(const ComposedParams& params,
   for (const auto& fp : params.flows) {
     chains_.push_back(shared_flow_chain(fp));
     flow_state_.push_back(chains_.back()->initial_state());
+    if (mode_ == SamplerMode::kCompat) chains_.back()->build_pick_cuts();
   }
   flow_delivered_.assign(chains_.size(), 0);
+  if (mode_ == SamplerMode::kCompat) {
+    const std::size_t kflows = chains_.size();
+    compat_class_.resize(kflows);
+    compat_stride_.resize(kflows);
+    std::uint64_t product = 1;  // number of class tuples, kept below 2^62
+    for (std::size_t k = kflows; k-- > 0;) {
+      compat_stride_[k] = product;
+      const std::uint64_t classes = chains_[k]->num_exit_classes();
+      if (product > (1ull << 62) / classes) {
+        throw std::invalid_argument{
+            "too many exit-rate class tuples for the compat sampler"};
+      }
+      product *= classes;
+    }
+    std::uint64_t slots = product;
+    if (product > kCompatSlots) {
+      slots = kCompatSlots;
+      compat_mult_ = 0x9E3779B97F4A7C15ull;
+      compat_shift_ = 64 - kCompatSlotBits;
+    }
+    compat_table_.assign(slots * (kflows + 1), kNoIndex);
+  }
   // Start with a full buffer: live streaming begins consuming after the
   // buffer had tau seconds to fill; the warmup discards any residual bias.
   n_ = nmax_;
@@ -554,58 +590,89 @@ void DmpModelMonteCarlo::advance_alias(std::uint64_t target,
   rng_ = rng;
 }
 
+void DmpModelMonteCarlo::fill_compat_slot(std::uint64_t* slot,
+                                          std::uint64_t index) {
+  const std::size_t kflows = chains_.size();
+  exit_now_.resize(kflows);
+  for (std::size_t k = 0; k < kflows; ++k) {
+    exit_now_[k] = chains_[k]->class_exit_rate(compat_class_[k]);
+  }
+  compat_class_cuts(params_.mu_pps, exit_now_.data(), kflows, slot + 1);
+  slot[0] = index;
+}
+
 void DmpModelMonteCarlo::advance_compat(std::uint64_t target,
                                         std::uint64_t late_stop) {
-  load_exit_rates();
-  double* const exits = exit_now_.data();
   std::uint32_t* const states = flow_state_.data();
   std::uint64_t* const delivered = flow_delivered_.data();
   const std::size_t kflows = chains_.size();
-  const double mu = params_.mu_pps;
   const std::int64_t nmax = nmax_;
   std::int64_t n = n_;
   std::uint64_t counted = counted_;
   std::uint64_t late = late_;
   double early_sum = early_sum_;
+  // The class tuple's table index, and the cuts of its slot: cuts[0] for
+  // consumption, cuts[1..K) for the flow pick (compat_class_cuts).
+  std::uint32_t* const classes = compat_class_.data();
+  const std::uint64_t* const stride = compat_stride_.data();
+  std::uint64_t* const table = compat_table_.data();
+  const std::uint64_t mult = compat_mult_;
+  const int shift = compat_shift_;
+  const auto cuts_at = [&](std::uint64_t index) {
+    std::uint64_t* const slot = table + ((index * mult) >> shift) * (kflows + 1);
+    if (slot[0] != index) fill_compat_slot(slot, index);
+    return slot + 1;
+  };
+  std::uint64_t index = 0;
+  for (std::size_t k = 0; k < kflows; ++k) {
+    classes[k] = chains_[k]->exit_class(states[k]);
+    index += classes[k] * stride[k];
+  }
+  const std::uint64_t* cuts = cuts_at(index);
   Rng rng = rng_;
   while (counted < target) {
-    // Total event rate of an unfrozen state.  The summation order (mu,
-    // then the flows in index order) is part of the golden-pinned mapping
-    // from draws to events.
-    double total = mu;
-    for (std::size_t k = 0; k < kflows; ++k) total += exits[k];
     // One segment: the consumptions up to the next flow event.  Each event
-    // draws one uniform x = u * total and is a consumption iff x < mu.
-    // Only consumptions happen inside a segment, so N only falls and the
-    // whole segment folds into one consume_segment() call.  A frozen state
-    // (N = Nmax) can therefore only open a segment: its flows make no
-    // transitions, so its uniform is drawn and the event is a consumption.
+    // draws b and is a consumption iff b < cuts[0].  Only consumptions
+    // happen inside a segment, so N only falls and the whole segment folds
+    // into one consume_segment() call.  A frozen state (N = Nmax) can
+    // therefore only open a segment: its flows make no transitions, so its
+    // draw is spent and the event is a consumption.
+    const std::uint64_t consume_below = cuts[0];
     const std::uint64_t remaining = target - counted;
     std::uint64_t j = 0;
     if (n == nmax) {
-      static_cast<void>(rng.uniform());
+      static_cast<void>(rng.draw53());
       j = 1;
     }
-    double x = 0.0;
+    std::uint64_t b = 0;
     while (j < remaining) {
-      x = rng.uniform() * total;
-      if (!(x < mu)) break;
+      b = rng.draw53();
+      if (b >= consume_below) break;
       ++j;
     }
     consume_segment(j, n, late, counted, early_sum, batches_);
     // Target reached or a certain "fail": no further event drawn.
     if (counted >= target || late >= late_stop) break;
-    // Flow event: the flow by the same draw, then its transition by the
-    // sequential-subtraction scan.
-    const std::size_t k = pick_flow(exits, kflows, x - mu);
+    // Flow event: the flow by the same draw (the flow cuts ascend, so the
+    // flow index is the number of them at or below b, counted without a
+    // data-dependent branch), then its transition by the next draw against
+    // the chain's pick cuts.
+    std::size_t k = 0;
+    for (std::size_t i = 1; i < kflows; ++i) k += b >= cuts[i] ? 1 : 0;
     const TcpFlowChain& chain = *chains_[k];
-    const auto& t = chain.pick_linear(states[k], rng.uniform() * exits[k]);
+    const auto& t = chain.pick_cut(states[k], rng.draw53());
     states[k] = t.target;
-    exits[k] = chain.exit_rate(t.target);
-    if (t.delivered > 0) {
-      n = std::min<std::int64_t>(n + t.delivered, nmax);
-      delivered[k] += t.delivered;
+    const std::uint32_t cls = t.target_class;
+    if (cls != classes[k]) {
+      // Unsigned wrap-around cancels: the new index is in range.
+      index += (std::uint64_t{cls} - classes[k]) * stride[k];
+      classes[k] = cls;
+      cuts = cuts_at(index);
     }
+    // Unconditional: a zero delivery leaves both unchanged (N <= Nmax),
+    // and a branch on it would mispredict.
+    n = std::min<std::int64_t>(n + t.delivered, nmax);
+    delivered[k] += t.delivered;
   }
   n_ = n;
   counted_ = counted;
@@ -662,6 +729,9 @@ void DmpModelMonteCarlo::start_counting(std::uint64_t warmup) {
 
 MonteCarloResult DmpModelMonteCarlo::run(std::uint64_t consumptions,
                                          std::uint64_t warmup) {
+  if (consumptions == 0) {
+    throw std::invalid_argument{"need >= 1 consumption per run"};
+  }
   start_counting(warmup);
   advance_to(consumptions);
   return snapshot();
@@ -691,6 +761,9 @@ MonteCarloResult DmpModelMonteCarlo::decide(double threshold,
 MonteCarloResult DmpModelMonteCarlo::run_until_decides(
     double threshold, std::uint64_t min_consumptions,
     std::uint64_t max_consumptions) {
+  if (min_consumptions == 0) {
+    throw std::invalid_argument{"need >= 1 consumption per decision"};
+  }
   return decide(threshold, min_consumptions, max_consumptions, kNoLateStop);
 }
 

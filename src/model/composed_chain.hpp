@@ -22,8 +22,12 @@
 // The Monte-Carlo engine has two sampling modes (docs/MODEL_ENGINE.md):
 //   * SamplerMode::kCompat (default) replays the historical event loop
 //     draw for draw — one uniform per event, linear transition scans — so
-//     seeded runs reproduce the golden pins byte-identically.  Runs of
-//     consecutive consumptions are still accounted in one fold.
+//     seeded runs reproduce the golden pins byte-identically.  It decides
+//     each event by integer compares of the raw 53-bit draw against exact
+//     cuts: the consumption and flow cuts of the current exit-rate class
+//     (compat_class_cuts, kept in a per-engine table) and the chain's
+//     per-edge pick cuts (TcpFlowChain::pick_cut).  Runs of consecutive
+//     consumptions are accounted in one fold.
 //   * SamplerMode::kAlias is the fast path: consecutive consumptions
 //     between flow events collapse into one geometric draw, and flow
 //     transitions sample through the per-state Walker alias tables in
@@ -58,6 +62,18 @@ enum class SamplerMode {
 // beyond ~2M states).  Exposed so tests can cross-check the two
 // steady-state solvers on the same composed chain.
 Ctmc composed_ctmc(const ComposedParams& params);
+
+// The compat sampler's cuts for one exit-rate class: flows with exit rates
+// exits[0..kflows) and playback rate mu, total = mu + exits[0] + ... in
+// index order.  A draw b (Rng::draw53) is a consumption iff b < cuts[0],
+// the smallest b with !(Rng::unit(b) * total < mu); otherwise its flow is
+// the number of i in [1, kflows) with cuts[i] <= b, where cuts[i] is the
+// smallest b at which the sequential-subtraction flow scan of
+// Rng::unit(b) * total - mu picks flow i or later.  Each cut is searched
+// on the historical expression itself, so the integer decisions equal the
+// floating-point ones for every draw.  Writes kflows cuts.
+void compat_class_cuts(double mu, const double* exits, std::size_t kflows,
+                       std::uint64_t* cuts);
 
 class ComposedChainExact {
  public:
@@ -111,11 +127,13 @@ class DmpModelMonteCarlo {
 
   // Simulates until `consumptions` consumption events have been *counted*
   // (after discarding `warmup` consumptions for the initial transient).
+  // Throws std::invalid_argument for consumptions == 0.
   MonteCarloResult run(std::uint64_t consumptions, std::uint64_t warmup = 0);
 
   // Sequential variant for threshold decisions: stops early once the CI
   // (95%) separates from `threshold`, or after `max_consumptions`.
-  // Returns the estimate with whatever precision was reached.
+  // Returns the estimate with whatever precision was reached.  Throws
+  // std::invalid_argument for min_consumptions == 0.
   MonteCarloResult run_until_decides(double threshold,
                                      std::uint64_t min_consumptions,
                                      std::uint64_t max_consumptions);
@@ -164,9 +182,13 @@ class DmpModelMonteCarlo {
   // late count reaches `late_stop` at a segment boundary, whichever first.
   void advance_to(std::uint64_t target,
                   std::uint64_t late_stop = kNoLateStop);
-  // The compat-mode hot loop: one uniform per event, each run of
-  // consumptions between flow events folded in one step.
+  // The compat-mode hot loop: one 53-bit draw per event, decided by
+  // integer cuts, each run of consumptions between flow events folded in
+  // one step.
   void advance_compat(std::uint64_t target, std::uint64_t late_stop);
+  // Fills a compat_table_ slot with `index` and the cuts of the current
+  // class tuple, compat_class_.
+  void fill_compat_slot(std::uint64_t* slot, std::uint64_t index);
   // The alias-mode hot loop: bulk geometric consumption draws between
   // alias-sampled flow transitions.
   void advance_alias(std::uint64_t target, std::uint64_t late_stop);
@@ -191,7 +213,8 @@ class DmpModelMonteCarlo {
   BatchMeans batches_;
 
   // Hot-loop working state: per-flow current exit rates (contiguous, so
-  // the hot loops never chase chain pointers), and, for the alias path, one
+  // the alias loop never chases chain pointers; the compat path fills its
+  // class-table slots from it), and, for the alias path, one
   // geometric-draw alias table per distinct total exit rate ("rate class").
   // The table samples J = #consumptions before the next flow event —
   // outcomes 0..31 plus a tail outcome worth 32 + resample, exact by
@@ -210,6 +233,24 @@ class DmpModelMonteCarlo {
   std::vector<GeomClass> geom_classes_;
   double alias_active_ = -1.0;   // rate class currently in effect
   std::size_t alias_class_ = 0;  // index into geom_classes_
+
+  // Compat-mode class table.  A flow's exit-rate class
+  // (TcpFlowChain::exit_class) fixes its exit rate, so the tuple of the
+  // flows' classes fixes every cut of compat_class_cuts.  The tuple's
+  // mixed-radix index, the sum of class * compat_stride_, picks a slot of
+  // K + 1 words, [index, K cuts], filled on first use: the slot numbered
+  // by the index itself when there are at most kCompatSlots tuples
+  // (compat_mult_ = 1, compat_shift_ = 0), else one of kCompatSlots slots
+  // by a multiplicative hash, where a slot holding another index is
+  // refilled.
+  static constexpr std::uint64_t kNoIndex = ~0ull;
+  static constexpr int kCompatSlotBits = 14;
+  static constexpr std::uint64_t kCompatSlots = 1ull << kCompatSlotBits;
+  std::vector<std::uint32_t> compat_class_;  // each flow's current class
+  std::vector<std::uint64_t> compat_stride_;
+  std::vector<std::uint64_t> compat_table_;
+  std::uint64_t compat_mult_ = 1;
+  int compat_shift_ = 0;
 };
 
 }  // namespace dmp

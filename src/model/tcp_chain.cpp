@@ -8,6 +8,7 @@
 #include <unordered_map>
 
 #include "model/chain_cache.hpp"
+#include "util/rng.hpp"
 
 namespace dmp {
 
@@ -254,8 +255,8 @@ TcpFlowChain::TcpFlowChain(TcpChainParams params) : params_(params) {
       const auto [it, inserted] = index.emplace(
           t.target.key(), static_cast<std::uint32_t>(index.size()));
       if (inserted) frontier.push(t.target);
-      flat_.push_back(FlowTransition{it->second, t.rate,
-                                     static_cast<std::uint32_t>(t.delivered)});
+      flat_.push_back(FlowTransition{
+          it->second, static_cast<std::uint16_t>(t.delivered), 0, t.rate});
       exits += t.rate;
     }
     row_off_.push_back(static_cast<std::uint32_t>(flat_.size()));
@@ -325,6 +326,51 @@ void TcpFlowChain::solve_locked() const {
   }
   throughput_pps_ = rate;
   stationary_ = std::move(pi);
+}
+
+void TcpFlowChain::build_pick_cuts() const {
+  // Each compat engine calls this once, so the lock is cheap; taking it
+  // every time also orders the caller's reads after the build.
+  std::lock_guard<std::mutex> lock(solve_mu_);
+  if (pick_cuts_built_) return;
+  for (std::uint32_t s = 0; s < num_states(); ++s) {
+    const std::uint32_t off = row_off_[s];
+    const std::uint32_t last = row_off_[s + 1] - 1;
+    const double exit = exit_rate_[s];
+    // Edge i's cut: the first draw whose pick lies past edge i.  The pick
+    // only moves forward as b grows, so each search starts at the last cut.
+    std::uint64_t cut = 0;
+    double below = 0.0;  // rates up to edge i: where the cut should sit
+    for (std::uint32_t i = off; i < last; ++i) {
+      below += flat_[i].rate;
+      cut = first_draw_where(
+          [&](std::uint64_t b) {
+            return &pick_linear(s, Rng::unit(b) * exit) > &flat_[i];
+          },
+          cut, below / exit);
+      flat_[i].pick_cut = cut;
+    }
+    flat_[last].pick_cut = kDrawLimit;
+  }
+  for (const double e : exit_rate_) {  // few distinct values: insert sorted
+    const auto at = std::lower_bound(class_exit_rate_.begin(),
+                                     class_exit_rate_.end(), e);
+    if (at == class_exit_rate_.end() || *at != e) class_exit_rate_.insert(at, e);
+  }
+  if (class_exit_rate_.size() > 0x10000) {
+    throw std::length_error{"more than 65536 distinct exit rates"};
+  }
+  for (auto& t : flat_) {
+    t.target_class = static_cast<std::uint16_t>(exit_class(t.target));
+  }
+  pick_cuts_built_ = true;
+}
+
+std::uint32_t TcpFlowChain::exit_class(std::uint32_t s) const {
+  return static_cast<std::uint32_t>(
+      std::lower_bound(class_exit_rate_.begin(), class_exit_rate_.end(),
+                       exit_rate_[s]) -
+      class_exit_rate_.begin());
 }
 
 const std::vector<double>& TcpFlowChain::stationary() const {

@@ -27,11 +27,17 @@
 // Monte-Carlo hot loops walk contiguous memory, and every state carries a
 // Walker alias table so the fast samplers draw the next transition in O(1)
 // (`pick_alias`).  `pick_linear` reproduces, operation for operation, the
-// sequential-subtraction scan the engine has always used, so the default
-// "compat" sampling path stays byte-identical to historical golden runs.
-// See docs/MODEL_ENGINE.md.
+// sequential-subtraction scan the engine has always used, and defines the
+// default "compat" sampling path.  That path decides by integer cuts
+// instead (`pick_cut`): each edge stores the smallest 53-bit draw that
+// pick_linear sends past it, found by searching pick_linear itself, so a
+// compare of the raw draw picks the same edge as the scan, draw for draw,
+// and seeded runs stay byte-identical to historical golden runs.  The cuts
+// are built on first compat use (`build_pick_cuts`) into padding the edge
+// layout had anyway.  See docs/MODEL_ENGINE.md.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <mutex>
 #include <optional>
@@ -50,12 +56,75 @@ struct TcpChainParams {
   int max_backoff = 6;      // timeout exponent cap
 };
 
+// One past the largest 53-bit draw (Rng::draw53): a cut at kDrawLimit is
+// never reached.
+inline constexpr std::uint64_t kDrawLimit = 1ull << 53;
+
+// The smallest draw b in [lo, kDrawLimit) at which `holds(b)` is true, or
+// kDrawLimit if none; `holds` must be monotone (false, then true) on
+// [lo, kDrawLimit).  The search gallops out from `hint` (a fraction of the
+// draw range, where the boundary is expected) to bracket the boundary and
+// bisects the bracket, so the answer depends on `holds` alone: a wrong hint
+// costs evaluations, never exactness.
+template <class Holds>
+std::uint64_t first_draw_where(const Holds& holds, std::uint64_t lo,
+                               double hint) {
+  std::uint64_t hi = kDrawLimit;  // holds(hi), by convention at the limit
+  const double guess = hint * 0x1.0p53;
+  std::uint64_t probe = guess >= 0x1.0p53 ? kDrawLimit - 1
+                         : guess > 0.0    ? static_cast<std::uint64_t>(guess)
+                                          : 0;
+  probe = std::max(probe, lo);
+  if (probe >= hi) return hi;
+  std::uint64_t step = 1;
+  if (holds(probe)) {
+    hi = probe;
+    while (hi > lo) {  // gallop down
+      probe = hi - std::min(step, hi - lo);
+      if (!holds(probe)) {
+        lo = probe + 1;
+        break;
+      }
+      hi = probe;
+      step *= 2;
+    }
+  } else {
+    lo = probe + 1;
+    while (lo < hi) {  // gallop up
+      probe = lo + std::min(step, hi - lo) - 1;
+      if (holds(probe)) {
+        hi = probe;
+        break;
+      }
+      lo = probe + 1;
+      step *= 2;
+    }
+  }
+  while (lo < hi) {  // bisect: !holds(lo - 1), holds(hi)
+    const std::uint64_t mid = lo + (hi - lo) / 2;
+    if (holds(mid)) {
+      hi = mid;
+    } else {
+      lo = mid + 1;
+    }
+  }
+  return hi;
+}
+
 // One outgoing transition of the per-flow chain.
 struct FlowTransition {
   std::uint32_t target = 0;
-  double rate = 0.0;       // exponential rate (1/s)
-  std::uint32_t delivered = 0;  // S: packets released in order by this event
+  std::uint16_t delivered = 0;  // S: packets released in order (<= 2 wmax)
+  // The target's exit-rate class (TcpFlowChain::exit_class), and the
+  // compat pick cut: the smallest draw b for which pick_linear(s,
+  // Rng::unit(b) * exit_rate(s)) picks an edge after this one (kDrawLimit
+  // on a row's last edge).  Both zero until TcpFlowChain::build_pick_cuts().
+  std::uint16_t target_class = 0;
+  double rate = 0.0;  // exponential rate (1/s)
+  std::uint64_t pick_cut = 0;
 };
+static_assert(sizeof(FlowTransition) == 24,
+              "the compat fields fill what was padding");
 
 class TcpFlowChain {
  public:
@@ -107,6 +176,34 @@ class TcpFlowChain {
     return flat_[last];
   }
 
+  // pick_linear(s, Rng::unit(b) * exit_rate(s)) for a 53-bit draw b, by
+  // integer compares against the row's pick cuts: the scan is monotone in
+  // its argument, so the edge it picks is the first whose cut lies above b.
+  // Requires build_pick_cuts() (on any thread) first.
+  const FlowTransition& pick_cut(std::uint32_t s, std::uint64_t b) const {
+    const FlowTransition* t = flat_.data() + row_off_[s];
+    const FlowTransition* const last = flat_.data() + row_off_[s + 1] - 1;
+    while (t != last && !(b < t->pick_cut)) ++t;
+    return *t;
+  }
+
+  // Fills every edge's pick_cut, and the exit-rate classes below, on the
+  // first call; later calls return at once.  Thread-safe: concurrent
+  // callers wait for one build, and its results are visible to every
+  // caller once it returns.
+  void build_pick_cuts() const;
+
+  // Exit-rate classes (valid after build_pick_cuts()): states whose exit
+  // rates are bit-identical share a class, numbered by increasing rate.
+  // Exit rates take few distinct values (12-14 for a wmax-20 chain), so
+  // the compat sampler keys its per-class cuts by these ids; each edge
+  // carries its target's class (FlowTransition::target_class).
+  std::uint32_t exit_class(std::uint32_t s) const;
+  std::uint32_t num_exit_classes() const {
+    return static_cast<std::uint32_t>(class_exit_rate_.size());
+  }
+  double class_exit_rate(std::uint32_t c) const { return class_exit_rate_[c]; }
+
   // Next transition from `s` given u uniform in [0, 1): Walker alias table,
   // O(1) for any out-degree.  Same distribution as pick_linear but a
   // different map from u to outcome, so trajectories differ realization-
@@ -141,7 +238,9 @@ class TcpFlowChain {
   std::uint32_t initial_ = 0;
   // CSR: state s owns flat_[row_off_[s] .. row_off_[s+1]).
   std::vector<std::uint32_t> row_off_;
-  std::vector<FlowTransition> flat_;
+  // Mutable for build_pick_cuts() alone, which fills each edge's
+  // target_class and pick_cut once; the rest is fixed at construction.
+  mutable std::vector<FlowTransition> flat_;
   // Per-slot Walker alias table, sharing row_off_'s layout: column j of
   // state s keeps its own transition when the fractional draw falls below
   // alias_cut_, and alias_other_ (a row-local index) otherwise.
@@ -149,10 +248,14 @@ class TcpFlowChain {
   std::vector<std::uint32_t> alias_other_;
   std::vector<double> exit_rate_;
   std::vector<bool> timeout_flag_;
+  // The distinct exit rates, ascending; filled by build_pick_cuts().
+  mutable std::vector<double> class_exit_rate_;
 
+  // Guards the memoized solve and the one pick-cut and class build.
   mutable std::mutex solve_mu_;
   mutable std::optional<std::vector<double>> stationary_;
   mutable double throughput_pps_ = 0.0;
+  mutable bool pick_cuts_built_ = false;
 };
 
 // Inverse throughput map: the loss rate at which a path with the given RTT,

@@ -31,10 +31,14 @@ class Rng {
     return result;
   }
 
-  // Uniform in [0, 1): 53 random bits.
-  double uniform() {
-    return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
+  // The 53 random bits behind uniform(): b in [0, 2^53).
+  std::uint64_t draw53() { return next_u64() >> 11; }
+  // The uniform a 53-bit draw stands for, b * 2^-53 (exact).
+  static double unit(std::uint64_t b) {
+    return static_cast<double>(b) * 0x1.0p-53;
   }
+  // Uniform in [0, 1): 53 random bits.
+  double uniform() { return unit(draw53()); }
   // Uniform in [lo, hi).
   double uniform(double lo, double hi) { return lo + (hi - lo) * uniform(); }
   // Uniform integer in [0, n).

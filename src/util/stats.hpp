@@ -80,6 +80,23 @@ class BatchMeans {
       count -= m;
     }
   }
+  // add_many(0.0, zeros) then add_many(1.0, ones), in one update when no
+  // batch closes before the last sample.  Exact: adding 0.0 leaves a sum
+  // unchanged, and 1.0 * ones is an integer below 2^53.
+  void add_zeros_then_ones(std::uint64_t zeros, std::uint64_t ones) {
+    const std::uint64_t count = zeros + ones;
+    if (count > batch_target_ - in_batch_) {
+      add_many(0.0, zeros);
+      add_many(1.0, ones);
+      return;
+    }
+    const double contrib = static_cast<double>(ones);
+    total_n_ += static_cast<std::size_t>(count);
+    total_sum_ += contrib;
+    batch_sum_ += contrib;
+    in_batch_ += static_cast<std::size_t>(count);
+    if (in_batch_ >= batch_target_) close_batch();
+  }
   std::size_t count() const { return total_n_; }
   double mean() const;
   // CI over completed batches; falls back to a degenerate interval when

@@ -10,13 +10,16 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <latch>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "model/chain_cache.hpp"
 #include "model/composed_chain.hpp"
+#include "param_space.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 
@@ -264,6 +267,139 @@ TEST(CompatLoopDifferential, SequentialDecisionContinuesTheTrajectory) {
       expect_identical(engine.run(6'000, 600), oracle.run(6'000, 600),
                        g.label + " run after decision");
     }
+  }
+}
+
+// Points the randomized grid does not reach: delayed-ACK (ack_every = 2)
+// flows at K = 1..4, and bench_fig9's shape — two flows sharing one cached
+// chain (wmax 20, TO 4) at the Fig. 9 mu / RTT pairs (sigma_a / mu = 1.6)
+// with a short and a few-second startup delay.
+std::vector<GridPoint> widened_grid() {
+  Rng rng(20250925);
+  std::vector<GridPoint> grid;
+  for (std::size_t i = 0; i < 12; ++i) {
+    GridPoint g;
+    const auto kflows = 1 + static_cast<int>(i % 4);
+    for (int k = 0; k < kflows; ++k) {
+      TcpChainParams f;
+      f.loss_rate = 0.004 * std::pow(10.0, rng.uniform());
+      f.rtt_s = rng.uniform(0.05, 0.4);
+      f.to_ratio = rng.uniform(1.5, 4.0);
+      f.wmax = 4 + static_cast<int>(rng.uniform_int(29));
+      f.ack_every = (i < 4 || k % 2 == 0) ? 2 : 1;
+      g.params.flows.push_back(f);
+    }
+    g.params.mu_pps = rng.uniform(10.0, 100.0);
+    g.nmax = i % 3 == 0 ? 1 + static_cast<std::int64_t>(rng.uniform_int(3))
+                        : 5 + static_cast<std::int64_t>(rng.uniform_int(600));
+    g.params.tau_s = static_cast<double>(g.nmax) / g.params.mu_pps;
+    g.seed = 5000 + i;
+    std::ostringstream label;
+    label << "delayed-ACK point " << i << " (K=" << kflows
+          << ", Nmax=" << g.nmax << ")";
+    g.label = label.str();
+    grid.push_back(g);
+  }
+  {
+    // Four wmax-64 flows have more class tuples than the class table has
+    // slots, so tuples share slots and refill them.
+    GridPoint g;
+    for (const double p : {0.004, 0.01, 0.02, 0.04}) {
+      TcpChainParams f;
+      f.loss_rate = p;
+      f.rtt_s = 0.1 + p;
+      f.wmax = 64;
+      g.params.flows.push_back(f);
+    }
+    g.params.mu_pps = 150.0;
+    g.params.tau_s = 2.0;
+    g.nmax = g.params.nmax();
+    g.seed = 5100;
+    g.label = "K=4 wmax-64 point (shared class-table slots)";
+    grid.push_back(g);
+  }
+  constexpr double kTo = 4.0;
+  constexpr double kRatio = 1.6;
+  for (const double p : {0.004, 0.02, 0.04}) {
+    std::vector<std::pair<double, double>> mu_rtt;
+    for (const double mu : {25.0, 50.0, 100.0}) {
+      const double rtt = bench::rtt_for_ratio(p, kTo, mu, kRatio);
+      if (rtt <= 0.6) mu_rtt.emplace_back(mu, rtt);  // as bench_fig9 does
+    }
+    for (const double rtt : {0.1, 0.2, 0.3}) {
+      mu_rtt.emplace_back(bench::mu_for_ratio(p, rtt, kTo, kRatio), rtt);
+    }
+    for (const auto& [mu, rtt] : mu_rtt) {
+      for (const double tau : {0.2, 4.0}) {
+        GridPoint g;
+        g.params = bench::homogeneous_setup(p, rtt, kTo, mu);
+        g.params.tau_s = tau;
+        g.nmax = g.params.nmax();
+        g.seed = 6000 + grid.size();
+        std::ostringstream label;
+        label << "fig9 shape p=" << p << " mu=" << mu << " rtt=" << rtt
+              << " tau=" << tau;
+        g.label = label.str();
+        grid.push_back(g);
+      }
+    }
+  }
+  return grid;
+}
+
+TEST(CompatLoopDifferential, WidenedGridRunsMatchTheHistoricalLoop) {
+  for (const auto& g : widened_grid()) {
+    ASSERT_GE(g.nmax, 1) << g.label;
+    DmpModelMonteCarlo engine(g.params, g.seed);
+    HistoricalMonteCarlo oracle(g.params, g.seed);
+    expect_identical(engine.run(20'000, 2'000), oracle.run(20'000, 2'000),
+                     g.label + " first run");
+    expect_identical(engine.run(1, 0), oracle.run(1, 0), g.label + " single");
+    expect_identical(engine.run(9'000, 0), oracle.run(9'000, 0),
+                     g.label + " no warm-up");
+  }
+}
+
+TEST(CompatLoopDifferential, WidenedGridDecisionsMatchTheHistoricalLoop) {
+  for (const auto& g : widened_grid()) {
+    const double pilot =
+        HistoricalMonteCarlo(g.params, g.seed).run(5'000, 500).late_fraction;
+    for (const double threshold : {pilot, 1e-4}) {
+      DmpModelMonteCarlo engine(g.params, g.seed + 1);
+      HistoricalMonteCarlo oracle(g.params, g.seed + 1);
+      expect_identical(engine.run_until_decides(threshold, 4'000, 32'000),
+                       oracle.run_until_decides(threshold, 4'000, 32'000),
+                       g.label + " threshold " + std::to_string(threshold));
+    }
+  }
+}
+
+// Two threads start compat engines on one shared cached chain whose pick
+// cuts are not built yet, so both race to build them (as validation_sweep's
+// workers do); each trajectory must still match the historical loop.  Run
+// under ThreadSanitizer in CI.
+TEST(CompatLoopDifferential, ThreadsRaceToBuildSharedPickCuts) {
+  chain_cache_clear();
+  ComposedParams params = bench::homogeneous_setup(0.02, 0.15, 4.0, 40.0);
+  params.tau_s = 2.0;
+  // Built (without cuts) before the threads start, so they race on the
+  // cut build rather than on the cache.
+  const auto chain = shared_flow_chain(params.flows[0]);
+  std::latch start(2);
+  MonteCarloResult results[2];
+  std::thread workers[2];
+  for (int w = 0; w < 2; ++w) {
+    workers[w] = std::thread([&, w] {
+      start.arrive_and_wait();
+      DmpModelMonteCarlo engine(params, 77 + static_cast<std::uint64_t>(w));
+      results[w] = engine.run(30'000, 3'000);
+    });
+  }
+  for (auto& worker : workers) worker.join();
+  for (int w = 0; w < 2; ++w) {
+    HistoricalMonteCarlo oracle(params, 77 + static_cast<std::uint64_t>(w));
+    expect_identical(results[w], oracle.run(30'000, 3'000),
+                     "worker " + std::to_string(w));
   }
 }
 

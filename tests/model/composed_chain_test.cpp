@@ -4,6 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <vector>
+
+#include "model/chain_cache.hpp"
+#include "util/rng.hpp"
+
 namespace dmp {
 namespace {
 
@@ -280,6 +287,109 @@ TEST(ComposedExact, RejectsOversizedProducts) {
   params.mu_pps = 100.0;
   params.tau_s = 10.0;  // Nmax = 1000: product chain far beyond the cap
   EXPECT_THROW(ComposedChainExact{params}, std::invalid_argument);
+}
+
+TEST(MonteCarlo, ZeroBudgetsFailLoudly) {
+  ComposedParams params;
+  params.flows = {tiny_flow(), tiny_flow()};
+  params.mu_pps = 25.0;
+  params.tau_s = 2.0;
+  for (const SamplerMode mode : {SamplerMode::kCompat, SamplerMode::kAlias}) {
+    DmpModelMonteCarlo mc(params, 3, mode);
+    EXPECT_THROW(mc.run(0, 0), std::invalid_argument);
+    EXPECT_THROW(mc.run(0, 1'000), std::invalid_argument);
+    EXPECT_THROW(mc.run_until_decides(1e-3, 0, 10'000),
+                 std::invalid_argument);
+    EXPECT_THROW(mc.run_until_verdict(1e-3, 0, 10'000),
+                 std::invalid_argument);
+    // The engine stays usable after a refused call.
+    const auto result = mc.run(1'000, 0);
+    EXPECT_EQ(result.consumptions, 1'000u);
+    EXPECT_FALSE(std::isnan(result.late_fraction));
+  }
+}
+
+// The historical compat decision for draw b: -1 for a consumption, else
+// the flow picked by the sequential-subtraction scan.
+int historical_event(double mu, const std::vector<double>& exits,
+                     std::uint64_t b) {
+  double total = mu;
+  for (const double e : exits) total += e;
+  const double x = Rng::unit(b) * total;
+  if (x < mu) return -1;
+  double y = x - mu;
+  std::size_t k = 0;
+  for (; k + 1 < exits.size(); ++k) {
+    if (y < exits[k]) break;
+    y -= exits[k];
+  }
+  return static_cast<int>(k);
+}
+
+int event_by_cuts(const std::vector<std::uint64_t>& cuts, std::uint64_t b) {
+  if (b < cuts[0]) return -1;
+  std::size_t k = 0;
+  while (k + 1 < cuts.size() && b >= cuts[k + 1]) ++k;
+  return static_cast<int>(k);
+}
+
+// The consumption and flow cuts must reproduce the historical decision on
+// both sides of every cut and at both ends of the draw range, for exit
+// rates taken from real chains (K = 1..4).  The grid must include totals
+// at which the first non-consumption draw has u * total rounding up to
+// exactly mu, where a closed-form cut would be one draw off.
+TEST(CompatClassCuts, MatchTheHistoricalDecisionOnBothSidesOfEveryCut) {
+  Rng rng(925);
+  std::vector<std::shared_ptr<const TcpFlowChain>> chains;
+  for (const int wmax : {4, 20, 64}) {
+    for (const int ack_every : {1, 2}) {
+      TcpChainParams p;
+      p.loss_rate = 0.004 * std::pow(10.0, rng.uniform());
+      p.rtt_s = rng.uniform(0.05, 0.4);
+      p.to_ratio = rng.uniform(1.5, 4.0);
+      p.wmax = wmax;
+      p.ack_every = ack_every;
+      chains.push_back(shared_flow_chain(p));
+    }
+  }
+  int rounded_up_to_mu = 0;
+  for (int round = 0; round < 4000; ++round) {
+    const std::size_t kflows = 1 + static_cast<std::size_t>(round % 4);
+    std::vector<double> exits;
+    for (std::size_t k = 0; k < kflows; ++k) {
+      const auto& chain = *chains[rng.uniform_int(chains.size())];
+      exits.push_back(chain.exit_rate(
+          static_cast<std::uint32_t>(rng.uniform_int(chain.num_states()))));
+    }
+    const double mu = rng.uniform(5.0, 150.0);
+    std::vector<std::uint64_t> cuts(kflows);
+    compat_class_cuts(mu, exits.data(), kflows, cuts.data());
+    const auto agrees = [&](std::uint64_t b) {
+      return event_by_cuts(cuts, b) == historical_event(mu, exits, b);
+    };
+    ASSERT_TRUE(agrees(0)) << "round " << round;
+    ASSERT_TRUE(agrees(kDrawLimit - 1)) << "round " << round;
+    ASSERT_GT(cuts[0], 0u);
+    ASSERT_LT(cuts[0], kDrawLimit);
+    for (std::size_t i = 0; i < kflows; ++i) {
+      if (i > 0) {
+        ASSERT_GE(cuts[i], cuts[i - 1]) << "round " << round;
+      }
+      if (cuts[i] > 0) {
+        ASSERT_TRUE(agrees(cuts[i] - 1)) << "round " << round << " cut " << i;
+      }
+      if (cuts[i] < kDrawLimit) {
+        ASSERT_TRUE(agrees(cuts[i])) << "round " << round << " cut " << i;
+      }
+    }
+    // The rounding edge: at the consumption cut u * total is exactly mu
+    // though the exact product lies below it.
+    double total = mu;
+    for (const double e : exits) total += e;
+    const double u = Rng::unit(cuts[0]);
+    if (u * total == mu && std::fma(u, total, -mu) < 0.0) ++rounded_up_to_mu;
+  }
+  EXPECT_GT(rounded_up_to_mu, 0);
 }
 
 }  // namespace

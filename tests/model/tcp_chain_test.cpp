@@ -217,5 +217,73 @@ TEST(AliasSampler, EveryDrawReturnsAValidTransition) {
   }
 }
 
+// The compat pick by integer cut must equal pick_linear on both sides of
+// every cut (so a cut one draw early or late fails) and at both ends of
+// the draw range.
+TEST(PickCuts, MatchPickLinearOnBothSidesOfEveryCut) {
+  for (const int wmax : {4, 20, 64}) {
+    for (const int ack_every : {1, 2}) {
+      for (const double loss : {0.004, 0.04}) {
+        auto params = base_params();
+        params.wmax = wmax;
+        params.ack_every = ack_every;
+        params.loss_rate = loss;
+        const TcpFlowChain chain(params);
+        chain.build_pick_cuts();
+        chain.build_pick_cuts();  // a second call keeps the first build
+        std::uint64_t boundaries = 0;
+        for (std::uint32_t s = 0; s < chain.num_states(); ++s) {
+          const auto row = chain.transitions_from(s);
+          const double exit = chain.exit_rate(s);
+          const auto agrees = [&](std::uint64_t b) {
+            return &chain.pick_cut(s, b) ==
+                   &chain.pick_linear(s, Rng::unit(b) * exit);
+          };
+          ASSERT_EQ(chain.class_exit_rate(chain.exit_class(s)), exit)
+              << "state " << s;
+          ASSERT_TRUE(agrees(0)) << "state " << s;
+          ASSERT_TRUE(agrees(kDrawLimit - 1)) << "state " << s;
+          ASSERT_EQ(row.back().pick_cut, kDrawLimit) << "state " << s;
+          std::uint64_t previous = 0;
+          for (const auto& t : row) {
+            ASSERT_EQ(t.target_class, chain.exit_class(t.target));
+            const std::uint64_t cut = t.pick_cut;
+            ASSERT_GE(cut, previous) << "state " << s;
+            previous = cut;
+            if (cut > 0) {
+              ASSERT_TRUE(agrees(cut - 1)) << "state " << s << " cut " << cut;
+            }
+            if (cut < kDrawLimit) {
+              ASSERT_TRUE(agrees(cut)) << "state " << s << " cut " << cut;
+              ++boundaries;
+            }
+          }
+        }
+        EXPECT_GT(boundaries, chain.num_states()) << "wmax " << wmax;
+      }
+    }
+  }
+}
+
+TEST(PickCuts, FirstDrawWhereFindsTheBoundaryFromAnyHint) {
+  for (const std::uint64_t boundary :
+       {std::uint64_t{0}, std::uint64_t{1}, std::uint64_t{12345},
+        kDrawLimit / 3, kDrawLimit - 1, kDrawLimit}) {
+    const auto holds = [&](std::uint64_t b) { return b >= boundary; };
+    for (const double hint : {-1.0, 0.0, 1e-12, 0.3333333333333333, 0.5,
+                              0.9999999, 1.0, 2.0}) {
+      EXPECT_EQ(first_draw_where(holds, 0, hint), boundary)
+          << "boundary " << boundary << " hint " << hint;
+    }
+    if (boundary >= 7) {
+      EXPECT_EQ(first_draw_where(holds, 7, 0.0), boundary);
+    }
+  }
+  // A search starting at the limit has nothing left to search.
+  EXPECT_EQ(first_draw_where([](std::uint64_t) { return true; }, kDrawLimit,
+                             0.5),
+            kDrawLimit);
+}
+
 }  // namespace
 }  // namespace dmp
