@@ -187,12 +187,16 @@ inline void set_items_per_iteration(benchmark::State& state,
 
 // One packet-level-session arm: run the session every iteration and report
 // executed DES events as items, so items/s is an event rate comparable
-// across arms (e.g. telemetry off vs on).
+// across arms (e.g. telemetry off vs on).  `eager_links` runs it on the
+// eager reference (Scheduler::keep_links_eager).
 inline void run_session_arm(benchmark::State& state,
-                            const SessionConfig& config) {
+                            const SessionConfig& config,
+                            bool eager_links = false) {
   std::uint64_t events = 0;
   for (auto _ : state) {
-    const auto result = run_session(config);
+    Scheduler sched;
+    if (eager_links) sched.keep_links_eager();
+    const auto result = run_session(config, sched);
     benchmark::DoNotOptimize(result.packets_generated);
     events += result.events_executed;
   }

@@ -59,12 +59,10 @@ BENCHMARK(BM_PacketLevelSession)->Unit(benchmark::kMillisecond);
 
 // Same session under each AQM discipline — the ratio against the droptail
 // arm is the qdisc hot-path cost bench_guard.py rates (the lazy controller
-// stepping must not slow the per-packet path measurably).  A fault-free
-// drop-tail bottleneck runs lazy while an AQM one cannot, so every arm
-// carries the same inert fault event on both paths (a rescale by factor 1
-// at the video epoch: the constructed configuration again).  Fault-reachable
-// bottlenecks stay eager, so all four arms run the same eager bottleneck
-// path and differ only in the discipline.
+// stepping must not slow the per-packet path measurably).  A drop-tail
+// bottleneck runs lazy while an AQM one cannot, so every arm runs on the
+// eager reference (every link eager): all four arms run the same eager
+// link path and differ only in the discipline.
 void BM_PacketLevelSessionQdisc(benchmark::State& state) {
   static const char* const kQdiscs[] = {"droptail", "pie", "fq_pie", "codel"};
   SessionConfig config;
@@ -74,10 +72,9 @@ void BM_PacketLevelSessionQdisc(benchmark::State& state) {
   config.warmup_s = 5.0;
   config.drain_s = 5.0;
   config.seed = 11;
-  config.faults = "0 rescale path0 bw=1; 0 rescale path1 bw=1";
   config.qdisc = kQdiscs[state.range(0)];
   state.SetLabel(config.qdisc);
-  bench::run_session_arm(state, config);
+  bench::run_session_arm(state, config, true);
 }
 BENCHMARK(BM_PacketLevelSessionQdisc)->DenseRange(0, 3)
     ->Unit(benchmark::kMillisecond);

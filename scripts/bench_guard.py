@@ -17,8 +17,8 @@ BM_PacketLevelSessionQdisc arm (droptail/pie/fq_pie/codel, DenseRange 0-3)
 must process events within that fraction of BM_PacketLevelSessionQdisc/0
 (the droptail-through-the-interface baseline) from the same run — a ratio
 of two rates from one binary on one runner, so machine-speed independent.
-Every arm carries the same inert fault event, which keeps each bottleneck
-on the eager path, so the ratio compares disciplines and not link modes.
+Every arm runs on the eager reference (Scheduler::keep_links_eager), so the
+ratio compares disciplines and not link modes.
 
 It also guards the DES core on the packet-level session bench: an
 absolute floor on BM_PacketLevelSession events/s (conservative for slow

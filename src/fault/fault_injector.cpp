@@ -59,8 +59,8 @@ void FaultInjector::arm() {
     }
   }
   for (const FaultEvent& e : plan_.events) {
-    sched_.post_at(epoch_ + SimTime::seconds(e.t_s),
-                   [this, &e] { fire(e); }, EventCategory::kFault);
+    sched_.post_at(fire_time(epoch_, e), [this, &e] { fire(e); },
+                   EventCategory::kFault);
     ++armed_;
   }
 }

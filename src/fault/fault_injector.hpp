@@ -61,6 +61,13 @@ class FaultInjector {
   // inet layer can perform).  Call at most once.
   void arm();
 
+  // When event `e` of a plan armed at `epoch` fires: the one place that
+  // maps plan time to scheduler time (owners declaring fault times to
+  // lazy links read it too).
+  static SimTime fire_time(SimTime epoch, const FaultEvent& e) {
+    return epoch + SimTime::seconds(e.t_s);
+  }
+
   std::size_t events_armed() const { return armed_; }
   std::size_t events_fired() const { return fired_; }
   const FaultPlan& plan() const { return plan_; }

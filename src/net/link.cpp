@@ -1,5 +1,6 @@
 #include "net/link.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 #include <string>
 
@@ -143,12 +144,12 @@ void Link::set_lazy_allowed(bool allowed) {
   lazy_allowed_ = allowed;
 }
 
-// What must act at a tx-done as it happens — AQM dequeue decisions and
-// fault hooks — keeps the eager path.  A drop-tail buffer's drop test
-// needs only the queue length at arrival, which the departure FIFO holds.
+// What must act at a tx-done as it happens — AQM dequeue decisions —
+// keeps the eager path.  A drop-tail buffer's drop test needs only the
+// queue length at arrival, which the departure FIFO holds, and a declared
+// fault only bounds how far ahead departures are admitted.
 bool Link::lazy_eligible() const {
-  return lazy_allowed_ && droptail_ != nullptr && !fault_touched_ &&
-         !sched_.links_eager();
+  return lazy_allowed_ && droptail_ != nullptr && !sched_.links_eager();
 }
 
 // Decided once, at the first arrival: by then the owner has bound every
@@ -162,7 +163,7 @@ void Link::decide_mode() {
 // decides its own receiver at the same time.
 bool Link::feed_virtually() {
   if (mode_ != Mode::kUndecided || config_.buffer_packets != 0 ||
-      !lazy_eligible()) {
+      fault_path_ || !lazy_eligible()) {
     return false;
   }
   mode_ = Mode::kLazy;
@@ -177,18 +178,10 @@ bool Link::feed_virtually() {
 // order, known at admission.
 void Link::fuse_receiver() {
   Link* next = next_link_;
-  if (next != nullptr && next->upstream_only_ &&
+  if (next != nullptr && !real_hop_ && next->upstream_only_ &&
       next->upstream_links_ == 1 && next->feed_virtually()) {
     feeds_next_ = true;
   }
-}
-
-void Link::require_eager(const char* hook) {
-  if (mode_ == Mode::kLazy) {
-    throw std::logic_error{std::string(hook) +
-                           " on a lazy link (disallow lazy mode first)"};
-  }
-  fault_touched_ = true;
 }
 
 // The eager link starts a packet at its arrival when the transmitter is
@@ -203,6 +196,10 @@ void Link::require_eager(const char* hook) {
 void Link::send_lazy(const Packet& p) {
   ++total_arrivals_;
   ++flow_slot(p.flow).arrivals;
+  if (fault_path_) [[unlikely]] {
+    send_faulted(p);
+    return;
+  }
   const std::size_t ahead = pass_departures();
   if (config_.buffer_packets != 0 && ahead > config_.buffer_packets) {
     droptail_->reject(p);
@@ -217,6 +214,109 @@ void Link::send_lazy(const Packet& p) {
           last.when);
   }
   if (replay_) [[unlikely]] trace_admitted(p, sched_.now(), 0);
+}
+
+// A lazy link that faults reach (docs/DES_ENGINE.md, "Lazy links under
+// faults").  Every fault at or before this nanosecond has popped, so the
+// link's down state and burst count are the eager link's at this arrival.
+// What lies ahead, admitted or parked, is the eager queue plus the packet
+// on the wire (an up link always transmits the first of them).  A packet
+// that finds nothing parked starts now or at the newest departure, as in
+// send_lazy; behind a parked packet it waits its turn.
+void Link::send_faulted(const Packet& p) {
+  if (down_ || burst_remaining_ > 0) {
+    fault_drop(p);
+    return;
+  }
+  const SimTime now = sched_.now();
+  const SimTime horizon = fault_horizon();
+  if (horizon <= now) {
+    throw std::logic_error{"link arrival after a declared fault's time "
+                           "before the fault ran"};
+  }
+  const std::size_t ahead = pass_departures() + parked();
+  if (config_.buffer_packets != 0 && ahead > config_.buffer_packets) {
+    droptail_->reject(p);
+    return;
+  }
+  if (parked() == 0) {
+    const SimTime tx = tx_time(p.size_bytes);
+    Started s{now, now + tx, 0, tx};
+    if (ahead == 0) {
+      s.sigma = sched_.claim_seq();
+    } else {
+      const Departure& last = departures_.back();
+      s = Started{last.when, last.when + tx,
+                  Scheduler::virtual_seq(last.vid, 1), tx};
+    }
+    if (s.when < horizon) {
+      admit_started(p, s);
+    } else {
+      parked_.push_back(p);
+      head_ = s;
+      sched_.use_claim(s.sigma);
+    }
+  } else {
+    parked_.push_back(p);
+  }
+  if (replay_) [[unlikely]] trace_admitted(p, now, 0);
+}
+
+void Link::start_head(SimTime start, std::uint64_t sigma) {
+  const SimTime tx = tx_time(parked_[parked_head_].size_bytes);
+  head_ = Started{start, start + tx, sigma, tx};
+  sched_.use_claim(sigma);  // the eager tx-done that starts it claims it
+}
+
+// A departure is admitted only before the next declared fault: no later
+// fault can change it then, and no virtual event is ever taken back.  The
+// admitted packet's successor starts at its tx-done unless the link is
+// down, which freezes the queue as the eager tx-done does.
+void Link::resume() {
+  const SimTime horizon = fault_horizon();
+  while (head_ && head_->when < horizon) {
+    const Started s = *head_;
+    head_.reset();
+    admit_started(parked_[parked_head_++], s);
+    if (parked() == 0) {
+      parked_.clear();
+      parked_head_ = 0;
+    } else if (!down_) {
+      const Departure& last = departures_.back();
+      start_head(last.when, Scheduler::virtual_seq(last.vid, 1));
+    }
+  }
+  // A link that never drains its parked list drops the admitted prefix.
+  if (parked_head_ >= 64 && parked_head_ * 2 >= parked_.size()) {
+    parked_.erase(parked_.begin(),
+                  parked_.begin() + static_cast<std::ptrdiff_t>(parked_head_));
+    parked_head_ = 0;
+  }
+}
+
+void Link::admit_started(const Packet& p, const Started& s) {
+  const SimTime when = s.when + config_.prop_delay;
+  if (feeds_next_ || deliveries_head_ == deliveries_.size() ||
+      !(when < deliveries_.back().when)) [[likely]] {
+    admit(p, s.when, s.sigma, s.tx, s.start);
+    return;
+  }
+  // A shrunk delay: the delivery undercuts the FIFO tail, so it takes a
+  // one-entry post, as the eager link's does, under its own key.
+  const std::uint64_t vid =
+      sched_.add_virtual(s.when, s.sigma, 1, EventCategory::kLinkTx);
+  departures_.push_back(Departure{s.when, vid, s.tx, p.flow});
+  ahead_tx_ += s.tx;
+  busy_time_ += s.tx;
+  sched_.keep_lookback((when - s.start) * 2 + SimTime::millis(10));
+  sched_.post_key(
+      when, Scheduler::virtual_seq(vid, 0),
+      [this, p, vid] {
+        std::uint64_t hint = 0;
+        sched_.settle_virtual(vid, &hint);
+        deliver(p);
+      },
+      EventCategory::kLinkDelivery);
 }
 
 // The source's emission pop would hand the packet over exactly as an
@@ -350,7 +450,8 @@ void Link::replay_passed() const {
     const Departure& d = departures_[obs_done_];
     if (fed_) observe_arrivals(&d);
     if (ts_delivered_) ts_delivered_->bump(d.when);
-    if (obs_started_ == obs_arrived_) continue;
+    // A down link's queue stays frozen past the tx-done.
+    if (down_ || obs_started_ == obs_arrived_) continue;
     const Packet& next = traced_[obs_started_++].p;
     const std::size_t depth = obs_arrived_ - obs_started_;
     if (flight_ != nullptr && next.app_tag >= 0) {
@@ -395,8 +496,12 @@ std::size_t Link::arrivals_ahead(const FlowId* flow) const {
 
 std::size_t Link::queue_length() const {
   if (mode_ != Mode::kLazy) return qlen();
-  const std::size_t arrived = pass_departures() - arrivals_ahead();
-  return arrived == 0 ? 0 : arrived - 1;
+  // The first arrived packet is on the wire, unless a down link froze it
+  // unstarted in the parked queue.
+  const std::size_t ahead = pass_departures();
+  const std::size_t arrived = ahead - arrivals_ahead() + parked();
+  const bool on_wire = ahead > 0 || head_.has_value();
+  return arrived > 0 && on_wire ? arrived - 1 : arrived;
 }
 
 std::uint64_t Link::total_arrivals() const {
@@ -405,8 +510,9 @@ std::uint64_t Link::total_arrivals() const {
 
 std::uint64_t Link::total_delivered() const {
   if (mode_ != Mode::kLazy) return total_delivered_;
-  // Every admitted packet not dropped whose tx-done has passed.
-  return total_arrivals_ - total_drops_ - pass_departures();
+  // Every packet not dropped whose tx-done has passed.
+  return total_arrivals_ - total_drops_ - fault_drops_ - pass_departures() -
+         parked();
 }
 
 void Link::send(const Packet& p) {
@@ -427,24 +533,8 @@ void Link::arrive(const Packet& p) {
   ++total_arrivals_;
   ++flow_slot(p.flow).arrivals;
 
-  // Injected faults discard on arrival.  These are not congestion drops:
-  // they bypass the qdisc (and its counters) entirely so the measured p_k
-  // keeps meaning "congestion loss", and are tallied in fault_drops_
-  // instead — fault_drops() stays disjoint from total_drops() under every
-  // discipline.
   if (down_ || burst_remaining_ > 0) {
-    if (!down_) --burst_remaining_;
-    ++fault_drops_;
-    if (event_log_ && event_log_->enabled(obs::Severity::kWarn)) {
-      event_log_->record(sched_.now().to_seconds(), obs::Severity::kWarn,
-                         "fault_drop",
-                         {obs::EventField::num("flow", p.flow),
-                          obs::EventField::num("seq", p.seq),
-                          obs::EventField::num("down", down_ ? 1 : 0)});
-    }
-    if (flight_ && p.app_tag >= 0) {
-      record_flight(sched_.now(), p, obs::FlightEventKind::kLinkDrop, qlen());
-    }
+    fault_drop(p);
     return;
   }
 
@@ -467,6 +557,26 @@ void Link::arrive(const Packet& p) {
   }
   if (ts_queue_) {
     ts_queue_->add(sched_.now(), static_cast<double>(qlen()));
+  }
+}
+
+// Injected faults discard on arrival.  These are not congestion drops: they
+// bypass the qdisc (and its counters) entirely so the measured p_k keeps
+// meaning "congestion loss", and are tallied in fault_drops_ instead —
+// fault_drops() stays disjoint from total_drops() under every discipline.
+void Link::fault_drop(const Packet& p) {
+  if (!down_) --burst_remaining_;
+  ++fault_drops_;
+  if (event_log_ && event_log_->enabled(obs::Severity::kWarn)) {
+    event_log_->record(sched_.now().to_seconds(), obs::Severity::kWarn,
+                       "fault_drop",
+                       {obs::EventField::num("flow", p.flow),
+                        obs::EventField::num("seq", p.seq),
+                        obs::EventField::num("down", down_ ? 1 : 0)});
+  }
+  if (flight_ && p.app_tag >= 0) {
+    record_flight(sched_.now(), p, obs::FlightEventKind::kLinkDrop,
+                  queue_length());
   }
 }
 
@@ -551,8 +661,61 @@ void Link::deliver(const Packet& p) {
   }
 }
 
+void Link::declare_fault(SimTime at) {
+  if (mode_ != Mode::kUndecided) {
+    throw std::logic_error{"declare_fault after the first send"};
+  }
+  fault_times_.insert(
+      std::upper_bound(fault_times_.begin(), fault_times_.end(), at), at);
+  fault_path_ = true;
+}
+
+void Link::declare_fault(SimTime at, double delay_factor) {
+  declare_fault(at);
+  // A delivery after a shrink could overtake one already in flight, which
+  // a receiver fed virtually cannot take.
+  if (delay_factor < max_delay_factor_) real_hop_ = true;
+  max_delay_factor_ = std::max(max_delay_factor_, delay_factor);
+}
+
+bool Link::lazy_fault_hook(const char* hook) {
+  if (mode_ == Mode::kEager ||
+      (mode_ == Mode::kUndecided && !lazy_eligible())) {
+    return false;
+  }
+  if (fault_horizon() != sched_.now()) {
+    throw std::logic_error{std::string(hook) +
+                           " on a lazy link at an undeclared time"};
+  }
+  ++next_fault_;
+  pass_departures();  // the bound replay sees the state before the hook
+  return true;
+}
+
+void Link::drop_next(std::uint64_t count) {
+  if (fed_) throw std::logic_error{"drop_next on a link fed virtually"};
+  fault_path_ = true;
+  burst_remaining_ += count;
+}
+
 void Link::set_down(bool down) {
-  require_eager("set_down");
+  if (lazy_fault_hook("set_down")) {
+    down_ = down;
+    if (!down_ && !head_ && parked() != 0) {
+      // A raised link starts its frozen queue's head now, claiming the
+      // tx-done key where the eager start_transmission does.
+      if (replay_) [[unlikely]] {
+        const Packet& next = traced_[obs_started_++].p;
+        if (flight_ != nullptr && next.app_tag >= 0) {
+          record_flight(sched_.now(), next, obs::FlightEventKind::kLinkDequeue,
+                        obs_arrived_ - obs_started_);
+        }
+      }
+      start_head(sched_.now(), sched_.claim_seq());
+    }
+    resume();
+    return;
+  }
   down_ = down;
   if (!down_ && !transmitting_) {
     Packet next;
@@ -564,13 +727,15 @@ void Link::rescale(double bw_factor, double delay_factor) {
   if (!(bw_factor > 0.0) || !(delay_factor > 0.0)) {
     throw std::invalid_argument{"link rescale factors must be positive"};
   }
-  require_eager("rescale");
+  const bool lazy = lazy_fault_hook("rescale");
   config_.bandwidth_bps = base_config_.bandwidth_bps * bw_factor;
   config_.prop_delay = SimTime::nanos(static_cast<std::int64_t>(
       static_cast<double>(base_config_.prop_delay.ns()) * delay_factor));
   tx_cache_bytes_ = -1;  // bandwidth changed: drop the cached tx time
   // PIE's queue-delay estimate tracks the rescaled drain rate.
   qdisc_->set_drain_rate(config_.bandwidth_bps);
+  // The packet on the wire keeps its tx time and takes the new delay.
+  if (lazy) resume();
 }
 
 LinkFlowCounters Link::flow_counters(FlowId flow) const {
@@ -617,10 +782,13 @@ double Link::utilization(SimTime elapsed) const {
   if (mode_ == Mode::kLazy) {
     // Packets queued or not yet arrived have not started: their tx time is
     // not busy yet.  The first arrived one ahead is on the wire.
-    const std::size_t arrived = pass_departures() - arrivals_ahead();
+    const std::size_t ahead = pass_departures();
+    const std::size_t arrived = ahead - arrivals_ahead();
     SimTime unstarted = ahead_tx_;
     if (arrived > 0) unstarted = unstarted - departures_[departed_].tx;
     busy = busy - unstarted;
+    // With nothing admitted ahead, a started parked head is on the wire.
+    if (ahead == 0 && head_) busy = busy + head_->tx;
   }
   return busy.to_seconds() / elapsed.to_seconds();
 }

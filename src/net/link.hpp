@@ -12,13 +12,17 @@
 // event that never enters the queue.  A lazy link whose receiver is an
 // unbounded lazy link fed by nothing else makes the delivery virtual too
 // and feeds the arrival into the receiver at once; a sender's jitter stage
-// feeds its private entry link the same way (send_at).  Pop order,
-// delivery times, drops and events_executed() are identical either way
-// (docs/DES_ENGINE.md).
+// feeds its private entry link the same way (send_at).  Under faults the
+// owner declares when set_down / rescale will run (declare_fault): the
+// link admits only departures before the next declared fault and parks
+// the rest, in FIFO order, until that fault's pop (the fault horizon).
+// Pop order, delivery times, drops and events_executed() are identical
+// either way (docs/DES_ENGINE.md).
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -90,12 +94,11 @@ class Link {
   std::size_t queue_length() const;
   const LinkConfig& config() const { return config_; }
 
-  // Lazy mode.  The owner allows it (default: not allowed) when no fault
-  // hook will reach the link; the link then goes lazy at its first send if
-  // it also has a drop-tail queue (any buffer) and its scheduler does not
-  // keep links eager (Scheduler::keep_links_eager).  A lazy link decides
-  // its receiver's mode at the same time when it fuses the hop.  Fault
-  // hooks on a lazy link throw std::logic_error.
+  // Lazy mode.  The owner allows it (default: not allowed); the link then
+  // goes lazy at its first send if it also has a drop-tail queue (any
+  // buffer) and its scheduler does not keep links eager
+  // (Scheduler::keep_links_eager).  A lazy link decides its receiver's
+  // mode at the same time when it fuses the hop.
   void set_lazy_allowed(bool allowed);
   bool lazy() const { return mode_ == Mode::kLazy; }
 
@@ -117,6 +120,16 @@ class Link {
   double utilization(SimTime elapsed) const;
 
   // --- fault hooks (src/fault/; all inert until first used) ---
+  // Before its first send, the owner declares each set_down call (at `at`)
+  // and each rescale call (at `at`, to `delay_factor`), rescales in time
+  // order.  The call must run at its declared nanosecond before any
+  // arrival or tx-done of the link there (FaultInjector::arm claims its
+  // keys before the first packet).  On a lazy link an undeclared
+  // set_down / rescale throws std::logic_error, and so does an arrival
+  // once a declared one is overdue; a plan that shrinks the delay below
+  // an earlier value keeps the hop into the receiver real.
+  void declare_fault(SimTime at);
+  void declare_fault(SimTime at, double delay_factor);
   // While down the link drops every arrival (counted in fault_drops(), NOT
   // in the congestion counters the measured p_k is built from), finishes
   // the transmission already on the wire, and freezes its queue.  Raising
@@ -124,10 +137,8 @@ class Link {
   void set_down(bool down);
   bool down() const { return down_; }
   // Drops the next `count` arrivals (burst loss); cumulative across calls.
-  void drop_next(std::uint64_t count) {
-    require_eager("drop_next");
-    burst_remaining_ += count;
-  }
+  // Needs no declaration, but throws on a link fed virtually.
+  void drop_next(std::uint64_t count);
   std::uint64_t burst_remaining() const { return burst_remaining_; }
   // Rescales bandwidth / propagation delay relative to the CONSTRUCTED
   // configuration (factors do not compound), applying to future
@@ -164,6 +175,14 @@ class Link {
     SimTime tx;
     FlowId flow;
   };
+  // A lazy faulted link's parked head once its transmission has started:
+  // its start, tx-done time and key, and tx time.
+  struct Started {
+    SimTime start;
+    SimTime when;
+    std::uint64_t sigma;
+    SimTime tx;
+  };
   // A bound lazy link's departure: the packet, when it arrives and,
   // arriving virtually, whether before the tx-done at that nanosecond.
   struct Traced {
@@ -193,6 +212,25 @@ class Link {
   // send() past the upstream-only check: what an upstream link delivers.
   void arrive(const Packet& p);
   void send_lazy(const Packet& p);
+  // send_lazy on a link that faults reach (declared, or a burst loss).
+  void send_faulted(const Packet& p);
+  // A fault hook's common part: false on a link that runs eager; on a lazy
+  // one, consumes the hook's declaration and catches the link up.
+  bool lazy_fault_hook(const char* hook);
+  std::size_t parked() const { return parked_.size() - parked_head_; }
+  SimTime fault_horizon() const {
+    return next_fault_ < fault_times_.size() ? fault_times_[next_fault_]
+                                             : SimTime::max();
+  }
+  // The parked head starts transmitting at `start` under key `sigma`.
+  void start_head(SimTime start, std::uint64_t sigma);
+  // Admits the parked packets whose tx-done now lies before the horizon.
+  void resume();
+  // admit() for a started packet of a faulted link, whose delivery may
+  // undercut the FIFO tail after a shrunk delay.
+  void admit_started(const Packet& p, const Started& s);
+  // An arrival dropped by link_down or burst_loss.
+  void fault_drop(const Packet& p);
   // A packet arriving on a link fed virtually, at virtual event `arrival`
   // (time `when`): an upstream link's delivery or a source's emission.
   void arrive_virtual(const Packet& p, std::uint64_t arrival, SimTime when,
@@ -217,7 +255,6 @@ class Link {
   // On a link fed virtually: admitted packets (of `flow`, or all) whose
   // virtual arrival is still ahead; 0 on any other link.
   std::size_t arrivals_ahead(const FlowId* flow = nullptr) const;
-  void require_eager(const char* hook);
   void start_transmission(const Packet& p);
   void on_transmit_done();
   void on_delivery();
@@ -270,7 +307,7 @@ class Link {
 
   Mode mode_ = Mode::kUndecided;
   bool lazy_allowed_ = false;
-  bool fault_touched_ = false;  // a fault hook ran before the first send
+  bool fault_path_ = false;     // arrivals take send_faulted
   bool upstream_only_ = false;  // set_upstream_only()
   // Arrivals are virtual: an upstream link's deliveries, or with no
   // upstream link a source's emissions (send_at).
@@ -328,6 +365,19 @@ class Link {
   mutable std::size_t obs_done_ = 0;
   mutable std::size_t obs_started_ = 0;
   mutable std::size_t obs_arrived_ = 0;
+
+  // Lazy links under faults: the declared hook times (sorted) and the next
+  // one's index; the packets whose tx-done lies at or past it, parked in
+  // FIFO order from `parked_head_`, the first of them started once its
+  // tx-done key is fixed (`head_`).  A delay factor below an earlier one
+  // keeps the hop into the receiver real (`real_hop_`).
+  std::vector<SimTime> fault_times_;
+  std::size_t next_fault_ = 0;
+  double max_delay_factor_ = 1.0;
+  bool real_hop_ = false;
+  std::vector<Packet> parked_;
+  std::size_t parked_head_ = 0;
+  std::optional<Started> head_;
 };
 
 }  // namespace dmp

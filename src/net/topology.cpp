@@ -30,17 +30,23 @@ DumbbellPath::DumbbellPath(Scheduler& sched, BottleneckConfig bottleneck,
   exit_->set_upstream_only();
   rev_exit_->set_upstream_only();
 
-  // Every link may run lazy until expose_to_faults() (drop-tail ones do;
-  // Link::set_lazy_allowed).
+  // Every link may run lazy (drop-tail ones do; Link::set_lazy_allowed).
   for (Link* link : {bottleneck_.get(), exit_.get(), rev_bottleneck_.get(),
                      rev_exit_.get()}) {
     link->set_lazy_allowed(true);
   }
 }
 
-void DumbbellPath::expose_to_faults() {
-  bottleneck_->set_lazy_allowed(false);
-  rev_bottleneck_->set_lazy_allowed(false);
+void DumbbellPath::expose_to_faults(
+    const std::vector<SimTime>& down_times,
+    const std::vector<std::pair<SimTime, double>>& rescales) {
+  for (const SimTime at : down_times) {
+    bottleneck_->declare_fault(at);
+    rev_bottleneck_->declare_fault(at);
+  }
+  for (const auto& [at, delay_factor] : rescales) {
+    bottleneck_->declare_fault(at, delay_factor);
+  }
 }
 
 PacketHandler DumbbellPath::attach_source(FlowId flow) {

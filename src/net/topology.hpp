@@ -13,6 +13,7 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "net/demux.hpp"
@@ -71,11 +72,14 @@ class DumbbellPath final : public NetworkPath {
   double base_rtt_seconds() const;
 
   // --- fault hooks (src/fault/) ---
-  // Declares that the hooks below may be called: keeps both bottlenecks
-  // (the links they reach) on the eager path.  Call before the first
-  // packet; calling a hook on an undeclared path may throw
-  // std::logic_error (a lazy link has no tx-done to freeze or rescale).
-  void expose_to_faults();
+  // Declares, before the first packet, when the hooks below will run:
+  // set_path_down at each of `down_times`, rescale at each of `rescales`
+  // (time, delay factor; in time order).  Both bottlenecks stay lazy and
+  // admit departures only up to their next declared fault
+  // (Link::declare_fault); an undeclared set_path_down or rescale throws
+  // std::logic_error.  drop_next needs no declaration.
+  void expose_to_faults(const std::vector<SimTime>& down_times,
+                        const std::vector<std::pair<SimTime, double>>& rescales);
   // Downs/raises the whole path: forward bottleneck AND reverse (ACK)
   // bottleneck, so a blackhole kills data and acknowledgments alike — the
   // sender's only signal is its retransmission timer, as with a real

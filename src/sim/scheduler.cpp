@@ -10,6 +10,12 @@ namespace dmp {
 
 void Scheduler::post_at(SimTime when, EventFn fn, EventCategory cat) {
   if (when < now_) throw std::invalid_argument{"post_at: time in the past"};
+  post_key(when, next_seq_++, std::move(fn), cat);
+}
+
+void Scheduler::post_key(SimTime when, std::uint64_t seq, EventFn fn,
+                         EventCategory cat) {
+  if (when < now_) throw std::invalid_argument{"post_key: time in the past"};
   std::uint32_t fn_index;
   if (!free_fns_.empty()) {
     fn_index = free_fns_.back();
@@ -21,7 +27,7 @@ void Scheduler::post_at(SimTime when, EventFn fn, EventCategory cat) {
     fn_cats_.push_back(0);
   }
   fn_cats_[fn_index] = static_cast<std::uint8_t>(cat);
-  push_entry(Entry{when, next_seq_++, fn_index});
+  push_entry(Entry{when, seq, fn_index});
 }
 
 void Scheduler::post_after(SimTime delay, EventFn fn, EventCategory cat) {

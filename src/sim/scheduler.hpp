@@ -71,6 +71,10 @@ class Scheduler {
                EventCategory cat = EventCategory::kOther);
   void post_after(SimTime delay, EventFn fn,
                   EventCategory cat = EventCategory::kOther);
+  // post_at under a key claimed earlier (claim_seq, or a virtual event's
+  // claim): a FIFO event that cannot wait in its owner's FIFO.
+  void post_key(SimTime when, std::uint64_t seq, EventFn fn,
+                EventCategory cat);
 
   // --- ports: devirtualized fire-and-forget dispatch ---
   // A port binds (function pointer, context, category) once; port events
@@ -111,6 +115,9 @@ class Scheduler {
   // is its profile category.  The first call starts the pop log.
   std::uint64_t add_virtual(SimTime when, std::uint64_t sigma,
                             std::uint32_t claims, EventCategory cat);
+  // Marks key `seq` as made before anything is keyed by it: a virtual
+  // event's claim then counts as its owner's (a no-op for a real claim).
+  void use_claim(std::uint64_t seq);
   // Bounds how far behind the clock a virtual key may still be compared:
   // the longest delay from an event to the last entry keyed through its
   // claims, plus slack for same-nanosecond chains.  The log keeps every
@@ -145,7 +152,8 @@ class Scheduler {
   void at_run_end(std::uint32_t port) { run_end_ports_.push_back(port); }
 
   // The eager reference the tests check lazy links against: every link
-  // stays eager (Link::lazy_eligible).  No production path sets it.
+  // stays eager (Link::lazy_eligible).  No production path sets it; the
+  // qdisc benchmark runs every discipline's arm on it.
   void keep_links_eager() { links_eager_ = true; }
   bool links_eager() const { return links_eager_; }
 
@@ -422,16 +430,19 @@ inline std::uint64_t Scheduler::add_virtual(SimTime when, std::uint64_t sigma,
             now_);
   virtual_claims_ += claims;
   if (profile_ != nullptr) ++virtual_added_[c];
-  if (is_virtual(sigma)) {
-    // Its key is claim (sigma & 1) of an earlier event: that claim exists.
-    VirtualEvent& owner = vtx_[virtual_id(sigma)];
-    const auto used = static_cast<std::uint32_t>(sigma & 1) + 1;
-    if (owner.claims < used) {
-      virtual_claims_ += used - owner.claims;
-      owner.claims = used;
-    }
-  }
+  use_claim(sigma);
   return id;
+}
+
+inline void Scheduler::use_claim(std::uint64_t seq) {
+  if (!is_virtual(seq)) return;
+  // Claim (seq & 1) of an earlier event: that claim exists.
+  VirtualEvent& owner = vtx_[virtual_id(seq)];
+  const auto used = static_cast<std::uint32_t>(seq & 1) + 1;
+  if (owner.claims < used) {
+    virtual_claims_ += used - owner.claims;
+    owner.claims = used;
+  }
 }
 
 inline void Scheduler::settle_virtual(std::uint64_t id, std::uint64_t* hint) {

@@ -1,9 +1,10 @@
 #include "stream/session.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <memory>
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "fault/fault_injector.hpp"
 #include "net/qdisc/queue_discipline.hpp"
@@ -184,6 +185,7 @@ SessionResult run_session(const SessionConfig& config, Scheduler& sched) {
   }
 
   // --- network paths + background traffic ---
+  const SimTime epoch = SimTime::seconds(config.warmup_s);
   std::vector<std::unique_ptr<DumbbellPath>> paths;
   std::vector<std::unique_ptr<BackgroundTraffic>> background;
   for (std::size_t i = 0; i < config.path_configs.size(); ++i) {
@@ -191,13 +193,21 @@ SessionResult run_session(const SessionConfig& config, Scheduler& sched) {
     bottleneck.qdisc = qdisc_for_path(qdisc_spec, config.seed, i);
     paths.push_back(std::make_unique<DumbbellPath>(sched, bottleneck));
     if (hub) paths.back()->bind(*hub, "link.path" + std::to_string(i));
-    const bool targeted = std::any_of(
-        fault_plan.events.begin(), fault_plan.events.end(),
-        [i](const fault::FaultEvent& e) {
-          std::size_t index = 0;
-          return fault::parse_path_index(e.target, &index) && index == i;
-        });
-    if (targeted) paths.back()->expose_to_faults();
+    // The hook calls the injector will make on this path.
+    std::vector<SimTime> down_times;
+    std::vector<std::pair<SimTime, double>> rescales;
+    for (const fault::FaultEvent& e : fault_plan.events) {
+      std::size_t index = 0;
+      if (!fault::parse_path_index(e.target, &index) || index != i) continue;
+      const SimTime at = fault::FaultInjector::fire_time(epoch, e);
+      if (e.kind == fault::FaultKind::kLinkDown ||
+          e.kind == fault::FaultKind::kLinkUp) {
+        down_times.push_back(at);
+      } else if (e.kind == fault::FaultKind::kRescale) {
+        rescales.emplace_back(at, e.delay_factor);
+      }
+    }
+    paths.back()->expose_to_faults(down_times, rescales);
     const FlowId first_bg = static_cast<FlowId>(1000 * (i + 1));
     background.push_back(std::make_unique<BackgroundTraffic>(
         sched, *paths.back(), config.path_configs[i], first_bg, rng.fork()));
@@ -221,7 +231,6 @@ SessionResult run_session(const SessionConfig& config, Scheduler& sched) {
 
   // --- client: records every delivery relative to the video epoch;
   // redundant policies deliver through its exactly-once filter ---
-  const SimTime epoch = SimTime::seconds(config.warmup_s);
   StreamClient client(config.mu_pps, config.num_flows, epoch,
                       scheduler_spec.redundant());
   for (std::size_t k = 0; k < config.num_flows; ++k) {

@@ -8,16 +8,20 @@
 // settings, where the 2.4 ms bottleneck tx time is exactly 20 access tx
 // times and same-nanosecond pops are common, on the correlated Settings 1
 // and 1-4 of Table 3, where video flows share one lazy bottleneck, and
-// under every path scheduler.  The faults arms keep the fault-reachable
-// bottlenecks eager while the rest stay lazy.  On Setting 1-1 the observed
-// run's artifacts match the eager reference's.  The single DES backend
+// under every path scheduler.  In the faults arms the fault-reachable
+// bottlenecks run lazy too, up to each declared fault, and a seeded
+// battery of fault plans checks the stream's contract on all three.  On
+// Setting 1-1 the observed run's artifacts match the eager reference's.  The single DES backend
 // keeps the experiment engine's thread-count invariance, and DMP_DES is
 // gone.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <map>
+#include <random>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -28,6 +32,7 @@
 #include "exp/plan.hpp"
 #include "exp/report.hpp"
 #include "exp/runner.hpp"
+#include "fault/fault_plan.hpp"
 #include "obs/trace_analyzer.hpp"
 #include "stream/session.hpp"
 
@@ -113,9 +118,11 @@ void expect_identical(const SessionResult& a, const SessionResult& b) {
 }
 
 // The plain run against the eager reference and the observed run; the
-// observed run pops what the plain one does.  Returns the plain result.
+// observed run pops what the plain one does.  Returns the plain result,
+// and the observed one through `seen_out` when given.
 SessionResult expect_arms_identical(const SessionConfig& plain,
-                                    const std::string& prefix) {
+                                    const std::string& prefix,
+                                    SessionResult* seen_out = nullptr) {
   SessionResult lazy = run_session(plain);
   const SessionResult reference = eager(plain);
   expect_identical(lazy, reference);
@@ -124,6 +131,7 @@ SessionResult expect_arms_identical(const SessionConfig& plain,
   expect_identical(lazy, seen);
   EXPECT_EQ(seen.events_dispatched, lazy.events_dispatched);
   EXPECT_LT(lazy.events_dispatched, lazy.events_executed);
+  if (seen_out != nullptr) *seen_out = seen;
   return lazy;
 }
 
@@ -274,6 +282,159 @@ TEST(LazyLinkSession, PlainMatchesEagerUnderRedundantWithFaults) {
   plain.faults = "8 link_down path1; 12 link_up path1; 20 burst_loss path0 5";
   const SessionResult lazy = expect_arms_identical(plain, "rf");
   EXPECT_EQ(lazy.fault_events_fired, 3u);
+}
+
+TEST(LazyLinkSession, RealPopsShrinkOnFaultedPaths) {
+  // bench_schedulers' 4-4 outage arm under the redundant scheduler.  Path
+  // 0's bottlenecks used to stay eager for the whole run: 172,894 real
+  // pops of 384,346 logical events.  Now they run lazy up to each declared
+  // fault, so their tx-dones and exit deliveries are virtual too.
+  SessionConfig plain = setting(4, 4, 30.0, "redundant");
+  plain.faults = "5 link_down path0; 10 link_up path0";
+  const SessionResult lazy = run_session(plain);
+  const SessionResult reference = eager(plain);
+  expect_identical(lazy, reference);
+  EXPECT_EQ(reference.events_dispatched, reference.events_executed);
+  EXPECT_EQ(reference.events_executed, 384'346u);
+  EXPECT_EQ(lazy.events_dispatched, 120'208u);
+  EXPECT_LE(static_cast<double>(lazy.events_dispatched), 0.75 * 172'894)
+      << lazy.events_dispatched;
+}
+
+// A seeded fault plan over both paths: a down/up window or two per path
+// (some back to back, some raised at the instant they drop), burst losses
+// and rescales of bandwidth and delay, up and down, within the video's
+// first `span_ms`.
+std::string battery_plan(std::uint64_t seed, int span_ms) {
+  std::mt19937_64 rng(seed);
+  std::vector<std::pair<int, std::string>> events;
+  const auto at = [&rng, span_ms] { return static_cast<int>(rng() % span_ms); };
+  const auto add = [&events](int ms, const std::string& what) {
+    events.emplace_back(ms, what);
+  };
+  for (const char* path : {"path0", "path1"}) {
+    int t = at() / 2;
+    for (int w = 0, windows = 1 + static_cast<int>(rng() % 2); w < windows;
+         ++w) {
+      static constexpr int kLengths[] = {0, 1, 300, 1200};
+      const int up = t + kLengths[rng() % 4];
+      add(t, std::string("link_down ") + path);
+      add(up, std::string("link_up ") + path);
+      t = up + (rng() % 2 == 0 ? 0 : 200);  // the next one back to back
+    }
+    if (rng() % 2 == 0) {
+      add(at(), std::string("burst_loss ") + path + " " +
+                    std::to_string(1 + rng() % 8));
+    }
+    if (rng() % 2 == 0) {
+      static constexpr const char* kFactors[] = {"0.5", "2", "1"};
+      add(at(), std::string("rescale ") + path + " bw=" +
+                    kFactors[rng() % 3] + " delay=" + kFactors[rng() % 3]);
+    }
+  }
+  std::stable_sort(events.begin(), events.end(),
+                   [](const auto& a, const auto& b) { return a.first < b.first; });
+  std::string spec;
+  for (const auto& [ms, what] : events) {
+    char time[32];
+    std::snprintf(time, sizeof time, "%.3f ", ms / 1000.0);
+    spec += (spec.empty() ? "" : "; ") + std::string(time) + what;
+  }
+  return spec;
+}
+
+// The stream's contract on an observed faulted run: each packet reaches
+// the client at most once, no sender pulls while its path is down, and
+// every arrival at a bottleneck is dropped by congestion, dropped by a
+// fault, delivered, queued or on the wire, each exactly once.
+void expect_stream_contract(const SessionResult& seen, std::size_t paths) {
+  std::vector<std::int64_t> numbers;
+  for (const auto& entry : seen.trace.entries()) {
+    numbers.push_back(entry.packet_number);
+  }
+  std::sort(numbers.begin(), numbers.end());
+  EXPECT_EQ(std::adjacent_find(numbers.begin(), numbers.end()), numbers.end())
+      << "a packet reached the client twice";
+  ASSERT_FALSE(numbers.empty());
+  EXPECT_GE(numbers.front(), 0);
+  EXPECT_LT(numbers.back(), seen.packets_generated);
+
+  std::vector<bool> down(paths, false);
+  std::size_t faults = 0;
+  for (const obs::FlightEvent& e : seen.hub->flight()->events()) {
+    if (e.kind == obs::FlightEventKind::kPathFault) {
+      ++faults;
+      const auto kind = static_cast<fault::FaultKind>(e.seq);
+      if (kind == fault::FaultKind::kLinkDown) down[e.path] = true;
+      if (kind == fault::FaultKind::kLinkUp) down[e.path] = false;
+    } else if (e.kind == obs::FlightEventKind::kPull ||
+               e.kind == obs::FlightEventKind::kSchedDecision) {
+      EXPECT_FALSE(down[e.path])
+          << "packet " << e.packet << " pulled onto down path " << e.path
+          << " at " << e.t_ns << " ns";
+    }
+  }
+  EXPECT_EQ(faults, seen.fault_events_fired);
+
+  // Fault drops by path (video flow k rides path k; background flows of
+  // path i are numbered from 1000 * (i + 1)).
+  std::map<std::size_t, std::uint64_t> fault_drops;
+  ASSERT_LT(seen.hub->events()->events().size(),
+            seen.hub->events()->ring_capacity());
+  for (const obs::Event& e : seen.hub->events()->events()) {
+    if (e.type != "fault_drop") continue;
+    const auto flow = static_cast<std::size_t>(std::stoull(e.fields[0].value));
+    ++fault_drops[flow < 1000 ? flow : flow / 1000 - 1];
+  }
+  for (std::size_t i = 0; i < paths; ++i) {
+    const std::string link = "link.path" + std::to_string(i);
+    const auto counter = [&](const char* what) {
+      return seen.metrics->find_counter(link + what)->value();
+    };
+    const auto queued = static_cast<std::uint64_t>(
+        seen.metrics->find_gauge(link + ".queue_depth")->value());
+    const std::uint64_t accounted = counter(".drops") + fault_drops[i] +
+                                    counter(".delivered") + queued;
+    EXPECT_LE(accounted, counter(".arrivals")) << link;
+    EXPECT_LE(counter(".arrivals"), accounted + 1) << link << " (on the wire)";
+  }
+}
+
+TEST(LazyLinkSession, SeededFaultPlansMatchEagerUnderEveryStrategy) {
+  // 12 plans x every path scheduler x a finite and an unbounded
+  // bottleneck buffer (Table-1 config 4), briefly.
+  std::size_t fault_drops_seen = 0;
+  for (std::uint64_t plan = 1; plan <= 12; ++plan) {
+    const std::string faults = battery_plan(plan, 3000);
+    ASSERT_NO_THROW(fault::FaultPlan::parse(faults)) << faults;
+    for (const char* strategy : {"pull", "weighted", "best_path",
+                                 "round_robin", "redundant", "parity-4"}) {
+      for (const std::size_t buffer : {30u, 0u}) {
+        SCOPED_TRACE(testing::Message() << "plan " << plan << " (" << faults
+                                        << ") " << strategy << " buffer "
+                                        << buffer);
+        SessionConfig plain = setting(4, 4, 30.0, strategy);
+        for (PathConfig& path : plain.path_configs) {
+          path.buffer_packets = buffer;
+        }
+        plain.duration_s = 3.0;
+        plain.warmup_s = 1.0;
+        plain.drain_s = 2.0;
+        plain.seed = plan;
+        plain.faults = faults;
+        SessionResult seen;
+        const SessionResult lazy = expect_arms_identical(
+            plain, "bat" + std::to_string(plan) + strategy, &seen);
+        EXPECT_EQ(lazy.fault_events_fired,
+                  fault::FaultPlan::parse(faults).size());
+        expect_stream_contract(seen, 2);
+        for (const obs::Event& e : seen.hub->events()->events()) {
+          fault_drops_seen += e.type == "fault_drop" ? 1 : 0;
+        }
+      }
+    }
+  }
+  EXPECT_GT(fault_drops_seen, 0u);
 }
 
 TEST(DesBackend, AggregateReportIsThreadCountInvariantUnderCalendar) {

@@ -14,8 +14,9 @@
 // queue_length and utilization must match at every checkpoint, including
 // the final horizon with packets still queued.  Further down the same
 // comparison covers bound sinks (a lazy link records what the eager one
-// does), jittered Reno senders feeding lazy entry links (fused send hops)
-// and identical paths in lockstep.
+// does), jittered Reno senders feeding lazy entry links (fused send hops),
+// identical paths in lockstep, and a link under declared faults (down /
+// up windows, burst losses, rescales) that runs lazy up to its next fault.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -60,6 +61,7 @@ struct Checkpoint {
   std::uint64_t dispatched;
   std::vector<std::uint64_t> arrivals;
   std::vector<std::uint64_t> drops;
+  std::vector<std::uint64_t> fault_drops;
   std::vector<std::uint64_t> overlimit;
   // Per link, flows 1 (scripted) and 2 (echo sends).
   std::vector<std::uint64_t> flow_arrivals;
@@ -89,6 +91,7 @@ Checkpoint snapshot(const Scheduler& sched, const std::vector<Link*>& links,
   for (const Link* link : links) {
     cp.arrivals.push_back(link->total_arrivals());
     cp.drops.push_back(link->total_drops());
+    cp.fault_drops.push_back(link->fault_drops());
     cp.overlimit.push_back(link->qdisc_counters().overlimit_drops);
     for (FlowId flow : flows) {
       cp.flow_arrivals.push_back(link->flow_counters(flow).arrivals);
@@ -304,6 +307,7 @@ void expect_same(const Outcome& eager, const Outcome& lazy) {
     EXPECT_LT(l.dispatched, l.executed) << "checkpoint " << c;
     EXPECT_EQ(e.arrivals, l.arrivals) << "checkpoint " << c;
     EXPECT_EQ(e.drops, l.drops) << "checkpoint " << c;
+    EXPECT_EQ(e.fault_drops, l.fault_drops) << "checkpoint " << c;
     EXPECT_EQ(e.overlimit, l.overlimit) << "checkpoint " << c;
     EXPECT_EQ(e.flow_arrivals, l.flow_arrivals) << "checkpoint " << c;
     EXPECT_EQ(e.flow_drops, l.flow_drops) << "checkpoint " << c;
@@ -501,7 +505,7 @@ TEST(LazyLink, GoesLazyOnlyWhenAllowedAndDroptail) {
   bounded.set_lazy_allowed(true);
   faulted.set_lazy_allowed(true);
   pie.set_lazy_allowed(true);
-  faulted.drop_next(0);  // a fault hook before the first send pins eager
+  faulted.drop_next(0);  // a burst loss is decided at arrival: stays lazy
   Packet p;
   p.size_bytes = 1500;
   for (Link* link : {&lazy, &bounded, &default_link, &faulted, &pie}) {
@@ -510,16 +514,16 @@ TEST(LazyLink, GoesLazyOnlyWhenAllowedAndDroptail) {
   EXPECT_TRUE(lazy.lazy());
   EXPECT_TRUE(bounded.lazy());  // a finite drop-tail buffer drops at arrival
   EXPECT_FALSE(default_link.lazy());
-  EXPECT_FALSE(faulted.lazy());
+  EXPECT_TRUE(faulted.lazy());
   EXPECT_FALSE(pie.lazy());  // AQM decides at dequeue
-  // A lazy link has no tx-done to freeze, drop against or rescale.
+  // A lazy link freezes or rescales only at a declared fault.
   EXPECT_THROW(lazy.set_down(true), std::logic_error);
   EXPECT_THROW(lazy.rescale(0.5, 1.0), std::logic_error);
   EXPECT_THROW(lazy.set_lazy_allowed(false), std::logic_error);
   sched.run();
   EXPECT_EQ(lazy.total_delivered(), 1u);
   EXPECT_EQ(sched.events_executed(), 10u);  // 5 tx-dones + 5 deliveries
-  EXPECT_EQ(sched.events_dispatched(), 8u);  // the 2 lazy tx-dones are not
+  EXPECT_EQ(sched.events_dispatched(), 7u);  // the 3 lazy tx-dones are not
 }
 
 TEST(LazyLink, FusesOnlyHopsIntoLinksFedByOneUpstream) {
@@ -984,6 +988,377 @@ TEST(LazyLink, TwinPathsInLockstepMatchEager) {
     ASSERT_TRUE(lazy.lazy);
     expect_same(eager, lazy);
   }
+}
+
+
+// --- faults: a lazy link runs up to its next declared fault ---
+
+// One fault hook call: 0 set_down(true), 1 set_down(false), 2 drop_next
+// (`count`), 3 rescale(bw, delay).
+struct Fault {
+  std::int64_t at_ns;
+  int kind;
+  double bw = 1.0;
+  double delay = 1.0;
+  std::uint64_t count = 0;
+};
+
+struct FaultedRun {
+  Outcome out;
+  // Real pops the lazy engine saves by now: the link's and the exit's
+  // tx-dones and, fused, the link -> exit deliveries.
+  std::vector<std::uint64_t> virtual_pops;
+};
+
+// A 5 Mb/s link (2.4 ms per 1500 B, 10 ms) with `buffer` under `faults`,
+// into an unbounded 100 Mb/s exit (40 ms) it alone feeds, into a sink that
+// sends every fourth delivery back into the link.  The scripted sends and
+// posts of run_arm's lattice workload compete.  The faults are posted
+// before anything else, as FaultInjector::arm does, so each pops first at
+// its nanosecond; both arms declare them.
+FaultedRun run_faulted(const std::vector<Op>& script,
+                       const std::vector<Fault>& faults, bool lazy,
+                       std::size_t buffer, obs::Hub* hub = nullptr) {
+  Scheduler sched;
+  FaultedRun run;
+  Outcome& out = run.out;
+  const auto log = [&out, &sched](int id) {
+    out.pop_ns.push_back(sched.now().ns());
+    out.pop_id.push_back(id);
+  };
+  Link link(sched, LinkConfig{5e6, SimTime::millis(10), buffer});
+  Link exit(sched, LinkConfig{100e6, SimTime::millis(40), 0});
+  link.set_lazy_allowed(lazy);
+  exit.set_lazy_allowed(lazy);
+  if (hub != nullptr) {
+    link.bind(*hub, "link", 1);
+    exit.bind(*hub, "exit", 2);
+  }
+  exit.set_upstream_only();
+  link.set_receiver(&exit);
+  int feedback_id = 1'000'000;
+  exit.set_receiver([&](const Packet& p) {
+    log(static_cast<int>(p.seq));
+    if (p.seq % 4 == 0) {
+      Packet back = p;
+      back.flow = 2;
+      back.seq = feedback_id++;
+      back.app_tag = back.seq;
+      link.send(back);
+    }
+  });
+  for (const Fault& f : faults) {
+    const SimTime at = SimTime::nanos(f.at_ns);
+    if (f.kind == 3) {
+      link.declare_fault(at, f.delay);
+    } else if (f.kind != 2) {
+      link.declare_fault(at);
+    }
+    sched.post_at(at, [&link, &log, f] {
+      log(8'000'000 + f.kind);
+      switch (f.kind) {
+        case 0:
+          link.set_down(true);
+          break;
+        case 1:
+          link.set_down(false);
+          break;
+        case 2:
+          link.drop_next(f.count);
+          break;
+        default:
+          link.rescale(f.bw, f.delay);
+      }
+    });
+  }
+  for (const Op& op : script) {
+    const SimTime at = SimTime::nanos(op.at_ns);
+    Packet p;
+    p.flow = 1;
+    p.seq = op.id;
+    p.app_tag = op.id;
+    p.size_bytes = op.bytes;
+    if (op.kind == 1) {
+      // A post whose follow-up send lands on deliveries' nanoseconds.
+      sched.post_at(at, [&sched, &link, &log, p, id = op.id] {
+        log(2'000'000 + id);
+        sched.post_after(echo_delay(id), [&link, &log, p, id] {
+          log(5'000'000 + id);
+          link.send(p);
+        });
+      });
+    } else {
+      sched.post_at(at, [&link, &log, p, id = op.id] {
+        log(-1 - id);
+        link.send(p);
+      });
+    }
+  }
+  for (const SimTime horizon : lattice_checkpoints()) {
+    sched.run_until(horizon);
+    out.checkpoints.push_back(snapshot(sched, {&link, &exit}, {1, 2}, horizon));
+    run.virtual_pops.push_back(link.total_delivered() +
+                               exit.total_delivered());
+  }
+  out.lazy = link.lazy() && exit.lazy();
+  if (hub != nullptr) hub->metrics()->freeze_samplers();
+  try {
+    link.set_receiver(&exit);  // rewiring a fused hop throws
+  } catch (const std::logic_error&) {
+    out.fused = true;
+    for (std::size_t c = 0; c < out.checkpoints.size(); ++c) {
+      run.virtual_pops[c] += out.checkpoints[c].arrivals[1];
+    }
+  }
+  return run;
+}
+
+// Down/up windows on the lattice, back to back now and then, with burst
+// losses in and out of them; `rescales` adds rescales of bandwidth (x0.5,
+// x2) and delay, the delay only growing unless `shrink`.
+std::vector<Fault> make_fault_plan(std::uint64_t seed, bool rescales,
+                                   bool shrink) {
+  std::mt19937_64 rng(seed * 7919);
+  std::vector<Fault> plan;
+  std::int64_t t = 0;
+  double delay = 1.0;
+  while (true) {
+    t += static_cast<std::int64_t>(20 + rng() % 400) * kLatticeNs;
+    const std::int64_t up = t + static_cast<std::int64_t>(rng() % 200) *
+                                    kLatticeNs;  // 0: back to back
+    if (up > 700'000'000) break;
+    plan.push_back(Fault{t, 0});
+    if (rng() % 3 == 0) plan.push_back(Fault{t + kLatticeNs, 2, 1, 1, 4});
+    plan.push_back(Fault{up, 1});
+    if (rng() % 3 == 0) plan.push_back(Fault{up, 2, 1, 1, 1 + rng() % 6});
+    if (rescales && rng() % 2 == 0) {
+      static constexpr double kBw[] = {0.5, 1.0, 2.0};
+      delay = shrink && rng() % 2 == 0 ? delay * 0.25 : delay * 1.5;
+      plan.push_back(Fault{up + static_cast<std::int64_t>(rng() % 40) *
+                                    kLatticeNs,
+                           3, kBw[rng() % 3], delay});
+    }
+    t = up;
+  }
+  std::stable_sort(plan.begin(), plan.end(), [](const Fault& a,
+                                                const Fault& b) {
+    return a.at_ns < b.at_ns;
+  });
+  return plan;
+}
+
+void expect_faulted_matches(const std::vector<Op>& script,
+                            const std::vector<Fault>& faults,
+                            std::size_t buffer, bool fused) {
+  const FaultedRun eager = run_faulted(script, faults, false, buffer);
+  const FaultedRun lazy = run_faulted(script, faults, true, buffer);
+  EXPECT_FALSE(eager.out.lazy);
+  ASSERT_TRUE(lazy.out.lazy);
+  EXPECT_EQ(lazy.out.fused, fused);
+  expect_same(eager.out, lazy.out);
+  for (std::size_t c = 0; c < eager.out.checkpoints.size(); ++c) {
+    // No real tx-done pops on the lazy side, nor fused deliveries.
+    EXPECT_EQ(lazy.out.checkpoints[c].dispatched,
+              eager.out.checkpoints[c].dispatched - lazy.virtual_pops[c])
+        << "checkpoint " << c;
+  }
+  EXPECT_GT(eager.out.checkpoints.back().fault_drops[0], 0u);
+  EXPECT_GT(ties(eager.out), 100u);
+}
+
+TEST(LazyLinkFaults, DownWindowsMatchEagerAndFuseTheExit) {
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    for (std::size_t buffer : {0u, 3u}) {
+      SCOPED_TRACE(testing::Message() << "seed " << seed << " buffer "
+                                      << buffer);
+      const std::vector<Op> script = make_script(seed, 2000);
+      expect_faulted_matches(script, make_fault_plan(seed, false, false),
+                             buffer, true);
+    }
+  }
+}
+
+TEST(LazyLinkFaults, RescalesMatchEager) {
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    for (const bool shrink : {false, true}) {
+      SCOPED_TRACE(testing::Message() << "seed " << seed << " shrink "
+                                      << shrink);
+      const std::vector<Op> script = make_script(seed + 100, 2000);
+      const std::vector<Fault> plan = make_fault_plan(seed, true, shrink);
+      // Only a delay that shrinks below an earlier one keeps the hop real.
+      double delay = 1.0;
+      bool shrinks = false;
+      for (const Fault& f : plan) {
+        if (f.kind != 3) continue;
+        shrinks = shrinks || f.delay < delay;
+        delay = std::max(delay, f.delay);
+      }
+      ASSERT_EQ(shrinks, shrink);
+      expect_faulted_matches(script, plan, seed % 2 == 0 ? 3 : 0, !shrink);
+    }
+  }
+}
+
+TEST(LazyLinkFaults, BoundFaultedLinkRecordsLikeEager) {
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    SCOPED_TRACE(testing::Message() << "seed " << seed);
+    const std::vector<Op> script = make_script(seed, 2000);
+    const std::vector<Fault> plan = make_fault_plan(seed, true, seed == 2);
+    const auto eager_hub = recording_hub();
+    const auto lazy_hub = recording_hub();
+    const FaultedRun eager =
+        run_faulted(script, plan, false, 3, eager_hub.get());
+    const FaultedRun lazy = run_faulted(script, plan, true, 3, lazy_hub.get());
+    ASSERT_TRUE(lazy.out.lazy);
+    expect_same(eager.out, lazy.out);
+    const std::vector<std::string> links{"link", "exit"};
+    const Records want = records(*eager_hub, links);
+    const Records got = records(*lazy_hub, links);
+    EXPECT_GT(want.spans.size(), 2000u);
+    EXPECT_EQ(want.spans, got.spans);
+    EXPECT_EQ(want.windows, got.windows);
+    EXPECT_EQ(want.counters, got.counters);
+    EXPECT_EQ(want.events, got.events);
+  }
+}
+
+// Hand-built cases on a 12 Mb/s link (1 ms per 1500 B, 10 ms): what is
+// delivered when, and the link's counters at the end.
+struct HandRun {
+  std::vector<std::int64_t> delivered;  // (time ns, packet) pairs
+  std::vector<std::uint64_t> counts;  // executed, scheduled, drops, fault
+                                      // drops, delivered, arrivals
+  bool lazy = false;
+};
+
+HandRun hand_faulted(bool lazy, std::size_t buffer,
+                     const std::vector<Fault>& faults,
+                     const std::vector<std::int64_t>& sends_us) {
+  Scheduler sched;
+  HandRun run;
+  Link link(sched, LinkConfig{12e6, SimTime::millis(10), buffer});
+  link.set_lazy_allowed(lazy);
+  link.set_receiver([&](const Packet& p) {
+    run.delivered.push_back(sched.now().ns());
+    run.delivered.push_back(p.seq);
+  });
+  for (const Fault& f : faults) {
+    const SimTime at = SimTime::nanos(f.at_ns);
+    if (f.kind == 3) {
+      link.declare_fault(at, f.delay);
+    } else if (f.kind != 2) {
+      link.declare_fault(at);
+    }
+    sched.post_at(at, [&link, f] {
+      if (f.kind == 0) link.set_down(true);
+      if (f.kind == 1) link.set_down(false);
+      if (f.kind == 2) link.drop_next(f.count);
+      if (f.kind == 3) link.rescale(f.bw, f.delay);
+    });
+  }
+  for (std::size_t i = 0; i < sends_us.size(); ++i) {
+    sched.post_at(SimTime::micros(sends_us[i]), [&link, i] {
+      Packet p;
+      p.size_bytes = 1500;
+      p.seq = static_cast<std::int64_t>(i);
+      link.send(p);
+    });
+  }
+  sched.run();
+  run.counts = {sched.events_executed(), sched.events_scheduled(),
+                link.total_drops(),      link.fault_drops(),
+                link.total_delivered(),  link.total_arrivals()};
+  run.lazy = link.lazy();
+  return run;
+}
+
+void expect_hand_matches(std::size_t buffer, const std::vector<Fault>& faults,
+                         const std::vector<std::int64_t>& sends_us,
+                         const std::vector<std::int64_t>& want) {
+  const HandRun eager = hand_faulted(false, buffer, faults, sends_us);
+  const HandRun lazy = hand_faulted(true, buffer, faults, sends_us);
+  EXPECT_FALSE(eager.lazy);
+  EXPECT_TRUE(lazy.lazy);
+  EXPECT_EQ(eager.delivered, want);
+  EXPECT_EQ(lazy.delivered, want);
+  EXPECT_EQ(eager.counts, lazy.counts);
+}
+
+constexpr std::int64_t kMs = 1'000'000;
+
+TEST(LazyLinkFaults, FaultOnATxDoneNanosecondPopsFirst) {
+  // p0 ends its transmission at 1 ms, where the link goes down: the fault
+  // pops first, so p1 stays frozen until the link comes up at 3 ms.
+  expect_hand_matches(0, {{1 * kMs, 0}, {3 * kMs, 1}}, {0, 0},
+                      {11 * kMs, 0, 14 * kMs, 1});
+  // Up at exactly p0's tx-done (down at 0.5 ms): p0 finishes after the
+  // link is up again, so p1 starts at 1 ms as if nothing had happened.
+  expect_hand_matches(0, {{kMs / 2, 0}, {1 * kMs, 1}}, {0, 0},
+                      {11 * kMs, 0, 12 * kMs, 1});
+  // A rescale (delay x2) on p0's tx-done pops first too, so p0's delivery
+  // already takes the new delay.
+  expect_hand_matches(0, {{1 * kMs, 3, 1.0, 2.0}}, {0, 0},
+                      {21 * kMs, 0, 22 * kMs, 1});
+}
+
+TEST(LazyLinkFaults, DownWhileIdleDropsArrivalsAndFreezesNothing) {
+  // Down at 5 ms with nothing to send: p1 (6 ms) is a fault drop, p2
+  // (8 ms, after the link came up at 7 ms) goes through.
+  expect_hand_matches(0, {{5 * kMs, 0}, {7 * kMs, 1}}, {0, 6000, 8000},
+                      {11 * kMs, 0, 19 * kMs, 2});
+}
+
+TEST(LazyLinkFaults, RescaleOnTheWireAndAnUndercuttingDelivery) {
+  // p0..p2 sent at 0; at 1.5 ms the delay shrinks to 1 ms and the
+  // bandwidth doubles.  p1, on the wire, keeps its tx (done at 2 ms) and
+  // takes the new delay: delivered at 3 ms, before p0 (11 ms).  p2 starts
+  // at 2 ms at the new rate (0.5 ms).
+  expect_hand_matches(0, {{3 * kMs / 2, 3, 2.0, 0.1}}, {0, 0, 0},
+                      {3 * kMs, 1, 3 * kMs + kMs / 2, 2, 11 * kMs, 0});
+  // Slower and longer: p1 keeps its tx, p2 takes 2 ms and the 20 ms delay.
+  expect_hand_matches(0, {{3 * kMs / 2, 3, 0.5, 2.0}}, {0, 0, 0},
+                      {11 * kMs, 0, 22 * kMs, 1, 24 * kMs, 2});
+}
+
+TEST(LazyLinkFaults, FiniteBufferFillsAcrossADownWindow) {
+  // Buffer 2.  p0..p3 at 0: p3 overflows.  Down at 0.5 ms (p0 on the
+  // wire), p4 at 2 ms is a fault drop; up at 4 ms restarts p1; p5..p7 at
+  // 4.2 ms find p1 on the wire and p2 queued, so p5 fills the buffer and
+  // p6 and p7 overflow.
+  const std::vector<std::int64_t> sends{0, 0, 0, 0, 2000, 4200, 4200, 4200};
+  const HandRun lazy =
+      hand_faulted(true, 2, {{kMs / 2, 0}, {4 * kMs, 1}}, sends);
+  expect_hand_matches(2, {{kMs / 2, 0}, {4 * kMs, 1}}, sends,
+                      {11 * kMs, 0, 15 * kMs, 1, 16 * kMs, 2, 17 * kMs, 5});
+  EXPECT_EQ(lazy.counts[2], 3u);  // p3, p6 and p7 overflowed
+  EXPECT_EQ(lazy.counts[3], 1u);  // p4 hit the outage
+}
+
+TEST(LazyLinkFaults, BurstLossDuringAnOutage) {
+  // drop_next(2) while down: the outage drops p1 without using up the
+  // burst, which takes p2 and p3 once the link is up; p4 goes through.
+  expect_hand_matches(0, {{1 * kMs, 0}, {2 * kMs, 2, 1, 1, 2}, {5 * kMs, 1}},
+                      {0, 3000, 6000, 7000, 8000},
+                      {11 * kMs, 0, 19 * kMs, 4});
+}
+
+TEST(LazyLinkFaults, UndeclaredOrOverdueFaultsThrow) {
+  Scheduler sched;
+  Link link(sched, LinkConfig{12e6, SimTime::millis(10), 0});
+  link.set_lazy_allowed(true);
+  link.set_receiver([](const Packet&) {});
+  link.declare_fault(SimTime::millis(1));
+  Packet p;
+  p.size_bytes = 1500;
+  link.send(p);
+  ASSERT_TRUE(link.lazy());
+  EXPECT_THROW(link.declare_fault(SimTime::millis(2)), std::logic_error);
+  EXPECT_THROW(link.set_down(true), std::logic_error);  // at 0, undeclared
+  // The declared fault never runs: an arrival after its time throws.
+  sched.post_at(SimTime::millis(2), [&] {
+    EXPECT_THROW(link.send(p), std::logic_error);
+  });
+  sched.run();
 }
 
 }  // namespace
