@@ -48,8 +48,7 @@ int main() {
               bench::homogeneous_setup(p, column.rtt, to, mu);
           params.tau_s = taus[t];
           if (options.model_shards > 0) {
-            const DmpModelMonteCarlo mc(params, mc_seeds.at(t),
-                                        SamplerMode::kAlias);
+            const DmpModelMonteCarlo mc(params, mc_seeds.at(t));
             const std::uint64_t per_shard = std::max<std::uint64_t>(
                 1, options.mc_max / options.model_shards);
             column.f.push_back(

@@ -94,12 +94,12 @@ void BM_TcpChainBuildAndSolve(benchmark::State& state) {
 BENCHMARK(BM_TcpChainBuildAndSolve)->Arg(12)->Arg(20)->Arg(32)
     ->Unit(benchmark::kMillisecond);
 
-// The alias fast path at K = 1..4 flows (K = 2 is the CI-guarded point).
-// Items are counted consumptions, as before the fast path existed.
+// The Monte-Carlo sampler at K = 1..4 flows (K = 2 is the CI-guarded
+// point).  Items are counted consumptions.
 void BM_ComposedMonteCarlo(benchmark::State& state) {
   const ComposedParams params = composed_setup(static_cast<int>(state.range(0)));
   for (auto _ : state) {
-    DmpModelMonteCarlo mc(params, 5, SamplerMode::kAlias);
+    DmpModelMonteCarlo mc(params, 5);
     const auto result = mc.run(200'000, 20'000);
     benchmark::DoNotOptimize(result.late_fraction);
   }
@@ -108,24 +108,11 @@ void BM_ComposedMonteCarlo(benchmark::State& state) {
 BENCHMARK(BM_ComposedMonteCarlo)->Arg(1)->Arg(2)->Arg(3)->Arg(4)
     ->Unit(benchmark::kMillisecond);
 
-// The compat sampler (golden-pin compatible: one draw per event, decided by
-// integer cuts) at K = 2; CI guards it with its own absolute floor.
-void BM_ComposedMonteCarloCompat(benchmark::State& state) {
-  const ComposedParams params = composed_setup(2);
-  for (auto _ : state) {
-    DmpModelMonteCarlo mc(params, 5);
-    const auto result = mc.run(200'000, 20'000);
-    benchmark::DoNotOptimize(result.late_fraction);
-  }
-  bench::set_items_per_iteration(state, 200'000);
-}
-BENCHMARK(BM_ComposedMonteCarloCompat)->Unit(benchmark::kMillisecond);
-
 // Deterministic sharded estimation: 8 shards on however many cores the
 // runner grants (thread count does not change the output, only the time).
 void BM_ComposedMonteCarloSharded(benchmark::State& state) {
   const ComposedParams params = composed_setup(2);
-  const DmpModelMonteCarlo mc(params, 5, SamplerMode::kAlias);
+  const DmpModelMonteCarlo mc(params, 5);
   for (auto _ : state) {
     const auto result = mc.run_sharded(8, 200'000);
     benchmark::DoNotOptimize(result.late_fraction);
@@ -135,15 +122,14 @@ void BM_ComposedMonteCarloSharded(benchmark::State& state) {
 BENCHMARK(BM_ComposedMonteCarloSharded)->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
-// Stored-video finite-horizon engine on the alias fast path; items are
-// consumed video packets.
+// Stored-video finite-horizon engine; items are consumed video packets.
 void BM_StoredVideoMonteCarlo(benchmark::State& state) {
   const ComposedParams params = composed_setup(2);
   constexpr std::int64_t kVideoPackets = 100'000;
   constexpr std::uint64_t kReps = 4;
   for (auto _ : state) {
-    const auto result = stored_video_late_fraction(
-        params, kVideoPackets, kReps, 7, SamplerMode::kAlias);
+    const auto result =
+        stored_video_late_fraction(params, kVideoPackets, kReps, 7);
     benchmark::DoNotOptimize(result.late_fraction);
   }
   bench::set_items_per_iteration(
@@ -156,7 +142,7 @@ BENCHMARK(BM_StoredVideoMonteCarlo)->Unit(benchmark::kMillisecond);
 void BM_ChainCacheConstruction(benchmark::State& state) {
   const ComposedParams params = composed_setup(2);
   for (auto _ : state) {
-    DmpModelMonteCarlo mc(params, 5, SamplerMode::kAlias);
+    DmpModelMonteCarlo mc(params, 5);
     benchmark::DoNotOptimize(&mc);
   }
   state.counters["cache_hits"] =

@@ -1,16 +1,10 @@
 #!/usr/bin/env python3
-"""Threshold guard on the composed Monte-Carlo fast path.
+"""Threshold guard on the composed Monte-Carlo engine.
 
-Reads a google-benchmark JSON report and fails CI when the alias-sampled
-engine regresses:
-
-  * absolute floor on BM_ComposedMonteCarlo/2 items/s (conservative, so a
-    slow shared runner does not flake the build), and
-  * the same absolute floor on BM_ComposedMonteCarloCompat items/s, the
-    golden-pinned sampler behind every exact-output figure.  The compat
-    loop folds each run of consumptions the way the alias path does, so
-    the two now run within ~1.2x of each other and a relative alias/compat
-    floor no longer measures anything.
+Reads a google-benchmark JSON report and fails CI when the Monte-Carlo
+sampler, the golden-pinned engine behind every model figure, regresses:
+an absolute floor on BM_ComposedMonteCarlo/2 items/s (conservative, so a
+slow shared runner does not flake the build).
 
 With --max-qdisc-overhead it additionally guards the AQM hot path: each
 BM_PacketLevelSessionQdisc arm (droptail/pie/fq_pie/codel, DenseRange 0-3)
@@ -34,7 +28,6 @@ machine-speed independent; the best rate across repetitions is used on
 each side to damp scheduler noise.
 
 Usage: bench_guard.py REPORT.json [--min-items-per-s N]
-                      [--min-compat-items-per-s N]
                       [--obs-report OBS.json] [--max-obs-overhead F]
 """
 
@@ -121,9 +114,6 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("report")
     parser.add_argument("--min-items-per-s", type=float, default=40e6)
-    parser.add_argument("--min-compat-items-per-s", type=float, default=40e6,
-                        help="absolute floor on BM_ComposedMonteCarloCompat "
-                             "items/s")
     parser.add_argument("--obs-report", default=None,
                         help="perf_obs_overhead JSON to guard as well")
     parser.add_argument("--max-obs-overhead", type=float, default=0.03)
@@ -138,25 +128,15 @@ def main():
     with open(args.report) as fh:
         report = json.load(fh)
 
-    alias = items_per_second(report, "BM_ComposedMonteCarlo/2")
-    compat = items_per_second(report, "BM_ComposedMonteCarloCompat")
-    speedup = alias / compat if compat > 0 else float("inf")
-
-    print(f"BM_ComposedMonteCarlo/2:     {alias / 1e6:8.1f} M items/s")
-    print(f"BM_ComposedMonteCarloCompat: {compat / 1e6:8.1f} M items/s")
-    print(f"alias/compat: {speedup:.2f}x  (floors: "
-          f"{args.min_items_per_s / 1e6:.0f}M alias, "
-          f"{args.min_compat_items_per_s / 1e6:.0f}M compat)")
+    rate = items_per_second(report, "BM_ComposedMonteCarlo/2")
+    print(f"BM_ComposedMonteCarlo/2: {rate / 1e6:8.1f} M items/s  "
+          f"(floor: {args.min_items_per_s / 1e6:.0f}M)")
 
     failures = check_session_engine(report, args.min_session_events_per_s)
-    if alias < args.min_items_per_s:
+    if rate < args.min_items_per_s:
         failures.append(
-            f"absolute floor violated: {alias / 1e6:.1f}M < "
+            f"absolute floor violated: {rate / 1e6:.1f}M < "
             f"{args.min_items_per_s / 1e6:.0f}M items/s")
-    if compat < args.min_compat_items_per_s:
-        failures.append(
-            f"compat floor violated: {compat / 1e6:.1f}M < "
-            f"{args.min_compat_items_per_s / 1e6:.0f}M items/s")
     if args.max_qdisc_overhead is not None:
         failures.extend(check_qdisc_overhead(report, args.max_qdisc_overhead))
     if args.obs_report:

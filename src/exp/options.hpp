@@ -23,10 +23,11 @@ struct BenchOptions {
   // DMP_THREADS: experiment-runner worker count; 0 = hardware concurrency.
   std::size_t threads = 0;
   // DMP_MODEL_SHARDS: when > 0, model benches (fig8/fig9) estimate with the
-  // deterministic sharded Monte-Carlo engine (this many shards, alias
-  // sampling) instead of the sequential compat engine.  Output is a pure
-  // function of the seed and shard count — identical at any DMP_THREADS —
-  // but differs from the shards=0 golden numbers.
+  // deterministic sharded Monte-Carlo engine (this many independent
+  // trajectories of the one sampler, merged) instead of one sequential
+  // trajectory.  Output is a pure function of the seed and shard count —
+  // identical at any DMP_THREADS — but differs from the shards=0 golden
+  // numbers.
   std::uint64_t model_shards = 0;
   // DMP_OBS=<list>: comma list of metrics, trace, telemetry, profile
   // (obs::parse_obs_sinks).  metrics and trace attach to the first

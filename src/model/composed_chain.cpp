@@ -17,20 +17,6 @@ namespace {
 // exp/plan.hpp; kinds >= 16 are reserved for library-internal streams).
 constexpr std::uint64_t kShardDomain = 17ull << 32;
 
-// Number of consecutive consumption events before the next flow event,
-// capped at `remaining`.  Each event is independently a consumption with
-// probability q = mu / (mu + active), so the count is Geometric(1 - q);
-// inverting the tail with one uniform replaces up to `remaining`
-// per-event draws.  Truncating at the cap is exact: holding times are
-// memoryless, so the caller may redraw fresh on the next call.
-std::uint64_t geometric_consumptions(double q, double u,
-                                     std::uint64_t remaining) {
-  if (u <= 0.0) return remaining;  // tail of the tail: beyond any cap
-  const double j = std::floor(std::log(u) / std::log(q));
-  if (j >= static_cast<double>(remaining)) return remaining;
-  return static_cast<std::uint64_t>(j);
-}
-
 // Accounts `j` consecutive consumptions that start at N = n.  The first
 // min(j, N) are on time and walk N down to 0; the rest find an empty
 // buffer.  This equals j single consumptions sample for sample, in the
@@ -232,82 +218,8 @@ ComposedChainExact::ComposedChainExact(const ComposedParams& params) {
 
 namespace {
 
-// One alias-mode replication: the fast-path equivalent of the event loop
-// below.  Before playback starts only flow events change state; after tau
-// the event *times* no longer matter (nothing else is gated on the clock),
-// so consecutive consumptions collapse into geometric bulk draws exactly
-// as in DmpModelMonteCarlo::advance_alias.
-double stored_video_replication_alias(
-    const ComposedParams& params,
-    const std::vector<std::shared_ptr<const TcpFlowChain>>& chains,
-    std::int64_t video_packets, Rng& rng) {
-  std::vector<std::uint32_t> state;
-  std::vector<double> exits;
-  for (const auto& chain : chains) {
-    state.push_back(chain->initial_state());
-    exits.push_back(chain->exit_rate(state.back()));
-  }
-
-  auto active_rate = [&] {
-    double active = 0.0;
-    for (const double e : exits) active += e;
-    return active;
-  };
-  std::int64_t delivered = 0;
-  auto flow_event = [&](double active) {
-    const std::size_t k =
-        pick_flow(exits.data(), exits.size(), rng.uniform() * active);
-    const auto& t = chains[k]->pick_alias(state[k], rng.uniform());
-    state[k] = t.target;
-    exits[k] = chains[k]->exit_rate(t.target);
-    delivered =
-        std::min<std::int64_t>(delivered + t.delivered, video_packets);
-  };
-
-  // Phase 1: prefetch until playback starts at tau.
-  double t = 0.0;
-  while (t < params.tau_s) {
-    if (delivered >= video_packets) break;  // fully prefetched
-    const double active = active_rate();
-    const double dt = rng.exponential(1.0 / active);
-    if (t + dt >= params.tau_s) break;
-    t += dt;
-    flow_event(active);
-  }
-
-  // Phase 2: playback active.
-  std::int64_t consumed = 0;
-  std::int64_t late = 0;
-  while (consumed < video_packets) {
-    if (delivered >= video_packets) {
-      // Only consumptions remain and the whole video is buffered: the
-      // rest plays on time.
-      consumed = video_packets;
-      break;
-    }
-    const double active = active_rate();
-    const double q = params.mu_pps / (params.mu_pps + active);
-    const auto remaining =
-        static_cast<std::uint64_t>(video_packets - consumed);
-    const std::uint64_t j =
-        geometric_consumptions(q, rng.uniform(), remaining);
-    if (j > 0) {
-      // Consumption i of the bulk is on time iff consumed + i - 1 <
-      // delivered, i.e. the first (delivered - consumed) of them.
-      const std::int64_t backlog = delivered - consumed;
-      const std::int64_t ontime = std::clamp<std::int64_t>(
-          backlog, 0, static_cast<std::int64_t>(j));
-      late += static_cast<std::int64_t>(j) - ontime;
-      consumed += static_cast<std::int64_t>(j);
-    }
-    if (consumed >= video_packets) break;
-    flow_event(active);
-  }
-  return static_cast<double>(late) / static_cast<double>(video_packets);
-}
-
-// One compat-mode replication: the historical event loop, byte for byte.
-double stored_video_replication_compat(
+// One replication: the historical event loop, byte for byte.
+double stored_video_replication(
     const ComposedParams& params,
     const std::vector<std::shared_ptr<const TcpFlowChain>>& chains,
     std::int64_t video_packets, Rng& rng) {
@@ -367,8 +279,7 @@ double stored_video_replication_compat(
 StoredVideoResult stored_video_late_fraction(const ComposedParams& params,
                                              std::int64_t video_packets,
                                              std::uint64_t replications,
-                                             std::uint64_t seed,
-                                             SamplerMode mode) {
+                                             std::uint64_t seed) {
   if (params.flows.empty()) throw std::invalid_argument{"need >= 1 flow"};
   if (params.mu_pps <= 0.0) throw std::invalid_argument{"mu must be positive"};
   if (video_packets <= 0) throw std::invalid_argument{"empty video"};
@@ -384,11 +295,7 @@ StoredVideoResult stored_video_late_fraction(const ComposedParams& params,
   for (std::uint64_t rep = 0; rep < replications; ++rep) {
     Rng rng = master.fork();
     per_run.push_back(
-        mode == SamplerMode::kCompat
-            ? stored_video_replication_compat(params, chains, video_packets,
-                                              rng)
-            : stored_video_replication_alias(params, chains, video_packets,
-                                             rng));
+        stored_video_replication(params, chains, video_packets, rng));
   }
 
   StoredVideoResult result;
@@ -403,191 +310,40 @@ StoredVideoResult stored_video_late_fraction(const ComposedParams& params,
 // ---------------------------------------------------------------------------
 
 DmpModelMonteCarlo::DmpModelMonteCarlo(const ComposedParams& params,
-                                       std::uint64_t seed, SamplerMode mode)
-    : params_(params),
-      nmax_(params.nmax()),
-      rng_(seed),
-      seed_(seed),
-      mode_(mode) {
+                                       std::uint64_t seed)
+    : params_(params), nmax_(params.nmax()), rng_(seed), seed_(seed) {
   if (params.flows.empty()) throw std::invalid_argument{"need >= 1 flow"};
   if (params.mu_pps <= 0.0) throw std::invalid_argument{"mu must be positive"};
   if (nmax_ < 1) throw std::invalid_argument{"Nmax = mu*tau must be >= 1"};
   for (const auto& fp : params.flows) {
     chains_.push_back(shared_flow_chain(fp));
     flow_state_.push_back(chains_.back()->initial_state());
-    if (mode_ == SamplerMode::kCompat) chains_.back()->build_pick_cuts();
+    chains_.back()->build_pick_cuts();
   }
   flow_delivered_.assign(chains_.size(), 0);
-  if (mode_ == SamplerMode::kCompat) {
-    const std::size_t kflows = chains_.size();
-    compat_class_.resize(kflows);
-    compat_stride_.resize(kflows);
-    std::uint64_t product = 1;  // number of class tuples, kept below 2^62
-    for (std::size_t k = kflows; k-- > 0;) {
-      compat_stride_[k] = product;
-      const std::uint64_t classes = chains_[k]->num_exit_classes();
-      if (product > (1ull << 62) / classes) {
-        throw std::invalid_argument{
-            "too many exit-rate class tuples for the compat sampler"};
-      }
-      product *= classes;
+  const std::size_t kflows = chains_.size();
+  compat_class_.resize(kflows);
+  compat_stride_.resize(kflows);
+  std::uint64_t product = 1;  // number of class tuples, kept below 2^62
+  for (std::size_t k = kflows; k-- > 0;) {
+    compat_stride_[k] = product;
+    const std::uint64_t classes = chains_[k]->num_exit_classes();
+    if (product > (1ull << 62) / classes) {
+      throw std::invalid_argument{
+          "too many exit-rate class tuples for the compat sampler"};
     }
-    std::uint64_t slots = product;
-    if (product > kCompatSlots) {
-      slots = kCompatSlots;
-      compat_mult_ = 0x9E3779B97F4A7C15ull;
-      compat_shift_ = 64 - kCompatSlotBits;
-    }
-    compat_table_.assign(slots * (kflows + 1), kNoIndex);
+    product *= classes;
   }
+  std::uint64_t slots = product;
+  if (product > kCompatSlots) {
+    slots = kCompatSlots;
+    compat_mult_ = 0x9E3779B97F4A7C15ull;
+    compat_shift_ = 64 - kCompatSlotBits;
+  }
+  compat_table_.assign(slots * (kflows + 1), kNoIndex);
   // Start with a full buffer: live streaming begins consuming after the
   // buffer had tau seconds to fill; the warmup discards any residual bias.
   n_ = nmax_;
-}
-
-const DmpModelMonteCarlo::GeomClass& DmpModelMonteCarlo::geom_class_for(
-    double active) {
-  for (std::size_t i = 0; i < geom_classes_.size(); ++i) {
-    if (std::fabs(active - geom_classes_[i].active) <= 1e-9 * active) {
-      alias_class_ = i;
-      return geom_classes_[i];
-    }
-  }
-  // Degenerate safeguard: the class list is bounded by the number of
-  // semantically distinct exit-rate sums (a handful); if pathological
-  // parameters ever produce unbounded drift, start over rather than grow.
-  if (geom_classes_.size() >= 4096) geom_classes_.clear();
-  GeomClass cls;
-  cls.active = active;
-  const double q = params_.mu_pps / (params_.mu_pps + active);
-  // Outcome probabilities: P(J = j) = q^j (1 - q) for j < 32, and the
-  // tail P(J >= 32) = q^32 (worth 32 consumptions + a fresh resample).
-  std::array<double, 33> prob{};
-  double qj = 1.0;
-  for (std::size_t j = 0; j < 32; ++j) {
-    prob[j] = qj * (1.0 - q);
-    qj *= q;
-  }
-  prob[32] = qj;
-  // Vose's stable alias construction, as in TcpFlowChain's tables.
-  constexpr std::size_t kN = 33;
-  std::array<double, kN> scaled{};
-  for (std::size_t j = 0; j < kN; ++j) {
-    scaled[j] = prob[j] * static_cast<double>(kN);
-  }
-  std::array<std::uint8_t, kN> small{}, large{};
-  std::size_t nsmall = 0, nlarge = 0;
-  for (std::size_t j = 0; j < kN; ++j) {
-    if (scaled[j] < 1.0) {
-      small[nsmall++] = static_cast<std::uint8_t>(j);
-    } else {
-      large[nlarge++] = static_cast<std::uint8_t>(j);
-    }
-  }
-  for (std::size_t j = 0; j < kN; ++j) {
-    cls.cut[j] = 1.0;
-    cls.alias[j] = static_cast<std::uint8_t>(j);
-  }
-  while (nsmall > 0 && nlarge > 0) {
-    const std::uint8_t s = small[--nsmall];
-    const std::uint8_t l = large[--nlarge];
-    cls.cut[s] = scaled[s];
-    cls.alias[s] = l;
-    scaled[l] = (scaled[l] + scaled[s]) - 1.0;
-    if (scaled[l] < 1.0) {
-      small[nsmall++] = l;
-    } else {
-      large[nlarge++] = l;
-    }
-  }
-  geom_classes_.push_back(cls);
-  alias_class_ = geom_classes_.size() - 1;
-  return geom_classes_.back();
-}
-
-void DmpModelMonteCarlo::advance_alias(std::uint64_t target,
-                                       std::uint64_t late_stop) {
-  const std::size_t kflows = chains_.size();
-  load_exit_rates();
-  // All mutable state lives in locals for the duration of the loop (the
-  // batch-means folds are inline, so nothing here escapes the optimizer's
-  // view) and is flushed back to the members once on exit.
-  double* const exits = exit_now_.data();
-  std::uint32_t* const states = flow_state_.data();
-  std::uint64_t* const delivered = flow_delivered_.data();
-  const std::int64_t nmax = nmax_;
-  std::int64_t n = n_;
-  std::uint64_t counted = counted_;
-  std::uint64_t late = late_;
-  double early_sum = early_sum_;
-  double alias_active = alias_active_;
-  const GeomClass* cls =
-      alias_class_ < geom_classes_.size() ? &geom_classes_[alias_class_]
-                                          : nullptr;
-  Rng rng = rng_;
-  while (counted < target) {
-    // While frozen (N = Nmax) the flows make no transitions, so the next
-    // event is a consumption with probability 1; it folds into the
-    // following geometric bulk (same RNG stream and trajectory: the exit
-    // rates — and so the draw — are unchanged while frozen).
-    const std::uint64_t forced = (n == nmax) ? 1 : 0;
-    double active = 0.0;
-    for (std::size_t k = 0; k < kflows; ++k) active += exits[k];
-    if (!(std::fabs(active - alias_active) <= 1e-9 * active)) {
-      // Exit rates cluster on a handful of values (every round/recovery
-      // state leaves at 1/RTT mathematically), but the per-state FP sums
-      // differ in the last bits, so an exact-equality lookup would miss on
-      // most flow events.  A 1e-9 relative tolerance — orders of magnitude
-      // above summation noise, orders below model accuracy — makes the
-      // rate class hit whenever the rate is semantically unchanged, and
-      // stays deterministic (same trajectory -> same comparisons).
-      alias_active = active;
-      cls = &geom_class_for(active);
-    }
-    // Number of consumptions J before the next flow event: geometric with
-    // success probability mu / (mu + active), sampled through the rate
-    // class's alias table (one uniform; the >= 32 tail adds 32 and
-    // resamples, exact by memorylessness).  Truncated at `remaining` — by
-    // memorylessness the truncation needs no correction, and a truncated
-    // bulk draws no flow event.
-    const std::uint64_t remaining = target - counted;
-    std::uint64_t j = forced;
-    for (;;) {
-      const double s = rng.uniform() * 33.0;
-      auto col = static_cast<std::uint32_t>(s);
-      if (col > 32) col = 32;  // guard the u -> [0,33) edge
-      const std::uint32_t d =
-          (s - static_cast<double>(col)) < cls->cut[col] ? col
-                                                         : cls->alias[col];
-      if (d < 32) {
-        j += d;
-        break;
-      }
-      j += 32;
-      if (j >= remaining) break;
-    }
-    if (j > remaining) j = remaining;
-    consume_segment(j, n, late, counted, early_sum, batches_);
-    // Truncated bulk or a certain "fail": no flow event drawn.
-    if (counted >= target || late >= late_stop) break;
-    // Flow event: pick the flow proportionally to its exit rate, then its
-    // transition through the per-state alias table in O(1).
-    const std::size_t k = pick_flow(exits, kflows, rng.uniform() * active);
-    const TcpFlowChain& chain = *chains_[k];
-    const auto& t = chain.pick_alias(states[k], rng.uniform());
-    states[k] = t.target;
-    exits[k] = chain.exit_rate(t.target);
-    if (t.delivered > 0) {
-      n = std::min<std::int64_t>(n + t.delivered, nmax);
-      delivered[k] += t.delivered;
-    }
-  }
-  n_ = n;
-  counted_ = counted;
-  late_ = late;
-  early_sum_ = early_sum;
-  alias_active_ = alias_active;  // alias_class_ is kept by geom_class_for
-  rng_ = rng;
 }
 
 void DmpModelMonteCarlo::fill_compat_slot(std::uint64_t* slot,
@@ -601,8 +357,8 @@ void DmpModelMonteCarlo::fill_compat_slot(std::uint64_t* slot,
   slot[0] = index;
 }
 
-void DmpModelMonteCarlo::advance_compat(std::uint64_t target,
-                                        std::uint64_t late_stop) {
+void DmpModelMonteCarlo::advance_to(std::uint64_t target,
+                                    std::uint64_t late_stop) {
   std::uint32_t* const states = flow_state_.data();
   std::uint64_t* const delivered = flow_delivered_.data();
   const std::size_t kflows = chains_.size();
@@ -679,22 +435,6 @@ void DmpModelMonteCarlo::advance_compat(std::uint64_t target,
   late_ = late;
   early_sum_ = early_sum;
   rng_ = rng;
-}
-
-void DmpModelMonteCarlo::load_exit_rates() {
-  exit_now_.resize(chains_.size());
-  for (std::size_t k = 0; k < chains_.size(); ++k) {
-    exit_now_[k] = chains_[k]->exit_rate(flow_state_[k]);
-  }
-}
-
-void DmpModelMonteCarlo::advance_to(std::uint64_t target,
-                                    std::uint64_t late_stop) {
-  if (mode_ == SamplerMode::kCompat) {
-    advance_compat(target, late_stop);
-  } else {
-    advance_alias(target, late_stop);
-  }
 }
 
 MonteCarloResult DmpModelMonteCarlo::snapshot() const {
@@ -812,8 +552,7 @@ MonteCarloResult DmpModelMonteCarlo::run_sharded(
   pool.run_ordered(
       static_cast<std::size_t>(shards),
       [&](std::size_t s) {
-        DmpModelMonteCarlo engine(params_, shard_seeds.at(s),
-                                  SamplerMode::kAlias);
+        DmpModelMonteCarlo engine(params_, shard_seeds.at(s));
         engine.run(consumptions_per_shard, warmup_per_shard);
         return ShardTotals{engine.late_, engine.counted_, engine.early_sum_,
                            engine.flow_delivered_,

@@ -19,22 +19,17 @@
 //     linear-time per event, handles any Nmax / wmax, and is the workhorse
 //     behind every Section-7 figure.
 //
-// The Monte-Carlo engine has two sampling modes (docs/MODEL_ENGINE.md):
-//   * SamplerMode::kCompat (default) replays the historical event loop
-//     draw for draw — one uniform per event, linear transition scans — so
-//     seeded runs reproduce the golden pins byte-identically.  It decides
-//     each event by integer compares of the raw 53-bit draw against exact
-//     cuts: the consumption and flow cuts of the current exit-rate class
-//     (compat_class_cuts, kept in a per-engine table) and the chain's
-//     per-edge pick cuts (TcpFlowChain::pick_cut).  Runs of consecutive
-//     consumptions are accounted in one fold.
-//   * SamplerMode::kAlias is the fast path: consecutive consumptions
-//     between flow events collapse into one geometric draw, and flow
-//     transitions sample through the per-state Walker alias tables in
-//     O(1).  Same generator, same distribution, different realizations.
+// The Monte-Carlo engine has one sampler (docs/MODEL_ENGINE.md).  It
+// replays the historical event loop draw for draw — one uniform per event,
+// linear transition scans — so seeded runs reproduce the golden pins
+// byte-identically.  It decides each event by integer compares of the raw
+// 53-bit draw against exact cuts: the consumption and flow cuts of the
+// current exit-rate class (compat_class_cuts, kept in a per-engine table)
+// and the chain's per-edge pick cuts (TcpFlowChain::pick_cut).  Runs of
+// consecutive consumptions are accounted in one fold.  Sharded estimation
+// (run_sharded) runs independent engines of the same sampler.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -53,17 +48,12 @@ struct ComposedParams {
   std::int64_t nmax() const;
 };
 
-enum class SamplerMode {
-  kCompat,  // historical event loop, byte-identical to pre-CSR goldens
-  kAlias,   // alias-table transitions + bulk geometric consumptions
-};
-
 // The materialized product-chain generator (validation sizes only; throws
 // beyond ~2M states).  Exposed so tests can cross-check the two
 // steady-state solvers on the same composed chain.
 Ctmc composed_ctmc(const ComposedParams& params);
 
-// The compat sampler's cuts for one exit-rate class: flows with exit rates
+// The sampler's cuts for one exit-rate class: flows with exit rates
 // exits[0..kflows) and playback rate mu, total = mu + exits[0] + ... in
 // index order.  A draw b (Rng::draw53) is a consumption iff b < cuts[0],
 // the smallest b with !(Rng::unit(b) * total < mu); otherwise its flow is
@@ -115,15 +105,11 @@ struct StoredVideoResult {
 
 StoredVideoResult stored_video_late_fraction(
     const ComposedParams& params, std::int64_t video_packets,
-    std::uint64_t replications, std::uint64_t seed,
-    SamplerMode mode = SamplerMode::kCompat);
+    std::uint64_t replications, std::uint64_t seed);
 
 class DmpModelMonteCarlo {
  public:
-  DmpModelMonteCarlo(const ComposedParams& params, std::uint64_t seed,
-                     SamplerMode mode = SamplerMode::kCompat);
-
-  SamplerMode sampler_mode() const { return mode_; }
+  DmpModelMonteCarlo(const ComposedParams& params, std::uint64_t seed);
 
   // Simulates until `consumptions` consumption events have been *counted*
   // (after discarding `warmup` consumptions for the initial transient).
@@ -155,10 +141,11 @@ class DmpModelMonteCarlo {
 
   static constexpr std::uint64_t kAutoWarmup = ~0ull;
 
-  // Deterministic sharded estimation: `shards` independent alias-mode
-  // trajectories, shard s seeded from the SplitMix64 stream
-  // (seed, shard domain).at(s), executed on an OrderedPool and merged in
-  // shard order.  The result is a pure function of (params, seed, shards,
+  // Deterministic sharded estimation: `shards` independent trajectories,
+  // each a fresh engine's run(consumptions_per_shard, warmup_per_shard)
+  // with shard s seeded from the SplitMix64 stream (seed, shard
+  // domain).at(s), executed on an OrderedPool and merged in shard order.
+  // The result is a pure function of (params, seed, shards,
   // consumptions_per_shard, warmup_per_shard) — byte-identical at any
   // `threads` / DMP_THREADS, matching the experiment-runner contract.
   // The CI is a t-interval over per-shard late fractions.  This engine's
@@ -178,22 +165,15 @@ class DmpModelMonteCarlo {
                           std::uint64_t late_stop);
   // Discards `warmup` consumptions, then resets the run accounting.
   void start_counting(std::uint64_t warmup);
-  // Counted consumptions reach `target` (mode-dispatched hot loop), or the
-  // late count reaches `late_stop` at a segment boundary, whichever first.
+  // The hot loop: one 53-bit draw per event, decided by integer cuts,
+  // each run of consumptions between flow events folded in one step, until
+  // counted consumptions reach `target` or the late count reaches
+  // `late_stop` at a segment boundary, whichever first.
   void advance_to(std::uint64_t target,
                   std::uint64_t late_stop = kNoLateStop);
-  // The compat-mode hot loop: one 53-bit draw per event, decided by
-  // integer cuts, each run of consumptions between flow events folded in
-  // one step.
-  void advance_compat(std::uint64_t target, std::uint64_t late_stop);
   // Fills a compat_table_ slot with `index` and the cuts of the current
   // class tuple, compat_class_.
   void fill_compat_slot(std::uint64_t* slot, std::uint64_t index);
-  // The alias-mode hot loop: bulk geometric consumption draws between
-  // alias-sampled flow transitions.
-  void advance_alias(std::uint64_t target, std::uint64_t late_stop);
-  // Refreshes exit_now_ from the current flow states.
-  void load_exit_rates();
   MonteCarloResult snapshot() const;
 
   ComposedParams params_;
@@ -203,7 +183,6 @@ class DmpModelMonteCarlo {
   std::int64_t nmax_;
   Rng rng_;
   std::uint64_t seed_;
-  SamplerMode mode_;
 
   // accounting for the current run() call
   std::uint64_t late_ = 0;
@@ -212,37 +191,17 @@ class DmpModelMonteCarlo {
   double early_sum_ = 0.0;
   BatchMeans batches_;
 
-  // Hot-loop working state: per-flow current exit rates (contiguous, so
-  // the alias loop never chases chain pointers; the compat path fills its
-  // class-table slots from it), and, for the alias path, one
-  // geometric-draw alias table per distinct total exit rate ("rate class").
-  // The table samples J = #consumptions before the next flow event —
-  // outcomes 0..31 plus a tail outcome worth 32 + resample, exact by
-  // memorylessness — in one uniform instead of a std::log call.  Exit rates
-  // take only a handful of semantically distinct values, so the class list
-  // stays tiny; matching is by the same 1e-9 relative tolerance the hot
-  // loop uses.
-  struct GeomClass {
-    double active = 0.0;                 // total exit rate this table is for
-    std::array<double, 33> cut{};        // Walker alias: acceptance cuts
-    std::array<std::uint8_t, 33> alias{};  // Walker alias: overflow targets
-  };
-  const GeomClass& geom_class_for(double active);
-
+  // Scratch for fill_compat_slot: the exit rates of a class tuple.
   std::vector<double> exit_now_;
-  std::vector<GeomClass> geom_classes_;
-  double alias_active_ = -1.0;   // rate class currently in effect
-  std::size_t alias_class_ = 0;  // index into geom_classes_
 
-  // Compat-mode class table.  A flow's exit-rate class
-  // (TcpFlowChain::exit_class) fixes its exit rate, so the tuple of the
-  // flows' classes fixes every cut of compat_class_cuts.  The tuple's
-  // mixed-radix index, the sum of class * compat_stride_, picks a slot of
-  // K + 1 words, [index, K cuts], filled on first use: the slot numbered
-  // by the index itself when there are at most kCompatSlots tuples
-  // (compat_mult_ = 1, compat_shift_ = 0), else one of kCompatSlots slots
-  // by a multiplicative hash, where a slot holding another index is
-  // refilled.
+  // Class table.  A flow's exit-rate class (TcpFlowChain::exit_class)
+  // fixes its exit rate, so the tuple of the flows' classes fixes every
+  // cut of compat_class_cuts.  The tuple's mixed-radix index, the sum of
+  // class * compat_stride_, picks a slot of K + 1 words, [index, K cuts],
+  // filled on first use: the slot numbered by the index itself when there
+  // are at most kCompatSlots tuples (compat_mult_ = 1, compat_shift_ = 0),
+  // else one of kCompatSlots slots by a multiplicative hash, where a slot
+  // holding another index is refilled.
   static constexpr std::uint64_t kNoIndex = ~0ull;
   static constexpr int kCompatSlotBits = 14;
   static constexpr std::uint64_t kCompatSlots = 1ull << kCompatSlotBits;

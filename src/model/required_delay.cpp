@@ -54,7 +54,7 @@ Probe probe_tau(const ComposedParams& base, double tau_s,
   // the total budget is spent.  Every round is a pure function of
   // (probe_seed, shards, budget), so the decision is byte-identical at
   // any thread count.
-  const DmpModelMonteCarlo mc(params, probe_seed, SamplerMode::kAlias);
+  const DmpModelMonteCarlo mc(params, probe_seed);
   std::uint64_t per_shard = options.min_consumptions / options.shards;
   if (per_shard == 0) per_shard = 1;
   MonteCarloResult result;

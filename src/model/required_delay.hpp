@@ -19,10 +19,10 @@ struct RequiredDelayOptions {
   std::uint64_t max_consumptions = 6'400'000;
   std::uint64_t seed = 2007;
   // shards > 0 switches each probe to the deterministic sharded estimator
-  // (alias sampling, run_sharded): the estimate is a pure function of
-  // (seed, shards, budget), byte-identical at any `threads`.  shards == 0
-  // keeps the sequential compat probe that the golden pins were recorded
-  // against.
+  // (run_sharded: independent trajectories of the one sampler, merged): the
+  // estimate is a pure function of (seed, shards, budget), byte-identical at
+  // any `threads`.  shards == 0 keeps the sequential probe that the golden
+  // pins were recorded against.
   std::uint64_t shards = 0;
   std::size_t threads = 0;  // worker threads for sharded probes; 0 = auto
 };

@@ -264,49 +264,6 @@ TcpFlowChain::TcpFlowChain(TcpChainParams params) : params_(params) {
     timeout_flag_.push_back(s.mode == Mode::kTimeout);
   }
   initial_ = 0;
-
-  // Walker alias tables, one per state over its out-degree d: column j
-  // keeps transition j with probability alias_cut_[j] of the fractional
-  // draw, and donates the rest of its 1/d column to alias_other_[j]
-  // (Vose's stable construction).
-  alias_cut_.assign(flat_.size(), 1.0);
-  alias_other_.assign(flat_.size(), 0);
-  std::vector<std::uint32_t> small_cols, large_cols;
-  std::vector<double> scaled;
-  for (std::uint32_t s = 0; s + 1 < row_off_.size(); ++s) {
-    const std::uint32_t off = row_off_[s];
-    const std::uint32_t d = row_off_[s + 1] - off;
-    if (d == 0) continue;
-    scaled.assign(d, 0.0);
-    small_cols.clear();
-    large_cols.clear();
-    const double norm = static_cast<double>(d) / exit_rate_[s];
-    for (std::uint32_t j = 0; j < d; ++j) {
-      scaled[j] = flat_[off + j].rate * norm;
-      (scaled[j] < 1.0 ? small_cols : large_cols).push_back(j);
-    }
-    while (!small_cols.empty() && !large_cols.empty()) {
-      const std::uint32_t sm = small_cols.back();
-      small_cols.pop_back();
-      const std::uint32_t lg = large_cols.back();
-      alias_cut_[off + sm] = scaled[sm];
-      alias_other_[off + sm] = lg;
-      scaled[lg] -= 1.0 - scaled[sm];
-      if (scaled[lg] < 1.0) {
-        large_cols.pop_back();
-        small_cols.push_back(lg);
-      }
-    }
-    // Leftovers (either list) keep their own column: cut = 1.
-    for (const std::uint32_t j : small_cols) {
-      alias_cut_[off + j] = 1.0;
-      alias_other_[off + j] = j;
-    }
-    for (const std::uint32_t j : large_cols) {
-      alias_cut_[off + j] = 1.0;
-      alias_other_[off + j] = j;
-    }
-  }
 }
 
 void TcpFlowChain::solve_locked() const {
@@ -329,7 +286,7 @@ void TcpFlowChain::solve_locked() const {
 }
 
 void TcpFlowChain::build_pick_cuts() const {
-  // Each compat engine calls this once, so the lock is cheap; taking it
+  // Each Monte-Carlo engine calls this once, so the lock is cheap; taking it
   // every time also orders the caller's reads after the build.
   std::lock_guard<std::mutex> lock(solve_mu_);
   if (pick_cuts_built_) return;

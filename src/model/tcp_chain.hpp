@@ -24,17 +24,16 @@
 // composed chain.
 //
 // Storage is CSR (one flat transition array + per-state row offsets) so the
-// Monte-Carlo hot loops walk contiguous memory, and every state carries a
-// Walker alias table so the fast samplers draw the next transition in O(1)
-// (`pick_alias`).  `pick_linear` reproduces, operation for operation, the
-// sequential-subtraction scan the engine has always used, and defines the
-// default "compat" sampling path.  That path decides by integer cuts
-// instead (`pick_cut`): each edge stores the smallest 53-bit draw that
-// pick_linear sends past it, found by searching pick_linear itself, so a
-// compare of the raw draw picks the same edge as the scan, draw for draw,
-// and seeded runs stay byte-identical to historical golden runs.  The cuts
-// are built on first compat use (`build_pick_cuts`) into padding the edge
-// layout had anyway.  See docs/MODEL_ENGINE.md.
+// Monte-Carlo hot loop walks contiguous memory.  `pick_linear` reproduces,
+// operation for operation, the sequential-subtraction scan the engine has
+// always used, and defines how the Monte-Carlo sampler picks a transition.
+// The sampler decides by integer cuts instead (`pick_cut`): each edge stores
+// the smallest 53-bit draw that pick_linear sends past it, found by
+// searching pick_linear itself, so a compare of the raw draw picks the same
+// edge as the scan, draw for draw, and seeded runs stay byte-identical to
+// historical golden runs.  The cuts are built on first sampler use
+// (`build_pick_cuts`) into padding the edge layout had anyway.  See
+// docs/MODEL_ENGINE.md.
 #pragma once
 
 #include <algorithm>
@@ -116,7 +115,7 @@ struct FlowTransition {
   std::uint32_t target = 0;
   std::uint16_t delivered = 0;  // S: packets released in order (<= 2 wmax)
   // The target's exit-rate class (TcpFlowChain::exit_class), and the
-  // compat pick cut: the smallest draw b for which pick_linear(s,
+  // sampler's pick cut: the smallest draw b for which pick_linear(s,
   // Rng::unit(b) * exit_rate(s)) picks an edge after this one (kDrawLimit
   // on a row's last edge).  Both zero until TcpFlowChain::build_pick_cuts().
   std::uint16_t target_class = 0;
@@ -124,7 +123,7 @@ struct FlowTransition {
   std::uint64_t pick_cut = 0;
 };
 static_assert(sizeof(FlowTransition) == 24,
-              "the compat fields fill what was padding");
+              "the sampler fields fill what was padding");
 
 class TcpFlowChain {
  public:
@@ -196,30 +195,13 @@ class TcpFlowChain {
   // Exit-rate classes (valid after build_pick_cuts()): states whose exit
   // rates are bit-identical share a class, numbered by increasing rate.
   // Exit rates take few distinct values (12-14 for a wmax-20 chain), so
-  // the compat sampler keys its per-class cuts by these ids; each edge
+  // the Monte-Carlo sampler keys its per-class cuts by these ids; each edge
   // carries its target's class (FlowTransition::target_class).
   std::uint32_t exit_class(std::uint32_t s) const;
   std::uint32_t num_exit_classes() const {
     return static_cast<std::uint32_t>(class_exit_rate_.size());
   }
   double class_exit_rate(std::uint32_t c) const { return class_exit_rate_[c]; }
-
-  // Next transition from `s` given u uniform in [0, 1): Walker alias table,
-  // O(1) for any out-degree.  Same distribution as pick_linear but a
-  // different map from u to outcome, so trajectories differ realization-
-  // by-realization — this is the SamplerMode::kAlias fast path.
-  const FlowTransition& pick_alias(std::uint32_t s, double u) const {
-    const std::uint32_t off = row_off_[s];
-    const std::uint32_t d = row_off_[s + 1] - off;
-    const double scaled = u * static_cast<double>(d);
-    std::uint32_t col = static_cast<std::uint32_t>(scaled);
-    if (col >= d) col = d - 1;  // guards u rounding up to 1.0 * d
-    const double frac = scaled - static_cast<double>(col);
-    const std::uint32_t slot = off + col;
-    const std::uint32_t pick =
-        frac < alias_cut_[slot] ? col : alias_other_[slot];
-    return flat_[off + pick];
-  }
 
   // Stationary distribution of the flow chain alone (backlogged source).
   // Solved once and memoized; thread-safe, so chains shared through the
@@ -241,11 +223,6 @@ class TcpFlowChain {
   // Mutable for build_pick_cuts() alone, which fills each edge's
   // target_class and pick_cut once; the rest is fixed at construction.
   mutable std::vector<FlowTransition> flat_;
-  // Per-slot Walker alias table, sharing row_off_'s layout: column j of
-  // state s keeps its own transition when the fractional draw falls below
-  // alias_cut_, and alias_other_ (a row-local index) otherwise.
-  std::vector<double> alias_cut_;
-  std::vector<std::uint32_t> alias_other_;
   std::vector<double> exit_rate_;
   std::vector<bool> timeout_flag_;
   // The distinct exit rates, ascending; filled by build_pick_cuts().

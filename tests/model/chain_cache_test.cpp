@@ -45,10 +45,10 @@ TEST(ChainCache, HitIsConstantTimeRelativeToASolve) {
   params.flows = {flow(0.04), flow(0.04)};
   params.mu_pps = 40.0;
   params.tau_s = 1.0;
-  { DmpModelMonteCarlo warm(params, 1, SamplerMode::kAlias); }
+  { DmpModelMonteCarlo warm(params, 1); }
   const auto misses_before = chain_cache_stats().misses;
   for (int i = 0; i < 100; ++i) {
-    DmpModelMonteCarlo engine(params, 1, SamplerMode::kAlias);
+    DmpModelMonteCarlo engine(params, 1);
   }
   EXPECT_EQ(chain_cache_stats().misses, misses_before);
 }

@@ -163,9 +163,9 @@ TEST(ComposedParams, NmaxRoundsMuTau) {
   EXPECT_THROW((DmpModelMonteCarlo{params, 1}), std::invalid_argument);
 }
 
-TEST(ComposedExactVsMonteCarlo, AliasSamplerAgreesAtKThree) {
-  // Three-path differential for the alias fast path: small wmax keeps the
-  // exact product tractable (16^3 x (Nmax+1) states).
+TEST(ComposedExactVsMonteCarlo, AgreeOnThreeFlows) {
+  // Three-path differential: small wmax keeps the exact product tractable
+  // (16^3 x (Nmax+1) states).
   TcpChainParams flow = tiny_flow(0.08);
   flow.wmax = 4;
   flow.max_backoff = 2;
@@ -175,27 +175,11 @@ TEST(ComposedExactVsMonteCarlo, AliasSamplerAgreesAtKThree) {
   params.tau_s = 0.25;  // Nmax = 6
   const double exact = ComposedChainExact(params).late_fraction();
 
-  DmpModelMonteCarlo mc(params, 11, SamplerMode::kAlias);
+  DmpModelMonteCarlo mc(params, 11);
   const auto result = mc.run(2'000'000, 100'000);
   EXPECT_NEAR(result.late_fraction, exact, 0.05 * exact);
   EXPECT_GT(exact, result.ci.lo() - 0.01);
   EXPECT_LT(exact, result.ci.hi() + 0.01);
-}
-
-TEST(ComposedExactVsMonteCarlo, AliasAndCompatSampleTheSameChain) {
-  // Same generator, different realizations: both modes must straddle the
-  // exact answer on a configuration with substantial lateness.
-  ComposedParams params;
-  params.flows = {tiny_flow(0.05), tiny_flow(0.05)};
-  params.mu_pps = 30.0;
-  params.tau_s = 0.4;
-  const double exact = ComposedChainExact(params).late_fraction();
-  const auto alias =
-      DmpModelMonteCarlo(params, 9, SamplerMode::kAlias).run(800'000, 80'000);
-  const auto compat =
-      DmpModelMonteCarlo(params, 9, SamplerMode::kCompat).run(800'000, 80'000);
-  EXPECT_NEAR(alias.late_fraction, exact, 0.05 * exact);
-  EXPECT_NEAR(compat.late_fraction, exact, 0.05 * exact);
 }
 
 TEST(ComposedSolvers, GaussSeidelAndPowerAgreeOnTheProductChain) {
@@ -210,20 +194,6 @@ TEST(ComposedSolvers, GaussSeidelAndPowerAgreeOnTheProductChain) {
   for (std::size_t i = 0; i < gs.size(); ++i) {
     EXPECT_NEAR(gs[i], power[i], 1e-8);
   }
-}
-
-TEST(MonteCarlo, AliasModeDeterministicForFixedSeed) {
-  ComposedParams params;
-  params.flows = {tiny_flow(), tiny_flow()};
-  params.mu_pps = 30.0;
-  params.tau_s = 0.4;
-  const auto a =
-      DmpModelMonteCarlo(params, 42, SamplerMode::kAlias).run(200'000, 20'000);
-  const auto b =
-      DmpModelMonteCarlo(params, 42, SamplerMode::kAlias).run(200'000, 20'000);
-  EXPECT_EQ(a.late, b.late);
-  EXPECT_DOUBLE_EQ(a.late_fraction, b.late_fraction);
-  EXPECT_DOUBLE_EQ(a.mean_early_packets, b.mean_early_packets);
 }
 
 TEST(MonteCarlo, RunUntilDecidesAtMinWhenThresholdIsUnreachable) {
@@ -294,22 +264,18 @@ TEST(MonteCarlo, ZeroBudgetsFailLoudly) {
   params.flows = {tiny_flow(), tiny_flow()};
   params.mu_pps = 25.0;
   params.tau_s = 2.0;
-  for (const SamplerMode mode : {SamplerMode::kCompat, SamplerMode::kAlias}) {
-    DmpModelMonteCarlo mc(params, 3, mode);
-    EXPECT_THROW(mc.run(0, 0), std::invalid_argument);
-    EXPECT_THROW(mc.run(0, 1'000), std::invalid_argument);
-    EXPECT_THROW(mc.run_until_decides(1e-3, 0, 10'000),
-                 std::invalid_argument);
-    EXPECT_THROW(mc.run_until_verdict(1e-3, 0, 10'000),
-                 std::invalid_argument);
-    // The engine stays usable after a refused call.
-    const auto result = mc.run(1'000, 0);
-    EXPECT_EQ(result.consumptions, 1'000u);
-    EXPECT_FALSE(std::isnan(result.late_fraction));
-  }
+  DmpModelMonteCarlo mc(params, 3);
+  EXPECT_THROW(mc.run(0, 0), std::invalid_argument);
+  EXPECT_THROW(mc.run(0, 1'000), std::invalid_argument);
+  EXPECT_THROW(mc.run_until_decides(1e-3, 0, 10'000), std::invalid_argument);
+  EXPECT_THROW(mc.run_until_verdict(1e-3, 0, 10'000), std::invalid_argument);
+  // The engine stays usable after a refused call.
+  const auto result = mc.run(1'000, 0);
+  EXPECT_EQ(result.consumptions, 1'000u);
+  EXPECT_FALSE(std::isnan(result.late_fraction));
 }
 
-// The historical compat decision for draw b: -1 for a consumption, else
+// The historical decision for draw b: -1 for a consumption, else
 // the flow picked by the sequential-subtraction scan.
 int historical_event(double mu, const std::vector<double>& exits,
                      std::uint64_t b) {

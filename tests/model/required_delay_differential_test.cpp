@@ -4,9 +4,8 @@
 // full-budget probe (run_until_decides at every tau) and the bisection
 // verbatim; the search must return the same result field for field, with
 // late_at_tau bit for bit, while drawing no more consumptions.  The
-// engine-level tests check the same contract for both samplers, including
-// the checkpoint the doubling reaches past max and a threshold on a knife
-// edge.
+// engine-level tests check the same contract, including the checkpoint the
+// doubling reaches past max and a threshold on a knife edge.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -30,35 +29,27 @@ namespace {
 // The probe seed domain of required_delay.cpp (kind 16).
 constexpr std::uint64_t kDelayProbeDomain = 16ull << 32;
 
-using Decision = MonteCarloResult (DmpModelMonteCarlo::*)(double,
-                                                          std::uint64_t,
-                                                          std::uint64_t);
-
 // The full-budget probe: tau_passes as it was before probes could end
-// early, with the sampler mode and the decision method as parameters.
+// early.
 bool oracle_tau_passes(const ComposedParams& base, double tau_s,
                        const RequiredDelayOptions& options, double* estimate,
-                       std::uint64_t grid_index, SamplerMode mode,
-                       Decision decide, std::uint64_t* consumed) {
+                       std::uint64_t grid_index, std::uint64_t* consumed) {
   ComposedParams params = base;
   params.tau_s = tau_s;
   const std::uint64_t probe_seed =
       SeedStream(options.seed, kDelayProbeDomain).at(grid_index);
-  DmpModelMonteCarlo mc(params, probe_seed, mode);
-  const auto result = (mc.*decide)(options.target_late_fraction,
-                                   options.min_consumptions,
-                                   options.max_consumptions);
+  DmpModelMonteCarlo mc(params, probe_seed);
+  const auto result = mc.run_until_decides(options.target_late_fraction,
+                                           options.min_consumptions,
+                                           options.max_consumptions);
   *estimate = result.late_fraction;
   *consumed += result.consumptions;
   return result.late_fraction < options.target_late_fraction;
 }
 
-// The bisection, verbatim.  The tau_max probe always runs the full
-// decision; `decide` drives every other probe.
-RequiredDelayResult oracle_required_delay(
-    const ComposedParams& base, const RequiredDelayOptions& options,
-    SamplerMode mode = SamplerMode::kCompat,
-    Decision decide = &DmpModelMonteCarlo::run_until_decides) {
+// The bisection, verbatim, with the full decision at every probe.
+RequiredDelayResult oracle_required_delay(const ComposedParams& base,
+                                          const RequiredDelayOptions& options) {
   RequiredDelayResult result;
   const auto grid_points = static_cast<std::int64_t>(
       std::floor((options.tau_max_s - options.tau_min_s) / options.grid_s));
@@ -69,8 +60,7 @@ RequiredDelayResult oracle_required_delay(
   double estimate_hi = 0.0;
   ++result.evaluations;
   if (!oracle_tau_passes(base, tau_at(grid_points), options, &estimate_hi,
-                         static_cast<std::uint64_t>(grid_points), mode,
-                         &DmpModelMonteCarlo::run_until_decides,
+                         static_cast<std::uint64_t>(grid_points),
                          &result.consumptions)) {
     result.feasible = false;
     result.tau_s = tau_at(grid_points);
@@ -82,8 +72,8 @@ RequiredDelayResult oracle_required_delay(
   double estimate_at_hi = estimate_hi;
   double estimate_lo = 0.0;
   ++result.evaluations;
-  if (oracle_tau_passes(base, tau_at(0), options, &estimate_lo, 0, mode,
-                        decide, &result.consumptions)) {
+  if (oracle_tau_passes(base, tau_at(0), options, &estimate_lo, 0,
+                        &result.consumptions)) {
     result.feasible = true;
     result.tau_s = tau_at(0);
     result.late_at_tau = estimate_lo;
@@ -95,7 +85,7 @@ RequiredDelayResult oracle_required_delay(
     double estimate = 0.0;
     ++result.evaluations;
     if (oracle_tau_passes(base, tau_at(mid), options, &estimate,
-                          static_cast<std::uint64_t>(mid), mode, decide,
+                          static_cast<std::uint64_t>(mid),
                           &result.consumptions)) {
       hi = mid;
       estimate_at_hi = estimate;
@@ -147,11 +137,10 @@ void expect_identical(const MonteCarloResult& got,
 // two engines with the same seed.  Returns true if the verdict call ended
 // early.
 bool expect_same_verdict(const ComposedParams& params, std::uint64_t seed,
-                         SamplerMode mode, double threshold,
-                         std::uint64_t min, std::uint64_t max,
-                         const std::string& where) {
-  DmpModelMonteCarlo full(params, seed, mode);
-  DmpModelMonteCarlo early(params, seed, mode);
+                         double threshold, std::uint64_t min,
+                         std::uint64_t max, const std::string& where) {
+  DmpModelMonteCarlo full(params, seed);
+  DmpModelMonteCarlo early(params, seed);
   const auto want = full.run_until_decides(threshold, min, max);
   const auto got = early.run_until_verdict(threshold, min, max);
   const bool passes = want.late_fraction < threshold;
@@ -241,19 +230,6 @@ TEST(RequiredDelayDifferential, SearchMatchesTheFullBudgetOracle) {
   EXPECT_GT(saved, 0u);
 }
 
-TEST(RequiredDelayDifferential, AliasSearchMatchesItsFullBudgetOracle) {
-  const auto grid = randomized_grid(6);
-  for (std::size_t i = 0; i < grid.size(); ++i) {
-    const auto options = options_for(kBudgets[i % 3], 700 + i);
-    const auto want = oracle_required_delay(grid[i].params, options,
-                                            SamplerMode::kAlias);
-    const auto got =
-        oracle_required_delay(grid[i].params, options, SamplerMode::kAlias,
-                              &DmpModelMonteCarlo::run_until_verdict);
-    expect_same_search(got, want, grid[i].label + " alias");
-  }
-}
-
 TEST(RequiredDelayDifferential, InfeasiblePointReportsTheFullEstimate) {
   // sigma_a / mu = 0.8: even tau_max fails, and its estimate is reported.
   ComposedParams params;
@@ -334,24 +310,21 @@ TEST(RequiredDelayDifferential, FailingProbesDrawFewerConsumptions) {
   EXPECT_GE(probe.late_fraction, options.target_late_fraction);
 }
 
-TEST(RunUntilVerdict, MatchesTheFullDecisionInBothSamplers) {
+TEST(RunUntilVerdict, MatchesTheFullDecision) {
   const auto grid = randomized_grid(6);
   std::size_t stopped = 0;
   for (std::size_t i = 0; i < grid.size(); ++i) {
     for (const double tau : {1.0, 3.0, 8.0}) {
       ComposedParams params = grid[i].params;
       params.tau_s = tau;
-      for (const auto mode : {SamplerMode::kCompat, SamplerMode::kAlias}) {
-        for (const Budget& budget : kBudgets) {
-          std::ostringstream where;
-          where << grid[i].label << " tau=" << tau << " alias="
-                << (mode == SamplerMode::kAlias) << " budget=" << budget.min
-                << "/" << budget.max;
-          stopped += expect_same_verdict(params, 40 + i, mode, 1e-4,
-                                         budget.min, budget.max, where.str())
-                         ? 1
-                         : 0;
-        }
+      for (const Budget& budget : kBudgets) {
+        std::ostringstream where;
+        where << grid[i].label << " tau=" << tau << " budget=" << budget.min
+              << "/" << budget.max;
+        stopped += expect_same_verdict(params, 40 + i, 1e-4, budget.min,
+                                       budget.max, where.str())
+                       ? 1
+                       : 0;
       }
     }
   }
@@ -367,22 +340,20 @@ TEST(RunUntilVerdict, BoundIsTheLastReachableCheckpointNotMax) {
   ComposedParams params = knife_setup();
   params.tau_s = 1.0;
   std::size_t sensitive = 0;
-  for (const auto mode : {SamplerMode::kCompat, SamplerMode::kAlias}) {
-    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
-      DmpModelMonteCarlo pilot(params, seed, mode);
-      const double estimate = pilot.run(160'000, 2'000).late_fraction;
-      for (const double scale : {1.02, 1.1, 1.25, 1.4}) {
-        const double threshold = estimate * scale;
-        DmpModelMonteCarlo full(params, seed, mode);
-        const auto want = full.run_until_decides(threshold, 20'000, 100'000);
-        if (want.consumptions == 160'000 && want.late_fraction < threshold &&
-            static_cast<double>(want.late) >= threshold * 100'000.0) {
-          ++sensitive;
-        }
-        expect_same_verdict(params, seed, mode, threshold, 20'000, 100'000,
-                            "seed " + std::to_string(seed) + " scale " +
-                                std::to_string(scale));
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    DmpModelMonteCarlo pilot(params, seed);
+    const double estimate = pilot.run(160'000, 2'000).late_fraction;
+    for (const double scale : {1.02, 1.1, 1.25, 1.4}) {
+      const double threshold = estimate * scale;
+      DmpModelMonteCarlo full(params, seed);
+      const auto want = full.run_until_decides(threshold, 20'000, 100'000);
+      if (want.consumptions == 160'000 && want.late_fraction < threshold &&
+          static_cast<double>(want.late) >= threshold * 100'000.0) {
+        ++sensitive;
       }
+      expect_same_verdict(params, seed, threshold, 20'000, 100'000,
+                          "seed " + std::to_string(seed) + " scale " +
+                              std::to_string(scale));
     }
   }
   EXPECT_GT(sensitive, 0u);
@@ -391,23 +362,21 @@ TEST(RunUntilVerdict, BoundIsTheLastReachableCheckpointNotMax) {
 TEST(RunUntilVerdict, KnifeEdgeThresholdAtTheOnlyCheckpoint) {
   ComposedParams params = knife_setup();
   params.tau_s = 1.0;
-  for (const auto mode : {SamplerMode::kCompat, SamplerMode::kAlias}) {
-    DmpModelMonteCarlo pilot(params, 9, mode);
-    const auto late = pilot.run(30'000, 3'000).late;
-    ASSERT_GT(late, 0u);
-    const double c = 30'000.0;
-    // L / c: the full run ends exactly on the threshold and fails.
-    expect_same_verdict(params, 9, mode, static_cast<double>(late) / c,
-                        30'000, 30'000, "threshold L/c");
-    DmpModelMonteCarlo at_knife(params, 9, mode);
-    EXPECT_FALSE(at_knife
-                     .run_until_verdict(static_cast<double>(late) / c, 30'000,
-                                        30'000)
-                     .late_fraction < static_cast<double>(late) / c);
-    // (L + 1) / c: one count of headroom; it passes with the full result.
-    expect_same_verdict(params, 9, mode, static_cast<double>(late + 1) / c,
-                        30'000, 30'000, "threshold (L+1)/c");
-  }
+  DmpModelMonteCarlo pilot(params, 9);
+  const auto late = pilot.run(30'000, 3'000).late;
+  ASSERT_GT(late, 0u);
+  const double c = 30'000.0;
+  // L / c: the full run ends exactly on the threshold and fails.
+  expect_same_verdict(params, 9, static_cast<double>(late) / c, 30'000,
+                      30'000, "threshold L/c");
+  DmpModelMonteCarlo at_knife(params, 9);
+  EXPECT_FALSE(at_knife
+                   .run_until_verdict(static_cast<double>(late) / c, 30'000,
+                                      30'000)
+                   .late_fraction < static_cast<double>(late) / c);
+  // (L + 1) / c: one count of headroom; it passes with the full result.
+  expect_same_verdict(params, 9, static_cast<double>(late + 1) / c, 30'000,
+                      30'000, "threshold (L+1)/c");
 }
 
 TEST(RunUntilVerdict, RejectsBudgetsAndThresholdsWithoutACertainFail) {

@@ -8,6 +8,7 @@
 
 #include "model/composed_chain.hpp"
 #include "model/required_delay.hpp"
+#include "util/seed_stream.hpp"
 
 namespace dmp {
 namespace {
@@ -51,7 +52,7 @@ void expect_identical(const MonteCarloResult& a, const MonteCarloResult& b) {
 }
 
 TEST(ShardedMonteCarlo, ByteIdenticalAcrossThreadCounts) {
-  const DmpModelMonteCarlo mc(two_flows(), 41, SamplerMode::kAlias);
+  const DmpModelMonteCarlo mc(two_flows(), 41);
   const auto one = mc.run_sharded(6, 50'000, 5'000, /*threads=*/1);
   const auto two = mc.run_sharded(6, 50'000, 5'000, /*threads=*/2);
   const auto eight = mc.run_sharded(6, 50'000, 5'000, /*threads=*/8);
@@ -59,8 +60,32 @@ TEST(ShardedMonteCarlo, ByteIdenticalAcrossThreadCounts) {
   expect_identical(one, eight);
 }
 
+TEST(ShardedMonteCarlo, OneShardIsASequentialCompatRun) {
+  // A shard is a fresh engine seeded from the shard stream (kind 17), so
+  // one shard is one sequential run with that seed, bit for bit.
+  const DmpModelMonteCarlo mc(two_flows(), 41);
+  const auto sharded = mc.run_sharded(1, 60'000, 6'000, /*threads=*/2);
+  DmpModelMonteCarlo sequential(two_flows(),
+                                SeedStream(41, 17ull << 32).at(0));
+  const auto run = sequential.run(60'000, 6'000);
+  EXPECT_EQ(sharded.late, run.late);
+  EXPECT_EQ(sharded.consumptions, run.consumptions);
+  EXPECT_EQ(std::memcmp(&sharded.late_fraction, &run.late_fraction,
+                        sizeof(double)),
+            0);
+  EXPECT_EQ(std::memcmp(&sharded.mean_early_packets, &run.mean_early_packets,
+                        sizeof(double)),
+            0);
+  ASSERT_EQ(sharded.flow_share.size(), run.flow_share.size());
+  for (std::size_t k = 0; k < run.flow_share.size(); ++k) {
+    EXPECT_EQ(std::memcmp(&sharded.flow_share[k], &run.flow_share[k],
+                          sizeof(double)),
+              0);
+  }
+}
+
 TEST(ShardedMonteCarlo, MergesAllShardBudgets) {
-  const DmpModelMonteCarlo mc(two_flows(), 41, SamplerMode::kAlias);
+  const DmpModelMonteCarlo mc(two_flows(), 41);
   const auto result = mc.run_sharded(5, 40'000, 4'000);
   EXPECT_EQ(result.consumptions, 5u * 40'000u);
   EXPECT_GT(result.late, 0u);
@@ -71,8 +96,8 @@ TEST(ShardedMonteCarlo, MergesAllShardBudgets) {
 }
 
 TEST(ShardedMonteCarlo, SeedSelectsTheEstimate) {
-  const DmpModelMonteCarlo a(two_flows(), 41, SamplerMode::kAlias);
-  const DmpModelMonteCarlo b(two_flows(), 42, SamplerMode::kAlias);
+  const DmpModelMonteCarlo a(two_flows(), 41);
+  const DmpModelMonteCarlo b(two_flows(), 42);
   const auto ra = a.run_sharded(4, 40'000);
   const auto rb = b.run_sharded(4, 40'000);
   EXPECT_NE(ra.late, rb.late);  // different shard streams
@@ -82,16 +107,16 @@ TEST(ShardedMonteCarlo, SeedSelectsTheEstimate) {
 TEST(ShardedMonteCarlo, DoesNotPerturbTheEngineTrajectory) {
   // run_sharded is const: a sequential run after it must match a run on a
   // fresh engine with the same seed.
-  DmpModelMonteCarlo probed(two_flows(), 77, SamplerMode::kAlias);
+  DmpModelMonteCarlo probed(two_flows(), 77);
   (void)probed.run_sharded(3, 20'000);
   const auto after = probed.run(100'000, 10'000);
-  DmpModelMonteCarlo fresh(two_flows(), 77, SamplerMode::kAlias);
+  DmpModelMonteCarlo fresh(two_flows(), 77);
   const auto baseline = fresh.run(100'000, 10'000);
   expect_identical(after, baseline);
 }
 
 TEST(ShardedMonteCarlo, ValidatesArguments) {
-  const DmpModelMonteCarlo mc(two_flows(), 1, SamplerMode::kAlias);
+  const DmpModelMonteCarlo mc(two_flows(), 1);
   EXPECT_THROW(mc.run_sharded(0, 1000), std::invalid_argument);
   EXPECT_THROW(mc.run_sharded(4, 0), std::invalid_argument);
 }

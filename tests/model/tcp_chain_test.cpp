@@ -2,9 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
-#include <map>
-
 #include "model/pftk.hpp"
 #include "util/rng.hpp"
 
@@ -143,81 +140,7 @@ TEST(LossInversion, RejectsUnreachableTargets) {
   EXPECT_THROW(loss_rate_for_throughput(-1.0, p), std::invalid_argument);
 }
 
-// The state with the largest out-degree exercises the alias table hardest.
-std::uint32_t widest_state(const TcpFlowChain& chain) {
-  std::uint32_t best = 0;
-  std::size_t degree = 0;
-  for (std::uint32_t s = 0; s < chain.num_states(); ++s) {
-    if (chain.transitions_from(s).size() > degree) {
-      degree = chain.transitions_from(s).size();
-      best = s;
-    }
-  }
-  return best;
-}
-
-TEST(AliasSampler, MatchesTransitionProbabilities) {
-  const TcpFlowChain chain(base_params());
-  const std::uint32_t s = widest_state(chain);
-  const auto ts = chain.transitions_from(s);
-  ASSERT_GT(ts.size(), 3u);
-
-  constexpr int kSamples = 400'000;
-  std::map<std::uint32_t, int> counts;
-  Rng rng(123);
-  for (int i = 0; i < kSamples; ++i) {
-    ++counts[chain.pick_alias(s, rng.uniform()).target];
-  }
-  for (const auto& t : ts) {
-    const double expected = t.rate / chain.exit_rate(s);
-    const double observed =
-        static_cast<double>(counts[t.target]) / kSamples;
-    // 5-sigma binomial tolerance (plus a floor for tiny probabilities).
-    const double sigma =
-        std::sqrt(expected * (1.0 - expected) / kSamples);
-    EXPECT_NEAR(observed, expected, 5.0 * sigma + 1e-4)
-        << "target " << t.target;
-  }
-}
-
-TEST(AliasSampler, AgreesWithLinearScanInDistribution) {
-  const TcpFlowChain chain(base_params());
-  const std::uint32_t s = widest_state(chain);
-  constexpr int kSamples = 400'000;
-  std::map<std::uint32_t, int> alias_counts, linear_counts;
-  Rng rng_a(7), rng_l(7);
-  for (int i = 0; i < kSamples; ++i) {
-    ++alias_counts[chain.pick_alias(s, rng_a.uniform()).target];
-    const double x = rng_l.uniform() * chain.exit_rate(s);
-    ++linear_counts[chain.pick_linear(s, x).target];
-  }
-  for (const auto& t : chain.transitions_from(s)) {
-    const double pa =
-        static_cast<double>(alias_counts[t.target]) / kSamples;
-    const double pl =
-        static_cast<double>(linear_counts[t.target]) / kSamples;
-    EXPECT_NEAR(pa, pl, 0.005) << "target " << t.target;
-  }
-}
-
-TEST(AliasSampler, EveryDrawReturnsAValidTransition) {
-  // Edge inputs: u at and near the cell boundaries must still land on a
-  // real transition of the sampled state.
-  const TcpFlowChain chain(base_params());
-  for (std::uint32_t s = 0; s < chain.num_states(); s += 7) {
-    const auto ts = chain.transitions_from(s);
-    for (double u : {0.0, 0.25, 0.5, 0.9999999999999999}) {
-      const auto& t = chain.pick_alias(s, u);
-      bool found = false;
-      for (const auto& ref : ts) {
-        if (&ref == &t) found = true;
-      }
-      EXPECT_TRUE(found) << "state " << s << " u " << u;
-    }
-  }
-}
-
-// The compat pick by integer cut must equal pick_linear on both sides of
+// The pick by integer cut must equal pick_linear on both sides of
 // every cut (so a cut one draw early or late fails) and at both ends of
 // the draw range.
 TEST(PickCuts, MatchPickLinearOnBothSidesOfEveryCut) {

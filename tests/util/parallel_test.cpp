@@ -6,10 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
-#include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <stdexcept>
-#include <thread>
 #include <vector>
 
 namespace dmp {
@@ -23,14 +24,26 @@ TEST(ResolveWorkerThreads, ZeroMeansHardwareButAtLeastOne) {
 TEST(OrderedPool, ConsumesInIndexOrderWithManyWorkers) {
   OrderedPool pool(4);
   constexpr std::size_t kN = 64;
+  std::mutex mu;
+  std::condition_variable produced_cv;
+  std::vector<bool> produced(kN, false);
+  std::vector<std::size_t> produced_order;
   std::vector<std::size_t> order;
   pool.run_ordered(
       kN,
-      [](std::size_t i) {
-        // Stagger completion so out-of-order production is likely.
-        if (i % 3 == 0) {
-          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      [&](std::size_t i) {
+        // Deterministic stagger: every third item finishes only after its
+        // successor.  Workers claim indices in ascending order, so i + 1 is
+        // claimed by another worker, and the one worker whose claim is the
+        // newest is the only one that can wait on an unclaimed successor:
+        // with >= 2 workers this cannot deadlock.
+        std::unique_lock<std::mutex> lock(mu);
+        if (i % 3 == 0 && i + 1 < kN) {
+          produced_cv.wait(lock, [&] { return produced[i + 1]; });
         }
+        produced[i] = true;
+        produced_order.push_back(i);
+        produced_cv.notify_all();
         return i * 10;
       },
       [&](std::size_t i, std::size_t value) {
@@ -39,6 +52,16 @@ TEST(OrderedPool, ConsumesInIndexOrderWithManyWorkers) {
       });
   ASSERT_EQ(order.size(), kN);
   for (std::size_t i = 0; i < kN; ++i) EXPECT_EQ(order[i], i);
+  // Production really ran out of index order: each staggered item
+  // finished after its successor.
+  ASSERT_EQ(produced_order.size(), kN);
+  const auto position = [&](std::size_t i) {
+    return std::find(produced_order.begin(), produced_order.end(), i) -
+           produced_order.begin();
+  };
+  for (std::size_t i = 0; i + 1 < kN; i += 3) {
+    EXPECT_LT(position(i + 1), position(i)) << "item " << i;
+  }
 }
 
 TEST(OrderedPool, SerialFallbackMatchesParallel) {
