@@ -5,6 +5,8 @@
 #include <fstream>
 #include <stdexcept>
 
+#include "util/csv.hpp"
+
 namespace dmp::exp {
 
 namespace {
@@ -25,21 +27,6 @@ JsonValue cell_value(const std::string& cell) {
   v.kind = JsonValue::Kind::kString;
   v.text = cell;
   return v;
-}
-
-std::vector<std::string> split_csv_row(const std::string& line) {
-  std::vector<std::string> cells;
-  std::string cell;
-  for (char c : line) {
-    if (c == ',') {
-      cells.push_back(cell);
-      cell.clear();
-    } else if (c != '\r') {
-      cell += c;
-    }
-  }
-  cells.push_back(cell);
-  return cells;
 }
 
 }  // namespace

@@ -137,19 +137,12 @@ void Link::set_receiver(FlowDemux* demux) {
   next_demux_ = demux;
 }
 
-void Link::set_lazy_allowed(bool allowed) {
-  if (mode_ == Mode::kLazy && !allowed) {
-    throw std::logic_error{"link is already lazy"};
-  }
-  lazy_allowed_ = allowed;
-}
-
 // What must act at a tx-done as it happens — AQM dequeue decisions —
 // keeps the eager path.  A drop-tail buffer's drop test needs only the
 // queue length at arrival, which the departure FIFO holds, and a declared
 // fault only bounds how far ahead departures are admitted.
 bool Link::lazy_eligible() const {
-  return lazy_allowed_ && droptail_ != nullptr && !sched_.links_eager();
+  return droptail_ != nullptr && !sched_.links_eager();
 }
 
 // Decided once, at the first arrival: by then the owner has bound every
@@ -159,11 +152,12 @@ void Link::decide_mode() {
   if (mode_ == Mode::kLazy) fuse_receiver();
 }
 
-// A virtual arrival skips the drop test, hence unbounded only.  The link
-// decides its own receiver at the same time.
+// A virtual arrival skips the drop test and the fault checks, hence
+// unbounded and out of faults' reach only.  The link decides its own
+// receiver at the same time.
 bool Link::feed_virtually() {
   if (mode_ != Mode::kUndecided || config_.buffer_packets != 0 ||
-      fault_path_ || !lazy_eligible()) {
+      !fault_times_.empty() || burst_remaining_ != 0 || !lazy_eligible()) {
     return false;
   }
   mode_ = Mode::kLazy;
@@ -193,71 +187,53 @@ void Link::fuse_receiver() {
 // start_transmission's post would.  The tx-dones still ahead beyond the
 // one on the wire are the eager queue, so a finite buffer drops exactly
 // when the eager qdisc would, through the same counters.
+//
+// Under faults (docs/DES_ENGINE.md, "Lazy links under faults") every fault
+// at or before this nanosecond has popped, so the link's down state and
+// burst count are the eager link's at this arrival.  What lies ahead,
+// admitted or parked, is the eager queue plus the packet on the wire (an
+// up link always transmits the first of them).  A packet that finds
+// nothing parked starts now or at the newest departure and is admitted if
+// its tx-done lies before the next declared fault (always, with none
+// declared); behind a parked packet it waits its turn.
 void Link::send_lazy(const Packet& p) {
   ++total_arrivals_;
   ++flow_slot(p.flow).arrivals;
-  if (fault_path_) [[unlikely]] {
-    send_faulted(p);
-    return;
-  }
-  const std::size_t ahead = pass_departures();
-  if (config_.buffer_packets != 0 && ahead > config_.buffer_packets) {
-    droptail_->reject(p);
-    return;
-  }
-  const SimTime tx = tx_time(p.size_bytes);
-  if (ahead == 0) {
-    admit(p, sched_.now() + tx, sched_.claim_seq(), tx, sched_.now());
-  } else {
-    const Departure& last = departures_.back();
-    admit(p, last.when + tx, Scheduler::virtual_seq(last.vid, 1), tx,
-          last.when);
-  }
-  if (replay_) [[unlikely]] trace_admitted(p, sched_.now(), 0);
-}
-
-// A lazy link that faults reach (docs/DES_ENGINE.md, "Lazy links under
-// faults").  Every fault at or before this nanosecond has popped, so the
-// link's down state and burst count are the eager link's at this arrival.
-// What lies ahead, admitted or parked, is the eager queue plus the packet
-// on the wire (an up link always transmits the first of them).  A packet
-// that finds nothing parked starts now or at the newest departure, as in
-// send_lazy; behind a parked packet it waits its turn.
-void Link::send_faulted(const Packet& p) {
-  if (down_ || burst_remaining_ > 0) {
+  if (down_ || burst_remaining_ != 0) [[unlikely]] {
     fault_drop(p);
     return;
   }
   const SimTime now = sched_.now();
-  const SimTime horizon = fault_horizon();
-  if (horizon <= now) {
+  if (horizon_ <= now) [[unlikely]] {
     throw std::logic_error{"link arrival after a declared fault's time "
                            "before the fault ran"};
   }
-  const std::size_t ahead = pass_departures() + parked();
+  const std::size_t waiting = parked();
+  const std::size_t ahead = pass_departures() + waiting;
   if (config_.buffer_packets != 0 && ahead > config_.buffer_packets) {
     droptail_->reject(p);
     return;
   }
-  if (parked() == 0) {
+  if (waiting != 0) [[unlikely]] {
+    parked_.push_back(p);
+  } else {
     const SimTime tx = tx_time(p.size_bytes);
-    Started s{now, now + tx, 0, tx};
+    SimTime start = now;
+    std::uint64_t sigma;
     if (ahead == 0) {
-      s.sigma = sched_.claim_seq();
+      sigma = sched_.claim_seq();
     } else {
       const Departure& last = departures_.back();
-      s = Started{last.when, last.when + tx,
-                  Scheduler::virtual_seq(last.vid, 1), tx};
+      start = last.when;
+      sigma = Scheduler::virtual_seq(last.vid, 1);
     }
-    if (s.when < horizon) {
-      admit_started(p, s);
+    if (start + tx < horizon_) [[likely]] {
+      admit(p, start + tx, sigma, tx, start);
     } else {
       parked_.push_back(p);
-      head_ = s;
-      sched_.use_claim(s.sigma);
+      head_ = Started{start, start + tx, sigma, tx};
+      sched_.use_claim(sigma);
     }
-  } else {
-    parked_.push_back(p);
   }
   if (replay_) [[unlikely]] trace_admitted(p, now, 0);
 }
@@ -273,11 +249,10 @@ void Link::start_head(SimTime start, std::uint64_t sigma) {
 // admitted packet's successor starts at its tx-done unless the link is
 // down, which freezes the queue as the eager tx-done does.
 void Link::resume() {
-  const SimTime horizon = fault_horizon();
-  while (head_ && head_->when < horizon) {
+  while (head_ && head_->when < horizon_) {
     const Started s = *head_;
     head_.reset();
-    admit_started(parked_[parked_head_++], s);
+    admit(parked_[parked_head_++], s.when, s.sigma, s.tx, s.start);
     if (parked() == 0) {
       parked_.clear();
       parked_head_ = 0;
@@ -292,31 +267,6 @@ void Link::resume() {
                   parked_.begin() + static_cast<std::ptrdiff_t>(parked_head_));
     parked_head_ = 0;
   }
-}
-
-void Link::admit_started(const Packet& p, const Started& s) {
-  const SimTime when = s.when + config_.prop_delay;
-  if (feeds_next_ || deliveries_head_ == deliveries_.size() ||
-      !(when < deliveries_.back().when)) [[likely]] {
-    admit(p, s.when, s.sigma, s.tx, s.start);
-    return;
-  }
-  // A shrunk delay: the delivery undercuts the FIFO tail, so it takes a
-  // one-entry post, as the eager link's does, under its own key.
-  const std::uint64_t vid =
-      sched_.add_virtual(s.when, s.sigma, 1, EventCategory::kLinkTx);
-  departures_.push_back(Departure{s.when, vid, s.tx, p.flow});
-  ahead_tx_ += s.tx;
-  busy_time_ += s.tx;
-  sched_.keep_lookback((when - s.start) * 2 + SimTime::millis(10));
-  sched_.post_key(
-      when, Scheduler::virtual_seq(vid, 0),
-      [this, p, vid] {
-        std::uint64_t hint = 0;
-        sched_.settle_virtual(vid, &hint);
-        deliver(p);
-      },
-      EventCategory::kLinkDelivery);
 }
 
 // The source's emission pop would hand the packet over exactly as an
@@ -377,6 +327,8 @@ void Link::trace_admitted(const Packet& p, SimTime when,
 // receiver takes at once.  Lookups reach back at most twice the delay from
 // the chain's first transmission start to its real delivery, plus a tx
 // time per same-nanosecond tie along a busy period (docs/DES_ENGINE.md).
+// A delivery that undercuts the FIFO tail after a shrunk delay takes a
+// one-entry post under the same key, as the eager link's does.
 void Link::admit(const Packet& p, SimTime departure, std::uint64_t sigma,
                  SimTime tx, SimTime chain_start) {
   const std::uint64_t vid =
@@ -395,6 +347,17 @@ void Link::admit(const Packet& p, SimTime departure, std::uint64_t sigma,
   }
   sched_.keep_lookback((when - chain_start) * 2 + SimTime::millis(10));
   const bool was_empty = deliveries_head_ == deliveries_.size();
+  if (!was_empty && when < deliveries_.back().when) [[unlikely]] {
+    sched_.post_key(
+        when, seq,
+        [this, p, vid] {
+          std::uint64_t hint = 0;
+          sched_.settle_virtual(vid, &hint);
+          deliver(p);
+        },
+        EventCategory::kLinkDelivery);
+    return;
+  }
   deliveries_.push_back(PendingDelivery{when, seq, pool_.acquire(p)});
   if (was_empty) sched_.arm_key(when, seq, delivery_port_id_);
 }
@@ -667,7 +630,7 @@ void Link::declare_fault(SimTime at) {
   }
   fault_times_.insert(
       std::upper_bound(fault_times_.begin(), fault_times_.end(), at), at);
-  fault_path_ = true;
+  horizon_ = fault_times_.front();
 }
 
 void Link::declare_fault(SimTime at, double delay_factor) {
@@ -683,18 +646,19 @@ bool Link::lazy_fault_hook(const char* hook) {
       (mode_ == Mode::kUndecided && !lazy_eligible())) {
     return false;
   }
-  if (fault_horizon() != sched_.now()) {
+  if (horizon_ != sched_.now()) {
     throw std::logic_error{std::string(hook) +
                            " on a lazy link at an undeclared time"};
   }
   ++next_fault_;
+  horizon_ = next_fault_ < fault_times_.size() ? fault_times_[next_fault_]
+                                               : SimTime::max();
   pass_departures();  // the bound replay sees the state before the hook
   return true;
 }
 
 void Link::drop_next(std::uint64_t count) {
   if (fed_) throw std::logic_error{"drop_next on a link fed virtually"};
-  fault_path_ = true;
   burst_remaining_ += count;
 }
 

@@ -5,11 +5,12 @@
 // (src/net/qdisc/) swap the enqueue/drop decision without touching the
 // transmitter, fault hooks or observability.
 //
-// A link runs eager (a tx-done event per packet) or lazy: a drop-tail link
-// whose owner allows it computes each departure at send(),
+// A drop-tail link runs lazy: it computes each departure at send(),
 // d = max(now, d_prev) + tx, decides a finite buffer's drop from the
 // departures still ahead, and keeps the tx-done as a virtual scheduler
-// event that never enters the queue.  A lazy link whose receiver is an
+// event that never enters the queue.  AQM links, and every link of a
+// scheduler that keeps links eager (the tests' reference), run eager: a
+// tx-done event per packet.  A lazy link whose receiver is an
 // unbounded lazy link fed by nothing else makes the delivery virtual too
 // and feeds the arrival into the receiver at once; a sender's jitter stage
 // feeds its private entry link the same way (send_at).  Under faults the
@@ -94,12 +95,10 @@ class Link {
   std::size_t queue_length() const;
   const LinkConfig& config() const { return config_; }
 
-  // Lazy mode.  The owner allows it (default: not allowed); the link then
-  // goes lazy at its first send if it also has a drop-tail queue (any
-  // buffer) and its scheduler does not keep links eager
+  // Lazy mode.  The link goes lazy at its first send if it has a drop-tail
+  // queue (any buffer) and its scheduler does not keep links eager
   // (Scheduler::keep_links_eager).  A lazy link decides its receiver's
   // mode at the same time when it fuses the hop.
-  void set_lazy_allowed(bool allowed);
   bool lazy() const { return mode_ == Mode::kLazy; }
 
   // Aggregate and per-flow counters, as the eager link counts them by now.
@@ -175,7 +174,7 @@ class Link {
     SimTime tx;
     FlowId flow;
   };
-  // A lazy faulted link's parked head once its transmission has started:
+  // A lazy link's parked head once its transmission has started:
   // its start, tx-done time and key, and tx time.
   struct Started {
     SimTime start;
@@ -212,23 +211,14 @@ class Link {
   // send() past the upstream-only check: what an upstream link delivers.
   void arrive(const Packet& p);
   void send_lazy(const Packet& p);
-  // send_lazy on a link that faults reach (declared, or a burst loss).
-  void send_faulted(const Packet& p);
   // A fault hook's common part: false on a link that runs eager; on a lazy
   // one, consumes the hook's declaration and catches the link up.
   bool lazy_fault_hook(const char* hook);
   std::size_t parked() const { return parked_.size() - parked_head_; }
-  SimTime fault_horizon() const {
-    return next_fault_ < fault_times_.size() ? fault_times_[next_fault_]
-                                             : SimTime::max();
-  }
   // The parked head starts transmitting at `start` under key `sigma`.
   void start_head(SimTime start, std::uint64_t sigma);
   // Admits the parked packets whose tx-done now lies before the horizon.
   void resume();
-  // admit() for a started packet of a faulted link, whose delivery may
-  // undercut the FIFO tail after a shrunk delay.
-  void admit_started(const Packet& p, const Started& s);
   // An arrival dropped by link_down or burst_loss.
   void fault_drop(const Packet& p);
   // A packet arriving on a link fed virtually, at virtual event `arrival`
@@ -237,7 +227,8 @@ class Link {
                       SimTime chain_start);
   // Records an admitted packet's virtual tx-done at (departure, sigma) and
   // its delivery; `chain_start` is when the first link of the fused chain
-  // started transmitting it.
+  // started transmitting it.  After a shrunk delay the delivery may
+  // undercut the FIFO tail.
   void admit(const Packet& p, SimTime departure, std::uint64_t sigma,
              SimTime tx, SimTime chain_start);
   // Lazy links: moves the cursor past the tx-dones that have passed and
@@ -306,8 +297,6 @@ class Link {
   Packet in_flight_{};
 
   Mode mode_ = Mode::kUndecided;
-  bool lazy_allowed_ = false;
-  bool fault_path_ = false;     // arrivals take send_faulted
   bool upstream_only_ = false;  // set_upstream_only()
   // Arrivals are virtual: an upstream link's deliveries, or with no
   // upstream link a source's emissions (send_at).
@@ -373,6 +362,7 @@ class Link {
   // keeps the hop into the receiver real (`real_hop_`).
   std::vector<SimTime> fault_times_;
   std::size_t next_fault_ = 0;
+  SimTime horizon_ = SimTime::max();  // its time; max() past the last
   double max_delay_factor_ = 1.0;
   bool real_hop_ = false;
   std::vector<Packet> parked_;

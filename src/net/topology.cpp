@@ -29,12 +29,6 @@ DumbbellPath::DumbbellPath(Scheduler& sched, BottleneckConfig bottleneck,
   // bottleneck -> exit hop fuses when both links run lazy.
   exit_->set_upstream_only();
   rev_exit_->set_upstream_only();
-
-  // Every link may run lazy (drop-tail ones do; Link::set_lazy_allowed).
-  for (Link* link : {bottleneck_.get(), exit_.get(), rev_bottleneck_.get(),
-                     rev_exit_.get()}) {
-    link->set_lazy_allowed(true);
-  }
 }
 
 void DumbbellPath::expose_to_faults(
@@ -53,7 +47,6 @@ PacketHandler DumbbellPath::attach_source(FlowId flow) {
   auto entry = std::make_unique<Link>(
       sched_, LinkConfig{access_.bandwidth_bps, access_.prop_delay, 0});
   entry->set_receiver(bottleneck_.get());
-  entry->set_lazy_allowed(true);
   if (hub_) entry->bind(*hub_, "", 0);
   Link* raw = entry.get();
   entry_links_.push_back(std::move(entry));
@@ -83,7 +76,6 @@ PacketHandler DumbbellPath::attach_reverse_source(FlowId) {
   auto entry = std::make_unique<Link>(
       sched_, LinkConfig{access_.bandwidth_bps, access_.prop_delay, 0});
   entry->set_receiver(rev_bottleneck_.get());
-  entry->set_lazy_allowed(true);
   Link* raw = entry.get();
   rev_entry_links_.push_back(std::move(entry));
   return [raw](const Packet& p) { raw->send(p); };

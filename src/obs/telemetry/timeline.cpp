@@ -8,10 +8,10 @@
 #include <limits>
 #include <map>
 #include <set>
-#include <sstream>
 #include <stdexcept>
 #include <vector>
 
+#include "util/csv.hpp"
 #include "util/json.hpp"
 
 namespace dmp::obs {
@@ -125,10 +125,7 @@ std::map<std::string, std::vector<std::pair<double, double>>> read_telemetry(
       throw std::runtime_error{"telemetry csv " + path + " line " +
                                std::to_string(line_no) + ": " + what};
     };
-    std::vector<std::string> cells;
-    std::stringstream ss{line};
-    std::string cell;
-    while (std::getline(ss, cell, ',')) cells.push_back(cell);
+    const std::vector<std::string> cells = split_csv_row(line);
     if (cells.size() != 8) fail(std::to_string(cells.size()) + " cells, not 8");
     const auto number = [&](const std::string& text) {
       char* end = nullptr;

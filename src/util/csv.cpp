@@ -32,6 +32,17 @@ void CsvWriter::row(const std::vector<std::string>& cells) {
   }
 }
 
+std::vector<std::string> split_csv_row(std::string_view line) {
+  if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
+  std::vector<std::string> cells;
+  for (std::size_t start = 0;;) {
+    const std::size_t comma = line.find(',', start);
+    cells.emplace_back(line.substr(start, comma - start));
+    if (comma == std::string_view::npos) return cells;
+    start = comma + 1;
+  }
+}
+
 std::string CsvWriter::num(double v) {
   char buf[64];
   auto [ptr, ec] = std::to_chars(buf, buf + sizeof buf, v,

@@ -36,6 +36,11 @@ class CsvWriter {
   bool write_failed_ = false;
 };
 
+// Splits one CSV line (as CsvWriter writes it: no quoting) at every comma.
+// Empty cells are kept, a trailing comma's included, and a line-ending
+// '\r' is dropped.
+std::vector<std::string> split_csv_row(std::string_view line);
+
 // Resolves the output directory for bench CSVs: $DMP_OUT_DIR or "bench_out".
 // Creates the directory if needed.
 std::string bench_output_dir();

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "emul/experiment.hpp"
 #include "emul/wan_path.hpp"
 #include "tcp/connection.hpp"
@@ -106,6 +109,54 @@ TEST(WanPath, TcpTransfersReliablyAcrossIt) {
   for (int i = 0; i < total; ++i) {
     ASSERT_EQ(delivered[static_cast<std::size_t>(i)], i);
   }
+}
+
+// One TCP transfer across a WanPath: what the sink delivers when, the
+// path's counters and the scheduler's event counts.
+struct WanTransfer {
+  std::vector<std::int64_t> delivered;  // (tag, time ns) pairs
+  LinkFlowCounters counters;
+  std::uint64_t executed = 0;
+  std::uint64_t dispatched = 0;
+};
+
+WanTransfer run_wan_transfer(bool eager) {
+  Scheduler sched;
+  if (eager) sched.keep_links_eager();
+  WanPath path(sched, adsl_fast_profile(), Rng(6));
+  auto conn = make_connection(sched, 1, path, default_video_tcp());
+  WanTransfer out;
+  conn.sink->set_deliver_callback([&](std::int64_t tag, SimTime at) {
+    out.delivered.push_back(tag);
+    out.delivered.push_back(at.ns());
+  });
+  int enqueued = 0;
+  const int total = 3000;
+  auto pump = [&] {
+    while (enqueued < total && conn.sender->enqueue(enqueued)) ++enqueued;
+  };
+  conn.sender->set_space_callback(pump);
+  pump();
+  sched.run_until(SimTime::seconds(300));
+  out.counters = path.flow_counters(1);
+  out.executed = sched.events_executed();
+  out.dispatched = sched.events_dispatched();
+  return out;
+}
+
+// WanPath's access and reverse links run lazy; the eager reference pops
+// every tx-done, and both agree on everything else.
+TEST(WanPath, LazyLinksMatchTheEagerReference) {
+  const WanTransfer eager = run_wan_transfer(true);
+  const WanTransfer lazy = run_wan_transfer(false);
+  ASSERT_EQ(eager.delivered.size(), 2u * 3000u);
+  EXPECT_EQ(lazy.delivered, eager.delivered);
+  EXPECT_EQ(lazy.counters.arrivals, eager.counters.arrivals);
+  EXPECT_EQ(lazy.counters.drops, eager.counters.drops);
+  EXPECT_GT(eager.counters.drops, 0u);
+  EXPECT_EQ(lazy.executed, eager.executed);
+  EXPECT_EQ(eager.dispatched, eager.executed);
+  EXPECT_LT(lazy.dispatched, lazy.executed);
 }
 
 TEST(InternetExperiment, ProducesTraceAndPathEstimates) {

@@ -106,9 +106,11 @@ TEST(FaultAqm, FaultAndCongestionDropsStayDisjointUnderOverload) {
 TEST(FaultAqm, RescaleComposesWithEveryDiscipline) {
   // Halving the bandwidth mid-run must not break the accounting identity
   // on any discipline (PIE re-reads the drain rate; CoDel and droptail
-  // only see the slower transmitter).
+  // only see the slower transmitter).  The rescale is undeclared, so the
+  // droptail arm runs the eager link too.
   for (const char* spec : {"droptail", "pie", "fq_pie", "codel"}) {
     Scheduler sched;
+    sched.keep_links_eager();
     Link link(sched, aqm_config(spec, 3));
     std::uint64_t delivered = 0;
     link.set_receiver([&](const Packet&) { ++delivered; });

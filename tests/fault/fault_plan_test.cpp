@@ -111,6 +111,8 @@ Packet data_packet(FlowId flow, std::int64_t seq) {
 
 TEST(LinkFaults, DownDropsArrivalsAndFreezesQueue) {
   Scheduler sched;
+  // Undeclared faults: eager only (LazyLinkFaults.* cover lazy links).
+  sched.keep_links_eager();
   // 1500 B at 1.2 Mbps = 10 ms serialization, 1 ms propagation.
   Link link(sched, LinkConfig{1.2e6, SimTime::millis(1), 0});
   std::vector<SimTime> deliveries;
@@ -154,6 +156,8 @@ TEST(LinkFaults, BurstLossDropsExactlyTheNextN) {
 
 TEST(LinkFaults, RescaleIsRelativeToBaseAndDoesNotCompound) {
   Scheduler sched;
+  // Undeclared faults: eager only (LazyLinkFaults.* cover lazy links).
+  sched.keep_links_eager();
   Link link(sched, LinkConfig{1.2e6, SimTime::millis(10), 0});
   std::vector<SimTime> deliveries;
   link.set_receiver([&](const Packet&) { deliveries.push_back(sched.now()); });

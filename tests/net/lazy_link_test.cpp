@@ -149,6 +149,7 @@ Outcome run_arm(const std::vector<Op>& script, bool lazy,
                 const std::vector<SimTime>& checkpoints,
                 const Shape& shape = {}, obs::Hub* hub = nullptr) {
   Scheduler sched;
+  if (!lazy) sched.keep_links_eager();
   Outcome out;
   const auto log = [&out, &sched](int id) {
     out.pop_ns.push_back(sched.now().ns());
@@ -167,7 +168,6 @@ Outcome run_arm(const std::vector<Op>& script, bool lazy,
         LinkConfig{100e6, SimTime::millis(40), shape.buffer},
         LinkConfig{100e6, SimTime::micros(120), 0}}) {
     chain.push_back(std::make_unique<Link>(sched, config));
-    chain.back()->set_lazy_allowed(lazy);
   }
   Link& head = *chain[0];
   Link& mid = *chain[1];
@@ -390,8 +390,8 @@ std::vector<int> idle_at_exact_departure(bool lazy) {
   // by Z for p2's delivery time) is delivered first.
   Scheduler sched;
   std::vector<int> order;
+  if (!lazy) sched.keep_links_eager();
   Link link(sched, LinkConfig{12e6, SimTime::millis(10), 0});
-  link.set_lazy_allowed(lazy);
   link.set_receiver(
       [&](const Packet& p) { order.push_back(static_cast<int>(p.seq)); });
   Packet p;
@@ -420,8 +420,8 @@ std::vector<int> delivery_ties_successor(bool lazy) {
   // time (3 ms) precedes that delivery.
   Scheduler sched;
   std::vector<int> order;
+  if (!lazy) sched.keep_links_eager();
   Link link(sched, LinkConfig{12e6, SimTime::millis(1), 0});
-  link.set_lazy_allowed(lazy);
   link.set_receiver([&](const Packet& p) {
     order.push_back(static_cast<int>(p.seq));
     if (p.seq == 1) {
@@ -447,14 +447,13 @@ std::vector<int> zero_propagation(bool lazy) {
   // lazy).  Ends with the event count.
   Scheduler sched;
   std::vector<int> order;
+  if (!lazy) sched.keep_links_eager();
   Link first(sched, LinkConfig{12e6, SimTime::zero(), 2});
   Link second(sched, LinkConfig{12e6, SimTime::zero(), 0});
   second.set_upstream_only();
   first.set_receiver(&second);
   second.set_receiver(
       [&](const Packet& p) { order.push_back(static_cast<int>(p.seq)); });
-  first.set_lazy_allowed(lazy);
-  second.set_lazy_allowed(lazy);
   Packet p;
   p.size_bytes = 1500;
   for (int seq : {1, 2, 3, 4}) {
@@ -489,41 +488,32 @@ TEST(LazyLink, HandBuiltTiesMatchEager) {
   EXPECT_EQ(delivery_ties_successor(true), successor);
 }
 
-TEST(LazyLink, GoesLazyOnlyWhenAllowedAndDroptail) {
+TEST(LazyLink, GoesLazyOnlyWhenDroptail) {
   Scheduler sched;
   Link lazy(sched, LinkConfig{1e6, SimTime::millis(1), 0});
   Link bounded(sched, LinkConfig{1e6, SimTime::millis(1), 5});
-  Link default_link(sched, LinkConfig{1e6, SimTime::millis(1), 0});
   Link faulted(sched, LinkConfig{1e6, SimTime::millis(1), 0});
   LinkConfig pie_config{1e6, SimTime::millis(1), 5};
   pie_config.qdisc = QdiscSpec::parse("pie");
   Link pie(sched, pie_config);
-  for (Link* link : {&lazy, &bounded, &default_link, &faulted, &pie}) {
+  for (Link* link : {&lazy, &bounded, &faulted, &pie}) {
     link->set_receiver([](const Packet&) {});
   }
-  lazy.set_lazy_allowed(true);
-  bounded.set_lazy_allowed(true);
-  faulted.set_lazy_allowed(true);
-  pie.set_lazy_allowed(true);
   faulted.drop_next(0);  // a burst loss is decided at arrival: stays lazy
   Packet p;
   p.size_bytes = 1500;
-  for (Link* link : {&lazy, &bounded, &default_link, &faulted, &pie}) {
-    link->send(p);
-  }
+  for (Link* link : {&lazy, &bounded, &faulted, &pie}) link->send(p);
   EXPECT_TRUE(lazy.lazy());
   EXPECT_TRUE(bounded.lazy());  // a finite drop-tail buffer drops at arrival
-  EXPECT_FALSE(default_link.lazy());
   EXPECT_TRUE(faulted.lazy());
   EXPECT_FALSE(pie.lazy());  // AQM decides at dequeue
   // A lazy link freezes or rescales only at a declared fault.
   EXPECT_THROW(lazy.set_down(true), std::logic_error);
   EXPECT_THROW(lazy.rescale(0.5, 1.0), std::logic_error);
-  EXPECT_THROW(lazy.set_lazy_allowed(false), std::logic_error);
   sched.run();
   EXPECT_EQ(lazy.total_delivered(), 1u);
-  EXPECT_EQ(sched.events_executed(), 10u);  // 5 tx-dones + 5 deliveries
-  EXPECT_EQ(sched.events_dispatched(), 7u);  // the 3 lazy tx-dones are not
+  EXPECT_EQ(sched.events_executed(), 8u);  // 4 tx-dones + 4 deliveries
+  EXPECT_EQ(sched.events_dispatched(), 5u);  // the 3 lazy tx-dones are not
 }
 
 TEST(LazyLink, FusesOnlyHopsIntoLinksFedByOneUpstream) {
@@ -533,9 +523,6 @@ TEST(LazyLink, FusesOnlyHopsIntoLinksFedByOneUpstream) {
   Link b(sched, access), merge(sched, access), c(sched, access);
   Link bounded_up(sched, access);
   Link bounded(sched, LinkConfig{100e6, SimTime::millis(1), 4});
-  for (Link* link : {&a, &exit_link, &b, &merge, &c, &bounded_up, &bounded}) {
-    link->set_lazy_allowed(true);
-  }
   exit_link.set_upstream_only();
   merge.set_upstream_only();
   bounded.set_upstream_only();
@@ -676,6 +663,7 @@ SendHopRun run_send_hops(std::uint64_t seed, bool lazy,
                          const std::vector<SimTime>& checkpoints,
                          obs::Hub* hub = nullptr) {
   Scheduler sched;
+  if (!lazy) sched.keep_links_eager();
   SendHopRun run;
   Outcome& out = run.out;
   const auto log = [&out, &sched](int id) {
@@ -742,7 +730,6 @@ SendHopRun run_send_hops(std::uint64_t seed, bool lazy,
   });
   std::vector<Link*> links{&bottleneck, &reverse};
   for (auto& entry : entries) links.push_back(entry.get());
-  for (Link* link : links) link->set_lazy_allowed(lazy);
   if (hub != nullptr) {
     bottleneck.bind(*hub, "bottleneck", 1);
     for (std::size_t k = 0; k < entries.size(); ++k) {
@@ -819,8 +806,8 @@ std::vector<int> emission_after_tx_done(bool lazy) {
   // precedes that delivery.
   Scheduler sched;
   std::vector<int> order;
+  if (!lazy) sched.keep_links_eager();
   Link entry(sched, LinkConfig{12e6, SimTime::millis(10), 0});
-  entry.set_lazy_allowed(lazy);
   entry.set_receiver(
       [&](const Packet& p) { order.push_back(static_cast<int>(p.seq)); });
   TcpConfig tcp;
@@ -853,8 +840,8 @@ std::vector<int> emission_before_tx_done(bool lazy) {
   // delivery time, precedes that delivery.
   Scheduler sched;
   std::vector<int> order;
+  if (!lazy) sched.keep_links_eager();
   Link entry(sched, LinkConfig{12e12, SimTime::millis(10), 0});
-  entry.set_lazy_allowed(lazy);
   entry.set_receiver(
       [&](const Packet& p) { order.push_back(static_cast<int>(p.seq)); });
   TcpConfig tcp;
@@ -888,12 +875,12 @@ TEST(LazyLink, SendAtFeedsOnlyUnboundedLinksWithNoOtherFeed) {
   const LinkConfig access{100e6, SimTime::millis(1), 0};
   Link entry(sched, access), upstream(sched, access), fed(sched, access);
   Link bounded(sched, LinkConfig{100e6, SimTime::millis(1), 4});
-  Link eager(sched, access);
-  for (Link* link : {&entry, &upstream, &fed, &bounded}) {
-    link->set_lazy_allowed(true);
+  LinkConfig pie_config = access;
+  pie_config.qdisc = QdiscSpec::parse("pie");
+  Link pie(sched, pie_config);
+  for (Link* link : {&entry, &upstream, &fed, &bounded, &pie}) {
     link->set_receiver([](const Packet&) {});
   }
-  eager.set_receiver([](const Packet&) {});
   upstream.set_receiver(&fed);
   Packet p;
   p.size_bytes = 1500;
@@ -903,7 +890,7 @@ TEST(LazyLink, SendAtFeedsOnlyUnboundedLinksWithNoOtherFeed) {
   EXPECT_THROW(upstream.set_receiver(&entry), std::logic_error);
   EXPECT_FALSE(fed.send_at(SimTime::micros(5), p));      // a link feeds it
   EXPECT_FALSE(bounded.send_at(SimTime::micros(5), p));  // needs its queue
-  EXPECT_FALSE(eager.send_at(SimTime::micros(5), p));
+  EXPECT_FALSE(pie.send_at(SimTime::micros(5), p));  // AQM runs eager
   // The emission's key; the refusals claimed none.
   EXPECT_EQ(sched.events_scheduled(), 1u);
   sched.run();
@@ -1026,10 +1013,9 @@ FaultedRun run_faulted(const std::vector<Op>& script,
     out.pop_ns.push_back(sched.now().ns());
     out.pop_id.push_back(id);
   };
+  if (!lazy) sched.keep_links_eager();
   Link link(sched, LinkConfig{5e6, SimTime::millis(10), buffer});
   Link exit(sched, LinkConfig{100e6, SimTime::millis(40), 0});
-  link.set_lazy_allowed(lazy);
-  exit.set_lazy_allowed(lazy);
   if (hub != nullptr) {
     link.bind(*hub, "link", 1);
     exit.bind(*hub, "exit", 2);
@@ -1235,9 +1221,9 @@ HandRun hand_faulted(bool lazy, std::size_t buffer,
                      const std::vector<Fault>& faults,
                      const std::vector<std::int64_t>& sends_us) {
   Scheduler sched;
+  if (!lazy) sched.keep_links_eager();
   HandRun run;
   Link link(sched, LinkConfig{12e6, SimTime::millis(10), buffer});
-  link.set_lazy_allowed(lazy);
   link.set_receiver([&](const Packet& p) {
     run.delivered.push_back(sched.now().ns());
     run.delivered.push_back(p.seq);
@@ -1345,7 +1331,6 @@ TEST(LazyLinkFaults, BurstLossDuringAnOutage) {
 TEST(LazyLinkFaults, UndeclaredOrOverdueFaultsThrow) {
   Scheduler sched;
   Link link(sched, LinkConfig{12e6, SimTime::millis(10), 0});
-  link.set_lazy_allowed(true);
   link.set_receiver([](const Packet&) {});
   link.declare_fault(SimTime::millis(1));
   Packet p;

@@ -376,7 +376,9 @@ TEST(Timeline, MalformedTelemetryCsvThrowsWithItsLine) {
            {good + "1,link.path0.drops,2,2\n", "line 3"},
            {good + good + "2,link.path0.drops,2,2,x,1,1,1\n", "line 4"},
            {"0.5s,link.path0.drops,2,2,1,1,1,1\n", "line 2"},
-           {good + "1,link.path0.drops,2,2,,1,1,1\n", "line 3"}}) {
+           {good + "1,link.path0.drops,2,2,,1,1,1\n", "line 3"},
+           // A trailing comma is a ninth, empty cell.
+           {good + "1,link.path0.drops,2,2,1,1,1,1,\n", "line 3: 9 cells"}}) {
     try {
       export_with(body);
       ADD_FAILURE() << "accepted: " << body;

@@ -249,7 +249,7 @@ class SchedulerBackend final : public Backend {
  public:
   explicit SchedulerBackend(bool lazy)
       : link_(sched_, LinkConfig{100e6, kProp, 0}) {
-    link_.set_lazy_allowed(lazy);
+    if (!lazy) sched_.keep_links_eager();
     link_.set_receiver([this](const Packet& p) {
       world->on_delivery(static_cast<int>(p.seq));
     });

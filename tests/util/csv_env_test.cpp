@@ -3,6 +3,8 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <string>
+#include <vector>
 
 #include "util/csv.hpp"
 #include "util/env.hpp"
@@ -43,6 +45,15 @@ TEST(Csv, NumRoundTripsDoubles) {
   EXPECT_EQ(CsvWriter::num(0.5), "0.5");
   const double v = 0.00012345;
   EXPECT_NEAR(std::stod(CsvWriter::num(v)), v, 1e-15);
+}
+
+TEST(Csv, SplitKeepsEmptyCellsAndDropsTheLineEndingCr) {
+  using Cells = std::vector<std::string>;
+  EXPECT_EQ(split_csv_row("a,b,c"), (Cells{"a", "b", "c"}));
+  EXPECT_EQ(split_csv_row(""), (Cells{""}));
+  EXPECT_EQ(split_csv_row(",x,"), (Cells{"", "x", ""}));
+  EXPECT_EQ(split_csv_row("a,b\r"), (Cells{"a", "b"}));
+  EXPECT_EQ(split_csv_row("a\rb,c"), (Cells{"a\rb", "c"}));
 }
 
 TEST(Env, ParsesStrings) {
