@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 #include "model/chain_cache.hpp"
 #include "solver/ctmc.hpp"
@@ -109,6 +110,40 @@ void compat_class_cuts(double mu, const double* exits, std::size_t kflows,
         lo, below / total);
     cuts[i] = lo;
   }
+}
+
+ClassCutTable::ClassCutTable(
+    double mu, std::vector<std::shared_ptr<const TcpFlowChain>> chains)
+    : mu_(mu), chains_(std::move(chains)), stride_(chains_.size()) {
+  const std::size_t kflows = chains_.size();
+  std::uint64_t product = 1;  // number of class tuples, kept below 2^62
+  for (std::size_t k = kflows; k-- > 0;) {
+    stride_[k] = product;
+    const std::uint64_t classes = chains_[k]->num_exit_classes();
+    if (product > (1ull << 62) / classes) {
+      throw std::invalid_argument{
+          "too many exit-rate class tuples for the compat sampler"};
+    }
+    product *= classes;
+  }
+  std::uint64_t slots = product;
+  if (product > kSlots) {
+    slots = kSlots;
+    mult_ = 0x9E3779B97F4A7C15ull;
+    shift_ = 64 - kSlotBits;
+  }
+  table_.assign(slots * (kflows + 1), kNoIndex);
+}
+
+void ClassCutTable::fill(std::uint64_t* slot, std::uint64_t index) {
+  const std::size_t kflows = chains_.size();
+  exits_.resize(kflows);
+  for (std::size_t k = 0; k < kflows; ++k) {
+    exits_[k] = chains_[k]->class_exit_rate(static_cast<std::uint32_t>(
+        index / stride_[k] % chains_[k]->num_exit_classes()));
+  }
+  compat_class_cuts(mu_, exits_.data(), kflows, slot + 1);
+  slot[0] = index;
 }
 
 std::int64_t ComposedParams::nmax() const {
@@ -218,11 +253,14 @@ ComposedChainExact::ComposedChainExact(const ComposedParams& params) {
 
 namespace {
 
-// One replication: the historical event loop, byte for byte.
+// One replication: the historical event loop's late fraction, draw for
+// draw.  Once everything is delivered nothing more can play late, so the
+// replication stops there, as the historical loop's count does.
 double stored_video_replication(
     const ComposedParams& params,
     const std::vector<std::shared_ptr<const TcpFlowChain>>& chains,
-    std::int64_t video_packets, Rng& rng) {
+    ClassCutTable& cuts, std::int64_t video_packets, Rng& rng) {
+  const std::size_t kflows = chains.size();
   std::vector<std::uint32_t> state;
   std::vector<double> exits;
   for (const auto& chain : chains) {
@@ -230,46 +268,59 @@ double stored_video_replication(
     exits.push_back(chain->exit_rate(state.back()));
   }
 
+  // Before playback starts, the event times decide when it does.
   double t = 0.0;
   std::int64_t delivered = 0;
+  while (t < params.tau_s) {
+    if (delivered >= video_packets) return 0.0;
+    double total_rate = 0.0;
+    for (const double e : exits) total_rate += e;
+    const double dt = rng.exponential(1.0 / total_rate);
+    // An event past tau restarts at tau, with consumption running: exact,
+    // because exponential holding times are memoryless.
+    if (t + dt >= params.tau_s) break;
+    t += dt;
+    const std::size_t k =
+        pick_flow(exits.data(), kflows, rng.uniform() * total_rate);
+    const auto& tr = chains[k]->pick_cut(state[k], rng.draw53());
+    state[k] = tr.target;
+    exits[k] = chains[k]->exit_rate(tr.target);
+    delivered += tr.delivered;
+  }
+
+  // From then on only the order of events matters.  Each event still
+  // draws its exponential holding time (a uniform, redrawn while zero) and
+  // then a uniform deciding it, so the stream of draws is unchanged; the
+  // decision compares the raw draw with the class tuple's cuts.
+  std::vector<std::uint32_t> classes(kflows);
+  std::uint64_t index = 0;
+  for (std::size_t k = 0; k < kflows; ++k) {
+    classes[k] = chains[k]->exit_class(state[k]);
+    index += classes[k] * cuts.stride(k);
+  }
+  const std::uint64_t* sending = cuts.cuts(index);
   std::int64_t consumed = 0;
   std::int64_t late = 0;
-  while (consumed < video_packets) {
-    const bool consuming = t >= params.tau_s;
-    const bool sending = delivered < video_packets;
-    double total_rate = consuming ? params.mu_pps : 0.0;
-    if (sending) {
-      for (const double e : exits) total_rate += e;
+  while (consumed < video_packets && delivered < video_packets) {
+    while (rng.draw53() == 0) {
     }
-    if (total_rate <= 0.0) {
-      // Everything delivered, playback not yet started: jump to tau.
-      t = params.tau_s;
-      continue;
-    }
-    const double dt = rng.exponential(1.0 / total_rate);
-    // If playback has not started and this event lands past tau, the
-    // consumption process must activate first; restarting the clock at
-    // tau is exact because exponential holding times are memoryless.
-    if (!consuming && t + dt >= params.tau_s) {
-      t = params.tau_s;
-      continue;
-    }
-    t += dt;
-
-    double x = rng.uniform() * total_rate;
-    if (consuming && x < params.mu_pps) {
+    const std::uint64_t b = rng.draw53();
+    if (b < sending[0]) {
       if (consumed >= delivered) ++late;  // nothing to play: glitch
       ++consumed;
       continue;
     }
-    if (consuming) x -= params.mu_pps;
-    const std::size_t k = pick_flow(exits.data(), exits.size(), x);
-    const auto& tr =
-        chains[k]->pick_linear(state[k], rng.uniform() * exits[k]);
+    std::size_t k = 0;
+    for (std::size_t i = 1; i < kflows; ++i) k += b >= sending[i] ? 1 : 0;
+    const auto& tr = chains[k]->pick_cut(state[k], rng.draw53());
     state[k] = tr.target;
-    exits[k] = chains[k]->exit_rate(tr.target);
-    delivered =
-        std::min<std::int64_t>(delivered + tr.delivered, video_packets);
+    if (tr.target_class != classes[k]) {
+      // Unsigned wrap-around cancels: the new index is in range.
+      index += (std::uint64_t{tr.target_class} - classes[k]) * cuts.stride(k);
+      classes[k] = tr.target_class;
+      sending = cuts.cuts(index);
+    }
+    delivered += tr.delivered;
   }
   return static_cast<double>(late) / static_cast<double>(video_packets);
 }
@@ -287,7 +338,11 @@ StoredVideoResult stored_video_late_fraction(const ComposedParams& params,
 
   std::vector<std::shared_ptr<const TcpFlowChain>> chains;
   chains.reserve(params.flows.size());
-  for (const auto& fp : params.flows) chains.push_back(shared_flow_chain(fp));
+  for (const auto& fp : params.flows) {
+    chains.push_back(shared_flow_chain(fp));
+    chains.back()->build_pick_cuts();
+  }
+  ClassCutTable cuts(params.mu_pps, chains);
 
   Rng master(seed);
   std::vector<double> per_run;
@@ -295,7 +350,7 @@ StoredVideoResult stored_video_late_fraction(const ComposedParams& params,
   for (std::uint64_t rep = 0; rep < replications; ++rep) {
     Rng rng = master.fork();
     per_run.push_back(
-        stored_video_replication(params, chains, video_packets, rng));
+        stored_video_replication(params, chains, cuts, video_packets, rng));
   }
 
   StoredVideoResult result;
@@ -321,40 +376,11 @@ DmpModelMonteCarlo::DmpModelMonteCarlo(const ComposedParams& params,
     chains_.back()->build_pick_cuts();
   }
   flow_delivered_.assign(chains_.size(), 0);
-  const std::size_t kflows = chains_.size();
-  compat_class_.resize(kflows);
-  compat_stride_.resize(kflows);
-  std::uint64_t product = 1;  // number of class tuples, kept below 2^62
-  for (std::size_t k = kflows; k-- > 0;) {
-    compat_stride_[k] = product;
-    const std::uint64_t classes = chains_[k]->num_exit_classes();
-    if (product > (1ull << 62) / classes) {
-      throw std::invalid_argument{
-          "too many exit-rate class tuples for the compat sampler"};
-    }
-    product *= classes;
-  }
-  std::uint64_t slots = product;
-  if (product > kCompatSlots) {
-    slots = kCompatSlots;
-    compat_mult_ = 0x9E3779B97F4A7C15ull;
-    compat_shift_ = 64 - kCompatSlotBits;
-  }
-  compat_table_.assign(slots * (kflows + 1), kNoIndex);
+  compat_class_.resize(chains_.size());
+  compat_cuts_ = ClassCutTable(params_.mu_pps, chains_);
   // Start with a full buffer: live streaming begins consuming after the
   // buffer had tau seconds to fill; the warmup discards any residual bias.
   n_ = nmax_;
-}
-
-void DmpModelMonteCarlo::fill_compat_slot(std::uint64_t* slot,
-                                          std::uint64_t index) {
-  const std::size_t kflows = chains_.size();
-  exit_now_.resize(kflows);
-  for (std::size_t k = 0; k < kflows; ++k) {
-    exit_now_[k] = chains_[k]->class_exit_rate(compat_class_[k]);
-  }
-  compat_class_cuts(params_.mu_pps, exit_now_.data(), kflows, slot + 1);
-  slot[0] = index;
 }
 
 void DmpModelMonteCarlo::advance_to(std::uint64_t target,
@@ -367,24 +393,16 @@ void DmpModelMonteCarlo::advance_to(std::uint64_t target,
   std::uint64_t counted = counted_;
   std::uint64_t late = late_;
   double early_sum = early_sum_;
-  // The class tuple's table index, and the cuts of its slot: cuts[0] for
-  // consumption, cuts[1..K) for the flow pick (compat_class_cuts).
+  // The class tuple's table index, and its cuts: cuts[0] for consumption,
+  // cuts[1..K) for the flow pick (compat_class_cuts).
   std::uint32_t* const classes = compat_class_.data();
-  const std::uint64_t* const stride = compat_stride_.data();
-  std::uint64_t* const table = compat_table_.data();
-  const std::uint64_t mult = compat_mult_;
-  const int shift = compat_shift_;
-  const auto cuts_at = [&](std::uint64_t index) {
-    std::uint64_t* const slot = table + ((index * mult) >> shift) * (kflows + 1);
-    if (slot[0] != index) fill_compat_slot(slot, index);
-    return slot + 1;
-  };
+  ClassCutTable& table = compat_cuts_;
   std::uint64_t index = 0;
   for (std::size_t k = 0; k < kflows; ++k) {
     classes[k] = chains_[k]->exit_class(states[k]);
-    index += classes[k] * stride[k];
+    index += classes[k] * table.stride(k);
   }
-  const std::uint64_t* cuts = cuts_at(index);
+  const std::uint64_t* cuts = table.cuts(index);
   Rng rng = rng_;
   while (counted < target) {
     // One segment: the consumptions up to the next flow event.  Each event
@@ -421,9 +439,9 @@ void DmpModelMonteCarlo::advance_to(std::uint64_t target,
     const std::uint32_t cls = t.target_class;
     if (cls != classes[k]) {
       // Unsigned wrap-around cancels: the new index is in range.
-      index += (std::uint64_t{cls} - classes[k]) * stride[k];
+      index += (std::uint64_t{cls} - classes[k]) * table.stride(k);
       classes[k] = cls;
-      cuts = cuts_at(index);
+      cuts = table.cuts(index);
     }
     // Unconditional: a zero delivery leaves both unchanged (N <= Nmax),
     // and a branch on it would mispredict.

@@ -24,7 +24,7 @@
 // linear transition scans — so seeded runs reproduce the golden pins
 // byte-identically.  It decides each event by integer compares of the raw
 // 53-bit draw against exact cuts: the consumption and flow cuts of the
-// current exit-rate class (compat_class_cuts, kept in a per-engine table)
+// current exit-rate class (compat_class_cuts, kept in a ClassCutTable)
 // and the chain's per-edge pick cuts (TcpFlowChain::pick_cut).  Runs of
 // consecutive consumptions are accounted in one fold.  Sharded estimation
 // (run_sharded) runs independent engines of the same sampler.
@@ -64,6 +64,48 @@ Ctmc composed_ctmc(const ComposedParams& params);
 // floating-point ones for every draw.  Writes kflows cuts.
 void compat_class_cuts(double mu, const double* exits, std::size_t kflows,
                        std::uint64_t* cuts);
+
+// compat_class_cuts per tuple of the flows' exit-rate classes, filled on
+// first use; both samplers (DmpModelMonteCarlo, stored_video_late_fraction)
+// decide by it.  A flow's class (TcpFlowChain::exit_class) fixes its exit
+// rate, so the tuple of the flows' classes fixes every cut.  The tuple's
+// mixed-radix index, the sum of class * stride(k), picks a slot of K + 1
+// words, [index, K cuts]: the slot numbered by the index itself when there
+// are at most kSlots tuples (mult_ = 1, shift_ = 0), else one of kSlots
+// slots by a multiplicative hash, where a slot holding another index is
+// refilled.  The chains need build_pick_cuts() first.
+class ClassCutTable {
+ public:
+  ClassCutTable() = default;
+  // Throws std::invalid_argument for 2^62 or more class tuples.
+  ClassCutTable(double mu,
+                std::vector<std::shared_ptr<const TcpFlowChain>> chains);
+
+  std::uint64_t stride(std::size_t k) const { return stride_[k]; }
+  // The cuts of the class tuple numbered `index`: cuts[0] for consumption,
+  // cuts[1..K) for the flow pick.  Valid until the next call.
+  const std::uint64_t* cuts(std::uint64_t index) {
+    std::uint64_t* const slot =
+        table_.data() + ((index * mult_) >> shift_) * (chains_.size() + 1);
+    if (slot[0] != index) fill(slot, index);
+    return slot + 1;
+  }
+
+ private:
+  static constexpr std::uint64_t kNoIndex = ~0ull;
+  static constexpr int kSlotBits = 14;
+  static constexpr std::uint64_t kSlots = 1ull << kSlotBits;
+
+  void fill(std::uint64_t* slot, std::uint64_t index);
+
+  double mu_ = 0.0;
+  std::vector<std::shared_ptr<const TcpFlowChain>> chains_;
+  std::vector<std::uint64_t> stride_;
+  std::vector<std::uint64_t> table_;
+  std::vector<double> exits_;  // scratch for fill: the tuple's exit rates
+  std::uint64_t mult_ = 1;
+  int shift_ = 0;
+};
 
 class ComposedChainExact {
  public:
@@ -171,9 +213,6 @@ class DmpModelMonteCarlo {
   // `late_stop` at a segment boundary, whichever first.
   void advance_to(std::uint64_t target,
                   std::uint64_t late_stop = kNoLateStop);
-  // Fills a compat_table_ slot with `index` and the cuts of the current
-  // class tuple, compat_class_.
-  void fill_compat_slot(std::uint64_t* slot, std::uint64_t index);
   MonteCarloResult snapshot() const;
 
   ComposedParams params_;
@@ -191,25 +230,8 @@ class DmpModelMonteCarlo {
   double early_sum_ = 0.0;
   BatchMeans batches_;
 
-  // Scratch for fill_compat_slot: the exit rates of a class tuple.
-  std::vector<double> exit_now_;
-
-  // Class table.  A flow's exit-rate class (TcpFlowChain::exit_class)
-  // fixes its exit rate, so the tuple of the flows' classes fixes every
-  // cut of compat_class_cuts.  The tuple's mixed-radix index, the sum of
-  // class * compat_stride_, picks a slot of K + 1 words, [index, K cuts],
-  // filled on first use: the slot numbered by the index itself when there
-  // are at most kCompatSlots tuples (compat_mult_ = 1, compat_shift_ = 0),
-  // else one of kCompatSlots slots by a multiplicative hash, where a slot
-  // holding another index is refilled.
-  static constexpr std::uint64_t kNoIndex = ~0ull;
-  static constexpr int kCompatSlotBits = 14;
-  static constexpr std::uint64_t kCompatSlots = 1ull << kCompatSlotBits;
   std::vector<std::uint32_t> compat_class_;  // each flow's current class
-  std::vector<std::uint64_t> compat_stride_;
-  std::vector<std::uint64_t> compat_table_;
-  std::uint64_t compat_mult_ = 1;
-  int compat_shift_ = 0;
+  ClassCutTable compat_cuts_;
 };
 
 }  // namespace dmp

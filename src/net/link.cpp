@@ -122,13 +122,23 @@ void Link::set_receiver(PacketHandler receiver) {
   receiver_ = std::move(receiver);
 }
 
+// A link fed virtually has taken its arrivals up to its lookahead ahead of
+// the clock: a new upstream link must feed it virtually too, and deliver
+// nothing before what it has taken.  A link its source feeds takes no
+// upstream link.
 void Link::set_receiver(Link* next) {
-  if (next->fed_) {
+  const SimTime prop = base_config_.prop_delay;
+  if (next->fed_ &&
+      (next->upstream_links_ == 0 || !lazy_eligible() ||
+       mode_ != Mode::kUndecided || real_hop_ || prop <= SimTime::zero() ||
+       sched_.now() + prop <= next->taken_until_)) {
     throw std::logic_error{
-        "set_receiver: a second upstream for a link fed virtually"};
+        "set_receiver: an upstream link that cannot feed a link fed "
+        "virtually"};
   }
   unhook_receiver();
   ++next->upstream_links_;
+  next->min_upstream_prop_ = std::min(next->min_upstream_prop_, prop);
   next_link_ = next;
 }
 
@@ -152,28 +162,29 @@ void Link::decide_mode() {
   if (mode_ == Mode::kLazy) fuse_receiver();
 }
 
-// A virtual arrival skips the drop test and the fault checks, hence
-// unbounded and out of faults' reach only.  The link decides its own
-// receiver at the same time.
+// Several upstream links need a positive least delay: it is how far ahead
+// their deliveries are final.  The link decides its own receiver at the
+// same time.
 bool Link::feed_virtually() {
-  if (mode_ != Mode::kUndecided || config_.buffer_packets != 0 ||
-      !fault_times_.empty() || burst_remaining_ != 0 || !lazy_eligible()) {
+  if (mode_ != Mode::kUndecided || !lazy_eligible() ||
+      (upstream_links_ > 1 && min_upstream_prop_ <= SimTime::zero())) {
     return false;
   }
   mode_ = Mode::kLazy;
   fed_ = true;
+  drain_port_id_ = sched_.register_port(&Link::drain_port, this);
+  report_port_id_ = sched_.register_port(&Link::report_port, this);
   fuse_receiver();
   return true;
 }
 
-// The hop into the receiver fuses when the receiver is fed by this link
-// alone (its only upstream link, declared upstream-only) and can be fed
-// virtually: its arrivals are then exactly this link's deliveries, in FIFO
-// order, known at admission.
+// The hop into the receiver fuses when the receiver is fed by its
+// upstream links alone (declared upstream-only) and can be fed virtually:
+// its arrivals are then exactly their deliveries, in key order.
 void Link::fuse_receiver() {
   Link* next = next_link_;
   if (next != nullptr && !real_hop_ && next->upstream_only_ &&
-      next->upstream_links_ == 1 && next->feed_virtually()) {
+      (next->fed_ || next->feed_virtually())) {
     feeds_next_ = true;
   }
 }
@@ -181,66 +192,77 @@ void Link::fuse_receiver() {
 // The eager link starts a packet at its arrival when the transmitter is
 // idle, else at its predecessor's tx-done, and claims the delivery key
 // then the successor's tx-done key inside that tx-done.  The lazy link
-// reproduces exactly that: it is busy iff a tx-done lies ahead, and then
-// this packet's tx-done key is the newest one's successor claim
-// (virtual_seq(., 1)); otherwise it claims a real seq now, as
-// start_transmission's post would.  The tx-dones still ahead beyond the
-// one on the wire are the eager queue, so a finite buffer drops exactly
-// when the eager qdisc would, through the same counters.
+// reproduces exactly that: it is busy iff a tx-done lies after the
+// arrival's key, and then this packet's tx-done key is the newest one's
+// successor claim (virtual_seq(., 1)); otherwise it claims a key where
+// the arrival pop would: a real seq now, or a virtual arrival's claim 0.
+// The tx-dones after the arrival beyond the one on the wire are the eager
+// queue, so a finite buffer drops exactly when the eager qdisc would,
+// through the same counters (a virtual arrival's drop once the clock
+// reaches it).
 //
 // Under faults (docs/DES_ENGINE.md, "Lazy links under faults") every fault
-// at or before this nanosecond has popped, so the link's down state and
-// burst count are the eager link's at this arrival.  What lies ahead,
-// admitted or parked, is the eager queue plus the packet on the wire (an
-// up link always transmits the first of them).  A packet that finds
-// nothing parked starts now or at the newest departure and is admitted if
-// its tx-done lies before the next declared fault (always, with none
-// declared); behind a parked packet it waits its turn.
-void Link::send_lazy(const Packet& p) {
-  ++total_arrivals_;
-  ++flow_slot(p.flow).arrivals;
+// at or before the arrival has popped and none lies between it and the
+// clock, so the link's down state and burst count are the eager link's at
+// this arrival.  What lies ahead, admitted or parked, is the eager queue
+// plus the packet on the wire (an up link always transmits the first of
+// them).  A packet that finds nothing parked starts at its arrival or at
+// the newest departure and is admitted if its tx-done lies before the
+// next declared fault (always, with none declared); behind a parked
+// packet it waits its turn.
+void Link::arrive_lazy(const Packet& p, SimTime when, std::uint64_t arrival,
+                       SimTime chain_start) {
   if (down_ || burst_remaining_ != 0) [[unlikely]] {
-    fault_drop(p);
+    if (arrival == kRealArrival) count_arrival(p);
+    fault_drop(p, arrival);
     return;
   }
-  const SimTime now = sched_.now();
-  if (horizon_ <= now) [[unlikely]] {
+  if (horizon_ <= when) [[unlikely]] {
     throw std::logic_error{"link arrival after a declared fault's time "
                            "before the fault ran"};
   }
+  const bool real = arrival == kRealArrival;
   const std::size_t waiting = parked();
-  const std::size_t ahead = pass_departures() + waiting;
+  const std::size_t ahead = departures_ahead(when, arrival) + waiting;
   if (config_.buffer_packets != 0 && ahead > config_.buffer_packets) {
-    droptail_->reject(p);
+    if (real) {
+      count_arrival(p);
+      droptail_->reject(p);
+    } else {
+      defer_drop(p, arrival, false, false);
+    }
     return;
   }
+  count_arrival(p);
+  const std::size_t before = departures_.size();
   if (waiting != 0) [[unlikely]] {
-    parked_.push_back(p);
+    parked_.push_back(Parked{p, when, arrival});
   } else {
     const SimTime tx = tx_time(p.size_bytes);
-    SimTime start = now;
+    SimTime start = when;
     std::uint64_t sigma;
     if (ahead == 0) {
-      sigma = sched_.claim_seq();
+      sigma = real ? sched_.claim_seq() : Scheduler::virtual_seq(arrival, 0);
     } else {
       const Departure& last = departures_.back();
       start = last.when;
       sigma = Scheduler::virtual_seq(last.vid, 1);
     }
     if (start + tx < horizon_) [[likely]] {
-      admit(p, start + tx, sigma, tx, start);
+      admit(p, start + tx, sigma, tx, real ? start : chain_start, !real);
     } else {
-      parked_.push_back(p);
-      head_ = Started{start, start + tx, sigma, tx};
+      parked_.push_back(Parked{p, when, arrival});
+      head_ = Started{start, start + tx, sigma, tx,
+                      real ? start : chain_start};
       sched_.use_claim(sigma);
     }
   }
-  if (replay_) [[unlikely]] trace_admitted(p, now, 0);
+  if (replay_) [[unlikely]] trace_admitted(p, when, arrival, before);
 }
 
 void Link::start_head(SimTime start, std::uint64_t sigma) {
-  const SimTime tx = tx_time(parked_[parked_head_].size_bytes);
-  head_ = Started{start, start + tx, sigma, tx};
+  const SimTime tx = tx_time(parked_[parked_head_].p.size_bytes);
+  head_ = Started{start, start + tx, sigma, tx, start};
   sched_.use_claim(sigma);  // the eager tx-done that starts it claims it
 }
 
@@ -252,7 +274,8 @@ void Link::resume() {
   while (head_ && head_->when < horizon_) {
     const Started s = *head_;
     head_.reset();
-    admit(parked_[parked_head_++], s.when, s.sigma, s.tx, s.start);
+    admit(parked_[parked_head_++].p, s.when, s.sigma, s.tx, s.chain_start,
+          false);
     if (parked() == 0) {
       parked_.clear();
       parked_head_ = 0;
@@ -267,85 +290,151 @@ void Link::resume() {
                   parked_.begin() + static_cast<std::ptrdiff_t>(parked_head_));
     parked_head_ = 0;
   }
+  // The fault pops at the clock: deliveries before the clock plus the
+  // lookahead are final.
+  if (fed_) drain(final_before(sched_.now()));
 }
 
 // The source's emission pop would hand the packet over exactly as an
 // upstream delivery pop does; its key is the real seq the eager sender
-// claims for it, at the same point.
+// claims for it, at the same point.  The emissions come in key order, so
+// each is taken at once, by an unbounded link out of faults' reach.
 bool Link::send_at(SimTime when, const Packet& p) {
   if (upstream_links_ != 0) return false;
   if (!fed_) {
-    if (!feed_virtually()) return false;
+    if (config_.buffer_packets != 0 || !fault_times_.empty() ||
+        !feed_virtually()) {
+      return false;
+    }
     upstream_only_ = true;  // its source feeds it alone from now on
   }
-  arrive_virtual(p,
-                 sched_.add_virtual(when, sched_.claim_seq(), 0,
-                                    EventCategory::kTcpSend),
-                 when, sched_.now());
+  arrive_lazy(p, when,
+              sched_.add_virtual(when, sched_.claim_seq(), 0,
+                                 EventCategory::kTcpSend),
+              sched_.now());
   return true;
 }
 
-// The arrival pop would hand the packet over and, if this link is idle,
-// claim its tx-done key (the arrival's claim 0).  Idle means the newest
-// tx-done passes before the arrival: both lie ahead, so their keys decide.
-void Link::arrive_virtual(const Packet& p, std::uint64_t arrival,
-                          SimTime when, SimTime chain_start) {
-  ++total_arrivals_;
-  ++flow_slot(p.flow).arrivals;
-  const SimTime tx = tx_time(p.size_bytes);
-  const Departure* last =
-      pass_departures() != 0 ? &departures_.back() : nullptr;
-  if (last != nullptr &&
-      (last->when > when ||
-       (last->when == when && sched_.virtual_before(arrival, last->vid)))) {
-    admit(p, last->when + tx, Scheduler::virtual_seq(last->vid, 1), tx,
-          chain_start);
-  } else {
-    admit(p, when + tx, Scheduler::virtual_seq(arrival, 0), tx, chain_start);
+// An upstream link admits a packet at the clock and delivers it at least
+// its delay later, so once no pop before a time T remains, every delivery
+// keyed before T + L (L the least upstream delay) is known; with one
+// upstream link every delivery is known once it is made, since they come
+// in key order.  Held deliveries are taken in key order (the scheduler's
+// tie rule orders same-nanosecond ones), each as a virtual delivery event
+// at its key, before the first pop at or after the earliest one.
+void Link::take(const Packet& p, SimTime when, std::uint64_t seq,
+                SimTime chain_start) {
+  // One upstream link's delivery is final once made.  While the scheduler
+  // runs it is taken at once, as drain() would take it; between runs the
+  // owner may still attach another upstream link (set_receiver refuses one
+  // that could deliver before it).
+  if (upstream_links_ == 1 && inbox_head_ == inbox_.size() &&
+      when < horizon_ && sched_.running()) {
+    taken_until_ = when;
+    arrive_lazy(p, when,
+                sched_.add_virtual(when, seq, 0, EventCategory::kLinkDelivery),
+                chain_start);
+    return;
   }
-  if (replay_) [[unlikely]] trace_admitted(p, when, arrival);
+  inbox_.push_back(Inbound{when, seq, chain_start, p});
+  std::size_t i = inbox_.size() - 1;
+  for (; i > inbox_head_; --i) {
+    const Inbound& prev = inbox_[i - 1];
+    if (prev.when < when ||
+        (prev.when == when &&
+         !sched_.virtual_before(Scheduler::virtual_id(seq),
+                                Scheduler::virtual_id(prev.seq)))) {
+      break;
+    }
+    std::swap(inbox_[i], inbox_[i - 1]);
+  }
+  if (i == inbox_head_) rewatch();
+}
+
+void Link::drain(SimTime bound) {
+  while (inbox_head_ < inbox_.size()) {
+    const Inbound in = inbox_[inbox_head_];
+    if (!(in.when < bound && in.when < horizon_)) break;
+    ++inbox_head_;
+    taken_until_ = in.when;
+    arrive_lazy(in.p, in.when,
+                sched_.add_virtual(in.when, in.seq, 0,
+                                   EventCategory::kLinkDelivery),
+                in.chain_start);
+  }
+  if (inbox_head_ == inbox_.size()) {
+    inbox_.clear();
+    inbox_head_ = 0;
+  } else if (inbox_head_ >= 64 && inbox_head_ * 2 >= inbox_.size()) {
+    inbox_.erase(inbox_.begin(),
+                 inbox_.begin() + static_cast<std::ptrdiff_t>(inbox_head_));
+    inbox_head_ = 0;
+  }
+  rewatch();
+}
+
+// The watch ran before the first pop at or after `watched_`: every pop
+// from now on lies at or after it.
+void Link::on_watch() {
+  const SimTime from = std::exchange(watched_, SimTime::max());
+  drain(final_before(from));
+}
+
+// Watches the earliest held delivery; one behind the fault horizon waits
+// for the fault's pop instead.
+void Link::rewatch() {
+  SimTime head = SimTime::max();
+  if (inbox_head_ < inbox_.size() && inbox_[inbox_head_].when < horizon_) {
+    head = inbox_[inbox_head_].when;
+  }
+  if (head == watched_) return;
+  watched_ = head;
+  if (head == SimTime::max()) {
+    sched_.unwatch(drain_port_id_);
+  } else {
+    sched_.watch(drain_port_id_, head);
+  }
 }
 
 // Keeps what the replay needs of an admitted packet.  An arrival on a link
 // fed virtually is ordered against the tx-done at its nanosecond now,
-// while both keys are recent; the new departure is later than both.
+// while both keys are recent; its own departure is later than both.
 void Link::trace_admitted(const Packet& p, SimTime when,
-                          std::uint64_t arrival) {
+                          std::uint64_t arrival, std::size_t before) {
   bool first = false;
   if (fed_) {
-    std::size_t i = departures_.size() - 1;
+    std::size_t i = before;
     while (i > departed_ && departures_[i - 1].when > when) --i;
     first = i > departed_ && departures_[i - 1].when == when &&
             sched_.virtual_before(arrival, departures_[i - 1].vid);
   }
-  traced_.push_back(Traced{p, when, first});
+  traced_.push_back(Traced{p, when, first, arrival});
   if (!fed_) observe_arrival(traced_.size() - 1);
 }
 
 // The delivery is keyed by the virtual tx-done's claim 0: a real FIFO
-// entry, or on a fused hop a virtual delivery event whose arrival the
-// receiver takes at once.  Lookups reach back at most twice the delay from
-// the chain's first transmission start to its real delivery, plus a tx
-// time per same-nanosecond tie along a busy period (docs/DES_ENGINE.md).
-// A delivery that undercuts the FIFO tail after a shrunk delay takes a
+// entry, or on a fused hop a virtual delivery event the receiver takes
+// once final.  Lookups reach back at most twice the delay from the
+// chain's first transmission start to its real delivery, plus a tx time
+// per same-nanosecond tie along a busy period (docs/DES_ENGINE.md).  A
+// delivery that undercuts the FIFO tail after a shrunk delay takes a
 // one-entry post under the same key, as the eager link's does.
 void Link::admit(const Packet& p, SimTime departure, std::uint64_t sigma,
-                 SimTime tx, SimTime chain_start) {
+                 SimTime tx, SimTime chain_start, bool arrived_virtually) {
   const std::uint64_t vid =
       sched_.add_virtual(departure, sigma, 1, EventCategory::kLinkTx);
-  departures_.push_back(Departure{departure, vid, tx, p.flow});
+  departures_.push_back(Departure{departure, vid, tx, p.flow,
+                                  arrived_virtually});
   ahead_tx_ += tx;
   busy_time_ += tx;
 
   const SimTime when = departure + config_.prop_delay;
   const std::uint64_t seq = Scheduler::virtual_seq(vid, 0);
+  sched_.keep_lookback((when - chain_start) * 2 + SimTime::millis(10));
   if (feeds_next_) {
-    next_link_->arrive_virtual(
-        p, sched_.add_virtual(when, seq, 0, EventCategory::kLinkDelivery),
-        when, chain_start);
+    next_link_->take(p, when, seq, chain_start);
     return;
   }
-  sched_.keep_lookback((when - chain_start) * 2 + SimTime::millis(10));
   const bool was_empty = deliveries_head_ == deliveries_.size();
   if (!was_empty && when < deliveries_.back().when) [[unlikely]] {
     sched_.post_key(
@@ -383,9 +472,26 @@ std::size_t Link::pass_departures() const {
       obs_arrived_ -= departed_;
       obs_done_ = 0;
     }
+    cursor_ = cursor_ > departed_ ? cursor_ - departed_ : 0;
     departed_ = 0;
   }
   return departures_.size() - departed_;
+}
+
+std::size_t Link::departures_ahead(SimTime when, std::uint64_t arrival) {
+  const std::size_t ahead = pass_departures();
+  if (arrival == kRealArrival) return ahead;  // the arrival is the clock
+  std::size_t i = std::max(cursor_, departed_);
+  while (i < departures_.size()) {
+    const Departure& d = departures_[i];
+    if (d.when > when ||
+        (d.when == when && sched_.virtual_before(arrival, d.vid))) {
+      break;
+    }
+    ++i;
+  }
+  cursor_ = i;
+  return departures_.size() - i;
 }
 
 // The eager link at an arrival: an idle link (every packet started has
@@ -425,34 +531,48 @@ void Link::replay_passed() const {
   if (fed_) observe_arrivals(nullptr);
 }
 
-// A packet's virtual arrival is the event added just before its tx-done.
 void Link::observe_arrivals(const Departure* before) const {
   const SimTime now = sched_.now();
   for (; obs_arrived_ < traced_.size(); observe_arrival(obs_arrived_)) {
     const Traced& a = traced_[obs_arrived_];
-    if (before != nullptr ? a.arrived > before->when ||
-                                (a.arrived == before->when && !a.first)
-                          : a.arrived > now ||
-                                (a.arrived == now &&
-                                 sched_.virtual_ahead(
-                                     departures_[obs_arrived_].vid - 1))) {
+    if (before != nullptr
+            ? a.arrived > before->when ||
+                  (a.arrived == before->when && !a.first)
+            : a.arrived > now ||
+                  (a.arrived == now && sched_.virtual_ahead(a.arrival))) {
       return;
     }
   }
 }
 
-std::size_t Link::arrivals_ahead(const FlowId* flow) const {
+std::size_t Link::arrivals_ahead(const FlowId* flow,
+                                 std::size_t* parked_ahead) const {
   if (!fed_) return 0;
-  // Arrivals come in departure order, so the ones still ahead are a suffix
-  // of the tx-dones still ahead.  A packet's virtual arrival (a delivery
-  // or an emission) is the event recorded just before its tx-done.
-  const std::size_t ahead = pass_departures();
-  const std::size_t end = departures_.size() - ahead;
+  // Arrivals come in FIFO order, so the ones still ahead are a suffix of
+  // the parked packets and the tx-dones still ahead.  An admitted packet's
+  // virtual arrival (a delivery or an emission) is the event recorded just
+  // before its tx-done; one admitted from the parked list arrived before
+  // the fault that admitted it.
   std::size_t n = 0;
+  std::size_t waiting = 0;
+  const auto counts = [flow](FlowId f) { return flow == nullptr || f == *flow; };
+  for (std::size_t i = parked_.size(); i > parked_head_; --i) {
+    const Parked& x = parked_[i - 1];
+    if (x.arrival == kRealArrival || x.arrived < sched_.now() ||
+        (x.arrived == sched_.now() && !sched_.virtual_ahead(x.arrival))) {
+      if (parked_ahead != nullptr) *parked_ahead = waiting;
+      return n;
+    }
+    ++waiting;
+    if (counts(x.p.flow)) ++n;
+  }
+  if (parked_ahead != nullptr) *parked_ahead = waiting;
+  const std::size_t ahead = pass_departures();  // may drop a passed prefix
+  const std::size_t end = departures_.size() - ahead;
   for (std::size_t i = departures_.size(); i > end; --i) {
     const Departure& d = departures_[i - 1];
-    if (!sched_.virtual_ahead(d.vid - 1)) break;
-    if (flow == nullptr || d.flow == *flow) ++n;
+    if (!d.arrived_virtually || !sched_.virtual_ahead(d.vid - 1)) break;
+    if (counts(d.flow)) ++n;
   }
   return n;
 }
@@ -462,7 +582,7 @@ std::size_t Link::queue_length() const {
   // The first arrived packet is on the wire, unless a down link froze it
   // unstarted in the parked queue.
   const std::size_t ahead = pass_departures();
-  const std::size_t arrived = ahead - arrivals_ahead() + parked();
+  const std::size_t arrived = ahead + parked() - arrivals_ahead();
   const bool on_wire = ahead > 0 || head_.has_value();
   return arrived > 0 && on_wire ? arrived - 1 : arrived;
 }
@@ -489,15 +609,17 @@ void Link::arrive(const Packet& p) {
   if (mode_ != Mode::kEager) {
     if (mode_ == Mode::kUndecided) decide_mode();
     if (mode_ == Mode::kLazy) {
-      send_lazy(p);
+      if (fed_) [[unlikely]] {
+        throw std::logic_error{"a real delivery into a link fed virtually"};
+      }
+      arrive_lazy(p, sched_.now(), kRealArrival, sched_.now());
       return;
     }
   }
-  ++total_arrivals_;
-  ++flow_slot(p.flow).arrivals;
+  count_arrival(p);
 
   if (down_ || burst_remaining_ > 0) {
-    fault_drop(p);
+    fault_drop(p, kRealArrival);
     return;
   }
 
@@ -527,9 +649,18 @@ void Link::arrive(const Packet& p) {
 // bypass the qdisc (and its counters) entirely so the measured p_k keeps
 // meaning "congestion loss", and are tallied in fault_drops_ instead —
 // fault_drops() stays disjoint from total_drops() under every discipline.
-void Link::fault_drop(const Packet& p) {
-  if (!down_) --burst_remaining_;
+void Link::fault_drop(const Packet& p, std::uint64_t arrival) {
+  const bool burst = !down_;
+  if (burst) --burst_remaining_;
+  if (arrival != kRealArrival) {
+    defer_drop(p, arrival, true, burst);
+    return;
+  }
   ++fault_drops_;
+  record_fault_drop(p);
+}
+
+void Link::record_fault_drop(const Packet& p) {
   if (event_log_ && event_log_->enabled(obs::Severity::kWarn)) {
     event_log_->record(sched_.now().to_seconds(), obs::Severity::kWarn,
                        "fault_drop",
@@ -541,6 +672,43 @@ void Link::fault_drop(const Packet& p) {
     record_flight(sched_.now(), p, obs::FlightEventKind::kLinkDrop,
                   queue_length());
   }
+}
+
+// A virtual arrival is taken ahead of the clock, but the eager link counts
+// and records its drop at the arrival pop: the report watches its key.
+void Link::defer_drop(const Packet& p, std::uint64_t arrival, bool fault,
+                      bool burst) {
+  dropped_.push_back(Dropped{arrival, p, fault, burst});
+  if (dropped_.size() - dropped_head_ == 1) {
+    sched_.watch_past(report_port_id_, arrival);
+  }
+}
+
+// At the dropped arrival's key: the clock is at its time and every key
+// before it has passed, as in the eager arrival pop.
+void Link::report_drop() {
+  const Dropped d = dropped_[dropped_head_++];
+  if (dropped_head_ == dropped_.size()) {
+    dropped_.clear();
+    dropped_head_ = 0;
+  } else {
+    sched_.watch_past(report_port_id_, dropped_[dropped_head_].arrival);
+  }
+  count_arrival(d.p);
+  if (d.fault) {
+    ++fault_drops_;
+    record_fault_drop(d.p);
+  } else {
+    droptail_->reject(d.p);
+  }
+}
+
+std::uint64_t Link::burst_remaining() const {
+  std::uint64_t pending = 0;
+  for (std::size_t i = dropped_head_; i < dropped_.size(); ++i) {
+    if (dropped_[i].burst) ++pending;
+  }
+  return burst_remaining_ + pending;
 }
 
 void Link::start_transmission(const Packet& p) {
@@ -658,8 +826,9 @@ bool Link::lazy_fault_hook(const char* hook) {
 }
 
 void Link::drop_next(std::uint64_t count) {
-  if (fed_) throw std::logic_error{"drop_next on a link fed virtually"};
+  const bool lazy = lazy_fault_hook("drop_next");
   burst_remaining_ += count;
+  if (lazy) resume();
 }
 
 void Link::set_down(bool down) {
@@ -747,12 +916,17 @@ double Link::utilization(SimTime elapsed) const {
     // Packets queued or not yet arrived have not started: their tx time is
     // not busy yet.  The first arrived one ahead is on the wire.
     const std::size_t ahead = pass_departures();
-    const std::size_t arrived = ahead - arrivals_ahead();
+    std::size_t parked_ahead = 0;
+    const std::size_t not_arrived = arrivals_ahead(nullptr, &parked_ahead);
+    const std::size_t arrived = ahead - (not_arrived - parked_ahead);
     SimTime unstarted = ahead_tx_;
     if (arrived > 0) unstarted = unstarted - departures_[departed_].tx;
     busy = busy - unstarted;
-    // With nothing admitted ahead, a started parked head is on the wire.
-    if (ahead == 0 && head_) busy = busy + head_->tx;
+    // With nothing admitted ahead, a started parked head that has arrived
+    // is on the wire.
+    if (ahead == 0 && head_ && parked_ahead < parked()) {
+      busy = busy + head_->tx;
+    }
   }
   return busy.to_seconds() / elapsed.to_seconds();
 }

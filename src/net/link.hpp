@@ -10,15 +10,18 @@
 // departures still ahead, and keeps the tx-done as a virtual scheduler
 // event that never enters the queue.  AQM links, and every link of a
 // scheduler that keeps links eager (the tests' reference), run eager: a
-// tx-done event per packet.  A lazy link whose receiver is an
-// unbounded lazy link fed by nothing else makes the delivery virtual too
-// and feeds the arrival into the receiver at once; a sender's jitter stage
-// feeds its private entry link the same way (send_at).  Under faults the
-// owner declares when set_down / rescale will run (declare_fault): the
-// link admits only departures before the next declared fault and parks
-// the rest, in FIFO order, until that fault's pop (the fault horizon).
-// Pop order, delivery times, drops and events_executed() are identical
-// either way (docs/DES_ENGINE.md).
+// tx-done event per packet.  A lazy link whose receiver is a lazy link
+// fed only by its upstream links (set_upstream_only) makes the delivery
+// virtual too: the receiver takes its upstream links' deliveries in key
+// order, each one once no pop can still put an earlier one before it (at
+// once with one upstream link; with several, up to the least upstream
+// propagation delay ahead of the clock, by Scheduler::watch).  A sender's
+// jitter stage feeds its private entry link virtually as well (send_at).
+// Under faults the owner declares when set_down / rescale / drop_next will
+// run (declare_fault): the link takes arrivals and admits departures only
+// before the next declared fault and parks the rest, in FIFO order, until
+// that fault's pop (the fault horizon).  Pop order, delivery times, drops
+// and events_executed() are identical either way (docs/DES_ENGINE.md).
 #pragma once
 
 #include <cstdint>
@@ -67,16 +70,18 @@ class Link {
   // FlowDemux overloads devirtualize the hop — delivery calls the next
   // stage directly instead of going through a std::function.  The Link
   // overload makes this link one of `next`'s upstream links.  Rewiring a
-  // fused hop, or giving a link fed virtually a second upstream, throws
-  // std::logic_error.
+  // fused hop throws std::logic_error, and so does giving a link fed
+  // virtually an upstream link that cannot feed it virtually (not lazy,
+  // already sending, zero delay, or a shrinking one) or that could deliver
+  // before an arrival it has already taken.
   void set_receiver(PacketHandler receiver);
   void set_receiver(Link* next);
   void set_receiver(FlowDemux* demux);
 
   // Declares that nothing but this link's upstream links feeds it: a
   // direct send() throws std::logic_error from now on.  The owner of a
-  // link no caller can reach declares it, which lets its one upstream
-  // link deliver into it virtually (a fused hop).
+  // link no caller can reach declares it, which lets its upstream links
+  // deliver into it virtually (fused hops).
   void set_upstream_only() { upstream_only_ = true; }
 
   // Offer to the queue discipline; may drop (tail or AQM-early) on arrival,
@@ -104,7 +109,8 @@ class Link {
   // Aggregate and per-flow counters, as the eager link counts them by now.
   // Delivered counts transmissions completed; a lazy link reads it,
   // queue_length() and utilization() off its departure FIFO's cursor, and
-  // a link fed virtually leaves out the arrivals still ahead of the clock.
+  // a link fed virtually leaves out the arrivals still ahead of the clock
+  // (it counts a drop it decided ahead once the clock reaches it).
   std::uint64_t total_arrivals() const;
   std::uint64_t total_drops() const { return total_drops_; }
   std::uint64_t total_delivered() const;
@@ -119,14 +125,14 @@ class Link {
   double utilization(SimTime elapsed) const;
 
   // --- fault hooks (src/fault/; all inert until first used) ---
-  // Before its first send, the owner declares each set_down call (at `at`)
-  // and each rescale call (at `at`, to `delay_factor`), rescales in time
-  // order.  The call must run at its declared nanosecond before any
-  // arrival or tx-done of the link there (FaultInjector::arm claims its
-  // keys before the first packet).  On a lazy link an undeclared
-  // set_down / rescale throws std::logic_error, and so does an arrival
-  // once a declared one is overdue; a plan that shrinks the delay below
-  // an earlier value keeps the hop into the receiver real.
+  // Before its first send, the owner declares each set_down and drop_next
+  // call (at `at`) and each rescale call (at `at`, to `delay_factor`),
+  // rescales in time order.  The call must run at its declared nanosecond
+  // before any arrival or tx-done of the link there (FaultInjector::arm
+  // claims its keys before the first packet).  On a lazy link an
+  // undeclared hook throws std::logic_error, and so does an arrival once a
+  // declared one is overdue; a plan that shrinks the delay below an
+  // earlier value keeps the hop into the receiver real.
   void declare_fault(SimTime at);
   void declare_fault(SimTime at, double delay_factor);
   // While down the link drops every arrival (counted in fault_drops(), NOT
@@ -136,9 +142,8 @@ class Link {
   void set_down(bool down);
   bool down() const { return down_; }
   // Drops the next `count` arrivals (burst loss); cumulative across calls.
-  // Needs no declaration, but throws on a link fed virtually.
   void drop_next(std::uint64_t count);
-  std::uint64_t burst_remaining() const { return burst_remaining_; }
+  std::uint64_t burst_remaining() const;
   // Rescales bandwidth / propagation delay relative to the CONSTRUCTED
   // configuration (factors do not compound), applying to future
   // transmissions only.  Factors must be > 0.
@@ -153,7 +158,8 @@ class Link {
   // kWarn "drop" / "fault_drop" events, and `.{delivered,drops,
   // queue_depth}` channels; an empty one binds flight spans only.  A lazy
   // link records as its departures pass, caught up at the end of every
-  // run_until (which must not outlive it); bind it before its first send.
+  // run_until (which must not outlive it), and a drop it decided ahead of
+  // the clock at the drop's key; bind it before its first send.
   void bind(obs::Hub& hub, const std::string& prefix, std::int32_t hop);
 
  private:
@@ -167,27 +173,59 @@ class Link {
     std::uint64_t seq;
     PacketPool::Ref ref;
   };
-  // A lazy link's admitted packet: its virtual tx-done and tx time.
+  // A lazy link's admitted packet: its virtual tx-done and tx time, and
+  // whether its virtual arrival is the event recorded just before it.
   struct Departure {
     SimTime when;
     std::uint64_t vid;
     SimTime tx;
     FlowId flow;
+    bool arrived_virtually;
+  };
+  // The id of a real arrival (one at the clock) where a virtual arrival's
+  // event id would go.
+  static constexpr std::uint64_t kRealArrival = ~std::uint64_t{0};
+  // An upstream link's delivery a link fed virtually holds until no pop
+  // can still put an earlier one before it: its key, the packet and when
+  // the first link of the fused chain started transmitting it.
+  struct Inbound {
+    SimTime when;
+    std::uint64_t seq;
+    SimTime chain_start;
+    Packet p;
+  };
+  // A packet waiting behind the fault horizon and its arrival (time and
+  // event).
+  struct Parked {
+    Packet p;
+    SimTime arrived;
+    std::uint64_t arrival;
+  };
+  // A virtual arrival dropped ahead of the clock, reported at its key.
+  struct Dropped {
+    std::uint64_t arrival;
+    Packet p;
+    bool fault;
+    bool burst;  // it used up a burst_loss count
   };
   // A lazy link's parked head once its transmission has started:
-  // its start, tx-done time and key, and tx time.
+  // its start, tx-done time and key, tx time, and its fused chain's start
+  // (its own start unless it started at a virtual arrival).
   struct Started {
     SimTime start;
     SimTime when;
     std::uint64_t sigma;
     SimTime tx;
+    SimTime chain_start;
   };
   // A bound lazy link's departure: the packet, when it arrives and,
-  // arriving virtually, whether before the tx-done at that nanosecond.
+  // arriving virtually, whether before the tx-done at that nanosecond and
+  // its arrival event.
   struct Traced {
     Packet p;
     SimTime arrived;
     bool first;
+    std::uint64_t arrival;
   };
   enum class Mode : std::uint8_t { kUndecided, kEager, kLazy };
 
@@ -200,52 +238,90 @@ class Link {
   static void catch_up_port(void* ctx) {
     static_cast<Link*>(ctx)->pass_departures();
   }
+  static void drain_port(void* ctx) { static_cast<Link*>(ctx)->on_watch(); }
+  static void report_port(void* ctx) {
+    static_cast<Link*>(ctx)->report_drop();
+  }
 
   bool lazy_eligible() const;
   void decide_mode();
-  // Makes an undecided, eligible, unbounded link lazy with its arrivals
-  // virtual (fed_); false, changing nothing, otherwise.
+  // Makes an undecided, eligible link lazy with its arrivals virtual
+  // (fed_); false, changing nothing, otherwise.
   bool feed_virtually();
   void fuse_receiver();
   void unhook_receiver();
   // send() past the upstream-only check: what an upstream link delivers.
   void arrive(const Packet& p);
-  void send_lazy(const Packet& p);
   // A fault hook's common part: false on a link that runs eager; on a lazy
   // one, consumes the hook's declaration and catches the link up.
   bool lazy_fault_hook(const char* hook);
   std::size_t parked() const { return parked_.size() - parked_head_; }
   // The parked head starts transmitting at `start` under key `sigma`.
   void start_head(SimTime start, std::uint64_t sigma);
-  // Admits the parked packets whose tx-done now lies before the horizon.
+  // At a fault hook: admits the parked packets whose tx-done now lies
+  // before the horizon, then takes what is final of the held deliveries.
   void resume();
   // An arrival dropped by link_down or burst_loss.
-  void fault_drop(const Packet& p);
-  // A packet arriving on a link fed virtually, at virtual event `arrival`
-  // (time `when`): an upstream link's delivery or a source's emission.
-  void arrive_virtual(const Packet& p, std::uint64_t arrival, SimTime when,
-                      SimTime chain_start);
+  void fault_drop(const Packet& p, std::uint64_t arrival);
+  void record_fault_drop(const Packet& p);
+  // A virtual arrival's drop, reported once the clock reaches its key.
+  void defer_drop(const Packet& p, std::uint64_t arrival, bool fault,
+                  bool burst);
+  void report_drop();
+  // An upstream link's delivery into this link fed virtually, keyed
+  // (when, seq): held in key order until final.
+  void take(const Packet& p, SimTime when, std::uint64_t seq,
+            SimTime chain_start);
+  // Takes the held deliveries keyed before `bound` and the fault horizon
+  // as virtual arrivals, in key order, then watches the next one.
+  void drain(SimTime bound);
+  void on_watch();
+  void rewatch();
+  // The time before which every held delivery is final once no pop
+  // before `from` remains: unbounded with one upstream link, whose
+  // deliveries come in key order; else `from` plus the least upstream
+  // delay.
+  SimTime final_before(SimTime from) const {
+    return upstream_links_ > 1 ? from + min_upstream_prop_ : SimTime::max();
+  }
+  // Every lazy arrival: at the clock (arrival kRealArrival), or at
+  // virtual event `arrival` at `when` (an upstream link's delivery or a
+  // source's emission), ahead of the clock.  `chain_start` is when the
+  // first link of the fused chain started transmitting the packet.
+  void arrive_lazy(const Packet& p, SimTime when, std::uint64_t arrival,
+                   SimTime chain_start);
+  void count_arrival(const Packet& p) {
+    ++total_arrivals_;
+    ++flow_slot(p.flow).arrivals;
+  }
   // Records an admitted packet's virtual tx-done at (departure, sigma) and
   // its delivery; `chain_start` is when the first link of the fused chain
   // started transmitting it.  After a shrunk delay the delivery may
   // undercut the FIFO tail.
   void admit(const Packet& p, SimTime departure, std::uint64_t sigma,
-             SimTime tx, SimTime chain_start);
+             SimTime tx, SimTime chain_start, bool arrived_virtually);
   // Lazy links: moves the cursor past the tx-dones that have passed and
   // returns how many lie ahead (the first of them on the wire once its
   // packet has arrived, the rest queued or not yet arrived), recording
   // what passes in pop order when bound.
   std::size_t pass_departures() const;
-  void trace_admitted(const Packet& p, SimTime when, std::uint64_t arrival);
+  // The tx-dones that lie after an arrival at (when, arrival), counted
+  // with a cursor of its own for a virtual arrival.
+  std::size_t departures_ahead(SimTime when, std::uint64_t arrival);
+  // `before` departures were admitted before the arrival's own.
+  void trace_admitted(const Packet& p, SimTime when, std::uint64_t arrival,
+                      std::size_t before);
   // The eager link's records at packet i's arrival, at the tx-dones the
   // cursor passed, and at the virtual arrivals passed before d (all passed
   // ones when null).
   void observe_arrival(std::size_t i) const;
   void replay_passed() const;
   void observe_arrivals(const Departure* before) const;
-  // On a link fed virtually: admitted packets (of `flow`, or all) whose
-  // virtual arrival is still ahead; 0 on any other link.
-  std::size_t arrivals_ahead(const FlowId* flow = nullptr) const;
+  // On a link fed virtually: admitted or parked packets (of `flow`, or
+  // all) whose virtual arrival is still ahead, the parked ones also in
+  // `*parked_ahead`; 0 on any other link.
+  std::size_t arrivals_ahead(const FlowId* flow = nullptr,
+                             std::size_t* parked_ahead = nullptr) const;
   void start_transmission(const Packet& p);
   void on_transmit_done();
   void on_delivery();
@@ -304,12 +380,28 @@ class Link {
   bool feeds_next_ = false;     // deliveries into next_link_ are virtual
   bool replay_ = false;         // sinks bound: records what passes
   std::uint32_t upstream_links_ = 0;  // links whose receiver this is
+  SimTime min_upstream_prop_ = SimTime::max();  // their least base delay
   // Lazy links: admitted packets in departure order; those before
   // `departed_` have passed their tx-done, and `ahead_tx_` sums the tx time
-  // of the rest.  Accessors move the cursor too, hence mutable.
+  // of the rest.  Accessors move the cursor too, hence mutable.  A link
+  // fed virtually takes arrivals ahead of the clock: those before
+  // `cursor_` passed their tx-done before its newest virtual arrival.
   mutable std::vector<Departure> departures_;
   mutable std::size_t departed_ = 0;
+  mutable std::size_t cursor_ = 0;
   mutable SimTime ahead_tx_ = SimTime::zero();
+  // A link fed by upstream links: their deliveries not yet taken, in key
+  // order from `inbox_head_`; the time its drain watch runs at (max() with
+  // none) and of the newest delivery taken; and its two watch ports.
+  std::vector<Inbound> inbox_;
+  std::size_t inbox_head_ = 0;
+  SimTime watched_ = SimTime::max();
+  SimTime taken_until_ = SimTime::nanos(-1);
+  std::uint32_t drain_port_id_ = 0;
+  std::uint32_t report_port_id_ = 0;
+  // Drops of virtual arrivals not yet reported, in key order.
+  std::vector<Dropped> dropped_;
+  std::size_t dropped_head_ = 0;
   // Where the previous delivery's settle ended (Scheduler::settle_virtual).
   std::uint64_t settle_hint_ = 0;
 
@@ -365,7 +457,7 @@ class Link {
   SimTime horizon_ = SimTime::max();  // its time; max() past the last
   double max_delay_factor_ = 1.0;
   bool real_hop_ = false;
-  std::vector<Packet> parked_;
+  std::vector<Parked> parked_;
   std::size_t parked_head_ = 0;
   std::optional<Started> head_;
 };

@@ -25,15 +25,19 @@ DumbbellPath::DumbbellPath(Scheduler& sched, BottleneckConfig bottleneck,
       sched_, LinkConfig{access_.bandwidth_bps, access_.prop_delay, 0});
   rev_bottleneck_->set_receiver(rev_exit_.get());
   rev_exit_->set_receiver(&rev_demux_);
-  // The exits are private: only their bottleneck feeds them, so each
-  // bottleneck -> exit hop fuses when both links run lazy.
+  // Only the path's own links feed the bottlenecks (each flow's access
+  // links) and the exits (their bottleneck), so every hop into them fuses
+  // when the links run lazy.
+  bottleneck_->set_upstream_only();
+  rev_bottleneck_->set_upstream_only();
   exit_->set_upstream_only();
   rev_exit_->set_upstream_only();
 }
 
 void DumbbellPath::expose_to_faults(
     const std::vector<SimTime>& down_times,
-    const std::vector<std::pair<SimTime, double>>& rescales) {
+    const std::vector<std::pair<SimTime, double>>& rescales,
+    const std::vector<SimTime>& burst_times) {
   for (const SimTime at : down_times) {
     bottleneck_->declare_fault(at);
     rev_bottleneck_->declare_fault(at);
@@ -41,6 +45,7 @@ void DumbbellPath::expose_to_faults(
   for (const auto& [at, delay_factor] : rescales) {
     bottleneck_->declare_fault(at, delay_factor);
   }
+  for (const SimTime at : burst_times) bottleneck_->declare_fault(at);
 }
 
 PacketHandler DumbbellPath::attach_source(FlowId flow) {

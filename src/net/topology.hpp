@@ -74,12 +74,13 @@ class DumbbellPath final : public NetworkPath {
   // --- fault hooks (src/fault/) ---
   // Declares, before the first packet, when the hooks below will run:
   // set_path_down at each of `down_times`, rescale at each of `rescales`
-  // (time, delay factor; in time order).  Both bottlenecks stay lazy and
-  // admit departures only up to their next declared fault
-  // (Link::declare_fault); an undeclared set_path_down or rescale throws
-  // std::logic_error.  drop_next needs no declaration.
+  // (time, delay factor; in time order) and drop_next at each of
+  // `burst_times`.  Both bottlenecks stay lazy and take arrivals and admit
+  // departures only up to their next declared fault
+  // (Link::declare_fault); an undeclared hook throws std::logic_error.
   void expose_to_faults(const std::vector<SimTime>& down_times,
-                        const std::vector<std::pair<SimTime, double>>& rescales);
+                        const std::vector<std::pair<SimTime, double>>& rescales,
+                        const std::vector<SimTime>& burst_times);
   // Downs/raises the whole path: forward bottleneck AND reverse (ACK)
   // bottleneck, so a blackhole kills data and acknowledgments alike — the
   // sender's only signal is its retransmission timer, as with a real

@@ -138,15 +138,70 @@ bool Scheduler::timer_due(Entry& e) {
 }
 
 bool Scheduler::step(SimTime horizon) {
-  while (!cal_.empty()) {
-    if (cal_.min().when > horizon) return false;
+  for (;;) {
+    const Entry* next =
+        cal_.empty() || cal_.min().when > horizon ? nullptr : &cal_.min();
+    if (watch_at_ <= (next != nullptr ? next->when : horizon)) [[unlikely]] {
+      if (run_watch(next, horizon)) continue;
+    }
+    if (next == nullptr) return false;
     Entry top = cal_.pop_min();
     if ((top.fn_index & kTimerBit) && !timer_due(top)) continue;
     if (logging_) log_.push(PopRecord{top.when, top.seq, next_seq_}, top.when);
     dispatch(top);
     return true;
   }
-  return false;
+}
+
+void Scheduler::watch(std::uint32_t port, SimTime when) {
+  if (when < now_) throw std::invalid_argument{"watch: time in the past"};
+  set_watch(Watch{when, kNoEntry, port});
+}
+
+void Scheduler::watch_past(std::uint32_t port, std::uint64_t id) {
+  set_watch(Watch{virtual_event(id).when, id, port});
+}
+
+void Scheduler::set_watch(const Watch& w) {
+  unwatch(w.port);
+  watches_.push_back(w);
+  watch_at_ = std::min(watch_at_, w.when);
+}
+
+void Scheduler::unwatch(std::uint32_t port) {
+  std::erase_if(watches_, [port](const Watch& x) { return x.port == port; });
+  watch_at_ = SimTime::max();
+  for (const Watch& x : watches_) watch_at_ = std::min(watch_at_, x.when);
+}
+
+// Watches run in key order: by time, a plain watch before the keyed ones
+// at its nanosecond, keyed ones by their events' keys.
+bool Scheduler::run_watch(const Entry* next, SimTime horizon) {
+  const Watch* due = nullptr;
+  for (const Watch& w : watches_) {
+    const bool ready =
+        next == nullptr
+            ? w.when <= horizon
+            : w.when < next->when ||
+                  (w.when == next->when &&
+                   (w.id == kNoEntry || key_past(w.id, next->when, next->seq)));
+    if (!ready) continue;
+    if (due == nullptr || w.when < due->when ||
+        (w.when == due->when && due->id != kNoEntry &&
+         (w.id == kNoEntry || virtual_before(w.id, due->id)))) {
+      due = &w;
+    }
+  }
+  if (due == nullptr) return false;
+  const Watch w = *due;
+  unwatch(w.port);
+  if (w.id != kNoEntry) {
+    // The position just before the event: every key before it has passed.
+    now_ = w.when;
+    log_.push(PopRecord{w.when, virtual_event(w.id).sigma, next_seq_}, w.when);
+  }
+  ports_[w.port].fn(ports_[w.port].ctx);
+  return true;
 }
 
 std::uint64_t Scheduler::run_until(SimTime horizon) {
@@ -196,15 +251,15 @@ const Scheduler::VirtualEvent& Scheduler::virtual_event(
   return vtx_[id];
 }
 
-bool Scheduler::pop_past(std::uint64_t id, std::uint64_t i) const {
+bool Scheduler::key_past(std::uint64_t id, SimTime when,
+                         std::uint64_t seq) const {
   const VirtualEvent& event = vtx_[id];
-  const PopRecord& pop = log_[i];
-  if (pop.when != event.when) return event.when < pop.when;
+  if (when != event.when) return event.when < when;
   // A pop keyed by one of the event's own claims (a delivery after zero
   // propagation delay) ran after it; comparing the event's key with it
   // would ask for the very c being resolved.
-  if (is_virtual(pop.seq) && virtual_id(pop.seq) == id) return true;
-  return seq_less(event.sigma, pop.seq);
+  if (is_virtual(seq) && virtual_id(seq) == id) return true;
+  return seq_less(event.sigma, seq);
 }
 
 std::uint64_t Scheduler::resolve(std::uint64_t id) const {

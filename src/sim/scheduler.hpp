@@ -29,7 +29,7 @@
 //
 // Virtual events (lazy links): an event whose time is known in advance and
 // whose handler only claims keys — a drop-tail link's tx-done, its
-// delivery into a link fed by nothing else, or a sender's jittered
+// delivery into a link fed only by lazy links, or a sender's jittered
 // emission into its entry link — never enters the queue.
 // `add_virtual(when, sigma, claims, cat)` records it at key (when, sigma);
 // its claims (`virtual_seq(id, 0|1)`) order exactly where an executed
@@ -37,8 +37,14 @@
 // for chains that tie level for level).  Virtual events count in
 // `events_executed()` and the profile, and their claims in
 // `events_scheduled()`, once they pass; `events_dispatched()` and
-// `pending_events()` count only real pops and entries.  See
-// docs/DES_ENGINE.md.
+// `pending_events()` count only real pops and entries.
+//
+// Watches: a port run at a position rather than popped.  A link that takes
+// its upstream links' deliveries ahead of the clock watches the earliest
+// one it holds (`watch`) and takes what is final before the first pop at
+// or after it; it reports a drop it decided ahead at the drop's own key
+// (`watch_past`).  A watch has no queue entry and no claim, and costs one
+// compare per pop while it waits.  See docs/DES_ENGINE.md.
 #pragma once
 
 #include <algorithm>
@@ -151,6 +157,19 @@ class Scheduler {
   // its records up.  Its context must outlive every run.
   void at_run_end(std::uint32_t port) { run_end_ports_.push_back(port); }
 
+  // --- watches (see header comment) ---
+  // Runs `port` once: before the first pop at or after `when` (>= now()),
+  // or at the end of a run_until whose horizon reaches `when`, whichever
+  // comes first.  A port has at most one watch; watching again moves it.
+  // A watch never counts in executed, dispatched, cancelled or pending
+  // events, nor in the profile; next_event_time() includes it.
+  void watch(std::uint32_t port, SimTime when);
+  // The same at virtual event `id`'s key: runs before the first pop past
+  // it, with the clock at its time and every key before it passed, as if
+  // it were the running pop.  The port may claim no real seq.
+  void watch_past(std::uint32_t port, std::uint64_t id);
+  void unwatch(std::uint32_t port);
+
   // The eager reference the tests check lazy links against: every link
   // stays eager (Link::lazy_eligible).  No production path sets it; the
   // qdisc benchmark runs every discipline's arm on it.
@@ -171,20 +190,23 @@ class Scheduler {
   // Run until the event queue drains or the clock passes `horizon`.
   // Returns the number of events executed, virtual ones included.
   std::uint64_t run_until(SimTime horizon);
+  // True inside run_until (and run).
+  bool running() const { return horizon_ >= SimTime::zero(); }
   // Run until the queue drains.
   std::uint64_t run();
 
-  // Execute at most one real event (virtual ones pass silently); false
-  // when the queue is empty or the next event lies beyond `horizon` (clock
-  // is then left unchanged).
+  // Execute at most one real event (virtual ones pass silently, and due
+  // watches run first); false when the queue is empty or the next event
+  // lies beyond `horizon` and no watch at or before `horizon` is left
+  // (clock is then left unchanged).
   bool step(SimTime horizon = SimTime::max());
 
-  // Time of the earliest queued entry, or SimTime::max() when none is.  A
-  // timer entry whose deadline was superseded or moved later still counts,
-  // so a caller that sleeps until then (a poll loop driving run_until) may
-  // wake early, never late.
+  // Time of the earliest queued entry or watch, or SimTime::max() when
+  // none is.  A timer entry whose deadline was superseded or moved later
+  // still counts, so a caller that sleeps until then (a poll loop driving
+  // run_until) may wake early, never late.
   SimTime next_event_time() {
-    return cal_.empty() ? SimTime::max() : cal_.min().when;
+    return cal_.empty() ? watch_at_ : std::min(cal_.min().when, watch_at_);
   }
 
   // Real queue entries: FIFO heads, timer entries and posted events.
@@ -308,7 +330,11 @@ class Scheduler {
   // `lo`; the newest pop must lie past it.
   std::uint64_t first_pop_past(std::uint64_t id, std::uint64_t lo) const;
   // Logged pop i lies past virtual event `id`'s key.
-  bool pop_past(std::uint64_t id, std::uint64_t i) const;
+  bool pop_past(std::uint64_t id, std::uint64_t i) const {
+    return key_past(id, log_[i].when, log_[i].seq);
+  }
+  // Key (when, seq) lies past virtual event `id`'s key.
+  bool key_past(std::uint64_t id, SimTime when, std::uint64_t seq) const;
   // Deep ties: two virtual events at one nanosecond whose owners tie too.
   // A label names an event's chain of owners down to its real-keyed root:
   // equal labels mean equal (when, claim index) at every level, so the
@@ -360,6 +386,18 @@ class Scheduler {
   void supersede(const Timer& t);
   bool timer_due(Entry& e);
 
+  // --- watches ---
+  struct Watch {
+    SimTime when;
+    std::uint64_t id;  // the virtual event of watch_past, else kNoEntry
+    std::uint32_t port;
+  };
+  void set_watch(const Watch& w);
+  // Runs the first watch due before `next` pops (the end of the run when
+  // null, where every watch at or before `horizon` is due); false when
+  // none is.
+  bool run_watch(const Entry* next, SimTime horizon);
+
   void push_entry(const Entry& e) {
     cal_.push(e);
     if (cal_.size() > max_pending_) max_pending_ = cal_.size();
@@ -404,6 +442,8 @@ class Scheduler {
   std::array<std::uint64_t, kNumEventCategories> virtual_added_{};
   std::array<std::uint64_t, kNumEventCategories> virtual_profiled_{};
   std::vector<std::uint32_t> run_end_ports_;  // at_run_end
+  std::vector<Watch> watches_;
+  SimTime watch_at_ = SimTime::max();  // the earliest watch's time
 };
 
 // --- inline hot paths (one call per simulated packet hop) ---

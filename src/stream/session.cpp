@@ -196,6 +196,7 @@ SessionResult run_session(const SessionConfig& config, Scheduler& sched) {
     // The hook calls the injector will make on this path.
     std::vector<SimTime> down_times;
     std::vector<std::pair<SimTime, double>> rescales;
+    std::vector<SimTime> burst_times;
     for (const fault::FaultEvent& e : fault_plan.events) {
       std::size_t index = 0;
       if (!fault::parse_path_index(e.target, &index) || index != i) continue;
@@ -205,9 +206,11 @@ SessionResult run_session(const SessionConfig& config, Scheduler& sched) {
         down_times.push_back(at);
       } else if (e.kind == fault::FaultKind::kRescale) {
         rescales.emplace_back(at, e.delay_factor);
+      } else if (e.kind == fault::FaultKind::kBurstLoss) {
+        burst_times.push_back(at);
       }
     }
-    paths.back()->expose_to_faults(down_times, rescales);
+    paths.back()->expose_to_faults(down_times, rescales, burst_times);
     const FlowId first_bg = static_cast<FlowId>(1000 * (i + 1));
     background.push_back(std::make_unique<BackgroundTraffic>(
         sched, *paths.back(), config.path_configs[i], first_bg, rng.fork()));

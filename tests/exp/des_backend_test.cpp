@@ -204,8 +204,8 @@ std::vector<std::string> sorted_lines(const std::string& path) {
 TEST(LazyLinkSession, RealPopsShrinkOnLazyLinksOnly) {
   // Setting 1-1 at the Fig-4/5 run shape.  Every link eager, each logical
   // event is a pop; plain or observed, the virtual tx-dones, fused
-  // deliveries and fused send hops (jitter-delayed emissions into lazy
-  // entry links) are not.
+  // deliveries (merged entry -> bottleneck arrivals included) and fused
+  // send hops (jitter-delayed emissions into lazy entry links) are not.
   SessionConfig plain = setting(1, 1, 50.0);
   plain.duration_s = 40.0;
   plain.warmup_s = 10.0;
@@ -222,12 +222,14 @@ TEST(LazyLinkSession, RealPopsShrinkOnLazyLinksOnly) {
   EXPECT_EQ(reference.events_dispatched, reference.events_executed);
   EXPECT_EQ(reference.events_executed, 411'582u);
   // 168,520 real pops before the send hops fused, 38,029 of them
-  // emissions.
-  EXPECT_EQ(lazy.events_dispatched, 130'491u);
-  EXPECT_EQ(seen.events_dispatched, 130'491u);
+  // emissions; 130,491 before the merges into the bottlenecks fused.
+  EXPECT_EQ(lazy.events_dispatched, 68'615u);
+  EXPECT_EQ(seen.events_dispatched, 68'615u);
   EXPECT_LE(static_cast<double>(lazy.events_dispatched),
             0.45 * static_cast<double>(lazy.events_executed))
       << lazy.events_dispatched << " of " << lazy.events_executed;
+  EXPECT_LE(static_cast<double>(lazy.events_dispatched), 0.65 * 130'491)
+      << lazy.events_dispatched;
 
   // The profile counts virtual events in their categories.
   EXPECT_EQ(seen.profile.total_executed(), seen.events_executed);
@@ -288,7 +290,8 @@ TEST(LazyLinkSession, RealPopsShrinkOnFaultedPaths) {
   // bench_schedulers' 4-4 outage arm under the redundant scheduler.  Path
   // 0's bottlenecks used to stay eager for the whole run: 172,894 real
   // pops of 384,346 logical events.  Now they run lazy up to each declared
-  // fault, so their tx-dones and exit deliveries are virtual too.
+  // fault, so their tx-dones and exit deliveries are virtual too, and so
+  // are the merged arrivals into them (120,208 real pops before).
   SessionConfig plain = setting(4, 4, 30.0, "redundant");
   plain.faults = "5 link_down path0; 10 link_up path0";
   const SessionResult lazy = run_session(plain);
@@ -296,8 +299,10 @@ TEST(LazyLinkSession, RealPopsShrinkOnFaultedPaths) {
   expect_identical(lazy, reference);
   EXPECT_EQ(reference.events_dispatched, reference.events_executed);
   EXPECT_EQ(reference.events_executed, 384'346u);
-  EXPECT_EQ(lazy.events_dispatched, 120'208u);
+  EXPECT_EQ(lazy.events_dispatched, 62'138u);
   EXPECT_LE(static_cast<double>(lazy.events_dispatched), 0.75 * 172'894)
+      << lazy.events_dispatched;
+  EXPECT_LE(static_cast<double>(lazy.events_dispatched), 0.65 * 120'208)
       << lazy.events_dispatched;
 }
 

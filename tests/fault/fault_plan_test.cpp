@@ -144,6 +144,7 @@ TEST(LinkFaults, BurstLossDropsExactlyTheNextN) {
   Link link(sched, LinkConfig{10e6, SimTime::millis(1), 0});
   std::vector<std::int64_t> seqs;
   link.set_receiver([&](const Packet& p) { seqs.push_back(p.seq); });
+  link.declare_fault(SimTime::zero());  // a lazy link's hooks are declared
   link.drop_next(2);
   EXPECT_EQ(link.burst_remaining(), 2u);
   for (int i = 0; i < 5; ++i) link.send(data_packet(1, i));

@@ -4,6 +4,8 @@
 // verbatim (step() / step_flow(), and run()'s event-counting warm-up); the
 // test drives both engines through the same call sequences over a
 // randomized parameter grid and compares every result field by its bits.
+// The stored-video sampler (stored_video_late_fraction) is held to its
+// historical replication loop, kept verbatim below, the same way.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -153,6 +155,79 @@ class HistoricalMonteCarlo {
   double early_sum_ = 0.0;
   BatchMeans batches_;
 };
+
+// The historical stored-video replication: exponential holding times and
+// floating-point scans for every event, before and after playback starts.
+// Counts which of its branches ran, so the test can show it reached them.
+struct StoredBranches {
+  std::uint64_t drained_before_tau = 0;  // jumped to tau, nothing to send
+  std::uint64_t crossed_tau = 0;         // an event landed past tau
+  std::uint64_t drained_playing = 0;     // played with nothing left to send
+};
+
+std::size_t historical_pick_flow(const std::vector<double>& exits, double x) {
+  std::size_t k = 0;
+  for (; k + 1 < exits.size(); ++k) {
+    if (x < exits[k]) break;
+    x -= exits[k];
+  }
+  return k;
+}
+
+double historical_stored_replication(const ComposedParams& params,
+                                     std::int64_t video_packets, Rng& rng,
+                                     StoredBranches& seen) {
+  std::vector<std::shared_ptr<const TcpFlowChain>> chains;
+  std::vector<std::uint32_t> state;
+  std::vector<double> exits;
+  for (const auto& fp : params.flows) {
+    chains.push_back(shared_flow_chain(fp));
+    state.push_back(chains.back()->initial_state());
+    exits.push_back(chains.back()->exit_rate(state.back()));
+  }
+
+  double t = 0.0;
+  std::int64_t delivered = 0;
+  std::int64_t consumed = 0;
+  std::int64_t late = 0;
+  while (consumed < video_packets) {
+    const bool consuming = t >= params.tau_s;
+    const bool sending = delivered < video_packets;
+    double total_rate = consuming ? params.mu_pps : 0.0;
+    if (sending) {
+      for (const double e : exits) total_rate += e;
+    }
+    if (total_rate <= 0.0) {
+      ++seen.drained_before_tau;
+      t = params.tau_s;
+      continue;
+    }
+    const double dt = rng.exponential(1.0 / total_rate);
+    if (!consuming && t + dt >= params.tau_s) {
+      ++seen.crossed_tau;
+      t = params.tau_s;
+      continue;
+    }
+    t += dt;
+    if (consuming && !sending) ++seen.drained_playing;
+
+    double x = rng.uniform() * total_rate;
+    if (consuming && x < params.mu_pps) {
+      if (consumed >= delivered) ++late;
+      ++consumed;
+      continue;
+    }
+    if (consuming) x -= params.mu_pps;
+    const std::size_t k = historical_pick_flow(exits, x);
+    const auto& tr =
+        chains[k]->pick_linear(state[k], rng.uniform() * exits[k]);
+    state[k] = tr.target;
+    exits[k] = chains[k]->exit_rate(tr.target);
+    delivered =
+        std::min<std::int64_t>(delivered + tr.delivered, video_packets);
+  }
+  return static_cast<double>(late) / static_cast<double>(video_packets);
+}
 
 void expect_same_bits(double a, double b, const std::string& what) {
   EXPECT_EQ(std::bit_cast<std::uint64_t>(a), std::bit_cast<std::uint64_t>(b))
@@ -372,6 +447,75 @@ TEST(CompatLoopDifferential, WidenedGridDecisionsMatchTheHistoricalLoop) {
                        g.label + " threshold " + std::to_string(threshold));
     }
   }
+}
+
+// The stored-video sampler against its historical loop, one replication
+// per call (so each late count is compared on its own) and several per
+// call (so the aggregate is), over K = 1..4.  The shapes reach every
+// branch: a short video delivered before playback starts, a light load
+// that delivers the rest while playing, an overloaded one whose sources
+// never finish first, a startup delay of zero, and four wmax-64 flows with
+// more class tuples than the cut table has slots.
+TEST(CompatLoopDifferential, StoredVideoMatchesTheHistoricalLoop) {
+  struct Shape {
+    double mu_scale;  // mu as a multiple of the grid point's mu
+    double tau_s;
+    std::int64_t video;
+  };
+  const Shape shapes[] = {
+      {1.0, 30.0, 40}, {0.2, 1.0, 3'000}, {4.0, 0.5, 2'000}, {1.0, 0.0, 1'500}};
+  std::vector<GridPoint> grid = randomized_grid(12);
+  {
+    GridPoint g;
+    for (const double p : {0.004, 0.01, 0.02, 0.04}) {
+      TcpChainParams f;
+      f.loss_rate = p;
+      f.rtt_s = 0.1 + p;
+      f.wmax = 64;
+      g.params.flows.push_back(f);
+    }
+    g.params.mu_pps = 150.0;
+    g.seed = 5200;
+    g.label = "K=4 wmax-64 point (shared cut-table slots)";
+    grid.push_back(g);
+  }
+  StoredBranches seen;
+  for (const auto& g : grid) {
+    for (const Shape& shape : shapes) {
+      ComposedParams params = g.params;
+      params.mu_pps *= shape.mu_scale;
+      params.tau_s = shape.tau_s;
+      std::ostringstream where;
+      where << g.label << " stored mu=" << params.mu_pps
+            << " tau=" << params.tau_s << " video=" << shape.video;
+      for (std::uint64_t seed = g.seed; seed < g.seed + 3; ++seed) {
+        Rng master(seed);
+        Rng rng = master.fork();
+        const double want =
+            historical_stored_replication(params, shape.video, rng, seen);
+        expect_same_bits(
+            stored_video_late_fraction(params, shape.video, 1, seed)
+                .late_fraction,
+            want, where.str() + " seed " + std::to_string(seed));
+      }
+      Rng master(g.seed + 7);
+      std::vector<double> per_run;
+      for (int rep = 0; rep < 5; ++rep) {
+        Rng rng = master.fork();
+        per_run.push_back(
+            historical_stored_replication(params, shape.video, rng, seen));
+      }
+      const ConfidenceInterval want = confidence_interval(per_run);
+      const auto got =
+          stored_video_late_fraction(params, shape.video, 5, g.seed + 7);
+      expect_same_bits(got.late_fraction, want.mean, where.str() + " mean");
+      expect_same_bits(got.ci.lo(), want.lo(), where.str() + " ci.lo");
+      expect_same_bits(got.ci.hi(), want.hi(), where.str() + " ci.hi");
+    }
+  }
+  EXPECT_GT(seen.drained_before_tau, 0u);
+  EXPECT_GT(seen.crossed_tau, 0u);
+  EXPECT_GT(seen.drained_playing, 0u);
 }
 
 // Two threads start compat engines on one shared cached chain whose pick

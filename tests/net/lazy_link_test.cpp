@@ -15,8 +15,9 @@
 // the final horizon with packets still queued.  Further down the same
 // comparison covers bound sinks (a lazy link records what the eager one
 // does), jittered Reno senders feeding lazy entry links (fused send hops),
-// identical paths in lockstep, and a link under declared faults (down /
-// up windows, burst losses, rescales) that runs lazy up to its next fault.
+// identical paths in lockstep, a link under declared faults (down / up
+// windows, burst losses, rescales) that runs lazy up to its next fault,
+// and several upstream links merged by lookahead into a finite buffer.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -499,7 +500,9 @@ TEST(LazyLink, GoesLazyOnlyWhenDroptail) {
   for (Link* link : {&lazy, &bounded, &faulted, &pie}) {
     link->set_receiver([](const Packet&) {});
   }
-  faulted.drop_next(0);  // a burst loss is decided at arrival: stays lazy
+  // A declared burst loss is decided at arrival: stays lazy.
+  faulted.declare_fault(SimTime::zero());
+  faulted.drop_next(0);
   Packet p;
   p.size_bytes = 1500;
   for (Link* link : {&lazy, &bounded, &faulted, &pie}) link->send(p);
@@ -523,33 +526,38 @@ TEST(LazyLink, FusesOnlyHopsIntoLinksFedByOneUpstream) {
   Link b(sched, access), merge(sched, access), c(sched, access);
   Link bounded_up(sched, access);
   Link bounded(sched, LinkConfig{100e6, SimTime::millis(1), 4});
+  Link open_up(sched, access), open(sched, access), open_too(sched, access);
   exit_link.set_upstream_only();
   merge.set_upstream_only();
   bounded.set_upstream_only();
   a.set_receiver(&exit_link);  // fuses: exit_link's one upstream link
-  b.set_receiver(&merge);      // two upstream links: a real merge
+  b.set_receiver(&merge);      // two upstream links: merged by lookahead
   c.set_receiver(&merge);
-  bounded_up.set_receiver(&bounded);  // a finite buffer needs its queue
+  bounded_up.set_receiver(&bounded);  // a finite buffer fuses too
+  open_up.set_receiver(&open);  // open takes sends: its hop stays real
   int delivered = 0;
-  for (Link* link : {&exit_link, &merge, &bounded}) {
+  for (Link* link : {&exit_link, &merge, &bounded, &open, &open_too}) {
     link->set_receiver([&delivered](const Packet&) { ++delivered; });
   }
   Packet p;
   p.size_bytes = 1500;
-  for (Link* link : {&a, &b, &c, &bounded_up}) link->send(p);
+  for (Link* link : {&a, &b, &c, &bounded_up, &open_up}) link->send(p);
   for (Link* link : {&exit_link, &merge, &bounded}) {
     EXPECT_THROW(link->send(p), std::logic_error);  // upstream-only
   }
-  // A fused hop cannot be rewired, nor its receiver given a second feed.
+  // A fused hop cannot be rewired, nor a fed link given a feed that is
+  // already sending.
   EXPECT_THROW(a.set_receiver(&merge), std::logic_error);
   EXPECT_THROW(b.set_receiver(&exit_link), std::logic_error);
-  b.set_receiver(&bounded);  // unfused hops rewire freely
+  EXPECT_THROW(open_up.set_receiver(&merge), std::logic_error);
+  open_up.set_receiver(&open_too);  // unfused hops rewire freely
   sched.run();
-  EXPECT_EQ(delivered, 4);
-  // 8 tx-dones and 8 deliveries; real pops: 2 merge arrivals, 1 arrival
-  // into `bounded` and the 4 final deliveries.  a -> exit_link is fused.
-  EXPECT_EQ(sched.events_executed(), 16u);
-  EXPECT_EQ(sched.events_dispatched(), 7u);
+  EXPECT_EQ(delivered, 5);
+  // 10 tx-dones and 10 deliveries; real pops: 1 arrival into `open_too`
+  // and the 5 final deliveries.  The 2 merge arrivals into `merge`, the
+  // arrival into `bounded` and a -> exit_link are fused.
+  EXPECT_EQ(sched.events_executed(), 20u);
+  EXPECT_EQ(sched.events_dispatched(), 6u);
 }
 
 // --- sinks on lazy links ---
@@ -1037,7 +1045,7 @@ FaultedRun run_faulted(const std::vector<Op>& script,
     const SimTime at = SimTime::nanos(f.at_ns);
     if (f.kind == 3) {
       link.declare_fault(at, f.delay);
-    } else if (f.kind != 2) {
+    } else {
       link.declare_fault(at);
     }
     sched.post_at(at, [&link, &log, f] {
@@ -1232,7 +1240,7 @@ HandRun hand_faulted(bool lazy, std::size_t buffer,
     const SimTime at = SimTime::nanos(f.at_ns);
     if (f.kind == 3) {
       link.declare_fault(at, f.delay);
-    } else if (f.kind != 2) {
+    } else {
       link.declare_fault(at);
     }
     sched.post_at(at, [&link, f] {
@@ -1344,6 +1352,199 @@ TEST(LazyLinkFaults, UndeclaredOrOverdueFaultsThrow) {
     EXPECT_THROW(link.send(p), std::logic_error);
   });
   sched.run();
+}
+
+// --- merges by lookahead: several upstream links into one fed link ---
+
+// Four 100 Mb/s upstream links (twins at 10 ms, then 12 ms and 30 ms)
+// into a 5 Mb/s merge link (10 ms) with a 2-packet buffer, declared
+// upstream-only, into a 100 Mb/s exit (40 ms) it alone feeds, into a sink
+// that sends every fourth delivery back into an upstream link.  A twin
+// send goes into both twins in one pop, so their deliveries tie at one
+// nanosecond.  The merge goes down and up and takes burst losses, all
+// declared.  Probes posted on the lattice, and after the echo delays on
+// deliveries' nanoseconds, read the merge's and the exit's counters from
+// inside their pops.
+struct MergeRun {
+  Outcome out;
+  std::vector<std::uint64_t> reads;
+  bool merged = false;  // the hops into the merge link are fused
+};
+
+MergeRun run_merge(const std::vector<Op>& script, bool lazy,
+                   obs::Hub* hub = nullptr) {
+  Scheduler sched;
+  if (!lazy) sched.keep_links_eager();
+  MergeRun run;
+  Outcome& out = run.out;
+  const auto log = [&out, &sched](int id) {
+    out.pop_ns.push_back(sched.now().ns());
+    out.pop_id.push_back(id);
+  };
+  std::vector<std::unique_ptr<Link>> ups;
+  for (const std::int64_t prop_ms : {10, 10, 12, 30}) {
+    ups.push_back(std::make_unique<Link>(
+        sched, LinkConfig{100e6, SimTime::millis(prop_ms), 0}));
+  }
+  Link merge(sched, LinkConfig{5e6, SimTime::millis(10), 2});
+  Link exit(sched, LinkConfig{100e6, SimTime::millis(40), 0});
+  if (hub != nullptr) {
+    for (const auto& up : ups) up->bind(*hub, "", 0);
+    merge.bind(*hub, "merge", 1);
+    exit.bind(*hub, "exit", 2);
+  }
+  merge.set_upstream_only();
+  exit.set_upstream_only();
+  for (const auto& up : ups) up->set_receiver(&merge);
+  merge.set_receiver(&exit);
+  const std::vector<Fault> faults{
+      {60'000'000, 0},          {60'000'000 + 3 * kLatticeNs, 2, 1, 1, 2},
+      {90'000'000, 1},          {150'000'000, 2, 1, 1, 3},
+      {300'000'000 + 7 * kLatticeNs, 0},
+      {300'000'000 + 7 * kLatticeNs, 1},
+      {420'000'000, 2, 1, 1, 1}};
+  for (const Fault& f : faults) {
+    const SimTime at = SimTime::nanos(f.at_ns);
+    merge.declare_fault(at);
+    sched.post_at(at, [&merge, &log, f] {
+      log(8'000'000 + f.kind);
+      if (f.kind == 0) merge.set_down(true);
+      if (f.kind == 1) merge.set_down(false);
+      if (f.kind == 2) merge.drop_next(f.count);
+    });
+  }
+  int feedback_id = 1'000'000;
+  exit.set_receiver([&](const Packet& p) {
+    log(static_cast<int>(p.seq));
+    if (p.seq % 4 == 0) {
+      Packet back = p;
+      back.flow = 2;
+      back.seq = feedback_id++;
+      back.app_tag = back.seq;
+      ups[static_cast<std::size_t>(back.seq) % ups.size()]->send(back);
+    }
+  });
+  const auto read = [&run, &merge, &exit] {
+    for (const Link* link : {&merge, &exit}) {
+      run.reads.push_back(link->total_arrivals());
+      run.reads.push_back(link->queue_length());
+      run.reads.push_back(link->total_drops());
+      for (const FlowId flow : {FlowId{1}, FlowId{2}}) {
+        run.reads.push_back(link->flow_counters(flow).arrivals);
+        run.reads.push_back(link->flow_counters(flow).drops);
+      }
+    }
+    run.reads.push_back(merge.fault_drops());
+    run.reads.push_back(merge.burst_remaining());
+  };
+  for (const Op& op : script) {
+    const SimTime at = SimTime::nanos(op.at_ns);
+    Packet p;
+    p.flow = 1;
+    p.seq = op.id;
+    p.app_tag = op.id;
+    p.size_bytes = op.bytes;
+    Link* up = ups[static_cast<std::size_t>(op.id) % ups.size()].get();
+    switch (op.kind) {
+      case 0:
+        sched.post_at(at, [up, p, &log, id = op.id] {
+          log(-1 - id);
+          up->send(p);
+        });
+        break;
+      case 4:
+        sched.post_at(at, [&ups, p, &log, id = op.id] {
+          log(-1 - id);
+          Packet twin = p;
+          twin.flow = 2;
+          ups[0]->send(p);
+          ups[1]->send(twin);
+        });
+        break;
+      case 1:
+        sched.post_at(at, [&sched, up, p, &log, &read, id = op.id] {
+          log(2'000'000 + id);
+          sched.post_after(echo_delay(id), [up, p, &log, &read, id] {
+            log(5'000'000 + id);
+            read();
+            up->send(p);
+          });
+        });
+        break;
+      default:
+        sched.post_at(at, [&log, &read, id = op.id] {
+          log(3'000'000 + id);
+          read();
+        });
+        break;
+    }
+  }
+  std::vector<Link*> links;
+  for (const auto& up : ups) links.push_back(up.get());
+  links.push_back(&merge);
+  links.push_back(&exit);
+  for (const SimTime horizon : lattice_checkpoints()) {
+    sched.run_until(horizon);
+    out.checkpoints.push_back(snapshot(sched, links, {1, 2}, horizon));
+  }
+  out.lazy = true;
+  for (const Link* link : links) out.lazy = out.lazy && link->lazy();
+  if (hub != nullptr) hub->metrics()->freeze_samplers();
+  try {
+    ups[0]->set_receiver(&merge);  // rewiring a fused hop throws
+  } catch (const std::logic_error&) {
+    run.merged = true;
+  }
+  return run;
+}
+
+TEST(LazyLinkMerge, ManyUpstreamLinksIntoAFiniteBufferMatchEager) {
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    SCOPED_TRACE(testing::Message() << "seed " << seed);
+    const std::vector<Op> script = make_script(seed + 200, 3000);
+    const MergeRun eager = run_merge(script, false);
+    const MergeRun lazy = run_merge(script, true);
+    EXPECT_FALSE(eager.out.lazy);
+    ASSERT_TRUE(lazy.out.lazy);
+    EXPECT_FALSE(eager.merged);
+    EXPECT_TRUE(lazy.merged);
+    expect_same(eager.out, lazy.out);
+    EXPECT_EQ(eager.reads, lazy.reads);
+    EXPECT_GT(eager.reads.size(), 1000u);
+    EXPECT_GT(ties(eager.out), 100u);
+    const Checkpoint& last = eager.out.checkpoints.back();
+    EXPECT_GT(last.overlimit[4], 0u);    // the 2-packet buffer overflows
+    EXPECT_GT(last.fault_drops[4], 0u);  // and the faults drop
+    // Every arrival into the merge link and the exit is virtual too.
+    EXPECT_LE(lazy.out.checkpoints.back().dispatched +
+                  last.arrivals[4] + last.arrivals[5],
+              last.dispatched);
+  }
+}
+
+TEST(LazyLinkMerge, BoundMergeLinkRecordsLikeEager) {
+  for (std::uint64_t seed = 1; seed <= 2; ++seed) {
+    SCOPED_TRACE(testing::Message() << "seed " << seed);
+    const std::vector<Op> script = make_script(seed + 300, 3000);
+    const auto eager_hub = recording_hub();
+    const auto lazy_hub = recording_hub();
+    const MergeRun eager = run_merge(script, false, eager_hub.get());
+    const MergeRun lazy = run_merge(script, true, lazy_hub.get());
+    ASSERT_TRUE(lazy.merged);
+    expect_same(eager.out, lazy.out);
+    EXPECT_EQ(eager.reads, lazy.reads);
+    const std::vector<std::string> links{"merge", "exit"};
+    const Records want = records(*eager_hub, links);
+    const Records got = records(*lazy_hub, links);
+    EXPECT_GT(want.spans.size(), 3000u);
+    EXPECT_FALSE(want.events.empty());
+    EXPECT_EQ(want.spans, got.spans);
+    EXPECT_EQ(want.windows, got.windows);
+    EXPECT_EQ(want.counters, got.counters);
+    // The event log is in record order, unsorted: a drop decided ahead of
+    // the clock is recorded at its arrival's key.
+    EXPECT_EQ(want.events, got.events);
+  }
 }
 
 }  // namespace

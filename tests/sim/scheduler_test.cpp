@@ -244,5 +244,126 @@ TEST(Scheduler, NextEventTimeWakesEarlyNeverLate) {
   }
 }
 
+// --- watches ---
+
+// A watch port that logs the clock and the pops executed so far.
+struct Watcher {
+  Scheduler* sched;
+  std::vector<std::pair<std::int64_t, std::uint64_t>> runs;
+  static void run(void* ctx) {
+    auto* w = static_cast<Watcher*>(ctx);
+    w->runs.emplace_back(w->sched->now().ns(), w->sched->events_dispatched());
+  }
+};
+
+TEST(SchedulerWatch, RunsBeforeTheFirstPopAtOrAfterItsTime) {
+  Scheduler sched;
+  Watcher w{&sched, {}};
+  const std::uint32_t port = sched.register_port(&Watcher::run, &w);
+  std::vector<int> order;
+  sched.post_at(SimTime::millis(10), [&] { order.push_back(1); });
+  sched.post_at(SimTime::millis(20), [&] { order.push_back(2); });
+  sched.post_at(SimTime::millis(30), [&] { order.push_back(3); });
+  sched.watch(port, SimTime::millis(20));
+  sched.run();
+  // After the pop at 10 ms, before the one at 20 ms, once.
+  ASSERT_EQ(w.runs.size(), 1u);
+  EXPECT_EQ(w.runs[0].first, SimTime::millis(10).ns());
+  EXPECT_EQ(w.runs[0].second, 1u);
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+
+  // Between pops: before the first pop after it.
+  sched.post_at(SimTime::millis(40), [&] { order.push_back(4); });
+  sched.watch(port, SimTime::millis(35));
+  sched.run();
+  ASSERT_EQ(w.runs.size(), 2u);
+  EXPECT_EQ(w.runs[1].second, 3u);
+  EXPECT_EQ(order.back(), 4);
+}
+
+TEST(SchedulerWatch, RunsAtTheEndOfARunWhoseHorizonReachesIt) {
+  Scheduler sched;
+  Watcher w{&sched, {}};
+  const std::uint32_t port = sched.register_port(&Watcher::run, &w);
+  sched.post_at(SimTime::millis(50), [] {});
+  sched.watch(port, SimTime::millis(20));
+  sched.run_until(SimTime::millis(10));  // short of it: waits
+  EXPECT_TRUE(w.runs.empty());
+  sched.run_until(SimTime::millis(20));  // reaches it, with no pop due
+  ASSERT_EQ(w.runs.size(), 1u);
+  EXPECT_EQ(w.runs[0].second, 0u);
+  EXPECT_EQ(sched.now(), SimTime::millis(20));
+  // A watch may post what the same run pops.
+  struct Poster {
+    Scheduler* sched;
+    int popped = 0;
+    static void run(void* ctx) {
+      auto* p = static_cast<Poster*>(ctx);
+      p->sched->post_at(SimTime::millis(30), [p] { ++p->popped; });
+    }
+  } poster{&sched};
+  const std::uint32_t post_port = sched.register_port(&Poster::run, &poster);
+  sched.watch(post_port, SimTime::millis(25));
+  sched.run_until(SimTime::millis(40));
+  EXPECT_EQ(poster.popped, 1);
+  // An empty queue: run() still runs a pending watch.
+  sched.run();
+  sched.watch(port, SimTime::seconds(1));
+  sched.run();
+  EXPECT_EQ(w.runs.size(), 2u);
+}
+
+TEST(SchedulerWatch, CountsNowhereAndNextEventTimeReportsIt) {
+  Scheduler sched;
+  Watcher w{&sched, {}};
+  const std::uint32_t port = sched.register_port(&Watcher::run, &w);
+  SchedProfile profile;
+  sched.set_profiler(&profile);
+  sched.post_at(SimTime::millis(30), [] {});
+  EXPECT_EQ(sched.next_event_time(), SimTime::millis(30));
+  sched.watch(port, SimTime::millis(10));
+  EXPECT_EQ(sched.next_event_time(), SimTime::millis(10));
+  EXPECT_EQ(sched.pending_events(), 1u);
+  // Watching again moves it; unwatching drops it.
+  sched.watch(port, SimTime::millis(20));
+  EXPECT_EQ(sched.next_event_time(), SimTime::millis(20));
+  sched.unwatch(port);
+  EXPECT_EQ(sched.next_event_time(), SimTime::millis(30));
+  sched.watch(port, SimTime::millis(20));
+  const std::uint64_t scheduled = sched.events_scheduled();
+  sched.run();
+  EXPECT_EQ(w.runs.size(), 1u);
+  EXPECT_EQ(sched.events_executed(), 1u);
+  EXPECT_EQ(sched.events_dispatched(), 1u);
+  EXPECT_EQ(sched.events_cancelled(), 0u);
+  EXPECT_EQ(sched.events_scheduled(), scheduled);
+  EXPECT_EQ(sched.max_events_pending(), 1u);
+  EXPECT_EQ(profile.total_executed(), 1u);
+  EXPECT_EQ(sched.next_event_time(), SimTime::max());
+  EXPECT_THROW(sched.watch(port, SimTime::millis(1)), std::invalid_argument);
+}
+
+TEST(SchedulerWatch, KeyedWatchRunsAtItsVirtualEventsKey) {
+  // A virtual event keyed by a real claim made between two posts at the
+  // same nanosecond orders between them: its watch runs after the first
+  // and before the second, with the clock at its time.
+  Scheduler sched;
+  Watcher w{&sched, {}};
+  const std::uint32_t port = sched.register_port(&Watcher::run, &w);
+  std::vector<int> order;
+  sched.post_at(SimTime::millis(10), [&] { order.push_back(1); });
+  const std::uint64_t id = sched.add_virtual(
+      SimTime::millis(10), sched.claim_seq(), 0, EventCategory::kOther);
+  sched.post_at(SimTime::millis(10), [&] { order.push_back(2); });
+  sched.watch_past(port, id);
+  sched.run();
+  ASSERT_EQ(w.runs.size(), 1u);
+  EXPECT_EQ(w.runs[0].first, SimTime::millis(10).ns());
+  EXPECT_EQ(w.runs[0].second, 1u);
+  EXPECT_EQ(order, (std::vector<int>{1, 2}));
+  EXPECT_EQ(sched.events_executed(), 3u);  // the virtual event passed
+  EXPECT_EQ(sched.events_dispatched(), 2u);
+}
+
 }  // namespace
 }  // namespace dmp

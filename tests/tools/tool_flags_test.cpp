@@ -93,8 +93,11 @@ TEST(ToolFlags, TraceQueryRejectsMalformedValues) {
 }
 
 TEST(ToolFlags, RunDiffRejectsUnknownFlags) {
-  const std::string left = write("tool_flags_left.json", "{\"a\": 1}\n");
-  const std::string right = write("tool_flags_right.json", "{\"a\": 1}\n");
+  // Files of its own: ctest runs each case in its own process, at once.
+  const std::string left = write("tool_flags_unknown_left.json",
+                                 "{\"a\": 1}\n");
+  const std::string right = write("tool_flags_unknown_right.json",
+                                  "{\"a\": 1}\n");
   const std::string base =
       std::string(TOOL_RUN_DIFF) + " " + left + " " + right + " ";
   expect_rejected(base + "--quiett", "--quiett");
