@@ -16,18 +16,19 @@ single line has nothing to compare yet.  The script only reads the two
 files; it runs and times nothing.
 
 Usage:
-  perf_trajectory.py [--trajectory FILE] [--benchmark FILE]
+  perf_trajectory.py
 
 Exit status: 0 within bounds, 1 a metric outside its bound (each one
-named on stderr), 2 an unusable file.
+named on stderr), 2 an unusable file or any argument.
 """
 
-import argparse
 import json
 import os
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+TRAJECTORY = os.path.join(ROOT, "BENCH_perfbench.jsonl")
+BENCHMARK = os.path.join(ROOT, "BENCHMARK.json")
 
 
 def load_lines(path):
@@ -70,16 +71,13 @@ def violations(lines, end_to_end):
 
 
 def main():
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--trajectory",
-                        default=os.path.join(ROOT, "BENCH_perfbench.jsonl"))
-    parser.add_argument("--benchmark",
-                        default=os.path.join(ROOT, "BENCHMARK.json"))
-    args = parser.parse_args()
+    if len(sys.argv) > 1:
+        print("perf_trajectory: takes no arguments", file=sys.stderr)
+        return 2
     try:
-        with open(args.benchmark, "r", encoding="utf-8") as handle:
+        with open(BENCHMARK, "r", encoding="utf-8") as handle:
             end_to_end = json.load(handle)["end_to_end"]
-        lines = load_lines(args.trajectory)
+        lines = load_lines(TRAJECTORY)
     except (OSError, ValueError, KeyError) as error:
         print(f"perf_trajectory: {error}", file=sys.stderr)
         return 2

@@ -51,8 +51,7 @@ PathConfig table1_config(int id) {
 
 BackgroundTraffic::BackgroundTraffic(Scheduler& sched, DumbbellPath& path,
                                      const PathConfig& config,
-                                     FlowId first_flow_id, Rng rng)
-    : next_flow_id_(first_flow_id) {
+                                     FlowId first_flow_id, Rng rng) {
   TcpConfig tcp;
   // ns-2-era defaults: window_ = 20 packets.  Bounding the backlogged
   // flows' windows keeps the bottleneck queue from sitting pinned at
@@ -62,12 +61,13 @@ BackgroundTraffic::BackgroundTraffic(Scheduler& sched, DumbbellPath& path,
   // Small random send overhead so the deterministic flow population does
   // not phase-lock on the shared drop-tail queue.
   tcp = with_default_send_jitter(tcp, rng);
+  FlowId flow = first_flow_id;
   for (std::size_t i = 0; i < config.ftp_flows; ++i) {
-    connections_.push_back(make_connection(sched, next_flow_id_++, path, tcp));
+    connections_.push_back(make_connection(sched, flow++, path, tcp));
     ftp_.push_back(std::make_unique<FtpSource>(*connections_.back().sender));
   }
   for (std::size_t i = 0; i < config.http_flows; ++i) {
-    connections_.push_back(make_connection(sched, next_flow_id_++, path, tcp));
+    connections_.push_back(make_connection(sched, flow++, path, tcp));
     http_.push_back(std::make_unique<HttpSource>(
         sched, *connections_.back().sender, config.http, rng.fork()));
   }

@@ -41,14 +41,12 @@ class BackgroundTraffic {
   BackgroundTraffic(Scheduler& sched, DumbbellPath& path,
                     const PathConfig& config, FlowId first_flow_id, Rng rng);
 
-  FlowId next_free_flow_id() const { return next_flow_id_; }
   std::size_t flow_count() const { return connections_.size(); }
 
  private:
   std::vector<TcpConnection> connections_;
   std::vector<std::unique_ptr<FtpSource>> ftp_;
   std::vector<std::unique_ptr<HttpSource>> http_;
-  FlowId next_flow_id_;
 };
 
 }  // namespace dmp

@@ -578,7 +578,7 @@ std::size_t Link::arrivals_ahead(const FlowId* flow,
 }
 
 std::size_t Link::queue_length() const {
-  if (mode_ != Mode::kLazy) return qlen();
+  if (mode_ != Mode::kLazy) return qdisc_->len();
   // The first arrived packet is on the wire, unless a down link froze it
   // unstarted in the parked queue.
   const std::size_t ahead = pass_departures();
@@ -626,7 +626,7 @@ void Link::arrive(const Packet& p) {
   // Idle bypass: an empty queue and a free transmitter put the packet
   // straight on the wire — no discipline consulted, exactly like the
   // pre-qdisc link (AQM only shapes a standing queue).
-  if (!transmitting_ && qlen() == 0) {
+  if (!transmitting_ && qdisc_->len() == 0) {
     if (flight_ && p.app_tag >= 0) {
       record_flight(sched_.now(), p, obs::FlightEventKind::kLinkEnqueue, 0);
     }
@@ -634,14 +634,14 @@ void Link::arrive(const Packet& p) {
     return;
   }
 
-  const std::size_t depth = qlen();
-  if (!q_enqueue(p, sched_.now())) return;  // dropped + reported
+  const std::size_t depth = qdisc_->len();
+  if (!qdisc_->enqueue(p, sched_.now())) return;  // dropped + reported
   if (flight_ && p.app_tag >= 0) {
     // Pre-push depth, matching the legacy record-before-enqueue order.
     record_flight(sched_.now(), p, obs::FlightEventKind::kLinkEnqueue, depth);
   }
   if (ts_queue_) {
-    ts_queue_->add(sched_.now(), static_cast<double>(qlen()));
+    ts_queue_->add(sched_.now(), static_cast<double>(qdisc_->len()));
   }
 }
 
@@ -714,7 +714,7 @@ std::uint64_t Link::burst_remaining() const {
 void Link::start_transmission(const Packet& p) {
   if (flight_ && p.app_tag >= 0) {
     record_flight(sched_.now(), p, obs::FlightEventKind::kLinkDequeue,
-                  qlen());
+                  qdisc_->len());
   }
   transmitting_ = true;
   in_flight_ = p;
@@ -755,10 +755,10 @@ void Link::on_transmit_done() {
   // may discard queued heads here and come back empty-handed.
   if (!down_) {
     Packet next;
-    if (q_dequeue(&next, sched_.now())) {
+    if (qdisc_->dequeue(&next, sched_.now())) {
       start_transmission(next);
       if (ts_queue_) {
-        ts_queue_->add(sched_.now(), static_cast<double>(qlen()));
+        ts_queue_->add(sched_.now(), static_cast<double>(qdisc_->len()));
       }
     }
   }
@@ -852,7 +852,7 @@ void Link::set_down(bool down) {
   down_ = down;
   if (!down_ && !transmitting_) {
     Packet next;
-    if (q_dequeue(&next, sched_.now())) start_transmission(next);
+    if (qdisc_->dequeue(&next, sched_.now())) start_transmission(next);
   }
 }
 

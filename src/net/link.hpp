@@ -331,12 +331,6 @@ class Link {
   // The flow_index_ slot holding `flow`, or the empty slot it would take.
   std::size_t flow_probe(FlowId flow) const;
 
-  // Devirtualized queue ops for the default discipline: DropTailQdisc is
-  // final, so these inline to deque operations; AQM links take the
-  // virtual call.  Identical semantics either way.
-  std::size_t qlen() const {
-    return droptail_ ? droptail_->len() : qdisc_->len();
-  }
   // Packet sizes on a link are near-constant (MSS data one way, fixed-size
   // ACKs the other), so a one-entry cache removes the per-packet double
   // divide; transmission_time is pure, so the cached value is identical.
@@ -346,13 +340,6 @@ class Link {
       tx_cache_ = transmission_time(bytes, config_.bandwidth_bps);
     }
     return tx_cache_;
-  }
-  bool q_enqueue(const Packet& p, SimTime now) {
-    return droptail_ ? droptail_->enqueue(p, now) : qdisc_->enqueue(p, now);
-  }
-  bool q_dequeue(Packet* out, SimTime now) {
-    return droptail_ ? droptail_->dequeue(out, now)
-                     : qdisc_->dequeue(out, now);
   }
 
   Scheduler& sched_;

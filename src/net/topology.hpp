@@ -86,7 +86,6 @@ class DumbbellPath final : public NetworkPath {
   // sender's only signal is its retransmission timer, as with a real
   // outage.
   void set_path_down(bool down);
-  bool path_down() const { return bottleneck_->down(); }
   // Burst loss / parameter rescale act on the forward bottleneck (the
   // congested element the paper's Table-1 rows describe).
   void drop_next(std::uint64_t count) { bottleneck_->drop_next(count); }

@@ -61,7 +61,6 @@ class EventLog {
   explicit EventLog(std::size_t ring_capacity = 0,
                     Severity min_severity = Severity::kDebug);
 
-  void set_min_severity(Severity s) { min_severity_ = s; }
   Severity min_severity() const { return min_severity_; }
 
   // Cheap pre-check so callers can skip field formatting entirely.

@@ -140,12 +140,12 @@ bool Scheduler::timer_due(Entry& e) {
 bool Scheduler::step(SimTime horizon) {
   for (;;) {
     const Entry* next =
-        cal_.empty() || cal_.min().when > horizon ? nullptr : &cal_.min();
+        queue_.empty() || queue_.min().when > horizon ? nullptr : &queue_.min();
     if (watch_at_ <= (next != nullptr ? next->when : horizon)) [[unlikely]] {
       if (run_watch(next, horizon)) continue;
     }
     if (next == nullptr) return false;
-    Entry top = cal_.pop_min();
+    Entry top = queue_.pop_min();
     if ((top.fn_index & kTimerBit) && !timer_due(top)) continue;
     if (logging_) log_.push(PopRecord{top.when, top.seq, next_seq_}, top.when);
     dispatch(top);

@@ -4,10 +4,10 @@
 // same instant fire in scheduling order (FIFO tie-break), which keeps runs
 // deterministic.
 //
-// The priority queue is a calendar queue (src/sim/calendar_queue.hpp),
-// O(1) amortized; it pops in strictly increasing (when, seq) order, so the
-// order is a property of the keys, not of the container
-// (docs/DES_ENGINE.md; tests/sim/ pins it against std::priority_queue).
+// The priority queue is a small 4-ary heap (src/sim/event_heap.hpp); it
+// pops in strictly increasing (when, seq) order, so the order is a
+// property of the keys, not of the container (docs/DES_ENGINE.md;
+// tests/sim/ pins it against std::priority_queue).
 //
 // Hot-path cost model: callables live in a pooled slab of EventFn slots
 // (inline storage, no per-event heap allocation) and queue entries carry
@@ -54,8 +54,8 @@
 #include <unordered_map>
 #include <vector>
 
-#include "sim/calendar_queue.hpp"
 #include "sim/event_fn.hpp"
+#include "sim/event_heap.hpp"
 #include "sim/profiler.hpp"
 #include "util/sim_time.hpp"
 
@@ -63,7 +63,7 @@ namespace dmp {
 
 class Scheduler {
  public:
-  Scheduler() : cal_(EntryLess{this}) {}
+  Scheduler() : queue_(EntryLess{this}) {}
   Scheduler(const Scheduler&) = delete;
   Scheduler& operator=(const Scheduler&) = delete;
 
@@ -205,12 +205,12 @@ class Scheduler {
   // none is.  A timer entry whose deadline was superseded or moved later
   // still counts, so a caller that sleeps until then (a poll loop driving
   // run_until) may wake early, never late.
-  SimTime next_event_time() {
-    return cal_.empty() ? watch_at_ : std::min(cal_.min().when, watch_at_);
+  SimTime next_event_time() const {
+    return queue_.empty() ? watch_at_ : std::min(queue_.min().when, watch_at_);
   }
 
   // Real queue entries: FIFO heads, timer entries and posted events.
-  std::size_t pending_events() const { return cal_.size(); }
+  std::size_t pending_events() const { return queue_.size(); }
 
   // Lifetime work counters.  Cancelled counts superseded timer deadlines
   // (exactly those a cancel-and-push timer pops, after every run_until).
@@ -399,8 +399,8 @@ class Scheduler {
   bool run_watch(const Entry* next, SimTime horizon);
 
   void push_entry(const Entry& e) {
-    cal_.push(e);
-    if (cal_.size() > max_pending_) max_pending_ = cal_.size();
+    queue_.push(e);
+    if (queue_.size() > max_pending_) max_pending_ = queue_.size();
   }
   template <typename F>
   void call(std::uint8_t cat, F&& fn);
@@ -424,7 +424,7 @@ class Scheduler {
   // `late_` (a min-heap) for the run whose horizon covers it.
   SimTime horizon_ = SimTime::nanos(-1);
   std::vector<SimTime> late_;
-  CalendarQueue<Entry, EntryLess> cal_;
+  EventHeap<Entry, EntryLess> queue_;
 
   // Virtual-event state, empty until the first add_virtual.  `c` is
   // memoized from const lookups, hence mutable.

@@ -77,7 +77,6 @@ class RenoSender final : public StreamSender {
   FlowId flow() const { return flow_; }
   double cwnd() const { return cwnd_; }
   double ssthresh() const { return ssthresh_; }
-  bool in_recovery() const { return in_recovery_; }
   std::int64_t snd_una() const { return snd_una_; }
   std::int64_t snd_nxt() const { return snd_nxt_; }
   std::int64_t snd_max() const { return snd_max_; }

@@ -442,7 +442,7 @@ TEST(LazyLinkSession, SeededFaultPlansMatchEagerUnderEveryStrategy) {
   EXPECT_GT(fault_drops_seen, 0u);
 }
 
-TEST(DesBackend, AggregateReportIsThreadCountInvariantUnderCalendar) {
+TEST(DesBackend, AggregateReportIsThreadCountInvariant) {
   ExperimentPlan plan;
   plan.name = "des_backend_test";
   plan.seed = 777;

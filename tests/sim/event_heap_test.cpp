@@ -1,18 +1,17 @@
-// Differential suite for the calendar-queue DES backend.
+// Differential suite for the DES event heap.
 //
 // Two layers:
-//   * raw CalendarQueue vs std::priority_queue over the same (when, seq)
-//     keys — pop order must be bit-identical under randomized workloads
-//     that hit every structural path (monotone appends, out-of-order
-//     inserts, same-nanosecond ties, rewind-on-push, bucket growth/shrink,
-//     gap-regime changes that force width recalibration);
+//   * raw EventHeap vs std::priority_queue over the same (when, seq) keys —
+//     pop order must be bit-identical under randomized workloads (near-
+//     clock pushes, same-nanosecond ties, far-future sentinels, pushes
+//     below the minimum);
 //   * the full Scheduler vs the one-entry-per-event std::priority_queue
 //     reference (heap_reference.hpp) driven by one mixed op stream (timer
 //     arm / disarm / post / port / claim+arm_key) — execution order,
 //     clocks and the executed / cancelled / pending counters must match
 //     exactly (the high-water mark differs: a FIFO of claimed keys queues
 //     only its head).
-#include "sim/calendar_queue.hpp"
+#include "sim/event_heap.hpp"
 
 #include <gtest/gtest.h>
 
@@ -37,37 +36,44 @@ struct Key {
   std::uint64_t seq;
 };
 
-struct KeyGreater {
+struct KeyLess {
   bool operator()(const Key& a, const Key& b) const {
-    if (a.when != b.when) return a.when > b.when;
-    return a.seq > b.seq;
+    if (a.when != b.when) return a.when < b.when;
+    return a.seq < b.seq;
   }
 };
 
-// Reference model: a binary heap over the same keys.
+struct KeyGreater {
+  bool operator()(const Key& a, const Key& b) const {
+    return KeyLess{}(b, a);
+  }
+};
+
+using Heap = EventHeap<Key, KeyLess>;
+// Reference model: std::priority_queue over the same keys.
 using RefQueue = std::priority_queue<Key, std::vector<Key>, KeyGreater>;
 
-void expect_same_pop(CalendarQueue<Key>& cal, RefQueue& ref) {
-  ASSERT_EQ(cal.size(), ref.size());
-  ASSERT_FALSE(cal.empty());
+void expect_same_pop(Heap& heap, RefQueue& ref) {
+  ASSERT_EQ(heap.size(), ref.size());
+  ASSERT_FALSE(heap.empty());
   const Key want = ref.top();
   ref.pop();
-  EXPECT_EQ(cal.min().when.ns(), want.when.ns());
-  EXPECT_EQ(cal.min().seq, want.seq);
-  const Key got = cal.pop_min();
+  EXPECT_EQ(heap.min().when.ns(), want.when.ns());
+  EXPECT_EQ(heap.min().seq, want.seq);
+  const Key got = heap.pop_min();
   ASSERT_EQ(got.when.ns(), want.when.ns());
   ASSERT_EQ(got.seq, want.seq);
 }
 
-void drain_same(CalendarQueue<Key>& cal, RefQueue& ref) {
-  while (!ref.empty()) expect_same_pop(cal, ref);
-  EXPECT_TRUE(cal.empty());
-  EXPECT_EQ(cal.size(), 0u);
+void drain_same(Heap& heap, RefQueue& ref) {
+  while (!ref.empty()) expect_same_pop(heap, ref);
+  EXPECT_TRUE(heap.empty());
+  EXPECT_EQ(heap.size(), 0u);
 }
 
-TEST(CalendarQueue, RandomizedDifferentialAgainstHeap) {
+TEST(EventHeap, RandomizedDifferentialAgainstPriorityQueue) {
   std::mt19937_64 rng(20070811);
-  CalendarQueue<Key> cal;
+  Heap heap(KeyLess{});
   RefQueue ref;
   std::uint64_t seq = 0;
   std::int64_t clock_ns = 0;  // keys mostly advance with this
@@ -78,115 +84,66 @@ TEST(CalendarQueue, RandomizedDifferentialAgainstHeap) {
     if (kind < 55 || ref.empty()) {
       clock_ns += static_cast<std::int64_t>(rng() % 5000);
       const Key k{SimTime::nanos(clock_ns), seq++};
-      cal.push(k);
+      heap.push(k);
       ref.push(k);
     } else if (kind < 65) {
       // Exact tie with the previous key: FIFO order decided by seq alone.
       const Key k{SimTime::nanos(clock_ns), seq++};
-      cal.push(k);
+      heap.push(k);
       ref.push(k);
     } else if (kind < 70) {
-      // Far-future sentinel (idle timer): must not poison the day width.
+      // Far-future sentinel (an idle timer).
       const Key k{SimTime::nanos(clock_ns + 10'000'000'000), seq++};
-      cal.push(k);
+      heap.push(k);
       ref.push(k);
     } else {
-      expect_same_pop(cal, ref);
+      expect_same_pop(heap, ref);
     }
   }
-  drain_same(cal, ref);
+  drain_same(heap, ref);
 }
 
-TEST(CalendarQueue, SameTimeBurstPushedInReverseSeqOrder) {
-  // Every push lands before the bucket tail, forcing the sorted-insert
-  // path; pops must still come out in ascending seq.
-  CalendarQueue<Key> cal;
+TEST(EventHeap, SameTimeBurstPushedInReverseSeqOrder) {
+  // Every push undercuts the one before it; pops must still come out in
+  // ascending seq.
+  Heap heap(KeyLess{});
   RefQueue ref;
   for (std::uint64_t i = 0; i < 1000; ++i) {
     const Key k{SimTime::millis(5), 1000 - i};
-    cal.push(k);
+    heap.push(k);
     ref.push(k);
   }
-  drain_same(cal, ref);
+  drain_same(heap, ref);
 }
 
-TEST(CalendarQueue, RewindOnPushBelowCurrentDay) {
-  // Advance the cursor deep into the calendar, then push keys below every
-  // pending event — the rewind path must keep the order exact.
+TEST(EventHeap, PushBelowTheMinimum) {
+  // Pop part of a standing queue, then push keys below every pending
+  // entry: each sifts to the root, and the order stays exact.
   std::mt19937_64 rng(42);
-  CalendarQueue<Key> cal;
+  Heap heap(KeyLess{});
   RefQueue ref;
   std::uint64_t seq = 0;
   for (int i = 0; i < 2000; ++i) {
     const Key k{SimTime::nanos(1'000'000 + i * 777), seq++};
-    cal.push(k);
+    heap.push(k);
     ref.push(k);
   }
-  for (int i = 0; i < 1500; ++i) expect_same_pop(cal, ref);
+  for (int i = 0; i < 1500; ++i) expect_same_pop(heap, ref);
   for (int i = 0; i < 200; ++i) {
     // Below the first batch entirely (the scheduler forbids this, the raw
     // structure must not).
     const Key k{SimTime::nanos(static_cast<std::int64_t>(rng() % 1000)),
                 seq++};
-    cal.push(k);
+    heap.push(k);
     ref.push(k);
   }
-  drain_same(cal, ref);
-}
-
-TEST(CalendarQueue, BucketCountGrowsAndShrinksWithOccupancy) {
-  CalendarQueue<Key> cal;
-  RefQueue ref;
-  const std::size_t initial = cal.bucket_count();
-  for (std::uint64_t i = 0; i < 10000; ++i) {
-    const Key k{SimTime::nanos(static_cast<std::int64_t>(i) * 1000), i};
-    cal.push(k);
-    ref.push(k);
-  }
-  EXPECT_GT(cal.bucket_count(), initial);
-  drain_same(cal, ref);
-  // Halving stops at the floor once the queue drains.
-  EXPECT_EQ(cal.bucket_count(), initial);
-}
-
-TEST(CalendarQueue, DayWidthRecalibratesAcrossGapRegimes) {
-  // Steady-size queue (push one, pop one) never triggers an occupancy
-  // resize, so only the gap EMA can fix the day width.  Run a dense
-  // regime (~100 ns gaps) then a sparse one (~1 ms gaps); the day shift
-  // must adapt to each, and ordering must hold throughout.
-  CalendarQueue<Key> cal;
-  RefQueue ref;
-  std::uint64_t seq = 0;
-  std::int64_t clock_ns = 0;
-  auto steady = [&](std::int64_t gap_ns, int pops) {
-    for (int i = 0; i < pops; ++i) {
-      clock_ns += gap_ns;
-      const Key k{SimTime::nanos(clock_ns), seq++};
-      cal.push(k);
-      ref.push(k);
-      expect_same_pop(cal, ref);
-    }
-  };
-  // Prime with a standing queue so pushes and pops interleave over a
-  // non-empty set.
-  for (int i = 0; i < 32; ++i) {
-    clock_ns += 100;
-    const Key k{SimTime::nanos(clock_ns), seq++};
-    cal.push(k);
-    ref.push(k);
-  }
-  steady(100, 8000);
-  const int dense_shift = cal.day_shift();
-  steady(1'000'000, 8000);
-  const int sparse_shift = cal.day_shift();
-  EXPECT_LT(dense_shift, sparse_shift);
-  drain_same(cal, ref);
+  drain_same(heap, ref);
 }
 
 // ---------------------------------------------------------------------------
 // Scheduler-level differential: one op stream through the Scheduler and
 // through a reference scheduler built on std::priority_queue with one
-// entry per event (no ports, no key FIFOs, no calendar).
+// entry per event (no ports, no key FIFOs).
 
 struct SchedLog {
   std::vector<std::int64_t> fired_at_ns;
@@ -360,15 +317,15 @@ SchedLog drive_mixed_workload() {
 
 TEST(SchedulerBackendDifferential, MixedWorkloadIsBitIdentical) {
   const SchedLog ref = drive_mixed_workload<ReferenceArm>();
-  const SchedLog cal = drive_mixed_workload<SchedulerArm>();
+  const SchedLog sched = drive_mixed_workload<SchedulerArm>();
   ASSERT_GT(ref.fired_id.size(), 1000u);
-  ASSERT_EQ(ref.fired_id.size(), cal.fired_id.size());
-  ASSERT_EQ(ref.fired_at_ns.size(), cal.fired_at_ns.size());
+  ASSERT_EQ(ref.fired_id.size(), sched.fired_id.size());
+  ASSERT_EQ(ref.fired_at_ns.size(), sched.fired_at_ns.size());
   for (std::size_t i = 0; i < ref.fired_id.size(); ++i) {
-    ASSERT_EQ(ref.fired_id[i], cal.fired_id[i]) << "index " << i;
+    ASSERT_EQ(ref.fired_id[i], sched.fired_id[i]) << "index " << i;
   }
   for (std::size_t i = 0; i < ref.fired_at_ns.size(); ++i) {
-    ASSERT_EQ(ref.fired_at_ns[i], cal.fired_at_ns[i]) << "index " << i;
+    ASSERT_EQ(ref.fired_at_ns[i], sched.fired_at_ns[i]) << "index " << i;
   }
 }
 

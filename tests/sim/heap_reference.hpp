@@ -1,7 +1,7 @@
 // The one-entry-per-event reference scheduler the DES differential suites
 // compare the Scheduler against: a std::priority_queue keyed (when, seq),
 // seq claimed at the call, cancellation a shared flag checked at pop (the
-// cancel-and-push timer semantics).  No ports, no deferral, no calendar.
+// cancel-and-push timer semantics).  No ports, no deferral.
 #pragma once
 
 #include <algorithm>
