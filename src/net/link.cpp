@@ -11,7 +11,8 @@ Link::Link(Scheduler& sched, LinkConfig config)
       config_(config),
       base_config_(config),
       qdisc_(make_queue_discipline(config.qdisc, config.buffer_packets)),
-      aqm_(!config.qdisc.droptail()) {
+      aqm_(!config.qdisc.droptail()),
+      core_(CoreClock{this}, config.buffer_packets) {
   if (!aqm_) droptail_ = static_cast<DropTailQdisc*>(qdisc_.get());
   if (config_.bandwidth_bps <= 0) {
     throw std::invalid_argument{"link bandwidth must be positive"};
@@ -23,10 +24,10 @@ Link::Link(Scheduler& sched, LinkConfig config)
   });
   // Devirtualized dispatch for the two event kinds this link fires; both
   // skip the scheduler's callable slab entirely.
-  tx_done_port_id_ =
-      sched_.register_port(&Link::tx_done_port, this, EventCategory::kLinkTx);
-  delivery_port_id_ = sched_.register_port(&Link::delivery_port, this,
-                                           EventCategory::kLinkDelivery);
+  tx_done_port_id_ = sched_.register_port(&Link::port<&Link::on_transmit_done>,
+                                          this, EventCategory::kLinkTx);
+  delivery_port_id_ = sched_.register_port(&Link::port<&Link::on_delivery>,
+                                           this, EventCategory::kLinkDelivery);
 }
 
 std::size_t Link::flow_probe(FlowId flow) const {
@@ -58,16 +59,11 @@ LinkFlowCounters& Link::flow_slot(FlowId flow) {
 void Link::record_flight(SimTime at, const Packet& p,
                          obs::FlightEventKind kind, std::size_t queue_depth,
                          obs::DropCause cause) const {
-  obs::FlightEvent e;
-  e.t_ns = at.ns();
-  e.kind = kind;
-  e.packet = p.app_tag;
-  e.path = static_cast<std::int32_t>(p.flow);
-  e.hop = flight_hop_;
-  e.seq = p.seq;
-  e.queue = static_cast<std::int64_t>(queue_depth);
-  e.drop = cause;
-  flight_->record(e);
+  flight_->record(obs::FlightEvent{
+      .t_ns = at.ns(), .kind = kind, .packet = p.app_tag,
+      .path = static_cast<std::int32_t>(p.flow), .hop = flight_hop_,
+      .seq = p.seq, .queue = static_cast<std::int64_t>(queue_depth),
+      .drop = cause});
 }
 
 // Every congestion discard — the arriving packet on a full/early-dropping
@@ -81,20 +77,17 @@ void Link::on_qdisc_drop(const Packet& victim, QdiscDropReason reason) {
   ++flow_slot(victim.flow).drops;
   if (ts_drops_) ts_drops_->bump(sched_.now());
   if (event_log_ && event_log_->enabled(obs::Severity::kWarn)) {
+    const double t = sched_.now().to_seconds();
+    const auto flow = obs::EventField::num("flow", victim.flow);
+    const auto seq = obs::EventField::num("seq", victim.seq);
+    const auto queue = obs::EventField::num("queue", queue_length());
     if (aqm_) {
-      event_log_->record(
-          sched_.now().to_seconds(), obs::Severity::kWarn, "drop",
-          {obs::EventField::num("flow", victim.flow),
-           obs::EventField::num("seq", victim.seq),
-           obs::EventField::num("queue", queue_length()),
-           obs::EventField::text("cause",
-                                 std::string(qdisc_drop_reason_name(reason)))});
+      const auto cause = obs::EventField::text(
+          "cause", std::string(qdisc_drop_reason_name(reason)));
+      event_log_->record(t, obs::Severity::kWarn, "drop",
+                         {flow, seq, queue, cause});
     } else {
-      event_log_->record(sched_.now().to_seconds(), obs::Severity::kWarn,
-                         "drop",
-                         {obs::EventField::num("flow", victim.flow),
-                          obs::EventField::num("seq", victim.seq),
-                          obs::EventField::num("queue", queue_length())});
+      event_log_->record(t, obs::Severity::kWarn, "drop", {flow, seq, queue});
     }
   }
   if (flight_ && victim.app_tag >= 0) {
@@ -149,17 +142,10 @@ void Link::set_receiver(FlowDemux* demux) {
 
 // What must act at a tx-done as it happens — AQM dequeue decisions —
 // keeps the eager path.  A drop-tail buffer's drop test needs only the
-// queue length at arrival, which the departure FIFO holds, and a declared
+// queue length at arrival, which the departure core holds, and a declared
 // fault only bounds how far ahead departures are admitted.
 bool Link::lazy_eligible() const {
   return droptail_ != nullptr && !sched_.links_eager();
-}
-
-// Decided once, at the first arrival: by then the owner has bound every
-// sink and declared every fault target.
-void Link::decide_mode() {
-  mode_ = lazy_eligible() ? Mode::kLazy : Mode::kEager;
-  if (mode_ == Mode::kLazy) fuse_receiver();
 }
 
 // Several upstream links need a positive least delay: it is how far ahead
@@ -172,8 +158,9 @@ bool Link::feed_virtually() {
   }
   mode_ = Mode::kLazy;
   fed_ = true;
-  drain_port_id_ = sched_.register_port(&Link::drain_port, this);
-  report_port_id_ = sched_.register_port(&Link::report_port, this);
+  drain_port_id_ = sched_.register_port(&Link::port<&Link::on_watch>, this);
+  report_port_id_ =
+      sched_.register_port(&Link::port<&Link::report_drop>, this);
   fuse_receiver();
   return true;
 }
@@ -196,100 +183,65 @@ void Link::fuse_receiver() {
 // arrival's key, and then this packet's tx-done key is the newest one's
 // successor claim (virtual_seq(., 1)); otherwise it claims a key where
 // the arrival pop would: a real seq now, or a virtual arrival's claim 0.
-// The tx-dones after the arrival beyond the one on the wire are the eager
-// queue, so a finite buffer drops exactly when the eager qdisc would,
-// through the same counters (a virtual arrival's drop once the clock
-// reaches it).
-//
-// Under faults (docs/DES_ENGINE.md, "Lazy links under faults") every fault
-// at or before the arrival has popped and none lies between it and the
-// clock, so the link's down state and burst count are the eager link's at
-// this arrival.  What lies ahead, admitted or parked, is the eager queue
-// plus the packet on the wire (an up link always transmits the first of
-// them).  A packet that finds nothing parked starts at its arrival or at
-// the newest departure and is admitted if its tx-done lies before the
-// next declared fault (always, with none declared); behind a parked
-// packet it waits its turn.
+// The core's drops are the eager qdisc's, counted through the same
+// counters (a virtual arrival's once the clock reaches it).  Under faults
+// (docs/DES_ENGINE.md, "Lazy links under faults") a packet the core does
+// not admit before the next declared fault waits for it, parked.
 void Link::arrive_lazy(const Packet& p, SimTime when, std::uint64_t arrival,
                        SimTime chain_start) {
-  if (down_ || burst_remaining_ != 0) [[unlikely]] {
-    if (arrival == kRealArrival) count_arrival(p);
-    fault_drop(p, arrival);
-    return;
-  }
-  if (horizon_ <= when) [[unlikely]] {
-    throw std::logic_error{"link arrival after a declared fault's time "
-                           "before the fault ran"};
-  }
-  const bool real = arrival == kRealArrival;
-  const std::size_t waiting = parked();
-  const std::size_t ahead = departures_ahead(when, arrival) + waiting;
-  if (config_.buffer_packets != 0 && ahead > config_.buffer_packets) {
-    if (real) {
-      count_arrival(p);
-      droptail_->reject(p);
+  const bool real = arrival == Core::kAtClock;
+  const Core::Offer o = core_.offer(sched_.now(), when, arrival);
+  if (o.verdict < Core::Verdict::kPark) [[unlikely]] {
+    const bool fault = o.verdict != Core::Verdict::kFull;
+    if (!real) {
+      defer_drop(p, arrival, fault, o.verdict == Core::Verdict::kBurst);
+      return;
+    }
+    count_arrival(p);
+    if (fault) {
+      fault_drop(p);
     } else {
-      defer_drop(p, arrival, false, false);
+      droptail_->reject(p);
     }
     return;
   }
   count_arrival(p);
-  const std::size_t before = departures_.size();
-  if (waiting != 0) [[unlikely]] {
-    parked_.push_back(Parked{p, when, arrival});
+  const std::size_t before = core_.departures().size();
+  const Core::Parked x{p, when, arrival};
+  if (o.verdict == Core::Verdict::kPark) [[unlikely]] {
+    core_.park(x);
   } else {
     const SimTime tx = tx_time(p.size_bytes);
-    SimTime start = when;
-    std::uint64_t sigma;
-    if (ahead == 0) {
-      sigma = real ? sched_.claim_seq() : Scheduler::virtual_seq(arrival, 0);
+    const std::uint64_t sigma =
+        o.after != Core::kAtClock ? Scheduler::virtual_seq(o.after, 1)
+        : real                  ? sched_.claim_seq()
+                                : Scheduler::virtual_seq(arrival, 0);
+    const Core::Started s{o.start, o.start + tx, sigma, tx,
+                          real ? o.start : chain_start};
+    if (core_.start(x, s)) [[likely]] {
+      admit(p, s, arrival);
     } else {
-      const Departure& last = departures_.back();
-      start = last.when;
-      sigma = Scheduler::virtual_seq(last.vid, 1);
-    }
-    if (start + tx < horizon_) [[likely]] {
-      admit(p, start + tx, sigma, tx, real ? start : chain_start, !real);
-    } else {
-      parked_.push_back(Parked{p, when, arrival});
-      head_ = Started{start, start + tx, sigma, tx,
-                      real ? start : chain_start};
       sched_.use_claim(sigma);
     }
   }
   if (replay_) [[unlikely]] trace_admitted(p, when, arrival, before);
 }
 
-void Link::start_head(SimTime start, std::uint64_t sigma) {
-  const SimTime tx = tx_time(parked_[parked_head_].p.size_bytes);
-  head_ = Started{start, start + tx, sigma, tx, start};
+void Link::start_head(const Packet& p, SimTime start, std::uint64_t sigma) {
+  core_.start_head(start, sigma, tx_time(p.size_bytes));
   sched_.use_claim(sigma);  // the eager tx-done that starts it claims it
 }
 
 // A departure is admitted only before the next declared fault: no later
-// fault can change it then, and no virtual event is ever taken back.  The
-// admitted packet's successor starts at its tx-done unless the link is
-// down, which freezes the queue as the eager tx-done does.
+// fault can change it then, and no virtual event is ever taken back.
 void Link::resume() {
-  while (head_ && head_->when < horizon_) {
-    const Started s = *head_;
-    head_.reset();
-    admit(parked_[parked_head_++].p, s.when, s.sigma, s.tx, s.chain_start,
-          false);
-    if (parked() == 0) {
-      parked_.clear();
-      parked_head_ = 0;
-    } else if (!down_) {
-      const Departure& last = departures_.back();
-      start_head(last.when, Scheduler::virtual_seq(last.vid, 1));
-    }
-  }
-  // A link that never drains its parked list drops the admitted prefix.
-  if (parked_head_ >= 64 && parked_head_ * 2 >= parked_.size()) {
-    parked_.erase(parked_.begin(),
-                  parked_.begin() + static_cast<std::ptrdiff_t>(parked_head_));
-    parked_head_ = 0;
-  }
+  core_.resume(
+      [this](const Packet& p, const Core::Started& s) {
+        admit(p, s, Core::kAtClock);
+      },
+      [this](const Packet& next, const Core::Departure& last) {
+        start_head(next, last.when, Scheduler::virtual_seq(last.id, 1));
+      });
   // The fault pops at the clock: deliveries before the clock plus the
   // lookahead are final.
   if (fed_) drain(final_before(sched_.now()));
@@ -302,7 +254,7 @@ void Link::resume() {
 bool Link::send_at(SimTime when, const Packet& p) {
   if (upstream_links_ != 0) return false;
   if (!fed_) {
-    if (config_.buffer_packets != 0 || !fault_times_.empty() ||
+    if (config_.buffer_packets != 0 || core_.declared() ||
         !feed_virtually()) {
       return false;
     }
@@ -328,17 +280,17 @@ void Link::take(const Packet& p, SimTime when, std::uint64_t seq,
   // runs it is taken at once, as drain() would take it; between runs the
   // owner may still attach another upstream link (set_receiver refuses one
   // that could deliver before it).
-  if (upstream_links_ == 1 && inbox_head_ == inbox_.size() &&
-      when < horizon_ && sched_.running()) {
+  if (upstream_links_ == 1 && inbox_.empty() && when < core_.horizon() &&
+      sched_.running()) {
     taken_until_ = when;
     arrive_lazy(p, when,
                 sched_.add_virtual(when, seq, 0, EventCategory::kLinkDelivery),
                 chain_start);
     return;
   }
-  inbox_.push_back(Inbound{when, seq, chain_start, p});
+  inbox_.push(Inbound{when, seq, chain_start, p});
   std::size_t i = inbox_.size() - 1;
-  for (; i > inbox_head_; --i) {
+  for (; i > 0; --i) {
     const Inbound& prev = inbox_[i - 1];
     if (prev.when < when ||
         (prev.when == when &&
@@ -348,27 +300,19 @@ void Link::take(const Packet& p, SimTime when, std::uint64_t seq,
     }
     std::swap(inbox_[i], inbox_[i - 1]);
   }
-  if (i == inbox_head_) rewatch();
+  if (i == 0) rewatch();
 }
 
 void Link::drain(SimTime bound) {
-  while (inbox_head_ < inbox_.size()) {
-    const Inbound in = inbox_[inbox_head_];
-    if (!(in.when < bound && in.when < horizon_)) break;
-    ++inbox_head_;
+  while (!inbox_.empty()) {
+    const Inbound in = inbox_.front();
+    if (!(in.when < bound && in.when < core_.horizon())) break;
+    inbox_.pop();
     taken_until_ = in.when;
     arrive_lazy(in.p, in.when,
                 sched_.add_virtual(in.when, in.seq, 0,
                                    EventCategory::kLinkDelivery),
                 in.chain_start);
-  }
-  if (inbox_head_ == inbox_.size()) {
-    inbox_.clear();
-    inbox_head_ = 0;
-  } else if (inbox_head_ >= 64 && inbox_head_ * 2 >= inbox_.size()) {
-    inbox_.erase(inbox_.begin(),
-                 inbox_.begin() + static_cast<std::ptrdiff_t>(inbox_head_));
-    inbox_head_ = 0;
   }
   rewatch();
 }
@@ -384,8 +328,8 @@ void Link::on_watch() {
 // for the fault's pop instead.
 void Link::rewatch() {
   SimTime head = SimTime::max();
-  if (inbox_head_ < inbox_.size() && inbox_[inbox_head_].when < horizon_) {
-    head = inbox_[inbox_head_].when;
+  if (!inbox_.empty() && inbox_.front().when < core_.horizon()) {
+    head = inbox_.front().when;
   }
   if (head == watched_) return;
   watched_ = head;
@@ -403,12 +347,13 @@ void Link::trace_admitted(const Packet& p, SimTime when,
                           std::uint64_t arrival, std::size_t before) {
   bool first = false;
   if (fed_) {
+    const Fifo<Core::Departure>& departures = core_.departures();
     std::size_t i = before;
-    while (i > departed_ && departures_[i - 1].when > when) --i;
-    first = i > departed_ && departures_[i - 1].when == when &&
-            sched_.virtual_before(arrival, departures_[i - 1].vid);
+    while (i > 0 && departures[i - 1].when > when) --i;
+    first = i > 0 && departures[i - 1].when == when &&
+            sched_.virtual_before(arrival, departures[i - 1].id);
   }
-  traced_.push_back(Traced{p, when, first, arrival});
+  traced_.push(Traced{p, when, first, arrival});
   if (!fed_) observe_arrival(traced_.size() - 1);
 }
 
@@ -416,82 +361,47 @@ void Link::trace_admitted(const Packet& p, SimTime when,
 // entry, or on a fused hop a virtual delivery event the receiver takes
 // once final.  Lookups reach back at most twice the delay from the
 // chain's first transmission start to its real delivery, plus a tx time
-// per same-nanosecond tie along a busy period (docs/DES_ENGINE.md).  A
-// delivery that undercuts the FIFO tail after a shrunk delay takes a
-// one-entry post under the same key, as the eager link's does.
-void Link::admit(const Packet& p, SimTime departure, std::uint64_t sigma,
-                 SimTime tx, SimTime chain_start, bool arrived_virtually) {
+// per same-nanosecond tie along a busy period (docs/DES_ENGINE.md).
+void Link::admit(const Packet& p, const Core::Started& s,
+                 std::uint64_t arrival) {
   const std::uint64_t vid =
-      sched_.add_virtual(departure, sigma, 1, EventCategory::kLinkTx);
-  departures_.push_back(Departure{departure, vid, tx, p.flow,
-                                  arrived_virtually});
-  ahead_tx_ += tx;
-  busy_time_ += tx;
+      sched_.add_virtual(s.when, s.sigma, 1, EventCategory::kLinkTx);
+  core_.depart(Core::Departure{s.when, vid, arrival, s.tx, p.flow});
 
-  const SimTime when = departure + config_.prop_delay;
+  const SimTime when = s.when + config_.prop_delay;
   const std::uint64_t seq = Scheduler::virtual_seq(vid, 0);
-  sched_.keep_lookback((when - chain_start) * 2 + SimTime::millis(10));
+  sched_.keep_lookback((when - s.chain_start) * 2 + SimTime::millis(10));
   if (feeds_next_) {
-    next_link_->take(p, when, seq, chain_start);
+    next_link_->take(p, when, seq, s.chain_start);
     return;
   }
-  const bool was_empty = deliveries_head_ == deliveries_.size();
+  schedule_delivery(p, when, seq, vid);
+}
+
+// rescale() may shrink the propagation delay under packets already on the
+// wire: a delivery that undercuts the FIFO tail takes a one-entry post
+// under its key (claimed at the same point either way, so pop order is
+// exactly what a FIFO-free scheduler would produce).  Otherwise the
+// packet waits in the link's FIFO, which keeps exactly one armed head in
+// the queue.
+void Link::schedule_delivery(const Packet& p, SimTime when, std::uint64_t seq,
+                             std::uint64_t vid) {
+  const bool was_empty = deliveries_.empty();
   if (!was_empty && when < deliveries_.back().when) [[unlikely]] {
     sched_.post_key(
         when, seq,
         [this, p, vid] {
-          std::uint64_t hint = 0;
-          sched_.settle_virtual(vid, &hint);
+          if (mode_ == Mode::kLazy) {
+            std::uint64_t hint = 0;
+            sched_.settle_virtual(vid, &hint);
+          }
           deliver(p);
         },
         EventCategory::kLinkDelivery);
     return;
   }
-  deliveries_.push_back(PendingDelivery{when, seq, pool_.acquire(p)});
+  deliveries_.push(PendingDelivery{when, seq, p});
   if (was_empty) sched_.arm_key(when, seq, delivery_port_id_);
-}
-
-std::size_t Link::pass_departures() const {
-  // Tx-done keys increase along the FIFO, so the passed ones are a prefix.
-  const SimTime now = sched_.now();
-  while (departed_ < departures_.size()) {
-    const Departure& d = departures_[departed_];
-    if (d.when > now || (d.when == now && sched_.virtual_ahead(d.vid))) break;
-    ahead_tx_ -= d.tx;
-    ++departed_;
-  }
-  if (replay_) [[unlikely]] replay_passed();
-  // A link that stays busy never empties its FIFO: drop the passed half.
-  if (departed_ == departures_.size() ||
-      (departed_ >= 256 && departed_ * 2 >= departures_.size())) {
-    const auto passed = static_cast<std::ptrdiff_t>(departed_);
-    departures_.erase(departures_.begin(), departures_.begin() + passed);
-    if (replay_) [[unlikely]] {
-      traced_.erase(traced_.begin(), traced_.begin() + passed);
-      obs_started_ -= departed_;
-      obs_arrived_ -= departed_;
-      obs_done_ = 0;
-    }
-    cursor_ = cursor_ > departed_ ? cursor_ - departed_ : 0;
-    departed_ = 0;
-  }
-  return departures_.size() - departed_;
-}
-
-std::size_t Link::departures_ahead(SimTime when, std::uint64_t arrival) {
-  const std::size_t ahead = pass_departures();
-  if (arrival == kRealArrival) return ahead;  // the arrival is the clock
-  std::size_t i = std::max(cursor_, departed_);
-  while (i < departures_.size()) {
-    const Departure& d = departures_[i];
-    if (d.when > when ||
-        (d.when == when && sched_.virtual_before(arrival, d.vid))) {
-      break;
-    }
-    ++i;
-  }
-  cursor_ = i;
-  return departures_.size() - i;
 }
 
 // The eager link at an arrival: an idle link (every packet started has
@@ -499,7 +409,7 @@ std::size_t Link::departures_ahead(SimTime when, std::uint64_t arrival) {
 void Link::observe_arrival(std::size_t i) const {
   const Traced& a = traced_[i];
   const std::size_t depth = obs_arrived_++ - obs_started_;
-  const bool idle = depth == 0 && obs_started_ == obs_done_;
+  const bool idle = depth == 0 && obs_started_ == 0;
   if (idle) ++obs_started_;
   if (flight_ != nullptr && a.p.app_tag >= 0) {
     record_flight(a.arrived, a.p, obs::FlightEventKind::kLinkEnqueue, depth);
@@ -514,24 +424,25 @@ void Link::observe_arrival(std::size_t i) const {
 
 // The eager link at each passed tx-done: the transmitter takes the queue's
 // head.  On a link fed virtually the arrivals before it come first.
-void Link::replay_passed() const {
-  for (; obs_done_ < departed_; ++obs_done_) {
-    const Departure& d = departures_[obs_done_];
-    if (fed_) observe_arrivals(&d);
-    if (ts_delivered_) ts_delivered_->bump(d.when);
-    // A down link's queue stays frozen past the tx-done.
-    if (down_ || obs_started_ == obs_arrived_) continue;
+void Link::replay_departure(const Core::Departure* d) const {
+  if (fed_) observe_arrivals(d);
+  if (d == nullptr) return;
+  if (ts_delivered_) ts_delivered_->bump(d->when);
+  // A down link's queue stays frozen past the tx-done.
+  if (!core_.down() && obs_started_ != obs_arrived_) {
     const Packet& next = traced_[obs_started_++].p;
     const std::size_t depth = obs_arrived_ - obs_started_;
     if (flight_ != nullptr && next.app_tag >= 0) {
-      record_flight(d.when, next, obs::FlightEventKind::kLinkDequeue, depth);
+      record_flight(d->when, next, obs::FlightEventKind::kLinkDequeue, depth);
     }
-    if (ts_queue_) ts_queue_->add(d.when, static_cast<double>(depth));
+    if (ts_queue_) ts_queue_->add(d->when, static_cast<double>(depth));
   }
-  if (fed_) observe_arrivals(nullptr);
+  traced_.pop();  // d's packet, which has left
+  --obs_started_;
+  --obs_arrived_;
 }
 
-void Link::observe_arrivals(const Departure* before) const {
+void Link::observe_arrivals(const Core::Departure* before) const {
   const SimTime now = sched_.now();
   for (; obs_arrived_ < traced_.size(); observe_arrival(obs_arrived_)) {
     const Traced& a = traced_[obs_arrived_];
@@ -545,57 +456,21 @@ void Link::observe_arrivals(const Departure* before) const {
   }
 }
 
-std::size_t Link::arrivals_ahead(const FlowId* flow,
-                                 std::size_t* parked_ahead) const {
-  if (!fed_) return 0;
-  // Arrivals come in FIFO order, so the ones still ahead are a suffix of
-  // the parked packets and the tx-dones still ahead.  An admitted packet's
-  // virtual arrival (a delivery or an emission) is the event recorded just
-  // before its tx-done; one admitted from the parked list arrived before
-  // the fault that admitted it.
-  std::size_t n = 0;
-  std::size_t waiting = 0;
-  const auto counts = [flow](FlowId f) { return flow == nullptr || f == *flow; };
-  for (std::size_t i = parked_.size(); i > parked_head_; --i) {
-    const Parked& x = parked_[i - 1];
-    if (x.arrival == kRealArrival || x.arrived < sched_.now() ||
-        (x.arrived == sched_.now() && !sched_.virtual_ahead(x.arrival))) {
-      if (parked_ahead != nullptr) *parked_ahead = waiting;
-      return n;
-    }
-    ++waiting;
-    if (counts(x.p.flow)) ++n;
-  }
-  if (parked_ahead != nullptr) *parked_ahead = waiting;
-  const std::size_t ahead = pass_departures();  // may drop a passed prefix
-  const std::size_t end = departures_.size() - ahead;
-  for (std::size_t i = departures_.size(); i > end; --i) {
-    const Departure& d = departures_[i - 1];
-    if (!d.arrived_virtually || !sched_.virtual_ahead(d.vid - 1)) break;
-    if (counts(d.flow)) ++n;
-  }
-  return n;
-}
-
 std::size_t Link::queue_length() const {
   if (mode_ != Mode::kLazy) return qdisc_->len();
-  // The first arrived packet is on the wire, unless a down link froze it
-  // unstarted in the parked queue.
-  const std::size_t ahead = pass_departures();
-  const std::size_t arrived = ahead + parked() - arrivals_ahead();
-  const bool on_wire = ahead > 0 || head_.has_value();
-  return arrived > 0 && on_wire ? arrived - 1 : arrived;
+  return core_.queued(sched_.now());
 }
 
 std::uint64_t Link::total_arrivals() const {
-  return total_arrivals_ - arrivals_ahead();
+  if (!fed_) return total_arrivals_;
+  return total_arrivals_ - core_.arrivals_ahead(sched_.now(), nullptr);
 }
 
 std::uint64_t Link::total_delivered() const {
   if (mode_ != Mode::kLazy) return total_delivered_;
   // Every packet not dropped whose tx-done has passed.
   return total_arrivals_ - total_drops_ - fault_drops_ - pass_departures() -
-         parked();
+         core_.parked();
 }
 
 void Link::send(const Packet& p) {
@@ -607,19 +482,24 @@ void Link::send(const Packet& p) {
 
 void Link::arrive(const Packet& p) {
   if (mode_ != Mode::kEager) {
-    if (mode_ == Mode::kUndecided) decide_mode();
+    // Decided once, at the first arrival: by then the owner has bound every
+    // sink and declared every fault target.
+    if (mode_ == Mode::kUndecided) {
+      mode_ = lazy_eligible() ? Mode::kLazy : Mode::kEager;
+      if (mode_ == Mode::kLazy) fuse_receiver();
+    }
     if (mode_ == Mode::kLazy) {
       if (fed_) [[unlikely]] {
         throw std::logic_error{"a real delivery into a link fed virtually"};
       }
-      arrive_lazy(p, sched_.now(), kRealArrival, sched_.now());
+      arrive_lazy(p, sched_.now(), Core::kAtClock, sched_.now());
       return;
     }
   }
   count_arrival(p);
 
-  if (down_ || burst_remaining_ > 0) {
-    fault_drop(p, kRealArrival);
+  if (core_.fault() != Core::Verdict::kStart) {
+    fault_drop(p);
     return;
   }
 
@@ -649,24 +529,14 @@ void Link::arrive(const Packet& p) {
 // bypass the qdisc (and its counters) entirely so the measured p_k keeps
 // meaning "congestion loss", and are tallied in fault_drops_ instead —
 // fault_drops() stays disjoint from total_drops() under every discipline.
-void Link::fault_drop(const Packet& p, std::uint64_t arrival) {
-  const bool burst = !down_;
-  if (burst) --burst_remaining_;
-  if (arrival != kRealArrival) {
-    defer_drop(p, arrival, true, burst);
-    return;
-  }
+void Link::fault_drop(const Packet& p) {
   ++fault_drops_;
-  record_fault_drop(p);
-}
-
-void Link::record_fault_drop(const Packet& p) {
   if (event_log_ && event_log_->enabled(obs::Severity::kWarn)) {
     event_log_->record(sched_.now().to_seconds(), obs::Severity::kWarn,
                        "fault_drop",
                        {obs::EventField::num("flow", p.flow),
                         obs::EventField::num("seq", p.seq),
-                        obs::EventField::num("down", down_ ? 1 : 0)});
+                        obs::EventField::num("down", core_.down() ? 1 : 0)});
   }
   if (flight_ && p.app_tag >= 0) {
     record_flight(sched_.now(), p, obs::FlightEventKind::kLinkDrop,
@@ -678,8 +548,8 @@ void Link::record_fault_drop(const Packet& p) {
 // and records its drop at the arrival pop: the report watches its key.
 void Link::defer_drop(const Packet& p, std::uint64_t arrival, bool fault,
                       bool burst) {
-  dropped_.push_back(Dropped{arrival, p, fault, burst});
-  if (dropped_.size() - dropped_head_ == 1) {
+  dropped_.push(Dropped{arrival, p, fault, burst});
+  if (dropped_.size() == 1) {
     sched_.watch_past(report_port_id_, arrival);
   }
 }
@@ -687,17 +557,14 @@ void Link::defer_drop(const Packet& p, std::uint64_t arrival, bool fault,
 // At the dropped arrival's key: the clock is at its time and every key
 // before it has passed, as in the eager arrival pop.
 void Link::report_drop() {
-  const Dropped d = dropped_[dropped_head_++];
-  if (dropped_head_ == dropped_.size()) {
-    dropped_.clear();
-    dropped_head_ = 0;
-  } else {
-    sched_.watch_past(report_port_id_, dropped_[dropped_head_].arrival);
+  const Dropped d = dropped_.front();
+  dropped_.pop();
+  if (!dropped_.empty()) {
+    sched_.watch_past(report_port_id_, dropped_.front().arrival);
   }
   count_arrival(d.p);
   if (d.fault) {
-    ++fault_drops_;
-    record_fault_drop(d.p);
+    fault_drop(d.p);
   } else {
     droptail_->reject(d.p);
   }
@@ -705,10 +572,10 @@ void Link::report_drop() {
 
 std::uint64_t Link::burst_remaining() const {
   std::uint64_t pending = 0;
-  for (std::size_t i = dropped_head_; i < dropped_.size(); ++i) {
+  for (std::size_t i = 0; i < dropped_.size(); ++i) {
     if (dropped_[i].burst) ++pending;
   }
-  return burst_remaining_ + pending;
+  return core_.burst() + pending;
 }
 
 void Link::start_transmission(const Packet& p) {
@@ -730,30 +597,13 @@ void Link::on_transmit_done() {
   // immediately free for the next queued packet.
   ++total_delivered_;
   if (ts_delivered_) ts_delivered_->bump(sched_.now());
-  const SimTime when = sched_.now() + config_.prop_delay;
-  if (deliveries_head_ < deliveries_.size() &&
-      when < deliveries_.back().when) {
-    // rescale() shrank the propagation delay under packets already on the
-    // wire: this delivery undercuts the FIFO tail, so it takes the legacy
-    // one-entry path (the seq is claimed at the same point either way, so
-    // pop order is exactly what a FIFO-free scheduler would produce).
-    const Packet delivered = in_flight_;
-    sched_.post_at(when, [this, delivered] { deliver(delivered); },
-                   EventCategory::kLinkDelivery);
-  } else {
-    // Batched path: claim the (when, seq) key now, park the pooled packet
-    // in the link's FIFO, and keep exactly one armed head in the queue.
-    const std::uint64_t seq = sched_.claim_seq();
-    const bool was_empty = deliveries_head_ == deliveries_.size();
-    deliveries_.push_back(
-        PendingDelivery{when, seq, pool_.acquire(in_flight_)});
-    if (was_empty) sched_.arm_key(when, seq, delivery_port_id_);
-  }
+  schedule_delivery(in_flight_, sched_.now() + config_.prop_delay,
+                    sched_.claim_seq(), 0);
   transmitting_ = false;
   // A downed link freezes its queue: the packet already on the wire
   // completes, but nothing further dequeues until set_down(false).  CoDel
   // may discard queued heads here and come back empty-handed.
-  if (!down_) {
+  if (!core_.down()) {
     Packet next;
     if (qdisc_->dequeue(&next, sched_.now())) {
       start_transmission(next);
@@ -768,18 +618,16 @@ void Link::on_delivery() {
   // Pop the FIFO head, re-arm the successor (its key was claimed when it
   // was scheduled, so arming order cannot disturb pop order), then hand the
   // packet downstream.
-  const PendingDelivery head = deliveries_[deliveries_head_++];
-  if (deliveries_head_ < deliveries_.size()) {
-    const PendingDelivery& next = deliveries_[deliveries_head_];
+  const PendingDelivery head = deliveries_.front();
+  deliveries_.pop();
+  if (!deliveries_.empty()) {
+    const PendingDelivery& next = deliveries_.front();
     sched_.arm_key(next.when, next.seq, delivery_port_id_);
-  } else {
-    deliveries_.clear();
-    deliveries_head_ = 0;
   }
   if (mode_ == Mode::kLazy) {
     sched_.settle_virtual(Scheduler::virtual_id(head.seq), &settle_hint_);
   }
-  deliver(pool_.take(head.ref));
+  deliver(head.p);
 }
 
 void Link::deliver(const Packet& p) {
@@ -796,9 +644,7 @@ void Link::declare_fault(SimTime at) {
   if (mode_ != Mode::kUndecided) {
     throw std::logic_error{"declare_fault after the first send"};
   }
-  fault_times_.insert(
-      std::upper_bound(fault_times_.begin(), fault_times_.end(), at), at);
-  horizon_ = fault_times_.front();
+  core_.declare_fault(at);
 }
 
 void Link::declare_fault(SimTime at, double delay_factor) {
@@ -814,27 +660,24 @@ bool Link::lazy_fault_hook(const char* hook) {
       (mode_ == Mode::kUndecided && !lazy_eligible())) {
     return false;
   }
-  if (horizon_ != sched_.now()) {
+  if (!core_.run_fault(sched_.now())) {
     throw std::logic_error{std::string(hook) +
                            " on a lazy link at an undeclared time"};
   }
-  ++next_fault_;
-  horizon_ = next_fault_ < fault_times_.size() ? fault_times_[next_fault_]
-                                               : SimTime::max();
   pass_departures();  // the bound replay sees the state before the hook
   return true;
 }
 
 void Link::drop_next(std::uint64_t count) {
   const bool lazy = lazy_fault_hook("drop_next");
-  burst_remaining_ += count;
+  core_.add_burst(count);
   if (lazy) resume();
 }
 
 void Link::set_down(bool down) {
   if (lazy_fault_hook("set_down")) {
-    down_ = down;
-    if (!down_ && !head_ && parked() != 0) {
+    core_.set_down(down);
+    if (const Packet* head = core_.stalled()) {
       // A raised link starts its frozen queue's head now, claiming the
       // tx-done key where the eager start_transmission does.
       if (replay_) [[unlikely]] {
@@ -844,13 +687,13 @@ void Link::set_down(bool down) {
                         obs_arrived_ - obs_started_);
         }
       }
-      start_head(sched_.now(), sched_.claim_seq());
+      start_head(*head, sched_.now(), sched_.claim_seq());
     }
     resume();
     return;
   }
-  down_ = down;
-  if (!down_ && !transmitting_) {
+  core_.set_down(down);
+  if (!down && !transmitting_) {
     Packet next;
     if (qdisc_->dequeue(&next, sched_.now())) start_transmission(next);
   }
@@ -875,7 +718,7 @@ LinkFlowCounters Link::flow_counters(FlowId flow) const {
   const std::uint32_t slot = flow_index_[flow_probe(flow)];
   if (slot == 0) return LinkFlowCounters{};
   LinkFlowCounters counters = per_flow_[slot - 1].second;
-  counters.arrivals -= arrivals_ahead(&flow);
+  if (fed_) counters.arrivals -= core_.arrivals_ahead(sched_.now(), &flow);
   return counters;
 }
 
@@ -906,28 +749,14 @@ void Link::bind(obs::Hub& hub, const std::string& prefix, std::int32_t hop) {
   // The replay starts from the first send.
   if (mode_ == Mode::kLazy) throw std::logic_error{"bind: a lazy link in use"};
   replay_ = true;
-  sched_.at_run_end(sched_.register_port(&Link::catch_up_port, this));
+  sched_.at_run_end(
+      sched_.register_port(&Link::port<&Link::pass_departures>, this));
 }
 
 double Link::utilization(SimTime elapsed) const {
   if (elapsed.ns() <= 0) return 0.0;
-  SimTime busy = busy_time_;
-  if (mode_ == Mode::kLazy) {
-    // Packets queued or not yet arrived have not started: their tx time is
-    // not busy yet.  The first arrived one ahead is on the wire.
-    const std::size_t ahead = pass_departures();
-    std::size_t parked_ahead = 0;
-    const std::size_t not_arrived = arrivals_ahead(nullptr, &parked_ahead);
-    const std::size_t arrived = ahead - (not_arrived - parked_ahead);
-    SimTime unstarted = ahead_tx_;
-    if (arrived > 0) unstarted = unstarted - departures_[departed_].tx;
-    busy = busy - unstarted;
-    // With nothing admitted ahead, a started parked head that has arrived
-    // is on the wire.
-    if (ahead == 0 && head_ && parked_ahead < parked()) {
-      busy = busy + head_->tx;
-    }
-  }
+  const SimTime busy =
+      mode_ == Mode::kLazy ? core_.busy(sched_.now()) : busy_time_;
   return busy.to_seconds() / elapsed.to_seconds();
 }
 

@@ -5,35 +5,34 @@
 // (src/net/qdisc/) swap the enqueue/drop decision without touching the
 // transmitter, fault hooks or observability.
 //
-// A drop-tail link runs lazy: it computes each departure at send(),
-// d = max(now, d_prev) + tx, decides a finite buffer's drop from the
-// departures still ahead, and keeps the tx-done as a virtual scheduler
-// event that never enters the queue.  AQM links, and every link of a
-// scheduler that keeps links eager (the tests' reference), run eager: a
-// tx-done event per packet.  A lazy link whose receiver is a lazy link
-// fed only by its upstream links (set_upstream_only) makes the delivery
-// virtual too: the receiver takes its upstream links' deliveries in key
-// order, each one once no pop can still put an earlier one before it (at
-// once with one upstream link; with several, up to the least upstream
-// propagation delay ahead of the clock, by Scheduler::watch).  A sender's
-// jitter stage feeds its private entry link virtually as well (send_at).
-// Under faults the owner declares when set_down / rescale / drop_next will
-// run (declare_fault): the link takes arrivals and admits departures only
-// before the next declared fault and parks the rest, in FIFO order, until
-// that fault's pop (the fault horizon).  Pop order, delivery times, drops
-// and events_executed() are identical either way (docs/DES_ENGINE.md).
+// A drop-tail link runs lazy: its departure core (departure_core.hpp)
+// decides each departure and a finite buffer's drop at send(), and the
+// link keeps the tx-done as a virtual scheduler event that never enters
+// the queue.  AQM links, and every link of a scheduler that keeps links
+// eager (the tests' reference), run eager: a tx-done event per packet.  A
+// lazy link whose receiver is a lazy link fed only by its upstream links
+// (set_upstream_only) makes the delivery virtual too: the receiver takes
+// its upstream links' deliveries in key order, each one once no pop can
+// still put an earlier one before it (at once with one upstream link;
+// with several, up to the least upstream propagation delay ahead of the
+// clock, by Scheduler::watch).  A sender's jitter stage feeds its private
+// entry link virtually as well (send_at).  Under faults the owner declares
+// when set_down / rescale / drop_next will run (declare_fault), which
+// bounds how far ahead the core admits departures.  Pop order, delivery
+// times, drops and events_executed() are identical either way
+// (docs/DES_ENGINE.md).
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "net/demux.hpp"
+#include "net/departure_core.hpp"
+#include "net/fifo.hpp"
 #include "net/packet.hpp"
-#include "net/packet_pool.hpp"
 #include "net/qdisc/droptail.hpp"
 #include "net/qdisc/queue_discipline.hpp"
 #include "obs/hub.hpp"
@@ -108,7 +107,7 @@ class Link {
 
   // Aggregate and per-flow counters, as the eager link counts them by now.
   // Delivered counts transmissions completed; a lazy link reads it,
-  // queue_length() and utilization() off its departure FIFO's cursor, and
+  // queue_length() and utilization() off its departure core, and
   // a link fed virtually leaves out the arrivals still ahead of the clock
   // (it counts a drop it decided ahead once the clock reaches it).
   std::uint64_t total_arrivals() const;
@@ -140,7 +139,7 @@ class Link {
   // the transmission already on the wire, and freezes its queue.  Raising
   // the link resumes draining the frozen queue.
   void set_down(bool down);
-  bool down() const { return down_; }
+  bool down() const { return core_.down(); }
   // Drops the next `count` arrivals (burst loss); cumulative across calls.
   void drop_next(std::uint64_t count);
   std::uint64_t burst_remaining() const;
@@ -163,28 +162,32 @@ class Link {
   void bind(obs::Hub& hub, const std::string& prefix, std::int32_t hop);
 
  private:
+  // The core's view of the scheduler's key order; what passes feeds the
+  // bound replay.
+  struct CoreClock {
+    const Link* link;
+    bool before(std::uint64_t a, std::uint64_t b) const {
+      return link->sched_.virtual_before(a, b);
+    }
+    bool ahead(std::uint64_t id) const {
+      return link->sched_.virtual_ahead(id);
+    }
+    template <class Departure>
+    void passed(const Departure* d) const {
+      if (link->replay_) [[unlikely]] link->replay_departure(d);
+    }
+  };
+  using Core = DepartureCore<CoreClock>;
   // One in-flight delivery: a (when, seq) key claimed from the scheduler at
-  // schedule time plus the pooled packet.  Only the FIFO head is armed in
+  // schedule time plus the packet.  Only the FIFO head is armed in
   // the event queue; the rest wait here (docs/DES_ENGINE.md).  On a lazy
   // link the key's seq is the delivery claim of the packet's virtual
   // tx-done.
   struct PendingDelivery {
     SimTime when;
     std::uint64_t seq;
-    PacketPool::Ref ref;
+    Packet p;
   };
-  // A lazy link's admitted packet: its virtual tx-done and tx time, and
-  // whether its virtual arrival is the event recorded just before it.
-  struct Departure {
-    SimTime when;
-    std::uint64_t vid;
-    SimTime tx;
-    FlowId flow;
-    bool arrived_virtually;
-  };
-  // The id of a real arrival (one at the clock) where a virtual arrival's
-  // event id would go.
-  static constexpr std::uint64_t kRealArrival = ~std::uint64_t{0};
   // An upstream link's delivery a link fed virtually holds until no pop
   // can still put an earlier one before it: its key, the packet and when
   // the first link of the fused chain started transmitting it.
@@ -194,13 +197,6 @@ class Link {
     SimTime chain_start;
     Packet p;
   };
-  // A packet waiting behind the fault horizon and its arrival (time and
-  // event).
-  struct Parked {
-    Packet p;
-    SimTime arrived;
-    std::uint64_t arrival;
-  };
   // A virtual arrival dropped ahead of the clock, reported at its key.
   struct Dropped {
     std::uint64_t arrival;
@@ -208,19 +204,9 @@ class Link {
     bool fault;
     bool burst;  // it used up a burst_loss count
   };
-  // A lazy link's parked head once its transmission has started:
-  // its start, tx-done time and key, tx time, and its fused chain's start
-  // (its own start unless it started at a virtual arrival).
-  struct Started {
-    SimTime start;
-    SimTime when;
-    std::uint64_t sigma;
-    SimTime tx;
-    SimTime chain_start;
-  };
-  // A bound lazy link's departure: the packet, when it arrives and,
-  // arriving virtually, whether before the tx-done at that nanosecond and
-  // its arrival event.
+  // A bound lazy link's admitted or parked packet: the packet, when it
+  // arrives and, arriving virtually, whether before the tx-done at that
+  // nanosecond and its arrival event.
   struct Traced {
     Packet p;
     SimTime arrived;
@@ -229,22 +215,13 @@ class Link {
   };
   enum class Mode : std::uint8_t { kUndecided, kEager, kLazy };
 
-  static void tx_done_port(void* ctx) {
-    static_cast<Link*>(ctx)->on_transmit_done();
-  }
-  static void delivery_port(void* ctx) {
-    static_cast<Link*>(ctx)->on_delivery();
-  }
-  static void catch_up_port(void* ctx) {
-    static_cast<Link*>(ctx)->pass_departures();
-  }
-  static void drain_port(void* ctx) { static_cast<Link*>(ctx)->on_watch(); }
-  static void report_port(void* ctx) {
-    static_cast<Link*>(ctx)->report_drop();
+  // The port that runs member F.
+  template <auto F>
+  static void port(void* ctx) {
+    (static_cast<Link*>(ctx)->*F)();
   }
 
   bool lazy_eligible() const;
-  void decide_mode();
   // Makes an undecided, eligible link lazy with its arrivals virtual
   // (fed_); false, changing nothing, otherwise.
   bool feed_virtually();
@@ -255,15 +232,13 @@ class Link {
   // A fault hook's common part: false on a link that runs eager; on a lazy
   // one, consumes the hook's declaration and catches the link up.
   bool lazy_fault_hook(const char* hook);
-  std::size_t parked() const { return parked_.size() - parked_head_; }
-  // The parked head starts transmitting at `start` under key `sigma`.
-  void start_head(SimTime start, std::uint64_t sigma);
+  // The parked head `p` starts transmitting at `start` under key `sigma`.
+  void start_head(const Packet& p, SimTime start, std::uint64_t sigma);
   // At a fault hook: admits the parked packets whose tx-done now lies
   // before the horizon, then takes what is final of the held deliveries.
   void resume();
-  // An arrival dropped by link_down or burst_loss.
-  void fault_drop(const Packet& p, std::uint64_t arrival);
-  void record_fault_drop(const Packet& p);
+  // An arrival at the clock dropped by link_down or burst_loss.
+  void fault_drop(const Packet& p);
   // A virtual arrival's drop, reported once the clock reaches its key.
   void defer_drop(const Packet& p, std::uint64_t arrival, bool fault,
                   bool burst);
@@ -284,7 +259,7 @@ class Link {
   SimTime final_before(SimTime from) const {
     return upstream_links_ > 1 ? from + min_upstream_prop_ : SimTime::max();
   }
-  // Every lazy arrival: at the clock (arrival kRealArrival), or at
+  // Every lazy arrival: at the clock (arrival Core::kAtClock), or at
   // virtual event `arrival` at `when` (an upstream link's delivery or a
   // source's emission), ahead of the clock.  `chain_start` is when the
   // first link of the fused chain started transmitting the packet.
@@ -294,36 +269,28 @@ class Link {
     ++total_arrivals_;
     ++flow_slot(p.flow).arrivals;
   }
-  // Records an admitted packet's virtual tx-done at (departure, sigma) and
-  // its delivery; `chain_start` is when the first link of the fused chain
-  // started transmitting it.  After a shrunk delay the delivery may
-  // undercut the FIFO tail.
-  void admit(const Packet& p, SimTime departure, std::uint64_t sigma,
-             SimTime tx, SimTime chain_start, bool arrived_virtually);
-  // Lazy links: moves the cursor past the tx-dones that have passed and
-  // returns how many lie ahead (the first of them on the wire once its
-  // packet has arrived, the rest queued or not yet arrived), recording
-  // what passes in pop order when bound.
-  std::size_t pass_departures() const;
-  // The tx-dones that lie after an arrival at (when, arrival), counted
-  // with a cursor of its own for a virtual arrival.
-  std::size_t departures_ahead(SimTime when, std::uint64_t arrival);
+  // Records an admitted packet's virtual tx-done (s.when, s.sigma) and its
+  // delivery; `arrival` is its virtual arrival, if it was admitted at one.
+  // After a shrunk delay the delivery may undercut the FIFO tail.
+  void admit(const Packet& p, const Core::Started& s, std::uint64_t arrival);
+  // Lazy links: passes the tx-dones the clock has passed and returns how
+  // many lie ahead, recording what passes in pop order when bound.
+  std::size_t pass_departures() const { return core_.pass(sched_.now()); }
   // `before` departures were admitted before the arrival's own.
   void trace_admitted(const Packet& p, SimTime when, std::uint64_t arrival,
                       std::size_t before);
-  // The eager link's records at packet i's arrival, at the tx-dones the
-  // cursor passed, and at the virtual arrivals passed before d (all passed
-  // ones when null).
+  // The eager link's records at packet i's arrival, at a tx-done the core
+  // passed (d; null once it passed them all), and at the virtual arrivals
+  // passed before d (all passed ones when null).
   void observe_arrival(std::size_t i) const;
-  void replay_passed() const;
-  void observe_arrivals(const Departure* before) const;
-  // On a link fed virtually: admitted or parked packets (of `flow`, or
-  // all) whose virtual arrival is still ahead, the parked ones also in
-  // `*parked_ahead`; 0 on any other link.
-  std::size_t arrivals_ahead(const FlowId* flow = nullptr,
-                             std::size_t* parked_ahead = nullptr) const;
+  void replay_departure(const Core::Departure* d) const;
+  void observe_arrivals(const Core::Departure* before) const;
   void start_transmission(const Packet& p);
   void on_transmit_done();
+  // Delivers `p` at (when, seq), `vid` its virtual tx-done on a lazy link:
+  // a FIFO entry, or a one-entry post when it undercuts the FIFO tail.
+  void schedule_delivery(const Packet& p, SimTime when, std::uint64_t seq,
+                         std::uint64_t vid);
   void on_delivery();
   void deliver(const Packet& p);
   void on_qdisc_drop(const Packet& victim, QdiscDropReason reason);
@@ -368,38 +335,29 @@ class Link {
   bool replay_ = false;         // sinks bound: records what passes
   std::uint32_t upstream_links_ = 0;  // links whose receiver this is
   SimTime min_upstream_prop_ = SimTime::max();  // their least base delay
-  // Lazy links: admitted packets in departure order; those before
-  // `departed_` have passed their tx-done, and `ahead_tx_` sums the tx time
-  // of the rest.  Accessors move the cursor too, hence mutable.  A link
-  // fed virtually takes arrivals ahead of the clock: those before
-  // `cursor_` passed their tx-done before its newest virtual arrival.
-  mutable std::vector<Departure> departures_;
-  mutable std::size_t departed_ = 0;
-  mutable std::size_t cursor_ = 0;
-  mutable SimTime ahead_tx_ = SimTime::zero();
+  // Lazy links: the departures, drops and parking (accessors move its
+  // cursor too, hence mutable); its down state and burst count serve the
+  // eager link as well.
+  mutable Core core_;
   // A link fed by upstream links: their deliveries not yet taken, in key
-  // order from `inbox_head_`; the time its drain watch runs at (max() with
-  // none) and of the newest delivery taken; and its two watch ports.
-  std::vector<Inbound> inbox_;
-  std::size_t inbox_head_ = 0;
+  // order; the time its drain watch runs at (max() with none) and of the
+  // newest delivery taken; and its two watch ports.
+  Fifo<Inbound> inbox_;
   SimTime watched_ = SimTime::max();
   SimTime taken_until_ = SimTime::nanos(-1);
   std::uint32_t drain_port_id_ = 0;
   std::uint32_t report_port_id_ = 0;
   // Drops of virtual arrivals not yet reported, in key order.
-  std::vector<Dropped> dropped_;
-  std::size_t dropped_head_ = 0;
+  Fifo<Dropped> dropped_;
   // Where the previous delivery's settle ended (Scheduler::settle_virtual).
   std::uint64_t settle_hint_ = 0;
 
-  bool down_ = false;
-  std::uint64_t burst_remaining_ = 0;
   std::uint64_t fault_drops_ = 0;
 
   std::uint64_t total_arrivals_ = 0;
   std::uint64_t total_drops_ = 0;
   std::uint64_t total_delivered_ = 0;
-  SimTime busy_time_ = SimTime::zero();
+  SimTime busy_time_ = SimTime::zero();  // the eager transmitter's
   // Per-flow counters in first-arrival order, touched on every arrival: a
   // bottleneck carries ~50 flows, so an open-addressed index (flow ->
   // position + 1, 0 = empty; a power of two, at most half full) finds the
@@ -409,10 +367,8 @@ class Link {
 
   // In-flight deliveries (FIFO by construction: propagation delay is
   // constant between rescales, so (when, seq) is nondecreasing).  Head is
-  // armed in the scheduler; `deliveries_head_` is the ring's pop cursor.
-  std::vector<PendingDelivery> deliveries_;
-  std::size_t deliveries_head_ = 0;
-  PacketPool pool_;
+  // armed in the scheduler.
+  Fifo<PendingDelivery> deliveries_;
   std::uint32_t tx_done_port_id_ = 0;
   std::uint32_t delivery_port_id_ = 0;
 
@@ -426,27 +382,17 @@ class Link {
   obs::TimeSeriesChannel* ts_delivered_ = nullptr;
   obs::TimeSeriesChannel* ts_drops_ = nullptr;
   obs::TimeSeriesChannel* ts_queue_ = nullptr;
-  // A bound lazy link (replay_) replays the eager queue: of the departures
-  // (traced_ parallels them), those before obs_done_ / obs_started_ /
-  // obs_arrived_ have finished / started / arrived.
-  mutable std::vector<Traced> traced_;
-  mutable std::size_t obs_done_ = 0;
+  // A bound lazy link (replay_) replays the eager queue: of its admitted
+  // and parked packets, in FIFO order, those before obs_started_ /
+  // obs_arrived_ have started / arrived.
+  mutable Fifo<Traced> traced_;
   mutable std::size_t obs_started_ = 0;
   mutable std::size_t obs_arrived_ = 0;
 
-  // Lazy links under faults: the declared hook times (sorted) and the next
-  // one's index; the packets whose tx-done lies at or past it, parked in
-  // FIFO order from `parked_head_`, the first of them started once its
-  // tx-done key is fixed (`head_`).  A delay factor below an earlier one
-  // keeps the hop into the receiver real (`real_hop_`).
-  std::vector<SimTime> fault_times_;
-  std::size_t next_fault_ = 0;
-  SimTime horizon_ = SimTime::max();  // its time; max() past the last
+  // A delay factor below an earlier one keeps the hop into the receiver
+  // real (`real_hop_`).
   double max_delay_factor_ = 1.0;
   bool real_hop_ = false;
-  std::vector<Parked> parked_;
-  std::size_t parked_head_ = 0;
-  std::optional<Started> head_;
 };
 
 }  // namespace dmp

@@ -27,7 +27,7 @@ class DropTailQdisc final : public QueueDiscipline {
   }
 
   // Tail-drops `p` without consulting the queue: a lazy link, which holds
-  // no packets here, decides the overflow from its departure FIFO and
+  // no packets here, decides the overflow from its departure core and
   // reports it through the same counters and drop handler.
   void reject(const Packet& p) { drop(p, QdiscDropReason::kOverlimit); }
 

@@ -38,9 +38,6 @@ class FqPieQdisc final : public QueueDiscipline {
 
   // Exposed for the isolation / DRR tests.
   std::size_t bucket_of(FlowId flow) const;
-  std::size_t bucket_len(std::size_t bucket) const {
-    return buckets_[bucket].queue.size();
-  }
 
  private:
   struct Entry {

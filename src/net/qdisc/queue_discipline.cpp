@@ -85,30 +85,26 @@ QdiscSpec QdiscSpec::parse(const std::string& spec) {
     out.kind = Kind::kDropTail;
     return out;
   }
-  if (spec == "pie" || spec.rfind("pie:", 0) == 0) {
-    out.kind = Kind::kPie;
-    if (spec.size() > 4) {
-      parse_ms_pair(spec, spec.substr(4), "target", "tupdate",
-                    kQdiscMaxTargetMs, &out.target_s, &out.interval_s);
-    } else if (spec.size() == 4) {
+  // An AQM name, alone or with a non-empty parameter list after a colon.
+  for (const Kind kind : {Kind::kPie, Kind::kCoDel, Kind::kFqPie}) {
+    out.kind = kind;
+    const std::string name = out.kind_name();
+    if (spec.rfind(name, 0) != 0 ||
+        (spec.size() > name.size() && spec[name.size()] != ':')) {
+      continue;
+    }
+    if (spec.size() == name.size()) return out;
+    if (spec.size() == name.size() + 1) {
       bad_spec("qdisc spec '" + spec + "' has an empty parameter list");
     }
-    return out;
-  }
-  if (spec == "codel" || spec.rfind("codel:", 0) == 0) {
-    out.kind = Kind::kCoDel;
-    if (spec.size() > 6) {
-      parse_ms_pair(spec, spec.substr(6), "target", "interval",
-                    kQdiscMaxIntervalMs, &out.target_s, &out.interval_s);
-    } else if (spec.size() == 6) {
-      bad_spec("qdisc spec '" + spec + "' has an empty parameter list");
-    }
-    return out;
-  }
-  if (spec == "fq_pie" || spec.rfind("fq_pie:", 0) == 0) {
-    out.kind = Kind::kFqPie;
-    if (spec.size() > 7) {
-      const std::string token = spec.substr(7);
+    const std::string token = spec.substr(name.size() + 1);
+    if (kind == Kind::kPie) {
+      parse_ms_pair(spec, token, "target", "tupdate", kQdiscMaxTargetMs,
+                    &out.target_s, &out.interval_s);
+    } else if (kind == Kind::kCoDel) {
+      parse_ms_pair(spec, token, "target", "interval", kQdiscMaxIntervalMs,
+                    &out.target_s, &out.interval_s);
+    } else {
       errno = 0;
       char* end = nullptr;
       const long flows = std::strtol(token.c_str(), &end, 10);
@@ -122,8 +118,6 @@ QdiscSpec QdiscSpec::parse(const std::string& spec) {
                  "'");
       }
       out.flows = static_cast<int>(flows);
-    } else if (spec.size() == 7) {
-      bad_spec("qdisc spec '" + spec + "' has an empty parameter list");
     }
     return out;
   }

@@ -80,8 +80,11 @@ struct Outcome {
   bool fused = false;  // the head -> mid hop delivers virtually
 };
 
-// The scheduler's counters and, per link, its counters for `flows`, as of
-// `horizon`.
+// The scheduler's counters and, per link, its counters for `flows` (every
+// flow the link carries), as of `horizon`.  Each link conserves packets:
+// what arrived and was not dropped is delivered, queued, or the one packet
+// on the wire; its drops are its queue discipline's, and its flows' counts
+// sum to its totals.
 Checkpoint snapshot(const Scheduler& sched, const std::vector<Link*>& links,
                     const std::vector<FlowId>& flows, SimTime horizon) {
   Checkpoint cp;
@@ -94,13 +97,29 @@ Checkpoint snapshot(const Scheduler& sched, const std::vector<Link*>& links,
     cp.drops.push_back(link->total_drops());
     cp.fault_drops.push_back(link->fault_drops());
     cp.overlimit.push_back(link->qdisc_counters().overlimit_drops);
+    std::uint64_t flow_arrivals = 0;
+    std::uint64_t flow_drops = 0;
     for (FlowId flow : flows) {
       cp.flow_arrivals.push_back(link->flow_counters(flow).arrivals);
       cp.flow_drops.push_back(link->flow_counters(flow).drops);
+      flow_arrivals += cp.flow_arrivals.back();
+      flow_drops += cp.flow_drops.back();
     }
     cp.delivered.push_back(link->total_delivered());
     cp.queued.push_back(link->queue_length());
     cp.utilization.push_back(link->utilization(horizon));
+
+    const auto on_wire = static_cast<std::int64_t>(
+        cp.arrivals.back() - cp.drops.back() - cp.fault_drops.back() -
+        cp.delivered.back() - cp.queued.back());
+    EXPECT_GE(on_wire, 0) << "at " << horizon.ns() << " ns";
+    EXPECT_LE(on_wire, 1) << "at " << horizon.ns() << " ns";
+    EXPECT_EQ(cp.drops.back(), cp.overlimit.back() +
+                                   link->qdisc_counters().early_drops)
+        << "at " << horizon.ns() << " ns";
+    EXPECT_EQ(flow_arrivals, cp.arrivals.back())
+        << "at " << horizon.ns() << " ns";
+    EXPECT_EQ(flow_drops, cp.drops.back()) << "at " << horizon.ns() << " ns";
   }
   return cp;
 }
