@@ -70,7 +70,8 @@ PacketHandler WanPath::attach_source(FlowId) {
   return [this](const Packet& p) { inject(p); };
 }
 
-void WanPath::register_sink(FlowId flow, PacketHandler handler) {
+void WanPath::register_sink(FlowId flow, PacketHandler handler,
+                            AheadReceiver*) {
   fwd_demux_.register_flow(flow, std::move(handler));
 }
 

@@ -47,7 +47,9 @@ class WanPath final : public NetworkPath {
   WanPath(Scheduler& sched, WanPathConfig config, Rng rng);
 
   PacketHandler attach_source(FlowId flow) override;
-  void register_sink(FlowId flow, PacketHandler handler) override;
+  // Its demux is delivered by posted events, never ahead of the clock.
+  void register_sink(FlowId flow, PacketHandler handler,
+                     AheadReceiver* ahead = nullptr) override;
   PacketHandler attach_reverse_source(FlowId flow) override;
   void register_reverse_sink(FlowId flow, PacketHandler handler) override;
 

@@ -69,9 +69,46 @@ std::size_t DmpInetServer::accept_path(int timeout_ms, Hello* hello, Fd* fd) {
   return static_cast<std::size_t>(hello->path_id);
 }
 
+namespace {
+
+// The real clock: monotonic time and poll().
+struct MonotonicClock final : StreamClock {
+  std::uint64_t now_ns() override { return monotonic_ns(); }
+  int wait(pollfd* fds, std::size_t count, int timeout_ms) override {
+    return ::poll(fds, count, timeout_ms);
+  }
+};
+
+}  // namespace
+
+// Each client connection declares its path index in the hello, so path
+// identity survives accept-order races and reconnects.
 ServerStats DmpInetServer::run() {
+  std::vector<Fd> fds(config_.num_paths);
+  obs::EventLog* events = config_.obs ? config_.obs->events() : nullptr;
+  for (std::size_t accepted = 0; accepted < config_.num_paths; ++accepted) {
+    Hello hello;
+    Fd fd;
+    const std::size_t k = accept_path(config_.accept_timeout_ms, &hello, &fd);
+    if (k >= config_.num_paths) throw std::runtime_error{"accept timed out"};
+    if (fds[k].valid()) throw std::runtime_error{"duplicate path hello"};
+    set_no_delay(fd);
+    fds[k] = std::move(fd);
+    if (events && events->enabled(obs::Severity::kInfo)) {
+      events->record(0.0, obs::Severity::kInfo, "accept",
+                     {obs::EventField::num("path", k)});
+    }
+  }
+  MonotonicClock clock;
+  return stream(std::move(fds), clock);
+}
+
+ServerStats DmpInetServer::stream(std::vector<Fd> fds, StreamClock& clock) {
+  if (fds.size() != config_.num_paths) {
+    throw std::invalid_argument{"stream: one socket per path"};
+  }
   // The streaming core on the stream clock: scheduler time 0 is the
-  // monotonic instant `t0` the stream starts at (after the accepts).
+  // instant `t0` the stream starts at (after the accepts).
   // Frames carry their generation instant on the monotonic clock; the
   // server's own events are logged on the stream clock, like the core's.
   Scheduler sched;
@@ -113,20 +150,11 @@ ServerStats DmpInetServer::run() {
   } detach_hub{hub};
 
   const auto connect_path = [&](std::size_t k, Fd fd) {
-    set_no_delay(fd);
     set_send_buffer(fd, config_.send_buffer_bytes);
     paths[k]->attach(std::move(fd));
   };
-  // Initial accepts: each client connection declares its path index in the
-  // hello, so path identity survives accept-order races and reconnects.
-  for (std::size_t accepted = 0; accepted < config_.num_paths; ++accepted) {
-    Hello hello;
-    Fd fd;
-    const std::size_t k = accept_path(config_.accept_timeout_ms, &hello, &fd);
-    if (k >= config_.num_paths) throw std::runtime_error{"accept timed out"};
-    if (paths[k]->open()) throw std::runtime_error{"duplicate path hello"};
-    connect_path(k, std::move(fd));
-    log(obs::Severity::kInfo, "accept", {obs::EventField::num("path", k)});
+  for (std::size_t k = 0; k < fds.size(); ++k) {
+    connect_path(k, std::move(fds[k]));
   }
 
   ServerStats stats;
@@ -143,9 +171,9 @@ ServerStats DmpInetServer::run() {
     });
   }
 
-  t0 = monotonic_ns();
-  const auto stream_ns = [&t0] {
-    return static_cast<std::int64_t>(monotonic_ns() - t0);
+  t0 = clock.now_ns();
+  const auto stream_ns = [&t0, &clock] {
+    return static_cast<std::int64_t>(clock.now_ns() - t0);
   };
   const auto any_path = [&paths](auto pred) {
     return std::any_of(paths.begin(), paths.end(),
@@ -169,6 +197,7 @@ ServerStats DmpInetServer::run() {
       Fd fd;
       const std::size_t k = accept_path(0, &hello, &fd);
       if (k < config_.num_paths && !paths[k]->open()) {
+        set_no_delay(fd);
         connect_path(k, std::move(fd));
         const auto replay = paths[k]->replay_after(hello.last_seq);
         core->requeue_front(replay);
@@ -198,7 +227,7 @@ ServerStats DmpInetServer::run() {
 
     // If every client is gone, wait at most the accept timeout for a
     // reconnect before declaring the stream dead.
-    const std::uint64_t now = monotonic_ns();
+    const std::uint64_t now = clock.now_ns();
     if (any_path([](const SocketPath& p) { return p.open(); })) {
       all_closed_since = 0;
     } else if (all_closed_since == 0) {
@@ -226,7 +255,8 @@ ServerStats DmpInetServer::run() {
     const bool any_down =
         any_path([](const SocketPath& p) { return !p.open(); });
     pfds.back() = pollfd{any_down ? listener_.get() : -1, POLLIN, 0};
-    if (::poll(pfds.data(), pfds.size(), timeout_ms) < 0 && errno != EINTR) {
+    if (clock.wait(pfds.data(), pfds.size(), timeout_ms) < 0 &&
+        errno != EINTR) {
       throw std::runtime_error{std::string{"poll: "} + std::strerror(errno)};
     }
   }
@@ -236,7 +266,7 @@ ServerStats DmpInetServer::run() {
   // the sentinel) from a dead connection (EOF without it).  The write
   // blocks for at most 2 s; a peer that is gone just misses it.
   std::vector<unsigned char> sentinel(config_.frame_bytes, 0);
-  encode_frame_header(Frame{kEndOfStream, monotonic_ns()}, sentinel.data());
+  encode_frame_header(Frame{kEndOfStream, clock.now_ns()}, sentinel.data());
   const timeval two_s{2, 0};
   for (const auto& path : paths) {
     if (!path->open() || path->blocked()) continue;

@@ -10,6 +10,8 @@
 // sentinel and the socket events in the event log.
 #pragma once
 
+#include <poll.h>
+
 #include <atomic>
 #include <cstdint>
 #include <string>
@@ -57,6 +59,18 @@ struct ServerStats {
   std::uint64_t reaccepts = 0;        // mid-run reconnections served
 };
 
+// The time and the wait the stream loop runs on: the monotonic clock and
+// poll() in run(); a test may step both by hand.
+class StreamClock {
+ public:
+  virtual std::uint64_t now_ns() = 0;
+  // poll(2) over `fds`, waiting at most `timeout_ms`.
+  virtual int wait(pollfd* fds, std::size_t count, int timeout_ms) = 0;
+
+ protected:
+  ~StreamClock() = default;
+};
+
 class DmpInetServer {
  public:
   explicit DmpInetServer(ServerConfig config);
@@ -68,6 +82,9 @@ class DmpInetServer {
   // queue, closes the connections and returns the statistics.  Throws on
   // socket errors or accept timeout.
   ServerStats run();
+  // What run() does after its accepts: streams over one connected socket
+  // per path, in path order, on `clock`.
+  ServerStats stream(std::vector<Fd> paths, StreamClock& clock);
 
   // Asks a concurrently running run() to wind down early.
   void request_stop() { stop_.store(true, std::memory_order_relaxed); }

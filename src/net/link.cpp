@@ -252,18 +252,21 @@ void Link::resume() {
 // claims for it, at the same point.  The emissions come in key order, so
 // each is taken at once, by an unbounded link out of faults' reach.
 bool Link::send_at(SimTime when, const Packet& p) {
-  if (upstream_links_ != 0) return false;
-  if (!fed_) {
-    if (config_.buffer_packets != 0 || core_.declared() ||
-        !feed_virtually()) {
-      return false;
-    }
-    upstream_only_ = true;  // its source feeds it alone from now on
-  }
+  if (!take_source()) return false;
   arrive_lazy(p, when,
               sched_.add_virtual(when, sched_.claim_seq(), 0,
                                  EventCategory::kTcpSend),
               sched_.now());
+  return true;
+}
+
+bool Link::take_source() {
+  if (upstream_links_ != 0) return false;
+  if (fed_) return true;
+  if (config_.buffer_packets != 0 || core_.declared() || !feed_virtually()) {
+    return false;
+  }
+  upstream_only_ = true;  // its source feeds it alone from now on
   return true;
 }
 
@@ -375,7 +378,61 @@ void Link::admit(const Packet& p, const Core::Started& s,
     next_link_->take(p, when, seq, s.chain_start);
     return;
   }
+  if (next_demux_ != nullptr && !real_hop_) {
+    if (AheadReceiver* receiver = next_demux_->ahead(p.flow)) {
+      hand_over(receiver, p, when, seq, s.chain_start);
+      return;
+    }
+  }
   schedule_delivery(p, when, seq, vid);
+}
+
+// A receiver the demux hands deliveries ahead takes each one as the eager
+// delivery pop would hand it over: a virtual kLinkDelivery event at the
+// delivery's key, in key order (the link admits in FIFO order, and a hop
+// whose delay may shrink stays real).  A deadline it arms is keyed by that
+// event's claim 0 and is settled by its next delivery; one no delivery
+// settles first expires at a watch, before the clock reaches it, when
+// every delivery before it has been handed over (a delivery is admitted
+// before the clock reaches its arrival here).
+void Link::hand_over(AheadReceiver* receiver, const Packet& p, SimTime when,
+                     std::uint64_t seq, SimTime chain_start) {
+  const std::uint64_t event =
+      sched_.add_virtual(when, seq, 0, EventCategory::kLinkDelivery);
+  const SimTime deadline = receiver->take(p, when, event, chain_start);
+  if (deadline == SimTime::max()) return;
+  if (deadline_port_id_ == kNoPort) {
+    deadline_port_id_ =
+        sched_.register_port(&Link::port<&Link::on_deadline>, this);
+  }
+  deadlines_.push(Deadline{deadline, event, receiver});
+  // Receivers with unequal timeouts arm out of order: insert from the back
+  // (a later event orders after an earlier one at one nanosecond).
+  std::size_t i = deadlines_.size() - 1;
+  for (; i > 0 && deadlines_[i - 1].when > deadline; --i) {
+    std::swap(deadlines_[i], deadlines_[i - 1]);
+  }
+  if (i == 0) sched_.watch(deadline_port_id_, deadline);
+}
+
+void Link::on_deadline() {
+  const SimTime due = deadlines_.front().when;
+  while (!deadlines_.empty() && deadlines_.front().when == due) {
+    const Deadline d = deadlines_.front();
+    deadlines_.pop();
+    if (d.receiver->waits(d.event)) d.receiver->expire();
+  }
+  watch_deadline();
+}
+
+void Link::watch_deadline() {
+  while (!deadlines_.empty() &&
+         !deadlines_.front().receiver->waits(deadlines_.front().event)) {
+    deadlines_.pop();
+  }
+  if (!deadlines_.empty()) {
+    sched_.watch(deadline_port_id_, deadlines_.front().when);
+  }
 }
 
 // rescale() may shrink the propagation delay under packets already on the

@@ -16,7 +16,12 @@
 // still put an earlier one before it (at once with one upstream link;
 // with several, up to the least upstream propagation delay ahead of the
 // clock, by Scheduler::watch).  A sender's jitter stage feeds its private
-// entry link virtually as well (send_at).  Under faults the owner declares
+// entry link virtually as well (send_at), and so does a lazy sink its ACK
+// link (arrive_at).  A lazy link that delivers into a FlowDemux hands each
+// delivery whose receiver runs ahead (an AheadReceiver: a TCP sink nothing
+// reads) over when it admits the packet, as a virtual delivery event, and
+// watches the earliest deadline its receivers wait on.  Under faults the
+// owner declares
 // when set_down / rescale / drop_next will run (declare_fault), which
 // bounds how far ahead the core admits departures.  Pop order, delivery
 // times, drops and events_executed() are identical either way
@@ -95,6 +100,18 @@ class Link {
   // nothing, when the link does not run so: the caller then schedules the
   // arrival itself and delivers it through send().
   bool send_at(SimTime when, const Packet& p);
+  // Makes this link one its single source feeds ahead of the clock, as
+  // send_at does: true if it is one, or if it is undecided, lazy-eligible
+  // and unbounded with no upstream link and no declared fault; it then
+  // takes nothing else.  A source that hands it an arrival at a virtual
+  // event it already has (a lazy sink's ACK) calls arrive_at: at `when`
+  // (>= now, nondecreasing in key order across calls), `chain_start` the
+  // start of the fused chain that led to it.
+  bool take_source();
+  void arrive_at(SimTime when, std::uint64_t event, const Packet& p,
+                 SimTime chain_start) {
+    arrive_lazy(p, when, event, chain_start);
+  }
 
   std::size_t queue_length() const;
   const LinkConfig& config() const { return config_; }
@@ -197,6 +214,13 @@ class Link {
     SimTime chain_start;
     Packet p;
   };
+  // A deadline an AheadReceiver of the demux waits on, armed at delivery
+  // event `event`.
+  struct Deadline {
+    SimTime when;
+    std::uint64_t event;
+    AheadReceiver* receiver;
+  };
   // A virtual arrival dropped ahead of the clock, reported at its key.
   struct Dropped {
     std::uint64_t arrival;
@@ -293,6 +317,14 @@ class Link {
                          std::uint64_t vid);
   void on_delivery();
   void deliver(const Packet& p);
+  // Hands the delivery of `p` at (when, seq) to `receiver` as a virtual
+  // delivery event, and keeps the deadline it arms.
+  void hand_over(AheadReceiver* receiver, const Packet& p, SimTime when,
+                 std::uint64_t seq, SimTime chain_start);
+  // Expires the deadlines due at the watched time, then watches the
+  // earliest one still waited on.
+  void on_deadline();
+  void watch_deadline();
   void on_qdisc_drop(const Packet& victim, QdiscDropReason reason);
   LinkFlowCounters& flow_slot(FlowId flow);
   // The flow_index_ slot holding `flow`, or the empty slot it would take.
@@ -349,6 +381,12 @@ class Link {
   std::uint32_t report_port_id_ = 0;
   // Drops of virtual arrivals not yet reported, in key order.
   Fifo<Dropped> dropped_;
+  // The deadlines the demux's receivers wait on, in key order (stale ones
+  // are skipped), the earliest watched (deadline_port_id_, registered at
+  // the first).
+  Fifo<Deadline> deadlines_;
+  std::uint32_t deadline_port_id_ = kNoPort;
+  static constexpr std::uint32_t kNoPort = ~std::uint32_t{0};
   // Where the previous delivery's settle ended (Scheduler::settle_virtual).
   std::uint64_t settle_hint_ = 0;
 

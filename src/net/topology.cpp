@@ -59,11 +59,24 @@ PacketHandler DumbbellPath::attach_source(FlowId flow) {
   return [raw](const Packet& p) { raw->send(p); };
 }
 
-Link* DumbbellPath::source_link(FlowId flow) {
-  for (std::size_t i = 0; i < entry_flows_.size(); ++i) {
-    if (entry_flows_[i] == flow) return entry_links_[i].get();
+namespace {
+
+Link* link_of(const std::vector<std::unique_ptr<Link>>& links,
+              const std::vector<FlowId>& flows, FlowId flow) {
+  for (std::size_t i = 0; i < flows.size(); ++i) {
+    if (flows[i] == flow) return links[i].get();
   }
   return nullptr;
+}
+
+}  // namespace
+
+Link* DumbbellPath::source_link(FlowId flow) {
+  return link_of(entry_links_, entry_flows_, flow);
+}
+
+Link* DumbbellPath::reverse_source_link(FlowId flow) {
+  return link_of(rev_entry_links_, rev_entry_flows_, flow);
 }
 
 void DumbbellPath::bind(obs::Hub& hub, const std::string& prefix) {
@@ -73,16 +86,18 @@ void DumbbellPath::bind(obs::Hub& hub, const std::string& prefix) {
   exit_->bind(hub, "", 2);
 }
 
-void DumbbellPath::register_sink(FlowId flow, PacketHandler handler) {
-  fwd_demux_.register_flow(flow, std::move(handler));
+void DumbbellPath::register_sink(FlowId flow, PacketHandler handler,
+                                 AheadReceiver* ahead) {
+  fwd_demux_.register_flow(flow, std::move(handler), ahead);
 }
 
-PacketHandler DumbbellPath::attach_reverse_source(FlowId) {
+PacketHandler DumbbellPath::attach_reverse_source(FlowId flow) {
   auto entry = std::make_unique<Link>(
       sched_, LinkConfig{access_.bandwidth_bps, access_.prop_delay, 0});
   entry->set_receiver(rev_bottleneck_.get());
   Link* raw = entry.get();
   rev_entry_links_.push_back(std::move(entry));
+  rev_entry_flows_.push_back(flow);
   return [raw](const Packet& p) { raw->send(p); };
 }
 

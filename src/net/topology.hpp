@@ -51,10 +51,12 @@ class DumbbellPath final : public NetworkPath {
   PacketHandler attach_source(FlowId flow) override;
   Link* source_link(FlowId flow) override;
   // Registers the receiver of this flow's data at the far end.
-  void register_sink(FlowId flow, PacketHandler handler) override;
+  void register_sink(FlowId flow, PacketHandler handler,
+                     AheadReceiver* ahead = nullptr) override;
 
   // --- reverse direction (ACKs) ---
   PacketHandler attach_reverse_source(FlowId flow) override;
+  Link* reverse_source_link(FlowId flow) override;
   void register_reverse_sink(FlowId flow, PacketHandler handler) override;
 
   // Measurement hooks.
@@ -108,6 +110,7 @@ class DumbbellPath final : public NetworkPath {
   std::unique_ptr<Link> rev_exit_;
   FlowDemux rev_demux_;
   std::vector<std::unique_ptr<Link>> rev_entry_links_;
+  std::vector<FlowId> rev_entry_flows_;  // parallel to rev_entry_links_
 
   obs::Hub* hub_ = nullptr;
 };

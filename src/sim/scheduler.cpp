@@ -84,7 +84,7 @@ std::uint32_t Scheduler::register_timer(PortFn fn, void* ctx,
 void Scheduler::arm(std::uint32_t timer, SimTime when) {
   if (when < now_) throw std::invalid_argument{"arm: time in the past"};
   Timer& t = timers_[timer];
-  if (t.armed) supersede(t);
+  if (t.armed) supersede_at(t.key.when);
   t.key = Key{when, next_seq_++};
   t.armed = true;
   // In place: a deadline at or after the queued entry (a fresh seq orders
@@ -97,18 +97,18 @@ void Scheduler::arm(std::uint32_t timer, SimTime when) {
 void Scheduler::disarm(std::uint32_t timer) {
   Timer& t = timers_[timer];
   if (!t.armed) return;
-  supersede(t);
+  supersede_at(t.key.when);
   t.armed = false;
 }
 
-// The armed deadline of `t` is dropped unfired.  It counts once a
-// run_until horizon covers it, where its own entry would have popped.
-void Scheduler::supersede(const Timer& t) {
-  if (t.key.when <= horizon_) {
+// A deadline dropped unfired counts once a run_until horizon covers it,
+// where its own entry would have popped.
+void Scheduler::supersede_at(SimTime when) {
+  if (when <= horizon_) {
     ++cancelled_;
     return;
   }
-  late_.push_back(t.key.when);
+  late_.push_back(when);
   std::push_heap(late_.begin(), late_.end(), std::greater<>{});
 }
 
@@ -264,21 +264,33 @@ bool Scheduler::key_past(std::uint64_t id, SimTime when,
 
 std::uint64_t Scheduler::resolve(std::uint64_t id) const {
   const VirtualEvent& event = virtual_event(id);
-  if (event.c != kUnresolved) return event.c;
+  if (event.c() != kUnresolved) return event.c();
   if (log_.end == log_.begin || !pop_past(id, log_.end - 1)) {
     return kUnresolved;
   }
-  std::uint64_t lo = event.first;
-  if (lo < log_.begin) {
-    // Pops were dropped since the event was added.  They all ran before
-    // it only if they are older than its time; otherwise never guess.
-    if (!(log_.dropped < event.when)) {
-      throw std::logic_error{"virtual event lookup ran past the pop log"};
+  vtx_[id].set_c(
+      log_[first_pop_past(id, pops_from(event.when))].counter);
+  return vtx_[id].c();
+}
+
+// The log is in key order, so in time order: bisect.  The pops dropped
+// from it all ran before `when` only if they are older; otherwise never
+// guess.
+std::uint64_t Scheduler::pops_from(SimTime when) const {
+  std::uint64_t lo = log_.begin;
+  std::uint64_t hi = log_.end;
+  while (lo < hi) {
+    const std::uint64_t mid = lo + (hi - lo) / 2;
+    if (log_[mid].when < when) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
     }
-    lo = log_.begin;
   }
-  vtx_[id].c = log_[first_pop_past(id, lo)].counter;
-  return vtx_[id].c;
+  if (lo == log_.begin && !(log_.dropped < when)) {
+    throw std::logic_error{"virtual event lookup ran past the pop log"};
+  }
+  return lo;
 }
 
 std::uint64_t Scheduler::first_pop_past(std::uint64_t id,
@@ -399,8 +411,8 @@ Scheduler::Ahead Scheduler::virtual_ahead_totals() const {
   for (std::uint64_t id = vtx_.begin; id < vtx_.end; ++id) {
     if (virtual_ahead(id)) {
       ++ahead.events;
-      ahead.claims += vtx_[id].claims;
-      ++ahead.by_category[vtx_[id].cat];
+      ahead.claims += vtx_[id].claims();
+      ++ahead.by_category[vtx_[id].cat()];
     }
   }
   return ahead;

@@ -103,6 +103,10 @@ class Scheduler {
   void arm(std::uint32_t timer, SimTime when);
   void disarm(std::uint32_t timer);
   bool armed(std::uint32_t timer) const { return timers_[timer].armed; }
+  // A deadline at `when` that its owner keeps on claimed keys rather than
+  // in a timer (a lazy sink's delayed ACK), superseded unfired: it counts
+  // in events_cancelled() as a timer's superseded deadline does.
+  void supersede_at(SimTime when);
 
   // --- claimed keys: caller-owned FIFOs with one queued head ---
   // A real claim with no queue entry yet (a FIFO event's, or a virtual
@@ -146,6 +150,11 @@ class Scheduler {
   // True iff virtual event `a`'s key orders before `b`'s: the order in
   // which the two would pop, decided even while both are still ahead.
   bool virtual_before(std::uint64_t a, std::uint64_t b) const;
+  // True iff key (when, seq) orders before virtual event `id`'s key; `seq`
+  // is no claim of `id`.
+  bool key_before(SimTime when, std::uint64_t seq, std::uint64_t id) const {
+    return !key_past(id, when, seq);
+  }
   // Resolves a passed virtual event's place among the real claims now,
   // while the pop log still covers it; its owner calls this when the last
   // entry keyed by its claims pops, so later ties never reach back past it.
@@ -260,21 +269,30 @@ class Scheduler {
 
   // --- virtual events ---
   static constexpr std::uint64_t kVirtualBit = std::uint64_t{1} << 63;
-  static constexpr std::uint64_t kUnresolved = ~std::uint64_t{0};
+  // The low 56 bits of VirtualEvent::packed hold c; bit 56 up, the claims
+  // and the category.  A scheduler makes far fewer than 2^56 real claims.
+  static constexpr std::uint64_t kCounterMask = (std::uint64_t{1} << 56) - 1;
+  static constexpr std::uint64_t kUnresolved = kCounterMask;
   static bool is_virtual(std::uint64_t seq) { return (seq & kVirtualBit) != 0; }
   struct VirtualEvent {
     SimTime when;
     std::uint64_t sigma;  // the event's own key seq (real or virtual)
-    // Real-claim counter at the first real pop past (when, sigma):
-    // kUnresolved until that pop exists, then memoized.
-    std::uint64_t c;
-    // Log index of the first pop that can lie past the event: pops logged
-    // before it was added ran before it.
-    std::uint64_t first;
-    // Claims that exist: its own, plus one per index another key uses.
-    std::uint32_t claims;
-    std::uint8_t cat;  // EventCategory, for the profile
+    // c: the real-claim counter at the first real pop past (when, sigma),
+    // kUnresolved until that pop exists, then memoized; the claims that
+    // exist (0-2: its own, plus one per index another key uses); and its
+    // EventCategory, for the profile.
+    std::uint64_t packed;
+    std::uint64_t c() const { return packed & kCounterMask; }
+    void set_c(std::uint64_t c) { packed = (packed & ~kCounterMask) | c; }
+    std::uint32_t claims() const { return (packed >> 56) & 3; }
+    void set_claims(std::uint32_t n) {
+      packed = (packed & ~(std::uint64_t{3} << 56)) |
+               (std::uint64_t{n} << 56);
+    }
+    std::uint8_t cat() const { return static_cast<std::uint8_t>(packed >> 58); }
   };
+  // 24 bytes: the ring holds every event of twice the lookback.
+  static_assert(sizeof(VirtualEvent) == 24);
   // One real pop (or run_until's end mark): its key and the real-claim
   // counter when it began.
   struct PopRecord {
@@ -326,6 +344,9 @@ class Scheduler {
   bool seq_less(std::uint64_t a, std::uint64_t b) const;
   // c of virtual event `id`, or kUnresolved while it is still ahead.
   std::uint64_t resolve(std::uint64_t id) const;
+  // Index of the first logged pop at or after `when`; throws when pops at
+  // or after it were dropped.
+  std::uint64_t pops_from(SimTime when) const;
   // Index of the first logged pop past virtual event `id`, searched from
   // `lo`; the newest pop must lie past it.
   std::uint64_t first_pop_past(std::uint64_t id, std::uint64_t lo) const;
@@ -383,7 +404,6 @@ class Scheduler {
     // The entry that fires or re-pushes; seq kNoEntry when none is queued.
     Key queued{SimTime::zero(), kNoEntry};
   };
-  void supersede(const Timer& t);
   bool timer_due(Entry& e);
 
   // --- watches ---
@@ -466,7 +486,9 @@ inline std::uint64_t Scheduler::add_virtual(SimTime when, std::uint64_t sigma,
   if (!logging_) start_log();
   const std::uint64_t id = vtx_.end;
   const auto c = static_cast<std::uint8_t>(cat);
-  vtx_.push(VirtualEvent{when, sigma, kUnresolved, log_.end, claims, c},
+  vtx_.push(VirtualEvent{when, sigma,
+                         kUnresolved | (std::uint64_t{claims} << 56) |
+                             (std::uint64_t{c} << 58)},
             now_);
   virtual_claims_ += claims;
   if (profile_ != nullptr) ++virtual_added_[c];
@@ -479,31 +501,26 @@ inline void Scheduler::use_claim(std::uint64_t seq) {
   // Claim (seq & 1) of an earlier event: that claim exists.
   VirtualEvent& owner = vtx_[virtual_id(seq)];
   const auto used = static_cast<std::uint32_t>(seq & 1) + 1;
-  if (owner.claims < used) {
-    virtual_claims_ += used - owner.claims;
-    owner.claims = used;
+  if (owner.claims() < used) {
+    virtual_claims_ += used - owner.claims();
+    owner.set_claims(used);
   }
 }
 
 inline void Scheduler::settle_virtual(std::uint64_t id, std::uint64_t* hint) {
   VirtualEvent& event = vtx_[id];  // kept: an entry keyed by it is popping
-  if (event.c != kUnresolved) return;
-  std::uint64_t i = std::max(*hint, event.first);
-  if (i < log_.begin) {
-    // Pops were dropped since: they all ran before the event only if they
-    // are older than it; otherwise never guess.
-    if (!(log_.dropped < event.when)) {
-      throw std::logic_error{"virtual event lookup ran past the pop log"};
-    }
-    i = log_.begin;
-  }
+  if (event.c() != kUnresolved) return;
+  // Pops before the hint were not past the owner's previous event, which
+  // orders before this one.
+  std::uint64_t i = *hint;
+  if (i < log_.begin) i = pops_from(event.when);
   // Fast path: a few pops on, one is later by time alone.  A same-time pop
   // or a longer walk takes the full search.
   const std::uint64_t start = i;
   const std::uint64_t stop = std::min(log_.end, i + 16);
   while (i < stop && log_[i].when < event.when) ++i;
   if (i == stop || log_[i].when == event.when) i = first_pop_past(id, start);
-  event.c = log_[i].counter;
+  event.set_c(log_[i].counter);
   *hint = i;
 }
 

@@ -9,11 +9,14 @@ TcpConnection make_connection(Scheduler& sched, FlowId flow,
   conn.sender = std::make_unique<RenoSender>(sched, flow, config,
                                              std::move(out),
                                              path.source_link(flow));
+  PacketHandler ack_out = path.attach_reverse_source(flow);
   conn.sink = std::make_unique<TcpSink>(sched, flow, config,
-                                        path.attach_reverse_source(flow));
+                                        std::move(ack_out),
+                                        path.reverse_source_link(flow));
 
   TcpSink* sink = conn.sink.get();
-  path.register_sink(flow, [sink](const Packet& p) { sink->on_data(p); });
+  path.register_sink(flow, [sink](const Packet& p) { sink->on_data(p); },
+                     sink);
   RenoSender* sender = conn.sender.get();
   path.register_reverse_sink(flow,
                              [sender](const Packet& p) { sender->on_ack(p); });

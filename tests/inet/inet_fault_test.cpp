@@ -4,8 +4,11 @@
 // have died in the broken connection's kernel buffers, and client-side
 // dedup keeps delivery exactly-once.
 #include <gtest/gtest.h>
+#include <poll.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
+#include <functional>
 #include <future>
 #include <memory>
 #include <stdexcept>
@@ -186,14 +189,12 @@ struct PeerCloseRun {
   bool path1_sentinel = false;
 };
 
-PeerCloseRun run_with_peer_close(const std::string& faults,
-                                 obs::Hub* hub = nullptr) {
+PeerCloseRun run_with_peer_close(const std::string& faults) {
   ServerConfig cfg;
   cfg.num_paths = 2;
   cfg.mu_pps = 400.0;
   cfg.duration_s = 1.5;
   cfg.faults = faults;
-  cfg.obs = hub;
   DmpInetServer server(cfg);
   auto server_future =
       std::async(std::launch::async, [&server] { return server.run(); });
@@ -230,15 +231,87 @@ TEST(InetFault, PeerCloseUnderFaultsTakesThePathDown) {
   EXPECT_TRUE(run.path1_sentinel);
 }
 
+// The stream clock stepped by hand: each wait moves it on by the loop's
+// timeout, lets the peers read, then polls without blocking.
+struct SteppedClock final : StreamClock {
+  std::uint64_t now = 1'000'000'000;
+  std::function<void()> peers;
+  std::uint64_t now_ns() override { return now; }
+  int wait(pollfd* fds, std::size_t count, int timeout_ms) override {
+    now += static_cast<std::uint64_t>(timeout_ms) * 1'000'000;
+    peers();
+    return ::poll(fds, count, 0);
+  }
+};
+
+// The same peer close over socketpairs on a stepped clock: no threads, no
+// timing.  Path 0's peer reads 50 frames, one at a time, and closes; path
+// 1's reads everything, every step.
 TEST(InetFault, PeerCloseWithoutFaultsFailsTheStream) {
   obs::ObsConfig config;
   config.enabled = true;
   config.output_dir = ::testing::TempDir();
   config.prefix = "inet_peer_close";
   obs::Hub hub(config, obs::TelemetryConfig{});
-  const PeerCloseRun run = run_with_peer_close("", &hub);
-  EXPECT_EQ(run.error, "stream connection failed");
-  EXPECT_FALSE(run.path1_sentinel);
+  ServerConfig cfg;
+  cfg.num_paths = 2;
+  cfg.mu_pps = 400.0;
+  cfg.duration_s = 1.5;
+  cfg.obs = &hub;
+  DmpInetServer server(cfg);
+
+  std::vector<Fd> ends;
+  std::vector<Fd> peers;
+  for (int k = 0; k < 2; ++k) {
+    int fds[2];
+    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+    ends.emplace_back(fds[0]);
+    peers.emplace_back(fds[1]);
+    set_nonblocking(peers.back());
+  }
+  std::uint64_t path0_frames = 0;
+  std::uint64_t path1_frames = 0;
+  bool path1_sentinel = false;
+  FrameParser parser0;
+  FrameParser parser1;
+  std::vector<unsigned char> buffer(kDefaultFrameBytes * 8);
+  const auto read_path1 = [&] {
+    while (true) {
+      const ssize_t n = ::read(peers[1].get(), buffer.data(), buffer.size());
+      if (n <= 0) return;
+      parser1.feed(buffer.data(), static_cast<std::size_t>(n),
+                   [&](const Frame& f) {
+                     if (f.packet_number == kEndOfStream) {
+                       path1_sentinel = true;
+                     } else {
+                       ++path1_frames;
+                     }
+                   });
+    }
+  };
+  SteppedClock clock;
+  clock.peers = [&] {
+    while (peers[0].valid()) {
+      const ssize_t n =
+          ::read(peers[0].get(), buffer.data(), kDefaultFrameBytes);
+      if (n <= 0) break;
+      parser0.feed(buffer.data(), static_cast<std::size_t>(n),
+                   [&](const Frame&) { ++path0_frames; });
+      if (path0_frames == 50) peers[0].reset();
+    }
+    read_path1();
+  };
+  std::string error;
+  try {
+    server.stream(std::move(ends), clock);
+  } catch (const std::runtime_error& e) {
+    error = e.what();
+  }
+  read_path1();
+  EXPECT_EQ(path0_frames, 50u);
+  EXPECT_GT(path1_frames, 0u);
+  EXPECT_EQ(error, "stream connection failed");
+  EXPECT_FALSE(path1_sentinel);
   // The failed run left its gauges frozen: writing the hub reads no
   // destroyed server state.
   hub.write_artifacts();

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
+#include "net/demux.hpp"
+
 namespace dmp {
 namespace {
 
@@ -106,6 +111,67 @@ TEST(DumbbellPath, BaseRttMatchesHandComputation) {
   // Round-trip propagation 2 * 60 ms dominates; serialization adds ~3.5 ms.
   EXPECT_GT(path.base_rtt_seconds(), 0.120);
   EXPECT_LT(path.base_rtt_seconds(), 0.130);
+}
+
+// The demux's index grows through several doublings; flow ids are spread
+// (consecutive runs and large strides) so probes collide and wrap.
+TEST(FlowDemux, ThousandsOfFlowsReplaceOnRegisterAndDiscardUnknown) {
+  constexpr int kFlows = 3000;
+  const auto id = [](int i) {
+    return static_cast<FlowId>(i % 2 == 0 ? i : 1'000'000 + i * 4099);
+  };
+  FlowDemux demux;
+  std::vector<int> got(kFlows, -1);  // the version of the handler reached
+  const auto handler = [&got](int i, int version) {
+    return [&got, i, version](const Packet&) { got[i] = version; };
+  };
+  for (int i = 0; i < kFlows; ++i) demux.register_flow(id(i), handler(i, 0));
+  // Every third flow re-registers: its new handler replaces the old one.
+  for (int i = 0; i < kFlows; i += 3) demux.register_flow(id(i), handler(i, 1));
+  Packet p;
+  for (int i = 0; i < kFlows; ++i) {
+    p.flow = id(i);
+    demux.deliver(p);
+    EXPECT_EQ(got[i], i % 3 == 0 ? 1 : 0) << i;
+    EXPECT_EQ(demux.ahead(id(i)), nullptr) << i;
+  }
+  // Unknown flows are discarded: no handler runs.
+  std::fill(got.begin(), got.end(), -1);
+  for (int i = kFlows; i < 2 * kFlows; ++i) {
+    p.flow = id(i);
+    demux.deliver(p);
+    EXPECT_EQ(demux.ahead(id(i)), nullptr) << i;
+  }
+  for (int i = 0; i < kFlows; ++i) EXPECT_EQ(got[i], -1) << i;
+}
+
+// A receiver registered to take deliveries ahead is asked once.
+TEST(FlowDemux, AsksAnAheadReceiverOnce) {
+  struct Receiver final : AheadReceiver {
+    bool answer = true;
+    int asked = 0;
+    bool takes_ahead() override {
+      ++asked;
+      return answer;
+    }
+    SimTime take(const Packet&, SimTime, std::uint64_t, SimTime) override {
+      return SimTime::max();
+    }
+    bool waits(std::uint64_t) const override { return false; }
+    void expire() override {}
+  };
+  Receiver yes;
+  Receiver no;
+  no.answer = false;
+  FlowDemux demux;
+  demux.register_flow(1, [](const Packet&) {}, &yes);
+  demux.register_flow(2, [](const Packet&) {}, &no);
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(demux.ahead(1), &yes);
+    EXPECT_EQ(demux.ahead(2), nullptr);
+  }
+  EXPECT_EQ(yes.asked, 1);
+  EXPECT_EQ(no.asked, 1);
 }
 
 }  // namespace
